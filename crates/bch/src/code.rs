@@ -4,6 +4,7 @@
 use pmck_gf::{BitPoly, FieldPoly, Gf2m};
 
 use crate::chien::ChienPlan;
+use crate::encode::ParityTable;
 use crate::error::BchError;
 use crate::syndrome::SyndromePlan;
 
@@ -37,6 +38,8 @@ pub struct BchCode {
     pub(crate) k: usize,
     pub(crate) r: usize,
     pub(crate) generator: BitPoly,
+    /// Per-data-bit parity rows: the one encode kernel.
+    pub(crate) parity_table: ParityTable,
     /// Byte-sliced syndrome evaluation plan (the decode hot-path kernel).
     pub(crate) plan: SyndromePlan,
     /// Bit-sliced Chien search plan (64 candidate positions per step).
@@ -64,6 +67,7 @@ impl BchCode {
         if k + r > natural {
             return Err(BchError::CodeTooLong(k + r, natural));
         }
+        let parity_table = ParityTable::new(&generator, r, k);
         let plan = SyndromePlan::new(&field, t);
         let chien = ChienPlan::new(&field, t, k + r);
         Ok(BchCode {
@@ -72,6 +76,7 @@ impl BchCode {
             k,
             r,
             generator,
+            parity_table,
             plan,
             chien,
         })

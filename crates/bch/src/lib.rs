@@ -4,7 +4,8 @@
 //! (VLEWs): a `t`-error-correcting BCH code over GF(2^m) spends
 //! `t·(⌊log2(k)⌋+1)` code bits to protect `k` data bits. This crate builds
 //! shortened systematic BCH codes for arbitrary `(m, t, k)` within
-//! `k + t·m ≤ 2^m − 1`, encodes via polynomial division, and decodes via
+//! `k + t·m ≤ 2^m − 1`, encodes by XORing rows of a per-data-bit parity
+//! table (cost proportional to the input's popcount), and decodes via
 //! syndrome computation, Berlekamp–Massey, and Chien search.
 //!
 //! Instances used by the reproduction:
@@ -20,7 +21,9 @@
 //! Encoding is linear: `parity(a ⊕ b) = parity(a) ⊕ parity(b)`. The write
 //! path of the paper (§V-D) relies on exactly this property to turn a
 //! bitwise-sum write into an ECC update, and [`BchCode::parity`] of the
-//! XOR of old and new data is that update.
+//! XOR of old and new data is that update;
+//! [`BchCode::parity_delta_into`] computes it allocation-free from the
+//! changed bytes alone.
 //!
 //! # Examples
 //!

@@ -207,6 +207,27 @@ fn bch_scenarios(cfg: &Config, rows: &mut Vec<Json>) {
             code.encode_bytes(std::hint::black_box(&data))
         }));
     }
+    if wants(cfg, "bch/parity_delta_64b") {
+        // The §V-D code-bit update of one chip: the sparse encode entry
+        // on 64 changed data bits, at a block offset that goes once
+        // round the stripe (the offset picks the table rows, not the
+        // cost). Allocation-free by construction; pinned here.
+        let mut delta = [0u8; 8];
+        rng.fill_bytes(&mut delta);
+        let mut out = vec![0u64; code.parity_limbs()];
+        let mut off = 0;
+        let row = scenario(cfg, "bch/parity_delta_64b", 8, || {
+            off = (off + 1) % 32;
+            code.parity_delta_into(off * 64, std::hint::black_box(&delta), &mut out);
+            out[0]
+        });
+        assert_eq!(
+            row.get("allocs_per_op").and_then(|v| v.as_f64()),
+            Some(0.0),
+            "bch/parity_delta_64b must not allocate"
+        );
+        rows.push(row);
+    }
     if wants(cfg, "bch/syndromes_clean") {
         rows.push(scenario(cfg, "bch/syndromes_clean", 256, || {
             code.syndromes(std::hint::black_box(&clean))
@@ -401,22 +422,40 @@ fn readpath_scenarios(cfg: &Config, rows: &mut Vec<Json>) {
             (buf[0], path)
         }));
     }
+    // Both write scenarios change every block they touch. Rewriting one
+    // constant payload does not: after the first lap every delta is zero
+    // and the engine skips the whole VLEW update, which is what the
+    // `writepath/conventional` row timed up to BENCH_PR10.json. The
+    // conventional path alternates two seeded payloads per lap; the sum
+    // path sends their XOR, so both flip the same bits of every chip.
+    let payloads = {
+        let mut rng = StdRng::seed_from_u64(14);
+        let mut p = [[0u8; 64]; 2];
+        rng.fill_bytes(&mut p[0][..]);
+        rng.fill_bytes(&mut p[1][..]);
+        p
+    };
     if wants(cfg, "writepath/conventional") {
         let mut stack = filled_stack(|b| b, 0.0);
-        let block = [0xA5u8; 64];
-        let mut a = 0;
+        let (mut a, mut lap) = (0, 0);
         rows.push(scenario(cfg, "writepath/conventional", 64, || {
             a = (a + 1) % stack.num_blocks();
-            stack.write(a, &block).expect("in range")
+            if a == 0 {
+                lap ^= 1;
+            }
+            stack.write(a, &payloads[lap]).expect("in range")
         }));
     }
     if wants(cfg, "writepath/bitwise_sum") {
         let mut stack = filled_stack(|b| b, 0.0);
-        let block = [0xA5u8; 64];
+        let mut sum = payloads[0];
+        for (s, p) in sum.iter_mut().zip(&payloads[1]) {
+            *s ^= p;
+        }
         let mut a = 0;
         rows.push(scenario(cfg, "writepath/bitwise_sum", 64, || {
             a = (a + 1) % stack.num_blocks();
-            stack.write_sum(a, &block).expect("in range")
+            stack.write_sum(a, &sum).expect("in range")
         }));
     }
     if wants(cfg, "stack/full_pipeline_read") {
@@ -842,6 +881,10 @@ fn main() {
         .with("harness", "microbench")
         .with("iters_per_batch", cfg.iters)
         .with("batches", cfg.batches)
+        .with(
+            "host_threads",
+            std::thread::available_parallelism().map_or(0, |n| n.get() as u64),
+        )
         .with("scenarios", Json::Arr(rows.clone()));
 
     let mut failed = false;

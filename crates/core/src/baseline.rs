@@ -13,6 +13,7 @@ use pmck_nvram::{BitErrorInjector, ChipFailureKind, FailedChip};
 use pmck_rt::rng::Rng;
 
 use crate::engine::CoreError;
+use crate::rank::store_code;
 
 /// How a baseline read was satisfied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,9 +76,13 @@ impl BaselineMemory {
         }
         let a = addr as usize;
         self.data[a * 64..(a + 1) * 64].copy_from_slice(new);
-        let mut code = self.bch.parity(&BitPoly::from_bytes(new)).to_bytes();
-        code.resize(self.code_bytes, 0);
-        self.codes[a * self.code_bytes..(a + 1) * self.code_bytes].copy_from_slice(&code);
+        // 140 parity bits: three limbs.
+        let mut code = [0u64; 3];
+        self.bch.parity_bytes_into(new, &mut code);
+        store_code(
+            &mut self.codes[a * self.code_bytes..(a + 1) * self.code_bytes],
+            &code,
+        );
         Ok(())
     }
 

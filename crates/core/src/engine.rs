@@ -11,7 +11,7 @@ use pmck_rt::rng::Rng;
 
 use crate::config::ChipkillConfig;
 use crate::layout::ChipkillLayout;
-use crate::rank::{apply_code_delta, ChipStore, EurModel};
+use crate::rank::{apply_code_delta, store_code, ChipStore, EurModel, CODE_LIMBS};
 use crate::stats::CoreStats;
 
 /// Errors surfaced by the engine.
@@ -465,6 +465,11 @@ impl ChipkillMemory {
         let vlew = BchCode::new(12, 22, layout.vlew_data_bytes * 8)
             .expect("validated layouts yield constructible VLEW parameters");
         debug_assert_eq!(vlew.parity_bits() / 8, layout.vlew_code_bytes);
+        assert_eq!(
+            vlew.parity_limbs(),
+            CODE_LIMBS,
+            "VLEW code deltas are fixed-size"
+        );
         let bch_scratch = BchScratch::new(&vlew);
         let vlew_cw = BitPoly::zero(vlew.len());
         ChipkillMemory {
@@ -481,7 +486,7 @@ impl ChipkillMemory {
             bch_scratch,
             vlew_cw,
             vlew_batch: Vec::new(),
-            eur: EurModel::default(),
+            eur: EurModel::new(stripes, layout.total_chips()),
             failed_chip: None,
             known_failed: None,
             disabled: HashSet::new(),
@@ -606,31 +611,21 @@ impl ChipkillMemory {
         }
     }
 
-    /// Builds the VLEW delta (parity-bit update) for an 8-byte change of
-    /// one chip at stripe offset `off`.
-    fn vlew_delta_for(&self, off: usize, delta8: &[u8]) -> BitPoly {
-        let mut data = BitPoly::zero(self.vlew.data_bits());
-        let base = off * self.layout.chip_bytes * 8;
-        for (i, &b) in delta8.iter().enumerate() {
-            for bit in 0..8 {
-                if b & (1 << bit) != 0 {
-                    data.set(base + i * 8 + bit, true);
-                }
-            }
+    /// Applies chip `chip`'s VLEW code-bit update for the 8-byte data
+    /// change `delta8` at stripe offset `off`: `f(sum)` of §V-D through
+    /// the encoder's sparse entry, coalesced in the EUR when enabled. A
+    /// zero delta changes no code bit and is skipped. Allocation-free.
+    fn apply_chip_code_update(&mut self, chip: usize, stripe: usize, off: usize, delta8: &[u8]) {
+        if delta8.iter().all(|&d| d == 0) {
+            return;
         }
-        self.vlew.parity(&data)
-    }
-
-    fn apply_chip_code_update(&mut self, chip: usize, stripe: usize, delta: &BitPoly) {
+        let mut delta = [0u64; CODE_LIMBS];
+        self.vlew
+            .parity_delta_into(off * self.layout.chip_bytes * 8, delta8, &mut delta);
         if self.cfg.eur_enabled {
-            self.eur.accumulate(chip, stripe, delta);
+            self.eur.accumulate(chip, stripe, &delta);
         } else {
-            let layout = self.layout;
-            apply_code_delta(
-                self.chips[chip].vlew_code_mut(stripe, &layout),
-                delta,
-                &self.vlew,
-            );
+            apply_code_delta(self.chips[chip].vlew_code_mut(stripe, &self.layout), &delta);
             self.eur.drains += 1;
         }
     }
@@ -641,12 +636,8 @@ impl ChipkillMemory {
         if self.eur.occupancy() == 0 {
             return;
         }
-        let layout = self.layout;
-        let code = self.vlew.clone();
-        for (c, s) in self.eur.pending_keys() {
-            let chip = &mut self.chips[c];
-            self.eur
-                .drain_into(c, s, chip.vlew_code_mut(s, &layout), &code);
+        for stripe in 0..self.stripes {
+            self.close_stripe(stripe);
         }
     }
 
@@ -656,12 +647,9 @@ impl ChipkillMemory {
         if !self.eur.stripe_dirty(stripe) {
             return;
         }
-        let layout = self.layout;
-        for c in 0..self.layout.total_chips() {
-            let code = self.vlew.clone();
-            let chip = &mut self.chips[c];
+        for (c, chip) in self.chips.iter_mut().enumerate() {
             self.eur
-                .drain_into(c, stripe, chip.vlew_code_mut(stripe, &layout), &code);
+                .drain_into(c, stripe, chip.vlew_code_mut(stripe, &self.layout));
         }
     }
 
@@ -716,9 +704,8 @@ impl ChipkillMemory {
                     *b ^= d;
                 }
             }
-            if self.vlew_enabled && delta8.iter().any(|&d| d != 0) {
-                let delta = self.vlew_delta_for(off, &delta8);
-                self.apply_chip_code_update(c, stripe, &delta);
+            if self.vlew_enabled {
+                self.apply_chip_code_update(c, stripe, off, &delta8);
             }
         }
         {
@@ -728,9 +715,8 @@ impl ChipkillMemory {
                 *b ^= d;
             }
         }
-        if self.vlew_enabled && check_sum.iter().any(|&d| d != 0) {
-            let delta = self.vlew_delta_for(off, &check_sum);
-            self.apply_chip_code_update(parity_idx, stripe, &delta);
+        if self.vlew_enabled {
+            self.apply_chip_code_update(parity_idx, stripe, off, &check_sum);
         }
         self.eur.writes_seen += 1;
         self.stats.writes += 1;
@@ -750,18 +736,12 @@ impl ChipkillMemory {
                 for (d, i) in delta8.iter_mut().zip(s..e) {
                     *d = old72[i] ^ new72[i];
                 }
-                if delta8.iter().any(|&d| d != 0) {
-                    let delta = self.vlew_delta_for(off, &delta8);
-                    self.apply_chip_code_update(c, stripe, &delta);
-                }
+                self.apply_chip_code_update(c, stripe, off, &delta8);
             }
             for (d, i) in delta8.iter_mut().zip(0..8) {
                 *d = old72[i] ^ new72[i];
             }
-            if delta8.iter().any(|&d| d != 0) {
-                let delta = self.vlew_delta_for(off, &delta8);
-                self.apply_chip_code_update(parity_idx, stripe, &delta);
-            }
+            self.apply_chip_code_update(parity_idx, stripe, off, &delta8);
         }
         self.scatter_block(addr, new72);
     }
@@ -1506,13 +1486,10 @@ impl ChipkillMemory {
             }
             // Re-encode the rebuilt chip's VLEW code for this stripe.
             let layout = self.layout;
-            let data_bits = BitPoly::from_bytes(self.chips[chip].vlew_data(stripe, &layout));
-            let parity = self.vlew.parity(&data_bits);
-            let mut code_bytes = parity.to_bytes();
-            code_bytes.resize(layout.vlew_code_bytes, 0);
-            self.chips[chip]
-                .vlew_code_mut(stripe, &layout)
-                .copy_from_slice(&code_bytes);
+            let mut code = [0u64; CODE_LIMBS];
+            self.vlew
+                .parity_bytes_into(self.chips[chip].vlew_data(stripe, &layout), &mut code);
+            store_code(self.chips[chip].vlew_code_mut(stripe, &layout), &code);
         }
         self.failed_chip = None;
         self.known_failed = None;
@@ -1594,5 +1571,104 @@ impl ChipkillMemory {
     /// Whether `addr` has been disabled.
     pub fn is_disabled(&self, addr: u64) -> bool {
         self.disabled.contains(&addr)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::layout::ProtectionTier;
+    use pmck_rt::rng::StdRng;
+
+    /// 2000 seeded writes on a 256-block rank, half conventional and
+    /// half bitwise-sum, half of them changing one chip's 8 B only,
+    /// three quarters landing in a 48-block hot window (so the EUR
+    /// coalesces), with an occasional row close. Returns the rank and
+    /// the expected contents.
+    fn mixed_writes(cfg: ChipkillConfig, seed: u64) -> (ChipkillMemory, Vec<[u8; 64]>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut mem = ChipkillMemory::new(256, cfg);
+        let blocks = mem.num_blocks();
+        let mut mirror = vec![[0u8; 64]; blocks as usize];
+        for _ in 0..2000 {
+            let addr = if rng.gen_bool(0.75) {
+                rng.gen_range(0..48u64)
+            } else {
+                rng.gen_range(0..blocks)
+            };
+            let mut new = mirror[addr as usize];
+            if rng.gen_bool(0.5) {
+                rng.fill_bytes(&mut new[..]);
+            } else {
+                let chip = rng.gen_range(0..8usize);
+                rng.fill_bytes(&mut new[chip * 8..chip * 8 + 8]);
+            }
+            if rng.gen_bool(0.5) {
+                mem.write_block(addr, &new).unwrap();
+            } else {
+                let mut sum = [0u8; 64];
+                for (s, (o, n)) in sum.iter_mut().zip(mirror[addr as usize].iter().zip(&new)) {
+                    *s = o ^ n;
+                }
+                mem.write_block_sum(addr, &sum).unwrap();
+            }
+            mirror[addr as usize] = new;
+            if rng.gen_bool(0.02) {
+                mem.close_stripe(rng.gen_range(0..mem.stripes()));
+            }
+        }
+        (mem, mirror)
+    }
+
+    #[test]
+    fn delta_maintained_codes_equal_a_full_reencode() {
+        // (config, seed, EUR occupancy before the flush, drains after
+        // it). The counts are pinned from the commit before the
+        // table-driven encoder and the register-file EUR (PR 11,
+        // 9842f7b) on the same seeds: the drain policy did not move.
+        let no_eur = ChipkillConfig {
+            eur_enabled: false,
+            ..ChipkillConfig::default()
+        };
+        for (cfg, seed, occupancy, drains) in [
+            (ChipkillConfig::default(), 0xE014, 63, 398),
+            (
+                ChipkillConfig::for_tier(ProtectionTier::Dense),
+                0xE015,
+                119,
+                383,
+            ),
+            (no_eur, 0xE016, 0, 10972),
+        ] {
+            let (mut mem, mirror) = mixed_writes(cfg, seed);
+            assert_eq!(mem.eur_occupancy(), occupancy, "{cfg:?}");
+            mem.flush_eur();
+            assert_eq!(mem.eur_occupancy(), 0);
+            assert_eq!(mem.eur.drains, drains, "{cfg:?}");
+            assert_eq!(mem.c_factor(), drains as f64 / 2000.0);
+
+            // Every stored code region against a whole-word encode of
+            // the data beside it.
+            let layout = mem.layout;
+            for stripe in 0..mem.stripes {
+                for (c, chip) in mem.chips.iter().enumerate() {
+                    let mut code = [0u64; CODE_LIMBS];
+                    mem.vlew
+                        .parity_bytes_into(chip.vlew_data(stripe, &layout), &mut code);
+                    let mut want = [0u8; 33];
+                    store_code(&mut want, &code);
+                    assert_eq!(
+                        chip.vlew_code(stripe, &layout),
+                        want,
+                        "chip {c} stripe {stripe} under {cfg:?}"
+                    );
+                }
+            }
+            // And against the division-based codeword check.
+            assert!(mem.verify_consistent());
+            for (a, want) in mirror.iter().enumerate() {
+                assert_eq!(&mem.read_block(a as u64).unwrap().data, want);
+            }
+        }
     }
 }

@@ -45,7 +45,6 @@ use pmck_pmem::{crc32, FenceReport, PersistentMedia, PmemConfig, ReplayOutcome};
 use crate::device::{Access, AccessContext, AccessOutcome, LayerId, RecoveryReport};
 use crate::engine::{ChipkillMemory, CoreError, RecoveryError, RecoveryFailure};
 use crate::layout::{ChipkillLayout, ProtectionTier};
-use crate::rank::EurModel;
 use crate::restripe::{RestripeState, Restripeable, RestripedMemory, BLOCKS_PER_GROUP};
 
 const META_MAGIC: u64 = 0x504d_434b_4d45_5441; // "PMCKMETA"
@@ -392,7 +391,7 @@ impl ChipkillMemory {
             let (off, len) = (domain.map.chip_code(c), chip.code.len());
             chip.code.copy_from_slice(&staging[off..off + len]);
         }
-        self.eur = EurModel::default();
+        self.eur.clear();
         self.known_failed = meta.failed_chip;
     }
 

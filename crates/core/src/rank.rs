@@ -1,10 +1,6 @@
 //! Functional storage for the nine-chip rank: per-chip data and VLEW code
 //! areas, plus the EUR model for coalesced code updates.
 
-use std::collections::HashMap;
-
-use pmck_bch::{BchCode, BitPoly};
-
 use crate::layout::ChipkillLayout;
 
 /// One chip's storage: a flat data area (256 B per stripe) and a VLEW code
@@ -63,60 +59,94 @@ impl ChipStore {
     }
 }
 
+/// Limbs of one VLEW code-bit delta. The code region is 33 B (264 bits)
+/// on every tier (`layout.vlew_code_bytes`), so a delta is a fixed
+/// five-limb array from the encoder to the stored bytes.
+pub(crate) const CODE_LIMBS: usize = 5;
+
+/// One VLEW code-bit delta (or one EUR register) as little-endian limbs,
+/// the format [`pmck_bch::BchCode::parity_delta_into`] writes.
+pub(crate) type CodeDelta = [u64; CODE_LIMBS];
+
 /// The per-chip ECC Update Registerfile: coalesces VLEW code-bit updates
-/// for open rows, applied when the "row" (stripe) closes (§V-D).
+/// for open rows, applied when the "row" (stripe) closes (§V-D,
+/// Figure 11).
 ///
+/// A register file indexed by `(chip, stripe)`: one fixed-size register
+/// per pair, a per-stripe dirty mask, and an occupancy counter.
 /// Functionally the engine applies updates eagerly or lazily with
-/// identical results; this model tracks pending deltas per
-/// `(chip, stripe)` plus the drain statistics that define the C factor.
-#[derive(Debug, Clone, Default)]
+/// identical results; the model also keeps the drain statistics that
+/// define the C factor. A register XORed back to zero stays dirty until
+/// its stripe closes — the hardware does not compare against zero.
+#[derive(Debug, Clone)]
 pub(crate) struct EurModel {
-    pending: HashMap<(usize, usize), BitPoly>,
+    /// Stripe-major: register `stripe * chips + chip`.
+    regs: Vec<CodeDelta>,
+    /// Per stripe, bit `c` set while chip `c`'s register is dirty.
+    dirty: Vec<u16>,
+    chips: usize,
+    occupancy: usize,
     pub writes_seen: u64,
     pub drains: u64,
 }
 
 impl EurModel {
+    pub fn new(stripes: usize, chips: usize) -> Self {
+        assert!(chips <= 16, "the per-stripe dirty mask holds 16 chips");
+        EurModel {
+            regs: vec![[0; CODE_LIMBS]; stripes * chips],
+            dirty: vec![0; stripes],
+            chips,
+            occupancy: 0,
+            writes_seen: 0,
+            drains: 0,
+        }
+    }
+
+    /// Empties every register and zeroes the statistics (the register
+    /// file is volatile: this is its state after a power cycle).
+    pub fn clear(&mut self) {
+        self.regs.fill([0; CODE_LIMBS]);
+        self.dirty.fill(0);
+        self.occupancy = 0;
+        self.writes_seen = 0;
+        self.drains = 0;
+    }
+
     /// Accumulates a code delta for `(chip, stripe)`.
-    pub fn accumulate(&mut self, chip: usize, stripe: usize, delta: &BitPoly) {
-        match self.pending.entry((chip, stripe)) {
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                e.get_mut().xor_assign(delta);
-            }
-            std::collections::hash_map::Entry::Vacant(v) => {
-                v.insert(delta.clone());
-            }
+    pub fn accumulate(&mut self, chip: usize, stripe: usize, delta: &CodeDelta) {
+        let mask = 1 << chip;
+        if self.dirty[stripe] & mask == 0 {
+            self.dirty[stripe] |= mask;
+            self.occupancy += 1;
+        }
+        for (r, d) in self.regs[stripe * self.chips + chip].iter_mut().zip(delta) {
+            *r ^= d;
         }
     }
 
     /// Drains the register for `(chip, stripe)` into the stored code
     /// bytes, if dirty.
-    pub fn drain_into(
-        &mut self,
-        chip: usize,
-        stripe: usize,
-        code_bytes: &mut [u8],
-        code: &BchCode,
-    ) {
-        if let Some(delta) = self.pending.remove(&(chip, stripe)) {
-            apply_code_delta(code_bytes, &delta, code);
-            self.drains += 1;
+    pub fn drain_into(&mut self, chip: usize, stripe: usize, code_bytes: &mut [u8]) {
+        let mask = 1 << chip;
+        if self.dirty[stripe] & mask == 0 {
+            return;
         }
+        self.dirty[stripe] &= !mask;
+        self.occupancy -= 1;
+        let delta = std::mem::take(&mut self.regs[stripe * self.chips + chip]);
+        apply_code_delta(code_bytes, &delta);
+        self.drains += 1;
     }
 
     /// Whether any register for `stripe` on any chip is dirty.
     pub fn stripe_dirty(&self, stripe: usize) -> bool {
-        self.pending.keys().any(|&(_, s)| s == stripe)
+        self.dirty[stripe] != 0
     }
 
     /// Dirty register count.
     pub fn occupancy(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// The `(chip, stripe)` keys currently dirty.
-    pub fn pending_keys(&self) -> Vec<(usize, usize)> {
-        self.pending.keys().copied().collect()
+        self.occupancy
     }
 
     /// Functional C factor: drains per write request (after a full flush).
@@ -129,15 +159,20 @@ impl EurModel {
     }
 }
 
-/// XORs a parity-bit delta into stored code bytes.
-pub(crate) fn apply_code_delta(code_bytes: &mut [u8], delta: &BitPoly, code: &BchCode) {
-    debug_assert!(delta.len() <= code.parity_bits());
-    let bytes = delta.to_bytes();
-    for (i, b) in bytes.iter().enumerate() {
-        if i < code_bytes.len() {
-            code_bytes[i] ^= b;
-        }
+/// XORs parity bits, as the little-endian limbs the encoder writes, into
+/// stored code bytes (33 B for a VLEW; any code region no longer than
+/// the limbs).
+pub(crate) fn apply_code_delta(code_bytes: &mut [u8], delta: &[u64]) {
+    debug_assert!(code_bytes.len() <= delta.len() * 8);
+    for (i, b) in code_bytes.iter_mut().enumerate() {
+        *b ^= (delta[i / 8] >> (i % 8 * 8)) as u8;
     }
+}
+
+/// Overwrites stored code bytes with freshly encoded parity limbs.
+pub(crate) fn store_code(code_bytes: &mut [u8], code: &[u64]) {
+    code_bytes.fill(0);
+    apply_code_delta(code_bytes, code);
 }
 
 #[cfg(test)]
@@ -171,36 +206,79 @@ mod tests {
 
     #[test]
     fn eur_coalesces() {
-        let code = BchCode::vlew();
-        let mut eur = EurModel::default();
-        let mut d1 = BitPoly::zero(code.parity_bits());
-        d1.set(0, true);
-        let mut d2 = BitPoly::zero(code.parity_bits());
-        d2.set(0, true);
-        d2.set(5, true);
+        let mut eur = EurModel::new(1, 9);
+        let d1: CodeDelta = [0b1, 0, 0, 0, 0];
+        let d2: CodeDelta = [0b10_0001, 0, 0, 0, 1 << 7];
         eur.accumulate(0, 0, &d1);
         eur.accumulate(0, 0, &d2);
         eur.writes_seen = 2;
         assert_eq!(eur.occupancy(), 1);
         let mut bytes = vec![0u8; 33];
-        eur.drain_into(0, 0, &mut bytes, &code);
-        // d1 ^ d2 = bit 5 only.
+        eur.drain_into(0, 0, &mut bytes);
+        // d1 ^ d2 = bit 5 and bit 263 (the last code bit) only.
         assert_eq!(bytes[0], 0b0010_0000);
+        assert_eq!(bytes[32], 0x80);
+        assert_eq!(bytes.iter().map(|b| b.count_ones()).sum::<u32>(), 2);
         assert_eq!(eur.drains, 1);
         assert_eq!(eur.c_factor(), 0.5);
+        // The register is empty again: a second drain is a no-op.
+        eur.drain_into(0, 0, &mut bytes);
+        assert_eq!(eur.drains, 1);
     }
 
     #[test]
     fn eur_stripe_dirty_tracking() {
-        let code = BchCode::vlew();
-        let mut eur = EurModel::default();
-        let mut d = BitPoly::zero(code.parity_bits());
-        d.set(1, true);
+        let mut eur = EurModel::new(9, 9);
+        let d: CodeDelta = [0b10, 0, 0, 0, 0];
         eur.accumulate(2, 7, &d);
         assert!(eur.stripe_dirty(7));
         assert!(!eur.stripe_dirty(8));
         let mut bytes = vec![0u8; 33];
-        eur.drain_into(2, 7, &mut bytes, &code);
+        eur.drain_into(2, 7, &mut bytes);
         assert!(!eur.stripe_dirty(7));
+        assert_eq!(bytes[0], 0b10);
+    }
+
+    #[test]
+    fn eur_register_cancelled_to_zero_stays_dirty() {
+        // Drain policy: the register file does not compare against
+        // zero, so a delta XORed away still costs its drain.
+        let mut eur = EurModel::new(2, 9);
+        let d: CodeDelta = [0xDEAD, 0, 7, 0, 0];
+        eur.accumulate(8, 1, &d);
+        eur.accumulate(8, 1, &d);
+        assert_eq!(eur.occupancy(), 1);
+        assert!(eur.stripe_dirty(1));
+        let mut bytes = vec![0u8; 33];
+        eur.drain_into(8, 1, &mut bytes);
+        assert_eq!(bytes, vec![0u8; 33]);
+        assert_eq!(eur.drains, 1);
+        assert_eq!(eur.occupancy(), 0);
+    }
+
+    #[test]
+    fn eur_clear_empties_registers_and_statistics() {
+        let mut eur = EurModel::new(2, 9);
+        eur.accumulate(3, 1, &[1, 2, 3, 4, 5]);
+        eur.writes_seen = 4;
+        eur.drains = 2;
+        eur.clear();
+        assert_eq!(eur.occupancy(), 0);
+        assert!(!eur.stripe_dirty(1));
+        assert_eq!((eur.writes_seen, eur.drains), (0, 0));
+        let mut bytes = vec![0u8; 33];
+        eur.drain_into(3, 1, &mut bytes);
+        assert_eq!(bytes, vec![0u8; 33]);
+    }
+
+    #[test]
+    fn store_code_overwrites() {
+        let mut bytes = [0xFFu8; 18];
+        store_code(
+            &mut bytes,
+            &[0x0807_0605_0403_0201, 0x100F_0E0D_0C0B_0A09, 0x1211],
+        );
+        let want: Vec<u8> = (1..=18).collect();
+        assert_eq!(bytes.to_vec(), want);
     }
 }

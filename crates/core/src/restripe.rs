@@ -15,6 +15,7 @@ use pmck_rt::rng::Rng;
 
 use crate::device::{Access, AccessContext, AccessOutcome, BlockDevice, LayerId};
 use crate::engine::{ChipkillMemory, CoreError, ReadPath};
+use crate::rank::{apply_code_delta, CODE_LIMBS};
 use crate::stats::CoreStats;
 
 /// Blocks per reconfigured VLEW (256 B / 64 B).
@@ -67,11 +68,13 @@ impl RestripedMemory {
         Ok(out)
     }
 
-    fn encode_group(&self, group: usize) -> Vec<u8> {
+    fn encode_group(&self, group: usize) -> [u8; 33] {
         let base = group * BLOCKS_PER_GROUP * 64;
-        let bits = BitPoly::from_bytes(&self.data[base..base + 256]);
-        let mut code = self.vlew.parity(&bits).to_bytes();
-        code.resize(33, 0);
+        let mut limbs = [0u64; CODE_LIMBS];
+        self.vlew
+            .parity_bytes_into(&self.data[base..base + 256], &mut limbs);
+        let mut code = [0u8; 33];
+        apply_code_delta(&mut code, &limbs);
         code
     }
 
@@ -152,23 +155,17 @@ impl RestripedMemory {
         let group = addr as usize / BLOCKS_PER_GROUP;
         let off = (addr as usize % BLOCKS_PER_GROUP) * 64;
         let base = group * BLOCKS_PER_GROUP * 64;
-        // Delta against the stored (assumed-corrected by reads) value.
-        let mut delta_bits = BitPoly::zero(self.vlew.data_bits());
-        for (i, &n) in new.iter().enumerate() {
-            let d = self.data[base + off + i] ^ n;
-            for b in 0..8 {
-                if d & (1 << b) != 0 {
-                    delta_bits.set((off + i) * 8 + b, true);
-                }
-            }
+        // Delta against the stored (assumed-corrected by reads) value:
+        // the same 64 B-at-an-offset shape as a chip's §V-D update.
+        let stored = &mut self.data[base + off..base + off + 64];
+        let mut delta = [0u8; 64];
+        for (d, (s, n)) in delta.iter_mut().zip(stored.iter().zip(new)) {
+            *d = s ^ n;
         }
-        let delta_code = self.vlew.parity(&delta_bits);
-        let mut bytes = delta_code.to_bytes();
-        bytes.resize(33, 0);
-        for (i, b) in bytes.iter().enumerate() {
-            self.codes[group * 33 + i] ^= b;
-        }
-        self.data[base + off..base + off + 64].copy_from_slice(new);
+        let mut limbs = [0u64; CODE_LIMBS];
+        self.vlew.parity_delta_into(off * 8, &delta, &mut limbs);
+        apply_code_delta(&mut self.codes[group * 33..(group + 1) * 33], &limbs);
+        stored.copy_from_slice(new);
         Ok(())
     }
 

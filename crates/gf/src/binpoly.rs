@@ -57,6 +57,21 @@ impl BitPoly {
         p
     }
 
+    /// Builds from raw little-endian limbs (the inverse of
+    /// [`BitPoly::limbs`]) with logical length `len`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `limbs` is not exactly `⌈len/64⌉` long or carries set
+    /// bits at or beyond `len`.
+    pub fn from_limbs(limbs: Vec<u64>, len: usize) -> Self {
+        assert_eq!(limbs.len(), len.div_ceil(64), "limb count mismatch");
+        if !len.is_multiple_of(64) {
+            assert_eq!(limbs[len / 64] >> (len % 64), 0, "set bits beyond len");
+        }
+        BitPoly { bits: limbs, len }
+    }
+
     /// Builds from bytes in little-endian bit order: bit `j` of `bytes[i]`
     /// is the coefficient of `x^(8*i + j)`. Logical length is
     /// `8 * bytes.len()`.
@@ -354,15 +369,27 @@ impl BitPoly {
         out
     }
 
-    /// Copies `src` into the bit range starting at `start`.
+    /// Copies `src` into the bit range starting at `start`, one source
+    /// limb (two shifted limb writes) at a time.
     ///
     /// # Panics
     ///
     /// Panics if the range exceeds `self.len()`.
     pub fn splice(&mut self, start: usize, src: &BitPoly) {
         assert!(start + src.len() <= self.len, "splice out of range");
-        for i in 0..src.len() {
-            self.set(start + i, src.get(i));
+        let limb_shift = start / 64;
+        let bit_shift = start % 64;
+        for (i, &limb) in src.bits.iter().enumerate() {
+            // Bits at or beyond `src.len()` are zero, so only the mask
+            // needs trimming on the last limb.
+            let nbits = (src.len - i * 64).min(64);
+            let mask = u64::MAX >> (64 - nbits);
+            let lo = i + limb_shift;
+            self.bits[lo] = (self.bits[lo] & !(mask << bit_shift)) | (limb << bit_shift);
+            if bit_shift + nbits > 64 {
+                let back = 64 - bit_shift;
+                self.bits[lo + 1] = (self.bits[lo + 1] & !(mask >> back)) | (limb >> back);
+            }
         }
     }
 }
@@ -498,6 +525,60 @@ mod tests {
         let expected: Vec<usize> = (60..124).collect();
         let got: Vec<usize> = a.iter_ones().collect();
         assert_eq!(got, expected);
+    }
+
+    #[test]
+    fn from_limbs_inverts_limbs() {
+        let p = BitPoly::from_bytes(&[0xDE, 0xAD, 0xBE, 0xEF, 0x01, 0x02, 0x03, 0x04, 0x7F]);
+        assert_eq!(BitPoly::from_limbs(p.limbs().to_vec(), p.len()), p);
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond len")]
+    fn from_limbs_rejects_stray_high_bits() {
+        let _ = BitPoly::from_limbs(vec![0x100], 8);
+    }
+
+    #[test]
+    fn splice_matches_bit_by_bit_for_every_alignment() {
+        // The limb-wise copy against the obvious form, for every
+        // (start mod 64, len mod 64) pair, with source lengths on both
+        // sides of a limb boundary and a non-zero destination so stale
+        // bits inside the range and clobbered bits outside it both show.
+        fn pattern(len: usize, salt: u64) -> BitPoly {
+            let mut p = BitPoly::zero(len);
+            let mut x = salt | 1;
+            for i in 0..len {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                p.set(i, x & 1 != 0);
+            }
+            p
+        }
+        for start in 0..64usize {
+            for len_mod in 0..64usize {
+                for len in [len_mod, len_mod + 64, len_mod + 128] {
+                    let start = start + 64 * (len_mod % 2);
+                    let src = pattern(len, (start * 131 + len) as u64);
+                    let dst = pattern(start + len + 70, 0x9E37_79B9);
+                    let mut fast = dst.clone();
+                    fast.splice(start, &src);
+                    let mut slow = dst.clone();
+                    for i in 0..len {
+                        slow.set(start + i, src.get(i));
+                    }
+                    assert_eq!(fast, slow, "start {start}, len {len}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "splice out of range")]
+    fn splice_past_the_end_panics() {
+        let mut p = BitPoly::zero(100);
+        p.splice(40, &BitPoly::zero(61));
     }
 
     #[test]

@@ -315,6 +315,54 @@ impl Case for BitFlipCase {
     }
 }
 
+/// A data word for the BCH encoder: zero but for `bytes`, laid at data
+/// bit `bit_offset` in little-endian bit order. A dense word is offset 0
+/// with `data_bits / 8` bytes; a §V-D write delta is 8 bytes at a
+/// block's offset. The case shape for `bch:encode_differential`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct EncodeCase {
+    /// Data-bit index of bit 0 of `bytes[0]`.
+    pub bit_offset: usize,
+    /// The word's only (possibly) non-zero bytes.
+    pub bytes: Vec<u8>,
+}
+
+impl Case for EncodeCase {
+    fn to_json(&self) -> Json {
+        Json::object()
+            .with("bit_offset", self.bit_offset as u64)
+            .with("bytes", bytes_to_json(&self.bytes))
+    }
+
+    fn from_json(value: &Json) -> Option<Self> {
+        Some(EncodeCase {
+            bit_offset: usize::try_from(value.get("bit_offset")?.as_u64()?).ok()?,
+            bytes: bytes_from_json(value.get("bytes")?)?,
+        })
+    }
+
+    fn shrink(&self) -> Vec<Self> {
+        // Drop the last byte, or clear one set bit: the minimal
+        // counterexample of a linear encoder is a single unit vector.
+        let mut out = Vec::new();
+        if self.bytes.len() > 1 {
+            let mut cand = self.clone();
+            cand.bytes.pop();
+            out.push(cand);
+        }
+        if self.bytes.iter().map(|b| b.count_ones()).sum::<u32>() > 1 {
+            for (i, &b) in self.bytes.iter().enumerate() {
+                if b != 0 {
+                    let mut cand = self.clone();
+                    cand.bytes[i] = b & (b - 1);
+                    out.push(cand);
+                }
+            }
+        }
+        out
+    }
+}
+
 /// A batch of [`BitFlipCase`] words decoded together; the case shape for
 /// the batched BCH decode API. The interesting region is mixed batches —
 /// clean, correctable, and overweight words sharing one scratch — plus
@@ -868,6 +916,23 @@ mod tests {
             flips: vec![0, 17, 2311],
         };
         assert_eq!(BitFlipCase::from_json(&case.to_json()), Some(case));
+    }
+
+    #[test]
+    fn encode_case_round_trips_and_shrinks_to_a_unit_vector() {
+        let case = EncodeCase {
+            bit_offset: 1957,
+            bytes: vec![0x81, 0x00, 0x10],
+        };
+        assert_eq!(EncodeCase::from_json(&case.to_json()), Some(case.clone()));
+        let shrunk = case.shrink();
+        assert!(shrunk.iter().any(|c| c.bytes == [0x81, 0x00]));
+        assert!(shrunk.iter().any(|c| c.bytes == [0x80, 0x00, 0x10]));
+        let unit = EncodeCase {
+            bit_offset: 0,
+            bytes: vec![0x40],
+        };
+        assert!(unit.shrink().is_empty());
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! * **differential oracles** ([`oracle`]) — a Peterson–Gorenstein–
 //!   Zierler reference decoder for BCH and a linear-system erasure
 //!   reference for RS(72, 64), run side-by-side with the production
-//!   codecs asserting identical accept/reject/correct verdicts;
+//!   codecs asserting identical accept/reject/correct verdicts — and a
+//!   polynomial-division reference for the table-driven BCH encoder;
 //! * re-exports of the **fault-schedule DSL** ([`FaultSchedule`], owned
 //!   by `pmck-nvram` so the engine and simulators can consume it
 //!   without a dependency cycle) that campaign drivers like the `soak`
@@ -48,11 +49,11 @@ pub mod runner;
 
 pub use cases::{
     BitFlipBatchCase, BitFlipCase, ByteErrorCase, ChipkillErasureCase, ClusterPlan,
-    ClusterScenario, CrashOp, CrashPlan, ErasureCase, FieldPairCase, JsonCase,
+    ClusterScenario, CrashOp, CrashPlan, EncodeCase, ErasureCase, FieldPairCase, JsonCase,
 };
 pub use oracle::{
-    diff_bch, diff_bch_batch, diff_bch_scratch, diff_rs_erasures, ref_bch_decode,
-    ref_rs_erasure_decode, RefBchOutcome, RefRsOutcome,
+    diff_bch, diff_bch_batch, diff_bch_encode, diff_bch_scratch, diff_rs_erasures, ref_bch_decode,
+    ref_bch_parity, ref_rs_erasure_decode, RefBchOutcome, RefRsOutcome,
 };
 pub use runner::{Case, Failure, RunReport, Runner};
 

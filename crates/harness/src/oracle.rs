@@ -14,6 +14,11 @@
 //!   solve it directly and accept only if consistent and the patched
 //!   word re-verifies.
 //!
+//! * **BCH encode** — the definition: the parity of `d(x)` is
+//!   `d(x)·x^r mod g(x)`, by bit-serial polynomial division
+//!   ([`ref_bch_parity`]). The production encoder never divides; it
+//!   XORs rows of a precomputed position table.
+//!
 //! Both production decoders also re-verify `is_codeword` after applying
 //! corrections, and bounded-distance decoding within the packing radius
 //! is unique — so the verdicts (and corrected words) must match
@@ -244,6 +249,63 @@ pub fn diff_bch(code: &BchCode, word: &BitPoly) -> Result<(), String> {
             production.as_ref().map(|o| o.corrected_bits().to_vec())
         )),
     }
+}
+
+/// The BCH parity of `data` by definition: the remainder of
+/// `data(x) · x^r` on division by the generator, computed bit-serially.
+/// This is the encoder the workspace shipped before the position table;
+/// it survives here as the table's reference.
+///
+/// # Panics
+///
+/// Panics if `data.len() != code.data_bits()`.
+pub fn ref_bch_parity(code: &BchCode, data: &BitPoly) -> BitPoly {
+    assert_eq!(data.len(), code.data_bits(), "data length mismatch");
+    let mut shifted = BitPoly::zero(code.len());
+    shifted.splice(code.parity_bits(), data);
+    let rem = shifted.rem(code.generator());
+    let mut parity = BitPoly::zero(code.parity_bits());
+    for i in rem.iter_ones() {
+        parity.set(i, true);
+    }
+    parity
+}
+
+/// Runs every production encode entry on the word that is zero but for
+/// `bytes` at data bit `bit_offset` and checks each against
+/// [`ref_bch_parity`]: [`BchCode::parity`] on the assembled word, the
+/// sparse [`BchCode::parity_delta_into`] on the bytes alone, and — when
+/// the bytes are the whole word — [`BchCode::parity_bytes_into`].
+///
+/// # Errors
+///
+/// Returns a description of the divergence, suitable as a property
+/// failure message.
+pub fn diff_bch_encode(code: &BchCode, bit_offset: usize, bytes: &[u8]) -> Result<(), String> {
+    let mut word = BitPoly::zero(code.data_bits());
+    word.splice(bit_offset, &BitPoly::from_bytes(bytes));
+    let reference = ref_bch_parity(code, &word);
+    if code.parity(&word) != reference {
+        return Err(format!(
+            "BCH encode: parity() diverges at offset {bit_offset}"
+        ));
+    }
+    // Dirty on purpose: the `_into` entries overwrite their output.
+    let mut limbs = vec![u64::MAX; code.parity_limbs()];
+    code.parity_delta_into(bit_offset, bytes, &mut limbs);
+    if limbs != reference.limbs() {
+        return Err(format!(
+            "BCH encode: parity_delta_into() diverges at offset {bit_offset}"
+        ));
+    }
+    if bit_offset == 0 && bytes.len() * 8 == code.data_bits() {
+        limbs.fill(u64::MAX);
+        code.parity_bytes_into(bytes, &mut limbs);
+        if limbs != reference.limbs() {
+            return Err("BCH encode: parity_bytes_into() diverges".into());
+        }
+    }
+    Ok(())
 }
 
 /// [`diff_bch`] for the scratch-based decode path: runs

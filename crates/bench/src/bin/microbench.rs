@@ -29,7 +29,7 @@ use std::time::Instant;
 use pmck_bch::{BchCode, BchScratch};
 use pmck_cluster::{Cluster, ClusterConfig};
 use pmck_core::{
-    Access, AccessContext, BlockDevice, ChipkillConfig, PmemConfig, ProtectionTier, Request, Stack,
+    AccessContext, BlockDevice, ChipkillConfig, PmemConfig, ProtectionTier, Request, Stack,
     StackBuilder, TierPolicy, TieredMemory,
 };
 use pmck_gf::SyndromeRows;
@@ -510,7 +510,7 @@ fn tier_scenarios(cfg: &Config, rows: &mut Vec<Json>) {
         let mut ctx = AccessContext::new(7);
         for a in 0..mem.num_blocks() {
             let data = [a as u8 ^ 0x3C; 64];
-            mem.access(Access::Write { addr: a, data }, &mut ctx)
+            mem.access(Request::Write { addr: a, data }, &mut ctx)
                 .expect("prefill");
         }
         let mut worn = false;
@@ -521,8 +521,8 @@ fn tier_scenarios(cfg: &Config, rows: &mut Vec<Json>) {
             let rate = if worn { 100_000 } else { 1 };
             mem.rber_mut().record_observation(0, rate, 1_000_000_000);
             worn = !worn;
-            match mem.access(Access::TierStep, &mut ctx).expect("tier step") {
-                pmck_core::AccessOutcome::Tiered(r) => {
+            match mem.access(Request::TierStep, &mut ctx).expect("tier step") {
+                pmck_core::Response::Tiered(r) => {
                     assert_eq!(r.migrations, 1, "every step must migrate");
                     r.migrations
                 }

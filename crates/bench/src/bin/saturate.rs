@@ -1,43 +1,35 @@
 //! Saturation benchmark: N producer threads driving all shards of the
-//! memory service flat out, ring transport vs. the batched
-//! `PinnedPool` baseline, with per-request latency histograms.
+//! memory service flat out through the lock-free ring transport, with
+//! per-request latency histograms.
 //!
-//! Three workloads, each run on both engines:
+//! Three workloads:
 //!
 //! * `clean` — reads over a pristine prefilled space (the fast path;
-//!   transport overhead dominates, so this is where the ring's
-//!   lock-free submission shows up most directly);
+//!   transport overhead dominates);
 //! * `errorful` — reads over a space damaged at a runtime-representative
 //!   RBER, with a scrub mixed in every 16th request (fault-mix: decode
 //!   work per op is higher, transport relatively lighter);
 //! * `flush_heavy` — writes with a `Flush` broadcast closing every
 //!   batch over persistent stacks (broadcast-coordination stress).
 //!
-//! The ring engine gives each producer thread its own [`ServiceClient`]
-//! lane (`submit_batch_into` streams tickets up to the window, no
-//! cross-producer locks); per-request latency comes from the service's
-//! own completion-path telemetry. The baseline engine is
-//! [`BatchService`] behind a `Mutex` — the pre-ring architecture:
-//! producers serialize on the service lock and every batch pays the
-//! whole-batch barrier; latency is the batch round-trip attributed to
-//! each of its requests.
+//! Each producer thread owns a `ServiceClient` lane (tickets pipeline
+//! up to the window, no cross-producer locks); per-request latency
+//! comes from the service's own completion-path telemetry.
 //!
-//! Output is one JSON document with ops/s, p50/p99/p999 (ns), and the
-//! ring:baseline speedup per workload. `--short` shrinks the run for CI
-//! and asserts sanity (nonzero throughput, p50 ≤ p99 ≤ p999).
+//! Output is one JSON document with ops/s and p50/p99/p999 (ns) per
+//! workload. `--short` shrinks the run for CI and asserts sanity
+//! (nonzero throughput, p50 ≤ p99 ≤ p999).
 //!
 //! ```text
 //! saturate [--shards N] [--producers N] [--batch N] [--rounds N]
 //!          [--short] [--pretty]
 //! ```
 
-use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use pmck_core::{ChipkillConfig, PmemConfig, Request, Stack, StackBuilder};
 use pmck_rt::metrics::Histogram;
 use pmck_rt::rng::{stream_seed, Rng, StdRng};
-use pmck_service::baseline::BatchService;
 use pmck_service::ShardedService;
 
 #[derive(Clone, Copy)]
@@ -131,9 +123,7 @@ impl Workload {
         }
     }
 
-    /// One producer's batch for `round`, drawn from its own seeded
-    /// stream — identical across engines so the comparison is
-    /// apples-to-apples.
+    /// One producer's next batch, drawn from its own seeded stream.
     fn gen_batch(self, rng: &mut StdRng, total: u64, batch: usize, out: &mut Vec<Request>) {
         out.clear();
         for i in 0..batch {
@@ -183,20 +173,6 @@ impl EngineResult {
             .with("latency_samples", self.latency.count())
             .with("dropped_samples", self.dropped_samples)
     }
-}
-
-/// Prefills every block with a seeded pattern through any submit_batch
-/// shaped closure.
-fn prefill(total: u64, mut submit: impl FnMut(&[Request]) -> Vec<Request>) {
-    let mut rng = StdRng::seed_from_u64(0x5EED);
-    let writes: Vec<Request> = (0..total)
-        .map(|a| {
-            let mut data = [0u8; 64];
-            rng.fill_bytes(&mut data[..]);
-            Request::Write { addr: a, data }
-        })
-        .collect();
-    let _ = submit(&writes);
 }
 
 fn run_ring(cfg: Config, wl: Workload, seed: u64) -> EngineResult {
@@ -305,74 +281,6 @@ fn run_ring(cfg: Config, wl: Workload, seed: u64) -> EngineResult {
     }
 }
 
-fn run_baseline(cfg: Config, wl: Workload, seed: u64) -> EngineResult {
-    let mut svc = BatchService::new(cfg.shards, seed, |_, s| {
-        wl.build_stack(cfg.blocks_per_shard, s)
-    });
-    let total = svc.num_blocks();
-    prefill(total, |reqs| {
-        for r in svc.submit_batch(reqs) {
-            r.expect("prefill");
-        }
-        Vec::new()
-    });
-    if wl.rber() > 0.0 {
-        for s in 0..cfg.shards {
-            svc.with_shard(s, |stack| stack.inject_bit_errors(wl.rber()))
-                .expect("inject");
-        }
-    }
-    let svc = Arc::new(Mutex::new(svc));
-
-    let start = Instant::now();
-    let handles: Vec<_> = (0..cfg.producers)
-        .map(|p| {
-            let svc = Arc::clone(&svc);
-            std::thread::spawn(move || {
-                let mut rng = StdRng::seed_from_u64(stream_seed(seed ^ 0xCAFE, p as u64));
-                let mut batch = Vec::with_capacity(cfg.batch + 1);
-                let mut out = Vec::with_capacity(cfg.batch + 1);
-                let mut hist = Histogram::new();
-                let mut ops = 0u64;
-                for _ in 0..cfg.rounds {
-                    wl.gen_batch(&mut rng, total, cfg.batch, &mut batch);
-                    let t0 = Instant::now();
-                    {
-                        let mut svc = svc.lock().expect("service lock");
-                        svc.submit_batch_into(&batch, &mut out);
-                    }
-                    let batch_ns = t0.elapsed().as_nanos() as u64;
-                    for r in &out {
-                        r.as_ref().expect("benign workload");
-                    }
-                    // Every request in the batch waited for the whole
-                    // barrier: the batch round-trip IS its latency.
-                    for _ in 0..out.len() {
-                        hist.record(batch_ns);
-                    }
-                    ops += out.len() as u64;
-                }
-                (ops, hist)
-            })
-        })
-        .collect();
-    let mut ops = 0u64;
-    let mut latency = Histogram::new();
-    for h in handles {
-        let (n, hist) = h.join().expect("producer thread");
-        ops += n;
-        latency.merge(&hist);
-    }
-    let elapsed_ns = start.elapsed().as_nanos() as u64;
-    svc.lock().expect("service lock").shutdown();
-    EngineResult {
-        ops,
-        elapsed_ns,
-        latency,
-        dropped_samples: 0,
-    }
-}
-
 fn main() {
     let cfg = Config::from_args();
     let mut workloads = Vec::new();
@@ -382,47 +290,39 @@ fn main() {
             Workload::Errorful => 202,
             Workload::FlushHeavy => 303,
         };
-        eprintln!("saturate: {} (ring)...", wl.name());
+        eprintln!("saturate: {}...", wl.name());
         let ring = run_ring(cfg, wl, seed);
-        eprintln!("saturate: {} (baseline)...", wl.name());
-        let base = run_baseline(cfg, wl, seed);
-        let speedup = ring.ops_per_s() / base.ops_per_s();
         eprintln!(
-            "saturate: {:<12} ring {:>10.0} ops/s  baseline {:>10.0} ops/s  ({speedup:.2}x)",
+            "saturate: {:<12} {:>10.0} ops/s",
             wl.name(),
-            ring.ops_per_s(),
-            base.ops_per_s(),
+            ring.ops_per_s()
         );
         if cfg.short {
-            for (engine, r) in [("ring", &ring), ("baseline", &base)] {
-                assert!(
-                    r.ops > 0 && r.ops_per_s() > 0.0,
-                    "{engine}/{}: zero throughput",
-                    wl.name()
-                );
-                let (p50, p99, p999) = (
-                    r.latency.quantile(0.50),
-                    r.latency.quantile(0.99),
-                    r.latency.quantile(0.999),
-                );
-                assert!(
-                    p50 > 0 && p50 <= p99 && p99 <= p999,
-                    "{engine}/{}: implausible quantiles p50={p50} p99={p99} p999={p999}",
-                    wl.name()
-                );
-                assert!(
-                    r.latency.count() > 0,
-                    "{engine}/{}: no latency samples",
-                    wl.name()
-                );
-            }
+            assert!(
+                ring.ops > 0 && ring.ops_per_s() > 0.0,
+                "{}: zero throughput",
+                wl.name()
+            );
+            let (p50, p99, p999) = (
+                ring.latency.quantile(0.50),
+                ring.latency.quantile(0.99),
+                ring.latency.quantile(0.999),
+            );
+            assert!(
+                p50 > 0 && p50 <= p99 && p99 <= p999,
+                "{}: implausible quantiles p50={p50} p99={p99} p999={p999}",
+                wl.name()
+            );
+            assert!(
+                ring.latency.count() > 0,
+                "{}: no latency samples",
+                wl.name()
+            );
         }
         workloads.push(
             pmck_rt::json::Json::object()
                 .with("workload", wl.name())
-                .with("ring", ring.to_json())
-                .with("baseline", base.to_json())
-                .with("speedup", speedup),
+                .with("ring", ring.to_json()),
         );
     }
 

@@ -1,125 +1,84 @@
-//! Soak driver: the full read/write/scrub/re-stripe stack under a
-//! scheduled fault campaign.
-//!
-//! A [`FaultSchedule`] (the text DSL from `pmck-nvram`, or the built-in
-//! default timeline) is drained cycle by cycle against a composed
-//! protection [`Stack`] (`chipkill` behind a restripeable base, Start-Gap
-//! wear leveling, manual-step patrol) while a mirror model holds ground
-//! truth. Every demand read is checked byte-for-byte against the mirror;
-//! a detected chip failure is repaired in place; the run closes with a
-//! full patrol pass, a boot scrub, a rank-wide consistency verify, a
-//! complete readback sweep, and a §V-E re-stripe leg — a chip failure
-//! followed by an **in-place** transition to the 4-block VLEW layout
-//! through the same pipeline, then a readback.
-//!
-//! Usage:
+//! Soak driver: the one fault campaign ([`pmck_bench::campaign`], which
+//! documents what is drained, mixed and checked) against one of three
+//! systems. This file parses the arguments, builds the system, and says
+//! which legs it supports.
 //!
 //! ```text
 //! soak [--blocks N] [--cycles N] [--seed N] [--schedule FILE] [--short]
-//!      [--shards N] [--crash] [--pretty]
+//!      [--shards N] [--cluster N] [--crash] [--tiers] [--pretty]
 //! ```
 //!
-//! `--short` is the CI profile (small rank, few cycles). `--shards N`
-//! drives the same campaign through the `pmck-service` sharded front
-//! end instead of a single `Stack`: the workload is submitted in
-//! batched [`Request`] windows, whole-device events are broadcast, and
-//! the mirror checks run on the batched responses (the re-stripe leg is
-//! skipped — re-striping is a per-rank transition, not a service
-//! request). Output is a single JSON document on stdout; the exit code
-//! is nonzero if any read diverged from the mirror, the final verify
-//! failed, or the re-stripe readback diverged.
+//! The default system is one [`Stack`] — chipkill behind a restripeable
+//! base, Start-Gap wear leveling, manual-step patrol — and its run ends
+//! with the §V-E re-stripe leg. `--schedule` replaces the built-in fault
+//! timeline (text DSL or JSON); `--short` is the CI profile. Output is
+//! one JSON document on stdout; the exit code is nonzero unless the
+//! verdict passed.
 //!
-//! `--crash` runs the campaign on a persistent stack (`pmck-pmem`
-//! media behind the rank): the mirror is snapshotted at every flush,
-//! scheduled fault events are made durable immediately, and periodic
-//! power cuts discard everything since the last fence — recovery must
-//! then match the snapshot exactly, under the same byte-for-byte read
-//! checks as the rest of the soak.
-//!
-//! `--cluster N` runs a replicated campaign through `pmck-cluster`: N
-//! virtual nodes (each a 2-shard `ShardedService`), 2 replicas per
-//! block, quorum reads and writes. Mid-run one node is killed and
-//! later revived + rebuilt; every read is mirror-checked throughout,
-//! and the run closes with an anti-entropy sweep, a rank-wide boot
-//! scrub, a full readback, a per-replica decodability sweep, and a
-//! cluster-wide verify.
+//! * `--shards N`: the same stacks (not restripeable: re-striping is a
+//!   per-rank transition) behind the `pmck-service` sharded front end.
+//! * `--crash`: persistent media — the mirror is snapshotted at every
+//!   flush and periodic power cuts must recover to exactly the snapshot.
+//! * `--tiers`: an adaptively tiered base under a benign schedule; the
+//!   run fails unless at least one region migrated.
+//! * `--cluster N`: fault-free through `pmck-cluster` — N nodes (each a
+//!   2-shard service), 2 replicas per block; one node is killed mid-run
+//!   and later revived + rebuilt, and the closing sweep must leave no
+//!   replica stale or different.
 
-use pmck_cluster::{Cluster, ClusterConfig, NodeStatus};
-use pmck_core::{
-    ChipkillConfig, CoreError, LayerId, PmemConfig, ReadPath, Request, Response, Stack,
-    StackBuilder, TierPolicy,
-};
-use pmck_memsim::FaultTimeline;
-use pmck_nvram::{ChipFailureKind, FaultEvent, FaultKind, FaultSchedule};
+use pmck_bench::campaign::{self, built_in_schedule, Plan, Sut};
+use pmck_cluster::{Cluster, ClusterConfig};
+use pmck_core::{ChipkillConfig, PmemConfig, Stack, StackBuilder, TierPolicy};
+use pmck_nvram::FaultSchedule;
 use pmck_rt::json::Json;
-use pmck_rt::rng::{Rng, StdRng};
+use pmck_rt::metrics::MetricsRegistry;
 use pmck_service::ShardedService;
 
+#[derive(Default)]
 struct Config {
     blocks: u64,
-    cycles: u64,
-    seed: u64,
+    /// Cycles, seed, and the `--crash` / `--tiers` legs.
+    plan: Plan,
     schedule_file: Option<String>,
     shards: Option<usize>,
     cluster: Option<usize>,
-    crash: bool,
-    tiers: bool,
     pretty: bool,
 }
 
 impl Config {
     fn from_args() -> Self {
-        let mut cfg = Config {
-            blocks: 256,
-            cycles: 20_000,
-            seed: 0x50AC,
-            schedule_file: None,
-            shards: None,
-            cluster: None,
-            crash: false,
-            tiers: false,
-            pretty: false,
-        };
+        let mut cfg = Config::default();
+        (cfg.blocks, cfg.plan.cycles, cfg.plan.seed) = (256, 20_000, 0x50AC);
         let mut args = std::env::args().skip(1);
         while let Some(a) = args.next() {
             match a.as_str() {
                 "--blocks" => cfg.blocks = need(args.next(), "--blocks"),
-                "--cycles" => cfg.cycles = need(args.next(), "--cycles"),
-                "--seed" => cfg.seed = need(args.next(), "--seed"),
-                "--schedule" => {
-                    cfg.schedule_file = Some(
-                        args.next()
-                            .unwrap_or_else(|| usage("--schedule needs a file path")),
-                    )
-                }
-                "--shards" => {
-                    let n = need(args.next(), "--shards");
-                    if n == 0 {
-                        usage("--shards needs a positive integer");
-                    }
-                    cfg.shards = Some(n as usize);
-                }
-                "--cluster" => {
-                    let n = need(args.next(), "--cluster");
-                    if n < 2 {
-                        usage("--cluster needs at least 2 nodes (replicas need distinct homes)");
-                    }
-                    cfg.cluster = Some(n as usize);
-                }
-                "--short" => {
-                    cfg.blocks = 64;
-                    cfg.cycles = 3_000;
-                }
-                "--crash" => cfg.crash = true,
-                "--tiers" => cfg.tiers = true,
+                "--cycles" => cfg.plan.cycles = need(args.next(), "--cycles"),
+                "--seed" => cfg.plan.seed = need(args.next(), "--seed"),
+                "--schedule" => match args.next() {
+                    Some(path) => cfg.schedule_file = Some(path),
+                    None => usage("--schedule needs a file path"),
+                },
+                "--shards" => cfg.shards = Some(need(args.next(), "--shards") as usize),
+                "--cluster" => cfg.cluster = Some(need(args.next(), "--cluster") as usize),
+                "--short" => (cfg.blocks, cfg.plan.cycles) = (64, 3_000),
+                "--crash" => cfg.plan.crash = true,
+                "--tiers" => cfg.plan.tier = true,
                 "--pretty" => cfg.pretty = true,
                 other => usage(&format!("unknown argument: {other}")),
             }
         }
-        if cfg.tiers && cfg.shards.is_some() {
+        if cfg.shards == Some(0) {
+            usage("--shards needs a positive integer");
+        }
+        if cfg.cluster.is_some_and(|n| n < 2) {
+            usage("--cluster needs at least 2 nodes (replicas need distinct homes)");
+        }
+        if cfg.plan.tier && cfg.shards.is_some() {
             usage("--tiers is a single-stack mode (tiering owns the rank layout)");
         }
-        if cfg.cluster.is_some() && (cfg.tiers || cfg.crash || cfg.shards.is_some()) {
+        let legs = cfg.plan.tier || cfg.plan.crash;
+        if cfg.cluster.is_some() && (legs || cfg.shards.is_some()) {
             usage("--cluster is its own mode (nodes are plain sharded services)");
         }
         cfg
@@ -140,58 +99,12 @@ fn usage(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-/// The built-in campaign, scaled to the run length: a low background
-/// RBER from cycle 0, a burst and a correlated row fault early on, a
-/// retention ramp through mid-run, and a chip-kill at 70%.
-///
-/// The background rate is applied once per cycle, so errors accumulate
-/// between patrol passes; the rates here are sized so the steady-state
-/// per-VLEW error count stays well inside t = 22 while the scheduled
-/// burst, row-fault, and chip-kill events stress the heavier paths.
-fn default_schedule(cycles: u64) -> FaultSchedule {
-    let pct = |p: u64| cycles * p / 100;
-    let text = format!(
-        "at 0 rber 1e-8\n\
-         at {burst} burst 6 width 64\n\
-         at {row} row 2 1 rber 5e-3\n\
-         ramp {r0}..{r1} rber 1e-8..1e-6\n\
-         at {kill} chipkill 4 garbage\n",
-        burst = pct(15),
-        row = pct(30),
-        r0 = pct(40),
-        r1 = pct(60),
-        kill = pct(70),
-    );
-    FaultSchedule::parse(&text).expect("built-in schedule must parse")
-}
-
-/// The benign campaign for the tiered leg: background RBER with a mild
-/// retention ramp, no chip kills or structured faults — tier migration
-/// must never race a failed chip, and the leg's point is the policy's
-/// response to measured RBER alone.
-fn benign_schedule(cycles: u64) -> FaultSchedule {
-    let pct = |p: u64| cycles * p / 100;
-    let text = format!(
-        "at 0 rber 1e-8\n\
-         ramp {r0}..{r1} rber 1e-8..1e-6\n",
-        r0 = pct(40),
-        r1 = pct(60),
-    );
-    FaultSchedule::parse(&text).expect("benign schedule must parse")
-}
-
 fn load_schedule(cfg: &Config) -> FaultSchedule {
     let Some(path) = &cfg.schedule_file else {
-        return if cfg.tiers {
-            benign_schedule(cfg.cycles)
-        } else {
-            default_schedule(cfg.cycles)
-        };
+        return built_in_schedule(cfg.plan.cycles, cfg.plan.tier);
     };
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("error: cannot read schedule {path}: {e}");
-        std::process::exit(2);
-    });
+    let text = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| usage(&format!("cannot read schedule {path}: {e}")));
     let parsed = if text.trim_start().starts_with('{') {
         Json::parse(&text)
             .map_err(|e| e.to_string())
@@ -199,977 +112,84 @@ fn load_schedule(cfg: &Config) -> FaultSchedule {
     } else {
         FaultSchedule::parse(&text).map_err(|e| e.to_string())
     };
-    parsed.unwrap_or_else(|e| {
-        eprintln!("error: bad schedule {path}: {e}");
-        std::process::exit(2);
-    })
+    parsed.unwrap_or_else(|e| usage(&format!("bad schedule {path}: {e}")))
 }
 
-fn pattern(rng: &mut StdRng) -> [u8; 64] {
-    let mut b = [0u8; 64];
-    rng.fill_bytes(&mut b[..]);
-    b
-}
-
-#[derive(Default)]
-struct Counters {
-    events_applied: u64,
-    event_bits: u64,
-    background_bits: u64,
-    ops_write: u64,
-    ops_read: u64,
-    ops_scrub: u64,
-    scrub_uncorrectable: u64,
-    read_mismatches: u64,
-    read_errors: u64,
-    chip_repairs: u64,
-    repair_cycles: Vec<u64>,
-    extra_fetches: u64,
-    path_clean: u64,
-    path_rs: u64,
-    path_fallback: u64,
-    path_erasure: u64,
-    crash_flushes: u64,
-    lines_flushed: u64,
-    power_cuts: u64,
-    lost_lines: u64,
-    records_replayed: u64,
-    lines_redone: u64,
-    tier_steps: u64,
-    tier_migrations: u64,
-}
-
-impl Counters {
-    fn crash_json(&self, enabled: bool) -> Json {
-        Json::object()
-            .with("enabled", enabled)
-            .with("flushes", self.crash_flushes)
-            .with("lines_flushed", self.lines_flushed)
-            .with("power_cuts", self.power_cuts)
-            .with("lost_lines", self.lost_lines)
-            .with("records_replayed", self.records_replayed)
-            .with("lines_redone", self.lines_redone)
-    }
-}
-
-/// Rebuilds the detected failed chip, if the decode paths found one.
-fn repair_if_detected(stack: &mut Stack, cycle: u64, c: &mut Counters) {
-    if stack.detected_failed_chip().is_some() {
-        stack
-            .repair_detected()
-            .expect("detected chip must be repairable");
-        c.chip_repairs += 1;
-        c.repair_cycles.push(cycle);
-    }
-}
-
-/// One full patrol pass through the pipeline's patrol layer.
-fn full_patrol_pass(stack: &mut Stack) -> Result<(), CoreError> {
-    let target = stack.layer(LayerId::Patrol).map_or(0, |s| s.patrol_passes) + 1;
-    while stack.layer(LayerId::Patrol).map_or(0, |s| s.patrol_passes) < target {
-        stack.patrol_step()?;
-    }
-    Ok(())
-}
-
-/// Summed patrol passes across the service's shards.
-fn service_patrol_passes(svc: &ShardedService) -> u64 {
-    svc.layers()
-        .iter()
-        .find(|(id, _)| *id == LayerId::Patrol)
-        .map_or(0, |(_, s)| s.patrol_passes)
-}
-
-/// The same campaign through the `pmck-service` sharded front end.
-///
-/// The workload is generated exactly as in single-stack mode but
-/// submitted in batched request windows: fault events and background
-/// RBER are broadcast, demand ops route to their owning shard, and the
-/// mirror checks walk the batched responses in request order (a write
-/// updates the mirror before any later read of that block is checked,
-/// matching each shard's in-order execution). Chip repairs run as a
-/// per-window sweep over the shards instead of per cycle; the §V-E
-/// re-stripe leg is skipped because re-striping is a per-rank layout
-/// transition, not a service request.
-fn run_sharded(cfg: &Config, shards: usize) -> ! {
-    const WINDOW: u64 = 64;
-
-    let schedule = load_schedule(cfg);
-    let timeline = FaultTimeline::new(schedule.clone(), 1);
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-
-    let per_shard = cfg.blocks.div_ceil(shards as u64);
-    let crash = cfg.crash;
-    let mut svc = ShardedService::new(shards, cfg.seed ^ 0x5011_D1E5, move |_, seed| {
-        let builder = StackBuilder::proposal(per_shard, ChipkillConfig::default())
-            .patrolled(2, 0)
-            .wear_levelled(8)
-            .seed(seed);
-        let builder = if crash {
-            builder.persistent(PmemConfig::default())
-        } else {
-            builder
-        };
+/// One protection stack of the campaign: patrol (manual stepping) over
+/// physical addresses, Start-Gap wear leveling on top, and under
+/// `--crash` persistent media at the bottom.
+fn build_stack(base: StackBuilder, seed: u64, crash: bool) -> Stack {
+    let builder = base.patrolled(2, 0).wear_levelled(8).seed(seed);
+    if crash {
+        builder.persistent(PmemConfig::default()).build()
+    } else {
         builder.build()
-    });
-    // Per-shard capacity rounds up to whole stripes, so the campaign
-    // covers the service's real (interleaved) address space.
-    let total = svc.num_blocks();
-
-    let mut mirror: Vec<[u8; 64]> = Vec::with_capacity(total as usize);
-    let fills: Vec<Request> = (0..total)
-        .map(|a| {
-            let data = pattern(&mut rng);
-            mirror.push(data);
-            Request::Write { addr: a, data }
-        })
-        .collect();
-    for r in svc.submit_batch(&fills) {
-        r.expect("initial fill");
     }
-    // The crash model: `snapshot` mirrors the durable state (what the
-    // last broadcast flush fenced); a power cut rolls the mirror back
-    // to it.
-    let mut snapshot = mirror.clone();
-    let mut c = Counters::default();
-    if cfg.crash {
-        let flushed = svc
-            .submit(&Request::Flush)
-            .expect("initial flush")
-            .flushed_lines()
-            .expect("flush responds with lines");
-        c.crash_flushes += 1;
-        c.lines_flushed += flushed;
-    }
-
-    /// What the walk over a batch's responses should do at each slot.
-    enum Expect {
-        Write { addr: u64, data: [u8; 64] },
-        Read { addr: u64 },
-        Event,
-        Rber,
-        Patrol,
-    }
-
-    let mut reqs: Vec<Request> = Vec::new();
-    let mut expects: Vec<Expect> = Vec::new();
-    let mut out: Vec<Result<Response, CoreError>> = Vec::new();
-    // Blocks whose failed write was repaired-and-retried *after* the
-    // batch ran: a read of the same block later in the same batch saw
-    // the pre-retry contents, so its mirror check is skipped (the
-    // closing sweep still validates the final state).
-    let mut retried: Vec<u64> = Vec::new();
-
-    let mut window_start = 0u64;
-    let mut window_index = 0u64;
-    while window_start < cfg.cycles {
-        let window_end = (window_start + WINDOW).min(cfg.cycles);
-        reqs.clear();
-        expects.clear();
-        retried.clear();
-        let mut had_event = false;
-        for cycle in window_start..window_end {
-            for event in schedule.events_in(cycle, cycle + 1).to_vec() {
-                reqs.push(Request::Fault(event));
-                expects.push(Expect::Event);
-                had_event = true;
-            }
-            let rber = schedule.rber_at(cycle);
-            if rber > 0.0 {
-                reqs.push(Request::InjectRber(rber));
-                expects.push(Expect::Rber);
-            }
-            let block = rng.gen_range(0..total);
-            match rng.gen_range(0u32..5) {
-                0 | 1 => {
-                    let data = pattern(&mut rng);
-                    reqs.push(Request::Write { addr: block, data });
-                    expects.push(Expect::Write { addr: block, data });
-                }
-                2 | 3 => {
-                    c.extra_fetches += u64::from(timeline.sample_extra_fetches(cycle, &mut rng));
-                    reqs.push(Request::Read(block));
-                    expects.push(Expect::Read { addr: block });
-                }
-                _ => {
-                    reqs.push(Request::PatrolStep);
-                    expects.push(Expect::Patrol);
-                }
-            }
-        }
-
-        svc.submit_batch_into(&reqs, &mut out);
-        let mut needs_detection = false;
-        for (res, expect) in out.drain(..).zip(expects.iter()) {
-            match expect {
-                Expect::Event => {
-                    c.events_applied += 1;
-                    c.event_bits += res
-                        .expect("fault event")
-                        .injected_bits()
-                        .expect("fault responds with injected bits")
-                        as u64;
-                }
-                Expect::Rber => {
-                    c.background_bits += res
-                        .expect("background rber")
-                        .injected_bits()
-                        .expect("injection responds with injected bits")
-                        as u64;
-                }
-                Expect::Write { addr, data } => {
-                    c.ops_write += 1;
-                    if res.is_err() {
-                        // The write's read-modify step hit an undetected
-                        // dead chip on its shard. Route a demand read
-                        // through that shard's detection path, repair,
-                        // and retry once.
-                        let (shard, local) = svc.route(*addr).expect("mirror address routes");
-                        let rewrote = svc.with_shard(shard, |stack| {
-                            let _ = stack.read(local);
-                            if stack.detected_failed_chip().is_some() {
-                                stack
-                                    .repair_detected()
-                                    .expect("detected chip must be repairable");
-                                c.chip_repairs += 1;
-                                c.repair_cycles.push(window_end);
-                            }
-                            stack.write(local, data)
-                        });
-                        if let Err(e) = rewrote {
-                            eprintln!("window ending {window_end}: block {addr} write failed: {e}");
-                            std::process::exit(1);
-                        }
-                        retried.push(*addr);
-                    }
-                    mirror[*addr as usize] = *data;
-                }
-                Expect::Read { addr } => {
-                    c.ops_read += 1;
-                    match res {
-                        Ok(resp) => {
-                            let o = resp.read().expect("read responds with an outcome");
-                            match o.path {
-                                ReadPath::Clean | ReadPath::BitCorrected { .. } => {
-                                    c.path_clean += 1;
-                                }
-                                ReadPath::RsCorrected { .. } => c.path_rs += 1,
-                                ReadPath::VlewFallback { .. }
-                                | ReadPath::VlewListDecoded { .. } => c.path_fallback += 1,
-                                ReadPath::ChipkillErasure { .. } => c.path_erasure += 1,
-                            }
-                            if o.data != mirror[*addr as usize] && !retried.contains(addr) {
-                                c.read_mismatches += 1;
-                                eprintln!("block {addr} read diverged from mirror");
-                            }
-                        }
-                        Err(e) => {
-                            c.read_errors += 1;
-                            eprintln!("block {addr} read failed: {e}");
-                        }
-                    }
-                }
-                Expect::Patrol => {
-                    c.ops_scrub += 1;
-                    match res {
-                        Ok(_) => {}
-                        Err(CoreError::Uncorrectable) => {
-                            // A scrub UE on some shard: flag it so the
-                            // repair sweep below pushes a demand read
-                            // through every shard's detection path.
-                            c.scrub_uncorrectable += 1;
-                            needs_detection = true;
-                        }
-                        Err(e) => {
-                            eprintln!("window ending {window_end}: patrol step failed: {e}");
-                            std::process::exit(1);
-                        }
-                    }
-                }
-            }
-        }
-
-        // Per-window repair sweep: any shard whose decode paths flagged
-        // a dead chip gets rebuilt before the next window starts.
-        for shard in 0..shards {
-            svc.with_shard(shard, |stack| {
-                if needs_detection {
-                    let _ = stack.read(0);
-                }
-                if stack.detected_failed_chip().is_some() {
-                    stack
-                        .repair_detected()
-                        .expect("detected chip must be repairable");
-                    c.chip_repairs += 1;
-                    c.repair_cycles.push(window_end);
-                }
-            });
-        }
-
-        // Crash leg, at window granularity: scheduled fault events are
-        // made durable right away (so a later cut cannot "heal" a chip
-        // the campaign considers failed), the mirror is snapshotted at
-        // every broadcast flush, and a periodic power cut + recovery
-        // rolls the mirror back to the snapshot.
-        if cfg.crash {
-            if had_event || window_index % 2 == 1 {
-                let flushed = svc
-                    .submit(&Request::Flush)
-                    .expect("window flush")
-                    .flushed_lines()
-                    .expect("flush responds with lines");
-                c.crash_flushes += 1;
-                c.lines_flushed += flushed;
-                snapshot.copy_from_slice(&mirror);
-            }
-            if window_index % 8 == 7 {
-                match svc.submit(&Request::PowerCut).expect("power cut") {
-                    Response::PowerLost { lost_lines } => c.lost_lines += lost_lines,
-                    other => panic!("power cut answered {other:?}"),
-                }
-                c.power_cuts += 1;
-                let rep = svc
-                    .submit(&Request::Recover)
-                    .expect("recovery")
-                    .recovered()
-                    .expect("recover responds with a report");
-                c.records_replayed += rep.records_replayed;
-                c.lines_redone += rep.lines_redone;
-                mirror.copy_from_slice(&snapshot);
-            }
-        }
-
-        window_start = window_end;
-        window_index += 1;
-    }
-
-    // One final cut straight after a flush: recovery must land exactly
-    // on the just-fenced image before the closing sweep checks it.
-    if cfg.crash {
-        c.lines_flushed += svc
-            .submit(&Request::Flush)
-            .expect("final flush")
-            .flushed_lines()
-            .expect("flush responds with lines");
-        c.crash_flushes += 1;
-        snapshot.copy_from_slice(&mirror);
-        match svc.submit(&Request::PowerCut).expect("final power cut") {
-            Response::PowerLost { lost_lines } => c.lost_lines += lost_lines,
-            other => panic!("power cut answered {other:?}"),
-        }
-        c.power_cuts += 1;
-        let rep = svc
-            .submit(&Request::Recover)
-            .expect("final recovery")
-            .recovered()
-            .expect("recover responds with a report");
-        c.records_replayed += rep.records_replayed;
-        c.lines_redone += rep.lines_redone;
-    }
-
-    // Closing sweep, batched: a broadcast boot scrub, a full patrol
-    // pass on every shard, a rank verify on every shard (ANDed), and a
-    // complete readback against the mirror.
-    let scrub_report = svc
-        .submit(&Request::BootScrub)
-        .expect("closing boot scrub")
-        .boot_scrubbed()
-        .expect("boot scrub responds with a report");
-    let patrol_target = service_patrol_passes(&svc) + shards as u64;
-    while service_patrol_passes(&svc) < patrol_target {
-        svc.submit(&Request::PatrolStep)
-            .expect("closing patrol pass");
-    }
-    let consistent = svc
-        .submit(&Request::Verify)
-        .expect("closing verify")
-        .verified()
-        .expect("verify responds with a verdict");
-
-    let mut sweep_mismatches = 0u64;
-    let mut start = 0u64;
-    while start < total {
-        let end = (start + 256).min(total);
-        reqs.clear();
-        reqs.extend((start..end).map(Request::Read));
-        svc.submit_batch_into(&reqs, &mut out);
-        for (i, res) in out.drain(..).enumerate() {
-            let a = (start + i as u64) as usize;
-            match res {
-                Ok(resp) if resp.read().is_some_and(|o| o.data == mirror[a]) => {}
-                _ => sweep_mismatches += 1,
-            }
-        }
-        start = end;
-    }
-
-    let stats = svc.core_stats().expect("chipkill base");
-    let merged_layers = svc.layers();
-    svc.shutdown();
-
-    let failed = c.read_mismatches > 0 || c.read_errors > 0 || sweep_mismatches > 0 || !consistent;
-
-    let mut layers = Json::object();
-    for (id, stats) in &merged_layers {
-        layers = layers.with(id.as_str(), stats.to_json());
-    }
-    let gap_moves = merged_layers
-        .iter()
-        .find(|(id, _)| *id == LayerId::Wearlevel)
-        .map_or(0, |(_, s)| s.gap_moves);
-    let patrol_passes = merged_layers
-        .iter()
-        .find(|(id, _)| *id == LayerId::Patrol)
-        .map_or(0, |(_, s)| s.patrol_passes);
-
-    let doc = Json::object()
-        .with("harness", "soak")
-        .with(
-            "config",
-            Json::object()
-                .with("blocks", total)
-                .with("cycles", cfg.cycles)
-                .with("seed", cfg.seed)
-                .with("shards", shards as u64),
-        )
-        .with("schedule", schedule.to_json())
-        .with(
-            "campaign",
-            Json::object()
-                .with("events_applied", c.events_applied)
-                .with("event_bits", c.event_bits)
-                .with("background_bits", c.background_bits)
-                .with("writes", c.ops_write)
-                .with("reads", c.ops_read)
-                .with("scrub_steps", c.ops_scrub)
-                .with("scrub_uncorrectable", c.scrub_uncorrectable)
-                .with("gap_moves", gap_moves)
-                .with("patrol_passes", patrol_passes)
-                .with("chip_repairs", c.chip_repairs)
-                .with(
-                    "repair_cycles",
-                    Json::Arr(c.repair_cycles.iter().map(|&x| Json::from(x)).collect()),
-                )
-                .with("timeline_extra_fetches", c.extra_fetches),
-        )
-        .with(
-            "read_paths",
-            Json::object()
-                .with("clean", c.path_clean)
-                .with("rs_corrected", c.path_rs)
-                .with("vlew_fallback", c.path_fallback)
-                .with("chipkill_erasure", c.path_erasure),
-        )
-        .with("core_stats", stats.to_json())
-        .with("layers", layers)
-        .with("crash", c.crash_json(cfg.crash))
-        .with(
-            "verdict",
-            Json::object()
-                .with("read_mismatches", c.read_mismatches)
-                .with("read_errors", c.read_errors)
-                .with("final_verify_consistent", consistent)
-                .with(
-                    "closing_scrub_bits_corrected",
-                    scrub_report.bits_corrected as u64,
-                )
-                .with("sweep_mismatches", sweep_mismatches)
-                .with("restripe_skipped", true)
-                .with("passed", !failed),
-        );
-
-    if cfg.pretty {
-        println!("{}", doc.pretty());
-    } else {
-        println!("{}", doc.dump());
-    }
-    if failed {
-        eprintln!("soak: FAILED (see verdict in report)");
-        std::process::exit(1);
-    }
-    std::process::exit(0);
 }
 
-/// The replicated campaign through the `pmck-cluster` tier.
-///
-/// No media faults here — the cluster soak's subject is topology
-/// churn: a node dies mid-run (its missed writes tracked stale),
-/// comes back, and is rebuilt from its peers, all while every demand
-/// read is checked byte-for-byte against the mirror. The closing
-/// sweep must leave every replica on every node directly decodable.
-fn run_cluster(cfg: &Config, nodes: usize) -> ! {
-    const SHARDS_PER_NODE: usize = 2;
-    let ccfg = ClusterConfig {
-        replicas: 2,
-        write_quorum: 1,
-        read_quorum: 1,
-    };
-    let mut cluster = Cluster::sharded(nodes, SHARDS_PER_NODE, cfg.blocks, cfg.seed, ccfg);
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-
-    let mut mirror: Vec<[u8; 64]> = Vec::with_capacity(cfg.blocks as usize);
-    for addr in 0..cfg.blocks {
-        let data = pattern(&mut rng);
-        cluster.write_block(addr, &data).expect("initial fill");
-        mirror.push(data);
-    }
-
-    let victim = (cfg.seed % nodes as u64) as usize;
-    let kill_at = cfg.cycles * 35 / 100;
-    let revive_at = cfg.cycles * 55 / 100;
-
-    let mut read_mismatches = 0u64;
-    let mut rebuilt = 0u64;
-    for cycle in 0..cfg.cycles {
-        if cycle == kill_at {
-            cluster.kill_node(victim);
-        } else if cycle == revive_at {
-            cluster.revive_node(victim);
-            rebuilt = cluster.rebuild_node(victim).expect("rebuild");
-        }
-        let addr = rng.gen_range(0..cfg.blocks);
-        if rng.gen_bool(0.5) {
-            let data = pattern(&mut rng);
-            cluster.write_block(addr, &data).expect("quorum write");
-            mirror[addr as usize] = data;
-        } else {
-            let out = cluster.read_block(addr).expect("quorum read");
-            if out.data != mirror[addr as usize] {
-                read_mismatches += 1;
-                eprintln!("cycle {cycle}: block {addr} read diverged from mirror");
-            }
-        }
-    }
-    if cluster.node_status(victim) != NodeStatus::Up {
-        cluster.revive_node(victim);
-        rebuilt = cluster.rebuild_node(victim).expect("closing rebuild");
-    }
-
-    // Closing sweep: anti-entropy (read-repair + scrub every block),
-    // then a full readback and a per-replica decodability check.
-    let sweep = cluster.anti_entropy_sweep();
-    let mut sweep_mismatches = 0u64;
-    let mut replica_mismatches = 0u64;
-    for addr in 0..cfg.blocks {
-        match cluster.read_block(addr) {
-            Ok(out) if out.data == mirror[addr as usize] => {}
-            _ => sweep_mismatches += 1,
-        }
-        for r in 0..cluster.replicas() {
-            let (n, local) = cluster.place(addr, r);
-            match cluster.node_mut(n).submit(&Request::Read(local)) {
-                Ok(resp) if resp.read().is_some_and(|o| o.data == mirror[addr as usize]) => {}
-                _ => replica_mismatches += 1,
-            }
-        }
-    }
-    let consistent = cluster.verify_all().expect("closing verify");
-    let stats = cluster.stats();
-    let stale_after: u64 = (0..nodes).map(|n| cluster.node_stale_blocks(n)).sum();
-    cluster.shutdown_nodes();
-
-    let failed = read_mismatches > 0
-        || sweep.unreadable > 0
-        || sweep_mismatches > 0
-        || replica_mismatches > 0
-        || stale_after > 0
-        || !consistent;
-
-    let doc = Json::object()
-        .with("harness", "soak")
-        .with(
-            "config",
-            Json::object()
-                .with("blocks", cfg.blocks)
-                .with("cycles", cfg.cycles)
-                .with("seed", cfg.seed)
-                .with("cluster_nodes", nodes as u64)
-                .with("replicas", cluster.replicas() as u64),
-        )
-        .with(
-            "campaign",
-            Json::object()
-                .with("writes", stats.writes)
-                .with("reads", stats.reads)
-                .with("degraded_reads", stats.degraded_reads)
-                .with("read_repairs", stats.read_repairs)
-                .with("quorum_failures", stats.quorum_failures)
-                .with("rebuilt_blocks", stats.rebuilt_blocks)
-                .with("rebuild_healed", rebuilt)
-                .with("sweeps", stats.sweeps)
-                .with("scrubbed", stats.scrubbed),
-        )
-        .with(
-            "verdict",
-            Json::object()
-                .with("read_mismatches", read_mismatches)
-                .with("sweep_unreadable", sweep.unreadable)
-                .with("sweep_mismatches", sweep_mismatches)
-                .with("replica_mismatches", replica_mismatches)
-                .with("stale_after_sweep", stale_after)
-                .with("final_verify_consistent", consistent)
-                .with("passed", !failed),
-        );
-
+/// Runs the campaign and prints the report with the system's own
+/// metrics attached; returns the verdict.
+fn run_and_print<S: Sut>(
+    cfg: &Config,
+    sut: &mut S,
+    plan: &Plan,
+    publish: impl Fn(&S, &MetricsRegistry),
+) -> bool {
+    let report = campaign::run(sut, plan);
+    let metrics = MetricsRegistry::new();
+    publish(sut, &metrics);
+    let doc = report.to_json().with("metrics", metrics.to_json());
     if cfg.pretty {
         println!("{}", doc.pretty());
     } else {
         println!("{}", doc.dump());
     }
-    if failed {
-        eprintln!("soak: FAILED (see verdict in report)");
-        std::process::exit(1);
-    }
-    std::process::exit(0);
+    report.passed()
 }
 
 fn main() {
     let cfg = Config::from_args();
-    if let Some(nodes) = cfg.cluster {
-        run_cluster(&cfg, nodes);
-    }
-    if let Some(shards) = cfg.shards {
-        run_sharded(&cfg, shards);
-    }
-    let schedule = load_schedule(&cfg);
-    let timeline = FaultTimeline::new(schedule.clone(), 1);
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-
-    // The whole protection configuration comes from the composition API:
-    // restripeable chipkill base (or, under `--tiers`, a region-tiered
-    // base with the adaptive layout policy), patrol (manual stepping)
-    // over physical addresses, Start-Gap wear leveling on top (and,
-    // under `--crash`, persistent media at the bottom).
-    let base = StackBuilder::proposal(cfg.blocks, ChipkillConfig::default());
-    let base = if cfg.tiers {
-        let regions = (cfg.blocks / 32).max(1) as usize;
-        base.tiered(regions, TierPolicy::default())
-    } else {
-        base.restripeable()
-    };
-    let builder = base
-        .patrolled(2, 0)
-        .wear_levelled(8)
-        .seed(cfg.seed ^ 0x5011_D1E5);
-    let builder = if cfg.crash {
-        builder.persistent(PmemConfig::default())
-    } else {
-        builder
-    };
-    let mut stack = builder.build();
-    let mut mirror: Vec<[u8; 64]> = Vec::with_capacity(cfg.blocks as usize);
-    for block in 0..cfg.blocks {
-        let data = pattern(&mut rng);
-        stack.write(block, &data).expect("initial fill");
-        mirror.push(data);
-    }
-    // The crash model: `snapshot` mirrors the durable state (what the
-    // last flush fenced); a power cut rolls the mirror back to it.
-    let mut snapshot = mirror.clone();
-
-    let mut c = Counters::default();
-    if cfg.crash {
-        c.lines_flushed += stack.flush().expect("initial flush");
-        c.crash_flushes += 1;
-    }
-    for cycle in 0..cfg.cycles {
-        let mut fault_this_cycle = false;
-        for event in schedule.events_in(cycle, cycle + 1).to_vec() {
-            c.event_bits += stack.apply_fault(&event).expect("fault event") as u64;
-            c.events_applied += 1;
-            fault_this_cycle = true;
-        }
-        let rber = schedule.rber_at(cycle);
-        if rber > 0.0 {
-            c.background_bits += stack.inject_bit_errors(rber).expect("background rber") as u64;
-        }
-
-        let block = rng.gen_range(0..cfg.blocks);
-        match rng.gen_range(0u32..5) {
-            0 | 1 => {
-                let data = pattern(&mut rng);
-                let mut wrote = stack.write(block, &data);
-                if wrote.is_err() {
-                    // The write's read-modify step hit an undetected dead
-                    // chip. Route a demand read through the detection
-                    // path, repair, and retry once.
-                    let _ = stack.read(block);
-                    repair_if_detected(&mut stack, cycle, &mut c);
-                    wrote = stack.write(block, &data);
-                }
-                if let Err(e) = wrote {
-                    eprintln!("cycle {cycle}: block {block} write failed: {e}");
-                    std::process::exit(1);
-                }
-                mirror[block as usize] = data;
-                c.ops_write += 1;
-            }
-            2 | 3 => {
-                c.ops_read += 1;
-                c.extra_fetches += u64::from(timeline.sample_extra_fetches(cycle, &mut rng));
-                // The hot-path read form: decode straight into the check
-                // buffer, no outcome copy.
-                let mut buf = [0u8; 64];
-                match stack.read_into(block, &mut buf) {
-                    Ok(path) => {
-                        match path {
-                            ReadPath::Clean | ReadPath::BitCorrected { .. } => c.path_clean += 1,
-                            ReadPath::RsCorrected { .. } => c.path_rs += 1,
-                            ReadPath::VlewFallback { .. } | ReadPath::VlewListDecoded { .. } => {
-                                c.path_fallback += 1
-                            }
-                            ReadPath::ChipkillErasure { .. } => c.path_erasure += 1,
-                        }
-                        if buf != mirror[block as usize] {
-                            c.read_mismatches += 1;
-                            eprintln!("cycle {cycle}: block {block} read diverged from mirror");
-                        }
-                    }
-                    Err(e) => {
-                        c.read_errors += 1;
-                        eprintln!("cycle {cycle}: block {block} read failed: {e}");
-                    }
-                }
-            }
-            _ => {
-                match stack.patrol_step() {
-                    Ok(_) => {}
-                    Err(CoreError::Uncorrectable) => {
-                        // A scrub UE: an undetected dead chip defeats the
-                        // in-place block rewrite. Route a demand read
-                        // through the detection path so the failure is
-                        // identified (and repaired below).
-                        c.scrub_uncorrectable += 1;
-                        let _ = stack.read(block);
-                    }
-                    Err(e) => {
-                        eprintln!("cycle {cycle}: patrol step failed: {e}");
-                        std::process::exit(1);
-                    }
-                }
-                c.ops_scrub += 1;
-            }
-        }
-
-        repair_if_detected(&mut stack, cycle, &mut c);
-
-        // Tier leg: a periodic tier step lets the policy act on the
-        // RBER each region has measured from the background injections
-        // (the first step already migrates pristine regions down to the
-        // RS-only tier).
-        if cfg.tiers && cycle % 128 == 127 {
-            let report = stack.tier_step().expect("tier step");
-            c.tier_steps += 1;
-            c.tier_migrations += report.migrations;
-            // A migration commits the region's whole image through its
-            // persistence domain, so under `--crash` the durable state
-            // just moved past the last snapshot: re-fence and re-snapshot
-            // so a later cut rolls the mirror to a matching point.
-            if cfg.crash && report.migrations > 0 {
-                c.lines_flushed += stack.flush().expect("post-migration flush");
-                c.crash_flushes += 1;
-                snapshot.copy_from_slice(&mirror);
-            }
-        }
-
-        // Crash leg: scheduled fault events are made durable right away
-        // (so a later cut cannot "heal" a chip the campaign considers
-        // failed), the mirror is snapshotted at every flush, and a
-        // periodic power cut + recovery rolls the mirror back to the
-        // snapshot.
-        if cfg.crash {
-            if fault_this_cycle || cycle % 97 == 96 {
-                c.lines_flushed += stack.flush().expect("crash flush");
-                c.crash_flushes += 1;
-                snapshot.copy_from_slice(&mirror);
-            }
-            if cycle % 503 == 502 {
-                c.lost_lines += stack.power_cut().expect("power cut");
-                c.power_cuts += 1;
-                let rep = stack.recover().expect("recovery");
-                c.records_replayed += rep.records_replayed;
-                c.lines_redone += rep.lines_redone;
-                mirror.copy_from_slice(&snapshot);
-            }
-        }
-    }
-
-    // One final cut straight after a flush: recovery must land exactly
-    // on the just-fenced image before the closing sweep checks it.
-    if cfg.crash {
-        c.lines_flushed += stack.flush().expect("final flush");
-        c.crash_flushes += 1;
-        snapshot.copy_from_slice(&mirror);
-        c.lost_lines += stack.power_cut().expect("final power cut");
-        c.power_cuts += 1;
-        let rep = stack.recover().expect("final recovery");
-        c.records_replayed += rep.records_replayed;
-        c.lines_redone += rep.lines_redone;
-    }
-
-    // Closing sweep: the boot scrub first (it repairs a still-failed
-    // chip and clears residual VLEW-level damage), then a full patrol
-    // pass, a rank verify, and a complete readback against the mirror.
-    let scrub_report = stack.boot_scrub().expect("closing boot scrub");
-    full_patrol_pass(&mut stack).expect("closing patrol pass");
-    let consistent = stack.verify_consistent().expect("closing verify");
-    let mut sweep_mismatches = 0u64;
-    let mut buf = [0u8; 64];
-    for block in 0..cfg.blocks {
-        match stack.read_into(block, &mut buf) {
-            Ok(_) if buf == mirror[block as usize] => {}
-            _ => sweep_mismatches += 1,
-        }
-    }
-
-    let stats = stack.core_stats().expect("chipkill base");
-
-    // Re-stripe leg (§V-E): fail a chip, transition the live rank into
-    // the 4-block VLEW layout *in place* through the pipeline, and
-    // confirm every block survives under the same wear-level remap.
-    // Skipped under `--tiers`: tiering owns the base layout, so the
-    // §V-E transition is exercised by the non-tiered profile (the
-    // tiered equivalent — a crash-cut tier migration — runs in the
-    // harness crash campaign instead).
-    let mut restripe_mismatches = 0u64;
-    let mut restripe_consistent = true;
-    if !cfg.tiers {
-        stack
-            .apply_fault(&FaultEvent {
-                at_cycle: cfg.cycles,
-                kind: FaultKind::ChipKill {
-                    chip: 3,
-                    kind: ChipFailureKind::RandomGarbage,
-                },
-            })
-            .expect("re-stripe chip failure");
-        if cfg.crash {
-            // The flip must start from a durable state that already knows
-            // about the dead rank.
-            c.lines_flushed += stack.flush().expect("pre-restripe flush");
-            c.crash_flushes += 1;
-        }
-        stack.restripe().expect("re-stripe after chip failure");
-        if cfg.crash {
-            // The re-stripe commit fenced the whole re-laid-out image, so a
-            // cut straight after it must recover to the new layout intact.
-            c.lost_lines += stack.power_cut().expect("post-restripe power cut");
-            c.power_cuts += 1;
-            let rep = stack.recover().expect("post-restripe recovery");
-            c.records_replayed += rep.records_replayed;
-            c.lines_redone += rep.lines_redone;
-        }
-        for block in 0..cfg.blocks {
-            match stack.read_into(block, &mut buf) {
-                Ok(_) if buf == mirror[block as usize] => {}
-                _ => restripe_mismatches += 1,
-            }
-        }
-        restripe_consistent = stack.verify_consistent().expect("post-restripe verify");
-    }
-
-    // The tiered leg must have migrated at least once (pristine regions
-    // step down from the boot tier on the first tier step).
-    let tier_failed = cfg.tiers && c.tier_migrations == 0;
-
-    let failed = tier_failed
-        || c.read_mismatches > 0
-        || c.read_errors > 0
-        || sweep_mismatches > 0
-        || restripe_mismatches > 0
-        || !consistent
-        || !restripe_consistent;
-
-    let mut layers = Json::object();
-    for (id, stats) in stack.layers() {
-        layers = layers.with(id.as_str(), stats.to_json());
-    }
-
-    let doc = Json::object()
-        .with("harness", "soak")
-        .with(
-            "config",
-            Json::object()
-                .with("blocks", cfg.blocks)
-                .with("cycles", cfg.cycles)
-                .with("seed", cfg.seed),
-        )
-        .with("schedule", schedule.to_json())
-        .with(
-            "campaign",
-            Json::object()
-                .with("events_applied", c.events_applied)
-                .with("event_bits", c.event_bits)
-                .with("background_bits", c.background_bits)
-                .with("writes", c.ops_write)
-                .with("reads", c.ops_read)
-                .with("scrub_steps", c.ops_scrub)
-                .with("scrub_uncorrectable", c.scrub_uncorrectable)
-                .with(
-                    "gap_moves",
-                    stack.layer(LayerId::Wearlevel).map_or(0, |s| s.gap_moves),
-                )
-                .with(
-                    "patrol_passes",
-                    stack.layer(LayerId::Patrol).map_or(0, |s| s.patrol_passes),
-                )
-                .with("chip_repairs", c.chip_repairs)
-                .with(
-                    "repair_cycles",
-                    Json::Arr(c.repair_cycles.iter().map(|&x| Json::from(x)).collect()),
-                )
-                .with("timeline_extra_fetches", c.extra_fetches),
-        )
-        .with(
-            "read_paths",
-            Json::object()
-                .with("clean", c.path_clean)
-                .with("rs_corrected", c.path_rs)
-                .with("vlew_fallback", c.path_fallback)
-                .with("chipkill_erasure", c.path_erasure),
-        )
-        .with("core_stats", stats.to_json())
-        .with("layers", layers)
-        .with("crash", c.crash_json(cfg.crash))
-        .with("tier", {
-            let mut t = Json::object()
-                .with("enabled", cfg.tiers)
-                .with("steps", c.tier_steps)
-                .with("migrations", c.tier_migrations);
-            if let Some(report) = stack.tier_report() {
-                t = t
-                    .with("regions", report.regions)
-                    .with("rs_only_regions", report.rs_only_regions)
-                    .with("paper_regions", report.paper_regions)
-                    .with("dense_regions", report.dense_regions)
-                    .with("blended_storage_cost", report.blended_cost());
-            }
-            t
+    let (crash, tiers) = (cfg.plan.crash, cfg.plan.tier);
+    let stack_seed = cfg.plan.seed ^ 0x5011_D1E5;
+    let mut plan = cfg.plan.clone();
+    let passed = if let Some(nodes) = cfg.cluster {
+        // The cluster campaign is about topology churn, not media
+        // faults: the schedule stays empty.
+        let mut cluster =
+            Cluster::sharded(nodes, 2, cfg.blocks, plan.seed, ClusterConfig::default());
+        run_and_print(&cfg, &mut cluster, &plan, |c, reg| {
+            c.publish_metrics(reg, "cluster")
         })
-        .with(
-            "verdict",
-            Json::object()
-                .with("read_mismatches", c.read_mismatches)
-                .with("read_errors", c.read_errors)
-                .with("final_verify_consistent", consistent)
-                .with(
-                    "closing_scrub_bits_corrected",
-                    scrub_report.bits_corrected as u64,
-                )
-                .with("sweep_mismatches", sweep_mismatches)
-                .with("restripe_skipped", cfg.tiers)
-                .with("restripe_mismatches", restripe_mismatches)
-                .with("restripe_verify_consistent", restripe_consistent)
-                .with("tier_migrated", c.tier_migrations > 0)
-                .with("passed", !failed),
-        );
-
-    if cfg.pretty {
-        println!("{}", doc.pretty());
+    } else if let Some(shards) = cfg.shards {
+        // Per-shard capacity rounds up to whole stripes; the campaign
+        // covers the service's real (interleaved) address space.
+        plan.schedule = load_schedule(&cfg);
+        let per_shard = cfg.blocks.div_ceil(shards as u64);
+        let mut svc = ShardedService::new(shards, stack_seed, move |_, seed| {
+            let base = StackBuilder::proposal(per_shard, ChipkillConfig::default());
+            build_stack(base, seed, crash)
+        });
+        run_and_print(&cfg, &mut svc, &plan, |s, reg| {
+            s.publish_metrics(reg, "service")
+        })
     } else {
-        println!("{}", doc.dump());
-    }
-    if failed {
+        // Tiering and re-striping both own the base layout: a tiered run
+        // skips the §V-E leg (its crash-cut equivalent, a torn tier
+        // migration, runs in the harness crash campaign).
+        plan.schedule = load_schedule(&cfg);
+        plan.restripe = !tiers;
+        let base = StackBuilder::proposal(cfg.blocks, ChipkillConfig::default());
+        let base = if tiers {
+            base.tiered((cfg.blocks / 32).max(1) as usize, TierPolicy::default())
+        } else {
+            base.restripeable()
+        };
+        let mut stack = build_stack(base, stack_seed, crash);
+        run_and_print(&cfg, &mut stack, &plan, |s, reg| {
+            s.publish_metrics(reg, "stack")
+        })
+    };
+    if !passed {
         eprintln!("soak: FAILED (see verdict in report)");
         std::process::exit(1);
     }

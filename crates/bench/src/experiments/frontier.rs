@@ -14,7 +14,7 @@
 use pmck_analysis::tier::{cheapest_tier, tier_ue_rates};
 use pmck_analysis::UE_TARGET;
 use pmck_core::{
-    Access, AccessContext, BlockDevice, ChipkillConfig, ProtectionTier, TierPolicy, TieredMemory,
+    AccessContext, BlockDevice, ChipkillConfig, ProtectionTier, Request, TierPolicy, TieredMemory,
 };
 
 use crate::report::{pct, sci, Experiment};
@@ -80,7 +80,7 @@ pub fn run() -> Experiment {
         mem.rber_mut().record_observation(r, flipped, bits);
     }
     let _ = mem
-        .access(Access::TierStep, &mut ctx)
+        .access(Request::TierStep, &mut ctx)
         .expect("tier step on a healthy rank");
     let expect = [
         ProtectionTier::RsOnly,

@@ -1,64 +1,54 @@
-//! One module per paper artifact. Each exposes `run() -> Experiment`.
+//! One module per paper artifact, each exposing `run() -> Experiment`,
+//! and the [`ARTIFACTS`] table that names them all.
 //!
 //! Analytic experiments are cheap and exact; simulation experiments
-//! ([`fig10`], [`fig14`], [`fig15`], [`fig16`], [`fig17`], [`fig18`])
 //! replay the workload suite through the full-system simulator.
-
-pub mod ablate_eur;
-pub mod ablate_omv;
-pub mod ablate_threshold;
-pub mod appendix;
-pub mod fig01;
-pub mod fig02;
-pub mod fig03;
-pub mod fig04;
-pub mod fig05;
-pub mod fig07;
-pub mod fig10;
-pub mod fig14;
-pub mod fig15;
-pub mod fig16;
-pub mod fig17;
-pub mod fig18;
-pub mod frontier;
-pub mod runtime;
-pub mod scrub;
-pub mod sec3a;
-pub mod storage;
-pub mod table1;
 
 use crate::report::Experiment;
 
-/// All analytic (fast) experiments in presentation order.
-pub fn analytic() -> Vec<Experiment> {
-    vec![
-        fig01::run(),
-        fig02::run(),
-        fig03::run(),
-        fig04::run(),
-        fig05::run(),
-        fig07::run(),
-        sec3a::run(),
-        storage::run(),
-        frontier::run(),
-        scrub::run(),
-        runtime::run(),
-        appendix::run(),
-        table1::run(),
-        ablate_threshold::run(),
-    ]
+/// How an artifact is regenerated.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// Closed-form or Monte-Carlo arithmetic: fast.
+    Analytic,
+    /// A replay of the 16-workload suite (each triggers the shared run).
+    Simulation,
 }
 
-/// All simulation-driven experiments (each triggers the shared suite).
-pub fn simulation() -> Vec<Experiment> {
-    vec![
-        fig10::run(),
-        fig14::run(),
-        fig15::run(),
-        fig16::run(),
-        fig17::run(),
-        fig18::run(),
-        ablate_omv::run(),
-        ablate_eur::run(),
-    ]
+/// Declares the artifact modules and the table over them from one list,
+/// in presentation order.
+macro_rules! artifacts {
+    ($($name:ident: $kind:ident),* $(,)?) => {
+        $(pub mod $name;)*
+
+        /// Every artifact: its name, how it is regenerated, and the
+        /// regenerator.
+        pub const ARTIFACTS: &[(&str, Kind, fn() -> Experiment)] =
+            &[$((stringify!($name), Kind::$kind, $name::run)),*];
+    };
+}
+
+artifacts! {
+    fig01: Analytic,
+    fig02: Analytic,
+    fig03: Analytic,
+    fig04: Analytic,
+    fig05: Analytic,
+    fig07: Analytic,
+    sec3a: Analytic,
+    storage: Analytic,
+    frontier: Analytic,
+    scrub: Analytic,
+    runtime: Analytic,
+    appendix: Analytic,
+    table1: Analytic,
+    ablate_threshold: Analytic,
+    fig10: Simulation,
+    fig14: Simulation,
+    fig15: Simulation,
+    fig16: Simulation,
+    fig17: Simulation,
+    fig18: Simulation,
+    ablate_omv: Simulation,
+    ablate_eur: Simulation,
 }

@@ -3,10 +3,11 @@
 //! Every functional layer of the reproduction — the chipkill rank, the
 //! §III-A baseline, the re-striped post-failure layout, Start-Gap wear
 //! leveling, patrol scrubbing, and the Write-CRC link — speaks one
-//! uniform interface: [`BlockDevice`]. An access is a value of
-//! [`Access`], the result a value of [`AccessOutcome`], and every call
-//! threads an [`AccessContext`] that carries the fault-injection RNG,
-//! per-layer [`LayerStats`], and an optional trace sink.
+//! uniform interface: [`BlockDevice`]. An access is a [`Request`] — the
+//! same value a client hands to [`crate::Submitter::submit`] — the
+//! result a [`Response`], and every call threads an [`AccessContext`]
+//! that carries the fault-injection RNG, per-layer [`LayerStats`], and
+//! an optional trace sink.
 //!
 //! Middleware layers ([`crate::WearLevelled`], [`crate::Patrolled`],
 //! [`crate::LinkProtected`], [`crate::Restripeable`]) wrap any inner
@@ -15,148 +16,19 @@
 //! Layers that do not implement an access kind return
 //! [`CoreError::Unsupported`] rather than silently no-opping.
 
-use pmck_nvram::{FaultEvent, FaultKind};
+use pmck_nvram::FaultKind;
 use pmck_rt::json::Json;
 use pmck_rt::metrics::MetricsRegistry;
 use pmck_rt::rng::StdRng;
 
 use crate::baseline::BaselineMemory;
 use crate::engine::{ChipkillMemory, CoreError, ReadOutcome, ReadPath};
+use crate::request::{Request, Response};
 use crate::restripe::{RestripedMemory, BLOCKS_PER_GROUP};
 use crate::scrub::ScrubReport;
 use crate::stats::CoreStats;
 
-/// One request against a [`BlockDevice`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Access {
-    /// Demand read of one 64 B block.
-    Read(u64),
-    /// Conventional write of one 64 B block.
-    Write {
-        /// Block address.
-        addr: u64,
-        /// New block contents.
-        data: [u8; 64],
-    },
-    /// Bitwise-sum write (§V-D): `data` carries `old ⊕ new`.
-    WriteSum {
-        /// Block address.
-        addr: u64,
-        /// The bitwise sum delivered to the chips.
-        data: [u8; 64],
-    },
-    /// Correct one block and rewrite it in place.
-    Scrub(u64),
-    /// Fault-injection hook: i.i.d. bit flips at the given RBER across
-    /// every stored cell.
-    InjectRber(f64),
-    /// Fault-injection hook: one scheduled campaign event.
-    Fault(FaultEvent),
-    /// Advance the patrol scrubber by one increment (handled by a
-    /// [`crate::Patrolled`] layer).
-    PatrolStep,
-    /// Full boot-time scrub of the device.
-    BootScrub,
-    /// Check that stored code bits are consistent with stored data.
-    Verify,
-    /// Rebuild the detected failed chip in place, if any.
-    Repair,
-    /// Reconfigure into the §V-E re-striped layout (handled by a
-    /// [`crate::Restripeable`] layer).
-    Restripe,
-    /// Commit every dirty line of the persistence domain durably
-    /// (flush-all + fence; a no-op without a domain).
-    Flush,
-    /// Simulate power loss: everything not flushed *and* fenced is
-    /// discarded from the persistence domain's volatile staging.
-    PowerCut,
-    /// Rebuild the device from the durable image after a power cut:
-    /// replay the intent log, reload layout/wear metadata, reconstruct
-    /// the volatile arrays.
-    Recover,
-    /// Re-evaluate the tier policy over every region and migrate the
-    /// regions whose measured RBER crossed a threshold (handled by a
-    /// [`crate::TieredMemory`] base).
-    TierStep,
-}
-
-impl Access {
-    /// Short, stable name of the access kind (used in errors and traces).
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Access::Read(_) => "read",
-            Access::Write { .. } => "write",
-            Access::WriteSum { .. } => "write_sum",
-            Access::Scrub(_) => "scrub",
-            Access::InjectRber(_) => "inject_rber",
-            Access::Fault(_) => "fault",
-            Access::PatrolStep => "patrol_step",
-            Access::BootScrub => "boot_scrub",
-            Access::Verify => "verify",
-            Access::Repair => "repair",
-            Access::Restripe => "restripe",
-            Access::Flush => "flush",
-            Access::PowerCut => "power_cut",
-            Access::Recover => "recover",
-            Access::TierStep => "tier_step",
-        }
-    }
-
-    /// The block address the access targets, if it has one.
-    pub fn addr(&self) -> Option<u64> {
-        match self {
-            Access::Read(a) | Access::Scrub(a) => Some(*a),
-            Access::Write { addr, .. } | Access::WriteSum { addr, .. } => Some(*addr),
-            _ => None,
-        }
-    }
-}
-
-/// The successful result of an [`Access`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum AccessOutcome {
-    /// Data plus the decode path that produced it.
-    Read(ReadOutcome),
-    /// The write (conventional or sum) committed.
-    Written,
-    /// The block was corrected and rewritten.
-    Scrubbed,
-    /// Fault injection disturbed `bits` stored bits.
-    Injected {
-        /// Bits (or cells) disturbed.
-        bits: usize,
-    },
-    /// One patrol increment ran.
-    Patrolled(crate::patrol::PatrolReport),
-    /// The boot scrub completed.
-    BootScrubbed(ScrubReport),
-    /// Result of the consistency check.
-    Verified(bool),
-    /// The failed chip (if any) was rebuilt.
-    Repaired {
-        /// The chip that was rebuilt, or `None` if none was detected.
-        chip: Option<usize>,
-    },
-    /// The device reconfigured into the re-striped layout.
-    Restriped,
-    /// The persistence domain committed its dirty lines.
-    Flushed {
-        /// Lines made durable (0 when nothing was dirty, or when the
-        /// stack has no persistence domain).
-        lines: u64,
-    },
-    /// Power was cut; unflushed volatile state is gone.
-    PowerLost {
-        /// Volatile lines discarded by the cut.
-        lost_lines: u64,
-    },
-    /// The device rebuilt itself from the durable image.
-    Recovered(RecoveryReport),
-    /// One tier-policy pass ran over the regions.
-    Tiered(crate::tier::TierReport),
-}
-
-/// What a [`Access::Recover`] pass did (summed across shards by the
+/// What a [`Request::Recover`] pass did (summed across shards by the
 /// service's broadcast merge).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
@@ -531,20 +403,16 @@ pub trait BlockDevice: Send {
     /// Capacity in blocks as seen *above* this layer.
     fn num_blocks(&self) -> u64;
 
-    /// Executes one access.
+    /// Executes one request at this layer.
     ///
     /// # Errors
     ///
     /// [`CoreError::Unsupported`] when the stack has no layer handling
     /// this access kind, plus whatever the underlying operation surfaces.
-    fn access(
-        &mut self,
-        access: Access,
-        ctx: &mut AccessContext,
-    ) -> Result<AccessOutcome, CoreError>;
+    fn access(&mut self, req: Request, ctx: &mut AccessContext) -> Result<Response, CoreError>;
 
     /// Reads one block directly into `data` — the hot-path form of
-    /// `access(Access::Read(addr))`, skipping the [`AccessOutcome`]
+    /// `access(Request::Read(addr))`, skipping the [`Response`]
     /// copy. Observationally identical to the access form (same stats,
     /// trace, remapping, and background-scrub scheduling); layers with
     /// an allocation-free read path override it. On error the buffer
@@ -552,15 +420,15 @@ pub trait BlockDevice: Send {
     ///
     /// # Errors
     ///
-    /// As `access(Access::Read(addr))`.
+    /// As `access(Request::Read(addr))`.
     fn read_into(
         &mut self,
         addr: u64,
         data: &mut [u8; 64],
         ctx: &mut AccessContext,
     ) -> Result<ReadPath, CoreError> {
-        match self.access(Access::Read(addr), ctx)? {
-            AccessOutcome::Read(out) => {
+        match self.access(Request::Read(addr), ctx)? {
+            Response::Read(out) => {
                 *data = out.data;
                 Ok(out.path)
             }
@@ -600,12 +468,8 @@ impl<D: BlockDevice + ?Sized> BlockDevice for Box<D> {
     fn num_blocks(&self) -> u64 {
         (**self).num_blocks()
     }
-    fn access(
-        &mut self,
-        access: Access,
-        ctx: &mut AccessContext,
-    ) -> Result<AccessOutcome, CoreError> {
-        (**self).access(access, ctx)
+    fn access(&mut self, req: Request, ctx: &mut AccessContext) -> Result<Response, CoreError> {
+        (**self).access(req, ctx)
     }
     fn read_into(
         &mut self,
@@ -634,28 +498,28 @@ impl<D: BlockDevice + ?Sized> BlockDevice for Box<D> {
 pub(crate) fn record_access(
     ctx: &mut AccessContext,
     id: LayerId,
-    access: &Access,
-    result: &Result<AccessOutcome, CoreError>,
+    req: &Request,
+    result: &Result<Response, CoreError>,
 ) {
     let st = ctx.layer_mut(id);
-    match access {
-        Access::Read(_) => st.reads += 1,
-        Access::Write { .. } | Access::WriteSum { .. } => st.writes += 1,
-        Access::Scrub(_) => st.scrubs += 1,
+    match req {
+        Request::Read(_) => st.reads += 1,
+        Request::Write { .. } | Request::WriteSum { .. } => st.writes += 1,
+        Request::Scrub(_) => st.scrubs += 1,
         _ => {}
     }
     match result {
-        Ok(AccessOutcome::Read(out)) => record_read_path(st, &out.path),
-        Ok(AccessOutcome::Injected { bits }) => st.injected_bits += *bits as u64,
+        Ok(Response::Read(out)) => record_read_path(st, &out.path),
+        Ok(Response::Injected { bits }) => st.injected_bits += *bits as u64,
         Ok(_) => {}
         // An unsupported access is a routing miss, not a device fault.
         Err(CoreError::Unsupported(_)) => {}
         Err(_) => st.errors += 1,
     }
     ctx.trace(id, || {
-        let what = match access.addr() {
-            Some(a) => format!("{} {a}", access.kind()),
-            None => access.kind().to_string(),
+        let what = match req.addr() {
+            Some(a) => format!("{} {a}", req.kind()),
+            None => req.kind().to_string(),
         };
         match result {
             Ok(out) => format!("{what} -> {}", describe_outcome(out)),
@@ -665,8 +529,8 @@ pub(crate) fn record_access(
 }
 
 /// [`record_access`] for the `read_into` hot path: identical stats and
-/// trace to `access(Access::Read(addr))`, without materializing an
-/// [`AccessOutcome`].
+/// trace to `access(Request::Read(addr))`, without materializing a
+/// [`Response`].
 pub(crate) fn record_read_into(
     ctx: &mut AccessContext,
     id: LayerId,
@@ -720,23 +584,23 @@ fn describe_read_path(path: &ReadPath) -> String {
     }
 }
 
-fn describe_outcome(out: &AccessOutcome) -> String {
+fn describe_outcome(out: &Response) -> String {
     match out {
-        AccessOutcome::Read(o) => describe_read_path(&o.path),
-        AccessOutcome::Written => "written".into(),
-        AccessOutcome::Scrubbed => "scrubbed".into(),
-        AccessOutcome::Injected { bits } => format!("injected {bits}"),
-        AccessOutcome::Patrolled(r) => format!("patrolled {}", r.blocks_scrubbed),
-        AccessOutcome::BootScrubbed(r) => format!("boot_scrubbed {}", r.stripes_scrubbed),
-        AccessOutcome::Verified(ok) => format!("verified {ok}"),
-        AccessOutcome::Repaired { chip } => format!("repaired {chip:?}"),
-        AccessOutcome::Restriped => "restriped".into(),
-        AccessOutcome::Flushed { lines } => format!("flushed {lines}"),
-        AccessOutcome::PowerLost { lost_lines } => format!("power_lost {lost_lines}"),
-        AccessOutcome::Recovered(r) => {
+        Response::Read(o) => describe_read_path(&o.path),
+        Response::Written => "written".into(),
+        Response::Scrubbed => "scrubbed".into(),
+        Response::Injected { bits } => format!("injected {bits}"),
+        Response::Patrolled(r) => format!("patrolled {}", r.blocks_scrubbed),
+        Response::BootScrubbed(r) => format!("boot_scrubbed {}", r.stripes_scrubbed),
+        Response::Verified(ok) => format!("verified {ok}"),
+        Response::Repaired { chip } => format!("repaired {chip:?}"),
+        Response::Restriped => "restriped".into(),
+        Response::Flushed { lines } => format!("flushed {lines}"),
+        Response::PowerLost { lost_lines } => format!("power_lost {lost_lines}"),
+        Response::Recovered(r) => {
             format!("recovered {} lines redone", r.lines_redone)
         }
-        AccessOutcome::Tiered(r) => format!("tiered {} migrations", r.migrations),
+        Response::Tiered(r) => format!("tiered {} migrations", r.migrations),
     }
 }
 
@@ -768,43 +632,39 @@ impl BlockDevice for ChipkillMemory {
         Some(*self.stats())
     }
 
-    fn access(
-        &mut self,
-        access: Access,
-        ctx: &mut AccessContext,
-    ) -> Result<AccessOutcome, CoreError> {
-        let result = match access {
-            Access::Read(addr) => self.read_block(addr).map(AccessOutcome::Read),
-            Access::Write { addr, data } => self
-                .write_block(addr, &data)
-                .map(|_| AccessOutcome::Written),
-            Access::WriteSum { addr, data } => self
-                .write_block_sum(addr, &data)
-                .map(|_| AccessOutcome::Written),
-            Access::Scrub(addr) => self.scrub_block(addr).map(|_| AccessOutcome::Scrubbed),
-            Access::InjectRber(rber) => Ok(AccessOutcome::Injected {
+    fn access(&mut self, req: Request, ctx: &mut AccessContext) -> Result<Response, CoreError> {
+        let result = match req {
+            Request::Read(addr) => self.read_block(addr).map(Response::Read),
+            Request::Write { addr, data } => {
+                self.write_block(addr, &data).map(|_| Response::Written)
+            }
+            Request::WriteSum { addr, data } => {
+                self.write_block_sum(addr, &data).map(|_| Response::Written)
+            }
+            Request::Scrub(addr) => self.scrub_block(addr).map(|_| Response::Scrubbed),
+            Request::InjectRber(rber) => Ok(Response::Injected {
                 bits: self.inject_bit_errors(rber, ctx.rng()),
             }),
-            Access::Fault(ev) => Ok(AccessOutcome::Injected {
+            Request::Fault(ev) => Ok(Response::Injected {
                 bits: self.apply_fault_event(&ev, ctx.rng()),
             }),
-            Access::BootScrub => self.boot_scrub().map(AccessOutcome::BootScrubbed),
-            Access::Verify => Ok(AccessOutcome::Verified(self.verify_consistent())),
-            Access::Repair => match ChipkillMemory::detected_failed_chip(self) {
+            Request::BootScrub => self.boot_scrub().map(Response::BootScrubbed),
+            Request::Verify => Ok(Response::Verified(self.verify_consistent())),
+            Request::Repair => match ChipkillMemory::detected_failed_chip(self) {
                 Some(chip) => self
                     .repair_chip(chip)
-                    .map(|_| AccessOutcome::Repaired { chip: Some(chip) }),
-                None => Ok(AccessOutcome::Repaired { chip: None }),
+                    .map(|_| Response::Repaired { chip: Some(chip) }),
+                None => Ok(Response::Repaired { chip: None }),
             },
             // No-ops without a persistence domain; see `crate::pmem`.
-            Access::Flush => self.handle_flush(ctx),
-            Access::PowerCut => self.handle_power_cut(),
-            Access::Recover => self.handle_recover(ctx),
-            Access::PatrolStep | Access::Restripe | Access::TierStep => {
-                Err(CoreError::Unsupported(access.kind()))
+            Request::Flush => self.handle_flush(ctx),
+            Request::PowerCut => self.handle_power_cut(),
+            Request::Recover => self.handle_recover(ctx),
+            Request::PatrolStep | Request::Restripe | Request::TierStep => {
+                Err(CoreError::Unsupported(req.kind()))
             }
         };
-        record_access(ctx, LayerId::Chipkill, &access, &result);
+        record_access(ctx, LayerId::Chipkill, &req, &result);
         result
     }
 
@@ -822,14 +682,10 @@ impl BlockDevice for BaselineMemory {
         BaselineMemory::num_blocks(self)
     }
 
-    fn access(
-        &mut self,
-        access: Access,
-        ctx: &mut AccessContext,
-    ) -> Result<AccessOutcome, CoreError> {
-        let result = match access {
-            Access::Read(addr) => self.read_block(addr).map(|out| {
-                AccessOutcome::Read(ReadOutcome {
+    fn access(&mut self, req: Request, ctx: &mut AccessContext) -> Result<Response, CoreError> {
+        let result = match req {
+            Request::Read(addr) => self.read_block(addr).map(|out| {
+                Response::Read(ReadOutcome {
                     data: out.data,
                     path: if out.bits_corrected == 0 {
                         ReadPath::Clean
@@ -840,32 +696,32 @@ impl BlockDevice for BaselineMemory {
                     },
                 })
             }),
-            Access::Write { addr, data } => self
-                .write_block(addr, &data)
-                .map(|_| AccessOutcome::Written),
+            Request::Write { addr, data } => {
+                self.write_block(addr, &data).map(|_| Response::Written)
+            }
             // Scrub-by-rewrite: decode, then store the corrected block
             // (and a freshly encoded code word) back.
-            Access::Scrub(addr) => self.read_block(addr).and_then(|out| {
+            Request::Scrub(addr) => self.read_block(addr).and_then(|out| {
                 self.write_block(addr, &out.data)
-                    .map(|_| AccessOutcome::Scrubbed)
+                    .map(|_| Response::Scrubbed)
             }),
-            Access::InjectRber(rber) => Ok(AccessOutcome::Injected {
+            Request::InjectRber(rber) => Ok(Response::Injected {
                 bits: self.inject_bit_errors(rber, ctx.rng()),
             }),
-            Access::Fault(ev) => match ev.kind {
+            Request::Fault(ev) => match ev.kind {
                 // Background-rate events carry no instantaneous action.
                 FaultKind::Rber { .. } | FaultKind::RberRamp { .. } => {
-                    Ok(AccessOutcome::Injected { bits: 0 })
+                    Ok(Response::Injected { bits: 0 })
                 }
                 FaultKind::ChipKill { chip, kind } => {
                     self.fail_chip(chip % 8, kind, ctx.rng());
-                    Ok(AccessOutcome::Injected {
+                    Ok(Response::Injected {
                         bits: BaselineMemory::num_blocks(self) as usize * 64,
                     })
                 }
                 _ => Err(CoreError::Unsupported("fault")),
             },
-            Access::BootScrub => {
+            Request::BootScrub => {
                 let mut report = ScrubReport::default();
                 for addr in 0..BaselineMemory::num_blocks(self) {
                     let out = self.read_block(addr)?;
@@ -876,9 +732,9 @@ impl BlockDevice for BaselineMemory {
                     self.write_block(addr, &out.data)?;
                     report.stripes_scrubbed += 1;
                 }
-                Ok(AccessOutcome::BootScrubbed(report))
+                Ok(Response::BootScrubbed(report))
             }
-            Access::Verify => {
+            Request::Verify => {
                 let mut clean = true;
                 for addr in 0..BaselineMemory::num_blocks(self) {
                     match self.read_block(addr) {
@@ -889,18 +745,18 @@ impl BlockDevice for BaselineMemory {
                         }
                     }
                 }
-                Ok(AccessOutcome::Verified(clean))
+                Ok(Response::Verified(clean))
             }
-            Access::WriteSum { .. }
-            | Access::PatrolStep
-            | Access::Repair
-            | Access::Restripe
-            | Access::Flush
-            | Access::PowerCut
-            | Access::Recover
-            | Access::TierStep => Err(CoreError::Unsupported(access.kind())),
+            Request::WriteSum { .. }
+            | Request::PatrolStep
+            | Request::Repair
+            | Request::Restripe
+            | Request::Flush
+            | Request::PowerCut
+            | Request::Recover
+            | Request::TierStep => Err(CoreError::Unsupported(req.kind())),
         };
-        record_access(ctx, LayerId::Baseline, &access, &result);
+        record_access(ctx, LayerId::Baseline, &req, &result);
         result
     }
 }
@@ -914,17 +770,13 @@ impl BlockDevice for RestripedMemory {
         RestripedMemory::num_blocks(self)
     }
 
-    fn access(
-        &mut self,
-        access: Access,
-        ctx: &mut AccessContext,
-    ) -> Result<AccessOutcome, CoreError> {
-        let result = match access {
-            Access::Read(addr) => {
+    fn access(&mut self, req: Request, ctx: &mut AccessContext) -> Result<Response, CoreError> {
+        let result = match req {
+            Request::Read(addr) => {
                 let before = self.bits_corrected();
                 self.read_block(addr).map(|data| {
                     let n = (self.bits_corrected() - before) as usize;
-                    AccessOutcome::Read(ReadOutcome {
+                    Response::Read(ReadOutcome {
                         data,
                         path: if n == 0 {
                             ReadPath::Clean
@@ -934,30 +786,30 @@ impl BlockDevice for RestripedMemory {
                     })
                 })
             }
-            Access::Write { addr, data } => self
-                .write_block(addr, &data)
-                .map(|_| AccessOutcome::Written),
+            Request::Write { addr, data } => {
+                self.write_block(addr, &data).map(|_| Response::Written)
+            }
             // A group read corrects and writes back the whole group.
-            Access::Scrub(addr) => self.read_block(addr).map(|_| AccessOutcome::Scrubbed),
-            Access::InjectRber(rber) => Ok(AccessOutcome::Injected {
+            Request::Scrub(addr) => self.read_block(addr).map(|_| Response::Scrubbed),
+            Request::InjectRber(rber) => Ok(Response::Injected {
                 bits: self.inject_bit_errors(rber, ctx.rng()),
             }),
-            Access::Fault(ev) => match ev.kind {
+            Request::Fault(ev) => match ev.kind {
                 FaultKind::Rber { .. } | FaultKind::RberRamp { .. } => {
-                    Ok(AccessOutcome::Injected { bits: 0 })
+                    Ok(Response::Injected { bits: 0 })
                 }
                 // The re-striped layout has already absorbed its one
                 // permitted chip failure; chip-structured faults no
                 // longer apply.
                 _ => Err(CoreError::Unsupported("fault")),
             },
-            Access::BootScrub => {
+            Request::BootScrub => {
                 let before = self.bits_corrected();
                 let groups = RestripedMemory::num_blocks(self) as usize / BLOCKS_PER_GROUP;
                 for g in 0..groups {
                     self.read_block((g * BLOCKS_PER_GROUP) as u64)?;
                 }
-                Ok(AccessOutcome::BootScrubbed(ScrubReport {
+                Ok(Response::BootScrubbed(ScrubReport {
                     stripes_scrubbed: groups,
                     bits_corrected: (self.bits_corrected() - before) as usize,
                     words_with_errors: 0,
@@ -965,18 +817,18 @@ impl BlockDevice for RestripedMemory {
                     chip_rebuilt: None,
                 }))
             }
-            Access::Verify => Ok(AccessOutcome::Verified(self.verify_consistent())),
+            Request::Verify => Ok(Response::Verified(self.verify_consistent())),
             // No-ops without a persistence domain; see `crate::pmem`.
-            Access::Flush => self.handle_flush(ctx),
-            Access::PowerCut => self.handle_power_cut(),
-            Access::Recover => self.handle_recover(ctx),
-            Access::WriteSum { .. }
-            | Access::PatrolStep
-            | Access::Repair
-            | Access::Restripe
-            | Access::TierStep => Err(CoreError::Unsupported(access.kind())),
+            Request::Flush => self.handle_flush(ctx),
+            Request::PowerCut => self.handle_power_cut(),
+            Request::Recover => self.handle_recover(ctx),
+            Request::WriteSum { .. }
+            | Request::PatrolStep
+            | Request::Repair
+            | Request::Restripe
+            | Request::TierStep => Err(CoreError::Unsupported(req.kind())),
         };
-        record_access(ctx, LayerId::Restriped, &access, &result);
+        record_access(ctx, LayerId::Restriped, &req, &result);
         result
     }
 
@@ -995,10 +847,10 @@ mod tests {
         let mut dev = ChipkillMemory::new(32, ChipkillConfig::default());
         let mut ctx = AccessContext::new(1).with_trace();
         let data = [0x5Au8; 64];
-        dev.access(Access::Write { addr: 3, data }, &mut ctx)
+        dev.access(Request::Write { addr: 3, data }, &mut ctx)
             .unwrap();
-        match dev.access(Access::Read(3), &mut ctx).unwrap() {
-            AccessOutcome::Read(out) => {
+        match dev.access(Request::Read(3), &mut ctx).unwrap() {
+            Response::Read(out) => {
                 assert_eq!(out.data, data);
                 assert_eq!(out.path, ReadPath::Clean);
             }
@@ -1018,7 +870,7 @@ mod tests {
         let mut dev = ChipkillMemory::new(32, ChipkillConfig::default());
         let mut ctx = AccessContext::scratch();
         assert_eq!(
-            dev.access(Access::Restripe, &mut ctx),
+            dev.access(Request::Restripe, &mut ctx),
             Err(CoreError::Unsupported("restripe"))
         );
         assert_eq!(ctx.layer(LayerId::Chipkill).unwrap().errors, 0);
@@ -1030,7 +882,7 @@ mod tests {
         let mut ctx = AccessContext::new(7);
         for a in 0..64 {
             dev.access(
-                Access::Write {
+                Request::Write {
                     addr: a,
                     data: [a as u8; 64],
                 },
@@ -1038,10 +890,10 @@ mod tests {
             )
             .unwrap();
         }
-        dev.access(Access::InjectRber(1e-3), &mut ctx).unwrap();
+        dev.access(Request::InjectRber(1e-3), &mut ctx).unwrap();
         for a in 0..64 {
-            match dev.access(Access::Read(a), &mut ctx).unwrap() {
-                AccessOutcome::Read(out) => assert_eq!(out.data, [a as u8; 64]),
+            match dev.access(Request::Read(a), &mut ctx).unwrap() {
+                Response::Read(out) => assert_eq!(out.data, [a as u8; 64]),
                 other => panic!("unexpected outcome {other:?}"),
             }
         }
@@ -1050,11 +902,11 @@ mod tests {
         assert!(st.injected_bits > 0);
         // Scrub-by-rewrite then verify clean.
         for a in 0..64 {
-            dev.access(Access::Scrub(a), &mut ctx).unwrap();
+            dev.access(Request::Scrub(a), &mut ctx).unwrap();
         }
         assert_eq!(
-            dev.access(Access::Verify, &mut ctx).unwrap(),
-            AccessOutcome::Verified(true)
+            dev.access(Request::Verify, &mut ctx).unwrap(),
+            Response::Verified(true)
         );
     }
 
@@ -1064,10 +916,10 @@ mod tests {
         let mut dev = ChipkillMemory::new(32, ChipkillConfig::default());
         let mut ctx = AccessContext::new(3);
         let data = [0x11u8; 64];
-        dev.access(Access::Write { addr: 9, data }, &mut ctx)
+        dev.access(Request::Write { addr: 9, data }, &mut ctx)
             .unwrap();
         dev.access(
-            Access::Fault(FaultEvent {
+            Request::Fault(FaultEvent {
                 at_cycle: 0,
                 kind: FaultKind::ChipKill {
                     chip: 4,
@@ -1077,15 +929,15 @@ mod tests {
             &mut ctx,
         )
         .unwrap();
-        match dev.access(Access::Read(9), &mut ctx).unwrap() {
-            AccessOutcome::Read(out) => {
+        match dev.access(Request::Read(9), &mut ctx).unwrap() {
+            Response::Read(out) => {
                 assert_eq!(out.data, data);
                 assert_eq!(out.path, ReadPath::ChipkillErasure { chip: 4 });
             }
             other => panic!("unexpected outcome {other:?}"),
         }
         assert_eq!(BlockDevice::detected_failed_chip(&dev), Some(4));
-        dev.access(Access::Repair, &mut ctx).unwrap();
+        dev.access(Request::Repair, &mut ctx).unwrap();
         assert_eq!(BlockDevice::detected_failed_chip(&dev), None);
     }
 }

@@ -501,7 +501,7 @@ impl ChipkillMemory {
     }
 
     /// Installs a persistence domain. The caller is responsible for
-    /// issuing the initial [`crate::Access::Flush`] that seals the
+    /// issuing the initial [`crate::Request::Flush`] that seals the
     /// first durable epoch.
     pub fn set_domain(&mut self, domain: crate::pmem::PmemDomain) {
         self.domain = Some(domain);

@@ -11,8 +11,9 @@
 use pmck_nvram::BitErrorInjector;
 use pmck_rt::rng::Rng;
 
-use crate::device::{Access, AccessContext, AccessOutcome, BlockDevice, LayerId};
+use crate::device::{AccessContext, BlockDevice, LayerId};
 use crate::engine::{CoreError, ReadPath};
+use crate::request::{Request, Response};
 use crate::stats::CoreStats;
 
 /// CRC-16/CCITT-FALSE over `data` (polynomial 0x1021, init 0xFFFF) —
@@ -179,7 +180,7 @@ impl<D: BlockDevice> LinkProtected<D> {
         data: [u8; 64],
         sum: bool,
         ctx: &mut AccessContext,
-    ) -> Result<AccessOutcome, CoreError> {
+    ) -> Result<Response, CoreError> {
         let mut delivered = None;
         let outcome = self.link.send(&data, ctx.rng(), |w| delivered = Some(*w));
         let st = ctx.layer_mut(LayerId::Link);
@@ -194,12 +195,12 @@ impl<D: BlockDevice> LinkProtected<D> {
             }
         }
         let data = delivered.expect("successful transfers deliver");
-        let access = if sum {
-            Access::WriteSum { addr, data }
+        let req = if sum {
+            Request::WriteSum { addr, data }
         } else {
-            Access::Write { addr, data }
+            Request::Write { addr, data }
         };
-        self.inner.access(access, ctx)
+        self.inner.access(req, ctx)
     }
 }
 
@@ -228,14 +229,10 @@ impl<D: BlockDevice> BlockDevice for LinkProtected<D> {
         self.inner.tier_report()
     }
 
-    fn access(
-        &mut self,
-        access: Access,
-        ctx: &mut AccessContext,
-    ) -> Result<AccessOutcome, CoreError> {
-        match access {
-            Access::Write { addr, data } => self.transmit(addr, data, false, ctx),
-            Access::WriteSum { addr, data } => self.transmit(addr, data, true, ctx),
+    fn access(&mut self, req: Request, ctx: &mut AccessContext) -> Result<Response, CoreError> {
+        match req {
+            Request::Write { addr, data } => self.transmit(addr, data, false, ctx),
+            Request::WriteSum { addr, data } => self.transmit(addr, data, true, ctx),
             // Reads and maintenance traffic stay on-module.
             other => self.inner.access(other, ctx),
         }
@@ -348,7 +345,7 @@ mod tests {
         for i in 0..200u64 {
             let addr = i % 32;
             dev.access(
-                Access::Write {
+                Request::Write {
                     addr,
                     data: [i as u8; 64],
                 },
@@ -360,8 +357,8 @@ mod tests {
             // Last i < 200 with i % 32 == addr.
             let last = addr + 32 * ((199 - addr) / 32);
             let want = [last as u8; 64];
-            match dev.access(Access::Read(addr), &mut ctx).unwrap() {
-                AccessOutcome::Read(out) => assert_eq!(out.data, want, "block {addr}"),
+            match dev.access(Request::Read(addr), &mut ctx).unwrap() {
+                Response::Read(out) => assert_eq!(out.data, want, "block {addr}"),
                 other => panic!("unexpected outcome {other:?}"),
             }
         }
@@ -382,7 +379,7 @@ mod tests {
         let mut failures = 0;
         for _ in 0..30 {
             if dev.access(
-                Access::Write {
+                Request::Write {
                     addr: 3,
                     data: [0xFF; 64],
                 },

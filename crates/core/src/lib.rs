@@ -70,8 +70,7 @@ mod wearlevel;
 pub use baseline::{BaselineMemory, BaselineReadOutcome};
 pub use config::ChipkillConfig;
 pub use device::{
-    Access, AccessContext, AccessOutcome, BlockDevice, LayerId, LayerStats, ParseLayerIdError,
-    RecoveryReport, TraceEvent,
+    AccessContext, BlockDevice, LayerId, LayerStats, ParseLayerIdError, RecoveryReport, TraceEvent,
 };
 pub use engine::{
     ChipkillMemory, ClusterError, ClusterFailure, CoreError, ReadOutcome, ReadPath, RecoveryError,

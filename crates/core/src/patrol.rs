@@ -7,11 +7,12 @@
 //! scrubbed. [`PatrolScrubber`] walks any [`BlockDevice`] in fixed-size
 //! increments (as real memory controllers do) so each full pass bounds
 //! every block's time-since-correction. [`Patrolled`] packages the
-//! scrubber as middleware: it answers [`Access::PatrolStep`] and can
+//! scrubber as middleware: it answers [`Request::PatrolStep`] and can
 //! interleave increments automatically with demand traffic.
 
-use crate::device::{Access, AccessContext, AccessOutcome, BlockDevice, LayerId};
+use crate::device::{AccessContext, BlockDevice, LayerId};
 use crate::engine::{CoreError, ReadPath};
+use crate::request::{Request, Response};
 use crate::stats::CoreStats;
 
 /// Progress report from one patrol increment.
@@ -97,7 +98,7 @@ impl PatrolScrubber {
         let mut report = PatrolReport::default();
         for _ in 0..self.blocks_per_step {
             let addr = self.cursor;
-            match dev.access(Access::Scrub(addr), ctx) {
+            match dev.access(Request::Scrub(addr), ctx) {
                 Ok(_) => report.blocks_scrubbed += 1,
                 Err(CoreError::Disabled(_)) => report.blocks_skipped += 1,
                 Err(e) => return Err(e),
@@ -135,7 +136,7 @@ impl PatrolScrubber {
 }
 
 /// Patrol-scrub middleware: carries a [`PatrolScrubber`] over its inner
-/// device, answering [`Access::PatrolStep`] and (optionally) running one
+/// device, answering [`Request::PatrolStep`] and (optionally) running one
 /// increment automatically every `every` demand accesses — the
 /// background-scrub cadence a memory controller would schedule.
 #[derive(Debug, Clone)]
@@ -151,7 +152,7 @@ impl<D: BlockDevice> Patrolled<D> {
     /// Wraps `inner` with a patrol scrubber visiting `blocks_per_step`
     /// blocks per increment. `every > 0` schedules an automatic
     /// increment after that many demand reads/writes; `every == 0`
-    /// leaves stepping entirely to [`Access::PatrolStep`].
+    /// leaves stepping entirely to [`Request::PatrolStep`].
     pub fn over(inner: D, blocks_per_step: u64, every: u64) -> Self {
         Patrolled {
             inner,
@@ -212,17 +213,13 @@ impl<D: BlockDevice> BlockDevice for Patrolled<D> {
         self.inner.tier_report()
     }
 
-    fn access(
-        &mut self,
-        access: Access,
-        ctx: &mut AccessContext,
-    ) -> Result<AccessOutcome, CoreError> {
-        match access {
-            Access::PatrolStep => self.run_step(ctx).map(AccessOutcome::Patrolled),
+    fn access(&mut self, req: Request, ctx: &mut AccessContext) -> Result<Response, CoreError> {
+        match req {
+            Request::PatrolStep => self.run_step(ctx).map(Response::Patrolled),
             other => {
                 let demand = matches!(
                     other,
-                    Access::Read(_) | Access::Write { .. } | Access::WriteSum { .. }
+                    Request::Read(_) | Request::Write { .. } | Request::WriteSum { .. }
                 );
                 let out = self.inner.access(other, ctx)?;
                 if demand && self.every > 0 {
@@ -361,11 +358,11 @@ mod tests {
         let (mem, data, mut rng) = filled(64, 5);
         let mut dev = Patrolled::over(mem, 8, 4);
         let mut ctx = AccessContext::new(6);
-        dev.access(Access::InjectRber(1e-4), &mut ctx).unwrap();
+        dev.access(Request::InjectRber(1e-4), &mut ctx).unwrap();
         for round in 0..64u64 {
             let a = rng.gen_range(0..64);
-            match dev.access(Access::Read(a), &mut ctx).unwrap() {
-                AccessOutcome::Read(out) => {
+            match dev.access(Request::Read(a), &mut ctx).unwrap() {
+                Response::Read(out) => {
                     assert_eq!(out.data, data[a as usize], "round {round}")
                 }
                 other => panic!("unexpected outcome {other:?}"),
@@ -382,8 +379,8 @@ mod tests {
         let (mem, _, _) = filled(64, 7);
         let mut dev = Patrolled::over(mem, 16, 0);
         let mut ctx = AccessContext::scratch();
-        match dev.access(Access::PatrolStep, &mut ctx).unwrap() {
-            AccessOutcome::Patrolled(r) => assert_eq!(r.blocks_scrubbed, 16),
+        match dev.access(Request::PatrolStep, &mut ctx).unwrap() {
+            Response::Patrolled(r) => assert_eq!(r.blocks_scrubbed, 16),
             other => panic!("unexpected outcome {other:?}"),
         }
         assert_eq!(ctx.layer(LayerId::Patrol).unwrap().patrol_steps, 1);

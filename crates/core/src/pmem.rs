@@ -6,7 +6,7 @@
 //! The engine layers never touch durable media during normal operation —
 //! reads, writes, scrubs, repairs and fault injections all mutate the
 //! *live* in-memory arrays only, exactly as before. Durability is
-//! established at [`crate::Access::Flush`]: the base layer drains its EUR
+//! established at [`crate::Request::Flush`]: the base layer drains its EUR
 //! registers (so durable code bits stay consistent with durable data),
 //! re-stages its **entire** live image into the
 //! [`pmck_pmem::PersistentMedia`] staging buffer, and drains. Staging is
@@ -24,9 +24,9 @@
 //!   physically honest model (the scar *is* in the NVRAM cells; what the
 //!   media model loses is the *staged view* of them, so the campaign
 //!   flushes to line the two up).
-//! * [`crate::Access::PowerCut`] re-stages once more purely to *count*
+//! * [`crate::Request::PowerCut`] re-stages once more purely to *count*
 //!   the lines that would have been lost, then drops all volatile media
-//!   state; [`crate::Access::Recover`] replays the log and rebuilds the
+//!   state; [`crate::Request::Recover`] replays the log and rebuilds the
 //!   live arrays wholesale from the durable image.
 //!
 //! # Media layout
@@ -42,9 +42,10 @@
 
 use pmck_pmem::{crc32, FenceReport, PersistentMedia, PmemConfig, ReplayOutcome};
 
-use crate::device::{Access, AccessContext, AccessOutcome, LayerId, RecoveryReport};
+use crate::device::{AccessContext, LayerId, RecoveryReport};
 use crate::engine::{ChipkillMemory, CoreError, RecoveryError, RecoveryFailure};
 use crate::layout::{ChipkillLayout, ProtectionTier};
+use crate::request::{Request, Response};
 use crate::restripe::{RestripeState, Restripeable, RestripedMemory, BLOCKS_PER_GROUP};
 
 const META_MAGIC: u64 = 0x504d_434b_4d45_5441; // "PMCKMETA"
@@ -351,8 +352,8 @@ fn drain_and_record(media: &mut PersistentMedia, ctx: &mut AccessContext) -> Fen
     report
 }
 
-fn recovery_outcome(outcome: ReplayOutcome, restriped: bool) -> AccessOutcome {
-    AccessOutcome::Recovered(RecoveryReport {
+fn recovery_outcome(outcome: ReplayOutcome, restriped: bool) -> Response {
+    Response::Recovered(RecoveryReport {
         records_replayed: outcome.records_replayed,
         lines_redone: outcome.lines_redone,
         restriped,
@@ -395,12 +396,9 @@ impl ChipkillMemory {
         self.known_failed = meta.failed_chip;
     }
 
-    pub(crate) fn handle_flush(
-        &mut self,
-        ctx: &mut AccessContext,
-    ) -> Result<AccessOutcome, CoreError> {
+    pub(crate) fn handle_flush(&mut self, ctx: &mut AccessContext) -> Result<Response, CoreError> {
         if self.domain.is_none() {
-            return Ok(AccessOutcome::Flushed { lines: 0 });
+            return Ok(Response::Flushed { lines: 0 });
         }
         // Pending EUR deltas must drain first so the durable code
         // arrays are consistent with the durable data.
@@ -408,19 +406,19 @@ impl ChipkillMemory {
         self.stage_image();
         let domain = self.domain.as_mut().expect("domain checked above");
         let report = drain_and_record(&mut domain.media, ctx);
-        Ok(AccessOutcome::Flushed {
+        Ok(Response::Flushed {
             lines: report.lines,
         })
     }
 
-    pub(crate) fn handle_power_cut(&mut self) -> Result<AccessOutcome, CoreError> {
+    pub(crate) fn handle_power_cut(&mut self) -> Result<Response, CoreError> {
         if self.domain.is_none() {
-            return Ok(AccessOutcome::PowerLost { lost_lines: 0 });
+            return Ok(Response::PowerLost { lost_lines: 0 });
         }
         // Stage once more purely to count what dies with the power.
         self.stage_image();
         let domain = self.domain.as_mut().expect("domain checked above");
-        Ok(AccessOutcome::PowerLost {
+        Ok(Response::PowerLost {
             lost_lines: domain.media.power_cut(),
         })
     }
@@ -428,9 +426,9 @@ impl ChipkillMemory {
     pub(crate) fn handle_recover(
         &mut self,
         ctx: &mut AccessContext,
-    ) -> Result<AccessOutcome, CoreError> {
+    ) -> Result<Response, CoreError> {
         if self.domain.is_none() {
-            return Ok(AccessOutcome::Recovered(RecoveryReport::default()));
+            return Ok(Response::Recovered(RecoveryReport::default()));
         }
         let domain = self.domain.as_mut().expect("domain checked above");
         let outcome = domain.replay()?;
@@ -501,28 +499,25 @@ impl RestripedMemory {
         drain_and_record(&mut domain.media, ctx);
     }
 
-    pub(crate) fn handle_flush(
-        &mut self,
-        ctx: &mut AccessContext,
-    ) -> Result<AccessOutcome, CoreError> {
+    pub(crate) fn handle_flush(&mut self, ctx: &mut AccessContext) -> Result<Response, CoreError> {
         if self.domain.is_none() {
-            return Ok(AccessOutcome::Flushed { lines: 0 });
+            return Ok(Response::Flushed { lines: 0 });
         }
         self.stage_image();
         let domain = self.domain.as_mut().expect("domain checked above");
         let report = drain_and_record(&mut domain.media, ctx);
-        Ok(AccessOutcome::Flushed {
+        Ok(Response::Flushed {
             lines: report.lines,
         })
     }
 
-    pub(crate) fn handle_power_cut(&mut self) -> Result<AccessOutcome, CoreError> {
+    pub(crate) fn handle_power_cut(&mut self) -> Result<Response, CoreError> {
         if self.domain.is_none() {
-            return Ok(AccessOutcome::PowerLost { lost_lines: 0 });
+            return Ok(Response::PowerLost { lost_lines: 0 });
         }
         self.stage_image();
         let domain = self.domain.as_mut().expect("domain checked above");
-        Ok(AccessOutcome::PowerLost {
+        Ok(Response::PowerLost {
             lost_lines: domain.media.power_cut(),
         })
     }
@@ -530,9 +525,9 @@ impl RestripedMemory {
     pub(crate) fn handle_recover(
         &mut self,
         ctx: &mut AccessContext,
-    ) -> Result<AccessOutcome, CoreError> {
+    ) -> Result<Response, CoreError> {
         if self.domain.is_none() {
-            return Ok(AccessOutcome::Recovered(RecoveryReport::default()));
+            return Ok(Response::Recovered(RecoveryReport::default()));
         }
         let domain = self.domain.as_mut().expect("domain checked above");
         let outcome = domain.replay()?;
@@ -558,10 +553,10 @@ impl Restripeable {
     pub(crate) fn recover_across(
         &mut self,
         ctx: &mut AccessContext,
-    ) -> Result<AccessOutcome, CoreError> {
+    ) -> Result<Response, CoreError> {
         if self.active_mut().pmem_domain().is_none() {
             // Volatile stack: forward the no-op to the active layout.
-            return self.active_mut().access(Access::Recover, ctx);
+            return self.active_mut().access(Request::Recover, ctx);
         }
         let result = match std::mem::replace(&mut self.state, RestripeState::Poisoned) {
             RestripeState::Chipkill(mut rank) => {
@@ -724,7 +719,7 @@ mod tests {
             rank.write_block(a, &[0xFF; 64]).unwrap();
         }
         match rank.handle_power_cut().unwrap() {
-            AccessOutcome::PowerLost { lost_lines } => assert!(lost_lines > 0),
+            Response::PowerLost { lost_lines } => assert!(lost_lines > 0),
             other => panic!("unexpected outcome {other:?}"),
         }
         rank.handle_recover(&mut ctx).unwrap();
@@ -763,7 +758,7 @@ mod tests {
             let mut ctx = AccessContext::new(3);
             for a in 0..32u64 {
                 r.access(
-                    Access::Write {
+                    Request::Write {
                         addr: a,
                         data: block(a as u8),
                     },
@@ -778,14 +773,14 @@ mod tests {
                     kind: ChipFailureKind::RandomGarbage,
                 },
             };
-            r.access(Access::Fault(ev), &mut ctx).unwrap();
-            r.access(Access::Flush, &mut ctx).unwrap();
+            r.access(Request::Fault(ev), &mut ctx).unwrap();
+            r.access(Request::Flush, &mut ctx).unwrap();
             (r, ctx)
         };
         let read_all = |r: &mut Restripeable, ctx: &mut AccessContext| -> Vec<[u8; 64]> {
             (0..32u64)
-                .map(|a| match r.access(Access::Read(a), ctx).unwrap() {
-                    AccessOutcome::Read(out) => out.data,
+                .map(|a| match r.access(Request::Read(a), ctx).unwrap() {
+                    Response::Read(out) => out.data,
                     other => panic!("unexpected outcome {other:?}"),
                 })
                 .collect()
@@ -794,7 +789,7 @@ mod tests {
         let (mut reference, mut ctx) = build();
         let pre = read_all(&mut reference, &mut ctx);
         let steps_before = reference.pmem_domain().unwrap().steps_taken();
-        reference.access(Access::Restripe, &mut ctx).unwrap();
+        reference.access(Request::Restripe, &mut ctx).unwrap();
         let steps = reference.pmem_domain().unwrap().steps_taken() - steps_before;
         let post = read_all(&mut reference, &mut ctx);
         assert_eq!(pre, post, "restripe preserves contents");
@@ -807,10 +802,10 @@ mod tests {
         for cut in (0..=steps).step_by((steps as usize / 16).max(1)) {
             let (mut r, mut ctx) = build();
             r.pmem_domain().unwrap().arm_fuse(cut);
-            r.access(Access::Restripe, &mut ctx).unwrap();
-            r.access(Access::PowerCut, &mut ctx).unwrap();
-            match r.access(Access::Recover, &mut ctx).unwrap() {
-                AccessOutcome::Recovered(rep) => {
+            r.access(Request::Restripe, &mut ctx).unwrap();
+            r.access(Request::PowerCut, &mut ctx).unwrap();
+            match r.access(Request::Recover, &mut ctx).unwrap() {
+                Response::Recovered(rep) => {
                     seen_chipkill |= !rep.restriped;
                     seen_restriped |= rep.restriped;
                     assert_eq!(rep.restriped, r.is_restriped());

@@ -1,12 +1,13 @@
-//! The client-facing request vocabulary.
+//! The one request vocabulary.
 //!
-//! [`Request`]/[`Response`] are the one public surface clients program
-//! against: [`crate::Stack::submit`] executes a single request against a
-//! composed stack, and `pmck-service`'s `ShardedService::submit_batch`
-//! executes batches of them across shards. The `Stack` convenience
-//! methods (`read`, `write`, `scrub`, …) are thin wrappers over
-//! `submit`; [`crate::Access`]/[`crate::AccessOutcome`] remain the
-//! *internal* vocabulary layers use to talk to each other.
+//! [`Request`]/[`Response`] are how a request is spelled everywhere: a
+//! client hands one to a [`crate::Submitter`] ([`crate::Stack::submit`]
+//! runs it against a composed stack, `pmck-service` routes it to a
+//! shard, `pmck-cluster` to a replica set), and inside the stack every
+//! layer passes the same value down through
+//! [`crate::BlockDevice::access`] — there is no second, internal enum
+//! and no conversion on the way. The `Stack` convenience methods
+//! (`read`, `write`, `scrub`, …) are thin wrappers over `submit`.
 //!
 //! A request either targets one block ([`Request::addr`] returns
 //! `Some`) or the whole device (`None`); a sharded front end routes the
@@ -14,7 +15,6 @@
 
 use pmck_nvram::FaultEvent;
 
-use crate::device::{Access, AccessOutcome};
 use crate::engine::ReadOutcome;
 use crate::patrol::PatrolReport;
 use crate::scrub::ScrubReport;
@@ -66,9 +66,26 @@ pub enum Request {
 }
 
 impl Request {
-    /// Short, stable name of the request kind.
+    /// Short, stable name of the request kind (used in
+    /// [`crate::CoreError::Unsupported`] errors and trace lines).
     pub fn kind(&self) -> &'static str {
-        Access::from(*self).kind()
+        match self {
+            Request::Read(_) => "read",
+            Request::Write { .. } => "write",
+            Request::WriteSum { .. } => "write_sum",
+            Request::Scrub(_) => "scrub",
+            Request::PatrolStep => "patrol_step",
+            Request::InjectRber(_) => "inject_rber",
+            Request::Fault(_) => "fault",
+            Request::BootScrub => "boot_scrub",
+            Request::Verify => "verify",
+            Request::Repair => "repair",
+            Request::Restripe => "restripe",
+            Request::Flush => "flush",
+            Request::PowerCut => "power_cut",
+            Request::Recover => "recover",
+            Request::TierStep => "tier_step",
+        }
     }
 
     /// The block address the request targets, if it has one. Requests
@@ -91,28 +108,6 @@ impl Request {
             Request::Write { data, .. } => Request::Write { addr, data },
             Request::WriteSum { data, .. } => Request::WriteSum { addr, data },
             other => other,
-        }
-    }
-}
-
-impl From<Request> for Access {
-    fn from(req: Request) -> Access {
-        match req {
-            Request::Read(a) => Access::Read(a),
-            Request::Write { addr, data } => Access::Write { addr, data },
-            Request::WriteSum { addr, data } => Access::WriteSum { addr, data },
-            Request::Scrub(a) => Access::Scrub(a),
-            Request::PatrolStep => Access::PatrolStep,
-            Request::InjectRber(rber) => Access::InjectRber(rber),
-            Request::Fault(ev) => Access::Fault(ev),
-            Request::BootScrub => Access::BootScrub,
-            Request::Verify => Access::Verify,
-            Request::Repair => Access::Repair,
-            Request::Restripe => Access::Restripe,
-            Request::Flush => Access::Flush,
-            Request::PowerCut => Access::PowerCut,
-            Request::Recover => Access::Recover,
-            Request::TierStep => Access::TierStep,
         }
     }
 }
@@ -276,26 +271,6 @@ pub fn merge_broadcast(
     }
 }
 
-impl From<AccessOutcome> for Response {
-    fn from(out: AccessOutcome) -> Response {
-        match out {
-            AccessOutcome::Read(o) => Response::Read(o),
-            AccessOutcome::Written => Response::Written,
-            AccessOutcome::Scrubbed => Response::Scrubbed,
-            AccessOutcome::Patrolled(r) => Response::Patrolled(r),
-            AccessOutcome::Injected { bits } => Response::Injected { bits },
-            AccessOutcome::BootScrubbed(r) => Response::BootScrubbed(r),
-            AccessOutcome::Verified(ok) => Response::Verified(ok),
-            AccessOutcome::Repaired { chip } => Response::Repaired { chip },
-            AccessOutcome::Restriped => Response::Restriped,
-            AccessOutcome::Flushed { lines } => Response::Flushed { lines },
-            AccessOutcome::PowerLost { lost_lines } => Response::PowerLost { lost_lines },
-            AccessOutcome::Recovered(r) => Response::Recovered(r),
-            AccessOutcome::Tiered(r) => Response::Tiered(r),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -314,14 +289,61 @@ mod tests {
     }
 
     #[test]
-    fn request_kind_matches_access_kind() {
-        for (req, kind) in [
+    fn kind_strings_are_pinned_for_every_variant() {
+        let data = [0u8; 64];
+        let fault = FaultEvent {
+            at_cycle: 0,
+            kind: pmck_nvram::FaultKind::Rber { rber: 0.0 },
+        };
+        let all = [
             (Request::Read(0), "read"),
+            (Request::Write { addr: 0, data }, "write"),
+            (Request::WriteSum { addr: 0, data }, "write_sum"),
             (Request::Scrub(0), "scrub"),
             (Request::PatrolStep, "patrol_step"),
+            (Request::InjectRber(0.0), "inject_rber"),
+            (Request::Fault(fault), "fault"),
+            (Request::BootScrub, "boot_scrub"),
+            (Request::Verify, "verify"),
+            (Request::Repair, "repair"),
             (Request::Restripe, "restripe"),
-        ] {
+            (Request::Flush, "flush"),
+            (Request::PowerCut, "power_cut"),
+            (Request::Recover, "recover"),
+            (Request::TierStep, "tier_step"),
+        ];
+        for (req, kind) in all {
             assert_eq!(req.kind(), kind);
         }
+        // A sixteenth variant must extend the table above: this match
+        // stops compiling until it is listed.
+        match all[0].0 {
+            Request::Read(_)
+            | Request::Write { .. }
+            | Request::WriteSum { .. }
+            | Request::Scrub(_)
+            | Request::PatrolStep
+            | Request::InjectRber(_)
+            | Request::Fault(_)
+            | Request::BootScrub
+            | Request::Verify
+            | Request::Repair
+            | Request::Restripe
+            | Request::Flush
+            | Request::PowerCut
+            | Request::Recover
+            | Request::TierStep => {}
+        }
+    }
+
+    #[test]
+    fn unsupported_restripe_keeps_its_error_text() {
+        let mut stack = crate::StackBuilder::proposal(32, crate::ChipkillConfig::default()).build();
+        let err = stack.submit(&Request::Restripe).unwrap_err();
+        assert_eq!(err, crate::CoreError::Unsupported("restripe"));
+        assert_eq!(
+            err.to_string(),
+            "no layer in the stack handles `restripe` accesses"
+        );
     }
 }

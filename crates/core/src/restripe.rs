@@ -13,9 +13,10 @@ use pmck_bch::{BchCode, BitPoly};
 use pmck_nvram::BitErrorInjector;
 use pmck_rt::rng::Rng;
 
-use crate::device::{Access, AccessContext, AccessOutcome, BlockDevice, LayerId};
+use crate::device::{AccessContext, BlockDevice, LayerId};
 use crate::engine::{ChipkillMemory, CoreError, ReadPath};
 use crate::rank::{apply_code_delta, CODE_LIMBS};
+use crate::request::{Request, Response};
 use crate::stats::CoreStats;
 
 /// Blocks per reconfigured VLEW (256 B / 64 B).
@@ -196,7 +197,7 @@ pub(crate) enum RestripeState {
 }
 
 /// A chipkill rank that can reconfigure itself into the §V-E re-striped
-/// layout *in place* on [`Access::Restripe`]. Before the transition it
+/// layout *in place* on [`Request::Restripe`]. Before the transition it
 /// behaves exactly like the wrapped [`ChipkillMemory`]; afterwards like
 /// the [`RestripedMemory`] rebuilt from it. The engine's demand-period
 /// [`CoreStats`] are captured at the transition (the rebuild itself
@@ -267,53 +268,51 @@ impl BlockDevice for Restripeable {
         }
     }
 
-    fn access(
-        &mut self,
-        access: Access,
-        ctx: &mut AccessContext,
-    ) -> Result<AccessOutcome, CoreError> {
-        match access {
-            Access::Restripe => match std::mem::replace(&mut self.state, RestripeState::Poisoned) {
-                RestripeState::Chipkill(mut rank) => {
-                    // Snapshot demand-period stats before the rebuild
-                    // reads (and erasure-decodes) every block.
-                    let stats = *rank.stats();
-                    // The rebuild stages the complete new image in memory
-                    // before any committed state changes: on failure the
-                    // chipkill layout stands untouched — there is no
-                    // partial transition to roll back.
-                    match RestripedMemory::from_failed_rank(&mut rank) {
-                        Ok(mut restriped) => {
-                            restriped.domain = rank.take_domain();
-                            // Commit the layout flip through the intent
-                            // log: the re-striped image plus flipped
-                            // metadata fence as one transaction, so a
-                            // crash recovers whole-old or whole-new.
-                            // Without a domain the log is a no-op and
-                            // the in-memory swap is the whole commit —
-                            // one code path either way.
-                            restriped.commit_restripe(ctx);
-                            self.state = RestripeState::Restriped(restriped);
-                            self.final_stats = Some(stats);
-                            ctx.trace(LayerId::Restripeable, || "restripe -> restriped".into());
-                            Ok(AccessOutcome::Restriped)
-                        }
-                        Err(e) => {
-                            self.state = RestripeState::Chipkill(rank);
-                            ctx.layer_mut(LayerId::Restripeable).errors += 1;
-                            Err(e)
+    fn access(&mut self, req: Request, ctx: &mut AccessContext) -> Result<Response, CoreError> {
+        match req {
+            Request::Restripe => {
+                match std::mem::replace(&mut self.state, RestripeState::Poisoned) {
+                    RestripeState::Chipkill(mut rank) => {
+                        // Snapshot demand-period stats before the rebuild
+                        // reads (and erasure-decodes) every block.
+                        let stats = *rank.stats();
+                        // The rebuild stages the complete new image in memory
+                        // before any committed state changes: on failure the
+                        // chipkill layout stands untouched — there is no
+                        // partial transition to roll back.
+                        match RestripedMemory::from_failed_rank(&mut rank) {
+                            Ok(mut restriped) => {
+                                restriped.domain = rank.take_domain();
+                                // Commit the layout flip through the intent
+                                // log: the re-striped image plus flipped
+                                // metadata fence as one transaction, so a
+                                // crash recovers whole-old or whole-new.
+                                // Without a domain the log is a no-op and
+                                // the in-memory swap is the whole commit —
+                                // one code path either way.
+                                restriped.commit_restripe(ctx);
+                                self.state = RestripeState::Restriped(restriped);
+                                self.final_stats = Some(stats);
+                                ctx.trace(LayerId::Restripeable, || "restripe -> restriped".into());
+                                Ok(Response::Restriped)
+                            }
+                            Err(e) => {
+                                self.state = RestripeState::Chipkill(rank);
+                                ctx.layer_mut(LayerId::Restripeable).errors += 1;
+                                Err(e)
+                            }
                         }
                     }
+                    other => {
+                        self.state = other;
+                        Err(CoreError::Unsupported("restripe"))
+                    }
                 }
-                other => {
-                    self.state = other;
-                    Err(CoreError::Unsupported("restripe"))
-                }
-            },
+            }
             // Recovery may land on either side of the durable layout
             // flip, so it is resolved here rather than by the active
             // layout (see `crate::pmem`).
-            Access::Recover => self.recover_across(ctx),
+            Request::Recover => self.recover_across(ctx),
             // Per-access stats land under the active layout's label.
             other => self.active_mut().access(other, ctx),
         }

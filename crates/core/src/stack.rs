@@ -16,9 +16,7 @@ use pmck_rt::metrics::MetricsRegistry;
 
 use crate::baseline::BaselineMemory;
 use crate::config::ChipkillConfig;
-use crate::device::{
-    Access, AccessContext, AccessOutcome, BlockDevice, LayerId, LayerStats, TraceEvent,
-};
+use crate::device::{AccessContext, BlockDevice, LayerId, LayerStats, TraceEvent};
 use crate::engine::{ChipkillMemory, CoreError, ReadOutcome, ReadPath};
 use crate::iocrc::{BusFault, LinkProtected};
 use crate::layout::ProtectionTier;
@@ -59,16 +57,6 @@ impl Stack {
         }
     }
 
-    /// Runs one raw access through the pipeline — the device-level
-    /// escape hatch below the [`Request`] surface.
-    ///
-    /// # Errors
-    ///
-    /// As [`BlockDevice::access`].
-    pub fn access(&mut self, access: Access) -> Result<AccessOutcome, CoreError> {
-        self.dev.access(access, &mut self.ctx)
-    }
-
     /// Executes one client [`Request`]. This is the primary entry point;
     /// every typed convenience method below is a thin wrapper over it,
     /// and `pmck-service` batches it across shards.
@@ -77,9 +65,7 @@ impl Stack {
     ///
     /// As [`BlockDevice::access`].
     pub fn submit(&mut self, req: &Request) -> Result<Response, CoreError> {
-        self.dev
-            .access(Access::from(*req), &mut self.ctx)
-            .map(Response::from)
+        self.dev.access(*req, &mut self.ctx)
     }
 
     /// Capacity (in blocks) as seen at the top of the stack.

@@ -38,12 +38,11 @@ use pmck_nvram::{FaultKind, RegionRber, WearModel};
 use pmck_pmem::PmemConfig;
 
 use crate::config::ChipkillConfig;
-use crate::device::{
-    record_access, Access, AccessContext, AccessOutcome, BlockDevice, LayerId, RecoveryReport,
-};
+use crate::device::{record_access, AccessContext, BlockDevice, LayerId, RecoveryReport};
 use crate::engine::{ChipkillMemory, CoreError, ReadPath};
 use crate::layout::{ChipkillLayout, ProtectionTier};
 use crate::pmem::PmemDomain;
+use crate::request::{Request, Response};
 use crate::scrub::ScrubReport;
 use crate::stats::CoreStats;
 
@@ -416,32 +415,32 @@ impl TieredMemory {
         true
     }
 
-    fn handle_flush(&mut self, ctx: &mut AccessContext) -> Result<AccessOutcome, CoreError> {
+    fn handle_flush(&mut self, ctx: &mut AccessContext) -> Result<Response, CoreError> {
         let mut lines = 0;
         for region in &mut self.regions {
             match region.handle_flush(ctx)? {
-                AccessOutcome::Flushed { lines: n } => lines += n,
+                Response::Flushed { lines: n } => lines += n,
                 other => unreachable!("flush returned {other:?}"),
             }
         }
-        Ok(AccessOutcome::Flushed { lines })
+        Ok(Response::Flushed { lines })
     }
 
-    fn handle_power_cut(&mut self) -> Result<AccessOutcome, CoreError> {
+    fn handle_power_cut(&mut self) -> Result<Response, CoreError> {
         let mut lost = 0;
         for region in &mut self.regions {
             match region.handle_power_cut()? {
-                AccessOutcome::PowerLost { lost_lines } => lost += lost_lines,
+                Response::PowerLost { lost_lines } => lost += lost_lines,
                 other => unreachable!("power cut returned {other:?}"),
             }
         }
-        Ok(AccessOutcome::PowerLost { lost_lines: lost })
+        Ok(Response::PowerLost { lost_lines: lost })
     }
 
     /// Recovery: per region, replay the log and decode the metadata
     /// line; the *durable* tier decides which engine comes back (a crash
     /// mid-migration recovers whichever side of the fence committed).
-    fn handle_recover(&mut self, ctx: &mut AccessContext) -> Result<AccessOutcome, CoreError> {
+    fn handle_recover(&mut self, ctx: &mut AccessContext) -> Result<Response, CoreError> {
         let mut report = RecoveryReport::default();
         let mut recovered_any = false;
         for r in 0..self.regions.len() {
@@ -487,10 +486,10 @@ impl TieredMemory {
             st.recoveries += 1;
             st.lines_redone += report.lines_redone;
         }
-        Ok(AccessOutcome::Recovered(report))
+        Ok(Response::Recovered(report))
     }
 
-    fn boot_scrub(&mut self) -> Result<AccessOutcome, CoreError> {
+    fn boot_scrub(&mut self) -> Result<Response, CoreError> {
         let mut total = ScrubReport::default();
         for region in &mut self.regions {
             let r = region.boot_scrub()?;
@@ -500,10 +499,10 @@ impl TieredMemory {
             total.list_rescues += r.list_rescues;
             total.chip_rebuilt = total.chip_rebuilt.or(r.chip_rebuilt);
         }
-        Ok(AccessOutcome::BootScrubbed(total))
+        Ok(Response::BootScrubbed(total))
     }
 
-    fn repair(&mut self) -> Result<AccessOutcome, CoreError> {
+    fn repair(&mut self) -> Result<Response, CoreError> {
         let mut repaired = None;
         for region in &mut self.regions {
             if let Some(chip) = region.detected_failed_chip() {
@@ -511,7 +510,7 @@ impl TieredMemory {
                 repaired = Some(chip);
             }
         }
-        Ok(AccessOutcome::Repaired { chip: repaired })
+        Ok(Response::Repaired { chip: repaired })
     }
 }
 
@@ -545,33 +544,29 @@ impl BlockDevice for TieredMemory {
         Some(self.merged_stats())
     }
 
-    fn access(
-        &mut self,
-        access: Access,
-        ctx: &mut AccessContext,
-    ) -> Result<AccessOutcome, CoreError> {
-        let result = match access {
-            Access::Read(addr) => self
+    fn access(&mut self, req: Request, ctx: &mut AccessContext) -> Result<Response, CoreError> {
+        let result = match req {
+            Request::Read(addr) => self
                 .region_of(addr)
                 .and_then(|(r, local)| self.regions[r].read_block(local))
-                .map(AccessOutcome::Read),
-            Access::Write { addr, data } => self.region_of(addr).and_then(|(r, local)| {
+                .map(Response::Read),
+            Request::Write { addr, data } => self.region_of(addr).and_then(|(r, local)| {
                 self.rber.record_writes(r, 1);
                 self.regions[r]
                     .write_block(local, &data)
-                    .map(|_| AccessOutcome::Written)
+                    .map(|_| Response::Written)
             }),
-            Access::WriteSum { addr, data } => self.region_of(addr).and_then(|(r, local)| {
+            Request::WriteSum { addr, data } => self.region_of(addr).and_then(|(r, local)| {
                 self.rber.record_writes(r, 1);
                 self.regions[r]
                     .write_block_sum(local, &data)
-                    .map(|_| AccessOutcome::Written)
+                    .map(|_| Response::Written)
             }),
-            Access::Scrub(addr) => self
+            Request::Scrub(addr) => self
                 .region_of(addr)
                 .and_then(|(r, local)| self.regions[r].scrub_block(local))
-                .map(|_| AccessOutcome::Scrubbed),
-            Access::InjectRber(rber) => {
+                .map(|_| Response::Scrubbed),
+            Request::InjectRber(rber) => {
                 // The background rate hits every region; each region's
                 // observed-RBER sample sees its own share.
                 let mut bits = 0usize;
@@ -581,11 +576,11 @@ impl BlockDevice for TieredMemory {
                     self.rber.record_observation(r, flipped as u64, total);
                     bits += flipped;
                 }
-                Ok(AccessOutcome::Injected { bits })
+                Ok(Response::Injected { bits })
             }
-            Access::Fault(ev) => match ev.kind {
+            Request::Fault(ev) => match ev.kind {
                 FaultKind::Rber { .. } | FaultKind::RberRamp { .. } => {
-                    Ok(AccessOutcome::Injected { bits: 0 })
+                    Ok(Response::Injected { bits: 0 })
                 }
                 // Structured faults strike one region.
                 _ => {
@@ -594,29 +589,29 @@ impl BlockDevice for TieredMemory {
                     let bits = self.regions[r].apply_fault_event(&ev, ctx.rng());
                     let total = self.region_bits(r);
                     self.rber.record_observation(r, bits as u64, total);
-                    Ok(AccessOutcome::Injected { bits })
+                    Ok(Response::Injected { bits })
                 }
             },
-            Access::BootScrub => self.boot_scrub(),
-            Access::Verify => Ok(AccessOutcome::Verified(
+            Request::BootScrub => self.boot_scrub(),
+            Request::Verify => Ok(Response::Verified(
                 self.regions.iter_mut().all(|r| r.verify_consistent()),
             )),
-            Access::Repair => self.repair(),
-            Access::TierStep => {
+            Request::Repair => self.repair(),
+            Request::TierStep => {
                 let report = self.tier_step(ctx);
                 let st = ctx.layer_mut(LayerId::Tiered);
                 st.rs_only_regions = report.rs_only_regions;
                 st.paper_regions = report.paper_regions;
                 st.dense_regions = report.dense_regions;
                 st.tier_migrations += report.migrations;
-                Ok(AccessOutcome::Tiered(report))
+                Ok(Response::Tiered(report))
             }
-            Access::Flush => self.handle_flush(ctx),
-            Access::PowerCut => self.handle_power_cut(),
-            Access::Recover => self.handle_recover(ctx),
-            Access::PatrolStep | Access::Restripe => Err(CoreError::Unsupported(access.kind())),
+            Request::Flush => self.handle_flush(ctx),
+            Request::PowerCut => self.handle_power_cut(),
+            Request::Recover => self.handle_recover(ctx),
+            Request::PatrolStep | Request::Restripe => Err(CoreError::Unsupported(req.kind())),
         };
-        record_access(ctx, LayerId::Tiered, &access, &result);
+        record_access(ctx, LayerId::Tiered, &req, &result);
         result
     }
 
@@ -706,7 +701,7 @@ mod tests {
         let mut ctx = AccessContext::new(1);
         for a in 0..128u64 {
             mem.access(
-                Access::Write {
+                Request::Write {
                     addr: a,
                     data: block(a as u8),
                 },
@@ -715,15 +710,15 @@ mod tests {
             .unwrap();
         }
         for a in 0..128u64 {
-            match mem.access(Access::Read(a), &mut ctx).unwrap() {
-                AccessOutcome::Read(out) => assert_eq!(out.data, block(a as u8), "addr {a}"),
+            match mem.access(Request::Read(a), &mut ctx).unwrap() {
+                Response::Read(out) => assert_eq!(out.data, block(a as u8), "addr {a}"),
                 other => panic!("unexpected outcome {other:?}"),
             }
         }
         assert_eq!(mem.rber().writes(0), 32);
         assert_eq!(mem.rber().writes(3), 32);
         assert!(matches!(
-            mem.access(Access::Read(128), &mut ctx),
+            mem.access(Request::Read(128), &mut ctx),
             Err(CoreError::OutOfRange(128))
         ));
     }
@@ -734,7 +729,7 @@ mod tests {
         let mut ctx = AccessContext::new(2);
         for a in 0..64u64 {
             mem.access(
-                Access::Write {
+                Request::Write {
                     addr: a,
                     data: block(a as u8),
                 },
@@ -744,8 +739,8 @@ mod tests {
         }
         // Region 0 looks worn, region 1 pristine.
         mem.rber_mut().record_observation(0, 5, 1000);
-        let report = match mem.access(Access::TierStep, &mut ctx).unwrap() {
-            AccessOutcome::Tiered(r) => r,
+        let report = match mem.access(Request::TierStep, &mut ctx).unwrap() {
+            Response::Tiered(r) => r,
             other => panic!("unexpected outcome {other:?}"),
         };
         assert_eq!(report.regions, 2);
@@ -754,15 +749,15 @@ mod tests {
         assert_eq!(mem.region_tier(1), ProtectionTier::RsOnly);
         assert!(report.dense_regions == 1 && report.rs_only_regions == 1);
         for a in 0..64u64 {
-            match mem.access(Access::Read(a), &mut ctx).unwrap() {
-                AccessOutcome::Read(out) => assert_eq!(out.data, block(a as u8), "addr {a}"),
+            match mem.access(Request::Read(a), &mut ctx).unwrap() {
+                Response::Read(out) => assert_eq!(out.data, block(a as u8), "addr {a}"),
                 other => panic!("unexpected outcome {other:?}"),
             }
         }
         assert_eq!(mem.merged_stats().tier_migrations, 2);
         // A second pass with unchanged RBER is a no-op.
-        let again = match mem.access(Access::TierStep, &mut ctx).unwrap() {
-            AccessOutcome::Tiered(r) => r,
+        let again = match mem.access(Request::TierStep, &mut ctx).unwrap() {
+            Response::Tiered(r) => r,
             other => panic!("unexpected outcome {other:?}"),
         };
         assert_eq!(again.migrations, 0);
@@ -784,7 +779,7 @@ mod tests {
         let mut ctx = AccessContext::new(3);
         for a in 0..32u64 {
             mem.access(
-                Access::Write {
+                Request::Write {
                     addr: a,
                     data: block(a as u8),
                 },
@@ -792,18 +787,18 @@ mod tests {
             )
             .unwrap();
         }
-        mem.access(Access::Flush, &mut ctx).unwrap();
+        mem.access(Request::Flush, &mut ctx).unwrap();
         // Force a migration to dense, then crash and recover: the
         // durable tier tag must bring the dense engine back.
         mem.rber_mut().record_observation(0, 5, 1000);
-        mem.access(Access::TierStep, &mut ctx).unwrap();
+        mem.access(Request::TierStep, &mut ctx).unwrap();
         assert_eq!(mem.region_tier(0), ProtectionTier::Dense);
-        mem.access(Access::PowerCut, &mut ctx).unwrap();
-        mem.access(Access::Recover, &mut ctx).unwrap();
+        mem.access(Request::PowerCut, &mut ctx).unwrap();
+        mem.access(Request::Recover, &mut ctx).unwrap();
         assert_eq!(mem.region_tier(0), ProtectionTier::Dense);
         for a in 0..32u64 {
-            match mem.access(Access::Read(a), &mut ctx).unwrap() {
-                AccessOutcome::Read(out) => assert_eq!(out.data, block(a as u8), "addr {a}"),
+            match mem.access(Request::Read(a), &mut ctx).unwrap() {
+                Response::Read(out) => assert_eq!(out.data, block(a as u8), "addr {a}"),
                 other => panic!("unexpected outcome {other:?}"),
             }
         }
@@ -818,7 +813,7 @@ mod tests {
             let mut ctx = AccessContext::new(4);
             for a in 0..32u64 {
                 mem.access(
-                    Access::Write {
+                    Request::Write {
                         addr: a,
                         data: block(a as u8),
                     },
@@ -826,14 +821,14 @@ mod tests {
                 )
                 .unwrap();
             }
-            mem.access(Access::Flush, &mut ctx).unwrap();
+            mem.access(Request::Flush, &mut ctx).unwrap();
             mem.rber_mut().record_observation(0, 5, 1000);
             (mem, ctx)
         };
         // Reference run: learn the migration's step budget.
         let (mut reference, mut ctx) = build();
         let before = reference.pmem_domain().unwrap().steps_taken();
-        reference.access(Access::TierStep, &mut ctx).unwrap();
+        reference.access(Request::TierStep, &mut ctx).unwrap();
         let steps = reference.pmem_domain().unwrap().steps_taken() - before;
         assert!(steps > 0, "the migration must persist something");
 
@@ -842,9 +837,9 @@ mod tests {
         for cut in (0..=steps).step_by((steps as usize / 8).max(1)) {
             let (mut mem, mut ctx) = build();
             mem.pmem_domain().unwrap().arm_fuse(cut);
-            mem.access(Access::TierStep, &mut ctx).unwrap();
-            mem.access(Access::PowerCut, &mut ctx).unwrap();
-            mem.access(Access::Recover, &mut ctx).unwrap();
+            mem.access(Request::TierStep, &mut ctx).unwrap();
+            mem.access(Request::PowerCut, &mut ctx).unwrap();
+            mem.access(Request::Recover, &mut ctx).unwrap();
             let tier = mem.region_tier(0);
             assert!(
                 tier == ProtectionTier::Paper || tier == ProtectionTier::Dense,
@@ -853,8 +848,8 @@ mod tests {
             seen_old |= tier == ProtectionTier::Paper;
             seen_new |= tier == ProtectionTier::Dense;
             for a in 0..32u64 {
-                match mem.access(Access::Read(a), &mut ctx).unwrap() {
-                    AccessOutcome::Read(out) => {
+                match mem.access(Request::Read(a), &mut ctx).unwrap() {
+                    Response::Read(out) => {
                         assert_eq!(out.data, block(a as u8), "cut {cut} addr {a}")
                     }
                     other => panic!("unexpected outcome {other:?}"),

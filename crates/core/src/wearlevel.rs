@@ -20,10 +20,9 @@
 //! a bare [`ChipkillMemory`].
 
 use crate::config::ChipkillConfig;
-use crate::device::{
-    record_access, record_read_into, Access, AccessContext, AccessOutcome, BlockDevice, LayerId,
-};
+use crate::device::{record_access, record_read_into, AccessContext, BlockDevice, LayerId};
 use crate::engine::{ChipkillMemory, CoreError, ReadOutcome, ReadPath};
+use crate::request::{Request, Response};
 use crate::stats::CoreStats;
 
 /// Start-Gap wear-levelled view of an inner block device.
@@ -160,19 +159,19 @@ impl<D: BlockDevice> WearLevelled<D> {
     fn move_gap_ctx(&mut self, ctx: &mut AccessContext) -> Result<(), CoreError> {
         let n = self.logical_blocks + 1;
         let victim = (self.gap + n - 1) % n;
-        let data = match self.inner.access(Access::Read(victim), ctx)? {
-            AccessOutcome::Read(out) => out.data,
+        let data = match self.inner.access(Request::Read(victim), ctx)? {
+            Response::Read(out) => out.data,
             other => unreachable!("read returned {other:?}"),
         };
         self.inner.access(
-            Access::Write {
+            Request::Write {
                 addr: self.gap,
                 data,
             },
             ctx,
         )?;
         self.inner.access(
-            Access::Write {
+            Request::Write {
                 addr: victim,
                 data: [0u8; 64],
             },
@@ -260,31 +259,17 @@ impl<D: BlockDevice> BlockDevice for WearLevelled<D> {
         self.inner.core_stats()
     }
 
-    fn access(
-        &mut self,
-        access: Access,
-        ctx: &mut AccessContext,
-    ) -> Result<AccessOutcome, CoreError> {
-        let result = match access {
-            Access::Read(logical) => self.check(logical).and_then(|()| {
+    fn access(&mut self, req: Request, ctx: &mut AccessContext) -> Result<Response, CoreError> {
+        let result = match req {
+            Request::Read(logical) => self.check(logical).and_then(|()| {
                 let phys = self.physical_of(logical);
-                self.inner.access(Access::Read(phys), ctx)
+                self.inner.access(Request::Read(phys), ctx)
             }),
-            Access::Write { addr, data } => self.check(addr).and_then(|()| {
-                let phys = self.physical_of(addr);
-                let out = self.inner.access(Access::Write { addr: phys, data }, ctx)?;
-                self.writes_since_move += 1;
-                if self.writes_since_move >= self.gap_move_interval {
-                    self.writes_since_move = 0;
-                    self.move_gap_ctx(ctx)?;
-                }
-                Ok(out)
-            }),
-            Access::WriteSum { addr, data } => self.check(addr).and_then(|()| {
+            Request::Write { addr, data } => self.check(addr).and_then(|()| {
                 let phys = self.physical_of(addr);
                 let out = self
                     .inner
-                    .access(Access::WriteSum { addr: phys, data }, ctx)?;
+                    .access(Request::Write { addr: phys, data }, ctx)?;
                 self.writes_since_move += 1;
                 if self.writes_since_move >= self.gap_move_interval {
                     self.writes_since_move = 0;
@@ -292,22 +277,34 @@ impl<D: BlockDevice> BlockDevice for WearLevelled<D> {
                 }
                 Ok(out)
             }),
-            Access::Scrub(logical) => self.check(logical).and_then(|()| {
+            Request::WriteSum { addr, data } => self.check(addr).and_then(|()| {
+                let phys = self.physical_of(addr);
+                let out = self
+                    .inner
+                    .access(Request::WriteSum { addr: phys, data }, ctx)?;
+                self.writes_since_move += 1;
+                if self.writes_since_move >= self.gap_move_interval {
+                    self.writes_since_move = 0;
+                    self.move_gap_ctx(ctx)?;
+                }
+                Ok(out)
+            }),
+            Request::Scrub(logical) => self.check(logical).and_then(|()| {
                 let phys = self.physical_of(logical);
-                self.inner.access(Access::Scrub(phys), ctx)
+                self.inner.access(Request::Scrub(phys), ctx)
             }),
             // Whole-device operations are not address-translated, but
             // ones that fence durable state must carry the current
             // Start-Gap position down into the domain's metadata first —
             // and recovery restores the mapping the metadata recorded.
             other => {
-                if matches!(other, Access::Flush | Access::Restripe) {
+                if matches!(other, Request::Flush | Request::Restripe) {
                     if let Some(d) = self.inner.pmem_domain() {
                         d.set_wear(self.gap, self.start);
                     }
                 }
                 let out = self.inner.access(other, ctx);
-                if matches!(other, Access::Recover) && out.is_ok() {
+                if matches!(other, Request::Recover) && out.is_ok() {
                     if let Some(d) = self.inner.pmem_domain() {
                         let (gap, start) = d.wear();
                         self.gap = gap;
@@ -318,7 +315,7 @@ impl<D: BlockDevice> BlockDevice for WearLevelled<D> {
                 out
             }
         };
-        record_access(ctx, LayerId::Wearlevel, &access, &result);
+        record_access(ctx, LayerId::Wearlevel, &req, &result);
         result
     }
 
@@ -465,14 +462,14 @@ mod tests {
             let data = [i as u8; 64];
             direct.write_block(l, &data).unwrap();
             stacked
-                .access(Access::Write { addr: l, data }, &mut ctx)
+                .access(Request::Write { addr: l, data }, &mut ctx)
                 .unwrap();
         }
         assert_eq!(direct.gap_moves(), stacked.gap_moves());
         for l in 0..31u64 {
             let want = direct.read_block(l).unwrap().data;
-            match stacked.access(Access::Read(l), &mut ctx).unwrap() {
-                AccessOutcome::Read(out) => assert_eq!(out.data, want, "logical {l}"),
+            match stacked.access(Request::Read(l), &mut ctx).unwrap() {
+                Response::Read(out) => assert_eq!(out.data, want, "logical {l}"),
                 other => panic!("unexpected outcome {other:?}"),
             }
         }

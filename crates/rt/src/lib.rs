@@ -12,10 +12,9 @@
 //! * [`par`] — a `std::thread::scope`-based chunked parallel map whose
 //!   per-chunk RNG seeds are derived deterministically, so Monte-Carlo
 //!   campaigns are bit-identical at any worker count.
-//! * [`pool`] — worker pools with pinned per-worker state: the batched
-//!   [`pool::PinnedPool`] (Mutex+Condvar mailboxes, whole-batch
-//!   collection) and the lock-free streaming [`pool::ShardPool`] built
-//!   on [`ring`] (replaces `rayon`/`crossbeam` channel pools).
+//! * [`pool`] — [`pool::ShardPool`], a lock-free streaming worker pool
+//!   with pinned per-worker state, built on [`ring`] (replaces
+//!   `rayon`/`crossbeam` channel pools).
 //! * [`ring`] — fixed-capacity lock-free SPSC/MPSC rings plus a
 //!   spin-then-park [`ring::Parker`]: the transport under `ShardPool`
 //!   and the telemetry path of `pmck-service`.

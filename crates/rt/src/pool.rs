@@ -1,32 +1,20 @@
 //! A pinned worker pool: one persistent thread per worker, each owning a
-//! long-lived state, fed by per-worker job queues and drained by batched,
-//! in-order collection.
+//! long-lived state, fed by lock-free rings.
 //!
 //! [`crate::par`] spawns scoped threads per call, which suits one-shot
 //! Monte-Carlo campaigns but not a service: a sharded memory front end
 //! needs its per-shard state (engine scratch buffers, RNG streams) to
-//! live across batches on a fixed worker, so decodes stay allocation-free
-//! and deterministic. [`PinnedPool`] provides that shape:
+//! live across requests on a fixed worker, so decodes stay
+//! allocation-free and deterministic. [`ShardPool`] provides that shape:
+//! jobs travel through per-`(client, worker)` SPSC rings
+//! ([`crate::ring`]) and completions stream back out of band, so a
+//! producer never takes a lock or waits for a whole-batch barrier.
 //!
-//! * `stage(worker, job)` queues work for a specific worker (no locking);
-//! * `run(collect)` dispatches every staged queue to its worker, waits,
-//!   and hands results back **in worker order, then job order** — so
-//!   output depends only on what was staged, never on thread timing;
-//! * job and result buffers circulate between the caller and the workers
-//!   by `Vec` swaps, so the steady state allocates nothing.
-//!
-//! A worker panic poisons the pool: the in-flight `run` and every later
+//! A worker panic poisons the pool: every peer is woken and every later
 //! call reports [`PoolError::WorkerPanicked`] instead of hanging.
-//!
-//! [`ShardPool`] is the lock-free streaming successor: the same pinned
-//! per-worker state, but jobs travel through per-`(client, worker)`
-//! SPSC rings ([`crate::ring`]) and completions stream back out of band,
-//! so a producer never takes a lock or waits for a whole batch barrier.
-//! `PinnedPool` stays as the batched baseline (and as the measuring
-//! stick for the saturation benchmark).
 
 use std::sync::atomic::{fence, AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
 use crate::ring::{spsc, Parker, SpscConsumer, SpscProducer, Unparker};
@@ -51,311 +39,12 @@ impl std::fmt::Display for PoolError {
 
 impl std::error::Error for PoolError {}
 
-/// The handshake cell between the caller and one worker.
-struct Mailbox<J, R> {
-    inbox: Vec<J>,
-    outbox: Vec<R>,
-    has_work: bool,
-    done: bool,
-    closed: bool,
-    panicked: bool,
-}
-
-struct Slot<S, J, R> {
-    mailbox: Mutex<Mailbox<J, R>>,
-    work_cv: Condvar,
-    done_cv: Condvar,
-    /// The worker locks the state only while processing a batch, so
-    /// between batches [`PinnedPool::with_state`] can inspect it.
-    state: Mutex<S>,
-}
-
 fn lock_ignore_poison<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    // A poisoned mutex means a worker panicked mid-batch; the pool
-    // already reports that via the `panicked` flag, and the state is
-    // still wanted for post-mortem stats.
+    // A poisoned mutex means a worker panicked mid-job; the pool
+    // already reports that via its `dead` flag, and the state is still
+    // wanted for post-mortem stats.
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
-
-/// Flags the pool closed if the worker unwinds, so waiting callers get
-/// [`PoolError::WorkerPanicked`] instead of a deadlock.
-struct PanicGuard<'a, S, J, R> {
-    slot: &'a Slot<S, J, R>,
-}
-
-impl<S, J, R> Drop for PanicGuard<'_, S, J, R> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            let mut mb = lock_ignore_poison(&self.slot.mailbox);
-            mb.closed = true;
-            mb.panicked = true;
-            self.slot.done_cv.notify_all();
-        }
-    }
-}
-
-/// A pool of persistent worker threads with pinned per-worker state.
-///
-/// # Examples
-///
-/// ```
-/// use pmck_rt::pool::PinnedPool;
-///
-/// // Two workers, each owning a counter; jobs add to it.
-/// let mut pool = PinnedPool::new(vec![0u64, 100u64], |_, state, job: u64| {
-///     *state += job;
-///     *state
-/// });
-/// pool.stage(0, 5);
-/// pool.stage(1, 7);
-/// let mut out = Vec::new();
-/// pool.run(|worker, r| out.push((worker, r))).unwrap();
-/// assert_eq!(out, vec![(0, 5), (1, 107)]);
-/// ```
-pub struct PinnedPool<S, J, R> {
-    slots: Vec<Arc<Slot<S, J, R>>>,
-    handles: Vec<Option<JoinHandle<()>>>,
-    staging: Vec<Vec<J>>,
-    dispatched: Vec<bool>,
-    gather: Vec<R>,
-    closed: bool,
-}
-
-impl<S, J, R> PinnedPool<S, J, R>
-where
-    S: Send + 'static,
-    J: Send + 'static,
-    R: Send + 'static,
-{
-    /// Spawns one worker per element of `states`; worker `w` owns
-    /// `states[w]` for the pool's lifetime and executes every staged job
-    /// as `f(w, &mut state, job)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `states` is empty.
-    pub fn new<F>(states: Vec<S>, f: F) -> Self
-    where
-        F: Fn(usize, &mut S, J) -> R + Send + Sync + 'static,
-    {
-        assert!(!states.is_empty(), "pool needs at least one worker");
-        let f = Arc::new(f);
-        let mut slots = Vec::with_capacity(states.len());
-        let mut handles = Vec::with_capacity(states.len());
-        for (w, state) in states.into_iter().enumerate() {
-            let slot = Arc::new(Slot {
-                mailbox: Mutex::new(Mailbox {
-                    inbox: Vec::new(),
-                    outbox: Vec::new(),
-                    has_work: false,
-                    done: false,
-                    closed: false,
-                    panicked: false,
-                }),
-                work_cv: Condvar::new(),
-                done_cv: Condvar::new(),
-                state: Mutex::new(state),
-            });
-            let worker_slot = Arc::clone(&slot);
-            let worker_f = Arc::clone(&f);
-            handles.push(Some(std::thread::spawn(move || {
-                worker_loop(w, &worker_slot, &*worker_f);
-            })));
-            slots.push(slot);
-        }
-        let n = slots.len();
-        PinnedPool {
-            slots,
-            handles,
-            staging: (0..n).map(|_| Vec::new()).collect(),
-            dispatched: vec![false; n],
-            gather: Vec::new(),
-            closed: false,
-        }
-    }
-
-    /// Number of workers.
-    pub fn workers(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Queues `job` for `worker`'s next [`PinnedPool::run`]. Cheap: no
-    /// locks, no cross-thread traffic until the batch is dispatched.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `worker` is out of range.
-    pub fn stage(&mut self, worker: usize, job: J) {
-        self.staging[worker].push(job);
-    }
-
-    /// Dispatches every staged queue to its worker, waits for all of
-    /// them, and feeds each result to `collect(worker, result)` — workers
-    /// in index order, each worker's results in staged order. Workers
-    /// with nothing staged are not woken.
-    ///
-    /// # Errors
-    ///
-    /// [`PoolError::Closed`] after [`PinnedPool::shutdown`];
-    /// [`PoolError::WorkerPanicked`] if any worker died (staged jobs are
-    /// dropped). Either way the pool rejects all further batches.
-    pub fn run(&mut self, mut collect: impl FnMut(usize, R)) -> Result<(), PoolError> {
-        if self.closed {
-            return Err(PoolError::Closed);
-        }
-        // Dispatch phase: hand each non-empty staging queue to its
-        // worker by Vec swap (the worker returns the drained queue, so
-        // capacity circulates and the steady state never allocates).
-        let mut first_failure = None;
-        for (w, slot) in self.slots.iter().enumerate() {
-            self.dispatched[w] = false;
-            if self.staging[w].is_empty() {
-                continue;
-            }
-            let mut mb = lock_ignore_poison(&slot.mailbox);
-            if mb.closed {
-                first_failure.get_or_insert(fail_kind(&mb));
-                self.staging[w].clear();
-                continue;
-            }
-            std::mem::swap(&mut mb.inbox, &mut self.staging[w]);
-            mb.has_work = true;
-            mb.done = false;
-            slot.work_cv.notify_one();
-            self.dispatched[w] = true;
-        }
-        // Collection phase: wait for dispatched workers in index order
-        // so results are deterministic regardless of completion order.
-        for (w, slot) in self.slots.iter().enumerate() {
-            if !self.dispatched[w] {
-                continue;
-            }
-            let mut mb = lock_ignore_poison(&slot.mailbox);
-            while !mb.done && !mb.closed {
-                mb = lock_ignore_poison_wait(&slot.done_cv, mb);
-            }
-            if mb.closed && !mb.done {
-                first_failure.get_or_insert(fail_kind(&mb));
-                continue;
-            }
-            mb.done = false;
-            std::mem::swap(&mut mb.outbox, &mut self.gather);
-            drop(mb);
-            for r in self.gather.drain(..) {
-                collect(w, r);
-            }
-        }
-        match first_failure {
-            None => Ok(()),
-            Some(e) => {
-                // A dead worker cannot be restarted; poison the pool so
-                // callers see a consistent error from now on.
-                self.closed = true;
-                Err(e)
-            }
-        }
-    }
-
-    /// Runs `f` against `worker`'s pinned state. Blocks while that
-    /// worker is mid-batch; between batches the state is idle and the
-    /// call is immediate. Works even after shutdown or a panic (for
-    /// post-mortem stats), as long as the state itself survived.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `worker` is out of range.
-    pub fn with_state<T>(&self, worker: usize, f: impl FnOnce(&mut S) -> T) -> T {
-        f(&mut lock_ignore_poison(&self.slots[worker].state))
-    }
-
-    /// Stops all workers and joins them. Idempotent; also runs on drop.
-    pub fn shutdown(&mut self) {
-        self.closed = true;
-        for slot in &self.slots {
-            let mut mb = lock_ignore_poison(&slot.mailbox);
-            mb.closed = true;
-            slot.work_cv.notify_all();
-        }
-        for handle in &mut self.handles {
-            if let Some(h) = handle.take() {
-                // A worker that panicked already reported through the
-                // mailbox flags; join just reaps the thread.
-                let _ = h.join();
-            }
-        }
-    }
-}
-
-fn fail_kind<J, R>(mb: &Mailbox<J, R>) -> PoolError {
-    if mb.panicked {
-        PoolError::WorkerPanicked
-    } else {
-        PoolError::Closed
-    }
-}
-
-fn lock_ignore_poison_wait<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
-    cv.wait(guard)
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-fn worker_loop<S, J, R, F>(w: usize, slot: &Slot<S, J, R>, f: &F)
-where
-    F: Fn(usize, &mut S, J) -> R,
-{
-    let guard = PanicGuard { slot };
-    let mut jobs: Vec<J> = Vec::new();
-    let mut results: Vec<R> = Vec::new();
-    loop {
-        {
-            let mut mb = lock_ignore_poison(&slot.mailbox);
-            while !mb.has_work && !mb.closed {
-                mb = lock_ignore_poison_wait(&slot.work_cv, mb);
-            }
-            if mb.closed {
-                break;
-            }
-            mb.has_work = false;
-            std::mem::swap(&mut mb.inbox, &mut jobs);
-        }
-        {
-            let mut state = lock_ignore_poison(&slot.state);
-            for job in jobs.drain(..) {
-                results.push(f(w, &mut state, job));
-            }
-        }
-        {
-            let mut mb = lock_ignore_poison(&slot.mailbox);
-            // Return the drained job queue and publish the results; the
-            // caller swaps both back out, so the buffers circulate.
-            std::mem::swap(&mut mb.inbox, &mut jobs);
-            std::mem::swap(&mut mb.outbox, &mut results);
-            mb.done = true;
-            slot.done_cv.notify_all();
-        }
-    }
-    drop(guard);
-}
-
-impl<S, J, R> Drop for PinnedPool<S, J, R> {
-    fn drop(&mut self) {
-        self.closed = true;
-        for slot in &self.slots {
-            let mut mb = lock_ignore_poison(&slot.mailbox);
-            mb.closed = true;
-            slot.work_cv.notify_all();
-        }
-        for handle in &mut self.handles {
-            if let Some(h) = handle.take() {
-                let _ = h.join();
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// ShardPool: the lock-free streaming pool
-// ---------------------------------------------------------------------------
 
 /// Why a non-blocking send could not be accepted. The job always comes
 /// back to the caller, so nothing is silently dropped.
@@ -464,9 +153,7 @@ const IDLE_YIELDS: u32 = 16;
 /// worker)` SPSC submission rings and answering through matching
 /// completion rings.
 ///
-/// Compared to [`PinnedPool`]:
-///
-/// * submission is a single ring push (no `Mutex`, no `Condvar` wake in
+/// * Submission is a single ring push (no `Mutex`, no `Condvar` wake in
 ///   the steady state — workers only park after an idle spin budget);
 /// * completions stream back as soon as each job finishes; there is no
 ///   whole-batch barrier, and different clients never contend;
@@ -926,97 +613,6 @@ impl<J, R> PoolClient<J, R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn results_come_back_in_worker_then_job_order() {
-        let mut pool = PinnedPool::new(vec![(); 4], |w, (), job: u64| (w as u64) * 1000 + job);
-        // Stage out of worker order on purpose.
-        for w in [3usize, 1, 0, 2] {
-            for j in 0..3u64 {
-                pool.stage(w, j);
-            }
-        }
-        let mut out = Vec::new();
-        pool.run(|_, r| out.push(r)).unwrap();
-        assert_eq!(
-            out,
-            vec![0, 1, 2, 1000, 1001, 1002, 2000, 2001, 2002, 3000, 3001, 3002]
-        );
-    }
-
-    #[test]
-    fn state_persists_across_batches_and_is_inspectable() {
-        let mut pool = PinnedPool::new(vec![0u64; 2], |_, sum, job: u64| {
-            *sum += job;
-            *sum
-        });
-        for round in 1..=3u64 {
-            pool.stage(0, round);
-            pool.stage(1, 10 * round);
-            pool.run(|_, _| {}).unwrap();
-        }
-        assert_eq!(pool.with_state(0, |s| *s), 1 + 2 + 3);
-        assert_eq!(pool.with_state(1, |s| *s), 10 + 20 + 30);
-    }
-
-    #[test]
-    fn empty_batches_and_idle_workers_are_fine() {
-        let mut pool = PinnedPool::new(vec![(); 3], |_, (), job: u64| job);
-        pool.run(|_, _: u64| panic!("nothing staged")).unwrap();
-        pool.stage(1, 42);
-        let mut got = Vec::new();
-        pool.run(|w, r| got.push((w, r))).unwrap();
-        assert_eq!(got, vec![(1, 42)]);
-    }
-
-    #[test]
-    fn shutdown_then_run_reports_closed() {
-        let mut pool = PinnedPool::new(vec![(); 2], |_, (), job: u64| job);
-        pool.shutdown();
-        pool.stage(0, 1);
-        assert_eq!(pool.run(|_, _| {}), Err(PoolError::Closed));
-        // State stays reachable for post-mortem inspection.
-        pool.with_state(0, |()| ());
-    }
-
-    #[test]
-    fn worker_panic_reports_and_poisons_the_pool() {
-        let mut pool = PinnedPool::new(vec![(); 2], |_, (), job: u64| {
-            assert!(job != 13, "unlucky job");
-            job
-        });
-        pool.stage(0, 1);
-        pool.stage(1, 13);
-        let err = pool.run(|_, _| {}).unwrap_err();
-        assert_eq!(err, PoolError::WorkerPanicked);
-        pool.stage(0, 2);
-        assert!(pool.run(|_, _| {}).is_err());
-    }
-
-    #[test]
-    fn steady_state_buffers_circulate() {
-        // Not an allocation assertion (that lives in the service bench),
-        // but verify the swap protocol round-trips many batches.
-        let mut pool = PinnedPool::new(vec![0u64; 4], |_, n, job: u64| {
-            *n += 1;
-            job * 2
-        });
-        for round in 0..100u64 {
-            for w in 0..4 {
-                pool.stage(w, round + w as u64);
-            }
-            let mut seen = 0;
-            pool.run(|w, r| {
-                assert_eq!(r, (round + w as u64) * 2);
-                seen += 1;
-            })
-            .unwrap();
-            assert_eq!(seen, 4);
-        }
-        for w in 0..4 {
-            assert_eq!(pool.with_state(w, |n| *n), 100);
-        }
-    }
 
     #[test]
     fn shard_pool_per_shard_fifo_single_client() {

@@ -41,11 +41,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use pmck_core::{CoreError, Request, Response, ServiceError, ServiceFailure};
+use pmck_core::{merge_broadcast, CoreError, Request, Response, ServiceError, ServiceFailure};
 use pmck_rt::pool::{PoolClient, PoolError, TrySendError};
 use pmck_rt::ring::MpscProducer;
 
-use crate::{merge_broadcast, route_addr};
+use crate::route_addr;
 
 /// One request tagged with the client-side slot that will absorb its
 /// completion.
@@ -576,7 +576,7 @@ fn backpressure() -> CoreError {
 }
 
 /// Whether an error is retryable admission-control backpressure.
-pub(crate) fn is_backpressure(e: &CoreError) -> bool {
+fn is_backpressure(e: &CoreError) -> bool {
     matches!(e, CoreError::Service(se) if se.kind() == ServiceFailure::Backpressure)
 }
 

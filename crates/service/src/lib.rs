@@ -32,10 +32,6 @@
 //! telemetry ring; [`ShardedService::publish_metrics`] folds the
 //! samples into per-shard HDR histograms (p50/p99/p999).
 //!
-//! The batched `PinnedPool` transport survives as
-//! [`baseline::BatchService`] — the measuring stick the `saturate`
-//! bench compares against.
-//!
 //! # Determinism
 //!
 //! Results are independent of thread scheduling: shard `s` is seeded
@@ -80,12 +76,9 @@ use pmck_rt::pool::ShardPool;
 use pmck_rt::ring::{mpsc, MpscConsumer};
 use pmck_rt::rng::stream_seed;
 
-pub mod baseline;
 mod client;
-mod future;
 
 pub use client::{ServiceClient, Ticket};
-pub use future::{block_on, SubmitFuture};
 
 use client::{Comp, Job, LatencySample, BROADCAST_SHARD, SUBMIT_DEPTH, TICKET_WINDOW};
 
@@ -441,11 +434,6 @@ impl std::fmt::Debug for ShardedService {
     }
 }
 
-// The broadcast fold moved into pmck-core (`pmck_core::merge_broadcast`)
-// so the cluster tier can merge node answers with the same
-// order-sensitive rules; re-imported here for the client and baseline.
-pub(crate) use pmck_core::merge_broadcast;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -798,7 +786,7 @@ mod tests {
 
     #[test]
     fn worker_panic_fails_every_outstanding_ticket() {
-        use pmck_core::{Access, AccessContext, AccessOutcome, BlockDevice};
+        use pmck_core::{AccessContext, BlockDevice};
         // A device that panics when block 3 is read: shard 1 dies mid
         // stream while earlier requests are still in flight.
         struct Grenade {
@@ -813,13 +801,13 @@ mod tests {
             }
             fn access(
                 &mut self,
-                access: Access,
+                req: Request,
                 _ctx: &mut AccessContext,
-            ) -> Result<AccessOutcome, CoreError> {
-                if let Access::Read(addr) = access {
+            ) -> Result<Response, CoreError> {
+                if let Request::Read(addr) = req {
                     assert!(addr != 3, "boom");
                 }
-                Ok(AccessOutcome::Written)
+                Ok(Response::Written)
             }
         }
         let stacks: Vec<Stack> = (0..2)

@@ -22,8 +22,6 @@
 //!
 //! Output is a single JSON document (`pmck-rt::json`) on stdout.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use pmck_bch::{BchCode, BchScratch};
@@ -34,39 +32,15 @@ use pmck_core::{
 };
 use pmck_gf::SyndromeRows;
 use pmck_rs::{RsCode, RsScratch};
+use pmck_rt::alloc;
 use pmck_rt::json::Json;
 use pmck_rt::rng::{Rng, StdRng};
 use pmck_service::ShardedService;
 
-/// A pass-through allocator that counts allocation calls, so each
-/// scenario can report heap allocations per operation.
-struct CountingAlloc;
-
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
+/// Counts allocation calls, so each scenario can report heap
+/// allocations per operation.
 #[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
+static GLOBAL: alloc::CountingAlloc = alloc::CountingAlloc;
 
 struct Config {
     /// Operations per timed batch.
@@ -149,17 +123,17 @@ fn scenario<T>(cfg: &Config, name: &str, bytes_per_op: u64, mut f: impl FnMut() 
     }
     let mut best_ns = f64::INFINITY;
     let mut total_ns = 0.0;
-    let allocs_before = ALLOC_CALLS.load(Ordering::Relaxed);
-    for _ in 0..cfg.batches {
-        let start = Instant::now();
-        for _ in 0..cfg.iters {
-            std::hint::black_box(f());
+    let allocs = alloc::count(|| {
+        for _ in 0..cfg.batches {
+            let start = Instant::now();
+            for _ in 0..cfg.iters {
+                std::hint::black_box(f());
+            }
+            let ns = start.elapsed().as_nanos() as f64 / cfg.iters as f64;
+            best_ns = best_ns.min(ns);
+            total_ns += ns;
         }
-        let ns = start.elapsed().as_nanos() as f64 / cfg.iters as f64;
-        best_ns = best_ns.min(ns);
-        total_ns += ns;
-    }
-    let allocs = ALLOC_CALLS.load(Ordering::Relaxed) - allocs_before;
+    });
     let mean_ns = total_ns / cfg.batches as f64;
     let mut row = Json::object()
         .with("name", name)
@@ -284,8 +258,8 @@ fn bch_scenarios(cfg: &Config, rows: &mut Vec<Json>) {
     }
     if wants(cfg, "bch/decode_batch_scrub") {
         // A boot-scrub stripe window: 9 VLEW words, mostly clean with a
-        // few errorful lanes — the shape `decode_vlew_stripe_into`
-        // hands to the batch decoder.
+        // few errorful lanes — what `ChipkillMemory::decode_stripe`
+        // decodes for one stripe.
         let weights = [0usize, 1, 0, 2, 0, 0, 5, 0, 1];
         let words: Vec<_> = weights
             .iter()
@@ -389,37 +363,19 @@ fn filled_stack(build: impl FnOnce(StackBuilder) -> StackBuilder, rber: f64) -> 
 }
 
 fn readpath_scenarios(cfg: &Config, rows: &mut Vec<Json>) {
-    // The read scenarios run on `Stack::read_into` — the hot-path form
-    // that decodes straight into a caller buffer, skipping the outcome
-    // copy `Stack::read` pays.
-    if wants(cfg, "readpath/clean") {
-        let mut stack = filled_stack(|b| b, 0.0);
+    for (name, rber) in [
+        ("readpath/clean", 0.0),
+        ("readpath/runtime_rber_2e-4", 2e-4),
+        ("readpath/boot_rber_1e-3", 1e-3),
+    ] {
+        if !wants(cfg, name) {
+            continue;
+        }
+        let mut stack = filled_stack(|b| b, rber);
         let mut a = 0;
-        let mut buf = [0u8; 64];
-        rows.push(scenario(cfg, "readpath/clean", 64, || {
+        rows.push(scenario(cfg, name, 64, || {
             a = (a + 1) % stack.num_blocks();
-            let path = stack.read_into(a, &mut buf).expect("clean");
-            (buf[0], path)
-        }));
-    }
-    if wants(cfg, "readpath/runtime_rber_2e-4") {
-        let mut stack = filled_stack(|b| b, 2e-4);
-        let mut a = 0;
-        let mut buf = [0u8; 64];
-        rows.push(scenario(cfg, "readpath/runtime_rber_2e-4", 64, || {
-            a = (a + 1) % stack.num_blocks();
-            let path = stack.read_into(a, &mut buf).expect("correctable");
-            (buf[0], path)
-        }));
-    }
-    if wants(cfg, "readpath/boot_rber_1e-3") {
-        let mut stack = filled_stack(|b| b, 1e-3);
-        let mut a = 0;
-        let mut buf = [0u8; 64];
-        rows.push(scenario(cfg, "readpath/boot_rber_1e-3", 64, || {
-            a = (a + 1) % stack.num_blocks();
-            let path = stack.read_into(a, &mut buf).expect("correctable");
-            (buf[0], path)
+            stack.submit(&Request::Read(a)).expect("correctable")
         }));
     }
     // Both write scenarios change every block they touch. Rewriting one
@@ -464,11 +420,9 @@ fn readpath_scenarios(cfg: &Config, rows: &mut Vec<Json>) {
         // relative to readpath/clean.
         let mut stack = filled_stack(|b| b.wear_levelled(64).patrolled(4, 16), 0.0);
         let mut a = 0;
-        let mut buf = [0u8; 64];
         rows.push(scenario(cfg, "stack/full_pipeline_read", 64, || {
             a = (a + 1) % stack.num_blocks();
-            let path = stack.read_into(a, &mut buf).expect("clean");
-            (buf[0], path)
+            stack.submit(&Request::Read(a)).expect("clean")
         }));
     }
 }
@@ -495,11 +449,9 @@ fn tier_scenarios(cfg: &Config, rows: &mut Vec<Json>) {
             stack.write(a, &b).unwrap();
         }
         let mut a = 0;
-        let mut buf = [0u8; 64];
         rows.push(scenario(cfg, &name, 64, || {
             a = (a + 1) % stack.num_blocks();
-            let path = stack.read_into(a, &mut buf).expect("clean");
-            (buf[0], path)
+            stack.submit(&Request::Read(a)).expect("clean")
         }));
     }
     if wants(cfg, "tier/migrate_region") {
@@ -602,19 +554,19 @@ fn service_scenarios(cfg: &Config, rows: &mut Vec<Json>) {
         }
         let mut best_ns = f64::INFINITY;
         let mut total_ns = 0.0;
-        let allocs_before = ALLOC_CALLS.load(Ordering::Relaxed);
-        for _ in 0..cfg.batches {
-            let start = Instant::now();
-            for _ in 0..batches_per_iter {
-                svc.submit_batch_into(&reads, &mut out);
-                std::hint::black_box(&out);
+        let allocs = alloc::count(|| {
+            for _ in 0..cfg.batches {
+                let start = Instant::now();
+                for _ in 0..batches_per_iter {
+                    svc.submit_batch_into(&reads, &mut out);
+                    std::hint::black_box(&out);
+                }
+                let ops = (batches_per_iter * TOTAL_BLOCKS) as f64;
+                let ns = start.elapsed().as_nanos() as f64 / ops;
+                best_ns = best_ns.min(ns);
+                total_ns += ns;
             }
-            let ops = (batches_per_iter * TOTAL_BLOCKS) as f64;
-            let ns = start.elapsed().as_nanos() as f64 / ops;
-            best_ns = best_ns.min(ns);
-            total_ns += ns;
-        }
-        let allocs = ALLOC_CALLS.load(Ordering::Relaxed) - allocs_before;
+        });
         let total_ops = cfg.batches * batches_per_iter * TOTAL_BLOCKS;
         rows.push(
             Json::object()
@@ -706,15 +658,15 @@ fn service_scenarios(cfg: &Config, rows: &mut Vec<Json>) {
         let mut best_ns = f64::INFINITY;
         let mut total_ns = 0.0;
         let ops_per_batch = cfg.iters.max(TOTAL_BLOCKS);
-        let allocs_before = ALLOC_CALLS.load(Ordering::Relaxed);
-        for _ in 0..cfg.batches {
-            let start = Instant::now();
-            run(ops_per_batch);
-            let ns = start.elapsed().as_nanos() as f64 / ops_per_batch as f64;
-            best_ns = best_ns.min(ns);
-            total_ns += ns;
-        }
-        let allocs = ALLOC_CALLS.load(Ordering::Relaxed) - allocs_before;
+        let allocs = alloc::count(|| {
+            for _ in 0..cfg.batches {
+                let start = Instant::now();
+                run(ops_per_batch);
+                let ns = start.elapsed().as_nanos() as f64 / ops_per_batch as f64;
+                best_ns = best_ns.min(ns);
+                total_ns += ns;
+            }
+        });
         rows.push(
             Json::object()
                 .with("name", name)

@@ -12,7 +12,7 @@ use pmck_bch::{BchCode, BitPoly};
 use pmck_nvram::{BitErrorInjector, ChipFailureKind, FailedChip};
 use pmck_rt::rng::Rng;
 
-use crate::engine::CoreError;
+use crate::error::CoreError;
 use crate::rank::store_code;
 
 /// How a baseline read was satisfied.

@@ -66,12 +66,6 @@ impl ChipkillConfig {
         self.tier.layout().vlew_enabled()
     }
 
-    /// Bonus blocks per stripe reclaimed from the code area (RS-only
-    /// tier; 0 for VLEW-bearing tiers).
-    pub fn bonus_blocks_per_stripe(&self) -> usize {
-        self.tier.layout().bonus_blocks_per_stripe()
-    }
-
     /// Total storage cost of the configured tier.
     pub fn total_storage_cost(&self) -> f64 {
         self.tier.layout().total_storage_cost()
@@ -104,7 +98,6 @@ mod tests {
         let rs_only = ChipkillConfig::for_tier(ProtectionTier::RsOnly);
         assert_eq!(rs_only.threshold, 4);
         assert!(!rs_only.vlew_enabled());
-        assert_eq!(rs_only.bonus_blocks_per_stripe(), 4);
 
         let dense = ChipkillConfig::for_tier(ProtectionTier::Dense);
         assert_eq!(dense.layout.blocks_per_vlew(), 16);

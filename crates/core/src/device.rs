@@ -22,7 +22,8 @@ use pmck_rt::metrics::MetricsRegistry;
 use pmck_rt::rng::StdRng;
 
 use crate::baseline::BaselineMemory;
-use crate::engine::{ChipkillMemory, CoreError, ReadOutcome, ReadPath};
+use crate::engine::{ChipkillMemory, ReadOutcome, ReadPath};
+use crate::error::CoreError;
 use crate::request::{Request, Response};
 use crate::restripe::{RestripedMemory, BLOCKS_PER_GROUP};
 use crate::scrub::ScrubReport;
@@ -411,31 +412,6 @@ pub trait BlockDevice: Send {
     /// this access kind, plus whatever the underlying operation surfaces.
     fn access(&mut self, req: Request, ctx: &mut AccessContext) -> Result<Response, CoreError>;
 
-    /// Reads one block directly into `data` — the hot-path form of
-    /// `access(Request::Read(addr))`, skipping the [`Response`]
-    /// copy. Observationally identical to the access form (same stats,
-    /// trace, remapping, and background-scrub scheduling); layers with
-    /// an allocation-free read path override it. On error the buffer
-    /// contents are unspecified.
-    ///
-    /// # Errors
-    ///
-    /// As `access(Request::Read(addr))`.
-    fn read_into(
-        &mut self,
-        addr: u64,
-        data: &mut [u8; 64],
-        ctx: &mut AccessContext,
-    ) -> Result<ReadPath, CoreError> {
-        match self.access(Request::Read(addr), ctx)? {
-            Response::Read(out) => {
-                *data = out.data;
-                Ok(out.path)
-            }
-            other => unreachable!("read returned {other:?}"),
-        }
-    }
-
     /// The chip failure detected by decode logic, if any.
     fn detected_failed_chip(&self) -> Option<usize> {
         None
@@ -470,14 +446,6 @@ impl<D: BlockDevice + ?Sized> BlockDevice for Box<D> {
     }
     fn access(&mut self, req: Request, ctx: &mut AccessContext) -> Result<Response, CoreError> {
         (**self).access(req, ctx)
-    }
-    fn read_into(
-        &mut self,
-        addr: u64,
-        data: &mut [u8; 64],
-        ctx: &mut AccessContext,
-    ) -> Result<ReadPath, CoreError> {
-        (**self).read_into(addr, data, ctx)
     }
     fn detected_failed_chip(&self) -> Option<usize> {
         (**self).detected_failed_chip()
@@ -525,28 +493,6 @@ pub(crate) fn record_access(
             Ok(out) => format!("{what} -> {}", describe_outcome(out)),
             Err(e) => format!("{what} -> error: {e}"),
         }
-    });
-}
-
-/// [`record_access`] for the `read_into` hot path: identical stats and
-/// trace to `access(Request::Read(addr))`, without materializing a
-/// [`Response`].
-pub(crate) fn record_read_into(
-    ctx: &mut AccessContext,
-    id: LayerId,
-    addr: u64,
-    result: &Result<ReadPath, CoreError>,
-) {
-    let st = ctx.layer_mut(id);
-    st.reads += 1;
-    match result {
-        Ok(path) => record_read_path(st, path),
-        Err(CoreError::Unsupported(_)) => {}
-        Err(_) => st.errors += 1,
-    }
-    ctx.trace(id, || match result {
-        Ok(path) => format!("read {addr} -> {}", describe_read_path(path)),
-        Err(e) => format!("read {addr} -> error: {e}"),
     });
 }
 
@@ -611,17 +557,6 @@ impl BlockDevice for ChipkillMemory {
 
     fn num_blocks(&self) -> u64 {
         ChipkillMemory::num_blocks(self)
-    }
-
-    fn read_into(
-        &mut self,
-        addr: u64,
-        data: &mut [u8; 64],
-        ctx: &mut AccessContext,
-    ) -> Result<ReadPath, CoreError> {
-        let result = self.read_block_into(addr, data);
-        record_read_into(ctx, LayerId::Chipkill, addr, &result);
-        result
     }
 
     fn detected_failed_chip(&self) -> Option<usize> {

@@ -2,350 +2,17 @@
 //! nine-chip functional rank.
 
 use std::collections::HashSet;
-use std::fmt;
 
-use pmck_bch::{BatchOutcome, BchCode, BchScratch, BitPoly, DecodePolicy};
+use pmck_bch::{BatchOutcome, BchCode, BchScratch, BitPoly};
 use pmck_nvram::{BitErrorInjector, ChipFailureKind, FailedChip, FaultEvent, FaultKind};
 use pmck_rs::{RsCode, RsScratch, ThresholdOutcome};
 use pmck_rt::rng::Rng;
 
 use crate::config::ChipkillConfig;
+use crate::error::CoreError;
 use crate::layout::ChipkillLayout;
 use crate::rank::{apply_code_delta, store_code, ChipStore, EurModel, CODE_LIMBS};
 use crate::stats::CoreStats;
-
-/// Errors surfaced by the engine.
-///
-/// Display strings of the device-level variants are stable — the
-/// fault-campaign corpus records them verbatim — and service failures
-/// keep their cause reachable through [`std::error::Error::source`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CoreError {
-    /// Block address beyond the configured capacity.
-    OutOfRange(u64),
-    /// The block was disabled (worn out) and must not be accessed.
-    Disabled(u64),
-    /// The error pattern exceeds the scheme's combined correction
-    /// capability (a detected uncorrectable error — a crash, not SDC).
-    Uncorrectable,
-    /// More than one chip appears failed; the rank is lost.
-    MultiChipFailure,
-    /// No layer in the composed stack handles this access kind. The
-    /// payload is the access kind name (`"restripe"`, `"patrol_step"`,
-    /// ...). A routing miss, not a device fault.
-    Unsupported(&'static str),
-    /// A Write-CRC protected transfer exhausted its retry budget.
-    LinkFailed,
-    /// The request never reached the memory pipeline: a service-layer
-    /// queue or worker failure. The wrapped [`ServiceError`] is also
-    /// reachable through [`std::error::Error::source`].
-    Service(ServiceError),
-    /// Crash recovery could not reconstruct the durable image (corrupt
-    /// intent log or metadata). The wrapped [`RecoveryError`] is also
-    /// reachable through [`std::error::Error::source`].
-    Recovery(RecoveryError),
-    /// A replicated-tier failure: the cluster could not assemble a
-    /// quorum or ran out of replicas. The wrapped [`ClusterError`] is
-    /// also reachable through [`std::error::Error::source`], and its own
-    /// source (when present) is the per-node [`CoreError`] that sank the
-    /// last replica — so the chain reaches the transport layer.
-    Cluster(ClusterError),
-}
-
-impl CoreError {
-    /// A service-layer failure with no underlying cause.
-    pub fn service(kind: ServiceFailure) -> Self {
-        CoreError::Service(ServiceError::new(kind))
-    }
-
-    /// A recovery failure with no underlying cause.
-    pub fn recovery(kind: RecoveryFailure) -> Self {
-        CoreError::Recovery(RecoveryError::new(kind))
-    }
-
-    /// A cluster-tier failure with no underlying cause.
-    pub fn cluster(kind: ClusterFailure) -> Self {
-        CoreError::Cluster(ClusterError::new(kind))
-    }
-}
-
-impl fmt::Display for CoreError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CoreError::OutOfRange(a) => write!(f, "block address {a} out of range"),
-            CoreError::Disabled(a) => write!(f, "block {a} is disabled"),
-            CoreError::Uncorrectable => write!(f, "uncorrectable error"),
-            CoreError::MultiChipFailure => write!(f, "multiple chip failures in one rank"),
-            CoreError::Unsupported(kind) => {
-                write!(f, "no layer in the stack handles `{kind}` accesses")
-            }
-            CoreError::LinkFailed => write!(f, "write link exhausted its retry budget"),
-            CoreError::Service(e) => write!(f, "{e}"),
-            CoreError::Recovery(e) => write!(f, "{e}"),
-            CoreError::Cluster(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for CoreError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            CoreError::Service(e) => Some(e),
-            CoreError::Recovery(e) => Some(e),
-            CoreError::Cluster(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-/// How a service-layer request was lost (see [`CoreError::Service`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServiceFailure {
-    /// The shard's request queue is closed (service shut down).
-    QueueClosed,
-    /// A shard worker terminated abnormally (panicked or died).
-    WorkerLost,
-    /// The shard's bounded submission queue is full right now; the
-    /// request was not enqueued and can be retried after draining
-    /// completions (streaming admission control, never fatal).
-    Backpressure,
-}
-
-impl fmt::Display for ServiceFailure {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ServiceFailure::QueueClosed => write!(f, "shard request queue is closed"),
-            ServiceFailure::WorkerLost => write!(f, "shard worker terminated abnormally"),
-            ServiceFailure::Backpressure => write!(f, "shard submission queue is full"),
-        }
-    }
-}
-
-/// A service-layer failure: the request was dropped before any device
-/// saw it. Wraps the transport-level cause (when one exists) so the
-/// full chain is inspectable via [`std::error::Error::source`].
-#[derive(Debug, Clone)]
-pub struct ServiceError {
-    kind: ServiceFailure,
-    source: Option<std::sync::Arc<dyn std::error::Error + Send + Sync + 'static>>,
-}
-
-impl ServiceError {
-    /// A failure with no underlying cause.
-    pub fn new(kind: ServiceFailure) -> Self {
-        ServiceError { kind, source: None }
-    }
-
-    /// A failure wrapping its transport-level cause.
-    pub fn with_source(
-        kind: ServiceFailure,
-        source: impl std::error::Error + Send + Sync + 'static,
-    ) -> Self {
-        ServiceError {
-            kind,
-            source: Some(std::sync::Arc::new(source)),
-        }
-    }
-
-    /// What went wrong.
-    pub fn kind(&self) -> ServiceFailure {
-        self.kind
-    }
-}
-
-// Equality ignores the attached cause: two queue-closed errors are the
-// same failure for retry/assertion purposes regardless of provenance.
-impl PartialEq for ServiceError {
-    fn eq(&self, other: &Self) -> bool {
-        self.kind == other.kind
-    }
-}
-
-impl Eq for ServiceError {}
-
-impl fmt::Display for ServiceError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "memory service unavailable: {}", self.kind)
-    }
-}
-
-impl std::error::Error for ServiceError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        self.source
-            .as_deref()
-            .map(|e| e as &(dyn std::error::Error + 'static))
-    }
-}
-
-/// How crash recovery failed (see [`CoreError::Recovery`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecoveryFailure {
-    /// An intent-log record claims content no seal could cover.
-    UnsealedRecord,
-    /// Durable metadata failed its CRC check.
-    CrcMismatch,
-    /// A sealed log entry targets a block outside the durable image —
-    /// the torn state cannot be redone.
-    TornBlock,
-}
-
-impl fmt::Display for RecoveryFailure {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RecoveryFailure::UnsealedRecord => write!(f, "unsealed intent-log record"),
-            RecoveryFailure::CrcMismatch => write!(f, "metadata CRC mismatch"),
-            RecoveryFailure::TornBlock => write!(f, "unrecoverable torn block"),
-        }
-    }
-}
-
-/// A crash-recovery failure: the durable image cannot be reconstructed
-/// into a decodable state. Wraps the media-level cause (when one
-/// exists) so the full chain is inspectable via
-/// [`std::error::Error::source`].
-#[derive(Debug, Clone)]
-pub struct RecoveryError {
-    kind: RecoveryFailure,
-    source: Option<std::sync::Arc<dyn std::error::Error + Send + Sync + 'static>>,
-}
-
-impl RecoveryError {
-    /// A failure with no underlying cause.
-    pub fn new(kind: RecoveryFailure) -> Self {
-        RecoveryError { kind, source: None }
-    }
-
-    /// A failure wrapping its media-level cause.
-    pub fn with_source(
-        kind: RecoveryFailure,
-        source: impl std::error::Error + Send + Sync + 'static,
-    ) -> Self {
-        RecoveryError {
-            kind,
-            source: Some(std::sync::Arc::new(source)),
-        }
-    }
-
-    /// What went wrong.
-    pub fn kind(&self) -> RecoveryFailure {
-        self.kind
-    }
-}
-
-// Equality ignores the attached cause, matching the ServiceError
-// convention: two CRC mismatches are the same failure for assertion
-// purposes regardless of provenance.
-impl PartialEq for RecoveryError {
-    fn eq(&self, other: &Self) -> bool {
-        self.kind == other.kind
-    }
-}
-
-impl Eq for RecoveryError {}
-
-impl fmt::Display for RecoveryError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "recovery failed: {}", self.kind)
-    }
-}
-
-impl std::error::Error for RecoveryError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        self.source
-            .as_deref()
-            .map(|e| e as &(dyn std::error::Error + 'static))
-    }
-}
-
-/// How a replicated-tier request failed (see [`CoreError::Cluster`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ClusterFailure {
-    /// The addressed node is administratively down.
-    NodeDown(usize),
-    /// Too few replicas acknowledged a write.
-    QuorumLost {
-        /// Acknowledgements the quorum required.
-        needed: usize,
-        /// Acknowledgements actually collected.
-        got: usize,
-    },
-    /// Every replica placement failed to serve the block (down,
-    /// stale, or erroring).
-    ReplicasExhausted,
-}
-
-impl fmt::Display for ClusterFailure {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ClusterFailure::NodeDown(n) => write!(f, "cluster node {n} is down"),
-            ClusterFailure::QuorumLost { needed, got } => {
-                write!(f, "quorum not reached ({got} of {needed} replicas)")
-            }
-            ClusterFailure::ReplicasExhausted => {
-                write!(f, "every replica failed to serve the block")
-            }
-        }
-    }
-}
-
-/// A replicated-tier failure: the cluster exhausted its placement or
-/// quorum options. Wraps the per-node cause (when one exists) — itself
-/// usually a [`CoreError::Service`] whose chain continues into the
-/// transport — so the full path from cluster verdict to shard-pool
-/// fault is inspectable via [`std::error::Error::source`].
-#[derive(Debug, Clone)]
-pub struct ClusterError {
-    kind: ClusterFailure,
-    source: Option<std::sync::Arc<dyn std::error::Error + Send + Sync + 'static>>,
-}
-
-impl ClusterError {
-    /// A failure with no underlying cause.
-    pub fn new(kind: ClusterFailure) -> Self {
-        ClusterError { kind, source: None }
-    }
-
-    /// A failure wrapping its per-node cause.
-    pub fn with_source(
-        kind: ClusterFailure,
-        source: impl std::error::Error + Send + Sync + 'static,
-    ) -> Self {
-        ClusterError {
-            kind,
-            source: Some(std::sync::Arc::new(source)),
-        }
-    }
-
-    /// What went wrong.
-    pub fn kind(&self) -> ClusterFailure {
-        self.kind
-    }
-}
-
-// Equality ignores the attached cause, matching the ServiceError
-// convention: two exhausted-replica verdicts are the same failure for
-// assertion purposes regardless of which node sank last.
-impl PartialEq for ClusterError {
-    fn eq(&self, other: &Self) -> bool {
-        self.kind == other.kind
-    }
-}
-
-impl Eq for ClusterError {}
-
-impl fmt::Display for ClusterError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "cluster request failed: {}", self.kind)
-    }
-}
-
-impl std::error::Error for ClusterError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        self.source
-            .as_deref()
-            .map(|e| e as &(dyn std::error::Error + 'static))
-    }
-}
 
 /// How a read was satisfied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -392,6 +59,31 @@ pub struct ReadOutcome {
     pub path: ReadPath,
 }
 
+/// Chips in the functional rank: eight data chips plus the parity chip.
+const CHIPS: usize = 9;
+
+/// Per-chip verdicts of one [`ChipkillMemory::decode_stripe`] call. A
+/// skipped (known-failed) chip reads [`BatchOutcome::Uncorrectable`]:
+/// decoded and rejected or not decoded at all, its bytes are erasures.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct StripeVerdict(pub(crate) [BatchOutcome; CHIPS]);
+
+impl StripeVerdict {
+    /// The chips whose VLEW cannot be trusted, ascending.
+    pub(crate) fn failed(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..CHIPS).filter(|&c| self.0[c].is_uncorrectable())
+    }
+
+    /// How many words only the beyond-bound list decoder could correct.
+    pub(crate) fn list_rescues(&self) -> usize {
+        let beyond = |o: &&BatchOutcome| match o {
+            BatchOutcome::Corrected { beyond_bound, .. } => *beyond_bound,
+            _ => false,
+        };
+        self.0.iter().filter(beyond).count()
+    }
+}
+
 /// The proposal's persistent-memory rank: eight data chips plus one parity
 /// chip, VLEW-protected per chip and RS-protected per block.
 ///
@@ -406,9 +98,6 @@ pub struct ChipkillMemory {
     /// Whether the configured tier runs the VLEW boot tier (cached from
     /// the tier's [`crate::Layout`]).
     vlew_enabled: bool,
-    /// Bonus blocks per stripe reclaimed from the code area (RS-only
-    /// tier; 0 otherwise).
-    bonus_per_stripe: usize,
     pub(crate) chips: Vec<ChipStore>,
     pub(crate) vlew: BchCode,
     pub(crate) rs: RsCode,
@@ -419,11 +108,10 @@ pub struct ChipkillMemory {
     /// (runtime fallback, scrubs, repair) — one syndrome/BM/Chien scratch
     /// per rank instead of per decode.
     bch_scratch: BchScratch,
-    /// Reusable VLEW codeword buffer for single-word decodes.
-    vlew_cw: BitPoly,
-    /// Reusable per-stripe batch of VLEW codewords (one per chip) for the
-    /// batched boot-scrub decode path. Lazily sized on first use.
-    vlew_batch: Vec<BitPoly>,
+    /// Reusable VLEW codeword buffers, one per chip: the stripe
+    /// [`ChipkillMemory::decode_stripe`] last filled. Working memory
+    /// only — nothing in it is trusted across calls.
+    pub(crate) vlew_batch: Vec<BitPoly>,
     pub(crate) eur: EurModel,
     /// Ground-truth injected failure (set by [`ChipkillMemory::fail_chip`]).
     failed_chip: Option<FailedChip>,
@@ -450,9 +138,9 @@ impl ChipkillMemory {
         let stripes = num_blocks.div_ceil(bpv) as usize;
         let num_blocks = stripes as u64 * bpv;
         assert_eq!(
-            layout.rs_codeword_bytes(),
-            72,
-            "engine read/write scratch buffers assume the RS(72, 64) layout"
+            (layout.rs_codeword_bytes(), layout.total_chips()),
+            (72, CHIPS),
+            "engine read/write scratch buffers assume the nine-chip RS(72, 64) layout"
         );
         let chips = (0..layout.total_chips())
             .map(|_| ChipStore::new(stripes, &layout))
@@ -471,10 +159,9 @@ impl ChipkillMemory {
             "VLEW code deltas are fixed-size"
         );
         let bch_scratch = BchScratch::new(&vlew);
-        let vlew_cw = BitPoly::zero(vlew.len());
+        let vlew_batch = vec![BitPoly::zero(vlew.len()); CHIPS];
         ChipkillMemory {
             vlew_enabled: cfg.vlew_enabled(),
-            bonus_per_stripe: cfg.bonus_blocks_per_stripe(),
             cfg,
             layout,
             num_blocks,
@@ -484,8 +171,7 @@ impl ChipkillMemory {
             rs,
             rs_scratch,
             bch_scratch,
-            vlew_cw,
-            vlew_batch: Vec::new(),
+            vlew_batch,
             eur: EurModel::new(stripes, layout.total_chips()),
             failed_chip: None,
             known_failed: None,
@@ -541,14 +227,6 @@ impl ChipkillMemory {
     /// bit).
     pub fn storage_cost(&self) -> f64 {
         self.cfg.total_storage_cost()
-    }
-
-    /// Bonus blocks reclaimed from the VLEW code area (RS-only tier;
-    /// 0 for VLEW-bearing tiers). Addressed separately from the primary
-    /// space via [`ChipkillMemory::read_bonus_block`] /
-    /// [`ChipkillMemory::write_bonus_block`].
-    pub fn bonus_blocks(&self) -> u64 {
-        (self.stripes * self.bonus_per_stripe) as u64
     }
 
     /// The chip failure detected so far, if any.
@@ -761,8 +439,8 @@ impl ChipkillMemory {
     }
 
     /// [`ChipkillMemory::read_block`] decoding directly into the
-    /// caller's buffer: the hot-path form, skipping the outcome copy.
-    /// On error the buffer contents are unspecified.
+    /// caller's buffer, skipping the outcome copy. On error the buffer
+    /// contents are unspecified.
     ///
     /// # Errors
     ///
@@ -775,14 +453,18 @@ impl ChipkillMemory {
         self.check_addr(addr)?;
         self.stats.reads += 1;
 
+        let mut word = [0u8; 72];
         // With a known-failed chip, go straight to erasure correction.
         if let Some(chip) = self.known_failed {
-            *data = self.read_via_erasure(addr, chip)?;
-            self.stats.erasure_reads += 1;
-            return Ok(ReadPath::ChipkillErasure { chip });
+            if self.vlew_enabled {
+                return self.vlew_read(addr, data);
+            }
+            // The RS-only tier has no VLEWs to pre-correct the survivors
+            // with: the raw gathered word is the erasure input.
+            self.gather_block_into(addr, &mut word);
+            return self.serve_by_erasure(&mut word, chip, data);
         }
 
-        let mut word = [0u8; 72];
         self.gather_block_into(addr, &mut word);
         match self
             .rs
@@ -809,64 +491,38 @@ impl ChipkillMemory {
                     return Err(CoreError::Uncorrectable);
                 }
                 self.stats.fallbacks += 1;
-                let out = self.vlew_fallback_read(addr)?;
-                *data = out.data;
-                Ok(out.path)
+                self.vlew_read(addr, data)
             }
         }
     }
 
-    /// The VLEW fallback: decode every chip's VLEW for the stripe; if one
-    /// chip is uncorrectable, treat it as failed and erasure-correct.
-    fn vlew_fallback_read(&mut self, addr: u64) -> Result<ReadOutcome, CoreError> {
-        let stripe = self.layout.stripe_of(addr);
-        self.close_stripe(stripe);
-        let mut corrected: Vec<Option<Vec<u8>>> = Vec::new();
-        let mut failed: Vec<usize> = Vec::new();
-        let mut bits = 0usize;
-        let mut rescued_any = false;
-        for c in 0..self.layout.total_chips() {
-            match self.decode_vlew(c, stripe) {
-                Ok((data, _code, n, rescued)) => {
-                    bits += n;
-                    rescued_any |= rescued;
-                    corrected.push(Some(data));
-                }
-                Err(()) => {
-                    failed.push(c);
-                    corrected.push(None);
-                }
-            }
-        }
-        match failed.len() {
-            0 => {
-                self.stats.vlew_bits_corrected += bits as u64;
-                let off = self.layout.offset_in_stripe(addr);
-                let mut data = [0u8; 64];
-                for c in 0..self.layout.data_chips {
-                    let region = corrected[c].as_ref().expect("no failure");
-                    data[c * 8..(c + 1) * 8].copy_from_slice(&region[off * 8..(off + 1) * 8]);
-                }
-                let path = if rescued_any {
-                    ReadPath::VlewListDecoded {
-                        bits_corrected: bits,
-                    }
+    /// The VLEW read (§V-B): decode the stripe's VLEWs — every chip's,
+    /// or every chip's but a known-failed one — and answer from the
+    /// corrected words. Exactly one untrusted chip is a chip failure,
+    /// recorded on first sight and served by erasure correction; two
+    /// are a lost rank.
+    fn vlew_read(&mut self, addr: u64, data: &mut [u8; 64]) -> Result<ReadPath, CoreError> {
+        let verdict = self.decode_stripe(self.layout.stripe_of(addr), self.known_failed);
+        let mut word = [0u8; 72];
+        self.stripe_word_into(self.layout.offset_in_stripe(addr), &mut word);
+        let mut failed = verdict.failed();
+        match (failed.next(), failed.next()) {
+            (None, _) => {
+                let bits_corrected = verdict.0.iter().map(BatchOutcome::bits_corrected).sum();
+                self.stats.vlew_bits_corrected += bits_corrected as u64;
+                data.copy_from_slice(&word[8..]);
+                Ok(if verdict.list_rescues() > 0 {
+                    ReadPath::VlewListDecoded { bits_corrected }
                 } else {
-                    ReadPath::VlewFallback {
-                        bits_corrected: bits,
-                    }
-                };
-                Ok(ReadOutcome { data, path })
-            }
-            1 => {
-                let chip = failed[0];
-                self.known_failed = Some(chip);
-                self.stats.chip_failures_detected += 1;
-                let data = self.read_via_erasure_with(addr, chip, &corrected)?;
-                Ok(ReadOutcome {
-                    data,
-                    path: ReadPath::ChipkillErasure { chip },
+                    ReadPath::VlewFallback { bits_corrected }
                 })
+            }
+            (Some(chip), None) => {
+                if self.known_failed.is_none() {
+                    self.known_failed = Some(chip);
+                    self.stats.chip_failures_detected += 1;
+                }
+                self.serve_by_erasure(&mut word, chip, data)
             }
             _ => {
                 self.stats.due_events += 1;
@@ -875,102 +531,36 @@ impl ChipkillMemory {
         }
     }
 
-    /// Erasure-corrects a block given a known-failed chip, decoding the
-    /// surviving chips' VLEWs first so the RS erasure input is clean.
-    /// The RS-only tier has no VLEWs to pre-correct with and erasure-
-    /// decodes the raw gathered word instead.
-    fn read_via_erasure(&mut self, addr: u64, chip: usize) -> Result<[u8; 64], CoreError> {
-        if !self.vlew_enabled {
-            self.stats.erasure_reads += 1;
-            let mut word = [0u8; 72];
-            self.gather_block_into(addr, &mut word);
-            return self.erasure_decode_word(&mut word, chip);
-        }
-        let stripe = self.layout.stripe_of(addr);
-        self.close_stripe(stripe);
-        let mut corrected: Vec<Option<Vec<u8>>> = Vec::new();
-        for c in 0..self.layout.total_chips() {
-            if c == chip {
-                corrected.push(None);
-                continue;
-            }
-            match self.decode_vlew(c, stripe) {
-                Ok((data, _, _, _)) => corrected.push(Some(data)),
-                Err(()) => {
-                    self.stats.due_events += 1;
-                    return Err(CoreError::MultiChipFailure);
-                }
-            }
-        }
-        self.read_via_erasure_with(addr, chip, &corrected)
-    }
-
-    fn read_via_erasure_with(
-        &mut self,
-        addr: u64,
-        chip: usize,
-        corrected: &[Option<Vec<u8>>],
-    ) -> Result<[u8; 64], CoreError> {
-        self.stats.erasure_reads += 1;
-        let off = self.layout.offset_in_stripe(addr);
-        let parity_idx = self.layout.data_chips;
-        if chip == parity_idx {
-            // Parity chip failed: the data chips alone carry the block.
-            let mut data = [0u8; 64];
-            for (c, region) in corrected.iter().take(self.layout.data_chips).enumerate() {
-                let region = region.as_ref().expect("data chips survived");
-                data[c * 8..(c + 1) * 8].copy_from_slice(&region[off * 8..(off + 1) * 8]);
-            }
-            return Ok(data);
-        }
-        // Build the 72-byte word from corrected survivors; the failed
-        // chip's positions are erasures.
-        let mut word = [0u8; 72];
-        let parity_region = corrected[parity_idx].as_ref().expect("parity survived");
-        word[..8].copy_from_slice(&parity_region[off * 8..(off + 1) * 8]);
-        for (c, region) in corrected.iter().take(self.layout.data_chips).enumerate() {
-            if c == chip {
-                continue;
-            }
-            let (s, e) = self.layout.rs_positions_of_data_chip(c);
-            let region = region.as_ref().expect("survivor");
-            word[s..e].copy_from_slice(&region[off * 8..(off + 1) * 8]);
-        }
-        let (es, ee) = self.layout.rs_positions_of_data_chip(chip);
-        let mut erasures = [0usize; 8];
-        for (slot, p) in erasures.iter_mut().zip(es..ee) {
-            *slot = p;
-        }
-        self.rs
-            .decode_with_erasures_scratch(&mut word, &erasures, &mut self.rs_scratch)
-            .map_err(|_| CoreError::Uncorrectable)?;
-        Ok(word[8..].try_into().expect("64 data bytes"))
-    }
-
-    /// Erasure-decodes a gathered 72-byte word in place with `chip`'s
-    /// positions as erasures, returning the 64 data bytes. With the
-    /// parity chip failed the data chips alone carry the block.
-    fn erasure_decode_word(
+    /// Answers a demand read from `word` by erasure-correcting `chip`'s
+    /// positions — the one place [`CoreStats::erasure_reads`] counts.
+    fn serve_by_erasure(
         &mut self,
         word: &mut [u8; 72],
         chip: usize,
-    ) -> Result<[u8; 64], CoreError> {
-        let parity_idx = self.layout.data_chips;
-        if chip == parity_idx {
-            return Ok(word[8..].try_into().expect("64 data bytes"));
-        }
-        let (es, ee) = self.layout.rs_positions_of_data_chip(chip);
-        let mut erasures = [0usize; 8];
-        for (slot, p) in erasures.iter_mut().zip(es..ee) {
-            *slot = p;
-        }
-        self.rs
-            .decode_with_erasures_scratch(word, &erasures, &mut self.rs_scratch)
-            .map_err(|_| CoreError::Uncorrectable)?;
-        Ok(word[8..].try_into().expect("64 data bytes"))
+        data: &mut [u8; 64],
+    ) -> Result<ReadPath, CoreError> {
+        self.erasure_decode_word(word, chip)?;
+        self.stats.erasure_reads += 1;
+        data.copy_from_slice(&word[8..]);
+        Ok(ReadPath::ChipkillErasure { chip })
     }
 
-    /// RS-scrubs one primary block (RS-only tier's boot scrub unit):
+    /// Erasure-decodes a 72-byte word in place with `chip`'s positions
+    /// as erasures. With the parity chip failed the data chips alone
+    /// carry the block and the word is left as it is.
+    fn erasure_decode_word(&mut self, word: &mut [u8; 72], chip: usize) -> Result<(), CoreError> {
+        if chip == self.layout.data_chips {
+            return Ok(());
+        }
+        let (first, _) = self.layout.rs_positions_of_data_chip(chip);
+        let erasures: [usize; 8] = std::array::from_fn(|i| first + i);
+        self.rs
+            .decode_with_erasures_scratch(word, &erasures, &mut self.rs_scratch)
+            .map(|_| ())
+            .map_err(|_| CoreError::Uncorrectable)
+    }
+
+    /// RS-scrubs one block (RS-only tier's boot scrub unit):
     /// threshold-decodes the word and rewrites it if corrections were
     /// made. Returns the number of symbols corrected.
     pub(crate) fn rs_scrub_block(&mut self, addr: u64) -> Result<usize, CoreError> {
@@ -990,137 +580,10 @@ impl ChipkillMemory {
         }
     }
 
-    /// [`ChipkillMemory::rs_scrub_block`] for a bonus block.
-    pub(crate) fn rs_scrub_bonus(&mut self, idx: u64) -> Result<usize, CoreError> {
-        let mut word = [0u8; 72];
-        self.gather_bonus_into(idx, &mut word);
-        match self
-            .rs
-            .decode_with_threshold_scratch(&mut word, self.cfg.threshold, &mut self.rs_scratch)
-            .expect("word length is correct")
-        {
-            ThresholdOutcome::Clean => Ok(0),
-            ThresholdOutcome::Accepted { corrections } => {
-                self.scatter_bonus(idx, &word);
-                Ok(corrections)
-            }
-            ThresholdOutcome::Rejected(_) => Err(CoreError::Uncorrectable),
-        }
-    }
-
-    /// Gathers bonus block `idx`'s 72-byte RS word from the chips' code
-    /// regions: check bytes from the parity chip's slice, then each data
-    /// chip's 8 bytes, mirroring [`ChipkillMemory::gather_block_into`].
-    pub(crate) fn gather_bonus_into(&self, idx: u64, word: &mut [u8; 72]) {
-        let stripe = idx as usize / self.bonus_per_stripe;
-        let base = (idx as usize % self.bonus_per_stripe) * self.layout.chip_bytes;
-        let cb = self.layout.chip_bytes;
-        let parity_idx = self.layout.data_chips;
-        word[..self.layout.rs_check_bytes].copy_from_slice(
-            &self.chips[parity_idx].vlew_code(stripe, &self.layout)[base..base + cb],
-        );
-        for c in 0..self.layout.data_chips {
-            let (s, e) = self.layout.rs_positions_of_data_chip(c);
-            word[s..e]
-                .copy_from_slice(&self.chips[c].vlew_code(stripe, &self.layout)[base..base + cb]);
-        }
-    }
-
-    fn scatter_bonus(&mut self, idx: u64, word: &[u8; 72]) {
-        let stripe = idx as usize / self.bonus_per_stripe;
-        let base = (idx as usize % self.bonus_per_stripe) * self.layout.chip_bytes;
-        let cb = self.layout.chip_bytes;
-        let parity_idx = self.layout.data_chips;
-        let layout = self.layout;
-        self.chips[parity_idx].vlew_code_mut(stripe, &layout)[base..base + cb]
-            .copy_from_slice(&word[..layout.rs_check_bytes]);
-        for c in 0..layout.data_chips {
-            let (s, e) = layout.rs_positions_of_data_chip(c);
-            self.chips[c].vlew_code_mut(stripe, &layout)[base..base + cb]
-                .copy_from_slice(&word[s..e]);
-        }
-    }
-
-    /// Reads a bonus block (RS-only tier): RS threshold decode over the
-    /// reclaimed code-area word, erasure correction with a known-failed
-    /// chip. There is no VLEW behind these blocks, so a rejected word is
-    /// a detected uncorrectable error.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Unsupported`] on VLEW-bearing tiers (no reclaimed
-    /// capacity), [`CoreError::OutOfRange`], [`CoreError::Uncorrectable`].
-    pub fn read_bonus_block(&mut self, idx: u64) -> Result<ReadOutcome, CoreError> {
-        if self.bonus_per_stripe == 0 {
-            return Err(CoreError::Unsupported("bonus_read"));
-        }
-        if idx >= self.bonus_blocks() {
-            return Err(CoreError::OutOfRange(idx));
-        }
-        self.stats.reads += 1;
-        let mut word = [0u8; 72];
-        self.gather_bonus_into(idx, &mut word);
-        if let Some(chip) = self.known_failed {
-            let data = self.erasure_decode_word(&mut word, chip)?;
-            self.stats.erasure_reads += 1;
-            return Ok(ReadOutcome {
-                data,
-                path: ReadPath::ChipkillErasure { chip },
-            });
-        }
-        match self
-            .rs
-            .decode_with_threshold_scratch(&mut word, self.cfg.threshold, &mut self.rs_scratch)
-            .expect("word length is correct")
-        {
-            ThresholdOutcome::Clean => {
-                self.stats.clean_reads += 1;
-                Ok(ReadOutcome {
-                    data: word[8..].try_into().expect("64 data bytes"),
-                    path: ReadPath::Clean,
-                })
-            }
-            ThresholdOutcome::Accepted { corrections } => {
-                self.stats.rs_accepted += 1;
-                self.stats.rs_corrections += corrections as u64;
-                Ok(ReadOutcome {
-                    data: word[8..].try_into().expect("64 data bytes"),
-                    path: ReadPath::RsCorrected { corrections },
-                })
-            }
-            ThresholdOutcome::Rejected(_) => {
-                self.stats.due_events += 1;
-                Err(CoreError::Uncorrectable)
-            }
-        }
-    }
-
-    /// Writes a bonus block (RS-only tier). Bonus blocks carry no VLEW,
-    /// so the write is a plain encode-and-scatter — no old value needed.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Unsupported`] on VLEW-bearing tiers,
-    /// [`CoreError::OutOfRange`].
-    pub fn write_bonus_block(&mut self, idx: u64, new: &[u8; 64]) -> Result<(), CoreError> {
-        if self.bonus_per_stripe == 0 {
-            return Err(CoreError::Unsupported("bonus_write"));
-        }
-        if idx >= self.bonus_blocks() {
-            return Err(CoreError::OutOfRange(idx));
-        }
-        let mut word = [0u8; 72];
-        word[8..].copy_from_slice(new);
-        self.rs.parity_into(new, &mut word[..8]);
-        self.scatter_bonus(idx, &word);
-        self.stats.writes += 1;
-        Ok(())
-    }
-
     /// Assembles chip `chip`'s VLEW codeword for `stripe` into `dst`
     /// without allocating. The VLEW parity region (264 bits = 33 B) is
     /// byte-aligned, so both regions drop in via byte splices.
-    fn load_vlew_word(
+    pub(crate) fn load_vlew_word(
         chips: &[ChipStore],
         layout: &ChipkillLayout,
         vlew: &BchCode,
@@ -1136,91 +599,49 @@ impl ChipkillMemory {
         dst.splice_bytes(vlew.parity_bits(), chips[chip].vlew_data(stripe, layout));
     }
 
-    /// Decodes one chip's VLEW for `stripe` through the shared scratch,
-    /// returning the corrected 256 B data region, 33 B code region, the
-    /// number of bit errors corrected, and whether the unraveling list
-    /// decoder (not plain bounded-distance decoding) produced the result.
-    /// The stored arrays are *not* modified.
-    ///
-    /// The reach is set by [`ChipkillConfig::decode_policy`]; list-decoder
-    /// rescues are counted in [`CoreStats::list_rescues`].
-    pub(crate) fn decode_vlew(
-        &mut self,
-        chip: usize,
-        stripe: usize,
-    ) -> Result<(Vec<u8>, Vec<u8>, usize, bool), ()> {
-        Self::load_vlew_word(
-            &self.chips,
-            &self.layout,
-            &self.vlew,
-            chip,
-            stripe,
-            &mut self.vlew_cw,
-        );
-        let res = match self.cfg.decode_policy {
-            DecodePolicy::Bounded => self
-                .vlew
-                .decode_scratch(&mut self.vlew_cw, &mut self.bch_scratch),
-            DecodePolicy::BeyondBound => self
-                .vlew
-                .decode_beyond_bound_scratch(&mut self.vlew_cw, &mut self.bch_scratch),
-        };
-        match res {
-            Ok(view) => {
-                let n = view.num_corrected();
-                let rescued = view.beyond_bound();
-                if rescued {
-                    self.stats.list_rescues += 1;
-                }
-                let mut data = vec![0u8; self.vlew.data_bits() / 8];
-                let mut code = vec![0u8; self.vlew.parity_bits() / 8];
-                self.vlew_cw
-                    .extract_bytes(self.vlew.parity_bits(), &mut data);
-                self.vlew_cw.extract_bytes(0, &mut code);
-                Ok((data, code, n, rescued))
+    /// The engine's only VLEW decode. Closes `stripe`'s row, then loads
+    /// each chip's VLEW of it into the reusable batch and decodes it in
+    /// place under [`ChipkillConfig::decode_policy`] — except `skip`, a
+    /// known-failed chip, which is not decoded at all. Corrected words
+    /// stay in the batch for [`ChipkillMemory::stripe_word_into`] and
+    /// [`ChipkillMemory::write_back_vlew`] until the next call refills
+    /// it; storage is untouched. List-decoder rescues are counted in
+    /// [`CoreStats::list_rescues`] here and nowhere else.
+    pub(crate) fn decode_stripe(&mut self, stripe: usize, skip: Option<usize>) -> StripeVerdict {
+        self.close_stripe(stripe);
+        let mut verdict = StripeVerdict([BatchOutcome::Uncorrectable; CHIPS]);
+        for (chip, word) in self.vlew_batch.iter_mut().enumerate() {
+            if skip == Some(chip) {
+                continue;
             }
-            Err(_) => Err(()),
+            Self::load_vlew_word(&self.chips, &self.layout, &self.vlew, chip, stripe, word);
+            verdict.0[chip] = self.vlew.decode_batch_policy(
+                std::slice::from_mut(word),
+                self.cfg.decode_policy,
+                &mut self.bch_scratch,
+            )[0];
+        }
+        self.stats.list_rescues += verdict.list_rescues() as u64;
+        verdict
+    }
+
+    /// Assembles the 72-byte RS word at stripe offset `off` from the
+    /// words the last [`ChipkillMemory::decode_stripe`] left in the
+    /// batch. The bytes of a chip that call reported failed are not to
+    /// be trusted: erase them.
+    fn stripe_word_into(&self, off: usize, word: &mut [u8; 72]) {
+        let at = self.vlew.parity_bits() + off * self.layout.chip_bytes * 8;
+        let parity = &self.vlew_batch[self.layout.data_chips];
+        parity.extract_bytes(at, &mut word[..self.layout.rs_check_bytes]);
+        for c in 0..self.layout.data_chips {
+            let (s, e) = self.layout.rs_positions_of_data_chip(c);
+            self.vlew_batch[c].extract_bytes(at, &mut word[s..e]);
         }
     }
 
-    /// Boot-scrub support: decodes every chip's VLEW of `stripe` as one
-    /// batch through the shared scratch, leaving per-chip outcomes in
-    /// `outcomes` (cleared first). Corrected words stay in the internal
-    /// batch buffer for write-back via
-    /// [`ChipkillMemory::write_back_vlew`]; storage is untouched here.
-    /// List-decoder rescues are counted in [`CoreStats::list_rescues`].
-    pub(crate) fn decode_vlew_stripe_into(
-        &mut self,
-        stripe: usize,
-        outcomes: &mut Vec<BatchOutcome>,
-    ) {
-        let chips = self.layout.total_chips();
-        if self.vlew_batch.len() != chips {
-            self.vlew_batch = (0..chips).map(|_| BitPoly::zero(self.vlew.len())).collect();
-        }
-        for (chip, w) in self.vlew_batch.iter_mut().enumerate() {
-            Self::load_vlew_word(&self.chips, &self.layout, &self.vlew, chip, stripe, w);
-        }
-        let res = self.vlew.decode_batch_policy(
-            &mut self.vlew_batch,
-            self.cfg.decode_policy,
-            &mut self.bch_scratch,
-        );
-        outcomes.clear();
-        outcomes.extend_from_slice(res);
-        for o in outcomes.iter() {
-            if let BatchOutcome::Corrected {
-                beyond_bound: true, ..
-            } = o
-            {
-                self.stats.list_rescues += 1;
-            }
-        }
-    }
-
-    /// Writes the batch-corrected word for `chip` (left in the batch
-    /// buffer by [`ChipkillMemory::decode_vlew_stripe_into`]) back into
-    /// that chip's stored data and code regions.
+    /// Writes the corrected word [`ChipkillMemory::decode_stripe`] left
+    /// in the batch for `chip` back into that chip's stored data and
+    /// code regions.
     pub(crate) fn write_back_vlew(&mut self, chip: usize, stripe: usize) {
         let layout = self.layout;
         let r = self.vlew.parity_bits();
@@ -1231,8 +652,7 @@ impl ChipkillMemory {
     }
 
     /// Corrects the full 72-byte word of a block into `word` (RS first,
-    /// VLEW fallback), without mutating stored state. Allocation-free on
-    /// the RS-trusted path.
+    /// VLEW fallback), without mutating stored state. Allocation-free.
     pub(crate) fn corrected_word_into(
         &mut self,
         addr: u64,
@@ -1249,21 +669,11 @@ impl ChipkillMemory {
                 if !self.vlew_enabled {
                     return Err(CoreError::Uncorrectable);
                 }
-                let stripe = self.layout.stripe_of(addr);
-                self.close_stripe(stripe);
-                let off = self.layout.offset_in_stripe(addr);
-                let parity_idx = self.layout.data_chips;
-                let (pd, _, _, _) = self
-                    .decode_vlew(parity_idx, stripe)
-                    .map_err(|_| CoreError::Uncorrectable)?;
-                word[..8].copy_from_slice(&pd[off * 8..(off + 1) * 8]);
-                for c in 0..self.layout.data_chips {
-                    let (cd, _, _, _) = self
-                        .decode_vlew(c, stripe)
-                        .map_err(|_| CoreError::Uncorrectable)?;
-                    let (s, e) = self.layout.rs_positions_of_data_chip(c);
-                    word[s..e].copy_from_slice(&cd[off * 8..(off + 1) * 8]);
+                let verdict = self.decode_stripe(self.layout.stripe_of(addr), None);
+                if verdict.failed().next().is_some() {
+                    return Err(CoreError::Uncorrectable);
                 }
+                self.stripe_word_into(self.layout.offset_in_stripe(addr), word);
                 Ok(())
             }
         }
@@ -1434,107 +844,50 @@ impl ChipkillMemory {
     ///
     /// [`CoreError::Uncorrectable`] if some block cannot be rebuilt.
     pub fn repair_chip(&mut self, chip: usize) -> Result<(), CoreError> {
-        if !self.vlew_enabled {
-            return self.repair_chip_rs_only(chip);
-        }
-        let parity_idx = self.layout.data_chips;
-        self.flush_eur();
+        let layout = self.layout;
+        let bpv = layout.blocks_per_vlew();
+        // The rebuilt chip's positions in a block's RS word.
+        let (s, e) = if chip == layout.data_chips {
+            (0, layout.rs_check_bytes)
+        } else {
+            layout.rs_positions_of_data_chip(chip)
+        };
         for stripe in 0..self.stripes {
-            // Correct the survivors once per stripe.
-            let mut corrected: Vec<Option<Vec<u8>>> = Vec::new();
-            for c in 0..self.layout.total_chips() {
-                if c == chip {
-                    corrected.push(None);
-                } else {
-                    let (d, code, _, _) = self
-                        .decode_vlew(c, stripe)
-                        .map_err(|_| CoreError::Uncorrectable)?;
-                    // Write back the corrected survivor regions.
-                    let layout = self.layout;
-                    self.chips[c]
-                        .vlew_data_mut(stripe, &layout)
-                        .copy_from_slice(&d);
-                    self.chips[c]
-                        .vlew_code_mut(stripe, &layout)
-                        .copy_from_slice(&code);
-                    corrected.push(Some(d));
+            // Correct the survivors once per stripe and write them back.
+            // Without VLEWs (RS-only tier) they cannot be pre-corrected,
+            // so residual bit errors on them survive the rebuild — that
+            // tier's documented trade-off.
+            if self.vlew_enabled {
+                let verdict = self.decode_stripe(stripe, Some(chip));
+                if !verdict.failed().eq([chip]) {
+                    return Err(CoreError::Uncorrectable);
+                }
+                for c in (0..CHIPS).filter(|&c| c != chip) {
+                    self.write_back_vlew(c, stripe);
                 }
             }
-            let bpv = self.layout.blocks_per_vlew();
             for off in 0..bpv {
                 let addr = (stripe * bpv + off) as u64;
-                if chip == parity_idx {
+                let mut word = [0u8; 72];
+                self.gather_block_into(addr, &mut word);
+                if chip == layout.data_chips {
                     // Recompute check bytes from the data chips.
-                    let mut data = [0u8; 64];
-                    for c in 0..self.layout.data_chips {
-                        let region = corrected[c].as_ref().expect("survivor");
-                        data[c * 8..(c + 1) * 8].copy_from_slice(&region[off * 8..(off + 1) * 8]);
-                    }
-                    let mut check = [0u8; 8];
-                    self.rs.parity_into(&data, &mut check);
-                    let layout = self.layout;
-                    self.chips[parity_idx]
-                        .block_slice_mut(stripe, off, &layout)
-                        .copy_from_slice(&check);
+                    let (check, data) = word.split_at_mut(layout.rs_check_bytes);
+                    self.rs.parity_into(data, check);
                 } else {
-                    let data = self.read_via_erasure_with(addr, chip, &corrected)?;
-                    let layout = self.layout;
-                    self.chips[chip]
-                        .block_slice_mut(stripe, off, &layout)
-                        .copy_from_slice(&data[chip * 8..(chip + 1) * 8]);
+                    self.erasure_decode_word(&mut word, chip)?;
                 }
-            }
-            // Re-encode the rebuilt chip's VLEW code for this stripe.
-            let layout = self.layout;
-            let mut code = [0u64; CODE_LIMBS];
-            self.vlew
-                .parity_bytes_into(self.chips[chip].vlew_data(stripe, &layout), &mut code);
-            store_code(self.chips[chip].vlew_code_mut(stripe, &layout), &code);
-        }
-        self.failed_chip = None;
-        self.known_failed = None;
-        Ok(())
-    }
-
-    /// RS-only repair: every primary and bonus word is erasure-rebuilt
-    /// (or, for the parity chip, its check bytes recomputed from the
-    /// stored data). Without VLEWs the survivors cannot be pre-corrected,
-    /// so residual random bit errors on them survive the rebuild — the
-    /// tier's documented trade-off.
-    fn repair_chip_rs_only(&mut self, chip: usize) -> Result<(), CoreError> {
-        let parity_idx = self.layout.data_chips;
-        for addr in 0..self.num_blocks {
-            let stripe = self.layout.stripe_of(addr);
-            let off = self.layout.offset_in_stripe(addr);
-            let mut word = [0u8; 72];
-            self.gather_block_into(addr, &mut word);
-            let layout = self.layout;
-            if chip == parity_idx {
-                let data: [u8; 64] = word[8..].try_into().expect("64 data bytes");
-                let mut check = [0u8; 8];
-                self.rs.parity_into(&data, &mut check);
-                self.chips[parity_idx]
-                    .block_slice_mut(stripe, off, &layout)
-                    .copy_from_slice(&check);
-            } else {
-                let data = self.erasure_decode_word(&mut word, chip)?;
                 self.chips[chip]
                     .block_slice_mut(stripe, off, &layout)
-                    .copy_from_slice(&data[chip * 8..(chip + 1) * 8]);
+                    .copy_from_slice(&word[s..e]);
             }
-        }
-        for idx in 0..self.bonus_blocks() {
-            let mut word = [0u8; 72];
-            self.gather_bonus_into(idx, &mut word);
-            if chip == parity_idx {
-                let data: [u8; 64] = word[8..].try_into().expect("64 data bytes");
-                let mut check = [0u8; 8];
-                self.rs.parity_into(&data, &mut check);
-                word[..8].copy_from_slice(&check);
-            } else {
-                self.erasure_decode_word(&mut word, chip)?;
+            if self.vlew_enabled {
+                // Re-encode the rebuilt chip's VLEW code for this stripe.
+                let mut code = [0u64; CODE_LIMBS];
+                self.vlew
+                    .parity_bytes_into(self.chips[chip].vlew_data(stripe, &layout), &mut code);
+                store_code(self.chips[chip].vlew_code_mut(stripe, &layout), &code);
             }
-            self.scatter_bonus(idx, &word);
         }
         self.failed_chip = None;
         self.known_failed = None;

@@ -12,7 +12,7 @@ use pmck_nvram::BitErrorInjector;
 use pmck_rt::rng::Rng;
 
 use crate::device::{AccessContext, BlockDevice, LayerId};
-use crate::engine::{CoreError, ReadPath};
+use crate::error::CoreError;
 use crate::request::{Request, Response};
 use crate::stats::CoreStats;
 
@@ -236,16 +236,6 @@ impl<D: BlockDevice> BlockDevice for LinkProtected<D> {
             // Reads and maintenance traffic stay on-module.
             other => self.inner.access(other, ctx),
         }
-    }
-
-    fn read_into(
-        &mut self,
-        addr: u64,
-        data: &mut [u8; 64],
-        ctx: &mut AccessContext,
-    ) -> Result<ReadPath, CoreError> {
-        // Reads stay on-module: no link traversal, nothing to record.
-        self.inner.read_into(addr, data, ctx)
     }
 }
 

@@ -261,7 +261,10 @@ pub trait Layout {
     fn rs_threshold(&self) -> usize;
 
     /// Bonus 64 B blocks reclaimed from each stripe's code area (0 for
-    /// VLEW-bearing layouts).
+    /// VLEW-bearing layouts). The capacity is accounted, not
+    /// addressable: it enters [`Layout::total_storage_cost`], but the
+    /// engine serves no such blocks — making them addressable means a
+    /// [`crate::Request`] for them first.
     fn bonus_blocks_per_stripe(&self) -> usize {
         0
     }

@@ -53,6 +53,7 @@ mod baseline;
 mod config;
 mod device;
 mod engine;
+mod error;
 mod iocrc;
 mod layout;
 mod patrol;
@@ -72,9 +73,10 @@ pub use config::ChipkillConfig;
 pub use device::{
     AccessContext, BlockDevice, LayerId, LayerStats, ParseLayerIdError, RecoveryReport, TraceEvent,
 };
-pub use engine::{
-    ChipkillMemory, ClusterError, ClusterFailure, CoreError, ReadOutcome, ReadPath, RecoveryError,
-    RecoveryFailure, ServiceError, ServiceFailure,
+pub use engine::{ChipkillMemory, ReadOutcome, ReadPath};
+pub use error::{
+    ClusterError, ClusterFailure, CoreError, Failure, FailureKind, RecoveryError, RecoveryFailure,
+    ServiceError, ServiceFailure,
 };
 pub use iocrc::{crc16, BusFault, LinkProtected, TransmitOutcome, WriteLink};
 pub use layout::{ChipkillLayout, DenseLayout, Layout, PaperLayout, ProtectionTier, RsOnlyLayout};

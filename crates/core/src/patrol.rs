@@ -11,7 +11,7 @@
 //! interleave increments automatically with demand traffic.
 
 use crate::device::{AccessContext, BlockDevice, LayerId};
-use crate::engine::{CoreError, ReadPath};
+use crate::error::CoreError;
 use crate::request::{Request, Response};
 use crate::stats::CoreStats;
 
@@ -237,27 +237,6 @@ impl<D: BlockDevice> BlockDevice for Patrolled<D> {
                 Ok(out)
             }
         }
-    }
-
-    fn read_into(
-        &mut self,
-        addr: u64,
-        data: &mut [u8; 64],
-        ctx: &mut AccessContext,
-    ) -> Result<ReadPath, CoreError> {
-        let path = self.inner.read_into(addr, data, ctx)?;
-        if self.every > 0 {
-            self.since_step += 1;
-            if self.since_step >= self.every {
-                self.since_step = 0;
-                // Same contract as `access`: a background increment
-                // tripping over damage must not fail the demand read.
-                if self.run_step(ctx).is_err() {
-                    ctx.layer_mut(LayerId::Patrol).errors += 1;
-                }
-            }
-        }
-        Ok(path)
     }
 }
 

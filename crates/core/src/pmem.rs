@@ -43,7 +43,8 @@
 use pmck_pmem::{crc32, FenceReport, PersistentMedia, PmemConfig, ReplayOutcome};
 
 use crate::device::{AccessContext, LayerId, RecoveryReport};
-use crate::engine::{ChipkillMemory, CoreError, RecoveryError, RecoveryFailure};
+use crate::engine::ChipkillMemory;
+use crate::error::{CoreError, RecoveryError, RecoveryFailure};
 use crate::layout::{ChipkillLayout, ProtectionTier};
 use crate::request::{Request, Response};
 use crate::restripe::{RestripeState, Restripeable, RestripedMemory, BLOCKS_PER_GROUP};

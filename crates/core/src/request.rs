@@ -229,8 +229,8 @@ impl Response {
 /// merging once all arrived, and `pmck-cluster` folds its nodes in node
 /// index order.
 pub fn merge_broadcast(
-    acc: &mut Result<Response, crate::engine::CoreError>,
-    next: Result<Response, crate::engine::CoreError>,
+    acc: &mut Result<Response, crate::CoreError>,
+    next: Result<Response, crate::CoreError>,
 ) {
     match (&mut *acc, next) {
         // The first error (in device order) wins and sticks.

@@ -14,7 +14,8 @@ use pmck_nvram::BitErrorInjector;
 use pmck_rt::rng::Rng;
 
 use crate::device::{AccessContext, BlockDevice, LayerId};
-use crate::engine::{ChipkillMemory, CoreError, ReadPath};
+use crate::engine::ChipkillMemory;
+use crate::error::CoreError;
 use crate::rank::{apply_code_delta, CODE_LIMBS};
 use crate::request::{Request, Response};
 use crate::stats::CoreStats;
@@ -316,15 +317,6 @@ impl BlockDevice for Restripeable {
             // Per-access stats land under the active layout's label.
             other => self.active_mut().access(other, ctx),
         }
-    }
-
-    fn read_into(
-        &mut self,
-        addr: u64,
-        data: &mut [u8; 64],
-        ctx: &mut AccessContext,
-    ) -> Result<ReadPath, CoreError> {
-        self.active_mut().read_into(addr, data, ctx)
     }
 
     fn pmem_domain(&mut self) -> Option<&mut crate::pmem::PmemDomain> {

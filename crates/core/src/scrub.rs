@@ -1,9 +1,10 @@
 //! Boot-time scrubbing (§V-B): VLEW-decode everything, rebuild failed
 //! chips, and report what happened.
 
-use pmck_bch::{BatchOutcome, BitPoly};
+use pmck_bch::BatchOutcome;
 
-use crate::engine::{ChipkillMemory, CoreError};
+use crate::engine::ChipkillMemory;
+use crate::error::CoreError;
 
 /// The result of a completed boot scrub.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -38,33 +39,23 @@ impl ChipkillMemory {
         if !self.config().vlew_enabled() {
             return self.boot_scrub_rs_only();
         }
-        self.flush_eur();
         let mut report = ScrubReport::default();
         let mut failed_chips: Vec<usize> = Vec::new();
-        // One batched decode per stripe: all nine chip words walk the
-        // shared scratch together, amortizing syndrome-table and Chien
-        // plan traffic across the sweep.
-        let mut outcomes: Vec<BatchOutcome> = Vec::new();
         for stripe in 0..self.stripes() {
-            self.decode_vlew_stripe_into(stripe, &mut outcomes);
-            for (chip, outcome) in outcomes.iter().enumerate() {
-                match *outcome {
-                    BatchOutcome::Clean => {}
-                    BatchOutcome::Corrected { bits, beyond_bound } => {
-                        report.bits_corrected += bits;
-                        report.words_with_errors += 1;
-                        if beyond_bound {
-                            report.list_rescues += 1;
-                        }
-                        self.write_back_vlew(chip, stripe);
-                    }
-                    BatchOutcome::Uncorrectable => {
-                        if !failed_chips.contains(&chip) {
-                            failed_chips.push(chip);
-                        }
-                    }
+            let verdict = self.decode_stripe(stripe, None);
+            for (chip, outcome) in verdict.0.into_iter().enumerate() {
+                if let BatchOutcome::Corrected { bits, .. } = outcome {
+                    report.bits_corrected += bits;
+                    report.words_with_errors += 1;
+                    self.write_back_vlew(chip, stripe);
                 }
             }
+            for chip in verdict.failed() {
+                if !failed_chips.contains(&chip) {
+                    failed_chips.push(chip);
+                }
+            }
+            report.list_rescues += verdict.list_rescues();
             report.stripes_scrubbed += 1;
         }
         match failed_chips.len() {
@@ -79,10 +70,10 @@ impl ChipkillMemory {
         }
     }
 
-    /// The RS-only tier's boot scrub: no VLEWs exist, so every primary
-    /// and bonus word is RS-threshold-scrubbed instead. `bits_corrected`
-    /// counts corrected RS *symbols* on this tier (the finest unit the
-    /// code sees); a rejected word is a detected uncorrectable error.
+    /// The RS-only tier's boot scrub: no VLEWs exist, so every block's
+    /// word is RS-threshold-scrubbed instead. `bits_corrected` counts
+    /// corrected RS *symbols* on this tier (the finest unit the code
+    /// sees); a rejected word is a detected uncorrectable error.
     fn boot_scrub_rs_only(&mut self) -> Result<ScrubReport, CoreError> {
         let mut report = ScrubReport::default();
         for addr in 0..self.num_blocks() {
@@ -95,38 +86,26 @@ impl ChipkillMemory {
                 report.bits_corrected += n;
             }
         }
-        for idx in 0..self.bonus_blocks() {
-            let n = self.rs_scrub_bonus(idx)?;
-            if n > 0 {
-                report.words_with_errors += 1;
-                report.bits_corrected += n;
-            }
-        }
         report.stripes_scrubbed = self.stripes();
         Ok(report)
     }
 
     /// Verifies rank-wide ECC consistency: every chip's VLEW must be a
-    /// valid codeword (VLEW-bearing tiers) and every block's RS word —
-    /// bonus blocks included — must be clean. Pending EUR registers are
-    /// drained first (their updates are part of the consistent state).
-    /// Intended for tests and post-scrub assertions; cost is linear in
-    /// capacity.
+    /// valid codeword (VLEW-bearing tiers) and every block's RS word
+    /// must be clean. Pending EUR registers are drained first (their
+    /// updates are part of the consistent state). Intended for tests and
+    /// post-scrub assertions; cost is linear in capacity.
     pub fn verify_consistent(&mut self) -> bool {
         self.flush_eur();
-        if !self.config().vlew_enabled() {
-            return self.verify_consistent_rs_only();
-        }
-        for stripe in 0..self.stripes() {
-            for chip in 0..self.layout().total_chips() {
-                let layout = *self.layout();
-                let mut cw = BitPoly::zero(self.vlew.len());
-                let code_bits = BitPoly::from_bytes(self.chips[chip].vlew_code(stripe, &layout));
-                cw.splice(0, &code_bits.slice(0, self.vlew.parity_bits()));
-                let data_bits = BitPoly::from_bytes(self.chips[chip].vlew_data(stripe, &layout));
-                cw.splice(self.vlew.parity_bits(), &data_bits);
-                if !self.vlew.is_codeword(&cw) {
-                    return false;
+        if self.config().vlew_enabled() {
+            let layout = *self.layout();
+            for stripe in 0..self.stripes() {
+                for chip in 0..layout.total_chips() {
+                    let word = &mut self.vlew_batch[chip];
+                    Self::load_vlew_word(&self.chips, &layout, &self.vlew, chip, stripe, word);
+                    if !self.vlew.is_codeword(word) {
+                        return false;
+                    }
                 }
             }
         }
@@ -136,27 +115,6 @@ impl ChipkillMemory {
             }
             let mut word = [0u8; 72];
             self.gather_block_into(addr, &mut word);
-            if !self.rs.is_codeword(&word) {
-                return false;
-            }
-        }
-        true
-    }
-
-    fn verify_consistent_rs_only(&mut self) -> bool {
-        for addr in 0..self.num_blocks() {
-            if self.is_disabled(addr) {
-                continue;
-            }
-            let mut word = [0u8; 72];
-            self.gather_block_into(addr, &mut word);
-            if !self.rs.is_codeword(&word) {
-                return false;
-            }
-        }
-        for idx in 0..self.bonus_blocks() {
-            let mut word = [0u8; 72];
-            self.gather_bonus_into(idx, &mut word);
             if !self.rs.is_codeword(&word) {
                 return false;
             }

@@ -17,7 +17,8 @@ use pmck_rt::metrics::MetricsRegistry;
 use crate::baseline::BaselineMemory;
 use crate::config::ChipkillConfig;
 use crate::device::{AccessContext, BlockDevice, LayerId, LayerStats, TraceEvent};
-use crate::engine::{ChipkillMemory, CoreError, ReadOutcome, ReadPath};
+use crate::engine::{ChipkillMemory, ReadOutcome};
+use crate::error::CoreError;
 use crate::iocrc::{BusFault, LinkProtected};
 use crate::layout::ProtectionTier;
 use crate::patrol::{PatrolReport, Patrolled};
@@ -85,18 +86,6 @@ impl Stack {
         }
     }
 
-    /// Reads one block directly into `data`, returning only the decode
-    /// path — the hot-path form of [`Stack::read`], skipping the
-    /// outcome copy. Stats and tracing are identical to `read`. On
-    /// error the buffer contents are unspecified.
-    ///
-    /// # Errors
-    ///
-    /// As [`BlockDevice::access`].
-    pub fn read_into(&mut self, addr: u64, data: &mut [u8; 64]) -> Result<ReadPath, CoreError> {
-        self.dev.read_into(addr, data, &mut self.ctx)
-    }
-
     /// Writes one block (conventional path).
     ///
     /// # Errors
@@ -115,15 +104,6 @@ impl Stack {
     pub fn write_sum(&mut self, addr: u64, data: &[u8; 64]) -> Result<(), CoreError> {
         self.submit(&Request::WriteSum { addr, data: *data })
             .map(|_| ())
-    }
-
-    /// Scrubs one block in place.
-    ///
-    /// # Errors
-    ///
-    /// As [`BlockDevice::access`].
-    pub fn scrub(&mut self, addr: u64) -> Result<(), CoreError> {
-        self.submit(&Request::Scrub(addr)).map(|_| ())
     }
 
     /// Runs one patrol increment (requires a patrol layer).
@@ -183,18 +163,6 @@ impl Stack {
         match self.submit(&Request::Verify)? {
             Response::Verified(ok) => Ok(ok),
             other => unreachable!("verify returned {other:?}"),
-        }
-    }
-
-    /// Rebuilds the detected failed chip, if any; returns which.
-    ///
-    /// # Errors
-    ///
-    /// As [`BlockDevice::access`].
-    pub fn repair_detected(&mut self) -> Result<Option<usize>, CoreError> {
-        match self.submit(&Request::Repair)? {
-            Response::Repaired { chip } => Ok(chip),
-            other => unreachable!("repair returned {other:?}"),
         }
     }
 
@@ -305,26 +273,6 @@ impl Stack {
     /// All per-layer stats in first-access order.
     pub fn layers(&self) -> &[(LayerId, LayerStats)] {
         self.ctx.layers()
-    }
-
-    /// The shared context.
-    pub fn context(&self) -> &AccessContext {
-        &self.ctx
-    }
-
-    /// Mutable access to the shared context.
-    pub fn context_mut(&mut self) -> &mut AccessContext {
-        &mut self.ctx
-    }
-
-    /// The composed device.
-    pub fn device(&self) -> &dyn BlockDevice {
-        &*self.dev
-    }
-
-    /// Mutable access to the composed device.
-    pub fn device_mut(&mut self) -> &mut dyn BlockDevice {
-        &mut *self.dev
     }
 
     /// Drains the trace (empty unless built with tracing).

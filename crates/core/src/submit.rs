@@ -22,7 +22,7 @@
 
 use std::collections::VecDeque;
 
-use crate::engine::CoreError;
+use crate::error::CoreError;
 use crate::request::{Request, Response};
 
 /// A claim on one in-flight request's response, transport-generic.

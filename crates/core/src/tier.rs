@@ -7,7 +7,7 @@
 //! ([`pmck_nvram::RegionRber`]: the max of the wear-model prediction and
 //! the observed error sample), and lets a [`TierPolicy`] assign each
 //! region one of the three [`crate::Layout`] tiers: RS-only for healthy
-//! regions (≈ 12.9% cost, VLEW area reclaimed as bonus blocks), the
+//! regions (≈ 12.9% cost with the VLEW area accounted as bonus blocks), the
 //! paper's point, or the dense layout for worn regions (≈ 41.5%).
 //!
 //! # Migration protocol
@@ -39,7 +39,8 @@ use pmck_pmem::PmemConfig;
 
 use crate::config::ChipkillConfig;
 use crate::device::{record_access, AccessContext, BlockDevice, LayerId, RecoveryReport};
-use crate::engine::{ChipkillMemory, CoreError, ReadPath};
+use crate::engine::ChipkillMemory;
+use crate::error::CoreError;
 use crate::layout::{ChipkillLayout, ProtectionTier};
 use crate::pmem::PmemDomain;
 use crate::request::{Request, Response};
@@ -521,19 +522,6 @@ impl BlockDevice for TieredMemory {
 
     fn num_blocks(&self) -> u64 {
         TieredMemory::num_blocks(self)
-    }
-
-    fn read_into(
-        &mut self,
-        addr: u64,
-        data: &mut [u8; 64],
-        ctx: &mut AccessContext,
-    ) -> Result<ReadPath, CoreError> {
-        let result = self
-            .region_of(addr)
-            .and_then(|(r, local)| self.regions[r].read_block_into(local, data));
-        crate::device::record_read_into(ctx, LayerId::Tiered, addr, &result);
-        result
     }
 
     fn detected_failed_chip(&self) -> Option<usize> {

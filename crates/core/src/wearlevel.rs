@@ -16,12 +16,13 @@
 //! demand reads/writes/scrubs through the current Start-Gap mapping and
 //! performs gap moves through the inner device's own access path (so
 //! every VLEW stays consistent), zeroing vacated slots exactly as §V-E
-//! prescribes. [`WearLevelledMemory`] is the classic concrete form over
-//! a bare [`ChipkillMemory`].
+//! prescribes. [`WearLevelledMemory`] names the common instance over a
+//! bare [`ChipkillMemory`].
 
 use crate::config::ChipkillConfig;
-use crate::device::{record_access, record_read_into, AccessContext, BlockDevice, LayerId};
-use crate::engine::{ChipkillMemory, CoreError, ReadOutcome, ReadPath};
+use crate::device::{record_access, AccessContext, BlockDevice, LayerId};
+use crate::engine::ChipkillMemory;
+use crate::error::CoreError;
 use crate::request::{Request, Response};
 use crate::stats::CoreStats;
 
@@ -46,17 +47,18 @@ pub struct WearLevelled<D> {
     gap_moves: u64,
 }
 
-/// The classic concrete form: Start-Gap directly over a chipkill rank.
+/// Start-Gap directly over a chipkill rank.
 ///
 /// # Examples
 ///
 /// ```
-/// use pmck_core::{ChipkillConfig, WearLevelledMemory};
+/// use pmck_core::{AccessContext, BlockDevice, ChipkillConfig, Request, WearLevelledMemory};
 ///
 /// let mut mem = WearLevelledMemory::new(63, ChipkillConfig::default(), 4);
-/// mem.write_block(5, &[0xAA; 64]).unwrap();
+/// let mut ctx = AccessContext::scratch();
 /// for i in 0..200 {
-///     mem.write_block(i % 63, &[i as u8; 64]).unwrap(); // triggers gap moves
+///     let write = Request::Write { addr: i % 63, data: [i as u8; 64] };
+///     mem.access(write, &mut ctx).unwrap(); // triggers gap moves
 /// }
 /// assert!(mem.gap_moves() > 0);
 /// ```
@@ -108,20 +110,6 @@ impl<D> WearLevelled<D> {
         }
         Ok(())
     }
-
-    /// Advances the ring bookkeeping for a completed gap move, returning
-    /// the (victim, old_gap) physical pair the caller just swapped.
-    fn advance_gap(&mut self) -> (u64, u64) {
-        let n = self.logical_blocks + 1;
-        let victim = (self.gap + n - 1) % n;
-        let old_gap = self.gap;
-        if victim == self.start {
-            self.start = (self.start + 1) % n;
-        }
-        self.gap = victim;
-        self.gap_moves += 1;
-        (victim, old_gap)
-    }
 }
 
 impl<D: BlockDevice> WearLevelled<D> {
@@ -156,7 +144,7 @@ impl<D: BlockDevice> WearLevelled<D> {
     /// block physically just below the gap moves into the gap, and its
     /// old slot — now vacated — is zeroed with the §V-E VLEW update (as
     /// if its physical bits are zeros).
-    fn move_gap_ctx(&mut self, ctx: &mut AccessContext) -> Result<(), CoreError> {
+    fn move_gap(&mut self, ctx: &mut AccessContext) -> Result<(), CoreError> {
         let n = self.logical_blocks + 1;
         let victim = (self.gap + n - 1) % n;
         let data = match self.inner.access(Request::Read(victim), ctx)? {
@@ -177,7 +165,11 @@ impl<D: BlockDevice> WearLevelled<D> {
             },
             ctx,
         )?;
-        self.advance_gap();
+        if victim == self.start {
+            self.start = (self.start + 1) % n;
+        }
+        self.gap = victim;
+        self.gap_moves += 1;
         ctx.layer_mut(LayerId::Wearlevel).gap_moves += 1;
         Ok(())
     }
@@ -192,52 +184,8 @@ impl WearLevelled<ChipkillMemory> {
     ///
     /// Panics if `logical_blocks == 0` or `gap_move_interval == 0`.
     pub fn new(logical_blocks: u64, cfg: ChipkillConfig, gap_move_interval: u64) -> Self {
-        assert!(logical_blocks > 0, "need at least one logical block");
         let inner = ChipkillMemory::new(logical_blocks + 1, cfg);
         Self::over(inner, logical_blocks, gap_move_interval)
-    }
-
-    /// Reads the logical block.
-    ///
-    /// # Errors
-    ///
-    /// As [`ChipkillMemory::read_block`], with logical range checking.
-    pub fn read_block(&mut self, logical: u64) -> Result<ReadOutcome, CoreError> {
-        self.check(logical)?;
-        let phys = self.physical_of(logical);
-        self.inner.read_block(phys)
-    }
-
-    /// Writes the logical block (conventional path), advancing the gap
-    /// when the interval elapses.
-    ///
-    /// # Errors
-    ///
-    /// As [`ChipkillMemory::write_block`].
-    pub fn write_block(&mut self, logical: u64, data: &[u8; 64]) -> Result<(), CoreError> {
-        self.check(logical)?;
-        let phys = self.physical_of(logical);
-        self.inner.write_block(phys, data)?;
-        self.writes_since_move += 1;
-        if self.writes_since_move >= self.gap_move_interval {
-            self.writes_since_move = 0;
-            self.move_gap()?;
-        }
-        Ok(())
-    }
-
-    /// Direct-path gap move (outside any [`AccessContext`]).
-    fn move_gap(&mut self) -> Result<(), CoreError> {
-        let n = self.logical_blocks + 1;
-        let victim = (self.gap + n - 1) % n;
-        // Copy victim → gap through the trusted write path.
-        let data = self.inner.read_block(victim)?.data;
-        self.inner.write_block(self.gap, &data)?;
-        // Vacate the old slot: zero it so its VLEW contribution is the
-        // all-zero pattern (keeps the stripe consistent, §V-E).
-        self.inner.write_block(victim, &[0u8; 64])?;
-        self.advance_gap();
-        Ok(())
     }
 }
 
@@ -273,7 +221,7 @@ impl<D: BlockDevice> BlockDevice for WearLevelled<D> {
                 self.writes_since_move += 1;
                 if self.writes_since_move >= self.gap_move_interval {
                     self.writes_since_move = 0;
-                    self.move_gap_ctx(ctx)?;
+                    self.move_gap(ctx)?;
                 }
                 Ok(out)
             }),
@@ -285,7 +233,7 @@ impl<D: BlockDevice> BlockDevice for WearLevelled<D> {
                 self.writes_since_move += 1;
                 if self.writes_since_move >= self.gap_move_interval {
                     self.writes_since_move = 0;
-                    self.move_gap_ctx(ctx)?;
+                    self.move_gap(ctx)?;
                 }
                 Ok(out)
             }),
@@ -326,20 +274,6 @@ impl<D: BlockDevice> BlockDevice for WearLevelled<D> {
     fn tier_report(&self) -> Option<crate::tier::TierReport> {
         self.inner.tier_report()
     }
-
-    fn read_into(
-        &mut self,
-        addr: u64,
-        data: &mut [u8; 64],
-        ctx: &mut AccessContext,
-    ) -> Result<ReadPath, CoreError> {
-        let result = self.check(addr).and_then(|()| {
-            let phys = self.physical_of(addr);
-            self.inner.read_into(phys, data, ctx)
-        });
-        record_read_into(ctx, LayerId::Wearlevel, addr, &result);
-        result
-    }
 }
 
 #[cfg(test)]
@@ -348,24 +282,35 @@ mod tests {
     use pmck_rt::rng::Rng;
     use pmck_rt::rng::StdRng;
 
-    fn filled(blocks: u64, interval: u64) -> (WearLevelledMemory, Vec<[u8; 64]>) {
+    fn put(mem: &mut WearLevelledMemory, ctx: &mut AccessContext, addr: u64, data: [u8; 64]) {
+        mem.access(Request::Write { addr, data }, ctx).unwrap();
+    }
+
+    fn get(mem: &mut WearLevelledMemory, ctx: &mut AccessContext, addr: u64) -> [u8; 64] {
+        let out = mem.access(Request::Read(addr), ctx).unwrap();
+        out.read().expect("a read outcome").data
+    }
+
+    fn filled(blocks: u64, interval: u64) -> (WearLevelledMemory, AccessContext, Vec<[u8; 64]>) {
         let mut mem = WearLevelledMemory::new(blocks, ChipkillConfig::default(), interval);
+        let mut ctx = AccessContext::scratch();
         let data: Vec<[u8; 64]> = (0..blocks)
             .map(|a| {
                 let mut b = [0u8; 64];
                 for (i, x) in b.iter_mut().enumerate() {
                     *x = (a as u8).wrapping_mul(17) ^ (i as u8);
                 }
-                mem.write_block(a, &b).unwrap();
+                put(&mut mem, &mut ctx, a, b);
                 b
             })
             .collect();
-        (mem, data)
+        (mem, ctx, data)
     }
 
     #[test]
     fn mapping_is_a_bijection_at_every_step() {
         let mut mem = WearLevelledMemory::new(31, ChipkillConfig::default(), 1);
+        let mut ctx = AccessContext::scratch();
         for step in 0..200 {
             let mut seen = std::collections::HashSet::new();
             for l in 0..31 {
@@ -374,13 +319,13 @@ mod tests {
                 assert_ne!(p, mem.gap, "logical never maps to the gap");
                 assert!(seen.insert(p), "step {step}: collision at {p}");
             }
-            mem.write_block(step % 31, &[step as u8; 64]).unwrap();
+            put(&mut mem, &mut ctx, step % 31, [step as u8; 64]);
         }
     }
 
     #[test]
     fn data_survives_many_rotations() {
-        let (mut mem, data) = filled(31, 2);
+        let (mut mem, mut ctx, data) = filled(31, 2);
         let mut rng = StdRng::seed_from_u64(3);
         let mut truth = data;
         // Enough writes for several full rotations.
@@ -388,40 +333,43 @@ mod tests {
             let l = rng.gen_range(0..31);
             let mut v = [0u8; 64];
             rng.fill_bytes(&mut v[..]);
-            mem.write_block(l, &v).unwrap();
+            put(&mut mem, &mut ctx, l, v);
             truth[l as usize] = v;
         }
         assert!(mem.gap_moves() > 700);
+        assert_eq!(
+            ctx.layer(LayerId::Wearlevel).unwrap().gap_moves,
+            mem.gap_moves()
+        );
         for (l, v) in truth.iter().enumerate() {
-            assert_eq!(&mem.read_block(l as u64).unwrap().data, v, "logical {l}");
+            assert_eq!(&get(&mut mem, &mut ctx, l as u64), v, "logical {l}");
         }
     }
 
     #[test]
     fn vlew_consistency_maintained_through_remaps() {
-        let (mut mem, _) = filled(63, 1);
+        let (mut mem, mut ctx, _) = filled(63, 1);
         for i in 0..300u64 {
-            mem.write_block(i % 63, &[i as u8; 64]).unwrap();
+            put(&mut mem, &mut ctx, i % 63, [i as u8; 64]);
         }
         assert!(mem.inner_mut().verify_consistent());
     }
 
     #[test]
     fn scrub_works_on_levelled_rank() {
-        let (mut mem, _) = filled(31, 4);
-        let mut truth: Vec<[u8; 64]> = (0..31).map(|l| mem.read_block(l).unwrap().data).collect();
+        let (mut mem, mut ctx, mut truth) = filled(31, 4);
         let mut rng = StdRng::seed_from_u64(9);
         for _ in 0..100 {
             let l = rng.gen_range(0..31);
             let mut v = [0u8; 64];
             rng.fill_bytes(&mut v[..]);
-            mem.write_block(l, &v).unwrap();
+            put(&mut mem, &mut ctx, l, v);
             truth[l as usize] = v;
         }
         mem.inner_mut().inject_bit_errors(1e-3, &mut rng);
         mem.inner_mut().boot_scrub().unwrap();
         for (l, v) in truth.iter().enumerate() {
-            assert_eq!(&mem.read_block(l as u64).unwrap().data, v);
+            assert_eq!(&get(&mut mem, &mut ctx, l as u64), v);
         }
     }
 
@@ -429,10 +377,11 @@ mod tests {
     fn writes_spread_across_physical_blocks() {
         // Hammering one logical block must touch many physical slots.
         let mut mem = WearLevelledMemory::new(15, ChipkillConfig::default(), 1);
+        let mut ctx = AccessContext::scratch();
         let mut touched = std::collections::HashSet::new();
         for i in 0..200u64 {
             touched.insert(mem.physical_of(3));
-            mem.write_block(3, &[i as u8; 64]).unwrap();
+            put(&mut mem, &mut ctx, 3, [i as u8; 64]);
         }
         assert!(
             touched.len() >= 8,
@@ -444,38 +393,15 @@ mod tests {
     #[test]
     fn out_of_range_rejected() {
         let mut mem = WearLevelledMemory::new(8, ChipkillConfig::default(), 4);
-        assert!(matches!(mem.read_block(8), Err(CoreError::OutOfRange(8))));
-        assert!(matches!(
-            mem.write_block(100, &[0; 64]),
-            Err(CoreError::OutOfRange(100))
-        ));
-    }
-
-    #[test]
-    fn trait_access_matches_direct_calls() {
-        let mut direct = WearLevelledMemory::new(31, ChipkillConfig::default(), 2);
-        let mut stacked =
-            WearLevelled::over(ChipkillMemory::new(32, ChipkillConfig::default()), 31, 2);
         let mut ctx = AccessContext::scratch();
-        for i in 0..200u64 {
-            let l = i % 31;
-            let data = [i as u8; 64];
-            direct.write_block(l, &data).unwrap();
-            stacked
-                .access(Request::Write { addr: l, data }, &mut ctx)
-                .unwrap();
-        }
-        assert_eq!(direct.gap_moves(), stacked.gap_moves());
-        for l in 0..31u64 {
-            let want = direct.read_block(l).unwrap().data;
-            match stacked.access(Request::Read(l), &mut ctx).unwrap() {
-                Response::Read(out) => assert_eq!(out.data, want, "logical {l}"),
-                other => panic!("unexpected outcome {other:?}"),
-            }
-        }
         assert_eq!(
-            ctx.layer(LayerId::Wearlevel).unwrap().gap_moves,
-            stacked.gap_moves()
+            mem.access(Request::Read(8), &mut ctx),
+            Err(CoreError::OutOfRange(8))
         );
+        let write = Request::Write {
+            addr: 100,
+            data: [0; 64],
+        };
+        assert_eq!(mem.access(write, &mut ctx), Err(CoreError::OutOfRange(100)));
     }
 }

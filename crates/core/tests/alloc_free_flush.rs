@@ -11,45 +11,11 @@
 //! counter is process-global, so a second test running in a parallel
 //! thread would pollute the measurement window.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use pmck_core::{ChipkillConfig, PmemConfig, StackBuilder};
-
-/// Pass-through allocator that counts allocation calls.
-struct CountingAlloc;
-
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::SeqCst);
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::SeqCst);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::SeqCst);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
+use pmck_rt::alloc::{count, CountingAlloc};
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn count_allocs(mut f: impl FnMut()) -> u64 {
-    let before = ALLOC_CALLS.load(Ordering::SeqCst);
-    f();
-    ALLOC_CALLS.load(Ordering::SeqCst) - before
-}
 
 #[test]
 fn flushed_write_steady_state_is_allocation_free_after_warmup() {
@@ -73,7 +39,7 @@ fn flushed_write_steady_state_is_allocation_free_after_warmup() {
     }
 
     let rounds = 4u64;
-    let allocs = count_allocs(|| {
+    let allocs = count(|| {
         for _ in 0..rounds {
             for a in 0..blocks {
                 stack.write(a, &[a as u8; 64]).unwrap();

@@ -1,50 +1,18 @@
-//! Proves the clean read path performs zero heap allocations after
-//! warm-up, using a counting `#[global_allocator]`.
+//! Proves the read path — clean, VLEW fallback and chip-failure erasure
+//! alike — performs zero heap allocations after warm-up, using a
+//! counting `#[global_allocator]`.
 //!
 //! This file intentionally holds a single `#[test]`: the allocation
 //! counter is process-global, so a second test running in a parallel
 //! thread would pollute the measurement window.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use pmck_bch::{BchCode, BchScratch};
-use pmck_core::{ChipkillConfig, ChipkillMemory, ReadPath, StackBuilder};
-
-/// Pass-through allocator that counts allocation calls.
-struct CountingAlloc;
-
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::SeqCst);
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::SeqCst);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::SeqCst);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
+use pmck_core::{ChipFailureKind, ChipkillConfig, ChipkillMemory, ReadPath, Request, StackBuilder};
+use pmck_rt::alloc::{count, CountingAlloc};
+use pmck_rt::rng::StdRng;
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn count_allocs(mut f: impl FnMut()) -> u64 {
-    let before = ALLOC_CALLS.load(Ordering::SeqCst);
-    f();
-    ALLOC_CALLS.load(Ordering::SeqCst) - before
-}
 
 #[test]
 fn clean_read_path_is_allocation_free_after_warmup() {
@@ -58,7 +26,7 @@ fn clean_read_path_is_allocation_free_after_warmup() {
     for a in 0..blocks {
         assert!(matches!(mem.read_block(a).unwrap().path, ReadPath::Clean));
     }
-    let engine_allocs = count_allocs(|| {
+    let engine_allocs = count(|| {
         for _ in 0..4 {
             for a in 0..blocks {
                 let out = mem.read_block(a).unwrap();
@@ -94,7 +62,7 @@ fn clean_read_path_is_allocation_free_after_warmup() {
         }
     }
     let n = stack.num_blocks();
-    let stack_allocs = count_allocs(|| {
+    let stack_allocs = count(|| {
         for _ in 0..4 {
             for a in 0..n {
                 let out = stack.read(a).unwrap();
@@ -111,23 +79,71 @@ fn clean_read_path_is_allocation_free_after_warmup() {
         4 * n
     );
 
-    // --- Copy-free variant: Stack::read_into decodes straight into the
-    // caller's buffer and must be just as allocation-free. ---
-    let mut buf = [0u8; 64];
-    let read_into_allocs = count_allocs(|| {
+    // --- The `Request` form every production caller uses: the same
+    // reads as `stack.submit(&Request::Read(a))`. ---
+    let submit_allocs = count(|| {
         for _ in 0..4 {
             for a in 0..n {
-                let path = stack.read_into(a, &mut buf).unwrap();
-                assert!(matches!(path, ReadPath::Clean));
+                let out = stack.submit(&Request::Read(a)).unwrap().read().unwrap();
+                assert!(matches!(out.path, ReadPath::Clean));
             }
         }
     });
     assert_eq!(
-        read_into_allocs,
+        submit_allocs,
         0,
-        "clean Stack::read_into must not allocate after warm-up \
-         (counted {read_into_allocs} allocations over {} reads)",
+        "clean Stack::submit(Request::Read) must not allocate after warm-up \
+         (counted {submit_allocs} allocations over {} reads)",
         4 * n
+    );
+
+    // --- VLEW fallback: three single-bit symbol errors in a block exceed
+    // the RS acceptance threshold, so its reads decode the whole stripe.
+    // Every fourth block is aged that way (8 flips per VLEW, well inside
+    // t = 22); reads do not heal, so every lap takes the fallback. ---
+    let aged: Vec<u64> = (0..blocks).step_by(4).collect();
+    for &a in &aged {
+        for chip in 0..3 {
+            mem.corrupt_chip_byte(chip, a, 0, 0x01);
+        }
+    }
+    let fallback =
+        |path| matches!(path, ReadPath::VlewFallback { bits_corrected } if bits_corrected > 0);
+    // Warm-up: the BCH scratch's verdict buffer grows on its first use.
+    assert!(fallback(mem.read_block(aged[0]).unwrap().path));
+    let fallback_allocs = count(|| {
+        for &a in &aged {
+            let out = mem.read_block(a).unwrap();
+            assert!(fallback(out.path), "block {a}: {:?}", out.path);
+            assert_eq!(out.data, [a as u8; 64]);
+        }
+    });
+    assert_eq!(
+        fallback_allocs,
+        0,
+        "VLEW-fallback reads must not allocate after warm-up \
+         (counted {fallback_allocs} allocations over {} reads)",
+        aged.len()
+    );
+
+    // --- Chip failure: the first read detects it; from then on every
+    // read is served by erasure correction over the eight survivors. ---
+    let mut rng = StdRng::seed_from_u64(17);
+    mem.fail_chip(3, ChipFailureKind::RandomGarbage, &mut rng);
+    let erasure = ReadPath::ChipkillErasure { chip: 3 };
+    assert_eq!(mem.read_block(0).unwrap().path, erasure);
+    assert_eq!(mem.detected_failed_chip(), Some(3));
+    let erasure_allocs = count(|| {
+        for a in 0..blocks {
+            let out = mem.read_block(a).unwrap();
+            assert_eq!(out.path, erasure);
+            assert_eq!(out.data, [a as u8; 64]);
+        }
+    });
+    assert_eq!(
+        erasure_allocs, 0,
+        "erasure reads under a known-failed chip must not allocate after \
+         warm-up (counted {erasure_allocs} allocations over {blocks} reads)"
     );
 
     // --- Errorful BCH decode: the scratch-based decoder (syndromes_into,
@@ -146,7 +162,7 @@ fn clean_read_path_is_allocation_free_after_warmup() {
         }
         code.decode_scratch(&mut word, &mut scratch).unwrap();
     }
-    let decode_allocs = count_allocs(|| {
+    let decode_allocs = count(|| {
         for round in 0..32usize {
             word.copy_from(&clean);
             let w = 1 + round % 5;

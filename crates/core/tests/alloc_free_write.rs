@@ -11,45 +11,11 @@
 //! counter is process-global, so a second test running in a parallel
 //! thread would pollute the measurement window.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use pmck_core::{ChipkillConfig, ChipkillMemory, StackBuilder};
-
-/// Pass-through allocator that counts allocation calls.
-struct CountingAlloc;
-
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::SeqCst);
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::SeqCst);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::SeqCst);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
+use pmck_rt::alloc::{count, CountingAlloc};
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn count_allocs(mut f: impl FnMut()) -> u64 {
-    let before = ALLOC_CALLS.load(Ordering::SeqCst);
-    f();
-    ALLOC_CALLS.load(Ordering::SeqCst) - before
-}
 
 /// A payload that differs between laps and between blocks, so no write
 /// degenerates into the zero-delta no-op.
@@ -83,7 +49,7 @@ fn data_changing_writes_are_allocation_free_after_warmup() {
     for a in 0..blocks {
         mem.write_block(a, &payload(a, 0)).unwrap();
     }
-    let engine_allocs = count_allocs(|| {
+    let engine_allocs = count(|| {
         for lap in 1..=laps {
             for a in 0..blocks {
                 let (old, new) = (payload(a, lap - 1), payload(a, lap));
@@ -125,7 +91,7 @@ fn data_changing_writes_are_allocation_free_after_warmup() {
             stack.write(a, &payload(a, lap)).unwrap();
         }
     }
-    let stack_allocs = count_allocs(|| {
+    let stack_allocs = count(|| {
         for lap in 2..2 + laps {
             for a in 0..n {
                 let (old, new) = (payload(a, lap - 1), payload(a, lap));

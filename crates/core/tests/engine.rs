@@ -1,7 +1,10 @@
 //! Engine-level tests: the runtime read path (Figure 9), both write
 //! paths, boot scrub, chip failures, and block disabling.
 
-use pmck_core::{ChipFailureKind, ChipkillConfig, ChipkillMemory, CoreError, ReadPath};
+use pmck_core::{
+    AccessContext, ChipFailureKind, ChipkillConfig, ChipkillMemory, CoreError, LayerId, ReadPath,
+    Request, Response, Stack,
+};
 use pmck_rt::rng::Rng;
 use pmck_rt::rng::StdRng;
 
@@ -217,6 +220,36 @@ fn repair_chip_restores_normal_operation() {
         assert_eq!(&out.data, b);
         assert_eq!(out.path, ReadPath::Clean);
     }
+}
+
+#[test]
+fn erasure_reads_counts_each_erasure_served_read_once() {
+    let (mut mem, blocks) = seeded(64);
+    mem.fail_chip(
+        3,
+        ChipFailureKind::RandomGarbage,
+        &mut StdRng::seed_from_u64(59),
+    );
+    let mut stack = Stack::from_parts(Box::new(mem), AccessContext::new(59));
+    // The first read detects the failure, the other 63 find it known:
+    // all 64 are answered by erasure correction, each counted once, and
+    // the engine's count agrees with the layer's.
+    for (a, b) in blocks.iter().enumerate() {
+        let out = stack.read(a as u64).unwrap();
+        assert_eq!(&out.data, b);
+        assert_eq!(out.path, ReadPath::ChipkillErasure { chip: 3 });
+    }
+    let core = stack.core_stats().unwrap();
+    assert_eq!(core.erasure_reads, 64);
+    assert_eq!(core.chip_failures_detected, 1);
+    assert_eq!(stack.layer(LayerId::Chipkill).unwrap().erasure_reads, 64);
+    // The rebuild erasure-decodes every block too, but serves no read.
+    assert_eq!(
+        stack.submit(&Request::Repair).unwrap(),
+        Response::Repaired { chip: Some(3) }
+    );
+    assert_eq!(stack.core_stats().unwrap().erasure_reads, 64);
+    assert_eq!(stack.read(0).unwrap().path, ReadPath::Clean);
 }
 
 #[test]

@@ -255,10 +255,10 @@ fn run_plan_inner(
         ));
     }
     // Per-block scrubs restore the RS layer but leave latent bit
-    // errors in regions only the boot tier covers (per-chip VLEWs,
-    // bonus blocks); a rank-wide boot scrub on every node — and the
-    // reference — restores full code-bit consistency before the
-    // verify, mirroring the single-node engine tests.
+    // errors in regions only the boot tier covers (per-chip VLEWs); a
+    // rank-wide boot scrub on every node — and the reference —
+    // restores full code-bit consistency before the verify, mirroring
+    // the single-node engine tests.
     cluster
         .broadcast(&Request::BootScrub)
         .map_err(|e| format!("closing cluster boot scrub: {e}"))?;

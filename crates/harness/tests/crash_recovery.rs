@@ -183,10 +183,9 @@ fn run_op(stack: &mut Stack, op: CrashOp, seed: u64) -> Result<(), String> {
 fn read_all(stack: &mut Stack) -> Result<Vec<[u8; 64]>, String> {
     (0..BLOCKS)
         .map(|addr| {
-            let mut data = [0u8; 64];
             stack
-                .read_into(addr, &mut data)
-                .map(|_| data)
+                .read(addr)
+                .map(|o| o.data)
                 .map_err(|e| format!("block {addr} does not decode after recovery: {e}"))
         })
         .collect()

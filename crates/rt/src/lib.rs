@@ -21,6 +21,8 @@
 //! * [`metrics`] — a lightweight counter/gauge/histogram registry with
 //!   JSON export: one uniform observability surface for the memory
 //!   controller, the LLC, and the chipkill engine.
+//! * [`alloc`] — a counting global allocator behind the
+//!   `alloc_free_*` proofs and `microbench`'s `allocs_per_op`.
 //!
 //! # Determinism contract
 //!
@@ -29,6 +31,7 @@
 //! per-chunk results for any worker count — the scheduling only decides
 //! *who* computes a chunk, never *what* the chunk computes.
 
+pub mod alloc;
 pub mod json;
 pub mod metrics;
 pub mod par;

@@ -10,45 +10,12 @@
 //! the single-threaded one — neither the client path *nor* the worker
 //! path (clean reads through the stack) may allocate.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use pmck_core::{ChipkillConfig, Request, Response, StackBuilder};
+use pmck_rt::alloc::{count, CountingAlloc};
 use pmck_service::ShardedService;
-
-struct CountingAlloc;
-
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::SeqCst);
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::SeqCst);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::SeqCst);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn count_allocs(mut f: impl FnMut()) -> u64 {
-    let before = ALLOC_CALLS.load(Ordering::SeqCst);
-    f();
-    ALLOC_CALLS.load(Ordering::SeqCst) - before
-}
 
 #[test]
 fn steady_state_submission_is_allocation_free_after_warmup() {
@@ -80,7 +47,7 @@ fn steady_state_submission_is_allocation_free_after_warmup() {
     }
 
     // --- Batched plane: clean reads through reused buffers. ---
-    let batch_allocs = count_allocs(|| {
+    let batch_allocs = count(|| {
         for _ in 0..4 {
             svc.submit_batch_into(&reads, &mut out);
             for (a, r) in out.iter().enumerate() {
@@ -104,7 +71,7 @@ fn steady_state_submission_is_allocation_free_after_warmup() {
         let t = client.try_submit(&Request::Read(a)).unwrap();
         client.wait_response(t).unwrap();
     }
-    let stream_allocs = count_allocs(|| {
+    let stream_allocs = count(|| {
         for _ in 0..4 {
             // Keep a small window in flight to exercise out-of-order
             // completion drains, not just ping-pong.

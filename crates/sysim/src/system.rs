@@ -89,10 +89,7 @@ impl EngineCoupling {
     fn on_read(&mut self, la: u64) -> Option<ReadPath> {
         self.tick();
         let addr = la % self.stack.num_blocks();
-        // Only the decode path matters here; read_into skips the
-        // outcome copy the timing loop would throw away anyway.
-        let mut buf = [0u8; 64];
-        self.stack.read_into(addr, &mut buf).ok()
+        self.stack.read(addr).ok().map(|o| o.path)
     }
 
     /// Executes one demand write against the functional stack.

@@ -6,7 +6,10 @@
 //! cargo run --example wear_and_disable
 //! ```
 
-use pmck::chipkill::{ChipkillConfig, ChipkillMemory, CoreError, WearLevelledMemory};
+use pmck::chipkill::{
+    AccessContext, BlockDevice, ChipkillConfig, ChipkillMemory, CoreError, Request,
+    WearLevelledMemory,
+};
 use pmck::nvram::{WearModel, WearState};
 use pmck_rt::rng::StdRng;
 
@@ -75,11 +78,13 @@ fn main() {
     // logical block rotates through many physical slots, dividing
     // per-cell wear by the rotation factor.
     let mut levelled = WearLevelledMemory::new(63, ChipkillConfig::default(), 8);
+    let mut ctx = AccessContext::new(5);
     let mut touched = std::collections::HashSet::new();
     for round in 0..4000u64 {
         touched.insert(levelled.physical_of(7));
+        let data = [(round % 256) as u8; 64];
         levelled
-            .write_block(7, &[(round % 256) as u8; 64])
+            .access(Request::Write { addr: 7, data }, &mut ctx)
             .expect("in range");
     }
     println!(
@@ -89,9 +94,14 @@ fn main() {
     );
     assert!(touched.len() >= 8);
     // Data integrity under leveling + errors.
-    levelled.inner_mut().inject_bit_errors(2e-4, &mut rng);
+    levelled
+        .access(Request::InjectRber(2e-4), &mut ctx)
+        .expect("injectable");
+    let out = levelled
+        .access(Request::Read(7), &mut ctx)
+        .expect("readable");
     assert_eq!(
-        levelled.read_block(7).expect("readable").data[0],
+        out.read().expect("a read outcome").data[0],
         ((4000 - 1) % 256) as u8
     );
     println!("levelled rank reads back the latest value through the remap + ECC stack.");

@@ -168,12 +168,8 @@ fn four_shard_service_matches_sequential_replay() {
         // the stats, since reads bump counters on both sides alike).
         for (shard, seq_stack) in stacks.iter_mut().enumerate() {
             for local in 0..seq_stack.num_blocks() {
-                let svc_data = svc.with_shard(shard, |stack| {
-                    let mut buf = [0u8; 64];
-                    stack.read_into(local, &mut buf).map(|_| buf)
-                });
-                let mut buf = [0u8; 64];
-                let seq_data = seq_stack.read_into(local, &mut buf).map(|_| buf);
+                let svc_data = svc.with_shard(shard, |stack| stack.read(local).map(|o| o.data));
+                let seq_data = seq_stack.read(local).map(|o| o.data);
                 assert_eq!(
                     svc_data, seq_data,
                     "seed {seed}: shard {shard} block {local} contents diverged"
@@ -252,12 +248,8 @@ fn persistent_shard_broadcasts_match_sequential_replay() {
 
         for (shard, seq_stack) in stacks.iter_mut().enumerate() {
             for local in 0..seq_stack.num_blocks() {
-                let svc_data = svc.with_shard(shard, |stack| {
-                    let mut buf = [0u8; 64];
-                    stack.read_into(local, &mut buf).map(|_| buf)
-                });
-                let mut buf = [0u8; 64];
-                let seq_data = seq_stack.read_into(local, &mut buf).map(|_| buf);
+                let svc_data = svc.with_shard(shard, |stack| stack.read(local).map(|o| o.data));
+                let seq_data = seq_stack.read(local).map(|o| o.data);
                 assert_eq!(
                     svc_data, seq_data,
                     "seed {seed}: shard {shard} block {local} contents diverged"
@@ -388,12 +380,8 @@ fn eight_shard_streaming_under_backpressure_matches_sequential_replay() {
 
         for (shard, seq_stack) in stacks.iter_mut().enumerate() {
             for local in 0..seq_stack.num_blocks() {
-                let svc_data = svc.with_shard(shard, |stack| {
-                    let mut buf = [0u8; 64];
-                    stack.read_into(local, &mut buf).map(|_| buf)
-                });
-                let mut buf = [0u8; 64];
-                let seq_data = seq_stack.read_into(local, &mut buf).map(|_| buf);
+                let svc_data = svc.with_shard(shard, |stack| stack.read(local).map(|o| o.data));
+                let seq_data = seq_stack.read(local).map(|o| o.data);
                 assert_eq!(
                     svc_data, seq_data,
                     "seed {seed}: shard {shard} block {local} contents diverged"

@@ -1,20 +1,34 @@
 //! Wear management end to end: Start-Gap leveling + patrol scrubbing +
 //! block disabling + a chip failure, all composed on one rank.
 
-use pmck::chipkill::{ChipFailureKind, ChipkillConfig, PatrolScrubber, WearLevelledMemory};
+use pmck::chipkill::{
+    AccessContext, BlockDevice, ChipFailureKind, ChipkillConfig, PatrolScrubber, Request,
+    WearLevelledMemory,
+};
 use pmck::nvram::{WearModel, WearState};
 use pmck_rt::rng::Rng;
 use pmck_rt::rng::StdRng;
+
+fn put(mem: &mut WearLevelledMemory, ctx: &mut AccessContext, addr: u64, data: &[u8; 64]) {
+    mem.access(Request::Write { addr, data: *data }, ctx)
+        .unwrap();
+}
+
+fn get(mem: &mut WearLevelledMemory, ctx: &mut AccessContext, addr: u64) -> [u8; 64] {
+    let out = mem.access(Request::Read(addr), ctx).unwrap();
+    out.read().expect("a read outcome").data
+}
 
 #[test]
 fn leveling_plus_patrol_plus_errors() {
     let mut rng = StdRng::seed_from_u64(51);
     let mut mem = WearLevelledMemory::new(63, ChipkillConfig::default(), 4);
+    let mut ctx = AccessContext::scratch();
     let mut truth = vec![[0u8; 64]; 63];
     for l in 0..63u64 {
         let mut v = [0u8; 64];
         rng.fill_bytes(&mut v[..]);
-        mem.write_block(l, &v).unwrap();
+        put(&mut mem, &mut ctx, l, &v);
         truth[l as usize] = v;
     }
     let mut patrol = PatrolScrubber::new(16);
@@ -24,7 +38,7 @@ fn leveling_plus_patrol_plus_errors() {
             let l = rng.gen_range(0..8);
             let mut v = [0u8; 64];
             rng.fill_bytes(&mut v[..]);
-            mem.write_block(l, &v).unwrap();
+            put(&mut mem, &mut ctx, l, &v);
             truth[l as usize] = v;
         }
         // Runtime errors trickle in; patrol cleans behind them.
@@ -33,7 +47,7 @@ fn leveling_plus_patrol_plus_errors() {
         let _ = round;
     }
     for (l, v) in truth.iter().enumerate() {
-        assert_eq!(&mem.read_block(l as u64).unwrap().data, v, "logical {l}");
+        assert_eq!(&get(&mut mem, &mut ctx, l as u64), v, "logical {l}");
     }
     assert!(mem.gap_moves() > 50);
 }
@@ -42,11 +56,12 @@ fn leveling_plus_patrol_plus_errors() {
 fn chip_failure_under_wear_leveling() {
     let mut rng = StdRng::seed_from_u64(53);
     let mut mem = WearLevelledMemory::new(31, ChipkillConfig::default(), 2);
+    let mut ctx = AccessContext::scratch();
     let mut truth = vec![[0u8; 64]; 31];
     for l in 0..31u64 {
         let mut v = [0u8; 64];
         rng.fill_bytes(&mut v[..]);
-        mem.write_block(l, &v).unwrap();
+        put(&mut mem, &mut ctx, l, &v);
         truth[l as usize] = v;
     }
     // Rotate a while, then kill a chip.
@@ -54,21 +69,21 @@ fn chip_failure_under_wear_leveling() {
         let l = i % 31;
         let mut v = [0u8; 64];
         rng.fill_bytes(&mut v[..]);
-        mem.write_block(l, &v).unwrap();
+        put(&mut mem, &mut ctx, l, &v);
         truth[l as usize] = v;
     }
     mem.inner_mut()
         .fail_chip(3, ChipFailureKind::RandomGarbage, &mut rng);
     // Reads still resolve through the remap + erasure correction.
     for (l, v) in truth.iter().enumerate() {
-        assert_eq!(&mem.read_block(l as u64).unwrap().data, v, "logical {l}");
+        assert_eq!(&get(&mut mem, &mut ctx, l as u64), v, "logical {l}");
     }
     // Rebuild and confirm clean operation resumes (including gap moves,
     // which read+write through the engine).
     mem.inner_mut().repair_chip(3).unwrap();
     for i in 0..50u64 {
         let l = i % 31;
-        mem.write_block(l, &truth[l as usize]).unwrap();
+        put(&mut mem, &mut ctx, l, &truth[l as usize]);
     }
     assert!(mem.inner_mut().verify_consistent());
 }
@@ -92,11 +107,12 @@ fn wear_accounting_drives_disabling_decision() {
 
     // Levelled: the same write stream spreads over many slots.
     let mut mem = WearLevelledMemory::new(15, ChipkillConfig::default(), 1);
+    let mut ctx = AccessContext::scratch();
     let mut per_slot: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
     for i in 0..1_500u64 {
         let phys = mem.physical_of(3);
         *per_slot.entry(phys).or_insert(0) += 1 + 33 / 8;
-        mem.write_block(3, &[i as u8; 64]).unwrap();
+        put(&mut mem, &mut ctx, 3, &[i as u8; 64]);
     }
     let worst = per_slot.values().copied().max().unwrap();
     assert!(

@@ -1,7 +1,7 @@
 //! Per-tier reliability of the adaptive protection layouts.
 //!
 //! The engine can run each region at one of three tiers (see
-//! `pmck-core`'s `Layout` trait): the RS-only tier drops the VLEW and
+//! `pmck-core`'s `ProtectionTier`): the RS-only tier drops the VLEW and
 //! reclaims its code area as bonus capacity, the paper tier is the
 //! fixed RS+VLEW design point (§V), and the dense tier halves the VLEW
 //! data span so the same t=22 BCH code covers 128 B instead of 256 B.

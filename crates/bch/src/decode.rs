@@ -3,13 +3,11 @@
 //!
 //! The decoder is allocation-free on the hot path: syndromes, the BM
 //! polynomials, the Chien plane accumulators, and the corrected-position
-//! list all live in a reusable [`BchScratch`]. The `*_scratch` entry
-//! points take an explicit scratch and return [`BchDecodeView`] slices
-//! into it; the classic [`BchCode::decode`] borrows a per-thread pooled
-//! scratch, so it too stops allocating internally once warm (only the
-//! owned [`DecodeOutcome`] is heap-backed). [`BchCode::decode_batch`]
-//! runs many words through one scratch so scrub and patrol sweeps keep
-//! the plan tables hot and share every buffer.
+//! list all live in a reusable [`BchScratch`] the caller owns.
+//! [`BchCode::decode_scratch`] is the bounded-distance decode and
+//! returns a [`BchDecodeView`] of the flipped positions;
+//! [`BchCode::decode_word`] takes a [`DecodePolicy`] and returns the
+//! [`WordVerdict`] a scrub or fallback read stores per chip.
 //!
 //! Correction is verified without re-reducing the whole word: a decode
 //! proposing flips at positions `P` is valid iff the syndromes of the
@@ -17,8 +15,6 @@
 //! all `2t` of them — syndromes exactly characterize codeword
 //! membership), which costs `deg·t` table lookups instead of another
 //! 2312-bit polynomial reduction.
-
-use std::cell::RefCell;
 
 use pmck_gf::BitPoly;
 
@@ -43,39 +39,12 @@ pub enum DecodePolicy {
     BeyondBound,
 }
 
-/// The result of a successful [`BchCode::decode`] call.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DecodeOutcome {
-    corrected: Vec<usize>,
-}
-
-impl DecodeOutcome {
-    /// The bit positions that were flipped to restore the codeword,
-    /// ascending. Empty when the word was already clean.
-    pub fn corrected_bits(&self) -> &[usize] {
-        &self.corrected
-    }
-
-    /// The number of corrected bit errors.
-    pub fn num_corrected(&self) -> usize {
-        self.corrected.len()
-    }
-
-    /// Whether the received word was already a valid codeword.
-    pub fn was_clean(&self) -> bool {
-        self.corrected.is_empty()
-    }
-}
-
 /// A view of a successful decode, borrowing the scratch it ran in.
 ///
 /// All accessors return slices into the scratch — no heap allocation.
-/// Convert with [`BchDecodeView::to_outcome`] when the result must
-/// outlive the scratch borrow.
 #[derive(Debug, Clone, Copy)]
 pub struct BchDecodeView<'s> {
     corrected: &'s [usize],
-    t: usize,
 }
 
 impl BchDecodeView<'_> {
@@ -94,24 +63,11 @@ impl BchDecodeView<'_> {
     pub fn was_clean(&self) -> bool {
         self.corrected.is_empty()
     }
-
-    /// Whether the correction exceeded the bounded-distance radius `t`,
-    /// i.e. only the beyond-bound list decoder could have produced it.
-    pub fn beyond_bound(&self) -> bool {
-        self.corrected.len() > self.t
-    }
-
-    /// Copies the view into an owned [`DecodeOutcome`].
-    pub fn to_outcome(&self) -> DecodeOutcome {
-        DecodeOutcome {
-            corrected: self.corrected.to_vec(),
-        }
-    }
 }
 
-/// The per-word verdict of a [`BchCode::decode_batch`] call.
+/// The verdict of a [`BchCode::decode_word`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BatchOutcome {
+pub enum WordVerdict {
     /// The word was already a valid codeword; untouched.
     Clean,
     /// `bits` bit flips restored the codeword in place. `beyond_bound`
@@ -126,30 +82,24 @@ pub enum BatchOutcome {
     Uncorrectable,
 }
 
-impl BatchOutcome {
+impl WordVerdict {
     /// The number of bits corrected (zero for clean and uncorrectable
     /// words).
     pub fn bits_corrected(&self) -> usize {
         match self {
-            BatchOutcome::Corrected { bits, .. } => *bits,
+            WordVerdict::Corrected { bits, .. } => *bits,
             _ => 0,
         }
     }
 
-    /// Whether the word was already clean.
-    pub fn was_clean(&self) -> bool {
-        matches!(self, BatchOutcome::Clean)
-    }
-
     /// Whether the word was rejected as uncorrectable.
     pub fn is_uncorrectable(&self) -> bool {
-        matches!(self, BatchOutcome::Uncorrectable)
+        matches!(self, WordVerdict::Uncorrectable)
     }
 }
 
 /// Reusable decoder working memory, sized once for a given code so that
-/// every subsequent decode is heap-allocation-free (the batch-outcome
-/// buffer grows to the largest batch seen, then stays).
+/// every subsequent decode is heap-allocation-free.
 ///
 /// A scratch built for one `(m, t, k)` geometry works for any
 /// [`BchCode`] with the same geometry. Build one per decoding context
@@ -176,8 +126,6 @@ pub struct BchScratch {
     trial: Vec<u32>,
     /// Incremental `α^{j·p}` state per odd `j` for trial syndromes.
     xj: Vec<u32>,
-    /// Per-word verdicts of the last batch decode.
-    outcomes: Vec<BatchOutcome>,
 }
 
 impl BchScratch {
@@ -195,29 +143,18 @@ impl BchScratch {
             candidate: Vec::with_capacity(code.t + 1),
             trial: vec![0; t2],
             xj: vec![0; code.t],
-            outcomes: Vec::new(),
         }
     }
 }
 
-thread_local! {
-    /// Per-thread scratch pool backing the classic (scratch-less) decode
-    /// API, keyed by code geometry. The few geometries in play per
-    /// thread make a linear scan cheaper than any map.
-    static SCRATCH_POOL: RefCell<Vec<(u32, usize, usize, BchScratch)>> =
-        const { RefCell::new(Vec::new()) };
-}
-
 impl BchCode {
-    /// Decodes `word` in place: computes syndromes, runs Berlekamp–Massey
-    /// to find the error-locator polynomial, locates errors via the
-    /// bit-sliced Chien search, and flips the erroneous bits.
+    /// Decodes `word` in place in the caller's `scratch`: computes
+    /// syndromes, runs Berlekamp–Massey to find the error-locator
+    /// polynomial, locates errors via the bit-sliced Chien search, and
+    /// flips the erroneous bits. Performs zero heap allocations.
     ///
-    /// On success returns which bits were corrected. Patterns of up to
-    /// [`BchCode::t`] bit errors are always corrected exactly.
-    ///
-    /// Borrows a per-thread pooled scratch; use
-    /// [`BchCode::decode_scratch`] to control the scratch explicitly.
+    /// On success returns a view of which bits were corrected. Patterns
+    /// of up to [`BchCode::t`] bit errors are always corrected exactly.
     ///
     /// # Errors
     ///
@@ -226,18 +163,6 @@ impl BchCode {
     ///   beyond the code's capability (the word is left unmodified).
     ///   Note that, as with any bounded-distance decoder, patterns of more
     ///   than `t` errors may also *miscorrect* silently.
-    pub fn decode(&self, word: &mut BitPoly) -> Result<DecodeOutcome, BchError> {
-        self.with_pooled_scratch(|code, scratch| {
-            code.decode_scratch(word, scratch).map(|v| v.to_outcome())
-        })
-    }
-
-    /// As [`BchCode::decode`], but running in the caller's `scratch` and
-    /// returning a slice view into it. Performs zero heap allocations.
-    ///
-    /// # Errors
-    ///
-    /// As [`BchCode::decode`].
     pub fn decode_scratch<'s>(
         &self,
         word: &mut BitPoly,
@@ -246,121 +171,58 @@ impl BchCode {
         self.decode_core(word, scratch)?;
         Ok(BchDecodeView {
             corrected: &scratch.positions,
-            t: self.t,
         })
     }
 
-    /// Decodes `word` with the unraveling-style list fallback: the
-    /// bounded-distance decode runs first, and when it rejects, every
-    /// single-position pre-flip hypothesis is re-decoded on adjusted
-    /// syndromes. A weight-`t+1` pattern is corrected iff exactly one
-    /// candidate codeword emerges; an empty or ambiguous list rejects.
+    /// Decodes `word` in place as far as `policy` reaches and returns
+    /// its verdict — what a stripe decode keeps per chip. Under
+    /// [`DecodePolicy::Bounded`] this is [`BchCode::decode_scratch`].
+    /// Under [`DecodePolicy::BeyondBound`] a bounded reject is followed
+    /// by the unraveling list decoder: every single-position pre-flip
+    /// hypothesis is re-decoded on adjusted syndromes, and a
+    /// weight-`t+1` pattern is corrected iff exactly one candidate
+    /// codeword emerges; an empty or ambiguous list rejects.
     ///
-    /// Within radius `t+1` this never miscorrects: the true codeword is
-    /// always in the list (any correct guess reduces the residual to
-    /// weight `t`), so a wrong unique candidate cannot exist. The cost is
-    /// `n` Berlekamp–Massey runs on the failure path (~ms-scale for the
-    /// VLEW), which is why the policy is an opt-in recovery knob rather
-    /// than the default.
+    /// Within radius `t+1` the list decoder never miscorrects: the true
+    /// codeword is always in the list (any correct guess reduces the
+    /// residual to weight `t`), so a wrong unique candidate cannot
+    /// exist. The cost is `n` Berlekamp–Massey runs on the failure path
+    /// (~ms-scale for the VLEW), which is why the policy is an opt-in
+    /// recovery knob rather than the default.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// As [`BchCode::decode`]; [`BchError::Uncorrectable`] now also means
-    /// the list was empty or ambiguous.
-    pub fn decode_beyond_bound_scratch<'s>(
+    /// Panics if `word` is not `n` bits long (a caller bug, not a
+    /// property of the stored bits a verdict could describe).
+    pub fn decode_word(
         &self,
         word: &mut BitPoly,
-        scratch: &'s mut BchScratch,
-    ) -> Result<BchDecodeView<'s>, BchError> {
-        match self.decode_core(word, scratch) {
-            Ok(()) => {}
-            Err(BchError::Uncorrectable) => self.list_decode_core(word, scratch)?,
-            Err(e) => return Err(e),
-        }
-        Ok(BchDecodeView {
-            corrected: &scratch.positions,
-            t: self.t,
-        })
-    }
-
-    /// Decodes every word of `words` in place through one shared
-    /// `scratch`, returning one [`BatchOutcome`] per word (same order).
-    /// Boot scrubs and patrol sweeps use this to amortize table walks:
-    /// the plan tables stay hot across the batch and no per-word state is
-    /// re-allocated. Equivalent to [`BchCode::decode_scratch`] per word.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any word is not `n` bits long (a batch is homogeneous by
-    /// construction; per-word length errors would mask caller bugs).
-    pub fn decode_batch<'s>(
-        &self,
-        words: &mut [BitPoly],
-        scratch: &'s mut BchScratch,
-    ) -> &'s [BatchOutcome] {
-        self.decode_batch_policy(words, DecodePolicy::Bounded, scratch)
-    }
-
-    /// As [`BchCode::decode_batch`], with the decode reach selected by
-    /// `policy` (see [`DecodePolicy`]).
-    ///
-    /// # Panics
-    ///
-    /// As [`BchCode::decode_batch`].
-    pub fn decode_batch_policy<'s>(
-        &self,
-        words: &mut [BitPoly],
         policy: DecodePolicy,
-        scratch: &'s mut BchScratch,
-    ) -> &'s [BatchOutcome] {
-        for w in words.iter_mut() {
-            assert_eq!(w.len(), self.len(), "batch word length mismatch");
-            let res = match policy {
-                DecodePolicy::Bounded => self.decode_core(w, scratch),
-                DecodePolicy::BeyondBound => match self.decode_core(w, scratch) {
-                    Err(BchError::Uncorrectable) => self.list_decode_core(w, scratch),
-                    other => other,
-                },
-            };
-            let outcome = match res {
-                Ok(()) if scratch.positions.is_empty() => BatchOutcome::Clean,
-                Ok(()) => BatchOutcome::Corrected {
-                    bits: scratch.positions.len(),
-                    beyond_bound: scratch.positions.len() > self.t,
-                },
-                Err(_) => BatchOutcome::Uncorrectable,
-            };
-            scratch.outcomes.push(outcome);
+        scratch: &mut BchScratch,
+    ) -> WordVerdict {
+        assert_eq!(word.len(), self.len(), "word length mismatch");
+        let mut res = self.decode_core(word, scratch);
+        if policy == DecodePolicy::BeyondBound && res == Err(BchError::Uncorrectable) {
+            res = self.list_decode_core(word, scratch);
         }
-        // Keep only this batch's verdicts: drain older ones from the
-        // front so the buffer's capacity is reused, not regrown.
-        let start = scratch.outcomes.len() - words.len();
-        scratch.outcomes.drain(..start);
-        &scratch.outcomes
+        match res {
+            Ok(()) if scratch.positions.is_empty() => WordVerdict::Clean,
+            Ok(()) => WordVerdict::Corrected {
+                bits: scratch.positions.len(),
+                beyond_bound: scratch.positions.len() > self.t,
+            },
+            Err(_) => WordVerdict::Uncorrectable,
+        }
     }
 
-    /// Computes the 2t syndromes `S_j = r(alpha^j)`, `j = 1..=2t`.
+    /// Computes the 2t syndromes `S_j = r(alpha^j)`, `j = 1..=2t`, into
+    /// `out` (`out[j-1] = S_j`) without allocating. Returns `true` when
+    /// every syndrome is zero, i.e. the word is already a codeword.
     ///
     /// Runs the byte-sliced kernel (reduce mod the minimal polynomial of
     /// `alpha^j`, then evaluate the short remainder) and exploits the
     /// binary-code identity `S_{2j} = S_j^2`: only odd syndromes are
     /// evaluated directly.
-    ///
-    /// Allocates the result; every internal decode path uses
-    /// [`BchCode::syndromes_into`] instead.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `word` is not `n` bits long.
-    pub fn syndromes(&self, word: &BitPoly) -> Vec<u32> {
-        let mut s = vec![0u32; 2 * self.t];
-        self.syndromes_into(word, &mut s);
-        s
-    }
-
-    /// Computes all 2t syndromes into `out` (`out[j-1] = S_j`) without
-    /// allocating. Returns `true` when every syndrome is zero, i.e. the
-    /// word is already a codeword.
     ///
     /// # Panics
     ///
@@ -368,23 +230,6 @@ impl BchCode {
     pub fn syndromes_into(&self, word: &BitPoly, out: &mut [u32]) -> bool {
         assert_eq!(word.len(), self.len(), "codeword length mismatch");
         self.plan.syndromes_into(&self.field, word, out)
-    }
-
-    /// Runs `f` with the pooled scratch for this code's geometry,
-    /// creating it on the thread's first decode of this geometry.
-    fn with_pooled_scratch<T>(&self, f: impl FnOnce(&BchCode, &mut BchScratch) -> T) -> T {
-        let key = (self.field.degree(), self.t, self.k);
-        SCRATCH_POOL.with(|pool| {
-            let mut pool = pool.borrow_mut();
-            let idx = match pool.iter().position(|&(m, t, k, _)| (m, t, k) == key) {
-                Some(i) => i,
-                None => {
-                    pool.push((key.0, key.1, key.2, BchScratch::new(self)));
-                    pool.len() - 1
-                }
-            };
-            f(self, &mut pool[idx].3)
-        })
     }
 
     /// The bounded-distance decode engine. On `Ok(())` the word has been
@@ -624,20 +469,22 @@ mod tests {
     fn clean_word_decodes_with_no_corrections() {
         let code = BchCode::new(6, 3, 24).unwrap();
         let mut cw = code.encode(&BitPoly::from_u64(0xFACADE, 24));
-        let out = code.decode(&mut cw).unwrap();
+        let mut scratch = BchScratch::new(&code);
+        let out = code.decode_scratch(&mut cw, &mut scratch).unwrap();
         assert!(out.was_clean());
     }
 
     #[test]
     fn corrects_up_to_t_errors_exhaustive_positions() {
         let code = BchCode::new(6, 2, 20).unwrap();
+        let mut scratch = BchScratch::new(&code);
         let data = BitPoly::from_u64(0x5A5A5, 20);
         let clean = code.encode(&data);
         // Every single-bit error.
         for i in 0..code.len() {
             let mut cw = clean.clone();
             cw.flip(i);
-            let out = code.decode(&mut cw).unwrap();
+            let out = code.decode_scratch(&mut cw, &mut scratch).unwrap();
             assert_eq!(out.corrected_bits(), &[i]);
             assert_eq!(cw, clean);
         }
@@ -647,7 +494,7 @@ mod tests {
                 let mut cw = clean.clone();
                 cw.flip(i);
                 cw.flip(j);
-                let out = code.decode(&mut cw).unwrap();
+                let out = code.decode_scratch(&mut cw, &mut scratch).unwrap();
                 assert_eq!(out.corrected_bits(), &[i, j]);
                 assert_eq!(cw, clean, "errors at {i},{j}");
             }
@@ -658,10 +505,6 @@ mod tests {
     fn wrong_length_rejected() {
         let code = BchCode::new(6, 2, 20).unwrap();
         let mut w = BitPoly::zero(code.len() + 1);
-        assert!(matches!(
-            code.decode(&mut w),
-            Err(BchError::LengthMismatch(_, _))
-        ));
         let mut scratch = BchScratch::new(&code);
         assert!(matches!(
             code.decode_scratch(&mut w, &mut scratch),
@@ -678,72 +521,9 @@ mod tests {
         cw.flip(0);
         cw.flip(1);
         cw.flip(code.parity_bits() - 1);
-        code.decode(&mut cw).unwrap();
+        code.decode_scratch(&mut cw, &mut BchScratch::new(&code))
+            .unwrap();
         assert_eq!(cw, clean);
-    }
-
-    #[test]
-    fn scratch_and_pooled_paths_agree() {
-        let code = BchCode::new(8, 3, 64).unwrap();
-        let mut scratch = BchScratch::new(&code);
-        let data: Vec<u8> = (0..8).map(|i| (i * 31 + 7) as u8).collect();
-        let clean = code.encode_bytes(&data);
-        for errs in 0..=3usize {
-            let mut w1 = clean.clone();
-            let mut w2 = clean.clone();
-            for e in 0..errs {
-                w1.flip(e * 29 + 1);
-                w2.flip(e * 29 + 1);
-            }
-            let pooled = code.decode(&mut w1).unwrap();
-            let view = code.decode_scratch(&mut w2, &mut scratch).unwrap();
-            assert_eq!(pooled.corrected_bits(), view.corrected_bits(), "{errs}");
-            assert!(!view.beyond_bound());
-            assert_eq!(w1, w2);
-            assert_eq!(w1, clean);
-        }
-    }
-
-    #[test]
-    fn batch_matches_per_word_decodes() {
-        let code = BchCode::new(8, 3, 64).unwrap();
-        let mut scratch = BchScratch::new(&code);
-        let clean = code.encode_bytes(&[0xA5; 8]);
-        let mut words: Vec<BitPoly> = (0..6).map(|_| clean.clone()).collect();
-        // Word 0 clean, 1..=3 errorful within radius, 4 overweight-but-
-        // detected is not guaranteed, so craft 4 errors far apart, 5 clean.
-        words[1].flip(3);
-        words[2].flip(10);
-        words[2].flip(40);
-        words[3].flip(0);
-        words[3].flip(33);
-        words[3].flip(87);
-        for p in [1, 20, 41, 62] {
-            words[4].flip(p);
-        }
-        let outcomes = code.decode_batch(&mut words, &mut scratch).to_vec();
-        assert_eq!(outcomes.len(), 6);
-        assert!(outcomes[0].was_clean());
-        assert_eq!(outcomes[1].bits_corrected(), 1);
-        assert_eq!(outcomes[2].bits_corrected(), 2);
-        assert_eq!(outcomes[3].bits_corrected(), 3);
-        assert!(outcomes[5].was_clean());
-        for (i, w) in words.iter().enumerate() {
-            match outcomes[i] {
-                BatchOutcome::Clean | BatchOutcome::Corrected { .. } => {
-                    if !outcomes[i].is_uncorrectable() && outcomes[i].bits_corrected() <= 3 {
-                        assert!(code.is_codeword(w), "word {i}");
-                    }
-                }
-                BatchOutcome::Uncorrectable => {
-                    // Untouched: still 4 flips away from clean.
-                    assert!(!code.is_codeword(w));
-                }
-            }
-        }
-        // An empty batch is a no-op with an empty verdict list.
-        let empty: &[BatchOutcome] = code.decode_batch(&mut [], &mut scratch);
-        assert!(empty.is_empty());
     }
 
     #[test]
@@ -772,14 +552,13 @@ mod tests {
                     if code.decode_scratch(&mut probe, &mut scratch).is_ok() {
                         continue;
                     }
-                    match code.decode_beyond_bound_scratch(&mut w, &mut scratch) {
-                        Ok(view) => {
-                            assert_eq!(view.corrected_bits(), &[a, b, c]);
-                            assert!(view.beyond_bound());
+                    match code.decode_word(&mut w, DecodePolicy::BeyondBound, &mut scratch) {
+                        WordVerdict::Corrected { bits, beyond_bound } => {
+                            assert_eq!((bits, beyond_bound), (3, true));
                             assert_eq!(w, clean, "pattern {a},{b},{c}");
                             recovered += 1;
                         }
-                        Err(BchError::Uncorrectable) => {
+                        WordVerdict::Uncorrectable => {
                             // Ambiguous list: word must be untouched.
                             let mut expect = clean.clone();
                             expect.flip(a);
@@ -788,7 +567,7 @@ mod tests {
                             assert_eq!(w, expect);
                             rejected += 1;
                         }
-                        Err(e) => panic!("unexpected error {e:?}"),
+                        WordVerdict::Clean => panic!("a bounded reject cannot be clean"),
                     }
                 }
             }

@@ -193,26 +193,6 @@ impl BchCode {
         BitPoly::from_limbs(acc, self.r)
     }
 
-    /// Extracts the data bits from a codeword.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cw.len() != self.len()`.
-    pub fn extract_data(&self, cw: &BitPoly) -> BitPoly {
-        assert_eq!(cw.len(), self.len(), "codeword length mismatch");
-        cw.slice(self.r, self.k)
-    }
-
-    /// Extracts the data bits as bytes (requires byte-aligned `k`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cw.len() != self.len()` or `k` is not byte-aligned.
-    pub fn extract_data_bytes(&self, cw: &BitPoly) -> Vec<u8> {
-        assert_eq!(self.k % 8, 0, "data_bits must be byte-aligned");
-        self.extract_data(cw).to_bytes()
-    }
-
     /// Whether `cw` is a valid codeword (i.e. divisible by the generator).
     ///
     /// # Panics
@@ -358,7 +338,7 @@ mod tests {
         let cw = code.encode(&data);
         assert_eq!(cw.len(), code.len());
         assert!(code.is_codeword(&cw));
-        assert_eq!(code.extract_data(&cw), data);
+        assert_eq!(cw.slice(code.parity_bits(), code.data_bits()), data);
     }
 
     #[test]
@@ -401,7 +381,9 @@ mod tests {
         let data: Vec<u8> = (0..256).map(|i| (i * 31 + 7) as u8).collect();
         let cw = code.encode_bytes(&data);
         assert!(code.is_codeword(&cw));
-        assert_eq!(code.extract_data_bytes(&cw), data);
+        let mut stored = [0u8; 256];
+        cw.extract_bytes(code.parity_bits(), &mut stored);
+        assert_eq!(stored[..], data);
     }
 
     #[test]

@@ -28,16 +28,18 @@
 //! # Examples
 //!
 //! ```
-//! use pmck_bch::BchCode;
+//! use pmck_bch::{BchCode, BchScratch};
 //!
 //! let code = BchCode::new(6, 2, 16).unwrap(); // toy: t=2, 16 data bits
+//! let mut scratch = BchScratch::new(&code); // one per decoding context
 //! let data = [0xAB, 0xCD];
 //! let mut cw = code.encode_bytes(&data);
 //! cw.flip(3);
 //! cw.flip(17);
-//! let outcome = code.decode(&mut cw).unwrap();
-//! assert_eq!(outcome.corrected_bits(), &[3, 17]);
-//! assert_eq!(code.extract_data_bytes(&cw), data);
+//! let view = code.decode_scratch(&mut cw, &mut scratch).unwrap();
+//! assert_eq!(view.corrected_bits(), &[3, 17]);
+//! let stored = cw.slice(code.parity_bits(), code.data_bits());
+//! assert_eq!(stored.to_bytes(), data);
 //! ```
 
 mod chien;
@@ -48,7 +50,7 @@ mod error;
 mod syndrome;
 
 pub use code::BchCode;
-pub use decode::{BatchOutcome, BchDecodeView, BchScratch, DecodeOutcome, DecodePolicy};
+pub use decode::{BchDecodeView, BchScratch, DecodePolicy, WordVerdict};
 pub use error::BchError;
 pub use syndrome::SyndromePlan;
 

@@ -16,7 +16,7 @@
 //!   radius-(t+1) candidate can only be the true pattern, so the
 //!   measured miscorrection rate is zero.
 
-use pmck_bch::{BchCode, BchError, BchScratch, BitPoly};
+use pmck_bch::{BchCode, BchError, BchScratch, BitPoly, DecodePolicy, WordVerdict};
 use pmck_harness::{diff_bch_batch, BitFlipBatchCase, BitFlipCase, Runner};
 use pmck_rt::rng::{Rng, StdRng};
 
@@ -102,7 +102,6 @@ fn within_radius_weights_recover_ground_truth_exhaustively() {
                     .decode_scratch(&mut word, &mut scratch)
                     .unwrap_or_else(|e| panic!("({m},{t},{k}) w={w} flips {flips:?}: {e:?}"));
                 assert_eq!(view.corrected_bits(), flips, "exact flip set");
-                assert!(!view.beyond_bound());
                 assert_eq!(word, clean, "exact codeword restored");
             });
         }
@@ -140,18 +139,18 @@ fn weight_t_plus_one_is_never_silently_corrupted() {
                 // Beyond-bound on a bounded-rejected word: the unraveling
                 // list decoder finds the exact pattern or rejects.
                 let mut lw = dirty.clone();
-                match code.decode_beyond_bound_scratch(&mut lw, &mut scratch) {
-                    Ok(view) => {
-                        assert!(view.beyond_bound());
-                        assert_eq!(view.corrected_bits(), flips, "exact recovery only");
-                        assert_eq!(lw, clean);
+                match code.decode_word(&mut lw, DecodePolicy::BeyondBound, &mut scratch) {
+                    WordVerdict::Corrected { bits, beyond_bound } => {
+                        assert!(beyond_bound);
+                        assert_eq!(bits, flips.len());
+                        assert_eq!(lw, clean, "exact recovery only");
                         rescued += 1;
                     }
-                    Err(BchError::Uncorrectable) => {
+                    WordVerdict::Uncorrectable => {
                         assert_eq!(lw, dirty);
                         list_rejects += 1;
                     }
-                    Err(e) => panic!("unexpected error {e:?}"),
+                    WordVerdict::Clean => panic!("a bounded reject cannot be clean"),
                 }
             }
             Err(e) => panic!("unexpected error {e:?}"),
@@ -208,14 +207,14 @@ fn vlew_boundary_weights_sampled() {
             continue; // legally resolved within t; covered above
         }
         let mut lw = dirty.clone();
-        match code.decode_beyond_bound_scratch(&mut lw, &mut scratch) {
-            Ok(view) => {
-                assert_eq!(view.corrected_bits(), &flips[..]);
+        match code.decode_word(&mut lw, DecodePolicy::BeyondBound, &mut scratch) {
+            WordVerdict::Corrected { bits, .. } => {
+                assert_eq!(bits, flips.len());
                 assert_eq!(lw, clean);
                 rescued += 1;
             }
-            Err(BchError::Uncorrectable) => assert_eq!(lw, dirty),
-            Err(e) => panic!("unexpected error {e:?}"),
+            WordVerdict::Uncorrectable => assert_eq!(lw, dirty),
+            WordVerdict::Clean => panic!("a bounded reject cannot be clean"),
         }
     }
     assert!(rescued > 0, "VLEW t+1 rescues must occur in the sample");
@@ -297,30 +296,32 @@ fn beyond_bound_vlew_corpus_replays() {
                 sorted.sort_unstable();
                 let (clean, dirty) = clean_and_dirty(&code, &case.data, &sorted);
                 let mut word = dirty.clone();
-                match code.decode_beyond_bound_scratch(&mut word, &mut scratch) {
-                    Ok(view) if view.beyond_bound() => {
-                        if view.corrected_bits() != &sorted[..] || word != clean {
+                match code.decode_word(&mut word, DecodePolicy::BeyondBound, &mut scratch) {
+                    WordVerdict::Corrected {
+                        bits,
+                        beyond_bound: true,
+                    } => {
+                        if bits != sorted.len() || word != clean {
                             return Err("list decode diverged from ground truth".into());
                         }
                         Ok(())
                     }
-                    Ok(view) => {
+                    verdict @ (WordVerdict::Clean | WordVerdict::Corrected { .. }) => {
                         // Resolved within t: legal only if it reached a
                         // valid codeword.
-                        if view.num_corrected() <= t && code.is_codeword(&word) {
+                        if verdict.bits_corrected() <= t && code.is_codeword(&word) {
                             Ok(())
                         } else {
                             Err("bounded resolution left an invalid word".into())
                         }
                     }
-                    Err(BchError::Uncorrectable) => {
+                    WordVerdict::Uncorrectable => {
                         if word == dirty {
                             Ok(())
                         } else {
                             Err("rejected word was modified".into())
                         }
                     }
-                    Err(e) => Err(format!("unexpected error {e:?}")),
                 }
             },
         );
@@ -363,10 +364,10 @@ fn beyond_bound_miscorrection_rate_is_zero() {
         }
         bounded_rejects += 1;
         let mut lw = dirty.clone();
-        match code.decode_beyond_bound_scratch(&mut lw, &mut scratch) {
-            Ok(_) if lw == clean => rescued += 1,
-            Ok(_) => miscorrected += 1,
-            Err(_) => {}
+        match code.decode_word(&mut lw, DecodePolicy::BeyondBound, &mut scratch) {
+            WordVerdict::Uncorrectable => {}
+            _ if lw == clean => rescued += 1,
+            _ => miscorrected += 1,
         }
     }
     assert!(bounded_rejects > 100, "sample must exercise the fallback");

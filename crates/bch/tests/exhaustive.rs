@@ -2,7 +2,7 @@
 //! nearest-codeword search on the classic (15, 7) t=2 code: every one of
 //! the 2^15 possible received words is checked against ground truth.
 
-use pmck_bch::{BchCode, BitPoly};
+use pmck_bch::{BchCode, BchScratch, BitPoly};
 
 fn word_from_u32(v: u32, len: usize) -> BitPoly {
     let mut p = BitPoly::zero(len);
@@ -25,6 +25,7 @@ fn to_u32(p: &BitPoly) -> u32 {
 #[test]
 fn exhaustive_15_7_bounded_distance_behaviour() {
     let code = BchCode::new(4, 2, 7).expect("(15,7) t=2");
+    let mut scratch = BchScratch::new(&code);
     assert_eq!(code.len(), 15);
 
     // Enumerate all 128 codewords.
@@ -52,7 +53,7 @@ fn exhaustive_15_7_bounded_distance_behaviour() {
             .expect("128 codewords");
 
         let mut w = word_from_u32(received, 15);
-        match code.decode(&mut w) {
+        match code.decode_scratch(&mut w, &mut scratch) {
             Ok(out) => {
                 let result = to_u32(&w);
                 // Any successful decode lands on a codeword within t.
@@ -84,6 +85,7 @@ fn exhaustive_single_error_correction_over_gf32() {
     // (31, 21) t=2 code: all single- and double-error patterns on one
     // codeword, all 31 + 465 of them.
     let code = BchCode::new(5, 2, 21).expect("(31,21) t=2");
+    let mut scratch = BchScratch::new(&code);
     let data = word_from_u32(0b1_0110_1001_1100_1010_0101 & ((1 << 21) - 1), 21);
     let clean = code.encode(&data);
     for i in 0..code.len() {
@@ -93,7 +95,7 @@ fn exhaustive_single_error_correction_over_gf32() {
             if j != i {
                 w.flip(j);
             }
-            code.decode(&mut w).expect("within t");
+            code.decode_scratch(&mut w, &mut scratch).expect("within t");
             assert_eq!(w, clean, "errors at {i},{j}");
         }
     }

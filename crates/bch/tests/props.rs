@@ -3,7 +3,7 @@
 //! overweight property whose crafted counterexample is seeded into the
 //! checked-in corpus.
 
-use pmck_bch::{BchCode, BchError};
+use pmck_bch::{BchCode, BchError, BchScratch};
 use pmck_harness::{BitFlipCase, Runner};
 use pmck_rt::rng::{Rng, StdRng};
 
@@ -25,13 +25,14 @@ fn gen_flips(rng: &mut StdRng, code: &BchCode, num_flips: usize) -> BitFlipCase 
 #[test]
 fn vlew_corrects_t_random_errors() {
     let code = BchCode::vlew();
+    let mut scratch = BchScratch::new(&code);
     Runner::new("bch:vlew-corrects-t").seed(42).cases(5).run(
         |rng| gen_flips(rng, &code, code.t()),
         |case| {
             let clean = code.encode_bytes(&case.data);
             let mut cw = case.corrupted(&code);
             let out = code
-                .decode(&mut cw)
+                .decode_scratch(&mut cw, &mut scratch)
                 .map_err(|e| format!("t errors must decode: {e}"))?;
             if out.num_corrected() != case.flips.len() {
                 return Err(format!(
@@ -55,6 +56,7 @@ fn vlew_corrects_t_random_errors() {
 #[test]
 fn overweight_patterns_flag_or_land_on_codeword() {
     let code = BchCode::new(8, 3, 64).unwrap();
+    let mut scratch = BchScratch::new(&code);
     let mut flagged = 0u32;
     Runner::new("bch:overweight-never-silent")
         .seed(7)
@@ -63,7 +65,7 @@ fn overweight_patterns_flag_or_land_on_codeword() {
             |rng| gen_flips(rng, &code, code.t() + 2),
             |case| {
                 let mut cw = case.corrupted(&code);
-                match code.decode(&mut cw) {
+                match code.decode_scratch(&mut cw, &mut scratch) {
                     Ok(_) if code.is_codeword(&cw) => Ok(()),
                     Ok(_) => Err("success with an invalid word".into()),
                     Err(BchError::Uncorrectable) => {
@@ -83,6 +85,7 @@ fn overweight_patterns_flag_or_land_on_codeword() {
 #[test]
 fn uncorrectable_leaves_word_unmodified() {
     let code = BchCode::new(8, 3, 64).unwrap();
+    let mut scratch = BchScratch::new(&code);
     let mut saw_uncorrectable = false;
     Runner::new("bch:uncorrectable-unmodified")
         .seed(99)
@@ -92,7 +95,7 @@ fn uncorrectable_leaves_word_unmodified() {
             |case| {
                 let mut cw = case.corrupted(&code);
                 let before = cw.clone();
-                if code.decode(&mut cw).is_err() {
+                if code.decode_scratch(&mut cw, &mut scratch).is_err() {
                     saw_uncorrectable = true;
                     if cw != before {
                         return Err("flagged word was modified".into());
@@ -112,13 +115,14 @@ fn uncorrectable_leaves_word_unmodified() {
 #[test]
 fn flash_word_t41_round_trip() {
     let code = BchCode::flash512(41).unwrap();
+    let mut scratch = BchScratch::new(&code);
     Runner::new("bch:flash512-t41").seed(1).cases(1).run(
         |rng| gen_flips(rng, &code, 41),
         |case| {
             let clean = code.encode_bytes(&case.data);
             let mut cw = case.corrupted(&code);
             let out = code
-                .decode(&mut cw)
+                .decode_scratch(&mut cw, &mut scratch)
                 .map_err(|e| format!("must decode: {e}"))?;
             if out.num_corrected() != 41 || cw != clean {
                 return Err("41-error round trip failed".into());
@@ -137,6 +141,7 @@ fn flash_word_t41_round_trip() {
 #[test]
 fn overweight_crafted_patterns_are_flagged_not_miscorrected() {
     let code = BchCode::vlew();
+    let mut scratch = BchScratch::new(&code);
     let report = Runner::new("bch:overweight:negative")
         .seed(0xBAD)
         .cases(15)
@@ -145,7 +150,7 @@ fn overweight_crafted_patterns_are_flagged_not_miscorrected() {
             |case| {
                 let mut cw = case.corrupted(&code);
                 let before = cw.clone();
-                match code.decode(&mut cw) {
+                match code.decode_scratch(&mut cw, &mut scratch) {
                     Err(BchError::Uncorrectable) if cw == before => Ok(()),
                     Err(BchError::Uncorrectable) => Err("flagged word was modified".into()),
                     Err(e) => Err(format!("unexpected error {e}")),

@@ -2,7 +2,7 @@
 //! patterns, and linearity of the encoder. Seeded `pmck-rt` streams
 //! replace the former proptest strategies.
 
-use pmck_bch::{BchCode, BitPoly};
+use pmck_bch::{BchCode, BchScratch, BitPoly};
 use pmck_rt::rng::{Rng, StdRng};
 
 fn random_bits(rng: &mut StdRng, len: usize) -> BitPoly {
@@ -32,7 +32,8 @@ fn round_trip_with_upto_t_errors() {
         for &p in &positions {
             cw.flip(p);
         }
-        let out = code.decode(&mut cw).unwrap();
+        let mut scratch = BchScratch::new(&code);
+        let out = code.decode_scratch(&mut cw, &mut scratch).unwrap();
         assert_eq!(&cw, &clean);
         let got: Vec<usize> = out.corrected_bits().to_vec();
         let want: Vec<usize> = positions.into_iter().collect();
@@ -62,8 +63,11 @@ fn syndromes_zero_iff_codeword() {
         let code = BchCode::new(7, 2, 64).unwrap();
         let data = random_bits(&mut rng, 64);
         let mut cw = code.encode(&data);
-        assert!(code.syndromes(&cw).iter().all(|&s| s == 0));
+        let mut synd = vec![u32::MAX; 2 * code.t()];
+        assert!(code.syndromes_into(&cw, &mut synd));
+        assert!(synd.iter().all(|&s| s == 0));
         cw.flip(rng.gen_range(0..code.len()));
-        assert!(code.syndromes(&cw).iter().any(|&s| s != 0));
+        assert!(!code.syndromes_into(&cw, &mut synd));
+        assert!(synd.iter().any(|&s| s != 0));
     }
 }

@@ -24,7 +24,7 @@
 
 use std::time::Instant;
 
-use pmck_bch::{BchCode, BchScratch};
+use pmck_bch::{BchCode, BchScratch, DecodePolicy};
 use pmck_cluster::{Cluster, ClusterConfig};
 use pmck_core::{
     AccessContext, BlockDevice, ChipkillConfig, PmemConfig, ProtectionTier, Request, Stack,
@@ -152,6 +152,23 @@ fn scenario<T>(cfg: &Config, name: &str, bytes_per_op: u64, mut f: impl FnMut() 
     row
 }
 
+/// [`scenario`] for a row that times an allocation-free entry point:
+/// the measured allocation count is part of the row's contract.
+fn alloc_free_scenario<T>(
+    cfg: &Config,
+    name: &str,
+    bytes_per_op: u64,
+    f: impl FnMut() -> T,
+) -> Json {
+    let row = scenario(cfg, name, bytes_per_op, f);
+    assert_eq!(
+        row.get("allocs_per_op").and_then(|v| v.as_f64()),
+        Some(0.0),
+        "{name} must not allocate"
+    );
+    row
+}
+
 fn wants(cfg: &Config, name: &str) -> bool {
     cfg.filter.as_deref().is_none_or(|f| name.contains(f))
 }
@@ -177,34 +194,33 @@ fn bch_scenarios(cfg: &Config, rows: &mut Vec<Json>) {
     let clean = code.encode_bytes(&data);
 
     if wants(cfg, "bch/encode_256B") {
-        rows.push(scenario(cfg, "bch/encode_256B", 256, || {
-            code.encode_bytes(std::hint::black_box(&data))
+        // The whole-word encode as the engine's callers run it: parity
+        // limbs into a caller buffer.
+        let mut out = vec![0u64; code.parity_limbs()];
+        rows.push(alloc_free_scenario(cfg, "bch/encode_256B", 256, || {
+            code.parity_bytes_into(std::hint::black_box(&data), &mut out);
+            out[0]
         }));
     }
     if wants(cfg, "bch/parity_delta_64b") {
         // The §V-D code-bit update of one chip: the sparse encode entry
         // on 64 changed data bits, at a block offset that goes once
         // round the stripe (the offset picks the table rows, not the
-        // cost). Allocation-free by construction; pinned here.
+        // cost).
         let mut delta = [0u8; 8];
         rng.fill_bytes(&mut delta);
         let mut out = vec![0u64; code.parity_limbs()];
         let mut off = 0;
-        let row = scenario(cfg, "bch/parity_delta_64b", 8, || {
+        rows.push(alloc_free_scenario(cfg, "bch/parity_delta_64b", 8, || {
             off = (off + 1) % 32;
             code.parity_delta_into(off * 64, std::hint::black_box(&delta), &mut out);
             out[0]
-        });
-        assert_eq!(
-            row.get("allocs_per_op").and_then(|v| v.as_f64()),
-            Some(0.0),
-            "bch/parity_delta_64b must not allocate"
-        );
-        rows.push(row);
+        }));
     }
     if wants(cfg, "bch/syndromes_clean") {
-        rows.push(scenario(cfg, "bch/syndromes_clean", 256, || {
-            code.syndromes(std::hint::black_box(&clean))
+        let mut s = vec![0u32; 2 * code.t()];
+        rows.push(alloc_free_scenario(cfg, "bch/syndromes_clean", 256, || {
+            code.syndromes_into(std::hint::black_box(&clean), &mut s)
         }));
     }
     if wants(cfg, "bch/syndromes_sliced") {
@@ -258,8 +274,8 @@ fn bch_scenarios(cfg: &Config, rows: &mut Vec<Json>) {
     }
     if wants(cfg, "bch/decode_batch_scrub") {
         // A boot-scrub stripe window: 9 VLEW words, mostly clean with a
-        // few errorful lanes — what `ChipkillMemory::decode_stripe`
-        // decodes for one stripe.
+        // few errorful lanes — the nine single-word decodes
+        // `ChipkillMemory::decode_stripe` performs for one stripe.
         let weights = [0usize, 1, 0, 2, 0, 0, 5, 0, 1];
         let words: Vec<_> = weights
             .iter()
@@ -277,11 +293,16 @@ fn bch_scenarios(cfg: &Config, rows: &mut Vec<Json>) {
             .collect();
         let mut batch = words.clone();
         let mut scratch = BchScratch::new(&code);
-        rows.push(scenario(cfg, "bch/decode_batch_scrub", 9 * 256, || {
+        let name = "bch/decode_batch_scrub";
+        rows.push(alloc_free_scenario(cfg, name, 9 * 256, || {
+            let mut bits = 0;
             for (dst, src) in batch.iter_mut().zip(&words) {
                 dst.copy_from(std::hint::black_box(src));
+                bits += code
+                    .decode_word(dst, DecodePolicy::Bounded, &mut scratch)
+                    .bits_corrected();
             }
-            code.decode_batch(&mut batch, &mut scratch).len()
+            bits
         }));
     }
 }
@@ -293,8 +314,12 @@ fn rs_scenarios(cfg: &Config, rows: &mut Vec<Json>) {
     let clean = code.encode(&data);
 
     if wants(cfg, "rs/encode_64B") {
-        rows.push(scenario(cfg, "rs/encode_64B", 64, || {
-            code.encode(std::hint::black_box(&data))
+        // The encode the engine's write path runs: check bytes into a
+        // caller buffer.
+        let mut check = [0u8; 8];
+        rows.push(alloc_free_scenario(cfg, "rs/encode_64B", 64, || {
+            code.parity_into(std::hint::black_box(&data), &mut check);
+            check
         }));
     }
     if wants(cfg, "rs/decode_clean") {

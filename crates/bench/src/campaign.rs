@@ -413,8 +413,9 @@ impl<S: Sut> Run<'_, S> {
 
         // Closing sweep: the boot scrub first (it repairs a still-failed
         // chip and clears residual VLEW-level damage), then a full
-        // patrol pass, a verify, and a complete read-back. Shards whose
-        // cursors drifted apart (one stalled on a scrub UE) never report
+        // patrol pass, a verify, and a complete read-back. A step that
+        // met a scrub UE ended early, one block past it, so shards'
+        // cursors can sit at different offsets and never report
         // `completed_pass` in the same step; `total + 1` steps cover
         // every block of every shard regardless.
         self.must(Request::BootScrub);

@@ -3,7 +3,7 @@
 
 use pmck_analysis::sdc::{sdc_rate, term_a, term_b};
 use pmck_analysis::{RUNTIME_RBER_PCM_HOURLY, SDC_TARGET};
-use pmck_rs::RsCode;
+use pmck_rs::{RsCode, RsScratch};
 use pmck_rt::par;
 use pmck_rt::rng::Rng;
 
@@ -19,13 +19,14 @@ use crate::report::{sci, Experiment};
 fn monte_carlo_term_b(t: usize, trials: u64, seed: u64, workers: usize) -> f64 {
     let code = RsCode::per_block();
     let miscorrected: u64 = par::mc_chunks(trials, 10_000, workers, seed, |rng, n| {
+        let mut scratch = RsScratch::new(&code);
         let mut hits = 0u64;
         for _ in 0..n {
             // A uniformly random word is (overwhelmingly) a noncodeword
             // far from every codeword; Term B is exactly the chance it
             // lands within distance t of one.
             let mut word: Vec<u8> = (0..72).map(|_| rng.gen()).collect();
-            if let Ok(out) = code.decode(&mut word) {
+            if let Ok(out) = code.decode_scratch(&mut word, &mut scratch) {
                 if out.num_corrections() <= t {
                     hits += 1;
                 }

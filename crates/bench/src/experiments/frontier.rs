@@ -23,7 +23,7 @@ use crate::report::{pct, sci, Experiment};
 const RBERS: [f64; 8] = [1e-7, 1e-6, 3e-6, 1e-5, 7e-5, 2e-4, 1e-3, 1.5e-3];
 
 fn tier_cost(i: usize) -> f64 {
-    ProtectionTier::ALL[i].layout().total_storage_cost()
+    ProtectionTier::ALL[i].total_storage_cost()
 }
 
 /// Regenerates the frontier: per-tier storage cost vs analytic UBER

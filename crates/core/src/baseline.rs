@@ -8,7 +8,7 @@
 //! proposal's headline claim is adding chip failure protection over this
 //! baseline at no storage cost and ~2% performance cost.
 
-use pmck_bch::{BchCode, BitPoly};
+use pmck_bch::{BchCode, BchScratch, BitPoly};
 use pmck_nvram::{BitErrorInjector, ChipFailureKind, FailedChip};
 use pmck_rt::rng::Rng;
 
@@ -32,6 +32,11 @@ pub struct BaselineMemory {
     num_blocks: u64,
     bch: BchCode,
     code_bytes: usize,
+    /// Reusable decode working memory: one block's data as a bit
+    /// vector, the codeword assembled around it, the decoder scratch.
+    data_word: BitPoly,
+    cw: BitPoly,
+    scratch: BchScratch,
     failed_chip: Option<FailedChip>,
 }
 
@@ -49,6 +54,9 @@ impl BaselineMemory {
             data: vec![0; num_blocks as usize * 64],
             codes: vec![0; num_blocks as usize * code_bytes],
             num_blocks,
+            data_word: BitPoly::zero(bch.data_bits()),
+            cw: BitPoly::zero(bch.len()),
+            scratch: BchScratch::new(&bch),
             bch,
             code_bytes,
             failed_chip: None,
@@ -96,27 +104,28 @@ impl BaselineMemory {
             return Err(CoreError::OutOfRange(addr));
         }
         let a = addr as usize;
-        let mut cw = BitPoly::zero(self.bch.len());
-        let code = BitPoly::from_bytes(&self.codes[a * self.code_bytes..(a + 1) * self.code_bytes]);
-        cw.splice(0, &code.slice(0, self.bch.parity_bits()));
-        cw.splice(
-            self.bch.parity_bits(),
-            &BitPoly::from_bytes(&self.data[a * 64..(a + 1) * 64]),
+        let stored = &self.data[a * 64..(a + 1) * 64];
+        // The 140 parity bits end mid-byte: the code bytes go in whole
+        // and the data word then overwrites the padding behind them.
+        let r = self.bch.parity_bits();
+        self.cw.splice_bytes(
+            0,
+            &self.codes[a * self.code_bytes..(a + 1) * self.code_bytes],
         );
-        match self.bch.decode(&mut cw) {
-            Ok(out) => {
-                let data: [u8; 64] = self
-                    .bch
-                    .extract_data_bytes(&cw)
-                    .try_into()
-                    .expect("64 bytes");
-                Ok(BaselineReadOutcome {
-                    data,
-                    bits_corrected: out.num_corrected(),
-                })
-            }
-            Err(_) => Err(CoreError::Uncorrectable),
+        self.data_word.splice_bytes(0, stored);
+        self.cw.splice(r, &self.data_word);
+        let view = self
+            .bch
+            .decode_scratch(&mut self.cw, &mut self.scratch)
+            .map_err(|_| CoreError::Uncorrectable)?;
+        let mut data: [u8; 64] = stored.try_into().expect("64 bytes");
+        for &p in view.corrected_bits().iter().filter(|&&p| p >= r) {
+            data[(p - r) / 8] ^= 1 << ((p - r) % 8);
         }
+        Ok(BaselineReadOutcome {
+            data,
+            bits_corrected: view.num_corrected(),
+        })
     }
 
     /// Injects random bit flips across data and code; returns the count.

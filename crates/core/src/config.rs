@@ -7,9 +7,10 @@ use crate::layout::{ChipkillLayout, ProtectionTier};
 /// Configuration of the chipkill-correct engine.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChipkillConfig {
-    /// The protection tier the rank runs at; resolves to one of the
-    /// [`Layout`] implementations. `layout`/`threshold` must agree with
-    /// it — use [`ChipkillConfig::for_tier`] to derive all three.
+    /// The protection tier the rank runs at. `layout` must be the
+    /// tier's [`ProtectionTier::geometry`] ([`crate::ChipkillMemory::new`]
+    /// checks) — use [`ChipkillConfig::for_tier`] to derive it and the
+    /// tier's threshold together.
     pub tier: ProtectionTier,
     /// Rank/ECC geometry.
     pub layout: ChipkillLayout,
@@ -49,26 +50,24 @@ impl ChipkillConfig {
     }
 
     /// The configuration for a protection tier: geometry and threshold
-    /// both come from the tier's [`Layout`], everything else stays at
-    /// the defaults.
+    /// both come from the tier, everything else stays at the defaults.
     pub fn for_tier(tier: ProtectionTier) -> Self {
-        let layout = tier.layout();
         ChipkillConfig {
             tier,
-            layout: layout.geometry(),
-            threshold: layout.rs_threshold(),
+            layout: tier.geometry(),
+            threshold: tier.rs_threshold(),
             ..Self::default()
         }
     }
 
     /// Whether the configured tier runs the VLEW boot tier.
     pub fn vlew_enabled(&self) -> bool {
-        self.tier.layout().vlew_enabled()
+        self.tier.vlew_enabled()
     }
 
     /// Total storage cost of the configured tier.
     pub fn total_storage_cost(&self) -> f64 {
-        self.tier.layout().total_storage_cost()
+        self.tier.total_storage_cost()
     }
 }
 

@@ -477,7 +477,24 @@ pub(crate) fn record_access(
         _ => {}
     }
     match result {
-        Ok(Response::Read(out)) => record_read_path(st, &out.path),
+        Ok(Response::Read(out)) => match out.path {
+            ReadPath::Clean => st.clean_reads += 1,
+            ReadPath::RsCorrected { .. } => st.rs_corrected += 1,
+            ReadPath::VlewFallback { bits_corrected } => {
+                st.vlew_fallbacks += 1;
+                st.bits_corrected += bits_corrected as u64;
+            }
+            ReadPath::ChipkillErasure { .. } => st.erasure_reads += 1,
+            ReadPath::BitCorrected { bits_corrected } => {
+                st.bit_corrected_reads += 1;
+                st.bits_corrected += bits_corrected as u64;
+            }
+            ReadPath::VlewListDecoded { bits_corrected } => {
+                st.vlew_fallbacks += 1;
+                st.list_decoded_reads += 1;
+                st.bits_corrected += bits_corrected as u64;
+            }
+        },
         Ok(Response::Injected { bits }) => st.injected_bits += *bits as u64,
         Ok(_) => {}
         // An unsupported access is a routing miss, not a device fault.
@@ -496,43 +513,18 @@ pub(crate) fn record_access(
     });
 }
 
-fn record_read_path(st: &mut LayerStats, path: &ReadPath) {
-    match path {
-        ReadPath::Clean => st.clean_reads += 1,
-        ReadPath::RsCorrected { .. } => st.rs_corrected += 1,
-        ReadPath::VlewFallback { bits_corrected } => {
-            st.vlew_fallbacks += 1;
-            st.bits_corrected += *bits_corrected as u64;
-        }
-        ReadPath::ChipkillErasure { .. } => st.erasure_reads += 1,
-        ReadPath::BitCorrected { bits_corrected } => {
-            st.bit_corrected_reads += 1;
-            st.bits_corrected += *bits_corrected as u64;
-        }
-        ReadPath::VlewListDecoded { bits_corrected } => {
-            st.vlew_fallbacks += 1;
-            st.list_decoded_reads += 1;
-            st.bits_corrected += *bits_corrected as u64;
-        }
-    }
-}
-
-fn describe_read_path(path: &ReadPath) -> String {
-    match path {
-        ReadPath::Clean => "clean".into(),
-        ReadPath::RsCorrected { corrections } => format!("rs_corrected {corrections}"),
-        ReadPath::VlewFallback { bits_corrected } => format!("vlew_fallback {bits_corrected}"),
-        ReadPath::ChipkillErasure { chip } => format!("erasure chip {chip}"),
-        ReadPath::BitCorrected { bits_corrected } => format!("bit_corrected {bits_corrected}"),
-        ReadPath::VlewListDecoded { bits_corrected } => {
-            format!("vlew_list_decoded {bits_corrected}")
-        }
-    }
-}
-
 fn describe_outcome(out: &Response) -> String {
     match out {
-        Response::Read(o) => describe_read_path(&o.path),
+        Response::Read(o) => match o.path {
+            ReadPath::Clean => "clean".into(),
+            ReadPath::RsCorrected { corrections } => format!("rs_corrected {corrections}"),
+            ReadPath::VlewFallback { bits_corrected } => format!("vlew_fallback {bits_corrected}"),
+            ReadPath::ChipkillErasure { chip } => format!("erasure chip {chip}"),
+            ReadPath::BitCorrected { bits_corrected } => format!("bit_corrected {bits_corrected}"),
+            ReadPath::VlewListDecoded { bits_corrected } => {
+                format!("vlew_list_decoded {bits_corrected}")
+            }
+        },
         Response::Written => "written".into(),
         Response::Scrubbed => "scrubbed".into(),
         Response::Injected { bits } => format!("injected {bits}"),

@@ -3,7 +3,7 @@
 
 use std::collections::HashSet;
 
-use pmck_bch::{BatchOutcome, BchCode, BchScratch, BitPoly};
+use pmck_bch::{BchCode, BchScratch, BitPoly, WordVerdict};
 use pmck_nvram::{BitErrorInjector, ChipFailureKind, FailedChip, FaultEvent, FaultKind};
 use pmck_rs::{RsCode, RsScratch, ThresholdOutcome};
 use pmck_rt::rng::Rng;
@@ -63,10 +63,10 @@ pub struct ReadOutcome {
 const CHIPS: usize = 9;
 
 /// Per-chip verdicts of one [`ChipkillMemory::decode_stripe`] call. A
-/// skipped (known-failed) chip reads [`BatchOutcome::Uncorrectable`]:
+/// skipped (known-failed) chip reads [`WordVerdict::Uncorrectable`]:
 /// decoded and rejected or not decoded at all, its bytes are erasures.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct StripeVerdict(pub(crate) [BatchOutcome; CHIPS]);
+pub(crate) struct StripeVerdict(pub(crate) [WordVerdict; CHIPS]);
 
 impl StripeVerdict {
     /// The chips whose VLEW cannot be trusted, ascending.
@@ -76,8 +76,8 @@ impl StripeVerdict {
 
     /// How many words only the beyond-bound list decoder could correct.
     pub(crate) fn list_rescues(&self) -> usize {
-        let beyond = |o: &&BatchOutcome| match o {
-            BatchOutcome::Corrected { beyond_bound, .. } => *beyond_bound,
+        let beyond = |o: &&WordVerdict| match o {
+            WordVerdict::Corrected { beyond_bound, .. } => *beyond_bound,
             _ => false,
         };
         self.0.iter().filter(beyond).count()
@@ -95,9 +95,6 @@ pub struct ChipkillMemory {
     layout: ChipkillLayout,
     num_blocks: u64,
     stripes: usize,
-    /// Whether the configured tier runs the VLEW boot tier (cached from
-    /// the tier's [`crate::Layout`]).
-    vlew_enabled: bool,
     pub(crate) chips: Vec<ChipStore>,
     pub(crate) vlew: BchCode,
     pub(crate) rs: RsCode,
@@ -130,10 +127,18 @@ impl ChipkillMemory {
     ///
     /// # Panics
     ///
-    /// Panics if `num_blocks == 0`.
+    /// Panics if `num_blocks == 0`, or if `cfg.layout` is not the
+    /// geometry of `cfg.tier` (the rank would run one tier's geometry
+    /// while reporting another's storage cost).
     pub fn new(num_blocks: u64, cfg: ChipkillConfig) -> Self {
         assert!(num_blocks > 0, "capacity must be nonzero");
         let layout = cfg.layout;
+        assert_eq!(
+            layout,
+            cfg.tier.geometry(),
+            "layout must be the {} tier's geometry (see ChipkillConfig::for_tier)",
+            cfg.tier
+        );
         let bpv = layout.blocks_per_vlew() as u64;
         let stripes = num_blocks.div_ceil(bpv) as usize;
         let num_blocks = stripes as u64 * bpv;
@@ -161,7 +166,6 @@ impl ChipkillMemory {
         let bch_scratch = BchScratch::new(&vlew);
         let vlew_batch = vec![BitPoly::zero(vlew.len()); CHIPS];
         ChipkillMemory {
-            vlew_enabled: cfg.vlew_enabled(),
             cfg,
             layout,
             num_blocks,
@@ -382,7 +386,7 @@ impl ChipkillMemory {
                     *b ^= d;
                 }
             }
-            if self.vlew_enabled {
+            if self.cfg.vlew_enabled() {
                 self.apply_chip_code_update(c, stripe, off, &delta8);
             }
         }
@@ -393,7 +397,7 @@ impl ChipkillMemory {
                 *b ^= d;
             }
         }
-        if self.vlew_enabled {
+        if self.cfg.vlew_enabled() {
             self.apply_chip_code_update(parity_idx, stripe, off, &check_sum);
         }
         self.eur.writes_seen += 1;
@@ -407,7 +411,7 @@ impl ChipkillMemory {
         let parity_idx = self.layout.data_chips;
         // VLEW code updates from the corrected delta (VLEW-bearing tiers
         // only; the RS-only tier keeps no code to maintain).
-        if self.vlew_enabled {
+        if self.cfg.vlew_enabled() {
             let mut delta8 = [0u8; 8];
             for c in 0..self.layout.data_chips {
                 let (s, e) = self.layout.rs_positions_of_data_chip(c);
@@ -456,7 +460,7 @@ impl ChipkillMemory {
         let mut word = [0u8; 72];
         // With a known-failed chip, go straight to erasure correction.
         if let Some(chip) = self.known_failed {
-            if self.vlew_enabled {
+            if self.cfg.vlew_enabled() {
                 return self.vlew_read(addr, data);
             }
             // The RS-only tier has no VLEWs to pre-correct the survivors
@@ -483,7 +487,7 @@ impl ChipkillMemory {
                 Ok(ReadPath::RsCorrected { corrections })
             }
             ThresholdOutcome::Rejected(_) => {
-                if !self.vlew_enabled {
+                if !self.cfg.vlew_enabled() {
                     // RS-only tier: the full RS radius was already spent
                     // (threshold = rs_check_bytes / 2); there is no
                     // deeper tier to fall back to.
@@ -508,7 +512,7 @@ impl ChipkillMemory {
         let mut failed = verdict.failed();
         match (failed.next(), failed.next()) {
             (None, _) => {
-                let bits_corrected = verdict.0.iter().map(BatchOutcome::bits_corrected).sum();
+                let bits_corrected = verdict.0.iter().map(WordVerdict::bits_corrected).sum();
                 self.stats.vlew_bits_corrected += bits_corrected as u64;
                 data.copy_from_slice(&word[8..]);
                 Ok(if verdict.list_rescues() > 0 {
@@ -609,17 +613,15 @@ impl ChipkillMemory {
     /// [`CoreStats::list_rescues`] here and nowhere else.
     pub(crate) fn decode_stripe(&mut self, stripe: usize, skip: Option<usize>) -> StripeVerdict {
         self.close_stripe(stripe);
-        let mut verdict = StripeVerdict([BatchOutcome::Uncorrectable; CHIPS]);
+        let mut verdict = StripeVerdict([WordVerdict::Uncorrectable; CHIPS]);
         for (chip, word) in self.vlew_batch.iter_mut().enumerate() {
             if skip == Some(chip) {
                 continue;
             }
             Self::load_vlew_word(&self.chips, &self.layout, &self.vlew, chip, stripe, word);
-            verdict.0[chip] = self.vlew.decode_batch_policy(
-                std::slice::from_mut(word),
-                self.cfg.decode_policy,
-                &mut self.bch_scratch,
-            )[0];
+            verdict.0[chip] =
+                self.vlew
+                    .decode_word(word, self.cfg.decode_policy, &mut self.bch_scratch);
         }
         self.stats.list_rescues += verdict.list_rescues() as u64;
         verdict
@@ -666,7 +668,7 @@ impl ChipkillMemory {
         {
             ThresholdOutcome::Clean | ThresholdOutcome::Accepted { .. } => Ok(()),
             ThresholdOutcome::Rejected(_) => {
-                if !self.vlew_enabled {
+                if !self.cfg.vlew_enabled() {
                     return Err(CoreError::Uncorrectable);
                 }
                 let verdict = self.decode_stripe(self.layout.stripe_of(addr), None);
@@ -857,7 +859,7 @@ impl ChipkillMemory {
             // Without VLEWs (RS-only tier) they cannot be pre-corrected,
             // so residual bit errors on them survive the rebuild — that
             // tier's documented trade-off.
-            if self.vlew_enabled {
+            if self.cfg.vlew_enabled() {
                 let verdict = self.decode_stripe(stripe, Some(chip));
                 if !verdict.failed().eq([chip]) {
                     return Err(CoreError::Uncorrectable);
@@ -881,7 +883,7 @@ impl ChipkillMemory {
                     .block_slice_mut(stripe, off, &layout)
                     .copy_from_slice(&word[s..e]);
             }
-            if self.vlew_enabled {
+            if self.cfg.vlew_enabled() {
                 // Re-encode the rebuilt chip's VLEW code for this stripe.
                 let mut code = [0u64; CODE_LIMBS];
                 self.vlew
@@ -971,6 +973,18 @@ mod tests {
             }
         }
         (mem, mirror)
+    }
+
+    #[test]
+    #[should_panic(expected = "dense tier's geometry")]
+    fn tier_and_geometry_must_agree() {
+        // Used to build a paper-geometry rank reporting the dense
+        // tier's 41.5% storage cost.
+        let cfg = ChipkillConfig {
+            tier: ProtectionTier::Dense,
+            ..ChipkillConfig::default()
+        };
+        let _ = ChipkillMemory::new(64, cfg);
     }
 
     #[test]

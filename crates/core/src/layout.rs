@@ -3,14 +3,14 @@
 //!
 //! The paper fixes one design point — RS(72, 64) per block plus a
 //! t = 22 BCH VLEW per 256 B of chip data, 27% storage cost everywhere.
-//! [`Layout`] generalizes that into a trait with three implementations
-//! selected by [`ProtectionTier`]:
+//! [`ProtectionTier`] generalizes that into three tiers, each a geometry
+//! plus the decode-policy knobs that go with it:
 //!
 //! | tier | VLEW | RS threshold | storage cost | intended for |
 //! |---|---|---|---|---|
-//! | [`RsOnlyLayout`] | off (code area → bonus blocks) | 4 (full radius) | ≈ 12.9% | healthy regions |
-//! | [`PaperLayout`] | 256 B / chip, t = 22 | 2 | ≈ 27% | the paper's fixed point |
-//! | [`DenseLayout`] | 128 B / chip, t = 22 | 2 | ≈ 41.5% | worn regions |
+//! | [`ProtectionTier::RsOnly`] | off (code area → bonus blocks) | 4 (full radius) | ≈ 12.9% | healthy regions |
+//! | [`ProtectionTier::Paper`] | 256 B / chip, t = 22 | 2 | ≈ 27% | the paper's fixed point |
+//! | [`ProtectionTier::Dense`] | 128 B / chip, t = 22 | 2 | ≈ 41.5% | worn regions |
 //!
 //! All three share the RS(72, 64) block codeword and the 9-chip rank, so
 //! the engine's gather/scatter kernels are reused unchanged; only the
@@ -154,18 +154,27 @@ impl ChipkillLayout {
     }
 }
 
-/// The protection tier a region (or a whole rank) runs at. Selects one
-/// of the three [`Layout`] implementations; [`TierPolicy`] assigns a
-/// tier to each region from its measured RBER.
+/// The protection tier a region (or a whole rank) runs at: the rank
+/// geometry plus the decode-policy knobs that distinguish the three.
+/// [`TierPolicy`] assigns a tier to each region from its measured RBER.
 ///
 /// [`TierPolicy`]: crate::tier::TierPolicy
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ProtectionTier {
-    /// RS(72, 64) only; the VLEW code area is reclaimed as bonus blocks.
+    /// The healthy-region tier: RS(72, 64) alone, spending the full
+    /// correction radius. The per-chip VLEW code area is reclaimed as
+    /// bonus blocks — four extra RS-protected 64 B blocks per stripe,
+    /// striped 8 B/chip across the code region exactly like primary
+    /// blocks — so the storage cost drops to ≈ 12.9%.
     RsOnly,
-    /// The paper's fixed RS + VLEW design point (§V-A).
+    /// The paper's fixed design point (§V-A): RS(72, 64) at threshold 2
+    /// with the 256 B / 33 B t = 22 VLEW boot tier — ≈ 27% total
+    /// storage cost.
     Paper,
-    /// Dense VLEW striping (128 B/chip at t = 22) for worn regions.
+    /// The worn-region tier: the same t = 22 BCH code over half the data
+    /// (128 B per VLEW), doubling the code density per stored bit in the
+    /// style of Chip Guard's strengthened per-chip ECC — ≈ 41.5% storage
+    /// cost, bought only where the measured RBER demands it.
     Dense,
 }
 
@@ -206,12 +215,60 @@ impl ProtectionTier {
         }
     }
 
-    /// The tier's [`Layout`] implementation.
-    pub fn layout(self) -> &'static dyn Layout {
+    /// The rank geometry the engine should use.
+    pub fn geometry(self) -> ChipkillLayout {
         match self {
-            ProtectionTier::RsOnly => &RsOnlyLayout,
-            ProtectionTier::Paper => &PaperLayout,
-            ProtectionTier::Dense => &DenseLayout,
+            ProtectionTier::RsOnly | ProtectionTier::Paper => ChipkillLayout::default(),
+            ProtectionTier::Dense => ChipkillLayout::dense(),
+        }
+    }
+
+    /// Whether the per-chip VLEW boot tier is active. When `false` the
+    /// code area holds bonus blocks instead of BCH code bits.
+    pub fn vlew_enabled(self) -> bool {
+        self != ProtectionTier::RsOnly
+    }
+
+    /// The RS acceptance threshold (max corrections accepted without
+    /// escalating). The paper point uses 2 to bound SDC; the RS-only
+    /// tier has no fallback tier behind the block code and spends the
+    /// full radius, `rs_check_bytes / 2` = 4 symbol corrections.
+    pub fn rs_threshold(self) -> usize {
+        match self {
+            ProtectionTier::RsOnly => self.geometry().rs_check_bytes / 2,
+            ProtectionTier::Paper | ProtectionTier::Dense => 2,
+        }
+    }
+
+    /// Bonus 64 B blocks reclaimed from each stripe's code area (0 for
+    /// VLEW-bearing tiers). The capacity is accounted, not addressable:
+    /// it enters [`ProtectionTier::total_storage_cost`], but the engine
+    /// serves no such blocks — making them addressable means a
+    /// [`crate::Request`] for them first.
+    pub fn bonus_blocks_per_stripe(self) -> usize {
+        match self {
+            ProtectionTier::RsOnly => {
+                let g = self.geometry();
+                g.vlew_code_bytes / g.chip_bytes
+            }
+            ProtectionTier::Paper | ProtectionTier::Dense => 0,
+        }
+    }
+
+    /// Total storage cost: check bytes per user-data byte.
+    pub fn total_storage_cost(self) -> f64 {
+        let g = self.geometry();
+        match self {
+            ProtectionTier::RsOnly => {
+                // Per stripe: 9 chips x (256 + 33) physical bytes serve
+                // 8 x 256 primary data bytes plus the reclaimed bonus
+                // blocks.
+                let physical = g.total_chips() * (g.vlew_data_bytes + g.vlew_code_bytes);
+                let user = g.data_chips * g.vlew_data_bytes
+                    + self.bonus_blocks_per_stripe() * g.block_bytes;
+                (physical - user) as f64 / user as f64
+            }
+            ProtectionTier::Paper | ProtectionTier::Dense => g.total_storage_cost(),
         }
     }
 }
@@ -230,142 +287,6 @@ impl std::str::FromStr for ProtectionTier {
             .into_iter()
             .find(|t| t.as_str() == s)
             .ok_or_else(|| format!("unknown protection tier: {s}"))
-    }
-}
-
-/// A pluggable rank protection layout: the geometry plus the decode
-/// policy knobs that distinguish the three tiers. Implementations are
-/// stateless unit structs reachable through [`ProtectionTier::layout`],
-/// so configs stay `Copy` and carry only the tier tag.
-pub trait Layout {
-    /// The tier this layout implements.
-    fn tier(&self) -> ProtectionTier;
-
-    /// Human-readable name.
-    fn name(&self) -> &'static str {
-        self.tier().as_str()
-    }
-
-    /// The rank geometry the engine should use.
-    fn geometry(&self) -> ChipkillLayout;
-
-    /// Whether the per-chip VLEW boot tier is active. When `false` the
-    /// code area holds bonus blocks instead of BCH code bits.
-    fn vlew_enabled(&self) -> bool {
-        true
-    }
-
-    /// The RS acceptance threshold (max corrections accepted without
-    /// escalating). The paper point uses 2 to bound SDC; an RS-only
-    /// layout has no fallback tier and spends the full radius.
-    fn rs_threshold(&self) -> usize;
-
-    /// Bonus 64 B blocks reclaimed from each stripe's code area (0 for
-    /// VLEW-bearing layouts). The capacity is accounted, not
-    /// addressable: it enters [`Layout::total_storage_cost`], but the
-    /// engine serves no such blocks — making them addressable means a
-    /// [`crate::Request`] for them first.
-    fn bonus_blocks_per_stripe(&self) -> usize {
-        0
-    }
-
-    /// Total storage cost: check bytes per user-data byte.
-    fn total_storage_cost(&self) -> f64;
-
-    /// Validates the layout's geometry invariants.
-    fn validate(&self) -> Result<(), String> {
-        self.geometry().validate()
-    }
-}
-
-/// The paper's fixed design point: RS(72, 64) at threshold 2 with the
-/// 256 B / 33 B t = 22 VLEW boot tier — ≈ 27% total storage cost.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PaperLayout;
-
-impl Layout for PaperLayout {
-    fn tier(&self) -> ProtectionTier {
-        ProtectionTier::Paper
-    }
-
-    fn geometry(&self) -> ChipkillLayout {
-        ChipkillLayout::default()
-    }
-
-    fn rs_threshold(&self) -> usize {
-        2
-    }
-
-    fn total_storage_cost(&self) -> f64 {
-        self.geometry().total_storage_cost()
-    }
-}
-
-/// The healthy-region layout: RS(72, 64) alone, spending the full
-/// correction radius. The per-chip VLEW code area is reclaimed as bonus
-/// blocks — four extra RS-protected 64 B blocks per stripe, striped
-/// 8 B/chip across the code region exactly like primary blocks — so the
-/// storage cost drops to ≈ 12.9%.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RsOnlyLayout;
-
-impl Layout for RsOnlyLayout {
-    fn tier(&self) -> ProtectionTier {
-        ProtectionTier::RsOnly
-    }
-
-    fn geometry(&self) -> ChipkillLayout {
-        ChipkillLayout::default()
-    }
-
-    fn vlew_enabled(&self) -> bool {
-        false
-    }
-
-    fn rs_threshold(&self) -> usize {
-        // No VLEW fallback behind the block code: spend the full
-        // radius, floor(rs_check_bytes / 2) = 4 symbol corrections.
-        self.geometry().rs_check_bytes / 2
-    }
-
-    fn bonus_blocks_per_stripe(&self) -> usize {
-        let g = self.geometry();
-        g.vlew_code_bytes / g.chip_bytes
-    }
-
-    fn total_storage_cost(&self) -> f64 {
-        let g = self.geometry();
-        // Per stripe: 9 chips x (256 + 33) physical bytes serve
-        // 8 x 256 primary data bytes plus the reclaimed bonus blocks.
-        let physical = g.total_chips() * (g.vlew_data_bytes + g.vlew_code_bytes);
-        let user =
-            g.data_chips * g.vlew_data_bytes + self.bonus_blocks_per_stripe() * g.block_bytes;
-        (physical - user) as f64 / user as f64
-    }
-}
-
-/// The worn-region layout: the same t = 22 BCH code over half the data
-/// (128 B per VLEW), doubling the code density per stored bit in the
-/// style of Chip Guard's strengthened per-chip ECC — ≈ 41.5% storage
-/// cost, bought only where the measured RBER demands it.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DenseLayout;
-
-impl Layout for DenseLayout {
-    fn tier(&self) -> ProtectionTier {
-        ProtectionTier::Dense
-    }
-
-    fn geometry(&self) -> ChipkillLayout {
-        ChipkillLayout::dense()
-    }
-
-    fn rs_threshold(&self) -> usize {
-        2
-    }
-
-    fn total_storage_cost(&self) -> f64 {
-        self.geometry().total_storage_cost()
     }
 }
 
@@ -425,7 +346,7 @@ mod tests {
         ChipkillLayout::default().validate().unwrap();
         ChipkillLayout::dense().validate().unwrap();
         for tier in ProtectionTier::ALL {
-            tier.layout().validate().unwrap();
+            tier.geometry().validate().unwrap();
         }
     }
 
@@ -469,14 +390,11 @@ mod tests {
     fn tier_table() {
         use std::str::FromStr;
         for tier in ProtectionTier::ALL {
-            let l = tier.layout();
-            assert_eq!(l.tier(), tier);
-            assert_eq!(l.name(), tier.as_str());
             assert_eq!(ProtectionTier::from_str(tier.as_str()), Ok(tier));
             assert_eq!(ProtectionTier::from_tag(tier.tag()), Some(tier));
             // Every tier keeps the RS(72, 64) block codeword the engine
             // scratch buffers assume.
-            assert_eq!(l.geometry().rs_codeword_bytes(), 72);
+            assert_eq!(tier.geometry().rs_codeword_bytes(), 72);
         }
         // Word 6 of pre-tier meta lines was reserved-zero: it must keep
         // decoding as the paper tier.
@@ -487,9 +405,9 @@ mod tests {
 
     #[test]
     fn tier_costs_bracket_the_paper_point() {
-        let rs_only = ProtectionTier::RsOnly.layout().total_storage_cost();
-        let paper = ProtectionTier::Paper.layout().total_storage_cost();
-        let dense = ProtectionTier::Dense.layout().total_storage_cost();
+        let rs_only = ProtectionTier::RsOnly.total_storage_cost();
+        let paper = ProtectionTier::Paper.total_storage_cost();
+        let dense = ProtectionTier::Dense.total_storage_cost();
         assert!((paper - 0.2699).abs() < 0.001, "paper {paper}");
         assert!(
             (rs_only - 297.0 / 2304.0).abs() < 1e-12,
@@ -501,7 +419,7 @@ mod tests {
 
     #[test]
     fn rs_only_reclaims_four_bonus_blocks_per_stripe() {
-        let l = RsOnlyLayout;
+        let l = ProtectionTier::RsOnly;
         assert_eq!(l.bonus_blocks_per_stripe(), 4);
         assert!(!l.vlew_enabled());
         assert_eq!(l.rs_threshold(), 4);

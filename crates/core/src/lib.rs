@@ -79,7 +79,7 @@ pub use error::{
     ServiceError, ServiceFailure,
 };
 pub use iocrc::{crc16, BusFault, LinkProtected, TransmitOutcome, WriteLink};
-pub use layout::{ChipkillLayout, DenseLayout, Layout, PaperLayout, ProtectionTier, RsOnlyLayout};
+pub use layout::{ChipkillLayout, ProtectionTier};
 pub use patrol::{PatrolReport, PatrolScrubber, Patrolled};
 pub use pmem::PmemDomain;
 pub use request::{merge_broadcast, Request, Response};

@@ -74,8 +74,11 @@ impl PatrolScrubber {
     ///
     /// # Errors
     ///
-    /// Propagates the first uncorrectable error encountered; the cursor
-    /// stays on the failing block so the caller can inspect it.
+    /// Propagates the first uncorrectable error encountered and ends the
+    /// increment there. The cursor has already moved past the failing
+    /// block ([`PatrolScrubber::cursor`] is one beyond it), so the next
+    /// step carries on behind it: one lost word costs the patrol that
+    /// word, not the rest of the device.
     pub fn step<D: BlockDevice + ?Sized>(
         &mut self,
         dev: &mut D,
@@ -97,17 +100,17 @@ impl PatrolScrubber {
     ) -> Result<PatrolReport, CoreError> {
         let mut report = PatrolReport::default();
         for _ in 0..self.blocks_per_step {
-            let addr = self.cursor;
-            match dev.access(Request::Scrub(addr), ctx) {
-                Ok(_) => report.blocks_scrubbed += 1,
-                Err(CoreError::Disabled(_)) => report.blocks_skipped += 1,
-                Err(e) => return Err(e),
-            }
+            let scrubbed = dev.access(Request::Scrub(self.cursor), ctx);
             self.cursor += 1;
             if self.cursor >= dev.num_blocks() {
                 self.cursor = 0;
                 self.passes += 1;
                 report.completed_pass = true;
+            }
+            match scrubbed {
+                Ok(_) => report.blocks_scrubbed += 1,
+                Err(CoreError::Disabled(_)) => report.blocks_skipped += 1,
+                Err(e) => return Err(e),
             }
         }
         Ok(report)
@@ -178,13 +181,14 @@ impl<D: BlockDevice> Patrolled<D> {
     }
 
     fn run_step(&mut self, ctx: &mut AccessContext) -> Result<PatrolReport, CoreError> {
-        let report = self.scrubber.step_ctx(&mut self.inner, ctx)?;
+        // Counted from the scrubber, not the report: a step that fails
+        // on the device's last block still completes the pass.
+        let passes = self.scrubber.passes();
+        let result = self.scrubber.step_ctx(&mut self.inner, ctx);
         let st = ctx.layer_mut(LayerId::Patrol);
         st.patrol_steps += 1;
-        if report.completed_pass {
-            st.patrol_passes += 1;
-        }
-        Ok(report)
+        st.patrol_passes += self.scrubber.passes() - passes;
+        result
     }
 }
 
@@ -351,6 +355,32 @@ mod tests {
         assert_eq!(st.patrol_steps, 64 / 4);
         assert!(dev.scrubber().passes() >= 1);
         assert_eq!(st.patrol_passes, dev.scrubber().passes());
+    }
+
+    #[test]
+    fn one_lost_word_does_not_starve_the_rest_of_the_patrol() {
+        use crate::layout::ProtectionTier;
+        let mut mem = ChipkillMemory::new(64, ChipkillConfig::for_tier(ProtectionTier::RsOnly));
+        // Block 5: five wrong symbols, beyond the RS-only radius of 4.
+        // Block 40: one, which a patrol that gets there repairs.
+        for chip in 0..5 {
+            mem.corrupt_chip_byte(chip, 5, 0, 0xFF);
+        }
+        mem.corrupt_chip_byte(2, 40, 3, 0x10);
+        let mut dev = Patrolled::over(mem, 4, 0);
+        let mut ctx = AccessContext::scratch();
+        let mut failed = 0;
+        for _ in 0..dev.num_blocks() / 4 + 2 {
+            if dev.access(Request::PatrolStep, &mut ctx).is_err() {
+                failed += 1;
+            }
+        }
+        assert!(failed >= 1, "the lost word is reported, not hidden");
+        assert!(dev.scrubber().passes() >= 1, "the patrol wrapped");
+        let st = ctx.layer(LayerId::Patrol).unwrap();
+        assert_eq!(st.patrol_passes, dev.scrubber().passes());
+        let out = dev.access(Request::Read(40), &mut ctx).unwrap();
+        assert_eq!(out.read().unwrap().path, crate::engine::ReadPath::Clean);
     }
 
     #[test]

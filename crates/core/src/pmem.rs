@@ -473,16 +473,8 @@ impl RestripedMemory {
     /// image — recovery's path when the crash landed *after* the §V-E
     /// layout flip committed.
     pub(crate) fn from_pmem_image(domain: PmemDomain) -> Self {
-        let num_blocks = (domain.map.b_data_len() / 64) as u64;
-        let groups = num_blocks as usize / BLOCKS_PER_GROUP;
-        let mut out = RestripedMemory {
-            data: vec![0u8; num_blocks as usize * 64],
-            codes: vec![0u8; groups * 33],
-            num_blocks,
-            vlew: pmck_bch::BchCode::vlew(),
-            bits_corrected: 0,
-            domain: Some(domain),
-        };
+        let mut out = RestripedMemory::zeroed((domain.map.b_data_len() / 64) as u64);
+        out.domain = Some(domain);
         out.restore_from_image();
         out
     }

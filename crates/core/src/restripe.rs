@@ -9,7 +9,7 @@
 //! rather than 32+. Length and strength are unchanged, so storage cost is
 //! unchanged.
 
-use pmck_bch::{BchCode, BitPoly};
+use pmck_bch::{BchCode, BchScratch, BitPoly};
 use pmck_nvram::BitErrorInjector;
 use pmck_rt::rng::Rng;
 
@@ -32,6 +32,10 @@ pub struct RestripedMemory {
     pub(crate) codes: Vec<u8>, // 33 B per 4-block group
     pub(crate) num_blocks: u64,
     pub(crate) vlew: BchCode,
+    /// Reusable decode working memory: one group's VLEW codeword and
+    /// the decoder scratch.
+    cw: BitPoly,
+    scratch: BchScratch,
     pub(crate) bits_corrected: u64,
     /// Persistence domain, moved over from the chipkill rank at the
     /// re-stripe transition (see `crate::pmem`).
@@ -47,27 +51,30 @@ impl RestripedMemory {
     ///
     /// Propagates read errors from the old layout.
     pub fn from_failed_rank(mem: &mut ChipkillMemory) -> Result<Self, CoreError> {
-        let num_blocks = mem.num_blocks();
-        let mut data = vec![0u8; num_blocks as usize * 64];
-        for addr in 0..num_blocks {
-            let out = mem.read_block(addr)?;
-            data[addr as usize * 64..(addr as usize + 1) * 64].copy_from_slice(&out.data);
+        let mut out = Self::zeroed(mem.num_blocks());
+        for (addr, block) in out.data.chunks_exact_mut(64).enumerate() {
+            block.copy_from_slice(&mem.read_block(addr as u64)?.data);
         }
-        let vlew = BchCode::vlew();
-        let groups = num_blocks as usize / BLOCKS_PER_GROUP;
-        let mut out = RestripedMemory {
-            data,
-            codes: vec![0u8; groups * 33],
-            num_blocks,
-            vlew,
-            bits_corrected: 0,
-            domain: None,
-        };
-        for g in 0..groups {
+        for g in 0..out.codes.len() / 33 {
             let code = out.encode_group(g);
             out.codes[g * 33..(g + 1) * 33].copy_from_slice(&code);
         }
         Ok(out)
+    }
+
+    /// An all-zero layout of `num_blocks` blocks with no domain.
+    pub(crate) fn zeroed(num_blocks: u64) -> Self {
+        let vlew = BchCode::vlew();
+        RestripedMemory {
+            data: vec![0u8; num_blocks as usize * 64],
+            codes: vec![0u8; num_blocks as usize / BLOCKS_PER_GROUP * 33],
+            num_blocks,
+            cw: BitPoly::zero(vlew.len()),
+            scratch: BchScratch::new(&vlew),
+            vlew,
+            bits_corrected: 0,
+            domain: None,
+        }
     }
 
     fn encode_group(&self, group: usize) -> [u8; 33] {
@@ -96,16 +103,6 @@ impl RestripedMemory {
         self.bits_corrected
     }
 
-    fn group_word(&self, group: usize) -> BitPoly {
-        let mut cw = BitPoly::zero(self.vlew.len());
-        let code = BitPoly::from_bytes(&self.codes[group * 33..(group + 1) * 33]);
-        cw.splice(0, &code.slice(0, self.vlew.parity_bits()));
-        let base = group * BLOCKS_PER_GROUP * 64;
-        let data = BitPoly::from_bytes(&self.data[base..base + 256]);
-        cw.splice(self.vlew.parity_bits(), &data);
-        cw
-    }
-
     /// Reads a block, correcting the 4-block group through its VLEW when
     /// errors are present.
     ///
@@ -117,32 +114,25 @@ impl RestripedMemory {
             return Err(CoreError::OutOfRange(addr));
         }
         let group = addr as usize / BLOCKS_PER_GROUP;
-        let mut cw = self.group_word(group);
-        match self.vlew.decode(&mut cw) {
-            Ok(outcome) => {
-                if !outcome.was_clean() {
-                    self.bits_corrected += outcome.num_corrected() as u64;
-                    // Write the corrected group back (scrub-on-read).
-                    let data = cw
-                        .slice(self.vlew.parity_bits(), self.vlew.data_bits())
-                        .to_bytes();
-                    let base = group * BLOCKS_PER_GROUP * 64;
-                    self.data[base..base + 256].copy_from_slice(&data);
-                    let code = cw.slice(0, self.vlew.parity_bits()).to_bytes();
-                    self.codes[group * 33..group * 33 + 33].copy_from_slice(&{
-                        let mut c = code;
-                        c.resize(33, 0);
-                        c
-                    });
-                }
-                let off = (addr as usize % BLOCKS_PER_GROUP) * 64;
-                let base = group * BLOCKS_PER_GROUP * 64;
-                Ok(self.data[base + off..base + off + 64]
-                    .try_into()
-                    .expect("64 bytes"))
-            }
-            Err(_) => Err(CoreError::Uncorrectable),
+        let base = group * BLOCKS_PER_GROUP * 64;
+        // The VLEW's 264 parity bits are 33 whole bytes: both regions
+        // drop in (and come back out) as byte splices.
+        let r = self.vlew.parity_bits();
+        let codes = &mut self.codes[group * 33..(group + 1) * 33];
+        self.cw.splice_bytes(0, codes);
+        self.cw.splice_bytes(r, &self.data[base..base + 256]);
+        let view = self
+            .vlew
+            .decode_scratch(&mut self.cw, &mut self.scratch)
+            .map_err(|_| CoreError::Uncorrectable)?;
+        if !view.was_clean() {
+            self.bits_corrected += view.num_corrected() as u64;
+            // Write the corrected group back (scrub-on-read).
+            self.cw.extract_bytes(0, codes);
+            self.cw.extract_bytes(r, &mut self.data[base..base + 256]);
         }
+        let off = base + (addr as usize % BLOCKS_PER_GROUP) * 64;
+        Ok(self.data[off..off + 64].try_into().expect("64 bytes"))
     }
 
     /// Writes a block, updating the group's VLEW code linearly.

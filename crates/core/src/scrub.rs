@@ -1,7 +1,7 @@
 //! Boot-time scrubbing (§V-B): VLEW-decode everything, rebuild failed
 //! chips, and report what happened.
 
-use pmck_bch::BatchOutcome;
+use pmck_bch::WordVerdict;
 
 use crate::engine::ChipkillMemory;
 use crate::error::CoreError;
@@ -44,7 +44,7 @@ impl ChipkillMemory {
         for stripe in 0..self.stripes() {
             let verdict = self.decode_stripe(stripe, None);
             for (chip, outcome) in verdict.0.into_iter().enumerate() {
-                if let BatchOutcome::Corrected { bits, .. } = outcome {
+                if let WordVerdict::Corrected { bits, .. } = outcome {
                     report.bits_corrected += bits;
                     report.words_with_errors += 1;
                     self.write_back_vlew(chip, stripe);

@@ -69,6 +69,17 @@ impl Stack {
         self.dev.access(*req, &mut self.ctx)
     }
 
+    /// Submits `req` and takes the payload out of the response variant
+    /// that kind of request is answered with.
+    fn typed<T>(
+        &mut self,
+        req: Request,
+        payload: fn(Response) -> Option<T>,
+    ) -> Result<T, CoreError> {
+        let resp = self.submit(&req)?;
+        Ok(payload(resp).unwrap_or_else(|| unreachable!("{} answered {resp:?}", req.kind())))
+    }
+
     /// Capacity (in blocks) as seen at the top of the stack.
     pub fn num_blocks(&self) -> u64 {
         self.dev.num_blocks()
@@ -80,10 +91,7 @@ impl Stack {
     ///
     /// As [`BlockDevice::access`].
     pub fn read(&mut self, addr: u64) -> Result<ReadOutcome, CoreError> {
-        match self.submit(&Request::Read(addr))? {
-            Response::Read(out) => Ok(out),
-            other => unreachable!("read returned {other:?}"),
-        }
+        self.typed(Request::Read(addr), Response::read)
     }
 
     /// Writes one block (conventional path).
@@ -112,10 +120,7 @@ impl Stack {
     ///
     /// [`CoreError::Unsupported`] without a patrol layer.
     pub fn patrol_step(&mut self) -> Result<PatrolReport, CoreError> {
-        match self.submit(&Request::PatrolStep)? {
-            Response::Patrolled(r) => Ok(r),
-            other => unreachable!("patrol_step returned {other:?}"),
-        }
+        self.typed(Request::PatrolStep, Response::patrolled)
     }
 
     /// Injects i.i.d. bit errors at `rber`; returns flipped bits.
@@ -124,10 +129,7 @@ impl Stack {
     ///
     /// As [`BlockDevice::access`].
     pub fn inject_bit_errors(&mut self, rber: f64) -> Result<usize, CoreError> {
-        match self.submit(&Request::InjectRber(rber))? {
-            Response::Injected { bits } => Ok(bits),
-            other => unreachable!("inject returned {other:?}"),
-        }
+        self.typed(Request::InjectRber(rber), Response::injected_bits)
     }
 
     /// Applies one fault-campaign event; returns disturbed bits/cells.
@@ -136,10 +138,7 @@ impl Stack {
     ///
     /// As [`BlockDevice::access`].
     pub fn apply_fault(&mut self, event: &FaultEvent) -> Result<usize, CoreError> {
-        match self.submit(&Request::Fault(*event))? {
-            Response::Injected { bits } => Ok(bits),
-            other => unreachable!("fault returned {other:?}"),
-        }
+        self.typed(Request::Fault(*event), Response::injected_bits)
     }
 
     /// Full boot-time scrub.
@@ -148,10 +147,7 @@ impl Stack {
     ///
     /// As [`BlockDevice::access`].
     pub fn boot_scrub(&mut self) -> Result<ScrubReport, CoreError> {
-        match self.submit(&Request::BootScrub)? {
-            Response::BootScrubbed(r) => Ok(r),
-            other => unreachable!("boot_scrub returned {other:?}"),
-        }
+        self.typed(Request::BootScrub, Response::boot_scrubbed)
     }
 
     /// Whether stored code bits are consistent with stored data.
@@ -160,10 +156,7 @@ impl Stack {
     ///
     /// As [`BlockDevice::access`].
     pub fn verify_consistent(&mut self) -> Result<bool, CoreError> {
-        match self.submit(&Request::Verify)? {
-            Response::Verified(ok) => Ok(ok),
-            other => unreachable!("verify returned {other:?}"),
-        }
+        self.typed(Request::Verify, Response::verified)
     }
 
     /// Reconfigures into the §V-E re-striped layout in place (requires a
@@ -183,10 +176,7 @@ impl Stack {
     ///
     /// As [`BlockDevice::access`].
     pub fn flush(&mut self) -> Result<u64, CoreError> {
-        match self.submit(&Request::Flush)? {
-            Response::Flushed { lines } => Ok(lines),
-            other => unreachable!("flush returned {other:?}"),
-        }
+        self.typed(Request::Flush, Response::flushed_lines)
     }
 
     /// Simulates a power cut; returns the volatile lines lost with the
@@ -196,10 +186,10 @@ impl Stack {
     ///
     /// As [`BlockDevice::access`].
     pub fn power_cut(&mut self) -> Result<u64, CoreError> {
-        match self.submit(&Request::PowerCut)? {
-            Response::PowerLost { lost_lines } => Ok(lost_lines),
-            other => unreachable!("power_cut returned {other:?}"),
-        }
+        self.typed(Request::PowerCut, |resp| match resp {
+            Response::PowerLost { lost_lines } => Some(lost_lines),
+            _ => None,
+        })
     }
 
     /// Replays the intent log and rebuilds runtime state from the
@@ -209,10 +199,7 @@ impl Stack {
     ///
     /// [`CoreError::Recovery`] when the durable state is unrecoverable.
     pub fn recover(&mut self) -> Result<crate::device::RecoveryReport, CoreError> {
-        match self.submit(&Request::Recover)? {
-            Response::Recovered(r) => Ok(r),
-            other => unreachable!("recover returned {other:?}"),
-        }
+        self.typed(Request::Recover, Response::recovered)
     }
 
     /// Runs one tier-policy pass over the regions (requires a
@@ -222,10 +209,7 @@ impl Stack {
     ///
     /// [`CoreError::Unsupported`] without a tiered base.
     pub fn tier_step(&mut self) -> Result<TierReport, CoreError> {
-        match self.submit(&Request::TierStep)? {
-            Response::Tiered(r) => Ok(r),
-            other => unreachable!("tier_step returned {other:?}"),
-        }
+        self.typed(Request::TierStep, Response::tiered)
     }
 
     /// The current tier census, when a tiered base anchors the stack.
@@ -296,7 +280,7 @@ impl Stack {
             for tier in ProtectionTier::ALL {
                 reg.set_gauge(
                     &format!("{prefix}.tier_cost.{tier}"),
-                    tier.layout().total_storage_cost(),
+                    tier.total_storage_cost(),
                 );
             }
             reg.set_gauge(

@@ -6,7 +6,7 @@
 //! regions, tracks each region's measured RBER
 //! ([`pmck_nvram::RegionRber`]: the max of the wear-model prediction and
 //! the observed error sample), and lets a [`TierPolicy`] assign each
-//! region one of the three [`crate::Layout`] tiers: RS-only for healthy
+//! region one of the three [`ProtectionTier`] tiers: RS-only for healthy
 //! regions (≈ 12.9% cost with the VLEW area accounted as bonus blocks), the
 //! paper's point, or the dense layout for worn regions (≈ 41.5%).
 //!
@@ -754,7 +754,7 @@ mod tests {
     #[test]
     fn blended_cost_tracks_the_census() {
         let mem = TieredMemory::new(64, 2, ChipkillConfig::default(), TierPolicy::default());
-        let paper = ProtectionTier::Paper.layout().total_storage_cost();
+        let paper = ProtectionTier::Paper.total_storage_cost();
         let r = mem.report();
         assert_eq!(r.paper_regions, 2);
         assert!((r.blended_cost() - paper).abs() < 1e-4);

@@ -208,51 +208,31 @@ impl<D: BlockDevice> BlockDevice for WearLevelled<D> {
     }
 
     fn access(&mut self, req: Request, ctx: &mut AccessContext) -> Result<Response, CoreError> {
-        let result = match req {
-            Request::Read(logical) => self.check(logical).and_then(|()| {
+        let result = match req.addr() {
+            Some(logical) => self.check(logical).and_then(|()| {
                 let phys = self.physical_of(logical);
-                self.inner.access(Request::Read(phys), ctx)
-            }),
-            Request::Write { addr, data } => self.check(addr).and_then(|()| {
-                let phys = self.physical_of(addr);
-                let out = self
-                    .inner
-                    .access(Request::Write { addr: phys, data }, ctx)?;
-                self.writes_since_move += 1;
-                if self.writes_since_move >= self.gap_move_interval {
-                    self.writes_since_move = 0;
-                    self.move_gap(ctx)?;
+                let out = self.inner.access(req.with_addr(phys), ctx)?;
+                if matches!(req, Request::Write { .. } | Request::WriteSum { .. }) {
+                    self.writes_since_move += 1;
+                    if self.writes_since_move >= self.gap_move_interval {
+                        self.writes_since_move = 0;
+                        self.move_gap(ctx)?;
+                    }
                 }
                 Ok(out)
-            }),
-            Request::WriteSum { addr, data } => self.check(addr).and_then(|()| {
-                let phys = self.physical_of(addr);
-                let out = self
-                    .inner
-                    .access(Request::WriteSum { addr: phys, data }, ctx)?;
-                self.writes_since_move += 1;
-                if self.writes_since_move >= self.gap_move_interval {
-                    self.writes_since_move = 0;
-                    self.move_gap(ctx)?;
-                }
-                Ok(out)
-            }),
-            Request::Scrub(logical) => self.check(logical).and_then(|()| {
-                let phys = self.physical_of(logical);
-                self.inner.access(Request::Scrub(phys), ctx)
             }),
             // Whole-device operations are not address-translated, but
             // ones that fence durable state must carry the current
             // Start-Gap position down into the domain's metadata first —
             // and recovery restores the mapping the metadata recorded.
-            other => {
-                if matches!(other, Request::Flush | Request::Restripe) {
+            None => {
+                if matches!(req, Request::Flush | Request::Restripe) {
                     if let Some(d) = self.inner.pmem_domain() {
                         d.set_wear(self.gap, self.start);
                     }
                 }
-                let out = self.inner.access(other, ctx);
-                if matches!(other, Request::Recover) && out.is_ok() {
+                let out = self.inner.access(req, ctx);
+                if matches!(req, Request::Recover) && out.is_ok() {
                     if let Some(d) = self.inner.pmem_domain() {
                         let (gap, start) = d.wear();
                         self.gap = gap;

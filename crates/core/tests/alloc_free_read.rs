@@ -1,18 +1,32 @@
 //! Proves the read path — clean, VLEW fallback and chip-failure erasure
-//! alike — performs zero heap allocations after warm-up, using a
-//! counting `#[global_allocator]`.
+//! alike, and the baseline and re-striped layouts' single-tier reads —
+//! performs zero heap allocations after warm-up, using a counting
+//! `#[global_allocator]`.
 //!
 //! This file intentionally holds a single `#[test]`: the allocation
 //! counter is process-global, so a second test running in a parallel
 //! thread would pollute the measurement window.
 
 use pmck_bch::{BchCode, BchScratch};
-use pmck_core::{ChipFailureKind, ChipkillConfig, ChipkillMemory, ReadPath, Request, StackBuilder};
+use pmck_core::{
+    BaselineMemory, ChipFailureKind, ChipkillConfig, ChipkillMemory, ReadPath, Request,
+    RestripedMemory, StackBuilder,
+};
 use pmck_rt::alloc::{count, CountingAlloc};
 use pmck_rt::rng::StdRng;
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Allocations of one read of every block, each checked against the
+/// pattern this test writes.
+fn sweep(blocks: u64, mut read: impl FnMut(u64) -> [u8; 64]) -> u64 {
+    count(|| {
+        for a in 0..blocks {
+            assert_eq!(read(a), [a as u8; 64]);
+        }
+    })
+}
 
 #[test]
 fn clean_read_path_is_allocation_free_after_warmup() {
@@ -109,7 +123,6 @@ fn clean_read_path_is_allocation_free_after_warmup() {
     }
     let fallback =
         |path| matches!(path, ReadPath::VlewFallback { bits_corrected } if bits_corrected > 0);
-    // Warm-up: the BCH scratch's verdict buffer grows on its first use.
     assert!(fallback(mem.read_block(aged[0]).unwrap().path));
     let fallback_allocs = count(|| {
         for &a in &aged {
@@ -144,6 +157,43 @@ fn clean_read_path_is_allocation_free_after_warmup() {
         erasure_allocs, 0,
         "erasure reads under a known-failed chip must not allocate after \
          warm-up (counted {erasure_allocs} allocations over {blocks} reads)"
+    );
+
+    // --- The §V-E re-striped layout built from that failed rank, clean
+    // and then aged: a read decodes its 4-block group in the layout's
+    // own codeword and scratch, and writes a corrected group back. ---
+    let mut restriped = RestripedMemory::from_failed_rank(&mut mem).unwrap();
+    let clean = sweep(blocks, |a| restriped.read_block(a).unwrap());
+    restriped.inject_bit_errors(1e-3, &mut rng);
+    let aged = sweep(blocks, |a| restriped.read_block(a).unwrap());
+    assert!(restriped.bits_corrected() > 0, "the sweep met the errors");
+    assert_eq!(
+        (clean, aged),
+        (0, 0),
+        "RestripedMemory::read_block must not allocate on clean or \
+         bit-errored groups ({blocks} reads each)"
+    );
+
+    // --- The §III-A baseline: per-block BCH, same two sweeps (its reads
+    // do not heal). ---
+    let mut baseline = BaselineMemory::new(blocks);
+    for a in 0..blocks {
+        baseline.write_block(a, &[a as u8; 64]).unwrap();
+    }
+    let clean = sweep(blocks, |a| baseline.read_block(a).unwrap().data);
+    baseline.inject_bit_errors(1e-3, &mut rng);
+    let mut corrected = 0;
+    let aged = sweep(blocks, |a| {
+        let out = baseline.read_block(a).unwrap();
+        corrected += out.bits_corrected;
+        out.data
+    });
+    assert!(corrected > 0, "the sweep met the errors");
+    assert_eq!(
+        (clean, aged),
+        (0, 0),
+        "BaselineMemory::read_block must not allocate on clean or \
+         bit-errored blocks ({blocks} reads each)"
     );
 
     // --- Errorful BCH decode: the scratch-based decoder (syndromes_into,

@@ -21,10 +21,11 @@
 //!
 //! ```
 //! use pmck_harness::{ByteErrorCase, Runner};
-//! use pmck_rs::{RsCode, ThresholdOutcome};
+//! use pmck_rs::{RsCode, RsScratch, ThresholdOutcome};
 //! use pmck_rt::Rng;
 //!
 //! let code = RsCode::per_block();
+//! let mut scratch = RsScratch::new(&code);
 //! let dir = std::env::temp_dir().join("pmck-harness-doc");
 //! Runner::new("doc:rs:threshold").seed(1).cases(64).corpus_dir(dir).run(
 //!     |rng| {
@@ -34,7 +35,7 @@
 //!     },
 //!     |case| {
 //!         let mut word = case.corrupted(&code);
-//!         match code.decode_with_threshold(&mut word, 2) {
+//!         match code.decode_with_threshold_scratch(&mut word, 2, &mut scratch) {
 //!             Ok(ThresholdOutcome::Accepted { corrections: 1 }) => Ok(()),
 //!             other => Err(format!("single error not accepted: {other:?}")),
 //!         }
@@ -52,8 +53,8 @@ pub use cases::{
     ClusterScenario, CrashOp, CrashPlan, EncodeCase, ErasureCase, FieldPairCase, JsonCase,
 };
 pub use oracle::{
-    diff_bch, diff_bch_batch, diff_bch_encode, diff_bch_scratch, diff_rs_erasures, ref_bch_decode,
-    ref_bch_parity, ref_rs_erasure_decode, RefBchOutcome, RefRsOutcome,
+    diff_bch, diff_bch_batch, diff_bch_encode, diff_rs_erasures, ref_bch_decode, ref_bch_parity,
+    ref_rs_erasure_decode, RefBchOutcome, RefRsOutcome,
 };
 pub use runner::{Case, Failure, RunReport, Runner};
 

@@ -25,9 +25,9 @@
 //! *exactly*, not just approximately. [`diff_bch`] and
 //! [`diff_rs_erasures`] run both sides and report any divergence.
 
-use pmck_bch::{BatchOutcome, BchCode, BchError, BchScratch, BitPoly};
+use pmck_bch::{BchCode, BchError, BchScratch, BitPoly, DecodePolicy, WordVerdict};
 use pmck_gf::Gf2m;
-use pmck_rs::{RsCode, RsError};
+use pmck_rs::{RsCode, RsError, RsScratch};
 
 /// A reference decoder's verdict on a BCH word.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -119,7 +119,8 @@ fn solve(f: &Gf2m, mut a: Vec<Vec<u32>>, mut b: Vec<u32>) -> LinearSolution {
 ///
 /// Panics if `word.len() != code.len()`.
 pub fn ref_bch_decode(code: &BchCode, word: &BitPoly) -> RefBchOutcome {
-    let s = code.syndromes(word); // s[j-1] = S_j, j = 1..=2t
+    let mut s = vec![0u32; 2 * code.t()]; // s[j-1] = S_j, j = 1..=2t
+    code.syndromes_into(word, &mut s);
     if s.iter().all(|&x| x == 0) {
         return RefBchOutcome::Clean;
     }
@@ -178,7 +179,8 @@ pub fn ref_rs_erasure_decode(code: &RsCode, word: &[u8], erasures: &[usize]) -> 
         assert!(p < code.len() && !seen[p], "bad erasure position {p}");
         seen[p] = true;
     }
-    let s = code.syndromes(word); // s[j-1] = S_j, j = 1..=r
+    let mut s = vec![0u32; code.check_symbols()]; // s[j-1] = S_j, j = 1..=r
+    code.syndromes_into(word, &mut s);
     if s.iter().all(|&x| x == 0) {
         return RefRsOutcome::Clean;
     }
@@ -217,38 +219,61 @@ pub fn ref_rs_erasure_decode(code: &RsCode, word: &[u8], erasures: &[usize]) -> 
     RefRsOutcome::Corrected(corrections)
 }
 
-/// Runs the production BCH decoder and the PGZ reference on `word` and
-/// checks the verdicts agree exactly — same accept/reject, same flipped
-/// positions, and (on reject) the production word left unmodified.
+/// Runs both production BCH decode entries (in the caller's `scratch`)
+/// and the PGZ reference on `word` and checks they agree exactly:
+/// `decode_scratch` on accept/reject and the flipped positions,
+/// `decode_word` (bounded policy) on the verdict, and both on the word
+/// they leave behind — corrected as the reference says, or unmodified
+/// on a reject. Reusing one scratch across a whole campaign is the
+/// point: state leaking between decodes would show up as a divergence
+/// from the stateless reference.
 ///
 /// # Errors
 ///
 /// Returns a description of the divergence, suitable as a property
 /// failure message.
-pub fn diff_bch(code: &BchCode, word: &BitPoly) -> Result<(), String> {
+pub fn diff_bch(code: &BchCode, word: &BitPoly, scratch: &mut BchScratch) -> Result<(), String> {
     let reference = ref_bch_decode(code, word);
-    let mut prod_word = word.clone();
-    let production = code.decode(&mut prod_word);
-    match (&reference, &production) {
-        (RefBchOutcome::Clean, Ok(out)) if out.was_clean() => Ok(()),
-        (RefBchOutcome::Corrected(positions), Ok(out))
-            if !out.was_clean() && out.corrected_bits() == &positions[..] =>
-        {
-            Ok(())
-        }
-        (RefBchOutcome::Uncorrectable, Err(BchError::Uncorrectable)) => {
-            if prod_word == *word {
-                Ok(())
-            } else {
-                Err("BCH: production reported Uncorrectable but modified the word".into())
-            }
-        }
-        _ => Err(format!(
-            "BCH divergence: reference {:?} vs production {:?}",
-            reference,
-            production.as_ref().map(|o| o.corrected_bits().to_vec())
-        )),
+    let (flips, verdict): (&[usize], _) = match &reference {
+        RefBchOutcome::Clean => (&[], WordVerdict::Clean),
+        RefBchOutcome::Corrected(positions) => (
+            positions,
+            WordVerdict::Corrected {
+                bits: positions.len(),
+                beyond_bound: false,
+            },
+        ),
+        RefBchOutcome::Uncorrectable => (&[], WordVerdict::Uncorrectable),
+    };
+    let mut expect = word.clone();
+    for &p in flips {
+        expect.flip(p);
     }
+
+    let mut decoded = word.clone();
+    let production = code
+        .decode_scratch(&mut decoded, scratch)
+        .map(|view| view.corrected_bits().to_vec());
+    let agrees = match &production {
+        Ok(bits) => reference != RefBchOutcome::Uncorrectable && bits == flips,
+        Err(e) => reference == RefBchOutcome::Uncorrectable && *e == BchError::Uncorrectable,
+    };
+    if !agrees || decoded != expect {
+        return Err(format!(
+            "BCH divergence, in the verdict or the word left behind: \
+             reference {reference:?} vs decode_scratch {production:?}"
+        ));
+    }
+
+    let mut decoded = word.clone();
+    let got = code.decode_word(&mut decoded, DecodePolicy::Bounded, scratch);
+    if got != verdict || decoded != expect {
+        return Err(format!(
+            "BCH divergence, in the verdict or the word left behind: \
+             reference {reference:?} vs decode_word {got:?}"
+        ));
+    }
+    Ok(())
 }
 
 /// The BCH parity of `data` by definition: the remainder of
@@ -308,50 +333,9 @@ pub fn diff_bch_encode(code: &BchCode, bit_offset: usize, bytes: &[u8]) -> Resul
     Ok(())
 }
 
-/// [`diff_bch`] for the scratch-based decode path: runs
-/// `decode_scratch` through a caller-owned [`BchScratch`] and checks the
-/// verdict against the PGZ reference. Reusing one scratch across a whole
-/// campaign is the point — state leaking between decodes would show up
-/// as a divergence.
-///
-/// # Errors
-///
-/// Returns a description of the divergence, suitable as a property
-/// failure message.
-pub fn diff_bch_scratch(
-    code: &BchCode,
-    word: &BitPoly,
-    scratch: &mut BchScratch,
-) -> Result<(), String> {
-    let reference = ref_bch_decode(code, word);
-    let mut prod_word = word.clone();
-    let production = code.decode_scratch(&mut prod_word, scratch);
-    match (&reference, &production) {
-        (RefBchOutcome::Clean, Ok(view)) if view.was_clean() => Ok(()),
-        (RefBchOutcome::Corrected(positions), Ok(view))
-            if !view.was_clean() && view.corrected_bits() == &positions[..] =>
-        {
-            Ok(())
-        }
-        (RefBchOutcome::Uncorrectable, Err(BchError::Uncorrectable)) => {
-            if prod_word == *word {
-                Ok(())
-            } else {
-                Err("BCH scratch: production reported Uncorrectable but modified the word".into())
-            }
-        }
-        _ => Err(format!(
-            "BCH scratch divergence: reference {:?} vs production {:?}",
-            reference,
-            production.as_ref().map(|v| v.corrected_bits().to_vec())
-        )),
-    }
-}
-
-/// [`diff_bch`] for the batched decode API: decodes every word of the
-/// batch in one `decode_batch` call and checks each per-word
-/// [`BatchOutcome`] — and the corrected word contents — against the PGZ
-/// reference run independently per word.
+/// [`diff_bch`] on every word of a batch in turn through one shared
+/// scratch — the shape of a stripe decode, where clean, correctable and
+/// overweight words interleave.
 ///
 /// # Errors
 ///
@@ -362,59 +346,14 @@ pub fn diff_bch_batch(
     words: &[BitPoly],
     scratch: &mut BchScratch,
 ) -> Result<(), String> {
-    let mut batch: Vec<BitPoly> = words.to_vec();
-    let outcomes: Vec<BatchOutcome> = code.decode_batch(&mut batch, scratch).to_vec();
-    if outcomes.len() != words.len() {
-        return Err(format!(
-            "BCH batch: {} outcomes for {} words",
-            outcomes.len(),
-            words.len()
-        ));
-    }
-    for (i, (word, outcome)) in words.iter().zip(&outcomes).enumerate() {
-        let reference = ref_bch_decode(code, word);
-        match (&reference, outcome) {
-            (RefBchOutcome::Clean, BatchOutcome::Clean) => {
-                if batch[i] != *word {
-                    return Err(format!("BCH batch word {i}: clean word was modified"));
-                }
-            }
-            (
-                RefBchOutcome::Corrected(positions),
-                BatchOutcome::Corrected {
-                    bits,
-                    beyond_bound: false,
-                },
-            ) if *bits == positions.len() => {
-                let mut expect = word.clone();
-                for &p in positions {
-                    expect.flip(p);
-                }
-                if batch[i] != expect {
-                    return Err(format!(
-                        "BCH batch word {i}: corrected word disagrees with reference flips {positions:?}"
-                    ));
-                }
-            }
-            (RefBchOutcome::Uncorrectable, BatchOutcome::Uncorrectable) => {
-                if batch[i] != *word {
-                    return Err(format!(
-                        "BCH batch word {i}: production reported Uncorrectable but modified the word"
-                    ));
-                }
-            }
-            _ => {
-                return Err(format!(
-                    "BCH batch word {i} divergence: reference {reference:?} vs production {outcome:?}"
-                ));
-            }
-        }
-    }
-    Ok(())
+    words.iter().enumerate().try_for_each(|(i, word)| {
+        diff_bch(code, word, scratch).map_err(|e| format!("batch word {i}: {e}"))
+    })
 }
 
-/// Runs the production strict erasure decoder (`decode_erasures`) and
-/// the linear-system reference on `word` and checks the verdicts agree
+/// Runs the production strict erasure decoder
+/// (`decode_erasures_scratch`, in the caller's `scratch`) and the
+/// linear-system reference on `word` and checks the verdicts agree
 /// exactly — same accept/reject, same correction list, and (on reject)
 /// the production word left unmodified.
 ///
@@ -422,10 +361,15 @@ pub fn diff_bch_batch(
 ///
 /// Returns a description of the divergence, suitable as a property
 /// failure message.
-pub fn diff_rs_erasures(code: &RsCode, word: &[u8], erasures: &[usize]) -> Result<(), String> {
+pub fn diff_rs_erasures(
+    code: &RsCode,
+    word: &[u8],
+    erasures: &[usize],
+    scratch: &mut RsScratch,
+) -> Result<(), String> {
     let reference = ref_rs_erasure_decode(code, word, erasures);
     let mut prod_word = word.to_vec();
-    let production = code.decode_erasures(&mut prod_word, erasures);
+    let production = code.decode_erasures_scratch(&mut prod_word, erasures, scratch);
     match (&reference, &production) {
         (RefRsOutcome::Clean, Ok(out)) if out.was_clean() => Ok(()),
         (RefRsOutcome::Corrected(corrections), Ok(out))

@@ -10,10 +10,10 @@
 
 use pmck_bch::{BchCode, BchScratch};
 use pmck_harness::{
-    diff_bch, diff_bch_batch, diff_bch_encode, diff_bch_scratch, diff_rs_erasures,
-    BitFlipBatchCase, BitFlipCase, EncodeCase, ErasureCase, Runner,
+    diff_bch, diff_bch_batch, diff_bch_encode, diff_rs_erasures, BitFlipBatchCase, BitFlipCase,
+    EncodeCase, ErasureCase, Runner,
 };
-use pmck_rs::RsCode;
+use pmck_rs::{RsCode, RsScratch};
 use pmck_rt::rng::{Rng, StdRng};
 
 fn gen_bit_flips(rng: &mut StdRng, code: &BchCode, max_flips: usize) -> BitFlipCase {
@@ -70,9 +70,10 @@ fn gen_erasures(rng: &mut StdRng, code: &RsCode) -> ErasureCase {
 #[test]
 fn bch_differential_campaign() {
     let code = BchCode::new(8, 3, 64).expect("valid parameters");
+    let mut scratch = BchScratch::new(&code);
     let report = Runner::new("diff:bch:m8t3").seed(0xB04).cases(100_000).run(
         |rng| gen_bit_flips(rng, &code, 2 * code.t()),
-        |case| diff_bch(&code, &case.corrupted(&code)),
+        |case| diff_bch(&code, &case.corrupted(&code), &mut scratch),
     );
     assert_eq!(report.generated, 100_000);
 }
@@ -83,16 +84,17 @@ fn bch_differential_campaign() {
 #[test]
 fn bch_differential_campaign_vlew() {
     let code = BchCode::vlew();
+    let mut scratch = BchScratch::new(&code);
     let report = Runner::new("diff:bch:vlew").seed(0xB05).cases(1_500).run(
         |rng| gen_bit_flips(rng, &code, code.t() + 4),
-        |case| diff_bch(&code, &case.corrupted(&code)),
+        |case| diff_bch(&code, &case.corrupted(&code), &mut scratch),
     );
     assert_eq!(report.generated, 1_500);
 }
 
-/// 100 000 cases against BCH(8, t=3, k=64) through the scratch-based
-/// decode path, reusing ONE scratch for the whole campaign: any state
-/// leaking from a previous decode (stale syndromes, unclears positions,
+/// A second 100 000 cases against BCH(8, t=3, k=64) on their own seed.
+/// Like every campaign here it reuses ONE scratch throughout: any state
+/// leaking from a previous decode (stale syndromes, uncleared positions,
 /// a poisoned BM register) shows up as a divergence from the stateless
 /// PGZ reference.
 #[test]
@@ -104,16 +106,15 @@ fn bch_scratch_differential_campaign() {
         .cases(100_000)
         .run(
             |rng| gen_bit_flips(rng, &code, 2 * code.t()),
-            |case| diff_bch_scratch(&code, &case.corrupted(&code), &mut scratch),
+            |case| diff_bch(&code, &case.corrupted(&code), &mut scratch),
         );
     assert_eq!(report.generated, 100_000);
 }
 
-/// 20 000 batches of 0..=6 words against the batched decode API, again
-/// with one shared scratch. Mixed batches — clean, correctable, and
-/// overweight words interleaved — are the interesting region; every
-/// per-word outcome and corrected word must match the per-word PGZ
-/// reference.
+/// 20 000 batches of 0..=6 words, again with one shared scratch. Mixed
+/// batches — clean, correctable, and overweight words interleaved — are
+/// the interesting region; every per-word outcome and corrected word
+/// must match the per-word PGZ reference.
 #[test]
 fn bch_batch_differential_campaign() {
     let code = BchCode::new(8, 3, 64).expect("valid parameters");
@@ -176,6 +177,7 @@ fn bch_encode_differential_campaign() {
 #[test]
 fn rs_erasure_differential_campaign() {
     let code = RsCode::per_block();
+    let mut scratch = RsScratch::new(&code);
     let report = Runner::new("diff:rs:erasure")
         .seed(0x25)
         .cases(100_000)
@@ -183,7 +185,7 @@ fn rs_erasure_differential_campaign() {
             |rng| gen_erasures(rng, &code),
             |case| {
                 let word = case.corrupted(&code);
-                diff_rs_erasures(&code, &word, &case.erasures)
+                diff_rs_erasures(&code, &word, &case.erasures, &mut scratch)
             },
         );
     assert_eq!(report.generated, 100_000);

@@ -1,12 +1,13 @@
-//! Fast-path fault campaigns: the allocation-free scratch decoder vs
-//! the reference oracles and the pooled compat API.
+//! Fast-path fault campaigns: the allocation-free RS decoder vs the
+//! reference oracle and ground truth.
 //!
 //! The hot read path runs `decode_with_erasures_scratch` (zero-syndrome
 //! early exit + caller-owned [`pmck_rs::RsScratch`]). These campaigns
-//! require it to be observably identical to the classic pooled entry
-//! points — same verdicts, same corrections, same residual-error
-//! positions, same final word bytes — and, through
-//! [`diff_rs_erasures`], to the harness' Vandermonde linear-system
+//! drive it through ONE scratch for 100 000 cases each, so state
+//! leaking between decodes shows as a wrong answer: within capability
+//! it must return the ground-truth codeword with exactly the injected
+//! corrections, and its strict form must agree, through
+//! [`diff_rs_erasures`], with the harness' Vandermonde linear-system
 //! reference. Any divergence is persisted to `tests/corpus/` by the
 //! runner and replayed on every future run.
 
@@ -78,36 +79,10 @@ fn gen_error_case(rng: &mut StdRng, code: &RsCode) -> ErasureCase {
     }
 }
 
-/// Requires the scratch decode and the pooled decode of `word` to be
-/// bit-identical in verdict, corrections, error positions, and final
-/// word contents.
-fn check_scratch_matches_pooled(
-    code: &RsCode,
-    word: &[u8],
-    erasures: &[usize],
-    scratch: &mut RsScratch,
-) -> Result<(), String> {
-    let mut pooled_word = word.to_vec();
-    let pooled = code.decode_with_erasures(&mut pooled_word, erasures);
-    let mut scratch_word = word.to_vec();
-    let fast = code
-        .decode_with_erasures_scratch(&mut scratch_word, erasures, scratch)
-        .map(|view| view.to_outcome());
-    if pooled != fast {
-        return Err(format!(
-            "scratch decode diverged from pooled: pooled {pooled:?} vs scratch {fast:?}"
-        ));
-    }
-    if pooled_word != scratch_word {
-        return Err("scratch decode left different word bytes than pooled decode".into());
-    }
-    Ok(())
-}
-
 /// 100 000 erasure cases against RS(72, 64): the strict production
-/// decoder is checked against the Vandermonde reference, the scratch
-/// fast path against the pooled path, and fill-only cases (no
-/// undeclared errors) must recover the original codeword exactly.
+/// decoder is checked against the Vandermonde reference, and fill-only
+/// cases (no undeclared errors) must recover the original codeword
+/// exactly.
 #[test]
 fn rs_fastpath_erasure_campaign() {
     let code = RsCode::per_block();
@@ -119,8 +94,7 @@ fn rs_fastpath_erasure_campaign() {
             |rng| gen_erasure_case(rng, &code),
             |case| {
                 let word = case.corrupted(&code);
-                diff_rs_erasures(&code, &word, &case.erasures)?;
-                check_scratch_matches_pooled(&code, &word, &case.erasures, &mut scratch)?;
+                diff_rs_erasures(&code, &word, &case.erasures, &mut scratch)?;
                 if case.errors.is_empty() {
                     // Declared erasures alone never exceed capability
                     // (ν ≤ r), so ground truth must come back exactly.
@@ -144,10 +118,9 @@ fn rs_fastpath_erasure_campaign() {
     assert_eq!(report.generated, 100_000);
 }
 
-/// 100 000 random-error cases (no erasures) against RS(72, 64): scratch
-/// and pooled paths must agree everywhere, and within-radius patterns
-/// must decode back to ground truth with exactly the injected errors as
-/// corrections.
+/// 100 000 random-error cases (no erasures) against RS(72, 64):
+/// within-radius patterns must decode back to ground truth with exactly
+/// the injected errors as corrections.
 #[test]
 fn rs_fastpath_error_campaign() {
     let code = RsCode::per_block();
@@ -160,7 +133,6 @@ fn rs_fastpath_error_campaign() {
             |rng| gen_error_case(rng, &code),
             |case| {
                 let word = case.corrupted(&code);
-                check_scratch_matches_pooled(&code, &word, &[], &mut scratch)?;
                 if case.errors.len() <= radius {
                     let mut decoded = word.clone();
                     let out = code

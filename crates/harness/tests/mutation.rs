@@ -11,17 +11,17 @@ use std::fs;
 use std::path::PathBuf;
 
 use pmck_harness::{ByteErrorCase, Case, Runner};
-use pmck_rs::RsCode;
+use pmck_rs::{RsCode, RsScratch};
 use pmck_rt::rng::{Rng, StdRng};
 use pmck_rt::Json;
 
 /// MUTANT: applies corrections only for single-error words, but reports
 /// success for anything the real decoder accepts.
 fn mutant_decode(code: &RsCode, word: &mut [u8]) -> bool {
-    let mut scratch = word.to_vec();
-    match code.decode(&mut scratch) {
+    let mut attempt = word.to_vec();
+    match code.decode_scratch(&mut attempt, &mut RsScratch::new(code)) {
         Ok(out) if out.num_corrections() <= 1 => {
-            word.copy_from_slice(&scratch);
+            word.copy_from_slice(&attempt);
             true
         }
         Ok(_) => true, // the bug: claims success without fixing the word
@@ -119,6 +119,7 @@ fn broken_decoder_is_caught_shrunk_persisted_and_replayed() {
 #[test]
 fn unmutated_decoder_passes_the_same_property() {
     let code = RsCode::per_block();
+    let mut scratch = RsScratch::new(&code);
     let dir: PathBuf =
         std::env::temp_dir().join(format!("pmck-mutation-clean-{}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
@@ -130,7 +131,7 @@ fn unmutated_decoder_passes_the_same_property() {
             |rng| gen_case(rng, &code),
             |case| {
                 let mut word = case.corrupted(&code);
-                match code.decode(&mut word) {
+                match code.decode_scratch(&mut word, &mut scratch) {
                     Ok(_) if code.is_codeword(&word) => Ok(()),
                     Ok(_) => Err("accepted but off-codeword".into()),
                     Err(_) => Err(format!("{} errors must decode", case.errors.len())),

@@ -117,28 +117,17 @@ impl RsCode {
     pub fn encode(&self, data: &[u8]) -> Vec<u8> {
         assert_eq!(data.len(), self.k, "need exactly {} data bytes", self.k);
         let mut cw = vec![0u8; self.len()];
-        cw[self.r..].copy_from_slice(data);
-        let parity = self.parity(data);
-        cw[..self.r].copy_from_slice(&parity);
+        let (check, body) = cw.split_at_mut(self.r);
+        body.copy_from_slice(data);
+        self.parity_into(data, check);
         cw
     }
 
-    /// Computes the `r` check bytes for `data`: `(d(x)·x^r) mod g(x)`.
+    /// Computes the `r` check bytes for `data`, `(d(x)·x^r) mod g(x)`,
+    /// into `out`, without allocating. The LFSR register lives on the
+    /// stack (`n ≤ 255`, so `r < 255` always fits).
     ///
     /// Like all linear codes, `parity(a ⊕ b) = parity(a) ⊕ parity(b)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != k`.
-    pub fn parity(&self, data: &[u8]) -> Vec<u8> {
-        let mut out = vec![0u8; self.r];
-        self.parity_into(data, &mut out);
-        out
-    }
-
-    /// Computes the `r` check bytes for `data` into `out`, without
-    /// allocating. The LFSR register lives on the stack (`n ≤ 255`, so
-    /// `r < 255` always fits).
     ///
     /// # Panics
     ///
@@ -164,16 +153,6 @@ impl RsCode {
         }
     }
 
-    /// Extracts the `k` data bytes from a codeword.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cw.len() != n`.
-    pub fn extract_data(&self, cw: &[u8]) -> Vec<u8> {
-        assert_eq!(cw.len(), self.len(), "codeword length mismatch");
-        cw[self.r..].to_vec()
-    }
-
     /// Whether `cw` is a valid codeword (all syndromes zero).
     /// Allocation-free, exiting early on the first nonzero syndrome.
     ///
@@ -185,21 +164,10 @@ impl RsCode {
         self.rows.is_codeword(cw)
     }
 
-    /// Computes the `r` syndromes `S_j = R(alpha^j)`, `j = 1..=r`,
-    /// returned 0-indexed (`result[j-1] = S_j`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cw.len() != n`.
-    pub fn syndromes(&self, cw: &[u8]) -> Vec<u32> {
-        let mut s = vec![0u32; self.r];
-        self.syndromes_into(cw, &mut s);
-        s
-    }
-
-    /// Computes all `r` syndromes into `out` (`out[j-1] = S_j`) via the
-    /// precomputed row tables, without allocating. Returns `true` when
-    /// every syndrome is zero, i.e. `cw` is already a codeword.
+    /// Computes all `r` syndromes `S_j = R(alpha^j)`, `j = 1..=r`, into
+    /// `out` (`out[j-1] = S_j`) via the precomputed row tables, without
+    /// allocating. Returns `true` when every syndrome is zero, i.e. `cw`
+    /// is already a codeword.
     ///
     /// # Panics
     ///
@@ -262,7 +230,7 @@ mod tests {
         let data: Vec<u8> = (0..64).map(|i| (i * 37 + 11) as u8).collect();
         let cw = code.encode(&data);
         assert!(code.is_codeword(&cw));
-        assert_eq!(code.extract_data(&cw), data);
+        assert_eq!(cw[code.check_symbols()..], data);
     }
 
     #[test]
@@ -278,9 +246,10 @@ mod tests {
         let a: Vec<u8> = (0..64).map(|i| (i * 7) as u8).collect();
         let b: Vec<u8> = (0..64).map(|i| (i * 13 + 5) as u8).collect();
         let ab: Vec<u8> = a.iter().zip(&b).map(|(x, y)| x ^ y).collect();
-        let pa = code.parity(&a);
-        let pb = code.parity(&b);
-        let pab = code.parity(&ab);
+        let (mut pa, mut pb, mut pab) = ([0u8; 8], [0u8; 8], [0u8; 8]);
+        code.parity_into(&a, &mut pa);
+        code.parity_into(&b, &mut pb);
+        code.parity_into(&ab, &mut pab);
         for i in 0..8 {
             assert_eq!(pa[i] ^ pb[i], pab[i]);
         }

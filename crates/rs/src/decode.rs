@@ -5,12 +5,8 @@
 //! polynomials, and the Chien/Forney results all live in a reusable
 //! [`RsScratch`], and a zero-syndrome early exit serves the
 //! overwhelmingly-common clean word before any locator machinery runs.
-//! The `*_scratch` entry points take an explicit scratch and return
-//! [`RsDecodeView`] slices into it; the classic entry points
-//! ([`RsCode::decode`], [`RsCode::decode_with_erasures`]) borrow a
-//! per-thread pooled scratch, so they too stop allocating once warm.
-
-use std::cell::RefCell;
+//! Every decode entry point takes the caller's scratch and returns an
+//! [`RsDecodeView`] of slices into it.
 
 use crate::code::RsCode;
 use crate::error::RsError;
@@ -47,11 +43,8 @@ pub struct RsScratch {
 impl RsScratch {
     /// A scratch sized for `code`'s geometry.
     pub fn new(code: &RsCode) -> Self {
-        Self::with_geometry(code.data_symbols(), code.check_symbols())
-    }
-
-    pub(crate) fn with_geometry(k: usize, r: usize) -> Self {
-        let n = k + r;
+        let r = code.check_symbols();
+        let n = code.len();
         RsScratch {
             s: vec![0; r],
             lambda: vec![0; r + 1],
@@ -66,20 +59,9 @@ impl RsScratch {
     }
 }
 
-thread_local! {
-    /// Per-thread scratch pool backing the classic (scratch-less) decode
-    /// API, keyed by code geometry. Codes are tiny (r ≤ 255) and the few
-    /// geometries in play per thread make a linear scan cheaper than any
-    /// map.
-    static SCRATCH_POOL: RefCell<Vec<(usize, usize, RsScratch)>> =
-        const { RefCell::new(Vec::new()) };
-}
-
 /// A view of a successful decode, borrowing the scratch it ran in.
 ///
 /// All accessors return slices into the scratch — no heap allocation.
-/// Convert with [`RsDecodeView::to_outcome`] when the result must
-/// outlive the scratch borrow.
 #[derive(Debug, Clone, Copy)]
 pub struct RsDecodeView<'s> {
     corrections: &'s [(usize, u8)],
@@ -108,54 +90,12 @@ impl RsDecodeView<'_> {
     pub fn was_clean(&self) -> bool {
         self.corrections.is_empty()
     }
-
-    /// Copies the view into an owned [`RsDecodeOutcome`].
-    pub fn to_outcome(&self) -> RsDecodeOutcome {
-        RsDecodeOutcome {
-            corrected: self.corrections.to_vec(),
-            error_pos: self.error_pos.to_vec(),
-        }
-    }
-}
-
-/// The owned result of a successful RS decode (the scratch-less API).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RsDecodeOutcome {
-    corrected: Vec<(usize, u8)>,
-    error_pos: Vec<usize>,
-}
-
-impl RsDecodeOutcome {
-    /// `(position, magnitude)` pairs applied to the word, ascending by
-    /// position. Includes erasure positions whose magnitude was nonzero.
-    pub fn corrections(&self) -> &[(usize, u8)] {
-        &self.corrected
-    }
-
-    /// Positions corrected as *errors* (unknown locations) rather than
-    /// declared erasures, ascending.
-    pub fn error_positions(&self) -> &[usize] {
-        &self.error_pos
-    }
-
-    /// The number of positions whose value actually changed.
-    pub fn num_corrections(&self) -> usize {
-        self.corrected.len()
-    }
-
-    /// Whether the received word was already a valid codeword.
-    pub fn was_clean(&self) -> bool {
-        self.corrected.is_empty()
-    }
 }
 
 impl RsCode {
-    /// Decodes `word` in place, correcting random symbol errors.
-    /// Equivalent to [`RsCode::decode_with_erasures`] with no erasures:
-    /// up to `⌊r/2⌋` errors are corrected.
-    ///
-    /// Borrows a per-thread pooled scratch; use
-    /// [`RsCode::decode_scratch`] to control the scratch explicitly.
+    /// Decodes `word` in place, correcting random symbol errors:
+    /// [`RsCode::decode_with_erasures_scratch`] with no erasures, so up
+    /// to `⌊r/2⌋` errors are corrected. Performs zero heap allocations.
     ///
     /// # Errors
     ///
@@ -163,16 +103,6 @@ impl RsCode {
     /// * [`RsError::Uncorrectable`] if the pattern is detectably beyond
     ///   capability (word left unmodified). Overweight patterns may also
     ///   miscorrect silently, as with any bounded-distance decoder.
-    pub fn decode(&self, word: &mut [u8]) -> Result<RsDecodeOutcome, RsError> {
-        self.decode_with_erasures(word, &[])
-    }
-
-    /// As [`RsCode::decode`], but running in the caller's `scratch` and
-    /// returning a slice view into it. Performs zero heap allocations.
-    ///
-    /// # Errors
-    ///
-    /// As [`RsCode::decode`].
     pub fn decode_scratch<'s>(
         &self,
         word: &mut [u8],
@@ -183,15 +113,12 @@ impl RsCode {
 
     /// Decodes `word` in place given known-bad `erasures` positions.
     /// Corrects any combination of `e` errors and `ν` erasures with
-    /// `2e + ν ≤ r`.
+    /// `2e + ν ≤ r`. Performs zero heap allocations.
     ///
     /// The paper's chip-failure path declares the failed chip's byte
     /// positions as erasures (ν = 8 for RS(72, 64)), consuming the whole
     /// budget; its runtime path uses no erasures and bounds accepted
-    /// corrections via [`RsCode::decode_with_threshold`].
-    ///
-    /// Borrows a per-thread pooled scratch; use
-    /// [`RsCode::decode_with_erasures_scratch`] to control it explicitly.
+    /// corrections via [`RsCode::decode_with_threshold_scratch`].
     ///
     /// # Errors
     ///
@@ -199,24 +126,6 @@ impl RsCode {
     /// * [`RsError::BadErasure`] for out-of-range or duplicate positions.
     /// * [`RsError::TooManyErasures`] if `ν > r`.
     /// * [`RsError::Uncorrectable`] if decoding fails (word unmodified).
-    pub fn decode_with_erasures(
-        &self,
-        word: &mut [u8],
-        erasures: &[usize],
-    ) -> Result<RsDecodeOutcome, RsError> {
-        self.with_pooled_scratch(|code, scratch| {
-            code.decode_with_erasures_scratch(word, erasures, scratch)
-                .map(|view| view.to_outcome())
-        })
-    }
-
-    /// As [`RsCode::decode_with_erasures`], but running in the caller's
-    /// `scratch` and returning a slice view into it. Performs zero heap
-    /// allocations.
-    ///
-    /// # Errors
-    ///
-    /// As [`RsCode::decode_with_erasures`].
     pub fn decode_with_erasures_scratch<'s>(
         &self,
         word: &mut [u8],
@@ -236,38 +145,25 @@ impl RsCode {
     ///
     /// # Errors
     ///
-    /// As [`RsCode::decode_with_erasures`].
-    pub fn decode_erasures(
+    /// As [`RsCode::decode_with_erasures_scratch`].
+    pub fn decode_erasures_scratch<'s>(
         &self,
         word: &mut [u8],
         erasures: &[usize],
-    ) -> Result<RsDecodeOutcome, RsError> {
-        let out = self.decode_with_erasures(word, erasures)?;
+        scratch: &'s mut RsScratch,
+    ) -> Result<RsDecodeView<'s>, RsError> {
+        self.decode_core(word, erasures, scratch)?;
         // Any correction outside the declared erasures means random errors
         // were present; the strict erasure path refuses that.
-        if !out.error_positions().is_empty() {
-            for &(p, m) in out.corrections() {
+        if !scratch.error_pos.is_empty() {
+            for &(p, m) in &scratch.corrections {
                 word[p] ^= m;
             }
             return Err(RsError::Uncorrectable);
         }
-        Ok(out)
-    }
-
-    /// Runs `f` with the pooled scratch for this code's geometry,
-    /// creating it on the thread's first decode of this geometry.
-    pub(crate) fn with_pooled_scratch<T>(&self, f: impl FnOnce(&RsCode, &mut RsScratch) -> T) -> T {
-        let (k, r) = (self.k, self.r);
-        SCRATCH_POOL.with(|pool| {
-            let mut pool = pool.borrow_mut();
-            let idx = match pool.iter().position(|&(pk, pr, _)| pk == k && pr == r) {
-                Some(i) => i,
-                None => {
-                    pool.push((k, r, RsScratch::with_geometry(k, r)));
-                    pool.len() - 1
-                }
-            };
-            f(self, &mut pool[idx].2)
+        Ok(RsDecodeView {
+            corrections: &scratch.corrections,
+            error_pos: &scratch.error_pos,
         })
     }
 
@@ -454,7 +350,8 @@ mod tests {
         let code = RsCode::per_block();
         let data: Vec<u8> = (0..64).collect();
         let mut cw = code.encode(&data);
-        let out = code.decode(&mut cw).unwrap();
+        let mut scratch = RsScratch::new(&code);
+        let out = code.decode_scratch(&mut cw, &mut scratch).unwrap();
         assert!(out.was_clean());
     }
 
@@ -466,61 +363,29 @@ mod tests {
         let data: Vec<u8> = (100..164).map(|x| x as u8).collect();
         let mut cw = code.encode(&data);
         let clean = cw.clone();
+        let mut scratch = RsScratch::new(&code);
         let out = code
-            .decode_erasures(&mut cw, &[0, 1, 2, 3, 4, 5, 6, 7])
+            .decode_erasures_scratch(&mut cw, &[0, 1, 2, 3, 4, 5, 6, 7], &mut scratch)
             .unwrap();
-        assert_eq!(cw, clean);
         assert_eq!(out.num_corrections(), 0);
+        assert_eq!(cw, clean);
     }
 
     #[test]
     fn erasure_validation() {
         let code = RsCode::per_block();
-        let mut cw = vec![0u8; 72];
-        assert_eq!(
-            code.decode_with_erasures(&mut cw, &[72]).unwrap_err(),
-            RsError::BadErasure(72)
-        );
-        assert_eq!(
-            code.decode_with_erasures(&mut cw, &[1, 1]).unwrap_err(),
-            RsError::BadErasure(1)
-        );
-        let nine: Vec<usize> = (0..9).collect();
-        assert_eq!(
-            code.decode_with_erasures(&mut cw, &nine).unwrap_err(),
-            RsError::TooManyErasures(9)
-        );
-        let mut short = vec![0u8; 71];
-        assert_eq!(
-            code.decode(&mut short).unwrap_err(),
-            RsError::LengthMismatch(71, 72)
-        );
-    }
-
-    #[test]
-    fn scratch_and_pooled_paths_agree() {
-        let code = RsCode::per_block();
         let mut scratch = RsScratch::new(&code);
-        let data: Vec<u8> = (0..64).map(|i| (i * 31 + 7) as u8).collect();
-        let clean = code.encode(&data);
-        for errs in 0..=4usize {
-            let mut w1 = clean.clone();
-            let mut w2 = clean.clone();
-            for e in 0..errs {
-                w1[e * 13 + 1] ^= 0x3C;
-                w2[e * 13 + 1] ^= 0x3C;
-            }
-            let pooled = code.decode(&mut w1).unwrap();
-            let view = code.decode_scratch(&mut w2, &mut scratch).unwrap();
-            assert_eq!(pooled.corrections(), view.corrections(), "{errs} errors");
-            assert_eq!(
-                pooled.error_positions(),
-                view.error_positions(),
-                "{errs} errors"
-            );
-            assert_eq!(w1, w2);
-            assert_eq!(w1, clean);
-        }
+        let mut cw = vec![0u8; 72];
+        let mut err_of = |word: &mut [u8], erasures: &[usize]| {
+            code.decode_with_erasures_scratch(word, erasures, &mut scratch)
+                .unwrap_err()
+        };
+        assert_eq!(err_of(&mut cw, &[72]), RsError::BadErasure(72));
+        assert_eq!(err_of(&mut cw, &[1, 1]), RsError::BadErasure(1));
+        let nine: Vec<usize> = (0..9).collect();
+        assert_eq!(err_of(&mut cw, &nine), RsError::TooManyErasures(9));
+        let mut short = vec![0u8; 71];
+        assert_eq!(err_of(&mut short, &[]), RsError::LengthMismatch(71, 72));
     }
 
     #[test]

@@ -20,7 +20,7 @@ pub enum RejectReason {
     Uncorrectable,
 }
 
-/// The outcome of [`RsCode::decode_with_threshold`].
+/// The outcome of [`RsCode::decode_with_threshold_scratch`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ThresholdOutcome {
     /// The word was already a valid codeword; nothing changed.
@@ -45,10 +45,13 @@ impl ThresholdOutcome {
 }
 
 impl RsCode {
-    /// Decodes `word`, accepting the result only when the number of
-    /// corrected symbols is at most `threshold`; otherwise all corrections
-    /// are rolled back and [`ThresholdOutcome::Rejected`] is returned,
-    /// signalling the caller to fall back to VLEW correction.
+    /// Decodes `word` in the caller's `scratch`, accepting the result
+    /// only when the number of corrected symbols is at most `threshold`;
+    /// otherwise all corrections are rolled back and
+    /// [`ThresholdOutcome::Rejected`] is returned, signalling the caller
+    /// to fall back to VLEW correction. The runtime read path calls this
+    /// with the engine-owned scratch, making the clean-read common case
+    /// allocation-free.
     ///
     /// # Errors
     ///
@@ -56,23 +59,6 @@ impl RsCode {
     /// failures are not errors here — they are the
     /// [`ThresholdOutcome::Rejected`] variant, because rejection is an
     /// expected, handled outcome of the runtime read path.)
-    pub fn decode_with_threshold(
-        &self,
-        word: &mut [u8],
-        threshold: usize,
-    ) -> Result<ThresholdOutcome, RsError> {
-        self.with_pooled_scratch(|code, scratch| {
-            code.decode_with_threshold_scratch(word, threshold, scratch)
-        })
-    }
-
-    /// As [`RsCode::decode_with_threshold`], but running in the caller's
-    /// `scratch`. The runtime read path calls this with the engine-owned
-    /// scratch, making the clean-read common case allocation-free.
-    ///
-    /// # Errors
-    ///
-    /// As [`RsCode::decode_with_threshold`].
     pub fn decode_with_threshold_scratch(
         &self,
         word: &mut [u8],
@@ -113,9 +99,11 @@ mod tests {
     #[test]
     fn clean_block_is_clean() {
         let code = RsCode::per_block();
+        let mut scratch = RsScratch::new(&code);
         let mut cw = code.encode(&[7u8; 64]);
         assert_eq!(
-            code.decode_with_threshold(&mut cw, 2).unwrap(),
+            code.decode_with_threshold_scratch(&mut cw, 2, &mut scratch)
+                .unwrap(),
             ThresholdOutcome::Clean
         );
     }
@@ -123,13 +111,17 @@ mod tests {
     #[test]
     fn one_and_two_errors_accepted() {
         let code = RsCode::per_block();
+        let mut scratch = RsScratch::new(&code);
         let clean = code.encode(&[0xABu8; 64]);
         for nerr in 1..=2 {
             let mut cw = clean.clone();
             for i in 0..nerr {
                 cw[i * 30] ^= 0x11;
             }
-            match code.decode_with_threshold(&mut cw, 2).unwrap() {
+            match code
+                .decode_with_threshold_scratch(&mut cw, 2, &mut scratch)
+                .unwrap()
+            {
                 ThresholdOutcome::Accepted { corrections } => assert_eq!(corrections, nerr),
                 other => panic!("unexpected {other:?}"),
             }
@@ -140,6 +132,7 @@ mod tests {
     #[test]
     fn three_and_four_errors_rejected_and_rolled_back() {
         let code = RsCode::per_block();
+        let mut scratch = RsScratch::new(&code);
         let clean = code.encode(&[0x5Au8; 64]);
         for nerr in 3..=4 {
             let mut cw = clean.clone();
@@ -147,7 +140,10 @@ mod tests {
                 cw[i * 15 + 2] ^= 0x77;
             }
             let before = cw.clone();
-            match code.decode_with_threshold(&mut cw, 2).unwrap() {
+            match code
+                .decode_with_threshold_scratch(&mut cw, 2, &mut scratch)
+                .unwrap()
+            {
                 ThresholdOutcome::Rejected(RejectReason::TooManyCorrections(n)) => {
                     assert_eq!(n, nerr)
                 }

@@ -2,7 +2,7 @@
 //! byte errors *do* silently miscorrect a t=4 decoder (SDC), and the
 //! paper's acceptance threshold of 2 rejects every such pattern.
 
-use pmck_rs::{RejectReason, RsCode, ThresholdOutcome};
+use pmck_rs::{RejectReason, RsCode, RsScratch, ThresholdOutcome};
 use pmck_rt::rng::Rng;
 use pmck_rt::rng::StdRng;
 
@@ -14,6 +14,7 @@ fn find_miscorrecting_pattern(
     clean: &[u8],
     rng: &mut StdRng,
     max_trials: usize,
+    scratch: &mut RsScratch,
 ) -> Option<Vec<u8>> {
     for _ in 0..max_trials {
         let mut word = clean.to_vec();
@@ -25,7 +26,7 @@ fn find_miscorrecting_pattern(
             word[p] ^= rng.gen_range(1..=255u8);
         }
         let mut attempt = word.clone();
-        if let Ok(out) = code.decode(&mut attempt) {
+        if let Ok(out) = code.decode_scratch(&mut attempt, scratch) {
             if attempt != clean && out.num_corrections() <= 4 {
                 return Some(word); // genuine SDC under unrestricted decode
             }
@@ -40,29 +41,29 @@ fn five_error_sdc_exists_and_threshold_two_blocks_it() {
     let data: Vec<u8> = (0..64u8).map(|i| i.wrapping_mul(37)).collect();
     let clean = code.encode(&data);
     let mut rng = StdRng::seed_from_u64(2018);
+    let mut scratch = RsScratch::new(&code);
 
-    let word = find_miscorrecting_pattern(&code, &clean, &mut rng, 120_000)
+    let word = find_miscorrecting_pattern(&code, &clean, &mut rng, 120_000, &mut scratch)
         .expect("Term B ≈ 2.4e-4: a miscorrecting 5-error pattern exists in 120k trials");
 
     // Unrestricted decoding silently corrupts: that is the SDC the paper
     // refuses to accept.
     let mut sdc = word.clone();
-    let out = code.decode(&mut sdc).expect("miscorrects successfully");
+    let corrections = code
+        .decode_scratch(&mut sdc, &mut scratch)
+        .expect("miscorrects successfully")
+        .num_corrections();
     assert_ne!(sdc, clean, "the decoder landed on the wrong codeword");
-    assert!(out.num_corrections() <= 4);
+    assert!(corrections <= 4);
     // Minimum distance 9 with 5 injected errors: the wrong codeword is
     // at least 4 corrections away, so the miscorrection always *looks*
     // like a large correction…
-    assert!(
-        out.num_corrections() >= 3,
-        "got {} corrections",
-        out.num_corrections()
-    );
+    assert!(corrections >= 3, "got {corrections} corrections");
 
     // …which is exactly why the threshold-2 rule catches it.
     let mut guarded = word.clone();
     match code
-        .decode_with_threshold(&mut guarded, 2)
+        .decode_with_threshold_scratch(&mut guarded, 2, &mut scratch)
         .expect("length ok")
     {
         ThresholdOutcome::Rejected(RejectReason::TooManyCorrections(n)) => {
@@ -82,6 +83,7 @@ fn threshold_two_never_accepts_wrong_data_across_campaign() {
     // landing within distance 2 of a wrong codeword: rate ~3e-22.)
     let code = RsCode::per_block();
     let mut rng = StdRng::seed_from_u64(77);
+    let mut scratch = RsScratch::new(&code);
     let mut accepted = 0u64;
     for trial in 0..30_000u64 {
         let data: Vec<u8> = (0..64).map(|_| rng.gen()).collect();
@@ -95,7 +97,10 @@ fn threshold_two_never_accepts_wrong_data_across_campaign() {
         for &p in &positions {
             word[p] ^= rng.gen_range(1..=255u8);
         }
-        match code.decode_with_threshold(&mut word, 2).expect("length ok") {
+        match code
+            .decode_with_threshold_scratch(&mut word, 2, &mut scratch)
+            .expect("length ok")
+        {
             ThresholdOutcome::Clean | ThresholdOutcome::Accepted { .. } => {
                 assert_eq!(word, clean, "trial {trial}: accepted wrong data (SDC!)");
                 accepted += 1;

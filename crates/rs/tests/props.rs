@@ -4,7 +4,7 @@
 //! counterexample is seeded into the checked-in corpus.
 
 use pmck_harness::{ByteErrorCase, ErasureCase, Runner};
-use pmck_rs::{RejectReason, RsCode, RsError, ThresholdOutcome};
+use pmck_rs::{RejectReason, RsCode, RsError, RsScratch, ThresholdOutcome};
 use pmck_rt::rng::{Rng, StdRng};
 
 fn gen_errors(rng: &mut StdRng, code: &RsCode, num_errors: usize) -> ByteErrorCase {
@@ -25,6 +25,7 @@ fn gen_errors(rng: &mut StdRng, code: &RsCode, num_errors: usize) -> ByteErrorCa
 #[test]
 fn corrects_up_to_four_errors() {
     let code = RsCode::per_block();
+    let mut scratch = RsScratch::new(&code);
     let mut trial = 0usize;
     Runner::new("rs:corrects-up-to-4").seed(3).cases(80).run(
         |rng| {
@@ -36,7 +37,7 @@ fn corrects_up_to_four_errors() {
             let clean = code.encode(&case.data);
             let mut cw = case.corrupted(&code);
             let out = code
-                .decode(&mut cw)
+                .decode_scratch(&mut cw, &mut scratch)
                 .map_err(|e| format!("{} errors must decode: {e}", case.errors.len()))?;
             if cw != clean {
                 return Err("decode did not restore the clean word".into());
@@ -58,6 +59,7 @@ fn corrects_up_to_four_errors() {
 #[test]
 fn corrects_eight_erasures_chip_failure() {
     let code = RsCode::per_block();
+    let mut scratch = RsScratch::new(&code);
     Runner::new("rs:chip-failure-erasures")
         .seed(11)
         .cases(20)
@@ -79,7 +81,7 @@ fn corrects_eight_erasures_chip_failure() {
                 let clean = code.encode(&case.data);
                 let mut cw = case.corrupted(&code);
                 let out = code
-                    .decode_erasures(&mut cw, &case.erasures)
+                    .decode_erasures_scratch(&mut cw, &case.erasures, &mut scratch)
                     .map_err(|e| format!("chip erasures must decode: {e}"))?;
                 if cw != clean {
                     return Err("decode did not restore the clean word".into());
@@ -97,6 +99,7 @@ fn corrects_eight_erasures_chip_failure() {
 #[test]
 fn corrects_mixed_errors_and_erasures() {
     let code = RsCode::per_block();
+    let mut scratch = RsScratch::new(&code);
     Runner::new("rs:mixed-errors-erasures")
         .seed(17)
         .cases(50)
@@ -128,7 +131,7 @@ fn corrects_mixed_errors_and_erasures() {
             |case| {
                 let clean = code.encode(&case.data);
                 let mut cw = case.corrupted(&code);
-                code.decode_with_erasures(&mut cw, &case.erasures)
+                code.decode_with_erasures_scratch(&mut cw, &case.erasures, &mut scratch)
                     .map_err(|e| format!("2e+nu <= r must decode: {e}"))?;
                 if cw != clean {
                     return Err("decode did not restore the clean word".into());
@@ -145,6 +148,7 @@ fn corrects_mixed_errors_and_erasures() {
 #[test]
 fn five_errors_never_silently_wrong() {
     let code = RsCode::per_block();
+    let mut scratch = RsScratch::new(&code);
     let mut flagged = 0u32;
     Runner::new("rs:five-errors-flagged")
         .seed(23)
@@ -153,7 +157,7 @@ fn five_errors_never_silently_wrong() {
             |rng| gen_errors(rng, &code, 5),
             |case| {
                 let mut cw = case.corrupted(&code);
-                match code.decode(&mut cw) {
+                match code.decode_scratch(&mut cw, &mut scratch) {
                     Ok(_) if code.is_codeword(&cw) => Ok(()),
                     Ok(_) => Err("success with an invalid word".into()),
                     Err(RsError::Uncorrectable) => {
@@ -176,6 +180,7 @@ fn five_errors_never_silently_wrong() {
 #[test]
 fn uncorrectable_leaves_word_unmodified() {
     let code = RsCode::new(16, 4).unwrap();
+    let mut scratch = RsScratch::new(&code);
     let mut saw_uncorrectable = false;
     Runner::new("rs:uncorrectable-unmodified")
         .seed(31)
@@ -192,7 +197,7 @@ fn uncorrectable_leaves_word_unmodified() {
             |case| {
                 let mut cw = case.corrupted(&code);
                 let before = cw.clone();
-                if code.decode(&mut cw).is_err() {
+                if code.decode_scratch(&mut cw, &mut scratch).is_err() {
                     saw_uncorrectable = true;
                     if cw != before {
                         return Err("flagged word was modified".into());
@@ -210,6 +215,7 @@ fn uncorrectable_leaves_word_unmodified() {
 #[test]
 fn strict_erasure_decode_rejects_extra_errors() {
     let code = RsCode::per_block();
+    let mut scratch = RsScratch::new(&code);
     Runner::new("rs:strict-erasure-rejects")
         .seed(41)
         .cases(20)
@@ -231,12 +237,15 @@ fn strict_erasure_decode_rejects_extra_errors() {
                 // undeclared error is what strictness must catch.
                 let corrupted = case.corrupted(&code);
                 let mut strict = corrupted.clone();
-                if code.decode_erasures(&mut strict, &case.erasures).is_ok() {
+                if code
+                    .decode_erasures_scratch(&mut strict, &case.erasures, &mut scratch)
+                    .is_ok()
+                {
                     return Err("strict erasure decode accepted an undeclared error".into());
                 }
                 let mut relaxed = corrupted;
                 let out = code
-                    .decode_with_erasures(&mut relaxed, &case.erasures)
+                    .decode_with_erasures_scratch(&mut relaxed, &case.erasures, &mut scratch)
                     .map_err(|e| format!("relaxed decode must succeed: {e}"))?;
                 if relaxed != clean {
                     return Err("relaxed decode did not restore the clean word".into());
@@ -255,6 +264,7 @@ fn strict_erasure_decode_rejects_extra_errors() {
 #[test]
 fn threshold_uncorrectable_rejected() {
     let code = RsCode::per_block();
+    let mut scratch = RsScratch::new(&code);
     let mut rejected_uncorrectable = false;
     Runner::new("rs:threshold-uncorrectable")
         .seed(5)
@@ -278,7 +288,7 @@ fn threshold_uncorrectable_rejected() {
             },
             |case| {
                 let mut cw = case.corrupted(&code);
-                match code.decode_with_threshold(&mut cw, 2) {
+                match code.decode_with_threshold_scratch(&mut cw, 2, &mut scratch) {
                     Ok(ThresholdOutcome::Rejected(RejectReason::Uncorrectable)) => {
                         rejected_uncorrectable = true;
                         Ok(())
@@ -300,6 +310,7 @@ fn threshold_uncorrectable_rejected() {
 #[test]
 fn threshold_never_accepts_more_than_threshold() {
     let code = RsCode::per_block();
+    let mut scratch = RsScratch::new(&code);
     Runner::new("rs:threshold-bound").seed(13).cases(500).run(
         |rng| {
             let nerr = rng.gen_range(0usize..=6);
@@ -310,7 +321,7 @@ fn threshold_never_accepts_more_than_threshold() {
             for threshold in 0..=4usize {
                 let mut w = cw.clone();
                 if let ThresholdOutcome::Accepted { corrections } = code
-                    .decode_with_threshold(&mut w, threshold)
+                    .decode_with_threshold_scratch(&mut w, threshold, &mut scratch)
                     .map_err(|e| format!("unexpected error {e}"))?
                 {
                     if corrections > threshold {
@@ -334,6 +345,7 @@ fn threshold_never_accepts_more_than_threshold() {
 #[test]
 fn threshold_rejects_crafted_three_error_patterns() {
     let code = RsCode::per_block();
+    let mut scratch = RsScratch::new(&code);
     let report = Runner::new("rs:threshold:negative")
         .seed(0x101)
         .cases(200)
@@ -342,7 +354,7 @@ fn threshold_rejects_crafted_three_error_patterns() {
             |case| {
                 let mut cw = case.corrupted(&code);
                 let before = cw.clone();
-                match code.decode_with_threshold(&mut cw, 2) {
+                match code.decode_with_threshold_scratch(&mut cw, 2, &mut scratch) {
                     Ok(ThresholdOutcome::Rejected(RejectReason::TooManyCorrections(3))) => {
                         if cw == before {
                             Ok(())

@@ -4,11 +4,12 @@
 
 use pmck_rt::rng::{Rng, StdRng};
 
-use pmck_rs::{RsCode, ThresholdOutcome};
+use pmck_rs::{RsCode, RsScratch, ThresholdOutcome};
 
 #[test]
 fn round_trip_full_envelope() {
     let mut rng = StdRng::seed_from_u64(0x4507_0001);
+    let mut scratch = RsScratch::new(&RsCode::per_block());
     for _ in 0..128 {
         let e = rng.gen_range(0usize..=4);
         // 2e + ν ≤ 8 → ν ≤ 8 − 2e.
@@ -26,7 +27,8 @@ fn round_trip_full_envelope() {
         for &p in &all {
             cw[p] ^= rng.gen_range(1..=255u8);
         }
-        code.decode_with_erasures(&mut cw, erasures).unwrap();
+        code.decode_with_erasures_scratch(&mut cw, erasures, &mut scratch)
+            .unwrap();
         assert_eq!(cw, clean);
     }
 }
@@ -34,6 +36,7 @@ fn round_trip_full_envelope() {
 #[test]
 fn threshold_invariant_accept_le_threshold() {
     let mut rng = StdRng::seed_from_u64(0x4507_0002);
+    let mut scratch = RsScratch::new(&RsCode::per_block());
     for _ in 0..128 {
         let nerr = rng.gen_range(0usize..=6);
         let thr = rng.gen_range(0usize..=4);
@@ -49,7 +52,10 @@ fn threshold_invariant_accept_le_threshold() {
             cw[p] ^= rng.gen_range(1..=255u8);
         }
         let before = cw.clone();
-        match code.decode_with_threshold(&mut cw, thr).unwrap() {
+        match code
+            .decode_with_threshold_scratch(&mut cw, thr, &mut scratch)
+            .unwrap()
+        {
             ThresholdOutcome::Clean => assert_eq!(nerr, 0),
             ThresholdOutcome::Accepted { corrections } => {
                 assert!(corrections <= thr);
@@ -72,9 +78,10 @@ fn parity_linearity() {
         let a: Vec<u8> = (0..64).map(|_| rng.gen()).collect();
         let b: Vec<u8> = (0..64).map(|_| rng.gen()).collect();
         let ab: Vec<u8> = a.iter().zip(&b).map(|(x, y)| x ^ y).collect();
-        let pa = code.parity(&a);
-        let pb = code.parity(&b);
-        let pab = code.parity(&ab);
+        let (mut pa, mut pb, mut pab) = ([0u8; 8], [0u8; 8], [0u8; 8]);
+        code.parity_into(&a, &mut pa);
+        code.parity_into(&b, &mut pb);
+        code.parity_into(&ab, &mut pab);
         for i in 0..8 {
             assert_eq!(pa[i] ^ pb[i], pab[i]);
         }
@@ -84,6 +91,7 @@ fn parity_linearity() {
 #[test]
 fn erasures_anywhere_including_check_bytes() {
     let mut rng = StdRng::seed_from_u64(0x4507_0004);
+    let mut scratch = RsScratch::new(&RsCode::per_block());
     for _ in 0..128 {
         // A dead chip can be the parity chip itself: erasing 8 consecutive
         // positions anywhere must be recoverable.
@@ -96,7 +104,8 @@ fn erasures_anywhere_including_check_bytes() {
         for &p in &erasures {
             cw[p] = rng.gen();
         }
-        code.decode_with_erasures(&mut cw, &erasures).unwrap();
+        code.decode_with_erasures_scratch(&mut cw, &erasures, &mut scratch)
+            .unwrap();
         assert_eq!(cw, clean);
     }
 }
@@ -120,7 +129,8 @@ fn smaller_codes_round_trip() {
         for &p in &positions {
             cw[p] ^= rng.gen_range(1..=255u8);
         }
-        code.decode(&mut cw).unwrap();
+        code.decode_scratch(&mut cw, &mut RsScratch::new(&code))
+            .unwrap();
         assert_eq!(cw, clean);
     }
 }

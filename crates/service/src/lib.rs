@@ -376,7 +376,7 @@ impl ShardedService {
             for tier in ProtectionTier::ALL {
                 reg.set_gauge(
                     &format!("{prefix}.tier_cost.{}", tier.as_str()),
-                    tier.layout().total_storage_cost(),
+                    tier.total_storage_cost(),
                 );
             }
             reg.set_gauge(
@@ -686,8 +686,8 @@ mod tests {
         assert_eq!(report.migrations, 4);
         let reg = MetricsRegistry::new();
         svc.publish_metrics(&reg, "svc");
-        let paper = ProtectionTier::Paper.layout().total_storage_cost();
-        let rs_only = ProtectionTier::RsOnly.layout().total_storage_cost();
+        let paper = ProtectionTier::Paper.total_storage_cost();
+        let rs_only = ProtectionTier::RsOnly.total_storage_cost();
         let blended = reg.gauge("svc.total_storage_cost").unwrap();
         assert!(
             (blended - rs_only).abs() < 1e-4,

@@ -372,8 +372,17 @@ fn rs_scenarios(cfg: &Config, rows: &mut Vec<Json>) {
 /// is a boxed device chain), written with the same seeded pattern and
 /// optionally pre-damaged at `rber`.
 fn filled_stack(build: impl FnOnce(StackBuilder) -> StackBuilder, rber: f64) -> Stack {
+    filled_stack_of(256, build, rber)
+}
+
+/// [`filled_stack`] at a chosen capacity.
+fn filled_stack_of(
+    blocks: u64,
+    build: impl FnOnce(StackBuilder) -> StackBuilder,
+    rber: f64,
+) -> Stack {
     let mut rng = StdRng::seed_from_u64(5);
-    let mut stack = build(StackBuilder::proposal(256, ChipkillConfig::default()))
+    let mut stack = build(StackBuilder::proposal(blocks, ChipkillConfig::default()))
         .seed(5)
         .build();
     for a in 0..stack.num_blocks() {
@@ -509,12 +518,22 @@ fn tier_scenarios(cfg: &Config, rows: &mut Vec<Json>) {
     }
 }
 
-/// `pmem/*`: the persistence-domain hot paths. `flush_clean_write`
-/// rewrites already-durable data and flushes — the EUR drain finds
-/// nothing, the compare-skip staging copies nothing, and the fence is
-/// empty, so `allocs_per_op` is expected at 0. `recovery_replay` is the
-/// cold path: cut power, replay the sealed intent-log record, and
-/// rebuild the live arrays wholesale from the durable image.
+/// `pmem/*`: the persistence-domain hot paths.
+///
+/// `flush_clean_write` rewrites one already-durable block of a
+/// 256-block stack and flushes: the EUR drain finds nothing, compare-skip
+/// finds the stripe unchanged and the fence is empty. It times a flush
+/// that persists nothing — the artefact class of the old
+/// `writepath/conventional` row — and keeps its name only so baselines
+/// stay comparable; `flush_dirty_write` is the row that means something:
+/// one `Write` of fresh bytes plus the `Flush` that fences it, on the
+/// benchmark's 16 Ki-block device. `flush_sparse_dirty/N` changes `N`
+/// blocks in `N` distinct stripes and fences them with one `Flush` (the
+/// writes are inside the timed op): flush cost follows the dirty stripes,
+/// so the three rows may grow no faster than `N`. All four assert 0
+/// allocations per op. `recovery_replay` is the cold path: cut power,
+/// replay the sealed intent-log record, and rebuild the live arrays
+/// wholesale from the durable image.
 fn pmem_scenarios(cfg: &Config, rows: &mut Vec<Json>) {
     if wants(cfg, "pmem/flush_clean_write") {
         let mut stack = filled_stack(|b| b.persistent(PmemConfig::default()), 0.0);
@@ -522,9 +541,50 @@ fn pmem_scenarios(cfg: &Config, rows: &mut Vec<Json>) {
         let block = [0xA5u8; 64];
         stack.write(0, &block).expect("in range");
         stack.flush().expect("seal the probe block");
-        rows.push(scenario(cfg, "pmem/flush_clean_write", 64, || {
+        let name = "pmem/flush_clean_write";
+        rows.push(alloc_free_scenario(cfg, name, 64, || {
             stack.write(0, &block).expect("in range");
             stack.flush().expect("clean flush")
+        }));
+    }
+    const DEVICE_BLOCKS: u64 = 16 << 10;
+    let device = || {
+        let mut stack =
+            filled_stack_of(DEVICE_BLOCKS, |b| b.persistent(PmemConfig::default()), 0.0);
+        stack.flush().expect("seal the filled image");
+        (stack, StdRng::seed_from_u64(20))
+    };
+    if wants(cfg, "pmem/flush_dirty_write") {
+        let (mut stack, mut rng) = device();
+        let (mut a, mut block) = (0, [0u8; 64]);
+        let name = "pmem/flush_dirty_write";
+        rows.push(alloc_free_scenario(cfg, name, 64, || {
+            // A prime stride: consecutive ops land in different stripes.
+            a = (a + 4099) % DEVICE_BLOCKS;
+            rng.fill_bytes(&mut block[..]);
+            stack.write(a, &block).expect("in range");
+            stack.flush().expect("dirty flush")
+        }));
+    }
+    for dirty in [1u64, 8, 64] {
+        let name = format!("pmem/flush_sparse_dirty/{dirty}");
+        if !wants(cfg, &name) {
+            continue;
+        }
+        let (mut stack, mut rng) = device();
+        // 512 stripes of 32 blocks: `dirty` writes eight stripes apart
+        // never share one, and the start rotates through all of them.
+        let (mut first, mut block) = (0, [0u8; 64]);
+        rows.push(alloc_free_scenario(cfg, &name, 64 * dirty, || {
+            first = (first + 33) % DEVICE_BLOCKS;
+            for i in 0..dirty {
+                rng.fill_bytes(&mut block[..]);
+                let a = (first + i * 8 * 32) % DEVICE_BLOCKS;
+                stack.write(a, &block).expect("in range");
+            }
+            let lines = stack.flush().expect("sparse flush");
+            assert!(lines >= 9 * dirty, "every write must reach the fence");
+            lines
         }));
     }
     if wants(cfg, "pmem/recovery_replay") {

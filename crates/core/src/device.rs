@@ -435,6 +435,16 @@ pub trait BlockDevice: Send {
     fn tier_report(&self) -> Option<crate::tier::TierReport> {
         None
     }
+
+    /// Whether the persistence domain's staged image equals the base
+    /// layer's live arrays byte for byte — what every
+    /// [`Request::Flush`] must leave behind, since a flush stages only
+    /// the stripes marked dirty. Mid-stack layers forward; volatile
+    /// stacks return `None`. Linear in capacity: a hook for tests and
+    /// campaigns, not a runtime query.
+    fn staging_matches_live(&self) -> Option<bool> {
+        None
+    }
 }
 
 impl<D: BlockDevice + ?Sized> BlockDevice for Box<D> {
@@ -458,6 +468,9 @@ impl<D: BlockDevice + ?Sized> BlockDevice for Box<D> {
     }
     fn tier_report(&self) -> Option<crate::tier::TierReport> {
         (**self).tier_report()
+    }
+    fn staging_matches_live(&self) -> Option<bool> {
+        (**self).staging_matches_live()
     }
 }
 
@@ -597,6 +610,10 @@ impl BlockDevice for ChipkillMemory {
 
     fn pmem_domain(&mut self) -> Option<&mut crate::pmem::PmemDomain> {
         self.domain.as_mut()
+    }
+
+    fn staging_matches_live(&self) -> Option<bool> {
+        ChipkillMemory::staging_matches_live(self)
     }
 }
 
@@ -761,6 +778,10 @@ impl BlockDevice for RestripedMemory {
 
     fn pmem_domain(&mut self) -> Option<&mut crate::pmem::PmemDomain> {
         self.domain.as_mut()
+    }
+
+    fn staging_matches_live(&self) -> Option<bool> {
+        RestripedMemory::staging_matches_live(self)
     }
 }
 

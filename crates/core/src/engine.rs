@@ -192,8 +192,13 @@ impl ChipkillMemory {
 
     /// Installs a persistence domain. The caller is responsible for
     /// issuing the initial [`crate::Request::Flush`] that seals the
-    /// first durable epoch.
+    /// first durable epoch. Whatever the domain has staged is not known
+    /// to be this rank's image, so every stripe becomes dirty: the next
+    /// flush compares the whole image.
     pub fn set_domain(&mut self, domain: crate::pmem::PmemDomain) {
+        for chip in &mut self.chips {
+            chip.mark_all_dirty();
+        }
         self.domain = Some(domain);
     }
 
@@ -705,8 +710,9 @@ impl ChipkillMemory {
         let inj = BitErrorInjector::new(rber);
         let mut n = 0;
         for chip in &mut self.chips {
-            n += inj.corrupt(&mut chip.data, rng).len();
-            n += inj.corrupt(&mut chip.code, rng).len();
+            let (data, code) = chip.arrays_mut();
+            n += inj.corrupt(data, rng).len();
+            n += inj.corrupt(code, rng).len();
         }
         n
     }
@@ -749,14 +755,14 @@ impl ChipkillMemory {
         rng: &mut R,
     ) -> Vec<usize> {
         assert!(chip < self.layout.total_chips(), "chip {chip} out of range");
-        let store = &mut self.chips[chip];
-        let total_bits = store.data.len() * 8;
+        let (data, _) = self.chips[chip].arrays_mut();
+        let total_bits = data.len() * 8;
         let width = (width_bits.max(1) as usize).min(total_bits);
         let start = rng.gen_range(0..=(total_bits - width));
         let mut flipped = Vec::new();
         for _ in 0..bits {
             let p = start + rng.gen_range(0..width);
-            store.data[p / 8] ^= 1 << (p % 8);
+            data[p / 8] ^= 1 << (p % 8);
             flipped.push(p);
         }
         flipped.sort_unstable();
@@ -810,7 +816,7 @@ impl ChipkillMemory {
             FaultKind::ChipKill { chip, kind } => {
                 let chip = chip % self.layout.total_chips();
                 self.fail_chip(chip, kind, rng);
-                self.chips[chip].data.len() * 8
+                self.chips[chip].data().len() * 8
             }
         }
     }
@@ -824,11 +830,9 @@ impl ChipkillMemory {
     pub fn fail_chip<R: Rng + ?Sized>(&mut self, chip: usize, kind: ChipFailureKind, rng: &mut R) {
         assert!(chip < self.layout.total_chips(), "chip {chip} out of range");
         let failure = FailedChip::new(chip, kind);
-        {
-            let store = &mut self.chips[chip];
-            failure.corrupt_output(&mut store.data, rng);
-            failure.corrupt_output(&mut store.code, rng);
-        }
+        let (data, code) = self.chips[chip].arrays_mut();
+        failure.corrupt_output(data, rng);
+        failure.corrupt_output(code, rng);
         self.failed_chip = Some(failure);
     }
 

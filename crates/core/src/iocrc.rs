@@ -16,8 +16,27 @@ use crate::error::CoreError;
 use crate::request::{Request, Response};
 use crate::stats::CoreStats;
 
+/// Byte-at-a-time table of the CRC-16/CCITT polynomial 0x1021
+/// (MSB-first): `CRC16_TABLE[b]` is the CRC of the single byte `b`.
+const CRC16_TABLE: [u16; 256] = {
+    let mut t = [0u16; 256];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = (b as u16) << 8;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc << 1) ^ (0x1021 & ((crc >> 15) & 1).wrapping_neg());
+            bit += 1;
+        }
+        t[b] = crc;
+        b += 1;
+    }
+    t
+};
+
 /// CRC-16/CCITT-FALSE over `data` (polynomial 0x1021, init 0xFFFF) —
 /// the DDR4 Write-CRC uses the same CRC-family link protection.
+/// Table-driven: the link computes it twice per transfer.
 ///
 /// # Examples
 ///
@@ -26,18 +45,9 @@ use crate::stats::CoreStats;
 /// assert_eq!(pmck_core::crc16(b"123456789"), 0x29B1);
 /// ```
 pub fn crc16(data: &[u8]) -> u16 {
-    let mut crc: u16 = 0xFFFF;
-    for &byte in data {
-        crc ^= (byte as u16) << 8;
-        for _ in 0..8 {
-            if crc & 0x8000 != 0 {
-                crc = (crc << 1) ^ 0x1021;
-            } else {
-                crc <<= 1;
-            }
-        }
-    }
-    crc
+    data.iter().fold(0xFFFF, |crc, &byte| {
+        (crc << 8) ^ CRC16_TABLE[(crc >> 8) as usize ^ byte as usize]
+    })
 }
 
 /// The bus fault process: independent bit flips at a given rate during
@@ -227,6 +237,10 @@ impl<D: BlockDevice> BlockDevice for LinkProtected<D> {
 
     fn tier_report(&self) -> Option<crate::tier::TierReport> {
         self.inner.tier_report()
+    }
+
+    fn staging_matches_live(&self) -> Option<bool> {
+        self.inner.staging_matches_live()
     }
 
     fn access(&mut self, req: Request, ctx: &mut AccessContext) -> Result<Response, CoreError> {

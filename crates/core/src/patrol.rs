@@ -217,6 +217,10 @@ impl<D: BlockDevice> BlockDevice for Patrolled<D> {
         self.inner.tier_report()
     }
 
+    fn staging_matches_live(&self) -> Option<bool> {
+        self.inner.staging_matches_live()
+    }
+
     fn access(&mut self, req: Request, ctx: &mut AccessContext) -> Result<Response, CoreError> {
         match req {
             Request::PatrolStep => self.run_step(ctx).map(Response::Patrolled),

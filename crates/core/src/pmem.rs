@@ -1,22 +1,53 @@
 //! The persistence domain: durable images, intent-logged commits, and
 //! crash recovery for the protection stack.
 //!
-//! # Durability model (restage-at-flush)
+//! # Durability model (stage the dirty set at flush)
 //!
 //! The engine layers never touch durable media during normal operation —
 //! reads, writes, scrubs, repairs and fault injections all mutate the
-//! *live* in-memory arrays only, exactly as before. Durability is
-//! established at [`crate::Request::Flush`]: the base layer drains its EUR
-//! registers (so durable code bits stay consistent with durable data),
-//! re-stages its **entire** live image into the
-//! [`pmck_pmem::PersistentMedia`] staging buffer, and drains. Staging is
-//! compare-skipped per cache line, so only lines that actually changed
-//! since the previous fence become dirty, and the fence's CRC-sealed
-//! intent-log record covers exactly those lines.
+//! *live* in-memory arrays only. Durability is established at
+//! [`crate::Request::Flush`]: the base layer drains its EUR registers (so
+//! durable code bits stay consistent with durable data), stages the
+//! stripes whose stored bytes may have changed into the
+//! [`pmck_pmem::PersistentMedia`] staging buffer, and drains.
 //!
-//! The invariant `staging == live image` therefore holds *by
-//! construction* after every flush; there is no per-mutation-site mirror
-//! to keep in sync. Two consequences worth knowing:
+//! *Who marks.* The stored arrays are private to `crate::rank::ChipStore`
+//! (one per chip; the §V-E re-striped layout keeps its image in one
+//! whose stripes are the 4-block groups). Every accessor that hands out
+//! `&mut` bytes sets the stripe's bit in the store's dirty set before it
+//! returns, so demand writes, write-sums, EUR drains, scrub and VLEW
+//! write-backs, chip repair, Start-Gap moves, tier migrations and fault
+//! injections are covered without knowing that persistence exists — a
+//! site that forgets is a compile error, not a campaign finding.
+//! Mutations that are not stripe-addressed (rank-wide RBER, a burst, a
+//! chip failure) take the whole-array accessor, which sets every bit.
+//!
+//! *Who clears.* `stage_image` — one loop, [`stage_dirty`], for both
+//! base layers — after it has staged a store's dirty stripes, and
+//! `restore_from_image` after it has copied the arrays back from the
+//! recovered image. Nothing else.
+//!
+//! *Why compare-skip stays.* The set says where bytes *may* differ;
+//! [`pmck_pmem::PersistentMedia::stage`] still compares each cache line
+//! it is given and dirties only those that do. The lines a fence logs
+//! are therefore exactly the lines a whole-image restage would have
+//! found — the set narrows where to compare, never what is logged — and
+//! a flush costs what changed, not what exists. A restage of the whole
+//! image is the all-bits-set case of the same loop.
+//!
+//! *Why installing a domain means "all dirty".* `set_domain` hands the
+//! rank a media whose staged bytes it knows nothing about: a fresh one
+//! (all zeros), or one that until now mirrored another engine's arrays
+//! (a tier migration moves the region's domain to the re-encoded engine;
+//! the §V-E re-stripe moves it to the new layout). Every bit is set, the
+//! next flush compares everything, and compare-skip reduces that to the
+//! lines that really differ.
+//!
+//! The invariant `staging == live image` after every flush therefore
+//! rests on the marks, so it is checked: `staging_matches_live` compares
+//! every staged range with the live arrays, every flush `debug_assert!`s
+//! it, and [`crate::Stack::staging_matches_live`] lets a campaign assert
+//! it in release builds. Two consequences worth knowing:
 //!
 //! * A fault injected after the last flush exists only in the live
 //!   arrays; a power cut discards it. Campaigns that want a fault to
@@ -24,7 +55,7 @@
 //!   physically honest model (the scar *is* in the NVRAM cells; what the
 //!   media model loses is the *staged view* of them, so the campaign
 //!   flushes to line the two up).
-//! * [`crate::Request::PowerCut`] re-stages once more purely to *count*
+//! * [`crate::Request::PowerCut`] stages once more purely to *count*
 //!   the lines that would have been lost, then drops all volatile media
 //!   state; [`crate::Request::Recover`] replays the log and rebuilds the
 //!   live arrays wholesale from the durable image.
@@ -46,6 +77,7 @@ use crate::device::{AccessContext, LayerId, RecoveryReport};
 use crate::engine::ChipkillMemory;
 use crate::error::{CoreError, RecoveryError, RecoveryFailure};
 use crate::layout::{ChipkillLayout, ProtectionTier};
+use crate::rank::ChipStore;
 use crate::request::{Request, Response};
 use crate::restripe::{RestripeState, Restripeable, RestripedMemory, BLOCKS_PER_GROUP};
 
@@ -110,12 +142,14 @@ impl RegionMap {
         self.chip_code_base + chip * self.chip_code_stride
     }
 
-    pub(crate) fn b_data(&self) -> usize {
-        self.b_data_off
+    /// Where chip `chip`'s data and code areas live.
+    pub(crate) fn chip_areas(&self, chip: usize) -> (usize, usize) {
+        (self.chip_data(chip), self.chip_code(chip))
     }
 
-    pub(crate) fn b_code(&self) -> usize {
-        self.b_code_off
+    /// Where the re-striped image's data and code areas live.
+    pub(crate) fn b_areas(&self) -> (usize, usize) {
+        (self.b_data_off, self.b_code_off)
     }
 
     pub(crate) fn b_data_len(&self) -> usize {
@@ -361,20 +395,64 @@ fn recovery_outcome(outcome: ReplayOutcome, restriped: bool) -> Response {
     })
 }
 
+/// The staging loop of both base layers: stages the dirty stripes of
+/// `store` — whose data and code areas live at `(data_off, code_off)`
+/// on the media — and marks the store clean. A store with every stripe
+/// dirty is the whole-image restage.
+fn stage_dirty(
+    store: &mut ChipStore,
+    layout: &ChipkillLayout,
+    media: &mut PersistentMedia,
+    (data_off, code_off): (usize, usize),
+) {
+    for s in store.dirty_stripes() {
+        let data = store.vlew_data(s, layout);
+        media.stage(data_off + s * data.len(), data);
+        let code = store.vlew_code(s, layout);
+        media.stage(code_off + s * code.len(), code);
+    }
+    store.mark_clean();
+}
+
+/// Copies a store's areas back from the staged image and marks it clean.
+fn restore(store: &mut ChipStore, staging: &[u8], (data_off, code_off): (usize, usize)) {
+    let (data, code) = store.arrays_mut();
+    data.copy_from_slice(&staging[data_off..data_off + data.len()]);
+    code.copy_from_slice(&staging[code_off..code_off + code.len()]);
+    store.mark_clean();
+}
+
+/// Whether the staged image holds exactly the store's bytes.
+fn is_staged(store: &ChipStore, staging: &[u8], (data_off, code_off): (usize, usize)) -> bool {
+    let (data, code) = (store.data(), store.code());
+    staging[data_off..data_off + data.len()] == *data
+        && staging[code_off..code_off + code.len()] == *code
+}
+
 impl ChipkillMemory {
-    /// Re-stages the whole live image (all chip arrays plus metadata)
+    /// Stages the dirty stripes of every chip, plus the metadata line,
     /// into the media; compare-skip keeps unchanged lines clean.
     pub(crate) fn stage_image(&mut self) {
         let tier = self.config().tier;
         let failed = self.known_failed;
+        let layout = *self.layout();
         let Some(domain) = self.domain.as_mut() else {
             return;
         };
-        for (c, chip) in self.chips.iter().enumerate() {
-            domain.media.stage(domain.map.chip_data(c), &chip.data);
-            domain.media.stage(domain.map.chip_code(c), &chip.code);
+        for (c, chip) in self.chips.iter_mut().enumerate() {
+            stage_dirty(chip, &layout, &mut domain.media, domain.map.chip_areas(c));
         }
         domain.stage_meta(false, failed, tier);
+    }
+
+    /// Whether every chip's staged range equals its live arrays — the
+    /// module's invariant after a flush. `None` without a domain.
+    /// Linear in capacity: for assertions and tests.
+    pub(crate) fn staging_matches_live(&self) -> Option<bool> {
+        let domain = self.domain.as_ref()?;
+        let staging = domain.media.staging();
+        let mut chips = self.chips.iter().enumerate();
+        Some(chips.all(|(c, chip)| is_staged(chip, staging, domain.map.chip_areas(c))))
     }
 
     /// Rebuilds the live arrays wholesale from the recovered image. The
@@ -388,10 +466,7 @@ impl ChipkillMemory {
         };
         let staging = domain.media.staging();
         for (c, chip) in self.chips.iter_mut().enumerate() {
-            let (off, len) = (domain.map.chip_data(c), chip.data.len());
-            chip.data.copy_from_slice(&staging[off..off + len]);
-            let (off, len) = (domain.map.chip_code(c), chip.code.len());
-            chip.code.copy_from_slice(&staging[off..off + len]);
+            restore(chip, staging, domain.map.chip_areas(c));
         }
         self.eur.clear();
         self.known_failed = meta.failed_chip;
@@ -407,6 +482,11 @@ impl ChipkillMemory {
         self.stage_image();
         let domain = self.domain.as_mut().expect("domain checked above");
         let report = drain_and_record(&mut domain.media, ctx);
+        debug_assert_eq!(
+            self.staging_matches_live(),
+            Some(true),
+            "a mutation site did not mark its stripe dirty"
+        );
         Ok(Response::Flushed {
             lines: report.lines,
         })
@@ -447,14 +527,30 @@ impl ChipkillMemory {
 }
 
 impl RestripedMemory {
-    /// Re-stages the whole re-striped image (region B plus metadata).
+    /// Installs a persistence domain; as on the chipkill rank, every
+    /// group becomes dirty.
+    pub(crate) fn set_domain(&mut self, domain: PmemDomain) {
+        self.store.mark_all_dirty();
+        self.domain = Some(domain);
+    }
+
+    /// Stages the dirty groups of the re-striped image (region B) plus
+    /// the metadata line.
     pub(crate) fn stage_image(&mut self) {
         let Some(domain) = self.domain.as_mut() else {
             return;
         };
-        domain.media.stage(domain.map.b_data(), &self.data);
-        domain.media.stage(domain.map.b_code(), &self.codes);
+        let at = domain.map.b_areas();
+        stage_dirty(&mut self.store, &self.layout, &mut domain.media, at);
         domain.stage_meta(true, None, ProtectionTier::Paper);
+    }
+
+    /// Whether staged region B equals the live arrays; see
+    /// [`ChipkillMemory::staging_matches_live`].
+    pub(crate) fn staging_matches_live(&self) -> Option<bool> {
+        let domain = self.domain.as_ref()?;
+        let staging = domain.media.staging();
+        Some(is_staged(&self.store, staging, domain.map.b_areas()))
     }
 
     /// Rebuilds the live arrays from the recovered region B image.
@@ -462,11 +558,11 @@ impl RestripedMemory {
         let Some(domain) = self.domain.as_ref() else {
             return;
         };
-        let staging = domain.media.staging();
-        let (off, len) = (domain.map.b_data(), self.data.len());
-        self.data.copy_from_slice(&staging[off..off + len]);
-        let (off, len) = (domain.map.b_code(), self.codes.len());
-        self.codes.copy_from_slice(&staging[off..off + len]);
+        restore(
+            &mut self.store,
+            domain.media.staging(),
+            domain.map.b_areas(),
+        );
     }
 
     /// Rebuilds a re-striped layout entirely from a recovered durable
@@ -474,7 +570,7 @@ impl RestripedMemory {
     /// layout flip committed.
     pub(crate) fn from_pmem_image(domain: PmemDomain) -> Self {
         let mut out = RestripedMemory::zeroed((domain.map.b_data_len() / 64) as u64);
-        out.domain = Some(domain);
+        out.set_domain(domain);
         out.restore_from_image();
         out
     }
@@ -490,6 +586,7 @@ impl RestripedMemory {
         self.stage_image();
         let domain = self.domain.as_mut().expect("domain checked above");
         drain_and_record(&mut domain.media, ctx);
+        debug_assert_eq!(self.staging_matches_live(), Some(true));
     }
 
     pub(crate) fn handle_flush(&mut self, ctx: &mut AccessContext) -> Result<Response, CoreError> {
@@ -499,6 +596,11 @@ impl RestripedMemory {
         self.stage_image();
         let domain = self.domain.as_mut().expect("domain checked above");
         let report = drain_and_record(&mut domain.media, ctx);
+        debug_assert_eq!(
+            self.staging_matches_live(),
+            Some(true),
+            "a mutation site did not mark its group dirty"
+        );
         Ok(Response::Flushed {
             lines: report.lines,
         })
@@ -587,13 +689,13 @@ impl Restripeable {
                     .and_then(|o| domain.decode_meta().map(|m| (o, m)))
                 {
                     Err(e) => {
-                        mem.domain = Some(domain);
+                        mem.set_domain(domain);
                         self.state = RestripeState::Restriped(mem);
                         Err(e)
                     }
                     Ok((outcome, meta)) => {
                         if meta.restriped {
-                            mem.domain = Some(domain);
+                            mem.set_domain(domain);
                             mem.restore_from_image();
                             self.state = RestripeState::Restriped(mem);
                         } else {
@@ -633,7 +735,9 @@ mod tests {
     use super::*;
     use crate::config::ChipkillConfig;
     use crate::device::BlockDevice;
+    use crate::wearlevel::WearLevelled;
     use pmck_nvram::{ChipFailureKind, FaultEvent, FaultKind};
+    use pmck_rt::rng::{Rng, StdRng};
 
     fn persistent_rank(blocks: u64) -> ChipkillMemory {
         let mut rank = ChipkillMemory::new(blocks, ChipkillConfig::default());
@@ -645,6 +749,45 @@ mod tests {
         );
         rank.set_domain(domain);
         rank
+    }
+
+    /// The flush body before the dirty set, kept as its oracle: stage
+    /// every live array whole and let compare-skip alone find what
+    /// changed. A `Flush` that follows has nothing left to find, so what
+    /// it fences is what restage-at-flush would have fenced.
+    fn restage_whole_rank(rank: &mut ChipkillMemory) {
+        rank.flush_eur();
+        let domain = rank.domain.as_mut().expect("persistent rank");
+        for (c, chip) in rank.chips.iter().enumerate() {
+            domain.media.stage(domain.map.chip_data(c), chip.data());
+            domain.media.stage(domain.map.chip_code(c), chip.code());
+        }
+    }
+
+    /// Writes the tagged pattern into the first 64 blocks.
+    fn fill(rank: &mut ChipkillMemory) {
+        for a in 0..64u64 {
+            rank.write_block(a, &block(a as u8)).unwrap();
+        }
+    }
+
+    /// [`restage_whole_rank`] for the re-striped layout.
+    fn restage_whole_restriped(mem: &mut RestripedMemory) {
+        let domain = mem.domain.as_mut().expect("persistent layout");
+        let (b_data, b_code) = domain.map.b_areas();
+        domain.media.stage(b_data, mem.store.data());
+        domain.media.stage(b_code, mem.store.code());
+    }
+
+    /// Staging, durable image and counters of two media must agree.
+    fn assert_same_media(a: &PmemDomain, b: &PmemDomain, what: &str) {
+        assert!(a.media.staging() == b.media.staging(), "{what}: staging");
+        assert!(
+            a.media.durable_data() == b.media.durable_data(),
+            "{what}: durable image"
+        );
+        assert_eq!(a.media_stats(), b.media_stats(), "{what}: media stats");
+        assert_eq!(a.steps_taken(), b.steps_taken(), "{what}: durable steps");
     }
 
     fn block(tag: u8) -> [u8; 64] {
@@ -664,8 +807,9 @@ mod tests {
             spans.push((map.chip_data(c), 2 * layout.vlew_data_bytes));
             spans.push((map.chip_code(c), 2 * layout.vlew_code_bytes));
         }
-        spans.push((map.b_data(), map.b_data_len()));
-        spans.push((map.b_code(), 16 * 33));
+        let (b_data, b_code) = map.b_areas();
+        spans.push((b_data, map.b_data_len()));
+        spans.push((b_code, 16 * 33));
         spans.push((map.meta(), META_LEN));
         spans.sort();
         for w in spans.windows(2) {
@@ -809,5 +953,197 @@ mod tests {
         }
         assert!(seen_chipkill, "an early cut must recover the old layout");
         assert!(seen_restriped, "a late cut must recover the new layout");
+    }
+
+    fn fault(kind: FaultKind) -> Request {
+        Request::Fault(FaultEvent { at_cycle: 0, kind })
+    }
+
+    /// One seeded op of the equivalence stream: demand writes and sums
+    /// of fresh bytes (every eighth write moves the Start-Gap), scrubs,
+    /// row faults, bursts, background RBER, a chip kill repaired by the
+    /// boot scrub, and a power cut with its recovery.
+    fn random_op(rng: &mut StdRng, blocks: u64) -> Vec<Request> {
+        let addr = rng.gen_range(0..blocks);
+        let mut data = [0u8; 64];
+        rng.fill_bytes(&mut data[..]);
+        match rng.gen_range(0u32..100) {
+            0..=39 => vec![Request::Write { addr, data }],
+            40..=59 => vec![Request::WriteSum { addr, data }],
+            60..=67 => vec![Request::Scrub(addr)],
+            68..=73 => vec![fault(FaultKind::RowFault {
+                chip: rng.gen_range(0..9),
+                stripe: rng.gen_range(0..4),
+                rber: 1e-3,
+            })],
+            74..=77 => vec![fault(FaultKind::Burst {
+                bits: 3,
+                width_bits: 64,
+                chip: None,
+            })],
+            78..=80 => vec![Request::InjectRber(1e-4)],
+            81..=82 => vec![
+                fault(FaultKind::ChipKill {
+                    chip: rng.gen_range(0..9),
+                    kind: ChipFailureKind::RandomGarbage,
+                }),
+                Request::BootScrub,
+            ],
+            83..=84 => vec![Request::PowerCut, Request::Recover],
+            _ => vec![Request::Flush],
+        }
+    }
+
+    #[test]
+    fn dirty_set_staging_equals_whole_image_restage_on_a_rank() {
+        let build = || WearLevelled::over(persistent_rank(128), 127, 8);
+        let (mut a, mut b) = (build(), build());
+        let (mut ctx_a, mut ctx_b) = (AccessContext::new(0xD1E7), AccessContext::new(0xD1E7));
+        let mut rng = StdRng::seed_from_u64(0x57A6E);
+        let mut flushes = 0;
+        for step in 0..3_000 {
+            for req in random_op(&mut rng, 127) {
+                if req == Request::Flush {
+                    restage_whole_rank(b.inner_mut());
+                    flushes += 1;
+                }
+                let ra = a.access(req, &mut ctx_a);
+                let rb = b.access(req, &mut ctx_b);
+                assert_eq!(ra, rb, "step {step}: {req:?}");
+                if req == Request::Flush {
+                    assert_eq!(a.inner().staging_matches_live(), Some(true), "step {step}");
+                }
+            }
+        }
+        assert!(flushes > 300 && a.gap_moves() > 100, "the stream must mix");
+        let (da, db) = (a.inner_mut().domain.take(), b.inner_mut().domain.take());
+        assert_same_media(&da.unwrap(), &db.unwrap(), "rank");
+        assert_eq!(
+            ctx_a.layer_mut(LayerId::Pmem),
+            ctx_b.layer_mut(LayerId::Pmem)
+        );
+    }
+
+    #[test]
+    fn dirty_set_staging_equals_whole_image_restage_on_a_restriped_rank() {
+        // Both sides take the §V-E transition by hand, so the oracle
+        // can stage whole arrays ahead of the flip's commit too.
+        let build = |oracle: bool| {
+            let mut rank = persistent_rank(64);
+            let mut ctx = AccessContext::new(0x5EED);
+            fill(&mut rank);
+            rank.fail_chip(2, ChipFailureKind::RandomGarbage, ctx.rng());
+            rank.handle_flush(&mut ctx).unwrap();
+            let mut mem = RestripedMemory::from_failed_rank(&mut rank).unwrap();
+            mem.set_domain(rank.take_domain().unwrap());
+            if oracle {
+                restage_whole_restriped(&mut mem);
+            }
+            mem.commit_restripe(&mut ctx);
+            (mem, ctx)
+        };
+        let ((mut a, mut ctx_a), (mut b, mut ctx_b)) = (build(false), build(true));
+        let mut rng = StdRng::seed_from_u64(0x6E0);
+        for step in 0..1_500 {
+            let addr = rng.gen_range(0..64u64);
+            let mut data = [0u8; 64];
+            rng.fill_bytes(&mut data[..]);
+            let req = match rng.gen_range(0u32..100) {
+                0..=59 => Request::Write { addr, data },
+                60..=69 => Request::Scrub(addr),
+                70..=74 => Request::InjectRber(2e-4),
+                75..=77 => Request::BootScrub,
+                _ => Request::Flush,
+            };
+            if req == Request::Flush {
+                restage_whole_restriped(&mut b);
+            }
+            let ra = a.access(req, &mut ctx_a);
+            let rb = b.access(req, &mut ctx_b);
+            assert_eq!(ra, rb, "step {step}: {req:?}");
+        }
+        a.handle_flush(&mut ctx_a).unwrap();
+        restage_whole_restriped(&mut b);
+        b.handle_flush(&mut ctx_b).unwrap();
+        assert_same_media(&a.domain.unwrap(), &b.domain.unwrap(), "restriped");
+    }
+
+    #[test]
+    fn dirty_set_staging_equals_whole_image_restage_across_a_tier_migration() {
+        // What `TieredMemory::migrate_region` does to commit: a fresh
+        // engine of the other tier takes the region's image and its
+        // domain (sized, as there, for the dense tier's strides), and
+        // one flush fences the lot.
+        let migrate = |oracle: bool| {
+            let mut rank = ChipkillMemory::new(64, ChipkillConfig::default());
+            let dense = ChipkillLayout::dense();
+            rank.set_domain(PmemDomain::for_rank(
+                &dense,
+                64 / dense.blocks_per_vlew(),
+                64,
+                PmemConfig::default(),
+            ));
+            let mut ctx = AccessContext::new(0x71E2);
+            fill(&mut rank);
+            rank.handle_flush(&mut ctx).unwrap();
+            rank.write_block(9, &block(0x99)).unwrap(); // rides the migration's fence
+            let cfg = ChipkillConfig::for_tier(ProtectionTier::Dense);
+            let mut fresh = ChipkillMemory::new(64, cfg);
+            for a in 0..64u64 {
+                let data = rank.read_block(a).unwrap().data;
+                fresh.write_block(a, &data).unwrap();
+            }
+            fresh.set_domain(rank.take_domain().unwrap());
+            if oracle {
+                restage_whole_rank(&mut fresh);
+            }
+            let lines = fresh.handle_flush(&mut ctx).unwrap();
+            (fresh, lines)
+        };
+        let ((a, lines_a), (b, lines_b)) = (migrate(false), migrate(true));
+        assert_eq!(lines_a, lines_b);
+        // Block 9's line on every chip, the re-encoded code areas, the
+        // tier tag.
+        assert!(matches!(lines_a, Response::Flushed { lines } if lines > 9));
+        assert_same_media(&a.domain.unwrap(), &b.domain.unwrap(), "migrated");
+    }
+
+    /// The mutation the private arrays rule out: bytes change and the
+    /// stripe's mark is lost.
+    fn write_then_forget_the_marks(rank: &mut ChipkillMemory) {
+        rank.write_block(5, &block(0xEE)).unwrap();
+        rank.flush_eur();
+        for chip in &mut rank.chips {
+            chip.mark_clean();
+        }
+    }
+
+    #[test]
+    fn an_unmarked_mutation_fails_the_invariant_and_dies_with_the_power() {
+        let mut rank = persistent_rank(64);
+        let mut ctx = AccessContext::new(4);
+        fill(&mut rank);
+        rank.handle_flush(&mut ctx).unwrap();
+        write_then_forget_the_marks(&mut rank);
+        // `handle_flush` minus its closing assertion.
+        rank.stage_image();
+        let report = drain_and_record(&mut rank.domain.as_mut().unwrap().media, &mut ctx);
+        assert_eq!(report.lines, 0, "nothing was marked, so nothing was fenced");
+        assert_eq!(rank.staging_matches_live(), Some(false));
+        rank.handle_power_cut().unwrap();
+        rank.handle_recover(&mut ctx).unwrap();
+        assert_eq!(rank.read_block(5).unwrap().data, block(5), "write lost");
+        assert_eq!(rank.staging_matches_live(), Some(true));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "did not mark its stripe dirty")]
+    fn flush_asserts_the_invariant_in_debug_builds() {
+        let mut rank = persistent_rank(32);
+        let mut ctx = AccessContext::new(5);
+        rank.handle_flush(&mut ctx).unwrap();
+        write_then_forget_the_marks(&mut rank);
+        let _ = rank.handle_flush(&mut ctx);
     }
 }

@@ -3,12 +3,71 @@
 
 use crate::layout::ChipkillLayout;
 
+/// A fixed-capacity set of stripe (or §V-E group) indices: the stripes
+/// of one [`ChipStore`] whose stored bytes may differ from the image the
+/// persistence domain has staged. See `crate::pmem` for who clears it.
+#[derive(Debug, Clone)]
+struct DirtySet {
+    words: Vec<u64>,
+    len: usize,
+}
+
+impl DirtySet {
+    /// A set over `0..len` with every member present: nothing is known
+    /// to match a staged image yet.
+    fn full(len: usize) -> Self {
+        let mut set = DirtySet {
+            words: vec![0; len.div_ceil(64)],
+            len,
+        };
+        set.insert_all();
+        set
+    }
+
+    fn insert(&mut self, i: usize) {
+        debug_assert!(i < self.len);
+        self.words[i / 64] |= 1 << (i % 64);
+    }
+
+    fn insert_all(&mut self) {
+        for i in 0..self.len {
+            self.insert(i);
+        }
+    }
+
+    fn clear(&mut self) {
+        self.words.fill(0);
+    }
+
+    /// Members in ascending order; empty words cost one test.
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        let members = |(w, &word): (usize, &u64)| {
+            (0..64)
+                .filter(move |b| word >> b & 1 != 0)
+                .map(move |b| w * 64 + b)
+        };
+        self.words
+            .iter()
+            .enumerate()
+            .filter(|(_, &word)| word != 0)
+            .flat_map(members)
+    }
+}
+
 /// One chip's storage: a flat data area (256 B per stripe) and a VLEW code
-/// area (33 B per stripe), mirroring Figure 6's in-row placement.
+/// area (33 B per stripe), mirroring Figure 6's in-row placement. The
+/// §V-E re-striped layout keeps its rank-wide image in one too, its
+/// 4-block groups taking the place of stripes.
+///
+/// The arrays are private: every accessor that hands out `&mut` bytes
+/// records the stripe in the store's [`DirtySet`] first, so no mutation
+/// site — demand write, EUR drain, scrub, repair, fault injection — can
+/// change stored bytes without the next flush staging them.
 #[derive(Debug, Clone)]
 pub(crate) struct ChipStore {
-    pub data: Vec<u8>,
-    pub code: Vec<u8>,
+    data: Vec<u8>,
+    code: Vec<u8>,
+    dirty: DirtySet,
 }
 
 impl ChipStore {
@@ -16,7 +75,26 @@ impl ChipStore {
         ChipStore {
             data: vec![0; stripes * layout.vlew_data_bytes],
             code: vec![0; stripes * layout.vlew_code_bytes],
+            dirty: DirtySet::full(stripes),
         }
+    }
+
+    /// The whole data area.
+    pub fn data(&self) -> &[u8] {
+        &self.data
+    }
+
+    /// The whole code area.
+    pub fn code(&self) -> &[u8] {
+        &self.code
+    }
+
+    /// Both whole areas, mutably, with every stripe marked dirty: for
+    /// mutations that are not stripe-addressed (rank-wide injection, a
+    /// chip failure, restoring from the durable image).
+    pub fn arrays_mut(&mut self) -> (&mut [u8], &mut [u8]) {
+        self.mark_all_dirty();
+        (&mut self.data, &mut self.code)
     }
 
     /// The chip's 8 B contribution to `block` (stripe-local addressing is
@@ -32,6 +110,7 @@ impl ChipStore {
         offset: usize,
         layout: &ChipkillLayout,
     ) -> &mut [u8] {
+        self.dirty.insert(stripe);
         let base = stripe * layout.vlew_data_bytes + offset * layout.chip_bytes;
         &mut self.data[base..base + layout.chip_bytes]
     }
@@ -43,6 +122,7 @@ impl ChipStore {
     }
 
     pub fn vlew_data_mut(&mut self, stripe: usize, layout: &ChipkillLayout) -> &mut [u8] {
+        self.dirty.insert(stripe);
         let base = stripe * layout.vlew_data_bytes;
         &mut self.data[base..base + layout.vlew_data_bytes]
     }
@@ -54,8 +134,26 @@ impl ChipStore {
     }
 
     pub fn vlew_code_mut(&mut self, stripe: usize, layout: &ChipkillLayout) -> &mut [u8] {
+        self.dirty.insert(stripe);
         let base = stripe * layout.vlew_code_bytes;
         &mut self.code[base..base + layout.vlew_code_bytes]
+    }
+
+    /// The dirty stripes, ascending.
+    pub fn dirty_stripes(&self) -> impl Iterator<Item = usize> + '_ {
+        self.dirty.iter()
+    }
+
+    /// Declares every stripe unrelated to the staged image: a
+    /// persistence domain was just installed.
+    pub fn mark_all_dirty(&mut self) {
+        self.dirty.insert_all();
+    }
+
+    /// Declares the stored bytes equal to the staged image: they have
+    /// just been staged, or copied back from it.
+    pub fn mark_clean(&mut self) {
+        self.dirty.clear();
     }
 }
 

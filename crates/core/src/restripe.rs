@@ -16,7 +16,8 @@ use pmck_rt::rng::Rng;
 use crate::device::{AccessContext, BlockDevice, LayerId};
 use crate::engine::ChipkillMemory;
 use crate::error::CoreError;
-use crate::rank::{apply_code_delta, CODE_LIMBS};
+use crate::layout::ChipkillLayout;
+use crate::rank::{apply_code_delta, ChipStore, CODE_LIMBS};
 use crate::request::{Request, Response};
 use crate::stats::CoreStats;
 
@@ -28,8 +29,11 @@ pub const BLOCKS_PER_GROUP: usize = 4;
 /// VLEWs stripe across the rank in 4-block groups.
 #[derive(Debug, Clone)]
 pub struct RestripedMemory {
-    pub(crate) data: Vec<u8>,
-    pub(crate) codes: Vec<u8>, // 33 B per 4-block group
+    /// The rank-wide image: one store whose "stripes" are the 4-block
+    /// groups, 256 B of data and 33 B of VLEW code each — the paper
+    /// geometry's VLEW, which is what `layout` is kept for.
+    pub(crate) store: ChipStore,
+    pub(crate) layout: ChipkillLayout,
     pub(crate) num_blocks: u64,
     pub(crate) vlew: BchCode,
     /// Reusable decode working memory: one group's VLEW codeword and
@@ -52,12 +56,15 @@ impl RestripedMemory {
     /// Propagates read errors from the old layout.
     pub fn from_failed_rank(mem: &mut ChipkillMemory) -> Result<Self, CoreError> {
         let mut out = Self::zeroed(mem.num_blocks());
-        for (addr, block) in out.data.chunks_exact_mut(64).enumerate() {
-            block.copy_from_slice(&mem.read_block(addr as u64)?.data);
-        }
-        for g in 0..out.codes.len() / 33 {
+        let layout = out.layout;
+        for g in 0..out.groups() {
+            let group = out.store.vlew_data_mut(g, &layout);
+            for (i, block) in group.chunks_exact_mut(64).enumerate() {
+                let addr = (g * BLOCKS_PER_GROUP + i) as u64;
+                block.copy_from_slice(&mem.read_block(addr)?.data);
+            }
             let code = out.encode_group(g);
-            out.codes[g * 33..(g + 1) * 33].copy_from_slice(&code);
+            out.store.vlew_code_mut(g, &layout).copy_from_slice(&code);
         }
         Ok(out)
     }
@@ -65,9 +72,11 @@ impl RestripedMemory {
     /// An all-zero layout of `num_blocks` blocks with no domain.
     pub(crate) fn zeroed(num_blocks: u64) -> Self {
         let vlew = BchCode::vlew();
+        let layout = ChipkillLayout::default();
+        debug_assert_eq!(layout.vlew_data_bytes, BLOCKS_PER_GROUP * 64);
         RestripedMemory {
-            data: vec![0u8; num_blocks as usize * 64],
-            codes: vec![0u8; num_blocks as usize / BLOCKS_PER_GROUP * 33],
+            store: ChipStore::new(num_blocks as usize / BLOCKS_PER_GROUP, &layout),
+            layout,
             num_blocks,
             cw: BitPoly::zero(vlew.len()),
             scratch: BchScratch::new(&vlew),
@@ -77,11 +86,14 @@ impl RestripedMemory {
         }
     }
 
+    fn groups(&self) -> usize {
+        self.num_blocks as usize / BLOCKS_PER_GROUP
+    }
+
     fn encode_group(&self, group: usize) -> [u8; 33] {
-        let base = group * BLOCKS_PER_GROUP * 64;
         let mut limbs = [0u64; CODE_LIMBS];
         self.vlew
-            .parity_bytes_into(&self.data[base..base + 256], &mut limbs);
+            .parity_bytes_into(self.store.vlew_data(group, &self.layout), &mut limbs);
         let mut code = [0u8; 33];
         apply_code_delta(&mut code, &limbs);
         code
@@ -114,13 +126,13 @@ impl RestripedMemory {
             return Err(CoreError::OutOfRange(addr));
         }
         let group = addr as usize / BLOCKS_PER_GROUP;
-        let base = group * BLOCKS_PER_GROUP * 64;
         // The VLEW's 264 parity bits are 33 whole bytes: both regions
         // drop in (and come back out) as byte splices.
         let r = self.vlew.parity_bits();
-        let codes = &mut self.codes[group * 33..(group + 1) * 33];
-        self.cw.splice_bytes(0, codes);
-        self.cw.splice_bytes(r, &self.data[base..base + 256]);
+        self.cw
+            .splice_bytes(0, self.store.vlew_code(group, &self.layout));
+        self.cw
+            .splice_bytes(r, self.store.vlew_data(group, &self.layout));
         let view = self
             .vlew
             .decode_scratch(&mut self.cw, &mut self.scratch)
@@ -128,11 +140,14 @@ impl RestripedMemory {
         if !view.was_clean() {
             self.bits_corrected += view.num_corrected() as u64;
             // Write the corrected group back (scrub-on-read).
-            self.cw.extract_bytes(0, codes);
-            self.cw.extract_bytes(r, &mut self.data[base..base + 256]);
+            self.cw
+                .extract_bytes(0, self.store.vlew_code_mut(group, &self.layout));
+            self.cw
+                .extract_bytes(r, self.store.vlew_data_mut(group, &self.layout));
         }
-        let off = base + (addr as usize % BLOCKS_PER_GROUP) * 64;
-        Ok(self.data[off..off + 64].try_into().expect("64 bytes"))
+        let off = (addr as usize % BLOCKS_PER_GROUP) * 64;
+        let data = self.store.vlew_data(group, &self.layout);
+        Ok(data[off..off + 64].try_into().expect("64 bytes"))
     }
 
     /// Writes a block, updating the group's VLEW code linearly.
@@ -146,32 +161,32 @@ impl RestripedMemory {
         }
         let group = addr as usize / BLOCKS_PER_GROUP;
         let off = (addr as usize % BLOCKS_PER_GROUP) * 64;
-        let base = group * BLOCKS_PER_GROUP * 64;
         // Delta against the stored (assumed-corrected by reads) value:
         // the same 64 B-at-an-offset shape as a chip's §V-D update.
-        let stored = &mut self.data[base + off..base + off + 64];
+        let stored = &mut self.store.vlew_data_mut(group, &self.layout)[off..off + 64];
         let mut delta = [0u8; 64];
         for (d, (s, n)) in delta.iter_mut().zip(stored.iter().zip(new)) {
             *d = s ^ n;
         }
+        stored.copy_from_slice(new);
         let mut limbs = [0u64; CODE_LIMBS];
         self.vlew.parity_delta_into(off * 8, &delta, &mut limbs);
-        apply_code_delta(&mut self.codes[group * 33..(group + 1) * 33], &limbs);
-        stored.copy_from_slice(new);
+        apply_code_delta(self.store.vlew_code_mut(group, &self.layout), &limbs);
         Ok(())
     }
 
     /// Injects random bit flips across data and code; returns the count.
     pub fn inject_bit_errors<R: Rng + ?Sized>(&mut self, rber: f64, rng: &mut R) -> usize {
         let inj = BitErrorInjector::new(rber);
-        inj.corrupt(&mut self.data, rng).len() + inj.corrupt(&mut self.codes, rng).len()
+        let (data, codes) = self.store.arrays_mut();
+        inj.corrupt(data, rng).len() + inj.corrupt(codes, rng).len()
     }
 
     /// Checks that every group's stored VLEW code matches its data —
     /// i.e. the layout holds no latent errors.
     pub fn verify_consistent(&self) -> bool {
-        let groups = self.num_blocks as usize / BLOCKS_PER_GROUP;
-        (0..groups).all(|g| self.codes[g * 33..(g + 1) * 33] == self.encode_group(g)[..])
+        (0..self.groups())
+            .all(|g| self.store.vlew_code(g, &self.layout) == &self.encode_group(g)[..])
     }
 }
 
@@ -273,7 +288,9 @@ impl BlockDevice for Restripeable {
                         // partial transition to roll back.
                         match RestripedMemory::from_failed_rank(&mut rank) {
                             Ok(mut restriped) => {
-                                restriped.domain = rank.take_domain();
+                                if let Some(domain) = rank.take_domain() {
+                                    restriped.set_domain(domain);
+                                }
                                 // Commit the layout flip through the intent
                                 // log: the re-striped image plus flipped
                                 // metadata fence as one transaction, so a
@@ -311,6 +328,10 @@ impl BlockDevice for Restripeable {
 
     fn pmem_domain(&mut self) -> Option<&mut crate::pmem::PmemDomain> {
         self.active_mut().pmem_domain()
+    }
+
+    fn staging_matches_live(&self) -> Option<bool> {
+        self.active().staging_matches_live()
     }
 }
 

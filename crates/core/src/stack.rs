@@ -239,6 +239,13 @@ impl Stack {
         self.dev.pmem_domain().map(|d| d.steps_taken())
     }
 
+    /// Whether the staged image equals the live arrays, when persistent
+    /// (see [`BlockDevice::staging_matches_live`]): `Some(true)` after
+    /// every flush, or a mutation site forgot to mark its stripe dirty.
+    pub fn staging_matches_live(&self) -> Option<bool> {
+        self.dev.staging_matches_live()
+    }
+
     /// The chip failure detected by decode logic, if any.
     pub fn detected_failed_chip(&self) -> Option<usize> {
         self.dev.detected_failed_chip()

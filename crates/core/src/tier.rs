@@ -13,7 +13,9 @@
 //! # Migration protocol
 //!
 //! A tier change re-encodes the region in place, and the commit rides
-//! the same restage-at-flush machinery as the §V-E re-stripe:
+//! the same flush machinery as the §V-E re-stripe (installing the
+//! domain on the fresh engine marks every stripe dirty, so that one
+//! flush stages the whole new image; see `crate::pmem`):
 //!
 //! 1. read every logical block out of the old engine (erasure/VLEW
 //!    corrected — migration doubles as a scrub);
@@ -611,6 +613,13 @@ impl BlockDevice for TieredMemory {
 
     fn tier_report(&self) -> Option<TierReport> {
         Some(self.report())
+    }
+
+    fn staging_matches_live(&self) -> Option<bool> {
+        // Regions are persistent together or not at all.
+        self.regions
+            .iter()
+            .try_fold(true, |all, r| Some(all && r.staging_matches_live()?))
     }
 }
 

@@ -254,6 +254,10 @@ impl<D: BlockDevice> BlockDevice for WearLevelled<D> {
     fn tier_report(&self) -> Option<crate::tier::TierReport> {
         self.inner.tier_report()
     }
+
+    fn staging_matches_live(&self) -> Option<bool> {
+        self.inner.staging_matches_live()
+    }
 }
 
 #[cfg(test)]

@@ -1,11 +1,13 @@
 //! Proves the steady-state flushed-write path performs zero heap
 //! allocations after warm-up, using a counting `#[global_allocator]`.
 //!
-//! "Steady state" is the persistence domain's common case: the
-//! application rewrites data that is already durable, then flushes. The
-//! engine's EUR drain finds nothing to apply, the compare-skip staging
-//! copies nothing, and the fence is empty — so the whole
-//! write-flush-fence round trip must stay off the heap.
+//! Two steady states are measured. The persistence domain's idle case:
+//! the application rewrites data that is already durable, then flushes —
+//! the engine's EUR drain finds nothing to apply, the staging walk finds
+//! its dirty stripes unchanged, and the fence is empty. And its working
+//! case: every write carries fresh bytes, so every flush drains the EUR,
+//! stages changed lines and seals a non-empty intent-log record. Both
+//! round trips must stay off the heap.
 //!
 //! This file intentionally holds a single `#[test]`: the allocation
 //! counter is process-global, so a second test running in a parallel
@@ -45,7 +47,8 @@ fn flushed_write_steady_state_is_allocation_free_after_warmup() {
                 stack.write(a, &[a as u8; 64]).unwrap();
             }
             let lines = stack.flush().unwrap();
-            // Identical data: the compare-skip staging fences nothing.
+            // Identical data: compare-skip finds the dirty stripes
+            // unchanged and the flush fences nothing.
             assert_eq!(lines, 0, "re-staging an unchanged image must be empty");
         }
     });
@@ -54,5 +57,25 @@ fn flushed_write_steady_state_is_allocation_free_after_warmup() {
         "the steady-state write+flush round trip must not allocate after \
          warm-up (counted {allocs} allocations over {} write+flush rounds)",
         rounds
+    );
+
+    // Data-changing rounds: fresh bytes per write, a non-empty fence
+    // every eight writes.
+    let allocs = count(|| {
+        for round in 0..rounds {
+            for a in 0..blocks {
+                let fresh = [(a + 64 * (round + 1)) as u8 ^ 0x5A; 64];
+                stack.write(a, &fresh).unwrap();
+                if a % 8 == 7 {
+                    let lines = stack.flush().unwrap();
+                    assert!(lines >= 9, "a changed block dirties a line on every chip");
+                }
+            }
+        }
+    });
+    assert_eq!(
+        allocs, 0,
+        "data-changing write+flush rounds must not allocate after warm-up \
+         (counted {allocs} allocations over {rounds} rounds)"
     );
 }

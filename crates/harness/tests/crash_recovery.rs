@@ -214,8 +214,18 @@ fn power_cut_recovery_is_whole_image_atomic() {
             if read_all(&mut stack)? != pre {
                 return Err("checkpoint does not read back as the fill pattern".into());
             }
+            // Every flush must leave the staged image equal to the live
+            // arrays; debug builds assert it inside the flush, here it
+            // holds in release too. The checkpoint ends in a flush, and
+            // so does every operation.
+            let staged = |stack: &Stack, when: &str| match stack.staging_matches_live() {
+                Some(true) => Ok(()),
+                other => Err(format!("staging vs live arrays {when}: {other:?}")),
+            };
+            staged(&stack, "at the checkpoint")?;
             let start = stack.pmem_steps().ok_or("stack is not persistent")?;
             run_op(&mut stack, case.op, case.seed)?;
+            staged(&stack, "after the operation")?;
             let steps = stack.pmem_steps().ok_or("stack is not persistent")? - start;
             if steps == 0 {
                 return Err(format!("{} persisted nothing", case.op.name()));

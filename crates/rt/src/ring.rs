@@ -405,10 +405,17 @@ struct ParkerCore {
 /// use it):
 ///
 /// 1. spin: retry the lock-free operation a bounded number of times;
-/// 2. announce: publish "I may sleep" (e.g. a `sleeping` flag), then
-///    **re-check the condition** — this closes the lost-wakeup race
-///    because every notifier calls [`Unparker::unpark`] *after* making
-///    the condition true;
+/// 2. announce: publish "I may sleep" (e.g. a `sleeping` flag), issue a
+///    `fence(SeqCst)`, then **re-check the condition**. Every notifier
+///    mirrors it: make the condition true (e.g. push to the ring), issue
+///    a `fence(SeqCst)`, then load the flag and call
+///    [`Unparker::unpark`] if it is set. Each side stores one variable
+///    and then loads the other; without a full fence between the two a
+///    store may pass the later load (on x86 it waits in the store
+///    buffer), both sides read the stale value, and the sleeper parks
+///    on a wakeup nobody sends. With both fences at least one side sees
+///    the other's store — `pmck_rt::pool` has them on every side of its
+///    handshake;
 /// 3. park: [`Parker::park`] sleeps until someone unparks, consuming at
 ///    most one token (a token posted while awake makes the next park
 ///    return immediately, so notify-before-park is never lost).

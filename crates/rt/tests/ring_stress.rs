@@ -256,12 +256,23 @@ fn spsc_and_mpsc_compose_without_interference() {
 /// Parker handshake under contention: a consumer that parks whenever
 /// the ring is empty must still drain the full stream (no lost wakeup)
 /// when the producer signals after every push.
+///
+/// Both sides put a `fence(SeqCst)` between their store and their load
+/// of the *other* side's variable (the protocol of [`Parker`]'s docs).
+/// Without the producer's, its `head` store may still sit in the store
+/// buffer when it reads `sleeping == false`, while the consumer — having
+/// announced — reads the old `head` and parks: the ring then fills and
+/// nobody is left to unpark. That hang is why the producer also carries
+/// a deadline: a lost wakeup fails with the ring's state, it does not
+/// spin until the job times out.
 #[test]
 fn parked_consumer_never_loses_a_wakeup() {
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::atomic::{fence, AtomicBool, Ordering};
     use std::sync::Arc;
+    use std::time::{Duration, Instant};
 
     const ITEMS: u64 = 20_000;
+    const DEADLINE: Duration = Duration::from_secs(20);
     let (mut tx, mut rx) = spsc::<u64>(8);
     let parker = Parker::new();
     let unparker = parker.unparker();
@@ -274,8 +285,9 @@ fn parked_consumer_never_loses_a_wakeup() {
                 assert_eq!(v, next);
                 next += 1;
             } else {
-                // Dekker-style: announce, re-check, then sleep.
+                // Dekker-style: announce, fence, re-check, then sleep.
                 sleeping2.store(true, Ordering::SeqCst);
+                fence(Ordering::SeqCst);
                 if rx.is_empty() && next < ITEMS {
                     parker.park();
                 }
@@ -283,16 +295,27 @@ fn parked_consumer_never_loses_a_wakeup() {
             }
         }
     });
+    let started = Instant::now();
     for mut v in 0..ITEMS {
         loop {
             match tx.try_push(v) {
                 Ok(()) => break,
                 Err(back) => {
                     v = back;
+                    assert!(
+                        started.elapsed() < DEADLINE,
+                        "lost wakeup: item {v} of {ITEMS} still refused {DEADLINE:?} into \
+                         the run ({} of {} slots free, consumer sleeping: {})",
+                        tx.free(),
+                        tx.capacity(),
+                        sleeping.load(Ordering::SeqCst)
+                    );
                     thread::yield_now();
                 }
             }
         }
+        // Order the push (a Release store of `head`) before the flag load.
+        fence(Ordering::SeqCst);
         if sleeping.load(Ordering::SeqCst) {
             unparker.unpark();
         }

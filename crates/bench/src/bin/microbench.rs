@@ -27,10 +27,11 @@ use std::time::Instant;
 use pmck_bch::{BchCode, BchScratch, DecodePolicy};
 use pmck_cluster::{Cluster, ClusterConfig};
 use pmck_core::{
-    AccessContext, BlockDevice, ChipkillConfig, PmemConfig, ProtectionTier, Request, Stack,
-    StackBuilder, TierPolicy, TieredMemory,
+    AccessContext, BlockDevice, ChipkillConfig, ChipkillMemory, PmemConfig, ProtectionTier,
+    Request, Stack, StackBuilder, TierPolicy, TieredMemory,
 };
 use pmck_gf::SyndromeRows;
+use pmck_nvram::{ChipFailureKind, FaultEvent, FaultKind};
 use pmck_rs::{RsCode, RsScratch};
 use pmck_rt::alloc;
 use pmck_rt::json::Json;
@@ -117,19 +118,49 @@ fn usage(msg: &str) -> ! {
 /// fed to `std::hint::black_box`. Allocation calls across the timed
 /// batches are averaged into `allocs_per_op`.
 fn scenario<T>(cfg: &Config, name: &str, bytes_per_op: u64, mut f: impl FnMut() -> T) -> Json {
-    // Warmup: one untimed batch (fills lazy tables and scratch pools).
-    for _ in 0..cfg.iters {
-        std::hint::black_box(f());
-    }
+    measure(cfg, name, bytes_per_op, || {
+        let start = Instant::now();
+        for _ in 0..cfg.iters {
+            std::hint::black_box(f());
+        }
+        start.elapsed().as_nanos() as f64 / cfg.iters as f64
+    })
+}
+
+/// [`scenario`] for an operation that must be set up afresh before
+/// every call — a read that heals what it touches needs its cells aged
+/// again. Only `f` is on the clock, at one `Instant` pair per call
+/// (~40 ns: not for sub-microsecond kernels); `prepare`'s allocations
+/// do count.
+fn prepared_scenario<T>(
+    cfg: &Config,
+    name: &str,
+    bytes_per_op: u64,
+    mut prepare: impl FnMut(),
+    mut f: impl FnMut() -> T,
+) -> Json {
+    measure(cfg, name, bytes_per_op, || {
+        let mut ns = 0;
+        for _ in 0..cfg.iters {
+            prepare();
+            let start = Instant::now();
+            std::hint::black_box(f());
+            ns += start.elapsed().as_nanos();
+        }
+        ns as f64 / cfg.iters as f64
+    })
+}
+
+/// One row from `batch`, which runs `cfg.iters` operations and returns
+/// their mean cost in ns: one warm-up batch (fills lazy tables and
+/// scratch), then `cfg.batches` measured ones.
+fn measure(cfg: &Config, name: &str, bytes_per_op: u64, mut batch: impl FnMut() -> f64) -> Json {
+    batch();
     let mut best_ns = f64::INFINITY;
     let mut total_ns = 0.0;
     let allocs = alloc::count(|| {
         for _ in 0..cfg.batches {
-            let start = Instant::now();
-            for _ in 0..cfg.iters {
-                std::hint::black_box(f());
-            }
-            let ns = start.elapsed().as_nanos() as f64 / cfg.iters as f64;
+            let ns = batch();
             best_ns = best_ns.min(ns);
             total_ns += ns;
         }
@@ -160,11 +191,15 @@ fn alloc_free_scenario<T>(
     bytes_per_op: u64,
     f: impl FnMut() -> T,
 ) -> Json {
-    let row = scenario(cfg, name, bytes_per_op, f);
+    alloc_free(scenario(cfg, name, bytes_per_op, f))
+}
+
+fn alloc_free(row: Json) -> Json {
     assert_eq!(
         row.get("allocs_per_op").and_then(|v| v.as_f64()),
         Some(0.0),
-        "{name} must not allocate"
+        "{:?} must not allocate",
+        row.get("name")
     );
     row
 }
@@ -396,21 +431,96 @@ fn filled_stack_of(
     stack
 }
 
+/// `readpath/*`. A read that falls back to the VLEWs writes its
+/// corrected stripe back, so a rank aged once is clean after one lap
+/// and every later lap would time `readpath/clean` under another name
+/// (the artefact `writepath/conventional` once had). The two aged rows
+/// therefore start every lap of the address space from a freshly built
+/// rank, written and aged from the same seed — off the clock (its
+/// allocations do show in `allocs_per_op`), as `benchmark/`'s
+/// `read_aged` re-ages before every pass. Every batch
+/// thus times the same reads of the same cells (first fallback of each
+/// stripe heals it, the rest of the stripe reads clean or RS-corrected),
+/// whatever `--batches` is. `fallback_same_stripe` is the second
+/// over-threshold read of a stripe, after the first one healed it, and
+/// `degraded_chip_seq` a sequential sweep under a known-failed chip
+/// (every read decodes the eight survivors: the cliff is still there).
 fn readpath_scenarios(cfg: &Config, rows: &mut Vec<Json>) {
+    if wants(cfg, "readpath/clean") {
+        let mut stack = filled_stack(|b| b, 0.0);
+        let mut a = 0;
+        rows.push(scenario(cfg, "readpath/clean", 64, || {
+            a = (a + 1) % stack.num_blocks();
+            stack.submit(&Request::Read(a)).expect("correctable")
+        }));
+    }
     for (name, rber) in [
-        ("readpath/clean", 0.0),
         ("readpath/runtime_rber_2e-4", 2e-4),
         ("readpath/boot_rber_1e-3", 1e-3),
     ] {
         if !wants(cfg, name) {
             continue;
         }
-        let mut stack = filled_stack(|b| b, rber);
-        let mut a = 0;
-        rows.push(scenario(cfg, name, 64, || {
-            a = (a + 1) % stack.num_blocks();
-            stack.submit(&Request::Read(a)).expect("correctable")
+        rows.push(measure(cfg, name, 64, || {
+            let (mut ns, mut left) = (0, cfg.iters);
+            while left > 0 {
+                let mut stack = filled_stack(|b| b, rber);
+                let lap = left.min(stack.num_blocks());
+                let start = Instant::now();
+                for a in 0..lap {
+                    std::hint::black_box(stack.submit(&Request::Read(a)).expect("correctable"));
+                }
+                ns += start.elapsed().as_nanos();
+                left -= lap;
+            }
+            ns as f64 / cfg.iters as f64
         }));
+    }
+    if wants(cfg, "readpath/fallback_same_stripe") {
+        let mut mem = ChipkillMemory::new(64, ChipkillConfig::default());
+        for a in 0..mem.num_blocks() {
+            mem.write_block(a, &[a as u8; 64]).expect("in range");
+        }
+        // Two blocks of stripe 0, three bad RS symbols each.
+        let (first, second) = (3, 17);
+        let mem = std::cell::RefCell::new(mem);
+        rows.push(alloc_free(prepared_scenario(
+            cfg,
+            "readpath/fallback_same_stripe",
+            64,
+            || {
+                let mut mem = mem.borrow_mut();
+                for a in [first, second] {
+                    // Whatever the last call left, start from clean cells.
+                    mem.scrub_block(a).expect("correctable");
+                    for chip in 0..3 {
+                        mem.corrupt_chip_byte(chip, a, 0, 0x01);
+                    }
+                }
+                mem.read_block(first).expect("correctable");
+            },
+            || mem.borrow_mut().read_block(second).expect("correctable"),
+        )));
+    }
+    if wants(cfg, "readpath/degraded_chip_seq") {
+        let mut stack = filled_stack(|b| b, 0.0);
+        let kind = FaultKind::ChipKill {
+            chip: 3,
+            kind: ChipFailureKind::RandomGarbage,
+        };
+        stack
+            .submit(&Request::Fault(FaultEvent { at_cycle: 0, kind }))
+            .expect("chipkill base");
+        let mut a = 0;
+        rows.push(alloc_free_scenario(
+            cfg,
+            "readpath/degraded_chip_seq",
+            64,
+            || {
+                a = (a + 1) % stack.num_blocks();
+                stack.submit(&Request::Read(a)).expect("one dead chip")
+            },
+        ));
     }
     // Both write scenarios change every block they touch. Rewriting one
     // constant payload does not: after the first lap every delta is zero

@@ -131,7 +131,9 @@ impl<N: Submitter> Sut for Cluster<N> {
 macro_rules! counters {
     ($($field:ident),*) => {
         /// What one campaign counted. `chip_repairs` counts the
-        /// [`Request::Repair`]s that rebuilt a chip; the four read paths
+        /// [`Request::Repair`]s that rebuilt a chip; `write_retries` the
+        /// writes that met a dead chip no read had detected yet and were
+        /// retried after detection and repair; the four read paths
         /// split `reads`; the last four — demand reads and read-backs
         /// that differed from the mirror, reads that failed, verifies
         /// that did not answer `true` — each fail the run.
@@ -146,7 +148,7 @@ macro_rules! counters {
 }
 
 counters! {
-    events_applied, writes, reads, scrub_steps, scrub_uncorrectable, chip_repairs,
+    events_applied, writes, write_retries, reads, scrub_steps, scrub_uncorrectable, chip_repairs,
     timeline_extra_fetches, clean, rs_corrected, vlew_fallback, chipkill_erasure,
     flushes, power_cuts, tier_steps, tier_migrations,
     read_mismatches, readback_mismatches, read_errors, verify_failures
@@ -294,9 +296,11 @@ impl<S: Sut> Run<'_, S> {
         self.r.counts.writes += 1;
         let req = Request::Write { addr: block, data };
         if self.sut.submit(&req).is_err() {
-            // The write's read-modify step hit an undetected dead chip:
-            // a demand read of the block goes through the detection
-            // path, then repair and retry once.
+            // The write's read-modify step hit an undetected dead chip
+            // (a detected one it erasure-corrects around): a demand
+            // read of the block goes through the detection path, then
+            // repair and retry once.
+            self.r.counts.write_retries += 1;
             let _ = self.sut.submit(&Request::Read(block));
             self.repair();
             self.must(req);

@@ -994,32 +994,33 @@ mod tests {
                 },
             }))
             .unwrap();
-        // Remote repair loses the first leg of the race: blocks whose
-        // first replica sits on node 0 decode through the erasure path
-        // there, the healthy peer serves, and the attempted write-back
-        // bounces — a rank with a known-failed chip is read-only
-        // (writes report [`CoreError::Uncorrectable`]) — so the replica
-        // is marked stale instead. Data stays correct throughout.
+        // Blocks whose first replica sits on node 0 decode through the
+        // erasure path there, the healthy peer serves, and the remote
+        // write-back lands: a rank with a known-failed chip stays
+        // writable until its repair (the read-modify step erasure-
+        // corrects the old value like a read would), so nothing has to
+        // go stale. Data stays correct throughout.
         for (a, want) in truth.iter().enumerate() {
             let out = cluster.read_block(a as u64).unwrap();
             assert_eq!(&out.data, want, "block {a}");
-            assert_eq!(out.repaired, 0, "write-back cannot land on a dead chip");
+            let on_dead_rank = cluster.place(a as u64, 0).0 == 0;
+            assert_eq!(out.repaired, u32::from(on_dead_rank), "block {a}");
         }
-        assert!(
-            cluster.stats().degraded_reads > 0,
-            "chip failure never surfaced"
+        let stats = cluster.stats();
+        assert!(stats.degraded_reads > 0, "chip failure never surfaced");
+        assert_eq!(stats.read_repairs, stats.degraded_reads);
+        assert_eq!(
+            cluster.node_stale_blocks(0),
+            0,
+            "a degraded rank takes writes"
         );
-        assert!(
-            cluster.node_stale_blocks(0) > 0,
-            "bounced write-backs go stale"
-        );
-        // Local repair wins: rebuild the chip through RS erasure inside
-        // node 0, then the sweep lands the deferred remote heals.
+        // Local repair: rebuild the chip through RS erasure inside node
+        // 0; the remote write-backs it raced with left nothing for the
+        // sweep to heal.
         let repaired = cluster.node_mut(0).submit(&Request::Repair).unwrap();
         assert_eq!(repaired, Response::Repaired { chip: Some(4) });
         let report = cluster.anti_entropy_sweep();
-        assert!(report.repaired > 0);
-        assert_eq!(report.unreadable, 0);
+        assert_eq!((report.repaired, report.unreadable), (0, 0));
         assert_eq!(cluster.node_stale_blocks(0), 0);
         for (a, want) in truth.iter().enumerate() {
             let out = cluster.read_block(a as u64).unwrap();

@@ -526,6 +526,29 @@ pub(crate) fn record_access(
     });
 }
 
+/// Traces the stripe write-back the access just served made, if it
+/// made one — `mem` counted `before` write-backs when the access began:
+/// which stripe, how many chips were rewritten, how many cells had been
+/// wrong.
+pub(crate) fn trace_writeback(
+    ctx: &mut AccessContext,
+    id: LayerId,
+    mem: &ChipkillMemory,
+    before: u64,
+) {
+    if mem.stats().stripe_writebacks == before {
+        return;
+    }
+    if let Some(w) = mem.last_writeback {
+        ctx.trace(id, || {
+            format!(
+                "writeback stripe {} chips {} bits {}",
+                w.stripe, w.chips, w.bits
+            )
+        });
+    }
+}
+
 fn describe_outcome(out: &Response) -> String {
     match out {
         Response::Read(o) => match o.path {
@@ -573,6 +596,7 @@ impl BlockDevice for ChipkillMemory {
     }
 
     fn access(&mut self, req: Request, ctx: &mut AccessContext) -> Result<Response, CoreError> {
+        let writebacks = self.stats().stripe_writebacks;
         let result = match req {
             Request::Read(addr) => self.read_block(addr).map(Response::Read),
             Request::Write { addr, data } => {
@@ -605,6 +629,7 @@ impl BlockDevice for ChipkillMemory {
             }
         };
         record_access(ctx, LayerId::Chipkill, &req, &result);
+        trace_writeback(ctx, LayerId::Chipkill, self, writebacks);
         result
     }
 
@@ -811,6 +836,32 @@ mod tests {
         let trace = ctx.take_trace();
         assert_eq!(trace.len(), 2);
         assert_eq!(trace[1].event, "read 3 -> clean");
+    }
+
+    #[test]
+    fn a_healing_read_traces_its_writeback() {
+        let mut dev = ChipkillMemory::new(32, ChipkillConfig::default());
+        let mut ctx = AccessContext::new(1).with_trace();
+        let data = [0xC3u8; 64];
+        dev.access(Request::Write { addr: 3, data }, &mut ctx)
+            .unwrap();
+        for chip in 0..3 {
+            dev.corrupt_chip_byte(chip, 3, 0, 0x01);
+        }
+        for _ in 0..2 {
+            let out = dev.access(Request::Read(3), &mut ctx).unwrap();
+            assert_eq!(out.read().unwrap().data, data);
+        }
+        let events: Vec<String> = ctx.take_trace().into_iter().map(|e| e.event).collect();
+        assert_eq!(
+            events[1..],
+            [
+                "read 3 -> vlew_fallback 3",
+                "writeback stripe 0 chips 3 bits 3",
+                "read 3 -> clean"
+            ]
+        );
+        assert_eq!(dev.stats().stripe_writebacks, 1);
     }
 
     #[test]

@@ -68,6 +68,16 @@ const CHIPS: usize = 9;
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct StripeVerdict(pub(crate) [WordVerdict; CHIPS]);
 
+/// One runtime write-back of a stripe's corrected VLEWs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Writeback {
+    pub(crate) stripe: usize,
+    /// Chips whose corrected VLEW was rewritten.
+    pub(crate) chips: usize,
+    /// Cells that were wrong, across those chips.
+    pub(crate) bits: usize,
+}
+
 impl StripeVerdict {
     /// The chips whose VLEW cannot be trusted, ascending.
     pub(crate) fn failed(&self) -> impl Iterator<Item = usize> + '_ {
@@ -106,9 +116,13 @@ pub struct ChipkillMemory {
     /// per rank instead of per decode.
     bch_scratch: BchScratch,
     /// Reusable VLEW codeword buffers, one per chip: the stripe
-    /// [`ChipkillMemory::decode_stripe`] last filled. Working memory
-    /// only — nothing in it is trusted across calls.
+    /// [`ChipkillMemory::decode_stripe`] last filled, corrected where
+    /// its verdict says so. Working memory only — the next call
+    /// refills it.
     pub(crate) vlew_batch: Vec<BitPoly>,
+    /// The most recent runtime write-back, for the access trace (see
+    /// [`CoreStats::stripe_writebacks`] for how many there were).
+    pub(crate) last_writeback: Option<Writeback>,
     pub(crate) eur: EurModel,
     /// Ground-truth injected failure (set by [`ChipkillMemory::fail_chip`]).
     failed_chip: Option<FailedChip>,
@@ -176,6 +190,7 @@ impl ChipkillMemory {
             rs_scratch,
             bch_scratch,
             vlew_batch,
+            last_writeback: None,
             eur: EurModel::new(stripes, layout.total_chips()),
             failed_chip: None,
             known_failed: None,
@@ -461,104 +476,108 @@ impl ChipkillMemory {
     ) -> Result<ReadPath, CoreError> {
         self.check_addr(addr)?;
         self.stats.reads += 1;
-
+        let undetected = self.known_failed.is_none();
         let mut word = [0u8; 72];
-        // With a known-failed chip, go straight to erasure correction.
-        if let Some(chip) = self.known_failed {
-            if self.cfg.vlew_enabled() {
-                return self.vlew_read(addr, data);
+        let path = match self.correct_word(addr, &mut word) {
+            Ok(path) => path,
+            Err(e) => {
+                // A VLEW tier with no known-failed chip only fails past
+                // an RS rejection: that read fell back too.
+                self.stats.fallbacks += u64::from(undetected && self.cfg.vlew_enabled());
+                self.stats.due_events += 1;
+                return Err(e);
             }
-            // The RS-only tier has no VLEWs to pre-correct the survivors
-            // with: the raw gathered word is the erasure input.
-            self.gather_block_into(addr, &mut word);
-            return self.serve_by_erasure(&mut word, chip, data);
-        }
-
-        self.gather_block_into(addr, &mut word);
-        match self
-            .rs
-            .decode_with_threshold_scratch(&mut word, self.cfg.threshold, &mut self.rs_scratch)
-            .expect("word length is correct")
-        {
-            ThresholdOutcome::Clean => {
-                self.stats.clean_reads += 1;
-                data.copy_from_slice(&word[8..]);
-                Ok(ReadPath::Clean)
-            }
-            ThresholdOutcome::Accepted { corrections } => {
+        };
+        match path {
+            ReadPath::Clean => self.stats.clean_reads += 1,
+            ReadPath::RsCorrected { corrections } => {
                 self.stats.rs_accepted += 1;
                 self.stats.rs_corrections += corrections as u64;
-                data.copy_from_slice(&word[8..]);
-                Ok(ReadPath::RsCorrected { corrections })
             }
-            ThresholdOutcome::Rejected(_) => {
-                if !self.cfg.vlew_enabled() {
-                    // RS-only tier: the full RS radius was already spent
-                    // (threshold = rs_check_bytes / 2); there is no
-                    // deeper tier to fall back to.
-                    self.stats.due_events += 1;
-                    return Err(CoreError::Uncorrectable);
-                }
+            ReadPath::VlewFallback { bits_corrected }
+            | ReadPath::VlewListDecoded { bits_corrected } => {
                 self.stats.fallbacks += 1;
-                self.vlew_read(addr, data)
+                self.stats.vlew_bits_corrected += bits_corrected as u64;
             }
+            ReadPath::ChipkillErasure { chip } => {
+                // Exactly one untrusted chip is a chip failure, recorded
+                // on first sight; detection is the demand read's alone.
+                if undetected {
+                    self.stats.fallbacks += 1;
+                    self.known_failed = Some(chip);
+                    self.stats.chip_failures_detected += 1;
+                }
+                self.stats.erasure_reads += 1;
+            }
+            ReadPath::BitCorrected { .. } => unreachable!("single-tier devices' path"),
         }
+        data.copy_from_slice(&word[8..]);
+        Ok(path)
     }
 
-    /// The VLEW read (§V-B): decode the stripe's VLEWs — every chip's,
-    /// or every chip's but a known-failed one — and answer from the
-    /// corrected words. Exactly one untrusted chip is a chip failure,
-    /// recorded on first sight and served by erasure correction; two
-    /// are a lost rank.
-    fn vlew_read(&mut self, addr: u64, data: &mut [u8; 64]) -> Result<ReadPath, CoreError> {
-        let verdict = self.decode_stripe(self.layout.stripe_of(addr), self.known_failed);
-        let mut word = [0u8; 72];
-        self.stripe_word_into(self.layout.offset_in_stripe(addr), &mut word);
-        let mut failed = verdict.failed();
-        match (failed.next(), failed.next()) {
-            (None, _) => {
+    /// Corrects the full 72-byte word of a block into `word` and says
+    /// which decoder produced it — the one dispatch under every demand
+    /// read, write read-modify, scrub and block retirement (§V-C,
+    /// Figure 9). Under a known-failed chip: the stripe's surviving
+    /// VLEWs (the raw word on the RS-only tier), then erasure
+    /// correction. Otherwise RS with the acceptance threshold, and past
+    /// a rejection the VLEW path, which heals the stripe it had to
+    /// decode (see [`ChipkillMemory::stripe_word_into`]); one untrusted
+    /// chip there is erasure-corrected and reported, not recorded.
+    /// Counts nothing but what the stripe decode counts. Allocation-free.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Uncorrectable`], [`CoreError::MultiChipFailure`].
+    fn correct_word(&mut self, addr: u64, word: &mut [u8; 72]) -> Result<ReadPath, CoreError> {
+        if let Some(chip) = self.known_failed {
+            if self.cfg.vlew_enabled() {
+                self.stripe_word_into(addr, word)?;
+            } else {
+                // No VLEWs to pre-correct the survivors with: the raw
+                // gathered word is the erasure input.
+                self.gather_block_into(addr, word);
+            }
+            self.erasure_decode_word(word, chip)?;
+            return Ok(ReadPath::ChipkillErasure { chip });
+        }
+        self.gather_block_into(addr, word);
+        match self
+            .rs
+            .decode_with_threshold_scratch(word, self.cfg.threshold, &mut self.rs_scratch)
+            .expect("word length is correct")
+        {
+            ThresholdOutcome::Clean => Ok(ReadPath::Clean),
+            ThresholdOutcome::Accepted { corrections } => Ok(ReadPath::RsCorrected { corrections }),
+            // RS-only tier: the full RS radius was already spent
+            // (threshold = rs_check_bytes / 2); there is no deeper tier
+            // to fall back to.
+            ThresholdOutcome::Rejected(_) if !self.cfg.vlew_enabled() => {
+                Err(CoreError::Uncorrectable)
+            }
+            ThresholdOutcome::Rejected(_) => {
+                let (verdict, untrusted) = self.stripe_word_into(addr, word)?;
+                if let Some(chip) = untrusted {
+                    self.erasure_decode_word(word, chip)?;
+                    return Ok(ReadPath::ChipkillErasure { chip });
+                }
                 let bits_corrected = verdict.0.iter().map(WordVerdict::bits_corrected).sum();
-                self.stats.vlew_bits_corrected += bits_corrected as u64;
-                data.copy_from_slice(&word[8..]);
                 Ok(if verdict.list_rescues() > 0 {
                     ReadPath::VlewListDecoded { bits_corrected }
                 } else {
                     ReadPath::VlewFallback { bits_corrected }
                 })
             }
-            (Some(chip), None) => {
-                if self.known_failed.is_none() {
-                    self.known_failed = Some(chip);
-                    self.stats.chip_failures_detected += 1;
-                }
-                self.serve_by_erasure(&mut word, chip, data)
-            }
-            _ => {
-                self.stats.due_events += 1;
-                Err(CoreError::MultiChipFailure)
-            }
         }
-    }
-
-    /// Answers a demand read from `word` by erasure-correcting `chip`'s
-    /// positions — the one place [`CoreStats::erasure_reads`] counts.
-    fn serve_by_erasure(
-        &mut self,
-        word: &mut [u8; 72],
-        chip: usize,
-        data: &mut [u8; 64],
-    ) -> Result<ReadPath, CoreError> {
-        self.erasure_decode_word(word, chip)?;
-        self.stats.erasure_reads += 1;
-        data.copy_from_slice(&word[8..]);
-        Ok(ReadPath::ChipkillErasure { chip })
     }
 
     /// Erasure-decodes a 72-byte word in place with `chip`'s positions
     /// as erasures. With the parity chip failed the data chips alone
-    /// carry the block and the word is left as it is.
+    /// carry the block, and the check bytes are recomputed from them.
     fn erasure_decode_word(&mut self, word: &mut [u8; 72], chip: usize) -> Result<(), CoreError> {
         if chip == self.layout.data_chips {
+            let (check, data) = word.split_at_mut(self.layout.rs_check_bytes);
+            self.rs.parity_into(data, check);
             return Ok(());
         }
         let (first, _) = self.layout.rs_positions_of_data_chip(chip);
@@ -632,23 +651,9 @@ impl ChipkillMemory {
         verdict
     }
 
-    /// Assembles the 72-byte RS word at stripe offset `off` from the
-    /// words the last [`ChipkillMemory::decode_stripe`] left in the
-    /// batch. The bytes of a chip that call reported failed are not to
-    /// be trusted: erase them.
-    fn stripe_word_into(&self, off: usize, word: &mut [u8; 72]) {
-        let at = self.vlew.parity_bits() + off * self.layout.chip_bytes * 8;
-        let parity = &self.vlew_batch[self.layout.data_chips];
-        parity.extract_bytes(at, &mut word[..self.layout.rs_check_bytes]);
-        for c in 0..self.layout.data_chips {
-            let (s, e) = self.layout.rs_positions_of_data_chip(c);
-            self.vlew_batch[c].extract_bytes(at, &mut word[s..e]);
-        }
-    }
-
     /// Writes the corrected word [`ChipkillMemory::decode_stripe`] left
     /// in the batch for `chip` back into that chip's stored data and
-    /// code regions.
+    /// code cells — the engine's only VLEW write-back.
     pub(crate) fn write_back_vlew(&mut self, chip: usize, stripe: usize) {
         let layout = self.layout;
         let r = self.vlew.parity_bits();
@@ -658,39 +663,105 @@ impl ChipkillMemory {
         w.extract_bytes(r, chips[chip].vlew_data_mut(stripe, &layout));
     }
 
-    /// Corrects the full 72-byte word of a block into `word` (RS first,
-    /// VLEW fallback), without mutating stored state. Allocation-free.
+    /// Writes back every chip of `stripe` that `verdict` says was
+    /// corrected. Returns how many chips that was and how many cells
+    /// had been wrong across them.
+    pub(crate) fn write_back_corrected(
+        &mut self,
+        stripe: usize,
+        verdict: &StripeVerdict,
+    ) -> (usize, usize) {
+        let (mut chips, mut bits) = (0, 0);
+        for (chip, outcome) in verdict.0.iter().enumerate() {
+            if let WordVerdict::Corrected { bits: n, .. } = outcome {
+                self.write_back_vlew(chip, stripe);
+                chips += 1;
+                bits += n;
+            }
+        }
+        (chips, bits)
+    }
+
+    /// The VLEW path of every word correction (§V-B, §V-C): decodes
+    /// `addr`'s stripe and assembles the block's 72-byte RS word from
+    /// the corrected VLEWs. A stripe with at most one untrusted chip is
+    /// readable, and is healed on the spot: every corrected chip is
+    /// written back, data and code cells alike (the untrusted chip's
+    /// cells are [`ChipkillMemory::repair_chip`]'s business), so the
+    /// stripe's other blocks — and this one, next time — are back on
+    /// the clean path, and the stripe is dirty for the next flush. It
+    /// costs the cells that were wrong, on the 0.02% of reads that get
+    /// here at the paper's runtime RBER; RS-corrected reads are *not*
+    /// written back (11% of reads would become NVRAM writes, what §V-D
+    /// avoids).
+    ///
+    /// Returns the verdict and the untrusted chip, whose bytes in
+    /// `word` are erasures for the caller to correct.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::MultiChipFailure`] with two or more untrusted
+    /// chips; nothing is written then.
+    fn stripe_word_into(
+        &mut self,
+        addr: u64,
+        word: &mut [u8; 72],
+    ) -> Result<(StripeVerdict, Option<usize>), CoreError> {
+        let stripe = self.layout.stripe_of(addr);
+        let verdict = self.decode_stripe(stripe, self.known_failed);
+        let mut failed = verdict.failed();
+        let (untrusted, None) = (failed.next(), failed.next()) else {
+            return Err(CoreError::MultiChipFailure);
+        };
+        let (chips, bits) = self.write_back_corrected(stripe, &verdict);
+        if chips > 0 {
+            self.stats.stripe_writebacks += 1;
+            self.last_writeback = Some(Writeback {
+                stripe,
+                chips,
+                bits,
+            });
+        }
+        let off = self.layout.offset_in_stripe(addr);
+        let at = self.vlew.parity_bits() + off * self.layout.chip_bytes * 8;
+        let (data_words, parity_word) = self.vlew_batch.split_at(self.layout.data_chips);
+        parity_word[0].extract_bytes(at, &mut word[..self.layout.rs_check_bytes]);
+        for (c, chip_word) in data_words.iter().enumerate() {
+            let (s, e) = self.layout.rs_positions_of_data_chip(c);
+            chip_word.extract_bytes(at, &mut word[s..e]);
+        }
+        Ok((verdict, untrusted))
+    }
+
+    /// [`ChipkillMemory::correct_word`] for the callers that are not
+    /// demand reads (`Write`'s read-modify, `Scrub`, patrol, block
+    /// retirement). What it leaves to the demand read is *detection*:
+    /// a dead chip nobody has recorded yet is
+    /// [`CoreError::Uncorrectable`] here, a recorded one is
+    /// erasure-corrected around.
     pub(crate) fn corrected_word_into(
         &mut self,
         addr: u64,
         word: &mut [u8; 72],
     ) -> Result<(), CoreError> {
-        self.gather_block_into(addr, word);
-        match self
-            .rs
-            .decode_with_threshold_scratch(word, self.cfg.threshold, &mut self.rs_scratch)
-            .expect("length correct")
-        {
-            ThresholdOutcome::Clean | ThresholdOutcome::Accepted { .. } => Ok(()),
-            ThresholdOutcome::Rejected(_) => {
-                if !self.cfg.vlew_enabled() {
-                    return Err(CoreError::Uncorrectable);
-                }
-                let verdict = self.decode_stripe(self.layout.stripe_of(addr), None);
-                if verdict.failed().next().is_some() {
-                    return Err(CoreError::Uncorrectable);
-                }
-                self.stripe_word_into(self.layout.offset_in_stripe(addr), word);
-                Ok(())
+        let known = self.known_failed;
+        match self.correct_word(addr, word) {
+            Ok(ReadPath::ChipkillErasure { chip }) if known != Some(chip) => {
+                Err(CoreError::Uncorrectable)
             }
+            Ok(_) => Ok(()),
+            Err(_) => Err(CoreError::Uncorrectable),
         }
     }
 
-    /// Scrubs one block: corrects it (RS or VLEW) and physically rewrites
-    /// the corrected bytes, clearing accumulated cell errors in the
-    /// block's data and check bytes. The VLEW code needs no update — it
-    /// was already consistent with the corrected value (the errors lived
-    /// in the cells, not the code's reference point).
+    /// Scrubs one block: corrects it (RS, VLEW, erasure under a
+    /// known-failed chip) and physically rewrites the corrected bytes,
+    /// clearing accumulated cell errors in the block's data and check
+    /// bytes. An RS-corrected block's VLEW code needs no update — it was
+    /// already consistent with the corrected value (the errors lived in
+    /// the cells, not the code's reference point); a block that needed
+    /// the VLEW path has had its whole stripe, code cells included,
+    /// written back by then.
     ///
     /// # Errors
     ///
@@ -868,21 +939,13 @@ impl ChipkillMemory {
                 if !verdict.failed().eq([chip]) {
                     return Err(CoreError::Uncorrectable);
                 }
-                for c in (0..CHIPS).filter(|&c| c != chip) {
-                    self.write_back_vlew(c, stripe);
-                }
+                self.write_back_corrected(stripe, &verdict);
             }
             for off in 0..bpv {
                 let addr = (stripe * bpv + off) as u64;
                 let mut word = [0u8; 72];
                 self.gather_block_into(addr, &mut word);
-                if chip == layout.data_chips {
-                    // Recompute check bytes from the data chips.
-                    let (check, data) = word.split_at_mut(layout.rs_check_bytes);
-                    self.rs.parity_into(data, check);
-                } else {
-                    self.erasure_decode_word(&mut word, chip)?;
-                }
+                self.erasure_decode_word(&mut word, chip)?;
                 self.chips[chip]
                     .block_slice_mut(stripe, off, &layout)
                     .copy_from_slice(&word[s..e]);
@@ -977,6 +1040,37 @@ mod tests {
             }
         }
         (mem, mirror)
+    }
+
+    /// Every stored byte of the rank, chip by chip.
+    fn cells(mem: &ChipkillMemory) -> Vec<(&[u8], &[u8])> {
+        mem.chips.iter().map(|c| (c.data(), c.code())).collect()
+    }
+
+    #[test]
+    fn a_lost_stripe_is_left_as_found() {
+        // Aged survivors (so some chips decode `Corrected`) and two
+        // dead chips: the stripe is not readable, and what cannot be
+        // trusted as a whole is not written in part.
+        let (mut mem, _) = mixed_writes(ChipkillConfig::default(), 0xE020);
+        let mut rng = StdRng::seed_from_u64(0xE021);
+        mem.flush_eur();
+        mem.inject_bit_errors(1e-3, &mut rng);
+        mem.fail_chip(1, ChipFailureKind::RandomGarbage, &mut rng);
+        mem.fail_chip(6, ChipFailureKind::RandomGarbage, &mut rng);
+        let before = mem.clone();
+        for addr in 0..mem.num_blocks() {
+            assert_eq!(mem.read_block(addr), Err(CoreError::MultiChipFailure));
+            assert_eq!(
+                mem.write_block(addr, &[0x3C; 64]),
+                Err(CoreError::Uncorrectable)
+            );
+            assert_eq!(mem.scrub_block(addr), Err(CoreError::Uncorrectable));
+        }
+        assert_eq!(cells(&mem), cells(&before));
+        assert_eq!(mem.stats().stripe_writebacks, 0);
+        assert_eq!(mem.detected_failed_chip(), None);
+        assert_eq!(mem.stats().due_events, mem.num_blocks());
     }
 
     #[test]

@@ -1,8 +1,6 @@
 //! Boot-time scrubbing (§V-B): VLEW-decode everything, rebuild failed
 //! chips, and report what happened.
 
-use pmck_bch::WordVerdict;
-
 use crate::engine::ChipkillMemory;
 use crate::error::CoreError;
 
@@ -43,13 +41,9 @@ impl ChipkillMemory {
         let mut failed_chips: Vec<usize> = Vec::new();
         for stripe in 0..self.stripes() {
             let verdict = self.decode_stripe(stripe, None);
-            for (chip, outcome) in verdict.0.into_iter().enumerate() {
-                if let WordVerdict::Corrected { bits, .. } = outcome {
-                    report.bits_corrected += bits;
-                    report.words_with_errors += 1;
-                    self.write_back_vlew(chip, stripe);
-                }
-            }
+            let (words, bits) = self.write_back_corrected(stripe, &verdict);
+            report.words_with_errors += words;
+            report.bits_corrected += bits;
             for chip in verdict.failed() {
                 if !failed_chips.contains(&chip) {
                     failed_chips.push(chip);

@@ -22,6 +22,10 @@ pub struct CoreStats {
     /// designed radius `t` (only under
     /// [`pmck_bch::DecodePolicy::BeyondBound`]).
     pub list_rescues: u64,
+    /// Stripes healed at runtime: a demand read, scrub or write that
+    /// had to VLEW-decode a readable stripe wrote its corrected words
+    /// back (boot scrub and chip repair report their own).
+    pub stripe_writebacks: u64,
     /// Reads served through chip-failure erasure correction.
     pub erasure_reads: u64,
     /// Chip failures detected by the decode paths.
@@ -45,6 +49,7 @@ impl CoreStats {
         self.fallbacks += other.fallbacks;
         self.vlew_bits_corrected += other.vlew_bits_corrected;
         self.list_rescues += other.list_rescues;
+        self.stripe_writebacks += other.stripe_writebacks;
         self.erasure_reads += other.erasure_reads;
         self.chip_failures_detected += other.chip_failures_detected;
         self.due_events += other.due_events;
@@ -72,6 +77,7 @@ impl CoreStats {
         c("fallbacks", self.fallbacks);
         c("vlew_bits_corrected", self.vlew_bits_corrected);
         c("list_rescues", self.list_rescues);
+        c("stripe_writebacks", self.stripe_writebacks);
         c("erasure_reads", self.erasure_reads);
         c("chip_failures_detected", self.chip_failures_detected);
         c("due_events", self.due_events);
@@ -93,6 +99,7 @@ impl CoreStats {
             .with("fallbacks", self.fallbacks)
             .with("vlew_bits_corrected", self.vlew_bits_corrected)
             .with("list_rescues", self.list_rescues)
+            .with("stripe_writebacks", self.stripe_writebacks)
             .with("erasure_reads", self.erasure_reads)
             .with("chip_failures_detected", self.chip_failures_detected)
             .with("due_events", self.due_events)
@@ -119,12 +126,30 @@ mod tests {
         let s = CoreStats {
             reads: 1000,
             fallbacks: 2,
+            stripe_writebacks: 3,
             ..Default::default()
         };
         let reg = pmck_rt::metrics::MetricsRegistry::new();
         s.publish_metrics(&reg, "engine");
         assert_eq!(reg.counter("engine.reads"), 1000);
         assert_eq!(reg.counter("engine.fallbacks"), 2);
+        assert_eq!(reg.counter("engine.stripe_writebacks"), 3);
         assert_eq!(reg.gauge("engine.fallback_fraction"), Some(0.002));
+    }
+
+    #[test]
+    fn stripe_writebacks_merge_and_serialize() {
+        let shard = CoreStats {
+            stripe_writebacks: 2,
+            ..Default::default()
+        };
+        let mut total = shard;
+        total.merge(&shard);
+        assert_eq!(total.stripe_writebacks, 4);
+        let json = total.to_json();
+        assert_eq!(
+            json.get("stripe_writebacks").and_then(|v| v.as_u64()),
+            Some(4)
+        );
     }
 }

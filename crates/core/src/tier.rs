@@ -40,7 +40,9 @@ use pmck_nvram::{FaultKind, RegionRber, WearModel};
 use pmck_pmem::PmemConfig;
 
 use crate::config::ChipkillConfig;
-use crate::device::{record_access, AccessContext, BlockDevice, LayerId, RecoveryReport};
+use crate::device::{
+    record_access, trace_writeback, AccessContext, BlockDevice, LayerId, RecoveryReport,
+};
 use crate::engine::ChipkillMemory;
 use crate::error::CoreError;
 use crate::layout::{ChipkillLayout, ProtectionTier};
@@ -535,6 +537,12 @@ impl BlockDevice for TieredMemory {
     }
 
     fn access(&mut self, req: Request, ctx: &mut AccessContext) -> Result<Response, CoreError> {
+        // An addressed request touches one region: its write-back count
+        // now, to tell afterwards whether this request healed a stripe.
+        let healing = req
+            .addr()
+            .and_then(|a| self.region_of(a).ok())
+            .map(|(r, _)| (r, self.regions[r].stats().stripe_writebacks));
         let result = match req {
             Request::Read(addr) => self
                 .region_of(addr)
@@ -602,6 +610,9 @@ impl BlockDevice for TieredMemory {
             Request::PatrolStep | Request::Restripe => Err(CoreError::Unsupported(req.kind())),
         };
         record_access(ctx, LayerId::Tiered, &req, &result);
+        if let Some((r, before)) = healing {
+            trace_writeback(ctx, LayerId::Tiered, &self.regions[r], before);
+        }
         result
     }
 

@@ -112,31 +112,54 @@ fn clean_read_path_is_allocation_free_after_warmup() {
     );
 
     // --- VLEW fallback: three single-bit symbol errors in a block exceed
-    // the RS acceptance threshold, so its reads decode the whole stripe.
+    // the RS acceptance threshold, so its read decodes the whole stripe.
     // Every fourth block is aged that way (8 flips per VLEW, well inside
-    // t = 22); reads do not heal, so every lap takes the fallback. ---
-    let aged: Vec<u64> = (0..blocks).step_by(4).collect();
-    for &a in &aged {
-        for chip in 0..3 {
-            mem.corrupt_chip_byte(chip, a, 0, 0x01);
+    // t = 22). The first such read in a stripe writes the corrected
+    // stripe back, so it is the only fallback the stripe costs: the rest
+    // of the lap and the whole next lap are clean. One aged lap is the
+    // warm-up; the cells are then aged again and the laps counted. ---
+    let per_stripe = mem.layout().blocks_per_vlew() as u64;
+    let age = |mem: &mut ChipkillMemory| {
+        for a in (0..blocks).step_by(4) {
+            for chip in 0..3 {
+                mem.corrupt_chip_byte(chip, a, 0, 0x01);
+            }
         }
+    };
+    age(&mut mem);
+    for a in 0..blocks {
+        mem.read_block(a).unwrap();
     }
-    let fallback =
-        |path| matches!(path, ReadPath::VlewFallback { bits_corrected } if bits_corrected > 0);
-    assert!(fallback(mem.read_block(aged[0]).unwrap().path));
+    age(&mut mem);
+    let healed_before = mem.stats().stripe_writebacks;
     let fallback_allocs = count(|| {
-        for &a in &aged {
-            let out = mem.read_block(a).unwrap();
-            assert!(fallback(out.path), "block {a}: {:?}", out.path);
-            assert_eq!(out.data, [a as u8; 64]);
+        for lap in 0..2 {
+            for a in 0..blocks {
+                let out = mem.read_block(a).unwrap();
+                if lap == 0 && a % per_stripe == 0 {
+                    let healing = matches!(
+                        out.path,
+                        ReadPath::VlewFallback { bits_corrected } if bits_corrected > 0
+                    );
+                    assert!(healing, "block {a}: {:?}", out.path);
+                } else {
+                    assert_eq!(out.path, ReadPath::Clean, "lap {lap} block {a}");
+                }
+                assert_eq!(out.data, [a as u8; 64]);
+            }
         }
     });
     assert_eq!(
+        mem.stats().stripe_writebacks - healed_before,
+        blocks / per_stripe,
+        "one write-back per aged stripe"
+    );
+    assert_eq!(
         fallback_allocs,
         0,
-        "VLEW-fallback reads must not allocate after warm-up \
-         (counted {fallback_allocs} allocations over {} reads)",
-        aged.len()
+        "VLEW-fallback reads and their write-backs must not allocate after \
+         warm-up (counted {fallback_allocs} allocations over {} reads)",
+        2 * blocks
     );
 
     // --- Chip failure: the first read detects it; from then on every

@@ -253,6 +253,124 @@ fn erasure_reads_counts_each_erasure_served_read_once() {
 }
 
 #[test]
+fn degraded_rank_takes_writes_sums_and_scrubs_until_repair() {
+    use pmck_core::ProtectionTier::{Dense, Paper};
+    // A data chip, the parity chip, and the dense tier's geometry.
+    for (tier, chip) in [(Paper, 2), (Paper, 8), (Dense, 5)] {
+        let mut mem = ChipkillMemory::new(128, ChipkillConfig::for_tier(tier));
+        let mut rng = StdRng::seed_from_u64(0xDE6 + chip as u64);
+        let blocks = mem.num_blocks();
+        let mut mirror: Vec<[u8; 64]> = (0..blocks).map(pattern_block).collect();
+        for (a, b) in mirror.iter().enumerate() {
+            mem.write_block(a as u64, b).unwrap();
+        }
+        mem.fail_chip(chip, ChipFailureKind::RandomGarbage, &mut rng);
+        // Detection is the demand read's: until one has named the dead
+        // chip, a write's read-modify step cannot tell it from a lost
+        // rank.
+        assert_eq!(
+            mem.write_block(0, &mirror[0]),
+            Err(CoreError::Uncorrectable)
+        );
+        let erasure = ReadPath::ChipkillErasure { chip };
+        assert_eq!(mem.read_block(0).unwrap().path, erasure);
+        assert_eq!(mem.detected_failed_chip(), Some(chip));
+
+        // From detection to repair the rank serves everything, with the
+        // survivors ageing underneath.
+        for step in 0..600 {
+            let a = rng.gen_range(0..blocks);
+            let mut new = [0u8; 64];
+            rng.fill_bytes(&mut new[..]);
+            match rng.gen_range(0u32..4) {
+                0 => {
+                    mem.write_block(a, &new).unwrap();
+                    mirror[a as usize] = new;
+                }
+                1 => {
+                    let mut sum = new;
+                    for (s, o) in sum.iter_mut().zip(&mirror[a as usize]) {
+                        *s ^= o;
+                    }
+                    mem.write_block_sum(a, &sum).unwrap();
+                    mirror[a as usize] = new;
+                }
+                2 => mem.scrub_block(a).unwrap(),
+                _ => {
+                    let out = mem.read_block(a).unwrap();
+                    assert_eq!(out.data, mirror[a as usize], "step {step} block {a}");
+                    assert_eq!(out.path, erasure);
+                }
+            }
+            if step % 100 == 50 {
+                mem.inject_bit_errors(1e-4, &mut rng);
+            }
+        }
+        mem.disable_block(blocks - 1).unwrap();
+
+        mem.repair_chip(chip).unwrap();
+        assert_eq!(mem.detected_failed_chip(), None);
+        assert!(mem.verify_consistent(), "{tier} chip {chip}");
+        for (a, want) in mirror.iter().enumerate().take(blocks as usize - 1) {
+            let out = mem.read_block(a as u64).unwrap();
+            assert_eq!(&out.data, want, "block {a}");
+            assert_eq!(out.path, ReadPath::Clean, "block {a}");
+        }
+    }
+}
+
+#[test]
+fn first_fallback_in_a_stripe_heals_the_whole_stripe() {
+    use pmck_core::{DecodePolicy, ProtectionTier};
+    for tier in [ProtectionTier::Paper, ProtectionTier::Dense] {
+        for decode_policy in [DecodePolicy::Bounded, DecodePolicy::BeyondBound] {
+            let cfg = ChipkillConfig {
+                decode_policy,
+                ..ChipkillConfig::for_tier(tier)
+            };
+            let mut mem = ChipkillMemory::new(256, cfg);
+            let blocks: Vec<[u8; 64]> = (0..mem.num_blocks()).map(pattern_block).collect();
+            for (a, b) in blocks.iter().enumerate() {
+                mem.write_block(a as u64, b).unwrap();
+            }
+            // Boot-level ageing everywhere, and in every stripe one
+            // block pushed past the RS threshold for certain.
+            mem.inject_bit_errors(1e-3, &mut StdRng::seed_from_u64(0xA6ED));
+            let per_stripe = mem.layout().blocks_per_vlew() as u64;
+            let stripes = mem.stripes() as u64;
+            for s in 0..stripes {
+                for chip in [1, 3, 8] {
+                    mem.corrupt_chip_byte(chip, s * per_stripe + 7, 2, 0x18);
+                }
+            }
+            for s in 0..stripes {
+                let first = s * per_stripe + 7;
+                let out = mem.read_block(first).unwrap();
+                assert_eq!(out.data, blocks[first as usize]);
+                assert!(
+                    matches!(out.path, ReadPath::VlewFallback { bits_corrected } if bits_corrected > 6),
+                    "{tier} {decode_policy:?} block {first}: {:?}",
+                    out.path
+                );
+                // That read paid for the stripe: nobody else does.
+                for a in s * per_stripe..(s + 1) * per_stripe {
+                    let out = mem.read_block(a).unwrap();
+                    assert_eq!(out.data, blocks[a as usize], "block {a}");
+                    assert_eq!(out.path, ReadPath::Clean, "block {a}");
+                }
+            }
+            let st = *mem.stats();
+            assert_eq!((st.fallbacks, st.stripe_writebacks), (stripes, stripes));
+            // Code cells were written back with the data cells: the
+            // rank is consistent and a boot scrub finds nothing left.
+            assert!(mem.verify_consistent());
+            let report = mem.boot_scrub().unwrap();
+            assert_eq!((report.bits_corrected, report.words_with_errors), (0, 0));
+        }
+    }
+}
+
+#[test]
 fn two_chip_failures_are_detected_not_silent() {
     let (mut mem, _) = seeded(32);
     let mut rng = StdRng::seed_from_u64(53);

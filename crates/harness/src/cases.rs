@@ -521,16 +521,20 @@ pub enum CrashOp {
     Restripe,
     /// Unflushed writes riding a tier-policy migration's single fence.
     TierMigrate,
+    /// Reads of a durably aged rank whose VLEW fallback writes the
+    /// corrected stripe back, then the flush that persists the heal.
+    ReadHeal,
 }
 
 impl CrashOp {
     /// Every operation the campaign covers.
-    pub const ALL: [CrashOp; 5] = [
+    pub const ALL: [CrashOp; 6] = [
         CrashOp::EurDrain,
         CrashOp::Repair,
         CrashOp::StartGap,
         CrashOp::Restripe,
         CrashOp::TierMigrate,
+        CrashOp::ReadHeal,
     ];
 
     /// Stable corpus name.
@@ -541,6 +545,7 @@ impl CrashOp {
             CrashOp::StartGap => "start-gap",
             CrashOp::Restripe => "restripe",
             CrashOp::TierMigrate => "tier-migrate",
+            CrashOp::ReadHeal => "read-heal",
         }
     }
 

@@ -27,10 +27,12 @@
 //!   DDR4-style mix: a small correctable burst applied to every node
 //!   *and* the reference (both must correct through their local ECC),
 //!   plus a two-stage failure on one node only — a row fault on a chip
-//!   that later dies outright. The dead chip makes that node's rank
-//!   read-only, so remote read-repair bounces and defers to staleness
-//!   tracking until the local boot-scrub rebuild wins the race at
-//!   80% — after which the sweep lands the deferred heals.
+//!   that later dies outright. Until a demand read on that node has
+//!   detected the dead chip its rank refuses writes, so remote
+//!   read-repair bounces and defers to staleness tracking; once
+//!   detected, the degraded rank takes writes again (erasure-corrected
+//!   read-modify). The local boot-scrub rebuild at 80% and the closing
+//!   sweep land whatever was deferred.
 //!
 //! Failures shrink (toward shorter spans) and persist into
 //! `tests/corpus/`; the checked-in crafted entry pins the node-loss
@@ -177,10 +179,10 @@ fn run_plan_inner(
                             // ONE node; its replicas keep serving
                             // through erasure while remote read-repair
                             // and the local rebuild race. The row
-                            // fault exceeds the RS threshold, so the
-                            // victim's rank goes read-only on
-                            // detection and write-backs defer to
-                            // staleness tracking.
+                            // fault exceeds the RS threshold; a write
+                            // that meets the dead chip before a read
+                            // has detected it bounces, and its
+                            // write-back defers to staleness tracking.
                             cluster
                                 .node_mut(victim)
                                 .submit(&Request::Fault(*event))

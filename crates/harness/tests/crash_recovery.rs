@@ -22,7 +22,9 @@
 //! persist into `tests/corpus/` like every other property in the
 //! workspace; the checked-in crafted entries pin the torn re-stripe
 //! map-commit (a cut between the stripe writes and the final meta-line
-//! chunks) and the matching tail of a tier migration's commit fence.
+//! chunks), the matching tail of a tier migration's commit fence, and
+//! a cut before the flush that would have persisted a read's stripe
+//! write-back.
 //!
 //! The tier-migrate leg additionally asserts the recovered *census*:
 //! the region must come back at exactly the pre- or post-migration
@@ -36,6 +38,7 @@ use pmck_core::{
     TierPolicy,
 };
 use pmck_harness::{CrashOp, CrashPlan, FaultEvent, FaultKind, Runner};
+use pmck_rt::rng::StdRng;
 use pmck_rt::Rng;
 
 const BLOCKS: u64 = 16;
@@ -43,6 +46,8 @@ const BLOCKS: u64 = 16;
 const SEEDS_PER_OP: u64 = 3;
 /// Fresh cases to generate — the acceptance floor is 2,000 cut points.
 const CASES: usize = 2_048;
+/// Additional read-heal cuts, past the `CASES` draws.
+const HEAL_CASES: usize = 256;
 
 fn build(op: CrashOp, seed: u64) -> Stack {
     let builder =
@@ -98,6 +103,14 @@ fn checkpoint(op: CrashOp, seed: u64) -> Result<Stack, String> {
         stack
             .submit(&chip_kill(2))
             .map_err(|e| format!("checkpoint fault: {e}"))?;
+    }
+    if op == CrashOp::ReadHeal {
+        // Aged cells, durably: about a quarter of the blocks carry
+        // three or more bad RS symbols (every VLEW stays far inside
+        // t = 22), and the durable image carries them too.
+        stack
+            .submit(&Request::InjectRber(2e-3))
+            .map_err(|e| format!("checkpoint ageing: {e}"))?;
     }
     stack
         .flush()
@@ -176,6 +189,23 @@ fn run_op(stack: &mut Stack, op: CrashOp, seed: u64) -> Result<(), String> {
                 return Err("tier step migrated nothing".into());
             }
         }
+        CrashOp::ReadHeal => {
+            // Reads only: the first that falls back to the VLEWs writes
+            // the corrected stripe back, which makes the stripe dirty
+            // (the reference run's checkpoint read-back may have been
+            // that read). The flush persists the heal; a cut before or
+            // inside it recovers aged cells that decode to the same
+            // data, so `pre` and `post` are one image and what the
+            // campaign proves is that every cut still decodes to it.
+            read_all(stack)?;
+            if stack.core_stats().map_or(0, |s| s.stripe_writebacks) == 0 {
+                return Err("no read fell back and healed its stripe".into());
+            }
+            if stack.staging_matches_live() != Some(false) {
+                return Err("a healed stripe must be dirty until the flush".into());
+            }
+            stack.flush().map_err(|e| format!("heal flush: {e}"))?;
+        }
     }
     Ok(())
 }
@@ -211,18 +241,19 @@ fn power_cut_recovery_is_whole_image_atomic() {
             // verify that once per reference run so the per-cut runs can
             // use the computed mirror without re-reading 16 blocks.
             let pre: Vec<[u8; 64]> = (0..BLOCKS).map(|a| pattern(case.seed, a, 0x00)).collect();
-            if read_all(&mut stack)? != pre {
-                return Err("checkpoint does not read back as the fill pattern".into());
-            }
             // Every flush must leave the staged image equal to the live
             // arrays; debug builds assert it inside the flush, here it
             // holds in release too. The checkpoint ends in a flush, and
-            // so does every operation.
+            // so does every operation. (Checked before the read-back: a
+            // read that falls back heals its stripe, which dirties it.)
             let staged = |stack: &Stack, when: &str| match stack.staging_matches_live() {
                 Some(true) => Ok(()),
                 other => Err(format!("staging vs live arrays {when}: {other:?}")),
             };
             staged(&stack, "at the checkpoint")?;
+            if read_all(&mut stack)? != pre {
+                return Err("checkpoint does not read back as the fill pattern".into());
+            }
             let start = stack.pmem_steps().ok_or("stack is not persistent")?;
             run_op(&mut stack, case.op, case.seed)?;
             staged(&stack, "after the operation")?;
@@ -308,6 +339,14 @@ fn power_cut_recovery_is_whole_image_atomic() {
         Ok(())
     };
 
+    let plan = |op: CrashOp, rng: &mut StdRng| CrashPlan {
+        op,
+        seed: rng.gen_range(0..SEEDS_PER_OP),
+        cut_step: rng.gen_range(0u64..1 << 20),
+        // A quarter of the cuts anchor to the tail, where the
+        // meta-line commit lives.
+        from_end: rng.gen_bool(0.25),
+    };
     let report = Runner::new("crash:recovery").seed(0x9c0e).cases(CASES).run(
         |rng| {
             // Weight cheap operations more heavily; the re-stripe and
@@ -320,17 +359,17 @@ fn power_cut_recovery_is_whole_image_atomic() {
                 21..=23 => CrashOp::Restripe,
                 _ => CrashOp::TierMigrate,
             };
-            CrashPlan {
-                op,
-                seed: rng.gen_range(0..SEEDS_PER_OP),
-                cut_step: rng.gen_range(0u64..1 << 20),
-                // A quarter of the cuts anchor to the tail, where the
-                // meta-line commit lives.
-                from_end: rng.gen_bool(0.25),
-            }
+            plan(op, rng)
         },
-        prop,
+        &prop,
     );
+    // The read-heal cuts ride on top, from their own seed: the draws
+    // above — and so every cut the five older operations get — are
+    // what they were before the operation existed.
+    Runner::new("crash:recovery")
+        .seed(0x9c0f)
+        .cases(HEAL_CASES)
+        .run(|rng| plan(CrashOp::ReadHeal, rng), &prop);
 
     // The checked-in crafted torn-restripe entry must have replayed.
     assert!(

@@ -368,15 +368,19 @@ fn rs_scenarios(cfg: &Config, rows: &mut Vec<Json>) {
                 .num_corrections()
         }));
     }
-    for nerr in [1usize, 4] {
-        let name = format!("rs/decode_{nerr}err");
-        if !wants(cfg, &name) {
-            continue;
-        }
+    let with_errors = |nerr: usize| {
         let mut word = clean.clone();
         for k in 0..nerr {
             word[k * 17] ^= 0x5A;
         }
+        word
+    };
+    for nerr in [1usize, 2, 4] {
+        let name = format!("rs/decode_{nerr}err");
+        if !wants(cfg, &name) {
+            continue;
+        }
+        let word = with_errors(nerr);
         let mut scratch = RsScratch::new(&code);
         let mut w = word.clone();
         rows.push(scenario(cfg, &name, 64, || {
@@ -385,6 +389,41 @@ fn rs_scenarios(cfg: &Config, rows: &mut Vec<Json>) {
                 .expect("correctable")
                 .num_corrections()
         }));
+    }
+    // The runtime decode proper: the engine's threshold of 2.
+    let mut threshold_row = |name: &str, pool: &[Vec<u8>]| {
+        let mut scratch = RsScratch::new(&code);
+        let mut w = clean.clone();
+        let mut i = 0;
+        rows.push(alloc_free_scenario(cfg, name, 64, || {
+            w.copy_from_slice(std::hint::black_box(&pool[i % pool.len()]));
+            i += 1;
+            code.decode_with_threshold_scratch(&mut w, 2, &mut scratch)
+                .expect("length ok")
+        }));
+    };
+    if wants(cfg, "rs/decode_3err_rejected") {
+        // Decoded in full, then rolled back for the VLEW fallback.
+        threshold_row("rs/decode_3err_rejected", &[with_errors(3)]);
+    }
+    if wants(cfg, "rs/threshold_aged_1e-3") {
+        // The mix `benchmark/`'s `rs.decode_errorful_ns` probe times: 64
+        // words aged at RBER 1e-3, each redrawn until a bit flipped
+        // (about three in four hold one symbol error, one in five two).
+        let pool: Vec<Vec<u8>> = (0..64)
+            .map(|_| loop {
+                let mut w = clean.clone();
+                for bit in 0..w.len() * 8 {
+                    if rng.gen_bool(1e-3) {
+                        w[bit / 8] ^= 1 << (bit % 8);
+                    }
+                }
+                if w != clean {
+                    break w;
+                }
+            })
+            .collect();
+        threshold_row("rs/threshold_aged_1e-3", &pool);
     }
     if wants(cfg, "rs/decode_erasure_chipkill") {
         // A dead chip: 8 known-bad symbol positions.

@@ -14,8 +14,8 @@
 //! * [`BitPoly`] — bit-packed polynomials over GF(2) (codewords and
 //!   generator polynomials of binary BCH codes).
 //! * [`SyndromeRows`] — precomputed multiply-by-`alpha^j` row tables that
-//!   turn syndrome evaluation over byte fields into branch-free table
-//!   lookups (the RS hot-path kernel).
+//!   turn syndrome evaluation over byte fields into chains of table
+//!   lookups, one chain per syndrome (the RS hot-path kernel).
 //!
 //! # Examples
 //!

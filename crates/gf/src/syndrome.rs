@@ -7,8 +7,12 @@
 //! the Horner multiplier `alpha^j` never changes, so the whole multiply
 //! collapses to a single 256-entry row lookup: `acc = row_j[acc] ^ byte`.
 //! [`SyndromeRows`] builds one row per syndrome at construction time and
-//! evaluates all `r` syndromes of a word with `r·n` branch-free lookups
-//! and zero heap allocations.
+//! evaluates all `r` syndromes of a word with `r·n` lookups and zero heap
+//! allocations. The lookups are branch-free but not independent: each
+//! syndrome is a chain of `n` loads in which every address is the
+//! previous load's result, and the `r` chains run one after another, so
+//! the cost is `r` serial chains at load-to-use latency — about 1.15 ns
+//! a lookup, 660 ns for the eight 72-step chains of RS(72, 64).
 
 use crate::field::Gf2m;
 use crate::gf256::Gf256;

@@ -9,9 +9,10 @@
 //!   replayed first on every subsequent run;
 //! * **differential oracles** ([`oracle`]) — a Peterson–Gorenstein–
 //!   Zierler reference decoder for BCH and a linear-system erasure
-//!   reference for RS(72, 64), run side-by-side with the production
-//!   codecs asserting identical accept/reject/correct verdicts — and a
-//!   polynomial-division reference for the table-driven BCH encoder;
+//!   reference and an exhaustive one-and-two-error reference for
+//!   RS(72, 64), run side-by-side with the production codecs asserting
+//!   identical accept/reject/correct verdicts — and polynomial-division
+//!   references for the table-driven BCH and RS encoders;
 //! * re-exports of the **fault-schedule DSL** ([`FaultSchedule`], owned
 //!   by `pmck-nvram` so the engine and simulators can consume it
 //!   without a dependency cycle) that campaign drivers like the `soak`
@@ -53,8 +54,9 @@ pub use cases::{
     ClusterScenario, CrashOp, CrashPlan, EncodeCase, ErasureCase, FieldPairCase, JsonCase,
 };
 pub use oracle::{
-    diff_bch, diff_bch_batch, diff_bch_encode, diff_rs_erasures, ref_bch_decode, ref_bch_parity,
-    ref_rs_erasure_decode, RefBchOutcome, RefRsOutcome,
+    diff_bch, diff_bch_batch, diff_bch_encode, diff_rs_erasures, diff_rs_parity, diff_rs_small,
+    ref_bch_decode, ref_bch_parity, ref_rs_erasure_decode, ref_rs_parity, ref_rs_small_decode,
+    RefBchOutcome, RefRsOutcome,
 };
 pub use runner::{Case, Failure, RunReport, Runner};
 

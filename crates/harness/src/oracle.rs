@@ -14,20 +14,30 @@
 //!   solve it directly and accept only if consistent and the patched
 //!   word re-verifies.
 //!
+//! * **RS one and two errors** — exhaustive search: every position,
+//!   then every pair of positions, magnitudes from `S_1` and `S_2`,
+//!   accepted only if the pattern reproduces all `r` syndromes
+//!   ([`ref_rs_small_decode`]). The production decoder finds the same
+//!   patterns in closed form, without trying any position.
 //! * **BCH encode** — the definition: the parity of `d(x)` is
 //!   `d(x)·x^r mod g(x)`, by bit-serial polynomial division
 //!   ([`ref_bch_parity`]). The production encoder never divides; it
 //!   XORs rows of a precomputed position table.
+//! * **RS encode** — the same definition over GF(2^8), by
+//!   [`FieldPoly`] long division ([`ref_rs_parity`]); the production
+//!   encoder looks up feedback tables.
 //!
 //! Both production decoders also re-verify `is_codeword` after applying
 //! corrections, and bounded-distance decoding within the packing radius
 //! is unique — so the verdicts (and corrected words) must match
 //! *exactly*, not just approximately. [`diff_bch`] and
-//! [`diff_rs_erasures`] run both sides and report any divergence.
+//! [`diff_rs_erasures`] run both sides and report any divergence;
+//! [`diff_rs_small`] does the same for the runtime decode at every
+//! acceptance threshold.
 
 use pmck_bch::{BchCode, BchError, BchScratch, BitPoly, DecodePolicy, WordVerdict};
-use pmck_gf::Gf2m;
-use pmck_rs::{RsCode, RsError, RsScratch};
+use pmck_gf::{FieldPoly, Gf2m};
+use pmck_rs::{RejectReason, RsCode, RsError, RsScratch, ThresholdOutcome};
 
 /// A reference decoder's verdict on a BCH word.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -41,15 +51,17 @@ pub enum RefBchOutcome {
     Uncorrectable,
 }
 
-/// A reference decoder's verdict on an RS word with declared erasures.
+/// A reference decoder's verdict on an RS word: within its search
+/// space — the declared erasures for [`ref_rs_erasure_decode`], any one
+/// or two positions for [`ref_rs_small_decode`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RefRsOutcome {
     /// All syndromes zero: the word is already a codeword.
     Clean,
-    /// A codeword agreeing with the word outside the erasures exists;
-    /// these (sorted) `(position, xor magnitude)` pairs reach it.
+    /// A codeword differing from the word only inside the search space
+    /// exists; these (sorted) `(position, xor magnitude)` pairs reach it.
     Corrected(Vec<(usize, u8)>),
-    /// No codeword agrees with the word outside the erasures.
+    /// No codeword differs from the word only inside the search space.
     Uncorrectable,
 }
 
@@ -219,6 +231,59 @@ pub fn ref_rs_erasure_decode(code: &RsCode, word: &[u8], erasures: &[usize]) -> 
     RefRsOutcome::Corrected(corrections)
 }
 
+/// One- and two-error RS reference decode: the codeword within Hamming
+/// distance 2 of `word`, found by trying every position and then every
+/// pair of positions. For a pair `p < q` with locators `X = α^p`,
+/// `Y = α^q`, the magnitudes solve `e_p·X + e_q·Y = S_1`,
+/// `e_p·X² + e_q·Y² = S_2`; a candidate counts only if it reproduces
+/// every one of the `r` syndromes. Codes with `r ≥ 4` have at most one
+/// such codeword.
+///
+/// # Panics
+///
+/// Panics if `word.len() != code.len()`.
+pub fn ref_rs_small_decode(code: &RsCode, word: &[u8]) -> RefRsOutcome {
+    let mut s = vec![0u32; code.check_symbols()]; // s[j-1] = S_j
+    if code.syndromes_into(word, &mut s) {
+        return RefRsOutcome::Clean;
+    }
+    let f = code.field();
+    let locators: Vec<u32> = (0..code.len() as u64).map(|p| f.alpha_pow(p)).collect();
+    // From S_r down: S_1 and S_2 hold by construction, so a wrong
+    // candidate is dismissed at its first check rather than its third.
+    let explains = |pattern: &[(usize, u32)]| {
+        s.iter().enumerate().rev().all(|(i, &sj)| {
+            let at_root = pattern
+                .iter()
+                .map(|&(p, e)| f.mul(e, f.pow(locators[p], i as u64 + 1)));
+            at_root.fold(0, |a, b| a ^ b) == sj
+        })
+    };
+    let found = |pattern: &[(usize, u32)]| {
+        RefRsOutcome::Corrected(pattern.iter().map(|&(p, e)| (p, e as u8)).collect())
+    };
+    for (p, &x) in locators.iter().enumerate() {
+        let single = [(p, f.div(s[0], x).expect("locators are nonzero"))];
+        if explains(&single) {
+            return found(&single);
+        }
+    }
+    for (p, &x) in locators.iter().enumerate() {
+        for (q, &y) in locators.iter().enumerate().skip(p + 1) {
+            let solve = |x, y| f.div(s[1] ^ f.mul(s[0], y), f.mul(x, x ^ y));
+            let (ep, eq) = (solve(x, y), solve(y, x));
+            let pair = [
+                (p, ep.expect("distinct nonzero locators")),
+                (q, eq.expect("distinct nonzero locators")),
+            ];
+            if pair.iter().all(|&(_, e)| e != 0) && explains(&pair) {
+                return found(&pair);
+            }
+        }
+    }
+    RefRsOutcome::Uncorrectable
+}
+
 /// Runs both production BCH decode entries (in the caller's `scratch`)
 /// and the PGZ reference on `word` and checks they agree exactly:
 /// `decode_scratch` on accept/reject and the flipped positions,
@@ -294,6 +359,46 @@ pub fn ref_bch_parity(code: &BchCode, data: &BitPoly) -> BitPoly {
         parity.set(i, true);
     }
     parity
+}
+
+/// The RS check bytes of `data` by definition: the remainder of
+/// `data(x) · x^r` on long division by the (monic) generator.
+///
+/// # Panics
+///
+/// Panics if `data.len() != code.data_symbols()`.
+pub fn ref_rs_parity(code: &RsCode, data: &[u8]) -> Vec<u8> {
+    assert_eq!(data.len(), code.data_symbols(), "data length mismatch");
+    let (g, r) = (code.generator(), code.check_symbols());
+    let coeffs = data.iter().map(|&b| u32::from(b)).collect();
+    let mut rem = FieldPoly::from_coeffs(code.field(), coeffs).shift(r);
+    while let Some(d) = rem.degree().filter(|&d| d >= r) {
+        rem = rem.add(&g.scale(rem.coeff(d)).shift(d - r));
+    }
+    (0..r).map(|i| rem.coeff(i) as u8).collect()
+}
+
+/// Checks [`RsCode::parity_into`] (into a dirty buffer: it overwrites)
+/// and [`RsCode::encode`] on `data` against [`ref_rs_parity`].
+///
+/// # Errors
+///
+/// Returns a description of the divergence, suitable as a property
+/// failure message.
+pub fn diff_rs_parity(code: &RsCode, data: &[u8]) -> Result<(), String> {
+    let reference = ref_rs_parity(code, data);
+    let mut check = vec![0xA5u8; code.check_symbols()];
+    code.parity_into(data, &mut check);
+    let cw = code.encode(data);
+    if check != reference || cw[..reference.len()] != reference[..] {
+        return Err(format!(
+            "RS({}, {}) encode: parity_into {check:?}, encode {:?}, by division {reference:?}",
+            code.len(),
+            data.len(),
+            &cw[..reference.len()]
+        ));
+    }
+    Ok(())
 }
 
 /// Runs every production encode entry on the word that is zero but for
@@ -392,6 +497,87 @@ pub fn diff_rs_erasures(
     }
 }
 
+/// Runs the production runtime decode on `word` — [`RsCode::decode_scratch`]
+/// and [`RsCode::decode_with_threshold_scratch`] at thresholds `0..=4`,
+/// all in the caller's `scratch` — against [`ref_rs_small_decode`].
+///
+/// Where the reference finds a codeword within distance 2 the full
+/// decode must report exactly its corrections, the same positions as
+/// `error_positions()`, and leave that codeword behind; where it finds
+/// none, the full decode must either refuse (word untouched) or land on
+/// a codeword 3 to `⌊r/2⌋` symbols away that differs from the word
+/// exactly at the corrections it reports. Each threshold decode must then
+/// be the full decode's answer filtered by the threshold.
+///
+/// # Errors
+///
+/// Returns a description of the divergence, suitable as a property
+/// failure message.
+pub fn diff_rs_small(code: &RsCode, word: &[u8], scratch: &mut RsScratch) -> Result<(), String> {
+    let reference = ref_rs_small_decode(code, word);
+    let mut decoded = word.to_vec();
+    let full = code.decode_scratch(&mut decoded, scratch).map(|view| {
+        let positions: Vec<usize> = view.corrections().iter().map(|&(p, _)| p).collect();
+        (view.error_positions() == positions).then(|| view.corrections().to_vec())
+    });
+    let corrections = match (&reference, full) {
+        (_, Ok(None)) => return Err("RS: error_positions() disagrees with corrections()".into()),
+        (_, Err(e)) if e != RsError::Uncorrectable => return Err(format!("RS: {e}")),
+        (RefRsOutcome::Clean, Ok(Some(c))) if c.is_empty() => Some(c),
+        (RefRsOutcome::Corrected(expect), Ok(Some(c))) if c == *expect => Some(c),
+        (RefRsOutcome::Uncorrectable, Ok(Some(c)))
+            if (3..=code.max_random_errors()).contains(&c.len())
+                && c.windows(2).all(|w| w[0].0 < w[1].0)
+                && code.is_codeword(&decoded) =>
+        {
+            Some(c)
+        }
+        (RefRsOutcome::Uncorrectable, Err(_)) => None,
+        (_, full) => {
+            return Err(format!(
+                "RS small-decode divergence: reference {reference:?} vs decode_scratch {full:?}"
+            ))
+        }
+    };
+    let mut expect = word.to_vec();
+    for &(p, m) in corrections.iter().flatten() {
+        expect[p] ^= m;
+    }
+    if decoded != expect || corrections.iter().flatten().any(|&(_, m)| m == 0) {
+        return Err(format!(
+            "RS: decode_scratch reported {corrections:?} but left a different word behind"
+        ));
+    }
+    for threshold in 0..=4 {
+        let (verdict, left) = match &corrections {
+            None => (
+                ThresholdOutcome::Rejected(RejectReason::Uncorrectable),
+                word,
+            ),
+            Some(c) if c.is_empty() => (ThresholdOutcome::Clean, word),
+            Some(c) if c.len() <= threshold => (
+                ThresholdOutcome::Accepted {
+                    corrections: c.len(),
+                },
+                &expect[..],
+            ),
+            Some(c) => (
+                ThresholdOutcome::Rejected(RejectReason::TooManyCorrections(c.len())),
+                word,
+            ),
+        };
+        let mut w = word.to_vec();
+        let got = code.decode_with_threshold_scratch(&mut w, threshold, scratch);
+        if got.as_ref() != Ok(&verdict) || w != left {
+            return Err(format!(
+                "RS threshold {threshold}: expected {verdict:?}, got {got:?} (or the wrong word \
+                 left behind); reference {reference:?}"
+            ));
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -436,6 +622,38 @@ mod tests {
         assert_eq!(
             ref_bch_decode(&code, &word),
             RefBchOutcome::Corrected(vec![3, 40])
+        );
+    }
+
+    #[test]
+    fn ref_rs_parity_makes_codewords() {
+        let code = RsCode::new(11, 5).unwrap();
+        let data: Vec<u8> = (0..11).map(|i| i * 23 + 1).collect();
+        let mut cw = ref_rs_parity(&code, &data);
+        cw.extend_from_slice(&data);
+        assert!(code.is_codeword(&cw));
+    }
+
+    #[test]
+    fn ref_rs_small_decode_finds_one_and_two_errors_only() {
+        let code = RsCode::per_block();
+        let cw = code.encode(&[0x3Cu8; 64]);
+        assert_eq!(ref_rs_small_decode(&code, &cw), RefRsOutcome::Clean);
+        let mut word = cw.clone();
+        word[71] ^= 0x80;
+        assert_eq!(
+            ref_rs_small_decode(&code, &word),
+            RefRsOutcome::Corrected(vec![(71, 0x80)])
+        );
+        word[0] ^= 0x01;
+        assert_eq!(
+            ref_rs_small_decode(&code, &word),
+            RefRsOutcome::Corrected(vec![(0, 0x01), (71, 0x80)])
+        );
+        word[40] ^= 0x17;
+        assert_eq!(
+            ref_rs_small_decode(&code, &word),
+            RefRsOutcome::Uncorrectable
         );
     }
 

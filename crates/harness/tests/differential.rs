@@ -6,12 +6,13 @@
 //! seeded cases per codec on fast parameters; a smaller campaign covers
 //! the paper's full-size VLEW code. Error weights straddle the
 //! correction radius so clean, correctable, and overweight words are
-//! all exercised.
+//! all exercised. The table-driven encoders get the same treatment
+//! against polynomial division.
 
 use pmck_bch::{BchCode, BchScratch};
 use pmck_harness::{
-    diff_bch, diff_bch_batch, diff_bch_encode, diff_rs_erasures, BitFlipBatchCase, BitFlipCase,
-    EncodeCase, ErasureCase, Runner,
+    diff_bch, diff_bch_batch, diff_bch_encode, diff_rs_erasures, diff_rs_parity, diff_rs_small,
+    BitFlipBatchCase, BitFlipCase, ByteErrorCase, EncodeCase, ErasureCase, Runner,
 };
 use pmck_rs::{RsCode, RsScratch};
 use pmck_rt::rng::{Rng, StdRng};
@@ -189,4 +190,93 @@ fn rs_erasure_differential_campaign() {
             },
         );
     assert_eq!(report.generated, 100_000);
+}
+
+fn gen_byte_errors(rng: &mut StdRng, code: &RsCode, num_errors: usize) -> ByteErrorCase {
+    let mut data = vec![0u8; code.data_symbols()];
+    rng.fill_bytes(&mut data);
+    let mut errors: Vec<(usize, u8)> = Vec::with_capacity(num_errors);
+    while errors.len() < num_errors {
+        let p = rng.gen_range(0usize..code.len());
+        if !errors.iter().any(|&(q, _)| q == p) {
+            errors.push((p, rng.gen_range(1u32..256) as u8));
+        }
+    }
+    ByteErrorCase { data, errors }
+}
+
+/// 100 000 random blocks through the RS(72, 64) encoder against
+/// [`FieldPoly`](pmck_gf::FieldPoly) division, then a few blocks on
+/// every code `crates/rs/tests/proptests.rs` builds (k = 1..=32 by
+/// r = 2, 4, 6, 8: every register width of the one-word kernel crossed
+/// with every chunk remainder) and on four codes past r = 8, where the
+/// encoder keeps its register in bytes.
+#[test]
+fn rs_parity_differential_campaign() {
+    let code = RsCode::per_block();
+    let report = Runner::new("diff:rs:parity").seed(0x26).cases(100_000).run(
+        |rng| gen_byte_errors(rng, &code, 0),
+        |case| diff_rs_parity(&code, &case.data),
+    );
+    assert_eq!(report.generated, 100_000);
+
+    let small = (1..=32).flat_map(|k| [2, 4, 6, 8].map(|r| (k, r)));
+    let mut rng = StdRng::seed_from_u64(0x27);
+    for (k, r) in small.chain([(9, 9), (40, 16), (100, 33), (1, 254)]) {
+        let code = RsCode::new(k, r).expect("valid parameters");
+        for _ in 0..8 {
+            let case = gen_byte_errors(&mut rng, &code, 0);
+            diff_rs_parity(&code, &case.data).unwrap();
+        }
+    }
+}
+
+/// 20 000 RS(72, 64) words of weight 0..=6 through the runtime decode —
+/// the full decode and the threshold decode at 0..=4, one scratch
+/// throughout — against the exhaustive one-and-two-error reference.
+/// Weights 1 and 2 take the closed-form solve, 3 and 4 must fall through
+/// it to Berlekamp–Massey untouched, 5 and 6 must be refused or land on
+/// a real codeword. The corpus seeds the campaign with the three-error
+/// word `tests/mutation.rs` shrinks its mutant's failure to.
+#[test]
+fn rs_small_decode_differential_campaign() {
+    let code = RsCode::per_block();
+    let mut scratch = RsScratch::new(&code);
+    let report = Runner::new("diff:rs:small").seed(0x28).cases(20_000).run(
+        |rng| {
+            let weight = rng.gen_range(0usize..=6);
+            gen_byte_errors(rng, &code, weight)
+        },
+        |case| diff_rs_small(&code, &case.corrupted(&code), &mut scratch),
+    );
+    assert_eq!(report.generated, 20_000);
+    assert!(
+        report.corpus_replayed >= 1,
+        "the mutant's three-error word must be replayed"
+    );
+}
+
+/// RS(16, 12) is small enough to visit every error position and every
+/// pair of positions, five random magnitude draws each: no position the
+/// closed-form solve cannot name, none it names wrongly (a shortened
+/// code must also refuse locators at or past n = 16).
+#[test]
+fn rs_small_decode_every_position_pair() {
+    let code = RsCode::new(12, 4).expect("valid parameters");
+    let mut scratch = RsScratch::new(&code);
+    let mut rng = StdRng::seed_from_u64(0x29);
+    let n = code.len();
+    for p in 0..n {
+        for q in p..n {
+            for _ in 0..5 {
+                let mut case = gen_byte_errors(&mut rng, &code, 0);
+                case.errors.push((p, rng.gen_range(1u32..256) as u8));
+                if q != p {
+                    case.errors.push((q, rng.gen_range(1u32..256) as u8));
+                }
+                diff_rs_small(&code, &case.corrupted(&code), &mut scratch)
+                    .unwrap_or_else(|e| panic!("positions {p}, {q}: {e}"));
+            }
+        }
+    }
 }

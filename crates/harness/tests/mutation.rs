@@ -2,15 +2,16 @@
 //! decoder, shrink the counterexample to its minimal form, persist it,
 //! and replay it from the corpus on the next run.
 //!
-//! The mutant emulates a decoder that forgets to apply corrections when
-//! more than one symbol is in error — it still *claims* success, which
-//! is exactly the class of silent bug the differential campaigns exist
-//! to catch.
+//! The first mutant emulates a decoder that forgets to apply corrections
+//! when more than one symbol is in error — it still *claims* success,
+//! which is exactly the class of silent bug the differential campaigns
+//! exist to catch. The second is the closed-form two-error solve with its
+//! check against the syndromes past `S_4` dropped.
 
 use std::fs;
 use std::path::PathBuf;
 
-use pmck_harness::{ByteErrorCase, Case, Runner};
+use pmck_harness::{ref_rs_small_decode, ByteErrorCase, Case, RefRsOutcome, Runner};
 use pmck_rs::{RsCode, RsScratch};
 use pmck_rt::rng::{Rng, StdRng};
 use pmck_rt::Json;
@@ -140,4 +141,67 @@ fn unmutated_decoder_passes_the_same_property() {
         );
     assert_eq!(report.generated, 2_000);
     let _ = fs::remove_dir_all(&dir);
+}
+
+/// MUTANT: the one- and two-error solve of RS(72, 64) that fits its
+/// pattern to `S_1..S_4` and never looks at `S_5..S_8`. RS(72, 68) has
+/// exactly those four syndromes, so its decoder *is* that solve.
+fn mutant_small_decode(four_syndromes: &RsCode, word: &[u8]) -> RefRsOutcome {
+    let mut attempt = word.to_vec();
+    match four_syndromes.decode_scratch(&mut attempt, &mut RsScratch::new(four_syndromes)) {
+        Ok(out) if out.was_clean() => RefRsOutcome::Clean,
+        Ok(out) => RefRsOutcome::Corrected(out.corrections().to_vec()),
+        Err(_) => RefRsOutcome::Uncorrectable,
+    }
+}
+
+/// The differential oracle catches the four-syndrome mutant on a
+/// three-error word that `S_1..S_4` alone explain as two errors, and
+/// shrinks it to zero data. That word is checked in as
+/// `tests/corpus/rs-small-decode-three-errors-crafted.json`, where
+/// `differential.rs` replays it against the production solve.
+#[test]
+fn four_syndrome_two_error_solve_is_caught_and_shrunk() {
+    let code = RsCode::per_block();
+    let four_syndromes = RsCode::new(68, 4).unwrap();
+    let dir: PathBuf =
+        std::env::temp_dir().join(format!("pmck-mutation-small-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+
+    let failure = Runner::new("mutation:rs:four-syndrome-solve")
+        .seed(7)
+        .cases(2_000)
+        .corpus_dir(&dir)
+        .try_run(
+            |rng| gen_case(rng, &code),
+            |case| {
+                let word = case.corrupted(&code);
+                let (mutant, reference) = (
+                    mutant_small_decode(&four_syndromes, &word),
+                    ref_rs_small_decode(&code, &word),
+                );
+                if mutant == reference {
+                    Ok(())
+                } else {
+                    Err(format!("mutant {mutant:?} vs reference {reference:?}"))
+                }
+            },
+        )
+        .expect_err("the mutant must be caught within 2000 cases");
+
+    // Two errors are within the mutant's radius too, so three is the
+    // failure boundary; syndromes do not depend on the data.
+    assert_eq!(failure.case.errors.len(), 3);
+    assert!(failure.case.data.iter().all(|&b| b == 0));
+    assert!(failure.error.contains("reference Uncorrectable"));
+
+    let crafted = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/corpus/rs-small-decode-three-errors-crafted.json"
+    );
+    let doc = Json::parse(&fs::read_to_string(crafted).unwrap()).unwrap();
+    let checked_in = ByteErrorCase::from_json(doc.get("case").unwrap()).unwrap();
+    assert_eq!(checked_in, failure.case, "the corpus entry is this word");
+
+    fs::remove_dir_all(&dir).unwrap();
 }

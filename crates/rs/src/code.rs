@@ -25,7 +25,7 @@ use crate::error::RsError;
 /// assert_eq!(code.min_distance(), 9);
 /// assert_eq!(code.max_random_errors(), 4);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct RsCode {
     pub(crate) field: Gf2m,
     pub(crate) k: usize,
@@ -34,6 +34,34 @@ pub struct RsCode {
     /// Precomputed multiply-by-`alpha^j` rows: the syndrome hot-path
     /// kernel (one table lookup per byte instead of log/exp multiplies).
     pub(crate) rows: SyndromeRows,
+    feedback: Feedback,
+    /// `quadratic[c]` is a root `y` of `y² + y = c`, or 0 when there is
+    /// none (`c = 0`, whose roots are 0 and 1, is never looked up).
+    pub(crate) quadratic: [u8; 256],
+}
+
+/// The encoder's tables. Dividing by g one data byte at a time, the
+/// register's top coefficient plus the incoming byte is the feedback `f`,
+/// and the register moves up one coefficient and takes in `f·g[0..r]`.
+#[derive(Clone)]
+enum Feedback {
+    /// `r ≤ 8`: the register is one `u64`, coefficient `i` in byte
+    /// `8 − r + i`, so its top coefficient is always the top byte.
+    /// `[0][f]` is `f·g[0..r]` in that layout; `[j][f]` is `[0][f]`
+    /// after `j` further steps with no input, which lets eight data
+    /// bytes go in at once (slicing-by-8, as for a CRC).
+    Sliced(Box<[[u64; 256]; 8]>),
+    /// `r > 8`: row `f` is the `r` bytes `f·g[0..r]`.
+    Rows(Vec<u8>),
+}
+
+impl std::fmt::Debug for RsCode {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("RsCode")
+            .field("k", &self.k)
+            .field("r", &self.r)
+            .finish_non_exhaustive()
+    }
 }
 
 impl RsCode {
@@ -58,12 +86,39 @@ impl RsCode {
             generator = generator.mul(&FieldPoly::from_coeffs(&field, vec![root, 1]));
         }
         let rows = SyndromeRows::new(&field, r);
+        let (fld, g) = (&field, &generator.coeffs()[..r]);
+        let row = |f: usize| g.iter().map(move |&c| fld.mul(f as u32, c) as u8);
+        let feedback = if r <= 8 {
+            let mut t = Box::new([[0u64; 256]; 8]);
+            for f in 0..256 {
+                let mut bytes = [0u8; 8];
+                for (b, v) in bytes[8 - r..].iter_mut().zip(row(f)) {
+                    *b = v;
+                }
+                t[0][f] = u64::from_le_bytes(bytes);
+            }
+            for j in 1..8 {
+                for f in 0..256 {
+                    let prev = t[j - 1][f];
+                    t[j][f] = (prev << 8) ^ t[0][(prev >> 56) as usize];
+                }
+            }
+            Feedback::Sliced(t)
+        } else {
+            Feedback::Rows((0..256).flat_map(row).collect())
+        };
+        let mut quadratic = [0u8; 256];
+        for y in (2..=255u8).rev() {
+            quadratic[(field.square(y.into()) ^ u32::from(y)) as usize] = y;
+        }
         Ok(RsCode {
             field,
             k,
             r,
             generator,
             rows,
+            feedback,
+            quadratic,
         })
     }
 
@@ -124,8 +179,8 @@ impl RsCode {
     }
 
     /// Computes the `r` check bytes for `data`, `(d(x)·x^r) mod g(x)`,
-    /// into `out`, without allocating. The LFSR register lives on the
-    /// stack (`n ≤ 255`, so `r < 255` always fits).
+    /// into `out`, without allocating: table-driven division by g, eight
+    /// data bytes to a step when the register fits a `u64` (`r ≤ 8`).
     ///
     /// Like all linear codes, `parity(a ⊕ b) = parity(a) ⊕ parity(b)`.
     ///
@@ -135,21 +190,32 @@ impl RsCode {
     pub fn parity_into(&self, data: &[u8], out: &mut [u8]) {
         assert_eq!(data.len(), self.k, "need exactly {} data bytes", self.k);
         assert_eq!(out.len(), self.r, "parity buffer length mismatch");
-        // Synthetic LFSR division: process data from the highest degree
-        // (last byte of `data` = degree n−1) down.
-        let f = &self.field;
-        let g = self.generator.coeffs(); // g[r] == 1
-        let mut reg_buf = [0u32; 255];
-        let reg = &mut reg_buf[..self.r];
-        for &byte in data.iter().rev() {
-            let feedback = reg[self.r - 1] ^ byte as u32;
-            for i in (1..self.r).rev() {
-                reg[i] = reg[i - 1] ^ f.mul(feedback, g[i]);
+        // Data goes in from the highest degree, the last byte, down.
+        let r = self.r;
+        match &self.feedback {
+            Feedback::Sliced(t) => {
+                let mut reg = 0u64;
+                let mut chunks = data.rchunks_exact(8);
+                for chunk in chunks.by_ref() {
+                    let x = reg ^ u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
+                    reg = (0..8).fold(0, |acc, j| acc ^ t[j][usize::from((x >> (8 * j)) as u8)]);
+                }
+                for &byte in chunks.remainder().iter().rev() {
+                    reg = (reg << 8) ^ t[0][usize::from((reg >> 56) as u8 ^ byte)];
+                }
+                out.copy_from_slice(&reg.to_le_bytes()[8 - r..]);
             }
-            reg[0] = f.mul(feedback, g[0]);
-        }
-        for (o, &v) in out.iter_mut().zip(reg.iter()) {
-            *o = v as u8;
+            Feedback::Rows(rows) => {
+                out.fill(0);
+                for &byte in data.iter().rev() {
+                    let f = usize::from(out[r - 1] ^ byte);
+                    out.copy_within(..r - 1, 1);
+                    out[0] = 0;
+                    for (o, &t) in out.iter_mut().zip(&rows[f * r..][..r]) {
+                        *o ^= t;
+                    }
+                }
+            }
         }
     }
 
@@ -231,6 +297,41 @@ mod tests {
         let cw = code.encode(&data);
         assert!(code.is_codeword(&cw));
         assert_eq!(cw[code.check_symbols()..], data);
+    }
+
+    /// The encoder this crate shipped before the feedback tables, kept as
+    /// their oracle: synthetic division by g, one [`Gf2m::mul`] per
+    /// generator coefficient per data byte.
+    fn lfsr_parity(code: &RsCode, data: &[u8]) -> Vec<u8> {
+        let (f, r) = (code.field(), code.check_symbols());
+        let g = code.generator().coeffs(); // g[r] == 1
+        let mut reg_buf = [0u32; 255];
+        let reg = &mut reg_buf[..r];
+        for &byte in data.iter().rev() {
+            let feedback = reg[r - 1] ^ byte as u32;
+            for i in (1..r).rev() {
+                reg[i] = reg[i - 1] ^ f.mul(feedback, g[i]);
+            }
+            reg[0] = f.mul(feedback, g[0]);
+        }
+        reg.iter().map(|&v| v as u8).collect()
+    }
+
+    #[test]
+    fn table_parity_matches_the_lfsr_at_every_register_width() {
+        // r = 1..=8 keeps the register in one word, and k = 23 is two
+        // 8-byte steps and seven single ones; from r = 9 the register is
+        // bytes; (1, 254) is the widest code there is.
+        let widths = (1..=9).chain([16, 17, 40]).map(|r| (23, r));
+        for (k, r) in widths.chain([(64, 8), (1, 254), (200, 55)]) {
+            let code = RsCode::new(k, r).unwrap();
+            for seed in 0..4usize {
+                let data: Vec<u8> = (0..k).map(|i| (i * 37 + seed * 101 + 11) as u8).collect();
+                let mut out = vec![0xA5u8; r]; // dirty: parity_into overwrites
+                code.parity_into(&data, &mut out);
+                assert_eq!(out, lfsr_parity(&code, &data), "RS({}, {k})", k + r);
+            }
+        }
     }
 
     #[test]

@@ -1,10 +1,15 @@
 //! Errors-and-erasures RS decoding (Berlekamp–Massey with erasure
-//! initialization, Chien search, Forney magnitudes).
+//! initialization, Chien search, Forney magnitudes), behind a closed-form
+//! solve of one and two symbol errors.
 //!
 //! The decoder is allocation-free on the hot path: syndromes, the BM
 //! polynomials, and the Chien/Forney results all live in a reusable
 //! [`RsScratch`], and a zero-syndrome early exit serves the
 //! overwhelmingly-common clean word before any locator machinery runs.
+//! A word with no declared erasures is next tried against the one- and
+//! two-error closed forms ([`RsCode::solve_small`]); what they do not
+//! explain goes to the general decoder with its syndromes already
+//! computed.
 //! Every decode entry point takes the caller's scratch and returns an
 //! [`RsDecodeView`] of slices into it.
 
@@ -199,6 +204,20 @@ impl RsCode {
             return Ok(());
         }
 
+        // One or two symbol errors, the runtime path's whole accept set,
+        // in closed form. Below r = 4 two errors are past the code's
+        // radius, so those codes keep to the general decoder.
+        if erasures.is_empty()
+            && self.r >= 4
+            && self.solve_small(&scratch.s, &mut scratch.corrections)
+        {
+            for &(p, m) in &scratch.corrections {
+                word[p] ^= m;
+                scratch.error_pos.push(p);
+            }
+            return Ok(());
+        }
+
         let f = &self.field;
         let r = self.r;
         let order = f.order() as u64;
@@ -283,6 +302,73 @@ impl RsCode {
             }
         }
         Ok(())
+    }
+
+    /// Finds the error pattern of weight one or two whose syndromes are
+    /// exactly `s` (`s[j-1] = S_j`, `r ≥ 4` of them, not all zero) and
+    /// pushes it onto the empty `corrections` as `(position, magnitude)`
+    /// pairs ascending by position; `false`, and nothing pushed, when
+    /// there is no such pattern.
+    ///
+    /// With error locators `X_i = alpha^{p_i}` and magnitudes `e_i`,
+    /// `S_j = Σ e_i·X_i^j`. One error makes the syndromes a geometric
+    /// sequence: `X = S_2/S_1`, `e = S_1/X`. Two make them obey
+    /// `S_{j+2} = σ1·S_{j+1} + σ2·S_j` with `σ1 = X_1 + X_2` and
+    /// `σ2 = X_1·X_2`, which `S_1..S_4` fix by Cramer's rule; `X = σ1·y`
+    /// turns `X² + σ1·X + σ2 = 0` into `y² + y = σ2/σ1²`, a table
+    /// lookup, and `S_1`, `S_2` give the magnitudes. The determinant
+    /// `S_2² + S_1·S_3` is zero exactly when the sequence is geometric,
+    /// so it picks the case. Whatever was found is then evaluated
+    /// against all `r` syndromes: a match means the patched word's
+    /// syndromes are all zero, the check [`RsCode::is_codeword`] would
+    /// make, and `r ≥ 4` puts at most one codeword that close.
+    fn solve_small(&self, s: &[u32], corrections: &mut Vec<(usize, u8)>) -> bool {
+        let f = &self.field;
+        let div = |a, b| f.div(a, b).expect("divisor checked nonzero");
+        let (s1, s2, s3, s4) = (s[0], s[1], s[2], s[3]);
+        let det = f.square(s2) ^ f.mul(s1, s3);
+        let (x1, x2, e1, e2);
+        if det == 0 {
+            if s1 == 0 || s2 == 0 {
+                return false;
+            }
+            x1 = div(s2, s1);
+            e1 = div(s1, x1);
+            (x2, e2) = (0, 0);
+        } else {
+            let sigma1 = div(f.mul(s2, s3) ^ f.mul(s1, s4), det);
+            let sigma2 = div(f.mul(s2, s4) ^ f.square(s3), det);
+            if sigma1 == 0 || sigma2 == 0 {
+                return false;
+            }
+            let y = self.quadratic[div(sigma2, f.square(sigma1)) as usize];
+            if y == 0 {
+                return false;
+            }
+            x1 = f.mul(sigma1, y.into());
+            x2 = x1 ^ sigma1;
+            e1 = div(s2 ^ f.mul(s1, x2), f.mul(x1, sigma1));
+            e2 = div(s1 ^ f.mul(e1, x1), x2);
+        }
+        let (mut t1, mut t2) = (f.mul(e1, x1), f.mul(e2, x2));
+        for &sj in s {
+            if t1 ^ t2 != sj {
+                return false;
+            }
+            (t1, t2) = (f.mul(t1, x1), f.mul(t2, x2));
+        }
+        // A matching pattern has no zero magnitude beside the single
+        // error's absent second one, and its locators are distinct.
+        for (x, e) in [(x1, e1), (x2, e2)] {
+            if e != 0 {
+                corrections.push((f.log(x) as usize, e as u8));
+            }
+        }
+        corrections.sort_unstable_by_key(|&(p, _)| p);
+        if corrections.iter().any(|&(p, _)| p >= self.len()) {
+            corrections.clear();
+        }
+        !corrections.is_empty()
     }
 
     /// Berlekamp–Massey with erasure initialization (Blahut): Ψ starts as
@@ -404,6 +490,29 @@ mod tests {
         assert_eq!(w, clean);
         assert_eq!(view.error_positions(), &[40]);
         assert_eq!(view.corrections().len(), 2);
+    }
+
+    #[test]
+    fn closed_form_decode_leaves_no_stale_positions_in_a_reused_scratch() {
+        // Four errors go through Berlekamp–Massey and fill the scratch;
+        // the one- and two-error words after them take the closed forms,
+        // which must report their own positions and nothing left over.
+        let code = RsCode::per_block();
+        let clean = code.encode(&[0x6Du8; 64]);
+        let mut scratch = RsScratch::new(&code);
+        for errors in [&[5, 22, 40, 71][..], &[33], &[70, 2]] {
+            let mut w = clean.clone();
+            for &p in errors {
+                w[p] ^= 0x9C;
+            }
+            let view = code.decode_scratch(&mut w, &mut scratch).unwrap();
+            let mut sorted = errors.to_vec();
+            sorted.sort_unstable();
+            assert_eq!(view.error_positions(), sorted);
+            let fixes: Vec<(usize, u8)> = sorted.iter().map(|&p| (p, 0x9C)).collect();
+            assert_eq!(view.corrections(), fixes);
+            assert_eq!(w, clean);
+        }
     }
 
     #[test]

@@ -209,6 +209,44 @@ fn uncorrectable_leaves_word_unmodified() {
     assert!(saw_uncorrectable, "expected an uncorrectable pattern");
 }
 
+/// Below `r = 4` two errors are past the code's radius, so the decoder's
+/// closed-form one-and-two-error solve stays out of the way: RS(18, 16)
+/// and RS(11, 8) correct every single error, and a second error is
+/// refused (word untouched) or lands on a real codeword one correction
+/// away — never a two-symbol "correction".
+#[test]
+fn codes_below_four_check_symbols_keep_radius_one() {
+    for (k, r) in [(16, 2), (8, 3)] {
+        let code = RsCode::new(k, r).unwrap();
+        let mut scratch = RsScratch::new(&code);
+        let name = format!("rs:radius-one:r{r}");
+        let mut trial = 0usize;
+        Runner::new(&name).seed(0x102).cases(400).run(
+            |rng| {
+                trial += 1;
+                gen_errors(rng, &code, 1 + trial % 2)
+            },
+            |case| {
+                let mut cw = case.corrupted(&code);
+                let before = cw.clone();
+                match code.decode_scratch(&mut cw, &mut scratch) {
+                    Ok(out) if case.errors.len() == 1 => {
+                        if out.corrections() == case.errors && cw == code.encode(&case.data) {
+                            Ok(())
+                        } else {
+                            Err(format!("single error fixed as {:?}", out.corrections()))
+                        }
+                    }
+                    Ok(out) if out.num_corrections() == 1 && code.is_codeword(&cw) => Ok(()),
+                    Ok(out) => Err(format!("two errors \"fixed\" as {:?}", out.corrections())),
+                    Err(RsError::Uncorrectable) if case.errors.len() == 2 && cw == before => Ok(()),
+                    Err(e) => Err(format!("{} errors: {e}", case.errors.len())),
+                }
+            },
+        );
+    }
+}
+
 /// Historical seed 41 (`strict_erasure_decode_rejects_extra_errors`):
 /// with 4 erasures plus one undeclared error, the strict erasure path
 /// must refuse while the relaxed path fixes both.

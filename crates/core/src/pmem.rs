@@ -22,10 +22,11 @@
 //! Mutations that are not stripe-addressed (rank-wide RBER, a burst, a
 //! chip failure) take the whole-array accessor, which sets every bit.
 //!
-//! *Who clears.* `stage_image` — one loop, [`stage_dirty`], for both
-//! base layers — after it has staged a store's dirty stripes, and
-//! `restore_from_image` after it has copied the arrays back from the
-//! recovered image. Nothing else.
+//! *Who clears.* `stage_image` after it has staged the dirty stripes —
+//! on the rank, every stripe some chip marked, gathered into the image's
+//! burst order; on the re-striped layout, [`stage_dirty`] over its one
+//! store — and `restore_from_image` after it has copied the arrays back
+//! from the recovered image. Nothing else.
 //!
 //! *Why compare-skip stays.* The set says where bytes *may* differ;
 //! [`pmck_pmem::PersistentMedia::stage`] still compares each cache line
@@ -63,13 +64,39 @@
 //! # Media layout
 //!
 //! One [`PmemDomain`] owns the media for a whole rank and maps both
-//! layouts onto it ([`RegionMap`]): region A holds the nine chips' data
-//! and VLEW-code arrays, region B holds the §V-E re-striped image, and a
-//! single 64 B metadata line (magic, version, layout state, detected
-//! failed chip, Start-Gap position, CRC) records which region is live.
-//! The §V-E re-stripe stages region B *and* the flipped metadata line in
-//! one fence, so the layout flip is crash-atomic: recovery lands on
-//! whole-old or whole-new, never a mix.
+//! layouts onto it ([`RegionMap`]), every object starting on a line:
+//!
+//! ```text
+//! region A, data    block 0 | block 1 | ...      one 72 B burst per block:
+//!                   [c0 8B][c1 8B]...[c8 8B]     chip c's share at b*72 + c*8
+//! region A, code    stripe 0 | stripe 1 | ...    320 B (5 lines) per stripe:
+//!                   [c0 33B][c1 33B]...[c8 33B]  nine code words, 23 B of pad
+//! region B          the re-striped image: data (64 B a block), then code
+//! metadata line     64 B, the image's highest line
+//! ```
+//!
+//! Region A is in **burst order**: what the rank's nine chips return in
+//! one lockstep access (Figure 6) is contiguous, so a block write dirties
+//! the two lines its burst straddles — not one line on each of nine
+//! chip-sized areas — and a stripe's nine VLEW code words, which the EUR
+//! updates together when the row closes (§V-D), share five lines. A
+//! paper-tier stripe is 32 bursts = 36 whole lines, a dense one 18; a
+//! burst's offset does not depend on the tier, so a tier migration
+//! leaves the data area's lines equal and fences the code area and the
+//! metadata line only. The live arrays stay chip-major
+//! ([`crate::rank::ChipStore`], which the per-chip VLEW encode and
+//! decode want contiguous); `stage_image` gathers and
+//! `restore_from_image` scatters through one address function,
+//! [`RegionMap::share`] / [`RegionMap::code_word`].
+//!
+//! Region B holds the §V-E re-striped image in its store's own order,
+//! and the single 64 B metadata line (magic, version, layout state,
+//! detected failed chip, Start-Gap position, tier, CRC) records which
+//! region is live. The §V-E re-stripe stages region B *and* the flipped
+//! metadata line in one fence, so the layout flip is crash-atomic:
+//! recovery lands on whole-old or whole-new, never a mix. A fence
+//! persists its lines in ascending order, so the metadata line — the
+//! commit record of a flip or a tier change — goes last.
 
 use pmck_pmem::{crc32, FenceReport, PersistentMedia, PmemConfig, ReplayOutcome};
 
@@ -87,18 +114,20 @@ const META_LEN: usize = 64;
 /// `failed_chip` encoding for "none detected".
 const META_NO_CHIP: u64 = u64::MAX;
 
-/// Byte offsets of every durable object on the media.
+/// Byte offsets of every durable object on the media. See the module
+/// docs ("Media layout") for the picture.
 ///
-/// Regions are aligned to the flush-line size so one cache line never
-/// spans two objects (compare-skip staging then dirties lines of at most
-/// one region per fence).
+/// Objects are aligned to the flush-line size so one cache line never
+/// spans two of them (compare-skip staging then dirties lines of at most
+/// one object per stage call).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct RegionMap {
     chips: usize,
-    line_bytes: usize,
-    chip_data_stride: usize,
-    chip_code_stride: usize,
-    chip_code_base: usize,
+    chip_bytes: usize,
+    code_bytes: usize,
+    /// One stripe's code words, padded to whole lines.
+    code_stride: usize,
+    a_code_off: usize,
     b_data_off: usize,
     b_data_len: usize,
     b_code_off: usize,
@@ -107,23 +136,25 @@ pub(crate) struct RegionMap {
 }
 
 impl RegionMap {
+    /// `stripes` sizes region A's code area only: a block's burst sits
+    /// at the same offset on every tier.
     fn new(layout: &ChipkillLayout, stripes: usize, num_blocks: u64, line_bytes: usize) -> Self {
         let align = |x: usize| x.div_ceil(line_bytes) * line_bytes;
         let chips = layout.total_chips();
-        let chip_data_stride = align(stripes * layout.vlew_data_bytes);
-        let chip_code_stride = align(stripes * layout.vlew_code_bytes);
-        let chip_code_base = chips * chip_data_stride;
-        let b_data_off = chip_code_base + chips * chip_code_stride;
-        let b_data_len = num_blocks as usize * layout.block_bytes;
+        let blocks = num_blocks as usize;
+        let code_stride = align(chips * layout.vlew_code_bytes);
+        let a_code_off = align(blocks * chips * layout.chip_bytes);
+        let b_data_off = a_code_off + stripes * code_stride;
+        let b_data_len = blocks * layout.block_bytes;
         let b_code_off = b_data_off + align(b_data_len);
-        let groups = num_blocks as usize / BLOCKS_PER_GROUP;
+        let groups = blocks / BLOCKS_PER_GROUP;
         let meta_off = b_code_off + align(groups * 33);
         RegionMap {
             chips,
-            line_bytes,
-            chip_data_stride,
-            chip_code_stride,
-            chip_code_base,
+            chip_bytes: layout.chip_bytes,
+            code_bytes: layout.vlew_code_bytes,
+            code_stride,
+            a_code_off,
             b_data_off,
             b_data_len,
             b_code_off,
@@ -132,19 +163,17 @@ impl RegionMap {
         }
     }
 
-    pub(crate) fn chip_data(&self, chip: usize) -> usize {
+    /// Where chip `chip`'s share of block `block` lives: region A's data
+    /// is the sequence of the rank's bursts.
+    pub(crate) fn share(&self, block: usize, chip: usize) -> usize {
         debug_assert!(chip < self.chips);
-        chip * self.chip_data_stride
+        (block * self.chips + chip) * self.chip_bytes
     }
 
-    pub(crate) fn chip_code(&self, chip: usize) -> usize {
+    /// Where chip `chip`'s VLEW code word of stripe `stripe` lives.
+    pub(crate) fn code_word(&self, stripe: usize, chip: usize) -> usize {
         debug_assert!(chip < self.chips);
-        self.chip_code_base + chip * self.chip_code_stride
-    }
-
-    /// Where chip `chip`'s data and code areas live.
-    pub(crate) fn chip_areas(&self, chip: usize) -> (usize, usize) {
-        (self.chip_data(chip), self.chip_code(chip))
+        self.a_code_off + stripe * self.code_stride + chip * self.code_bytes
     }
 
     /// Where the re-striped image's data and code areas live.
@@ -243,6 +272,10 @@ impl MetaLine {
 pub struct PmemDomain {
     pub(crate) media: PersistentMedia,
     pub(crate) map: RegionMap,
+    /// One stripe in image order, gathered from the nine chip stores on
+    /// its way to [`PersistentMedia::stage`]. Grows to the largest
+    /// stripe staged and stays: steady-state flushes do not allocate.
+    gather: Vec<u8>,
     wear_gap: u64,
     wear_start: u64,
 }
@@ -260,6 +293,7 @@ impl PmemDomain {
         PmemDomain {
             media: PersistentMedia::new(map.total_len(), cfg),
             map,
+            gather: Vec::new(),
             wear_gap: 0,
             wear_start: 0,
         }
@@ -395,10 +429,10 @@ fn recovery_outcome(outcome: ReplayOutcome, restriped: bool) -> Response {
     })
 }
 
-/// The staging loop of both base layers: stages the dirty stripes of
+/// The re-striped layout's staging loop: stages the dirty groups of
 /// `store` — whose data and code areas live at `(data_off, code_off)`
-/// on the media — and marks the store clean. A store with every stripe
-/// dirty is the whole-image restage.
+/// on the media, in the store's own order — and marks the store clean.
+/// A store with every group dirty is the whole-image restage.
 fn stage_dirty(
     store: &mut ChipStore,
     layout: &ChipkillLayout,
@@ -429,9 +463,28 @@ fn is_staged(store: &ChipStore, staging: &[u8], (data_off, code_off): (usize, us
         && staging[code_off..code_off + code.len()] == *code
 }
 
+/// Copies one chip's share of a block. A share is 8 B on every tier's
+/// geometry; the fixed-size arm makes that one load and one store where
+/// the slice copy is a `memcpy` call per share (a paper-tier stripe is
+/// 288 of them: 190 ns against 730 ns to gather).
+#[inline]
+fn copy_share(dst: &mut [u8], src: &[u8]) {
+    match (
+        <&mut [u8; 8]>::try_from(&mut *dst),
+        <&[u8; 8]>::try_from(src),
+    ) {
+        (Ok(dst), Ok(src)) => *dst = *src,
+        _ => dst.copy_from_slice(src),
+    }
+}
+
 impl ChipkillMemory {
-    /// Stages the dirty stripes of every chip, plus the metadata line,
-    /// into the media; compare-skip keeps unchanged lines clean.
+    /// Stages every stripe some chip marked dirty, plus the metadata
+    /// line, into the media; compare-skip keeps unchanged lines clean.
+    ///
+    /// The nine stores are chip-major and the image is burst-major, so
+    /// each dirty stripe is gathered into the domain's scratch buffer —
+    /// its bursts, then its nine code words — and staged as two runs.
     pub(crate) fn stage_image(&mut self) {
         let tier = self.config().tier;
         let failed = self.known_failed;
@@ -439,34 +492,83 @@ impl ChipkillMemory {
         let Some(domain) = self.domain.as_mut() else {
             return;
         };
-        for (c, chip) in self.chips.iter_mut().enumerate() {
-            stage_dirty(chip, &layout, &mut domain.media, domain.map.chip_areas(c));
+        let PmemDomain {
+            media, map, gather, ..
+        } = domain;
+        let chips = self.chips.len();
+        let (cb, bpv) = (layout.chip_bytes, layout.blocks_per_vlew());
+        let data_len = bpv * chips * cb;
+        let code_len = chips * layout.vlew_code_bytes;
+        if gather.len() < data_len.max(code_len) {
+            gather.resize(data_len.max(code_len), 0);
+        }
+        for w in 0..self.chips[0].dirty_words().len() {
+            let mut word = self.chips.iter().fold(0, |u, c| u | c.dirty_words()[w]);
+            while word != 0 {
+                let s = w * 64 + word.trailing_zeros() as usize;
+                word &= word - 1;
+                let first = s * bpv;
+                let data_off = map.share(first, 0);
+                for (c, chip) in self.chips.iter().enumerate() {
+                    let shares = chip.vlew_data(s, &layout).chunks_exact(cb);
+                    for (k, share) in shares.enumerate() {
+                        let at = map.share(first + k, c) - data_off;
+                        copy_share(&mut gather[at..at + cb], share);
+                    }
+                }
+                media.stage(data_off, &gather[..data_len]);
+                let code_off = map.code_word(s, 0);
+                for (c, chip) in self.chips.iter().enumerate() {
+                    let at = map.code_word(s, c) - code_off;
+                    let word = chip.vlew_code(s, &layout);
+                    gather[at..at + word.len()].copy_from_slice(word);
+                }
+                media.stage(code_off, &gather[..code_len]);
+            }
+        }
+        for chip in &mut self.chips {
+            chip.mark_clean();
         }
         domain.stage_meta(false, failed, tier);
     }
 
-    /// Whether every chip's staged range equals its live arrays — the
+    /// Whether every chip's staged bytes equal its live arrays — the
     /// module's invariant after a flush. `None` without a domain.
     /// Linear in capacity: for assertions and tests.
     pub(crate) fn staging_matches_live(&self) -> Option<bool> {
         let domain = self.domain.as_ref()?;
-        let staging = domain.media.staging();
-        let mut chips = self.chips.iter().enumerate();
-        Some(chips.all(|(c, chip)| is_staged(chip, staging, domain.map.chip_areas(c))))
+        let (staging, map) = (domain.media.staging(), &domain.map);
+        let (cb, code_bytes) = (self.layout().chip_bytes, self.layout().vlew_code_bytes);
+        Some(self.chips.iter().enumerate().all(|(c, chip)| {
+            let mut shares = chip.data().chunks_exact(cb).enumerate();
+            let mut words = chip.code().chunks_exact(code_bytes).enumerate();
+            shares.all(|(b, share)| staging[map.share(b, c)..][..cb] == *share)
+                && words.all(|(s, word)| staging[map.code_word(s, c)..][..code_bytes] == *word)
+        }))
     }
 
-    /// Rebuilds the live arrays wholesale from the recovered image. The
-    /// EUR registerfile is volatile and comes back empty; the detected
+    /// Rebuilds the live arrays wholesale from the recovered image (the
+    /// scatter that inverts `stage_image`'s gather). The EUR
+    /// registerfile is volatile and comes back empty; the detected
     /// failure is restored from the metadata line (ground-truth injected
     /// failures and disabled-block sets are volatile campaign
     /// bookkeeping and survive untouched).
     pub(crate) fn restore_from_image(&mut self, meta: &MetaLine) {
+        let layout = *self.layout();
+        let (cb, code_bytes) = (layout.chip_bytes, layout.vlew_code_bytes);
         let Some(domain) = self.domain.as_ref() else {
             return;
         };
-        let staging = domain.media.staging();
+        let (staging, map) = (domain.media.staging(), &domain.map);
         for (c, chip) in self.chips.iter_mut().enumerate() {
-            restore(chip, staging, domain.map.chip_areas(c));
+            let (data, code) = chip.arrays_mut();
+            for (b, share) in data.chunks_exact_mut(cb).enumerate() {
+                copy_share(share, &staging[map.share(b, c)..][..cb]);
+            }
+            for (s, word) in code.chunks_exact_mut(code_bytes).enumerate() {
+                word.copy_from_slice(&staging[map.code_word(s, c)..][..code_bytes]);
+            }
+            chip.mark_clean();
         }
         self.eur.clear();
         self.known_failed = meta.failed_chip;
@@ -751,17 +853,54 @@ mod tests {
         rank
     }
 
-    /// The flush body before the dirty set, kept as its oracle: stage
-    /// every live array whole and let compare-skip alone find what
+    /// Where stored byte `k` of chip `chip`'s stripe `stripe` (its VLEW
+    /// data bytes first, its code bytes after them) belongs in the image
+    /// of a rank of `blocks` blocks. The tests' own address function,
+    /// written from the module docs' picture in the paper's numbers: it
+    /// shares nothing with [`RegionMap`] or the gather in `stage_image`.
+    fn image_offset(
+        layout: &ChipkillLayout,
+        blocks: usize,
+        chip: usize,
+        stripe: usize,
+        k: usize,
+    ) -> usize {
+        match k.checked_sub(layout.vlew_data_bytes) {
+            // Burst `block` is 72 B: 8 B from each of the nine chips.
+            None => {
+                let block = stripe * (layout.vlew_data_bytes / 8) + k / 8;
+                block * 72 + chip * 8 + k % 8
+            }
+            // After the bursts, from the next line boundary: five lines
+            // per stripe holding nine 33 B code words.
+            Some(code_byte) => {
+                (blocks * 72).div_ceil(64) * 64 + stripe * 320 + chip * 33 + code_byte
+            }
+        }
+    }
+
+    /// The flush body before the dirty set, kept as its oracle: lay the
+    /// whole of region A out byte by byte through [`image_offset`],
+    /// stage it in one call and let compare-skip alone find what
     /// changed. A `Flush` that follows has nothing left to find, so what
     /// it fences is what restage-at-flush would have fenced.
     fn restage_whole_rank(rank: &mut ChipkillMemory) {
         rank.flush_eur();
-        let domain = rank.domain.as_mut().expect("persistent rank");
+        let layout = *rank.layout();
+        let blocks = rank.num_blocks() as usize;
+        // Region A ends where one more stripe's code words would start.
+        let end = image_offset(&layout, blocks, 0, rank.stripes(), layout.vlew_data_bytes);
+        let mut image = vec![0u8; end];
         for (c, chip) in rank.chips.iter().enumerate() {
-            domain.media.stage(domain.map.chip_data(c), chip.data());
-            domain.media.stage(domain.map.chip_code(c), chip.code());
+            for s in 0..rank.stripes() {
+                let stored = chip.vlew_data(s, &layout).iter();
+                for (k, &byte) in stored.chain(chip.vlew_code(s, &layout)).enumerate() {
+                    image[image_offset(&layout, blocks, c, s, k)] = byte;
+                }
+            }
         }
+        let domain = rank.domain.as_mut().expect("persistent rank");
+        domain.media.stage(0, &image);
     }
 
     /// Writes the tagged pattern into the first 64 blocks.
@@ -799,25 +938,68 @@ mod tests {
     }
 
     #[test]
-    fn region_map_objects_do_not_overlap() {
-        let layout = ChipkillLayout::default();
-        let map = RegionMap::new(&layout, 2, 64, 64);
-        let mut spans: Vec<(usize, usize)> = Vec::new();
-        for c in 0..9 {
-            spans.push((map.chip_data(c), 2 * layout.vlew_data_bytes));
-            spans.push((map.chip_code(c), 2 * layout.vlew_code_bytes));
+    fn region_map_is_a_bijection_on_every_tier() {
+        const BLOCKS: usize = 96;
+        let dense = ChipkillLayout::dense();
+        for tier in ProtectionTier::ALL {
+            let layout = tier.geometry();
+            let (bpv, vdb) = (layout.blocks_per_vlew(), layout.vlew_data_bytes);
+            let stripes = BLOCKS / bpv;
+            // Sized for the rank's own geometry, and as `TieredMemory`
+            // sizes every region: for the dense tier's stripe count.
+            let own = RegionMap::new(&layout, stripes, BLOCKS as u64, 64);
+            let tiered = RegionMap::new(&dense, BLOCKS / 16, BLOCKS as u64, 64);
+            for map in [own, tiered] {
+                let mut owner = vec![None; map.total_len()];
+                let mut claim = |off: usize, who: (&'static str, usize, usize)| {
+                    assert_eq!(owner[off].replace(who), None, "{tier}: {who:?} at {off}");
+                };
+                for c in 0..9 {
+                    for s in 0..stripes {
+                        for k in 0..vdb {
+                            let off = map.share(s * bpv + k / 8, c) + k % 8;
+                            assert_eq!(off, image_offset(&layout, BLOCKS, c, s, k));
+                            claim(off, ("data", c, s));
+                        }
+                        for k in 0..33 {
+                            let off = map.code_word(s, c) + k;
+                            assert_eq!(off, image_offset(&layout, BLOCKS, c, s, vdb + k));
+                            claim(off, ("code", c, s));
+                        }
+                    }
+                }
+                let (b_data, b_code) = map.b_areas();
+                assert_eq!(map.b_data_len(), BLOCKS * 64);
+                for k in 0..BLOCKS * 64 {
+                    claim(b_data + k, ("b-data", 0, 0));
+                }
+                for k in 0..BLOCKS / BLOCKS_PER_GROUP * 33 {
+                    claim(b_code + k, ("b-code", 0, 0));
+                }
+                for k in 0..META_LEN {
+                    claim(map.meta() + k, ("meta", 0, 0));
+                }
+                // Objects start on a line, so no line holds two.
+                for s in 0..stripes {
+                    assert_eq!(map.share(s * bpv, 0) % 64, 0, "{tier}: stripe {s} data");
+                    assert_eq!(map.code_word(s, 0) % 64, 0, "{tier}: stripe {s} code");
+                }
+                for off in [b_data, b_code, map.meta()] {
+                    assert_eq!(off % 64, 0);
+                }
+                for line in owner.chunks_exact(64) {
+                    let mut kinds = line.iter().flatten().map(|&(kind, ..)| kind);
+                    let first = kinds.next();
+                    assert!(
+                        kinds.all(|k| Some(k) == first),
+                        "{tier}: a line holds two areas"
+                    );
+                }
+                // The commit record of a layout flip or a tier change is
+                // the last line a fence persists.
+                assert_eq!(map.meta() + META_LEN, map.total_len());
+            }
         }
-        let (b_data, b_code) = map.b_areas();
-        spans.push((b_data, map.b_data_len()));
-        spans.push((b_code, 16 * 33));
-        spans.push((map.meta(), META_LEN));
-        spans.sort();
-        for w in spans.windows(2) {
-            assert!(w[0].0 + w[0].1 <= w[1].0, "overlap: {w:?}");
-            assert_eq!(w[1].0 % 64, 0, "offset {} not line-aligned", w[1].0);
-        }
-        let (off, len) = *spans.last().unwrap();
-        assert!(off + len <= map.total_len());
     }
 
     #[test]
@@ -1072,8 +1254,8 @@ mod tests {
     fn dirty_set_staging_equals_whole_image_restage_across_a_tier_migration() {
         // What `TieredMemory::migrate_region` does to commit: a fresh
         // engine of the other tier takes the region's image and its
-        // domain (sized, as there, for the dense tier's strides), and
-        // one flush fences the lot.
+        // domain (its code area sized, as there, for the dense tier's
+        // stripes), and one flush fences the lot.
         let migrate = |oracle: bool| {
             let mut rank = ChipkillMemory::new(64, ChipkillConfig::default());
             let dense = ChipkillLayout::dense();
@@ -1102,10 +1284,66 @@ mod tests {
         };
         let ((a, lines_a), (b, lines_b)) = (migrate(false), migrate(true));
         assert_eq!(lines_a, lines_b);
-        // Block 9's line on every chip, the re-encoded code areas, the
-        // tier tag.
-        assert!(matches!(lines_a, Response::Flushed { lines } if lines > 9));
+        // Block 9's burst (2 lines), the re-encoded code area (4 dense
+        // stripes of 5 lines) and the tier tag; the other bursts sit
+        // where they sat and compare equal.
+        assert_eq!(
+            lines_a,
+            Response::Flushed {
+                lines: 2 + 4 * 5 + 1
+            }
+        );
         assert_same_media(&a.domain.unwrap(), &b.domain.unwrap(), "migrated");
+    }
+
+    #[test]
+    fn one_write_fences_a_handful_of_lines_and_every_cut_of_it_is_atomic() {
+        let run = |fuse: Option<u64>| {
+            let mut rank = persistent_rank(64);
+            let mut ctx = AccessContext::new(6);
+            fill(&mut rank);
+            rank.handle_flush(&mut ctx).unwrap();
+            let domain = rank.domain.as_mut().unwrap();
+            let before = domain.steps_taken();
+            if let Some(steps) = fuse {
+                domain.arm_fuse(steps);
+            }
+            rank.write_block(37, &block(0xC7)).unwrap();
+            let flushed = rank.handle_flush(&mut ctx).unwrap();
+            let steps = rank.domain.as_ref().unwrap().steps_taken() - before;
+            (rank, ctx, flushed, steps)
+        };
+        // One 72 B burst straddles two lines; the stripe's nine code
+        // words share five; the metadata line did not change.
+        let (_, _, flushed, steps) = run(None);
+        let Response::Flushed { lines } = flushed else {
+            panic!("unexpected outcome {flushed:?}");
+        };
+        assert!((3..=8).contains(&lines), "fenced {lines} lines");
+        let mut outcomes = [0u32; 2];
+        for cut in 0..=steps {
+            let (mut rank, mut ctx, ..) = run(Some(cut));
+            rank.handle_power_cut().unwrap();
+            rank.handle_recover(&mut ctx).unwrap();
+            let got = rank.read_block(37).unwrap();
+            assert_eq!(
+                got.path,
+                crate::ReadPath::Clean,
+                "cut {cut}: block 37 damaged"
+            );
+            let new = got.data == block(0xC7);
+            assert!(new || got.data == block(37), "cut {cut}: torn block");
+            outcomes[new as usize] += 1;
+            for a in (0..64u64).filter(|&a| a != 37) {
+                assert_eq!(
+                    rank.read_block(a).unwrap().data,
+                    block(a as u8),
+                    "cut {cut}"
+                );
+            }
+            assert!(rank.verify_consistent(), "cut {cut}: codes must match data");
+        }
+        assert!(outcomes[0] > 0 && outcomes[1] > 0, "outcomes {outcomes:?}");
     }
 
     /// The mutation the private arrays rule out: bytes change and the

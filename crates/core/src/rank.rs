@@ -55,9 +55,13 @@ impl DirtySet {
 }
 
 /// One chip's storage: a flat data area (256 B per stripe) and a VLEW code
-/// area (33 B per stripe), mirroring Figure 6's in-row placement. The
-/// §V-E re-striped layout keeps its rank-wide image in one too, its
-/// 4-block groups taking the place of stripes.
+/// area (33 B per stripe) — Figure 6 seen from inside one chip, which is
+/// the view the per-chip VLEW encode and decode need contiguous. The
+/// figure's other axis, the 72 B burst the nine chips return in
+/// lockstep, is the order of the *durable* image: `crate::pmem` gathers
+/// the nine stores into it at every flush. The §V-E re-striped layout
+/// keeps its rank-wide image in one store too, its 4-block groups
+/// taking the place of stripes.
 ///
 /// The arrays are private: every accessor that hands out `&mut` bytes
 /// records the stripe in the store's [`DirtySet`] first, so no mutation
@@ -142,6 +146,13 @@ impl ChipStore {
     /// The dirty stripes, ascending.
     pub fn dirty_stripes(&self) -> impl Iterator<Item = usize> + '_ {
         self.dirty.iter()
+    }
+
+    /// The dirty set as a bitmap, stripe `s` at bit `s % 64` of word
+    /// `s / 64`: what a rank ORs across its chips to stage each stripe
+    /// any of them changed once.
+    pub fn dirty_words(&self) -> &[u64] {
+        &self.dirty.words
     }
 
     /// Declares every stripe unrelated to the staged image: a

@@ -31,10 +31,12 @@
 //! the image — the meta line, not the live state, decides the layout,
 //! exactly like [`crate::Restripeable`] recovery.
 //!
-//! Every region's durable arrays are laid out with the **dense**
-//! geometry's strides (the largest code area of the three tiers), so an
-//! image staged by any tier fits at the same offsets and a migration
-//! never moves durable objects.
+//! A region's durable data area is its blocks' 72 B bursts in address
+//! order, the same on every tier, so a migration leaves it where it is
+//! and its fence logs the re-encoded code area and the meta line. Only
+//! the code area's size depends on the tier — one 320 B slot per stripe
+//! — and every region's is sized for the **dense** geometry, which has
+//! the most stripes.
 
 use pmck_nvram::{FaultKind, RegionRber, WearModel};
 use pmck_pmem::PmemConfig;
@@ -273,9 +275,10 @@ impl TieredMemory {
         &mut self.rber
     }
 
-    /// Installs one persistence domain per region, each sized with the
-    /// dense geometry (the largest strides of the three tiers) so any
-    /// tier's image fits at the same offsets.
+    /// Installs one persistence domain per region, its code area sized
+    /// for the dense geometry's stripe count (the most of the three
+    /// tiers) so any tier's code words fit; the data area is the same
+    /// size and order on every tier.
     pub(crate) fn set_persistent(&mut self, pcfg: PmemConfig) {
         let dense = ChipkillLayout::dense();
         let stripes = (self.region_blocks as usize) / dense.blocks_per_vlew();

@@ -204,7 +204,7 @@ const CRC32_TABLES: [[u32; 256]; 8] = {
 ///
 /// The seal of every intent-log record and of the metadata line. A
 /// fence is little else once staging walks only the dirty stripes
-/// (3.6 KB of record on a typical `Flush`), and recovery re-computes it
+/// (1.2 KB of record on a typical `Flush`), and recovery re-computes it
 /// over the whole live record, so the bit-at-a-time loop this replaced
 /// was most of both; the values are unchanged, so records and meta
 /// lines sealed by it still verify.
@@ -245,32 +245,94 @@ fn read_u64(bytes: &[u8], off: usize) -> u64 {
     u64::from_le_bytes(bytes[off..off + 8].try_into().expect("8 bytes"))
 }
 
-/// Fixed-capacity bitset over line indices.
+/// Fixed-capacity bitset over line indices, with one summary bit per
+/// word: a fence commits a few dozen of the tens of thousands of lines
+/// a rank's media holds, so every walk (`count`, `next_from`,
+/// `move_all_into`, `clear_all`) skips the empty words 64 at a time and
+/// costs the words that hold a member.
 #[derive(Debug, Clone)]
 struct LineSet {
     words: Vec<u64>,
+    /// Bit `w % 64` of `summary[w / 64]` is set exactly when
+    /// `words[w] != 0`.
+    summary: Vec<u64>,
 }
 
 impl LineSet {
     fn new(lines: usize) -> Self {
+        let words = lines.div_ceil(64);
         LineSet {
-            words: vec![0; lines.div_ceil(64)],
+            words: vec![0; words],
+            summary: vec![0; words.div_ceil(64)],
         }
     }
     fn set(&mut self, line: usize) {
-        self.words[line / 64] |= 1 << (line % 64);
+        let w = line / 64;
+        self.words[w] |= 1 << (line % 64);
+        self.summary[w / 64] |= 1 << (w % 64);
     }
     fn clear(&mut self, line: usize) {
-        self.words[line / 64] &= !(1 << (line % 64));
+        let w = line / 64;
+        self.words[w] &= !(1 << (line % 64));
+        if self.words[w] == 0 {
+            self.summary[w / 64] &= !(1 << (w % 64));
+        }
     }
     fn test(&self, line: usize) -> bool {
         self.words[line / 64] & (1 << (line % 64)) != 0
     }
+    /// The first non-empty word at or after word `w`.
+    fn next_word(&self, w: usize) -> Option<usize> {
+        let mut s = w / 64;
+        let mut bits = *self.summary.get(s)? & (u64::MAX << (w % 64));
+        while bits == 0 {
+            s += 1;
+            bits = *self.summary.get(s)?;
+        }
+        Some(s * 64 + bits.trailing_zeros() as usize)
+    }
+    /// The smallest member `>= line`: `next_from(0)`, then
+    /// `next_from(member + 1)`, visits the set in ascending order.
+    fn next_from(&self, line: usize) -> Option<usize> {
+        let w = line / 64;
+        let rest = *self.words.get(w)? & (u64::MAX << (line % 64));
+        if rest != 0 {
+            return Some(w * 64 + rest.trailing_zeros() as usize);
+        }
+        let w = self.next_word(w + 1)?;
+        Some(w * 64 + self.words[w].trailing_zeros() as usize)
+    }
     fn count(&self) -> u64 {
-        self.words.iter().map(|w| w.count_ones() as u64).sum()
+        let mut n = 0;
+        let mut at = 0;
+        while let Some(w) = self.next_word(at) {
+            n += self.words[w].count_ones() as u64;
+            at = w + 1;
+        }
+        n
+    }
+    /// Moves every member into `other`, leaving this set empty; returns
+    /// how many moved (members `other` already held included).
+    fn move_all_into(&mut self, other: &mut LineSet) -> u64 {
+        let mut moved = 0;
+        let mut at = 0;
+        while let Some(w) = self.next_word(at) {
+            moved += self.words[w].count_ones() as u64;
+            other.words[w] |= self.words[w];
+            other.summary[w / 64] |= 1 << (w % 64);
+            self.words[w] = 0;
+            at = w + 1;
+        }
+        self.summary.fill(0);
+        moved
     }
     fn clear_all(&mut self) {
-        self.words.fill(0);
+        let mut at = 0;
+        while let Some(w) = self.next_word(at) {
+            self.words[w] = 0;
+            at = w + 1;
+        }
+        self.summary.fill(0);
     }
 }
 
@@ -456,16 +518,7 @@ impl PersistentMedia {
     /// Moves every cache-dirty line into the WPQ.
     pub fn flush_all(&mut self) -> u64 {
         self.stats.flushes += 1;
-        let mut moved = 0;
-        for w in 0..self.cache.words.len() {
-            let mut word = self.cache.words[w];
-            self.wpq.words[w] |= word;
-            while word != 0 {
-                word &= word - 1;
-                moved += 1;
-            }
-        }
-        self.cache.clear_all();
+        let moved = self.cache.move_all_into(&mut self.wpq);
         self.stats.lines_flushed += moved;
         moved
     }
@@ -484,15 +537,12 @@ impl PersistentMedia {
         push_u64(&mut self.log_buf, LOG_MAGIC);
         push_u64(&mut self.log_buf, self.epoch);
         push_u64(&mut self.log_buf, lines);
-        for w in 0..self.wpq.words.len() {
-            let mut word = self.wpq.words[w];
-            while word != 0 {
-                let line = w * 64 + word.trailing_zeros() as usize;
-                word &= word - 1;
-                push_u64(&mut self.log_buf, (line * lb) as u64);
-                self.log_buf
-                    .extend_from_slice(&self.staging[line * lb..(line + 1) * lb]);
-            }
+        let mut at = 0;
+        while let Some(line) = self.wpq.next_from(at) {
+            push_u64(&mut self.log_buf, (line * lb) as u64);
+            self.log_buf
+                .extend_from_slice(&self.staging[line * lb..(line + 1) * lb]);
+            at = line + 1;
         }
         let crc = crc32(&self.log_buf);
         push_u64(&mut self.log_buf, crc as u64);
@@ -501,13 +551,10 @@ impl PersistentMedia {
         self.stats.log_records += 1;
         self.stats.log_bytes += log_bytes;
         self.persist_log();
-        for w in 0..self.wpq.words.len() {
-            let mut word = self.wpq.words[w];
-            while word != 0 {
-                let line = w * 64 + word.trailing_zeros() as usize;
-                word &= word - 1;
-                self.persist_line(line);
-            }
+        let mut at = 0;
+        while let Some(line) = self.wpq.next_from(at) {
+            self.persist_line(line);
+            at = line + 1;
         }
         self.wpq.clear_all();
         self.epoch += 1;
@@ -522,58 +569,51 @@ impl PersistentMedia {
         report
     }
 
-    /// Consumes one durable chunk-write budget step. Returns `false`
-    /// once the fuse has burned out (the media is dead).
-    fn step_allowed(&mut self) -> bool {
+    /// Takes up to `want` durable chunk-write steps from the fuse and
+    /// returns how many it granted. Asking for more than the fuse holds
+    /// burns it out (the media is dead from the first refused chunk on),
+    /// exactly as asking chunk by chunk would.
+    fn take_steps(&mut self, want: u64) -> u64 {
         if self.dead {
-            return false;
+            return 0;
         }
-        if let Some(remaining) = self.fuse.as_mut() {
-            if *remaining == 0 {
-                self.dead = true;
-                return false;
+        let granted = match self.fuse.as_mut() {
+            None => want,
+            Some(remaining) => {
+                let granted = want.min(*remaining);
+                *remaining -= granted;
+                granted
             }
-            *remaining -= 1;
-        }
-        self.steps_taken += 1;
-        true
+        };
+        self.dead = granted < want;
+        self.steps_taken += granted;
+        granted
     }
 
-    /// Persists the encoded record into the durable log region,
-    /// chunk by chunk.
+    /// Persists the encoded record into the durable log region: the
+    /// prefix of whole chunks the fuse grants.
     fn persist_log(&mut self) {
         let ch = self.cfg.torn_chunk_bytes;
         let len = self.log_buf.len();
-        let mut at = 0;
-        while at < len {
-            if !self.step_allowed() {
-                return;
-            }
-            let n = ch.min(len - at);
-            self.durable[self.log_base + at..self.log_base + at + n]
-                .copy_from_slice(&self.log_buf[at..at + n]);
-            at += n;
-        }
+        let granted = self.take_steps(len.div_ceil(ch) as u64) as usize;
+        let n = (granted * ch).min(len);
+        self.durable[self.log_base..self.log_base + n].copy_from_slice(&self.log_buf[..n]);
     }
 
-    /// Persists one staged line into the durable data region, chunk by
-    /// chunk; a mid-line fuse cut leaves the line torn.
+    /// Persists one staged line into the durable data region: the
+    /// prefix of chunks the fuse grants, so a mid-line fuse cut leaves
+    /// the line torn.
     fn persist_line(&mut self, line: usize) {
         let lb = self.cfg.line_bytes;
         let ch = self.cfg.torn_chunk_bytes;
         let base = line * lb;
-        let mut written = 0;
-        while written < lb {
-            if !self.step_allowed() {
-                if written > 0 {
-                    self.stats.torn_lines += 1;
-                }
-                return;
-            }
-            self.durable[base + written..base + written + ch]
-                .copy_from_slice(&self.staging[base + written..base + written + ch]);
-            written += ch;
+        let chunks = (lb / ch) as u64;
+        let granted = self.take_steps(chunks);
+        if granted > 0 && granted < chunks {
+            self.stats.torn_lines += 1;
         }
+        let n = granted as usize * ch;
+        self.durable[base..base + n].copy_from_slice(&self.staging[base..base + n]);
     }
 
     /// Arms the crash fuse: the next `steps` durable chunk writes
@@ -653,7 +693,8 @@ impl PersistentMedia {
         // cannot half-apply.
         for i in 0..count as usize {
             let off = read_u64(log, LOG_HEADER + i * (8 + lb));
-            if !off.is_multiple_of(lb as u64) || off + lb as u64 > self.data_len as u64 {
+            // No `off + lb`: a hostile offset near `u64::MAX` would wrap it.
+            if !off.is_multiple_of(lb as u64) || off > (self.data_len - lb) as u64 {
                 return Err(MediaError::TornEntry { offset: off });
             }
         }
@@ -742,17 +783,21 @@ mod tests {
         assert_eq!(crc32(b""), 0);
     }
 
-    #[test]
-    fn crc32_tables_match_the_bitwise_reference() {
-        // splitmix64: the crate has no dependencies to borrow an RNG from.
-        let mut state = 0xC3C3_2020u64;
-        let mut next = move || {
+    /// splitmix64: the crate has no dependencies to borrow an RNG from.
+    fn splitmix(seed: u64) -> impl FnMut() -> u64 {
+        let mut state = seed;
+        move || {
             state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
             let mut z = state;
             z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
             z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
             z ^ (z >> 31)
-        };
+        }
+    }
+
+    #[test]
+    fn crc32_tables_match_the_bitwise_reference() {
+        let mut next = splitmix(0xC3C3_2020);
         let buf: Vec<u8> = (0..(64 << 10) / 8 + 1)
             .flat_map(|_| next().to_le_bytes())
             .collect();
@@ -1036,5 +1081,247 @@ mod tests {
         cut_and_recover(&mut m);
         assert_eq!(m.staging()[128], 2, "flushed+fenced line survives");
         assert_eq!(m.staging()[0], 0, "cache-only line does not");
+    }
+
+    /// The members, ascending, of the `Vec<bool>` a [`LineSet`] is checked
+    /// against.
+    fn members(naive: &[bool]) -> Vec<usize> {
+        (0..naive.len()).filter(|&l| naive[l]).collect()
+    }
+
+    fn ascending(set: &LineSet) -> Vec<usize> {
+        let mut out = Vec::new();
+        let mut at = 0;
+        while let Some(line) = set.next_from(at) {
+            out.push(line);
+            at = line + 1;
+        }
+        out
+    }
+
+    #[test]
+    fn summarised_line_set_matches_a_naive_one() {
+        // 3 full summary words and a ragged tail; lines past the first
+        // summary word, at word and summary-word boundaries.
+        const LINES: usize = 64 * 64 * 3 + 64 * 5 + 17;
+        let mut next = splitmix(0x11E5);
+        let mut m = PersistentMedia::new(LINES * 64, PmemConfig::default());
+        let (mut cache, mut wpq) = (vec![false; LINES], vec![false; LINES]);
+        let pick = |next: &mut dyn FnMut() -> u64| match next() % 8 {
+            0 => [0, 63, 64, 4095, 4096, LINES - 1][(next() % 6) as usize],
+            1..=3 => 8_000 + (next() % 200) as usize,
+            _ => (next() % LINES as u64) as usize,
+        };
+        for step in 0..6_000 {
+            match next() % 100 {
+                0..=59 => {
+                    let line = pick(&mut next);
+                    m.cache.set(line);
+                    cache[line] = true;
+                }
+                60..=74 => {
+                    let line = pick(&mut next);
+                    m.cache.clear(line);
+                    cache[line] = false;
+                }
+                75..=89 => {
+                    let (line, n) = (pick(&mut next), 1 + (next() % 130) as usize);
+                    let end = (line + n).min(LINES);
+                    let want = (line..end).filter(|&l| cache[l]).count() as u64;
+                    assert_eq!(m.flush_range(line * 64, (end - line) * 64), want);
+                    for l in line..end {
+                        wpq[l] |= std::mem::take(&mut cache[l]);
+                    }
+                }
+                90..=95 => {
+                    let want = members(&cache).len() as u64;
+                    assert_eq!(m.flush_all(), want, "step {step}");
+                    for l in 0..LINES {
+                        wpq[l] |= std::mem::take(&mut cache[l]);
+                    }
+                }
+                _ => {
+                    m.wpq.clear_all();
+                    wpq.fill(false);
+                }
+            }
+            if step % 16 == 0 {
+                for (set, naive) in [(&m.cache, &cache), (&m.wpq, &wpq)] {
+                    assert_eq!(ascending(set), members(naive), "step {step}");
+                    assert_eq!(set.count(), members(naive).len() as u64, "step {step}");
+                    let line = pick(&mut next);
+                    assert_eq!(set.test(line), naive[line], "step {step}");
+                }
+            }
+        }
+        m.cache.clear_all();
+        assert_eq!((m.cache.count(), m.cache.next_from(0)), (0, None));
+    }
+
+    /// The persist loops [`PersistentMedia::persist_log`] and
+    /// [`PersistentMedia::persist_line`] replaced, kept as their
+    /// reference: one fuse step per chunk, one chunk per copy.
+    impl PersistentMedia {
+        fn step_allowed(&mut self) -> bool {
+            if self.dead {
+                return false;
+            }
+            if let Some(remaining) = self.fuse.as_mut() {
+                if *remaining == 0 {
+                    self.dead = true;
+                    return false;
+                }
+                *remaining -= 1;
+            }
+            self.steps_taken += 1;
+            true
+        }
+
+        fn persist_chunked(&mut self, record: &[u8], lines: &[usize]) {
+            let ch = self.cfg.torn_chunk_bytes;
+            let mut at = 0;
+            while at < record.len() && self.step_allowed() {
+                let n = ch.min(record.len() - at);
+                self.durable[self.log_base + at..self.log_base + at + n]
+                    .copy_from_slice(&record[at..at + n]);
+                at += n;
+            }
+            for &line in lines {
+                let base = line * self.cfg.line_bytes;
+                let mut written = 0;
+                while written < self.cfg.line_bytes {
+                    if !self.step_allowed() {
+                        self.stats.torn_lines += (written > 0) as u64;
+                        break;
+                    }
+                    self.durable[base + written..base + written + ch]
+                        .copy_from_slice(&self.staging[base + written..base + written + ch]);
+                    written += ch;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn budgeted_persist_equals_chunk_at_a_time_at_every_fuse_value() {
+        const LINES: [usize; 3] = [1, 4, 6];
+        let staged = |chunk: usize| {
+            let cfg = PmemConfig {
+                line_bytes: 64,
+                torn_chunk_bytes: chunk,
+            };
+            let mut m = PersistentMedia::new(8 * 64, cfg);
+            for line in 0..8 {
+                m.write(line * 64, &[0x10 + line as u8; 64]);
+            }
+            m.drain();
+            let mut next = splitmix(0xF0CE);
+            for line in LINES {
+                let bytes: Vec<u8> = (0..8).flat_map(|_| next().to_le_bytes()).collect();
+                m.write(line * 64, &bytes);
+            }
+            m
+        };
+        for chunk in [8, 16, 64] {
+            let mut whole = staged(chunk);
+            let before = whole.steps_taken();
+            whole.drain();
+            let steps = whole.steps_taken() - before;
+            assert_eq!(
+                steps,
+                (whole.log_buf.len().div_ceil(chunk) + 3 * 64 / chunk) as u64
+            );
+            // Past the last step too: a fuse the fence does not exhaust.
+            for fuse in 0..=steps + 1 {
+                let (mut new, mut old) = (staged(chunk), staged(chunk));
+                new.arm_fuse(fuse);
+                old.arm_fuse(fuse);
+                new.drain();
+                old.persist_chunked(&whole.log_buf, &LINES);
+                let what = format!("chunk {chunk}, fuse {fuse} of {steps}");
+                assert!(new.durable == old.durable, "{what}: durable bytes");
+                assert_eq!(new.steps_taken(), old.steps_taken(), "{what}");
+                assert_eq!(new.stats().torn_lines, old.stats().torn_lines, "{what}");
+                assert_eq!(new.is_dead(), old.is_dead(), "{what}");
+                assert_eq!(new.is_dead(), fuse < steps, "{what}");
+                assert_eq!(new.fuse, old.fuse, "{what}: steps left on the fuse");
+            }
+        }
+    }
+
+    #[test]
+    fn sealed_records_with_hostile_words_never_panic() {
+        let mut m = media(4);
+        let data_len = m.data_len() as u64;
+        let capacity = m.lines() as u64;
+        let hostile = [
+            u64::MAX - 63,
+            u64::MAX,
+            u64::MAX - 127,
+            data_len,
+            data_len - 64,
+            data_len - 63,
+            data_len + 64,
+            1 << 63,
+            7,
+            0,
+        ];
+        let mut next = splitmix(0xBAD5EA1);
+        let mut verdicts = [0u32; 3];
+        for case in 0..2_000 {
+            let entries = next() % (capacity + 1);
+            let count = match next() % 6 {
+                0 => capacity + 1,
+                1 => capacity - 1,
+                2 => capacity,
+                _ => entries,
+            };
+            let mut rec = Vec::new();
+            push_u64(&mut rec, LOG_MAGIC);
+            push_u64(&mut rec, next());
+            push_u64(&mut rec, count);
+            for _ in 0..count.min(capacity) {
+                let off = match next() % 3 {
+                    0 => hostile[(next() % hostile.len() as u64) as usize],
+                    _ => (next() % capacity) * 64,
+                };
+                push_u64(&mut rec, off);
+                rec.extend_from_slice(&[case as u8; 64]);
+            }
+            let crc = crc32(&rec);
+            push_u64(&mut rec, crc as u64);
+            m.scar_log(0, &rec);
+            m.power_cut();
+            // Any verdict is acceptable; unwinding out of `recover` is not.
+            match m.recover() {
+                Ok(_) => verdicts[0] += 1,
+                Err(MediaError::TornEntry { offset }) => {
+                    assert!(offset % 64 != 0 || offset > data_len - 64);
+                    verdicts[1] += 1;
+                }
+                Err(MediaError::UnsealedRecord { count, .. }) => {
+                    assert_eq!(count, capacity + 1);
+                    verdicts[2] += 1;
+                }
+            }
+        }
+        assert!(verdicts.iter().all(|&n| n > 100), "verdicts {verdicts:?}");
+        // The offset that used to wrap the bounds check, on its own.
+        let mut rec = Vec::new();
+        push_u64(&mut rec, LOG_MAGIC);
+        push_u64(&mut rec, 0);
+        push_u64(&mut rec, 1);
+        push_u64(&mut rec, u64::MAX - 63);
+        rec.extend_from_slice(&[0xEE; 64]);
+        let crc = crc32(&rec);
+        push_u64(&mut rec, crc as u64);
+        m.scar_log(0, &rec);
+        m.power_cut();
+        assert_eq!(
+            m.recover(),
+            Err(MediaError::TornEntry {
+                offset: u64::MAX - 63
+            })
+        );
     }
 }

@@ -1,6 +1,9 @@
 //! BCH code construction: cyclotomic cosets, minimal polynomials, and the
 //! generator polynomial.
 
+use std::collections::HashMap;
+use std::sync::{Arc, LazyLock, Mutex, Weak};
+
 use pmck_gf::{BitPoly, FieldPoly, Gf2m};
 
 use crate::chien::ChienPlan;
@@ -33,18 +36,36 @@ use crate::syndrome::SyndromePlan;
 /// ```
 #[derive(Debug, Clone)]
 pub struct BchCode {
-    pub(crate) field: Gf2m,
     pub(crate) t: usize,
     pub(crate) k: usize,
     pub(crate) r: usize,
+    /// Everything derived from `(m, t, k)`, shared by every live code
+    /// of that geometry: a clone is a reference-count bump, and the nine
+    /// chips of a rank, the nodes of a cluster and the regions of a
+    /// tiered stack carry one copy between them.
+    pub(crate) tables: Arc<CodeTables>,
+}
+
+/// What [`BchCode::new`] derives from a geometry.
+#[derive(Debug)]
+pub(crate) struct CodeTables {
+    pub(crate) field: Gf2m,
     pub(crate) generator: BitPoly,
-    /// Per-data-bit parity rows: the one encode kernel.
-    pub(crate) parity_table: ParityTable,
-    /// Byte-sliced syndrome evaluation plan (the decode hot-path kernel).
+    /// The nibble table: the one encode kernel.
+    pub(crate) parity: ParityTable,
+    /// Byte-sliced syndrome evaluation plan.
     pub(crate) plan: SyndromePlan,
     /// Bit-sliced Chien search plan (64 candidate positions per step).
     pub(crate) chien: ChienPlan,
 }
+
+/// A geometry, `(m, t, k)`.
+type Geometry = (u32, usize, usize);
+
+/// The live tables by geometry. Entries are weak: a geometry's tables
+/// are freed with its last code and rebuilt by the next one.
+static INTERNED: LazyLock<Mutex<HashMap<Geometry, Weak<CodeTables>>>> =
+    LazyLock::new(Mutex::default);
 
 impl BchCode {
     /// Constructs a `t`-error-correcting BCH code over GF(2^m) with `k`
@@ -60,26 +81,30 @@ impl BchCode {
         if t == 0 {
             return Err(BchError::ZeroCorrectionCapability);
         }
-        let field = Gf2m::new(m).map_err(|_| BchError::UnsupportedField(m))?;
-        let generator = generator_poly(&field, t);
-        let r = generator.degree().expect("generator is nonzero");
-        let natural = field.order() as usize;
-        if k + r > natural {
-            return Err(BchError::CodeTooLong(k + r, natural));
-        }
-        let parity_table = ParityTable::new(&generator, r, k);
-        let plan = SyndromePlan::new(&field, t);
-        let chien = ChienPlan::new(&field, t, k + r);
-        Ok(BchCode {
-            field,
-            t,
-            k,
-            r,
-            generator,
-            parity_table,
-            plan,
-            chien,
-        })
+        let key = (m, t, k);
+        let interned = || {
+            INTERNED
+                .lock()
+                .expect("no panic while the table map is held")
+        };
+        let live = interned().get(&key).and_then(Weak::upgrade);
+        let tables = match live {
+            Some(tables) => tables,
+            None => {
+                // Built outside the lock: two threads racing on a new
+                // geometry both build, and the second adopts the first's.
+                let built = Arc::new(CodeTables::build(m, t, k)?);
+                let mut map = interned();
+                map.retain(|_, tables| tables.strong_count() > 0);
+                let slot = map.entry(key).or_default();
+                slot.upgrade().unwrap_or_else(|| {
+                    *slot = Arc::downgrade(&built);
+                    built
+                })
+            }
+        };
+        let r = tables.generator.degree().expect("generator is nonzero");
+        Ok(BchCode { t, k, r, tables })
     }
 
     /// The paper's VLEW code: t=22 over GF(2^12) protecting 256 B
@@ -139,12 +164,31 @@ impl BchCode {
 
     /// The underlying field GF(2^m).
     pub fn field(&self) -> &Gf2m {
-        &self.field
+        &self.tables.field
     }
 
     /// The generator polynomial g(x) over GF(2).
     pub fn generator(&self) -> &BitPoly {
-        &self.generator
+        &self.tables.generator
+    }
+}
+
+impl CodeTables {
+    fn build(m: u32, t: usize, k: usize) -> Result<Self, BchError> {
+        let field = Gf2m::new(m).map_err(|_| BchError::UnsupportedField(m))?;
+        let generator = generator_poly(&field, t);
+        let r = generator.degree().expect("generator is nonzero");
+        let natural = field.order() as usize;
+        if k + r > natural {
+            return Err(BchError::CodeTooLong(k + r, natural));
+        }
+        Ok(CodeTables {
+            parity: ParityTable::new(&generator, r, k),
+            plan: SyndromePlan::new(&field, t),
+            chien: ChienPlan::new(&field, t, k + r),
+            field,
+            generator,
+        })
     }
 }
 
@@ -249,6 +293,43 @@ mod tests {
             assert_eq!(code.parity_bits(), 13 * t);
             assert_eq!(code.data_bits(), 4096);
         }
+    }
+
+    #[test]
+    fn codes_of_one_geometry_share_their_tables() {
+        // Geometries no other test constructs: tests share the process.
+        let a = BchCode::new(7, 3, 40).unwrap();
+        let b = BchCode::new(7, 3, 40).unwrap();
+        assert!(Arc::ptr_eq(&a.tables, &b.tables));
+        assert!(Arc::ptr_eq(&a.tables, &a.clone().tables));
+        let other = BchCode::new(7, 3, 44).unwrap();
+        assert!(!Arc::ptr_eq(&a.tables, &other.tables));
+        // The map keeps no table alive past its last code, and the next
+        // code of the geometry is built whole.
+        let tables = Arc::downgrade(&a.tables);
+        drop((a, b));
+        assert!(tables.upgrade().is_none());
+        let again = BchCode::new(7, 3, 40).unwrap();
+        assert!(again.is_codeword(&again.encode(&BitPoly::from_u64(0xAB_CDEF_0123, 40))));
+    }
+
+    #[test]
+    fn racing_constructions_converge_on_one_table() {
+        let start = std::sync::Barrier::new(4);
+        let codes: Vec<BchCode> = std::thread::scope(|s| {
+            let racers: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        BchCode::new(7, 4, 52).unwrap()
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        assert!(codes
+            .iter()
+            .all(|c| Arc::ptr_eq(&c.tables, &codes[0].tables)));
     }
 
     #[test]

@@ -9,6 +9,11 @@
 //! [`BchCode::decode_word`] takes a [`DecodePolicy`] and returns the
 //! [`WordVerdict`] a scrub or fallback read stores per chip.
 //!
+//! No decode walks the stored word: the syndromes come from the `r`-bit
+//! difference between the stored code bits and the re-encoded data
+//! ([`BchCode::syndromes_into`]), so a clean word costs one encode and
+//! a 33-byte compare.
+//!
 //! Correction is verified without re-reducing the whole word: a decode
 //! proposing flips at positions `P` is valid iff the syndromes of the
 //! error pattern match the received syndromes (`S_j(e) == S_j(r)` for
@@ -138,7 +143,7 @@ impl BchScratch {
             sigma: vec![0; t2 + 1],
             bm_b: vec![0; t2 + 1],
             bm_saved: vec![0; t2 + 1],
-            acc: vec![0; code.chien.acc_len()],
+            acc: vec![0; code.tables.chien.acc_len()],
             positions: Vec::with_capacity(code.t + 1),
             candidate: Vec::with_capacity(code.t + 1),
             trial: vec![0; t2],
@@ -215,21 +220,53 @@ impl BchCode {
         }
     }
 
-    /// Computes the 2t syndromes `S_j = r(alpha^j)`, `j = 1..=2t`, into
-    /// `out` (`out[j-1] = S_j`) without allocating. Returns `true` when
-    /// every syndrome is zero, i.e. the word is already a codeword.
+    /// Computes the 2t syndromes `S_j = w(alpha^j)`, `j = 1..=2t`, of
+    /// the stored word `w` into `out` (`out[j-1] = S_j`). Returns `true`
+    /// when every syndrome is zero, i.e. the word is already a codeword.
     ///
-    /// Runs the byte-sliced kernel (reduce mod the minimal polynomial of
-    /// `alpha^j`, then evaluate the short remainder) and exploits the
-    /// binary-code identity `S_{2j} = S_j^2`: only odd syndromes are
-    /// evaluated directly.
+    /// The word is `w(x) = d(x)·x^r + c(x)`: data over stored code bits.
+    /// Re-encoding the data gives `p(x) = d(x)·x^r mod g(x)`, so
+    /// `w ≡ ρ (mod g)` with `ρ = p ⊕ c`, `r` bits wide, and since every
+    /// `alpha^j`, `j ≤ 2t`, is a root of `g`, `S_j(w) = ρ(alpha^j)`
+    /// exactly. `ρ = 0` is the clean exit — an encode and a compare of
+    /// the code bits. Otherwise the byte-sliced kernel (reduce mod the
+    /// minimal polynomial of `alpha^j`, evaluate the short remainder,
+    /// square for the even syndromes) runs over `ρ`'s limbs instead of
+    /// the word's: 33 bytes instead of 289 for the VLEW.
+    ///
+    /// Allocation-free for codes of up to 1024 parity bits, which is
+    /// every code this workspace constructs.
     ///
     /// # Panics
     ///
     /// Panics if `word` is not `n` bits long or `out.len() != 2t`.
     pub fn syndromes_into(&self, word: &BitPoly, out: &mut [u32]) -> bool {
         assert_eq!(word.len(), self.len(), "codeword length mismatch");
-        self.plan.syndromes_into(&self.field, word, out)
+        assert_eq!(out.len(), 2 * self.t, "syndrome buffer length mismatch");
+        let limbs = self.parity_limbs();
+        let (mut on_stack, mut on_heap) = ([0u64; 16], Vec::new());
+        let rho = match on_stack.get_mut(..limbs) {
+            Some(rho) => rho,
+            None => {
+                on_heap.resize(limbs, 0);
+                &mut on_heap[..]
+            }
+        };
+        self.tables.parity.fold_stored(word.limbs(), self.r, rho);
+        for (p, c) in rho.iter_mut().zip(word.limbs()) {
+            *p ^= c;
+        }
+        // The top code limb's high bits are the first data bits.
+        if !self.r.is_multiple_of(64) {
+            rho[limbs - 1] &= (1 << (self.r % 64)) - 1;
+        }
+        if rho.iter().all(|&limb| limb == 0) {
+            out.fill(0);
+            return true;
+        }
+        self.tables
+            .plan
+            .syndromes_into(&self.tables.field, rho, out)
     }
 
     /// The bounded-distance decode engine. On `Ok(())` the word has been
@@ -250,8 +287,8 @@ impl BchCode {
         if deg == 0 || deg > self.t {
             return Err(BchError::Uncorrectable);
         }
-        let found = self.chien.search(
-            &self.field,
+        let found = self.tables.chien.search(
+            &self.tables.field,
             &scratch.sigma[..=deg],
             &mut scratch.acc,
             &mut scratch.positions,
@@ -285,7 +322,7 @@ impl BchCode {
         word: &mut BitPoly,
         scratch: &mut BchScratch,
     ) -> Result<(), BchError> {
-        let f = &self.field;
+        let f = &self.tables.field;
         let t2 = 2 * self.t;
         scratch.candidate.clear();
         scratch.xj.fill(1); // α^{j·0} for every odd j
@@ -353,8 +390,8 @@ impl BchCode {
             return false;
         }
         scratch.positions.clear();
-        let found = self.chien.search(
-            &self.field,
+        let found = self.tables.chien.search(
+            &self.tables.field,
             &scratch.sigma[..=deg],
             &mut scratch.acc,
             &mut scratch.positions,
@@ -383,7 +420,7 @@ impl BchCode {
     /// codeword membership of the flipped word, at a fraction of the
     /// cost.
     fn error_syndromes_match(&self, positions: &[usize], synd: &[u32], esynd: &mut [u32]) -> bool {
-        let f = &self.field;
+        let f = &self.tables.field;
         let t2 = 2 * self.t;
         for j in (1..=t2 as u64).step_by(2) {
             let mut acc = 0u32;
@@ -403,7 +440,7 @@ impl BchCode {
     /// and returning its degree. Allocation-free: the iteration's save
     /// buffer is swapped, not cloned.
     fn berlekamp_massey_into(&self, scratch: &mut BchScratch) -> usize {
-        let f = &self.field;
+        let f = &self.tables.field;
         let BchScratch {
             synd: s,
             sigma,
@@ -458,12 +495,108 @@ impl BchCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pmck_rt::rng::{Rng, StdRng};
 
     // The seeded randomized properties (historical seeds 42, 7, 99, 1)
     // live in `tests/props.rs` on the harness runner with shrinking and
     // corpus replay; the differential campaigns against the PGZ oracle
     // live in `crates/harness/tests/differential.rs`. Only
     // deterministic/exhaustive checks remain inline.
+
+    /// The reference the remainder shortcut is held to: the plan's
+    /// chains over every limb of the stored word.
+    fn word_length_syndromes(code: &BchCode, word: &BitPoly) -> Vec<u32> {
+        let mut s = vec![0; 2 * code.t()];
+        code.tables
+            .plan
+            .syndromes_into(code.field(), word.limbs(), &mut s);
+        s
+    }
+
+    #[test]
+    fn remainder_syndromes_equal_the_word_length_walk() {
+        // 110 k seeded words over the VLEW geometries, the baseline and
+        // small codes with derived syndromes (6, 13, 10), k % 4 ≠ 0
+        // (9, 4, 299; 4, 4, 1) and r = 64 (8, 8, 64). Five classes per
+        // code: clean; errors in code cells only; in data only; in both,
+        // within t; beyond t. Errorful words then go through the
+        // decoder, which must leave the received syndromes in
+        // `scratch.synd` — every seventh at t + 1 errors under
+        // `BeyondBound`, where the list decoder reads them back after
+        // the bounded reject.
+        let mut rng = StdRng::seed_from_u64(0x24);
+        let mut words = 0;
+        for ((m, t, k), cases) in [
+            ((12, 22, 2048), 10_000),
+            ((12, 22, 1024), 5_000),
+            ((10, 14, 512), 15_000),
+            ((8, 3, 64), 25_000),
+            ((6, 13, 10), 20_000),
+            ((9, 4, 299), 20_000),
+            ((8, 8, 64), 10_000),
+            ((4, 4, 1), 5_000),
+        ] {
+            let code = BchCode::new(m, t, k).unwrap();
+            let (r, n) = (code.parity_bits(), code.len());
+            let mut scratch = BchScratch::new(&code);
+            let mut got = vec![0; 2 * t];
+            for case in 0..cases {
+                let mut data = BitPoly::zero(k);
+                for i in 0..k {
+                    data.set(i, rng.next_u64() & 1 != 0);
+                }
+                let clean = code.encode(&data);
+                let mut word = clean.clone();
+                let list_decoded = case % 7 == 6;
+                let (lo, hi, weight) = match case % 5 {
+                    _ if list_decoded => (0, n, t + 1),
+                    0 => (0, n, 0),
+                    1 => (0, r, rng.gen_range(1..=t.min(r))),
+                    2 => (r, n, rng.gen_range(1..=t.min(k))),
+                    3 => (0, n, rng.gen_range(1..=t)),
+                    _ => (0, n, rng.gen_range(t + 1..=(2 * t + 2).min(n))),
+                };
+                let mut flipped = 0;
+                while flipped < weight {
+                    let p = rng.gen_range(lo..hi);
+                    if word.get(p) == clean.get(p) {
+                        word.flip(p);
+                        flipped += 1;
+                    }
+                }
+                let want = word_length_syndromes(&code, &word);
+                let is_clean = code.syndromes_into(&word, &mut got);
+                assert_eq!(got, want, "({m},{t},{k}) case {case}");
+                assert_eq!(is_clean, weight == 0, "({m},{t},{k}) case {case}");
+                assert_eq!(is_clean, code.is_codeword(&word));
+                // The VLEW's list decode is ~n Berlekamp–Massey runs:
+                // a few of them, not thousands.
+                if weight > 0 && !(list_decoded && k >= 1024 && case > 100) {
+                    let policy = if list_decoded {
+                        DecodePolicy::BeyondBound
+                    } else {
+                        DecodePolicy::Bounded
+                    };
+                    let received = word.clone();
+                    let verdict = code.decode_word(&mut word, policy, &mut scratch);
+                    assert_eq!(scratch.synd, want, "({m},{t},{k}) case {case}");
+                    match verdict {
+                        WordVerdict::Corrected { .. } => {
+                            assert!(code.is_codeword(&word));
+                            assert!(weight > t || word == clean);
+                        }
+                        WordVerdict::Uncorrectable => {
+                            assert!(weight > t, "({m},{t},{k}) case {case}: within radius");
+                            assert_eq!(word, received);
+                        }
+                        WordVerdict::Clean => panic!("an errorful word read as clean"),
+                    }
+                }
+                words += 1;
+            }
+        }
+        assert!(words >= 100_000);
+    }
 
     #[test]
     fn clean_word_decodes_with_no_corrections() {

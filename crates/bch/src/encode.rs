@@ -1,32 +1,46 @@
-//! Systematic BCH encoding: one position table, one kernel.
+//! Systematic BCH encoding: one nibble table, one kernel.
 //!
 //! Encoding is linear over GF(2), so the parity of a word is the XOR of
-//! the parities of its set bits. [`ParityTable`] holds the parity of
-//! every unit vector — row `i` is `x^(r+i) mod g(x)` — and every encode
-//! entry point XORs the rows its input selects. The cost is proportional
-//! to the input's popcount, which is exactly the sparsity the paper's
-//! §V-D write path relies on: a 64 B block write changes 8 B of each
-//! chip's 256 B VLEW, so its code-bit update touches at most 64 rows.
+//! the parities of its pieces. [`ParityTable`] holds the parity of every
+//! value of every aligned 4-bit piece of the data — entry `(q, v)` is
+//! `v(x)·x^(r+4q) mod g(x)` — and every encode entry point XORs one
+//! entry per nibble of its input: sixteen lookups for the 64 changed
+//! bits of one chip's share of a block write (the paper's `f(sum)`,
+//! §V-D), 512 for a whole 256 B VLEW.
 
 use pmck_gf::BitPoly;
 
 use crate::code::BchCode;
 
-/// The encoder's position table: for every data bit `i`, the `r` parity
-/// bits of the unit vector `e_i`, i.e. `x^(r+i) mod g(x)`, packed into
-/// `⌈r/64⌉` little-endian `u64` limbs (VLEW: 2048 rows × 5 limbs =
-/// 80 KiB).
+/// The encoder's nibble table.
+///
+/// Entry `(q, v)`, for nibble index `q < ⌈k/4⌉` and nibble value
+/// `v < 16`, is the `r` parity bits of the data word that is zero but
+/// for `v` at data bits `4q..4q+4`: `v(x)·x^(r+4q) mod g(x)`, packed
+/// into `⌈r/64⌉` little-endian `u64` limbs at
+/// `entries[(16q + v)·limbs..]`. The VLEW's table is 512 × 16 × 5 limbs
+/// = 320 KiB, four times the 80 KiB of one row per data *bit* it
+/// replaced, and buys a 64-bit delta in 16 lookups where the rows took
+/// one XOR per set bit (~32). A byte table for full words alone (256 × 5
+/// limbs, CRC-style) would be smaller still but cannot serve a delta in
+/// the middle of the word, so it is not kept beside this one
+/// (DESIGN.md §24).
+///
+/// When `k` is not a multiple of four the last nibble's high bits lie
+/// past the data; their entries are the same polynomial expression and
+/// no input selects them.
 #[derive(Debug, Clone)]
 pub(crate) struct ParityTable {
     limbs: usize,
-    rows: Vec<u64>,
+    entries: Vec<u64>,
 }
 
 impl ParityTable {
-    /// Builds the `k` rows with one multiply-by-`x` LFSR step per row:
-    /// row 0 is `x^r mod g` — `g` without its leading term — and row
-    /// `i + 1` is row `i` shifted up one bit, reduced by `g` when the
-    /// shift carries out of bit `r − 1`.
+    /// Builds the table from the position rows `x^(r+i) mod g`, one
+    /// multiply-by-`x` LFSR step each: row 0 is `g` without its leading
+    /// term, and row `i + 1` is row `i` shifted up one bit, reduced by
+    /// `g` when the shift carries out of bit `r − 1`. Row `4q + b`
+    /// completes the entries of nibble `q` whose top set bit is `b`.
     pub(crate) fn new(generator: &BitPoly, r: usize, k: usize) -> Self {
         debug_assert_eq!(generator.degree(), Some(r));
         let limbs = r.div_ceil(64);
@@ -35,61 +49,99 @@ impl ParityTable {
         // g(x) − x^r: what a carry out of the register folds back in.
         let mut g_low = generator.limbs()[..limbs].to_vec();
         g_low[top] &= (top_bit << 1).wrapping_sub(1);
-        let mut rows = Vec::with_capacity(k * limbs);
-        let mut reg = g_low.clone();
-        for _ in 0..k {
-            rows.extend_from_slice(&reg);
-            let carry_out = reg[top] & top_bit != 0;
-            reg[top] &= !top_bit;
-            let mut carry = 0;
-            for limb in reg.iter_mut() {
-                let next = *limb >> 63;
-                *limb = (*limb << 1) | carry;
-                carry = next;
-            }
-            if carry_out {
-                for (limb, g) in reg.iter_mut().zip(&g_low) {
-                    *limb ^= g;
+        let mut entries = vec![0u64; k.div_ceil(4) * 16 * limbs];
+        let mut row = g_low.clone();
+        for nibble in entries.chunks_exact_mut(16 * limbs) {
+            for b in 0..4 {
+                for v in (1 << b)..(2 << b) {
+                    let (below, from_v) = nibble.split_at_mut(v * limbs);
+                    let without_b = &below[(v ^ (1 << b)) * limbs..][..limbs];
+                    for ((e, w), x) in from_v.iter_mut().zip(without_b).zip(&row) {
+                        *e = w ^ x;
+                    }
+                }
+                let carry_out = row[top] & top_bit != 0;
+                row[top] &= !top_bit;
+                let mut carry = 0;
+                for limb in row.iter_mut() {
+                    let next = *limb >> 63;
+                    *limb = (*limb << 1) | carry;
+                    carry = next;
+                }
+                if carry_out {
+                    for (limb, g) in row.iter_mut().zip(&g_low) {
+                        *limb ^= g;
+                    }
                 }
             }
         }
-        ParityTable { limbs, rows }
+        ParityTable { limbs, entries }
     }
 
-    /// XORs into `acc` the row of every set bit of `word`, whose bit 0
-    /// is data bit `base`.
+    /// XORs into `acc` the parity of `word`, whose bit 0 is data bit
+    /// `base` (a multiple of four) and whose set bits all lie inside
+    /// the data.
     #[inline]
     fn fold_word(&self, base: usize, mut word: u64, acc: &mut [u64]) {
-        // The VLEW's five-limb rows take the fixed-width instance of
-        // this loop: with the width a constant the row XOR unrolls and
-        // the accumulator stays in registers, which halves the cost per
-        // set bit (98 → 54 ns on a 64-bit delta).
-        if let Ok(acc) = <&mut [u64; 5]>::try_from(&mut *acc) {
-            return self.fold_word_fixed(base, word, acc);
+        debug_assert_eq!(base % 4, 0);
+        debug_assert_eq!(acc.len(), self.limbs);
+        if word == 0 {
+            return;
         }
-        while word != 0 {
-            let at = (base + word.trailing_zeros() as usize) * self.limbs;
-            for (a, r) in acc.iter_mut().zip(&self.rows[at..at + self.limbs]) {
-                *a ^= r;
+        // The VLEW's five-limb entries take the fixed-width instance of
+        // this loop: with the width and the trip count constants the
+        // sixteen entry XORs unroll and the accumulator stays in
+        // registers.
+        if let Ok(acc) = <&mut [u64; 5]>::try_from(&mut *acc) {
+            if self.fold_word_fixed(base, word, acc) {
+                return;
             }
-            word &= word - 1;
+        }
+        let mut at = base / 4 * 16;
+        while word != 0 {
+            let entry = (at + (word & 15) as usize) * self.limbs;
+            for (a, e) in acc.iter_mut().zip(&self.entries[entry..entry + self.limbs]) {
+                *a ^= e;
+            }
+            word >>= 4;
+            at += 16;
         }
     }
 
-    /// [`ParityTable::fold_word`] for rows of exactly `N` limbs.
+    /// [`ParityTable::fold_word`] for entries of exactly `N` limbs and
+    /// a word whose sixteen nibbles are all in the table; returns
+    /// `false`, having done nothing, when they are not (the last word
+    /// of a `k` that is not a multiple of 64).
     #[inline]
-    fn fold_word_fixed<const N: usize>(&self, base: usize, mut word: u64, acc: &mut [u64; N]) {
+    fn fold_word_fixed<const N: usize>(&self, base: usize, word: u64, acc: &mut [u64; N]) -> bool {
         debug_assert_eq!(self.limbs, N);
-        while word != 0 {
-            let at = (base + word.trailing_zeros() as usize) * N;
-            let row: &[u64; N] = self.rows[at..at + N].try_into().expect("N limbs");
-            // Indexed on purpose: the zipped-iterator form of this XOR
-            // measures at the generic loop's speed.
-            #[allow(clippy::needless_range_loop)]
-            for i in 0..N {
-                acc[i] ^= row[i];
+        let (entries, _) = self.entries.as_chunks::<N>();
+        let Some(nibbles) = entries
+            .get(base / 4 * 16..)
+            .and_then(|from| from.first_chunk::<256>())
+        else {
+            return false;
+        };
+        for (q, of_nibble) in nibbles.as_chunks::<16>().0.iter().enumerate() {
+            let entry = &of_nibble[(word >> (4 * q)) as usize & 15];
+            for (a, e) in acc.iter_mut().zip(entry) {
+                *a ^= e;
             }
-            word &= word - 1;
+        }
+        true
+    }
+
+    /// XORs into `acc` the parity of the `k` data bits stored from bit
+    /// `at` of `limbs` on — a [`BitPoly`]'s limbs, with nothing set at
+    /// or past bit `at + k`.
+    pub(crate) fn fold_stored(&self, limbs: &[u64], at: usize, acc: &mut [u64]) {
+        let (first, shift) = (at / 64, at % 64);
+        for (i, &limb) in limbs[first..].iter().enumerate() {
+            let above = match limbs.get(first + i + 1) {
+                Some(&next) if shift != 0 => next << (64 - shift),
+                _ => 0,
+            };
+            self.fold_word(i * 64, (limb >> shift) | above, acc);
         }
     }
 }
@@ -98,7 +150,7 @@ impl BchCode {
     /// Number of `u64` limbs the allocation-free encode entries write:
     /// `⌈parity_bits / 64⌉` (5 for the VLEW's 264 code bits).
     pub fn parity_limbs(&self) -> usize {
-        self.parity_table.limbs
+        self.tables.parity.limbs
     }
 
     /// The sparse encode entry — the paper's `f(sum)` (§V-D): writes to
@@ -106,7 +158,9 @@ impl BchCode {
     /// `delta_bytes`, laid at data bit `bit_offset` in little-endian bit
     /// order (as [`BitPoly::from_bytes`]). By linearity that is the
     /// code-bit update of a write whose `old ⊕ new` is `delta_bytes`.
-    /// Allocation-free; cost is proportional to the delta's popcount.
+    /// Allocation-free; one table lookup per nibble of the delta (and
+    /// one more when `bit_offset` is not a multiple of four and the
+    /// delta is shifted up to the next nibble boundary).
     ///
     /// `out` receives the parity bits as little-endian limbs (bit `i` of
     /// the parity is bit `i % 64` of `out[i / 64]`).
@@ -123,12 +177,23 @@ impl BchCode {
             self.k
         );
         out.fill(0);
-        for (i, chunk) in delta_bytes.chunks(8).enumerate() {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.parity_table
-                .fold_word(bit_offset + i * 64, u64::from_le_bytes(word), out);
+        // The table is indexed by aligned nibbles: a delta at an odd bit
+        // offset is shifted up to the boundary below it, the bits each
+        // word loses off its top carried into the next.
+        let shift = bit_offset % 4;
+        let mut base = bit_offset - shift;
+        let mut carry = 0;
+        for chunk in delta_bytes.chunks(8) {
+            let mut bytes = [0u8; 8];
+            bytes[..chunk.len()].copy_from_slice(chunk);
+            let word = u64::from_le_bytes(bytes);
+            self.tables
+                .parity
+                .fold_word(base, (word << shift) | carry, out);
+            carry = if shift == 0 { 0 } else { word >> (64 - shift) };
+            base += 64;
         }
+        self.tables.parity.fold_word(base, carry, out);
     }
 
     /// The whole-word encode entry on bytes: writes to `out` the parity
@@ -179,7 +244,7 @@ impl BchCode {
     /// bitwise sum of old and new data through this function to obtain the
     /// code-bit update directly. Hot paths use the allocation-free
     /// [`BchCode::parity_delta_into`] / [`BchCode::parity_bytes_into`];
-    /// all three run on the same position table.
+    /// all three run on the same nibble table.
     ///
     /// # Panics
     ///
@@ -187,9 +252,7 @@ impl BchCode {
     pub fn parity(&self, data: &BitPoly) -> BitPoly {
         assert_eq!(data.len(), self.k, "data must have exactly {} bits", self.k);
         let mut acc = vec![0u64; self.parity_limbs()];
-        for (i, &limb) in data.limbs().iter().enumerate() {
-            self.parity_table.fold_word(i * 64, limb, &mut acc);
-        }
+        self.tables.parity.fold_stored(data.limbs(), 0, &mut acc);
         BitPoly::from_limbs(acc, self.r)
     }
 
@@ -200,13 +263,14 @@ impl BchCode {
     /// Panics if `cw.len() != self.len()`.
     pub fn is_codeword(&self, cw: &BitPoly) -> bool {
         assert_eq!(cw.len(), self.len(), "codeword length mismatch");
-        cw.rem(&self.generator).is_zero()
+        cw.rem(&self.tables.generator).is_zero()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pmck_rt::rng::StdRng;
 
     /// The encoder this crate shipped before the table: bit-serial
     /// division of `data(x) · x^r` by `g(x)`. Kept as the reference the
@@ -222,17 +286,44 @@ mod tests {
         parity
     }
 
-    /// The first data bit whose unit vector the table encodes
-    /// differently from the division reference. Encoding is linear, so
-    /// `None` proves the two encoders agree on every input.
-    fn first_divergent_unit_vector(code: &BchCode) -> Option<usize> {
-        let mut e = BitPoly::zero(code.data_bits());
-        (0..code.data_bits()).find(|&i| {
-            e.set(i, true);
-            let diverges = code.parity(&e) != parity_by_division(code, &e);
-            e.set(i, false);
-            diverges
-        })
+    /// `x^(r+i) mod g` by bit-serial division: the reference for one
+    /// position row.
+    fn position_row_by_division(generator: &BitPoly, r: usize, i: usize) -> Vec<u64> {
+        let mut unit = BitPoly::zero(r + i + 1);
+        unit.set(r + i, true);
+        let mut row = unit.rem(generator).limbs().to_vec();
+        row.resize(r.div_ceil(64), 0);
+        row
+    }
+
+    /// The first table entry `(q, v)` that is not the XOR of the
+    /// division reference's position rows `4q + b` over the set bits
+    /// `b` of `v`. Division is linear, so that XOR is
+    /// `v(x)·x^(r+4q) mod g` by the reference, and `None` proves every
+    /// entry — the ones no input selects included.
+    fn first_divergent_entry(
+        table: &ParityTable,
+        generator: &BitPoly,
+        r: usize,
+    ) -> Option<(usize, usize)> {
+        let limbs = table.limbs;
+        for (q, nibble) in table.entries.chunks_exact(16 * limbs).enumerate() {
+            let rows: Vec<_> = (0..4)
+                .map(|b| position_row_by_division(generator, r, 4 * q + b))
+                .collect();
+            for (v, entry) in nibble.chunks_exact(limbs).enumerate() {
+                let mut want = vec![0u64; limbs];
+                for b in (0..4).filter(|b| v >> b & 1 != 0) {
+                    for (w, x) in want.iter_mut().zip(&rows[b]) {
+                        *w ^= x;
+                    }
+                }
+                if entry != want {
+                    return Some((q, v));
+                }
+            }
+        }
+        None
     }
 
     /// Every code the workspace constructs.
@@ -245,10 +336,11 @@ mod tests {
             ("flash512 t=24", BchCode::flash512(24).unwrap()),
             ("flash512 t=41", BchCode::flash512(41).unwrap()),
         ];
-        // The small codes of the unit, property and differential tests,
-        // then three the workspace does not construct, for the widths it
-        // leaves out: r = 64 (a register that ends on a limb boundary),
-        // r = 68 (two limbs) and k = 1.
+        // The small codes of the unit, property and differential tests
+        // (k % 4 of 0, 1, 2 and 3 among them), then three the workspace
+        // does not construct, for the widths it leaves out: r = 64 (a
+        // register that ends on a limb boundary), r = 68 (two limbs) and
+        // k = 1.
         for (m, t, k) in [
             (4, 2, 7),
             (4, 3, 5),
@@ -273,28 +365,69 @@ mod tests {
     }
 
     #[test]
-    fn table_equals_division_on_every_unit_vector_of_every_code() {
+    fn every_table_entry_equals_division_on_every_code() {
+        let mut parity_widths = Vec::new();
         for (name, code) in workspace_codes() {
+            let table = &code.tables.parity;
             assert_eq!(
-                first_divergent_unit_vector(&code),
+                table.entries.len(),
+                code.data_bits().div_ceil(4) * 16 * table.limbs,
+                "{name}: one entry per value of every nibble"
+            );
+            assert_eq!(
+                first_divergent_entry(table, code.generator(), code.parity_bits()),
                 None,
                 "{name}: t={} k={} r={}",
                 code.t(),
                 code.data_bits(),
                 code.parity_bits()
             );
+            parity_widths.push(code.parity_bits());
         }
+        assert!(parity_widths.contains(&64) && parity_widths.contains(&68));
     }
 
     #[test]
     fn corrupted_table_row_is_caught() {
-        // Mutation check on the proof above: one flipped bit in one row
-        // must surface as exactly that row's unit vector.
-        for (row, limb, bit) in [(0usize, 0usize, 0u32), (1031, 4, 7), (2047, 2, 63)] {
-            let mut code = BchCode::vlew();
-            let limbs = code.parity_limbs();
-            code.parity_table.rows[row * limbs + limb] ^= 1 << bit;
-            assert_eq!(first_divergent_unit_vector(&code), Some(row));
+        // Mutation check on the proof above: one flipped bit in one
+        // entry must surface as exactly that entry.
+        let code = BchCode::vlew();
+        let (g, r) = (code.generator(), code.parity_bits());
+        for (q, v, limb, bit) in [
+            (0usize, 1usize, 0usize, 0u32),
+            (257, 9, 4, 7),
+            (511, 15, 2, 63),
+        ] {
+            let mut table = code.tables.parity.clone();
+            table.entries[(q * 16 + v) * table.limbs + limb] ^= 1 << bit;
+            assert_eq!(first_divergent_entry(&table, g, r), Some((q, v)));
+        }
+        // The zero entries too: the fixed-width kernel XORs entry 0 of
+        // a zero nibble in rather than branch on it.
+        let mut table = code.tables.parity.clone();
+        table.entries[300 * 16 * table.limbs] ^= 1;
+        assert_eq!(first_divergent_entry(&table, g, r), Some((300, 0)));
+    }
+
+    #[test]
+    fn whole_word_entries_equal_division_on_every_code() {
+        // The table proof covers entries; this covers the walks over
+        // them (word boundaries, the ragged last word of a k that is
+        // not a multiple of 64) on dense seeded data.
+        let mut rng = StdRng::seed_from_u64(24);
+        for (name, code) in workspace_codes() {
+            for _ in 0..4 {
+                let mut data = BitPoly::zero(code.data_bits());
+                for i in 0..code.data_bits() {
+                    data.set(i, rng.next_u64() & 1 != 0);
+                }
+                assert_eq!(
+                    code.parity(&data),
+                    parity_by_division(&code, &data),
+                    "{name}: k={}",
+                    code.data_bits()
+                );
+            }
         }
     }
 
@@ -308,18 +441,44 @@ mod tests {
         assert_eq!(got, want.limbs());
         assert_eq!(want, parity_by_division(&code, &BitPoly::from_bytes(&data)));
 
-        // The sparse entry at every 8 B offset, and at an odd bit
-        // offset with a ragged length, against the same delta spliced
-        // into a zero word. `got` is deliberately left dirty between
-        // calls: the entry overwrites, it does not accumulate.
+        // The sparse entry at every 8 B offset against the same delta
+        // spliced into a zero word. `got` is deliberately left dirty
+        // between calls: the entry overwrites, it does not accumulate.
         let delta = [
-            0x80u8, 0x01, 0xFF, 0x00, 0x5A, 0xC3, 0x10, 0x08, 0x77, 0x01, 0xFE,
+            0x80u8, 0x01, 0xFF, 0x00, 0x5A, 0xC3, 0x10, 0x08, 0x77, 0x01, 0xFE, 0x3C, 0x00, 0x00,
+            0x91, 0xE7, 0x81,
         ];
-        for (bit_offset, len) in (0..32).map(|off| (off * 64, 8)).chain([(1957, 11), (3, 1)]) {
+        let spliced = |code: &BchCode, bit_offset: usize, len: usize| {
             let mut word = BitPoly::zero(code.data_bits());
             word.splice(bit_offset, &BitPoly::from_bytes(&delta[..len]));
-            code.parity_delta_into(bit_offset, &delta[..len], &mut got);
-            assert_eq!(got, code.parity(&word).limbs(), "offset {bit_offset}");
+            code.parity(&word)
+        };
+        for bit_offset in (0..32).map(|off| off * 64) {
+            code.parity_delta_into(bit_offset, &delta[..8], &mut got);
+            assert_eq!(
+                got,
+                spliced(&code, bit_offset, 8).limbs(),
+                "offset {bit_offset}"
+            );
+        }
+        // Every alignment of the delta against the table's nibbles and
+        // the kernel's 64-bit words, ragged lengths on both sides of a
+        // word, up against the end of the data — on the VLEW and on a
+        // code whose last nibble and last word are both partial.
+        for code in [code, BchCode::new(9, 4, 299).unwrap()] {
+            let k = code.data_bits();
+            let mut got = vec![u64::MAX; code.parity_limbs()];
+            for len in [1, 2, 7, 8, 9, 11, 16, 17] {
+                let last = k - len * 8;
+                for bit_offset in (0..=70).chain(last - 5..=last) {
+                    code.parity_delta_into(bit_offset, &delta[..len], &mut got);
+                    assert_eq!(
+                        got,
+                        spliced(&code, bit_offset, len).limbs(),
+                        "k {k}, offset {bit_offset}, {len} bytes"
+                    );
+                }
+            }
         }
     }
 

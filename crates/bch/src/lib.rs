@@ -4,9 +4,11 @@
 //! (VLEWs): a `t`-error-correcting BCH code over GF(2^m) spends
 //! `t·(⌊log2(k)⌋+1)` code bits to protect `k` data bits. This crate builds
 //! shortened systematic BCH codes for arbitrary `(m, t, k)` within
-//! `k + t·m ≤ 2^m − 1`, encodes by XORing rows of a per-data-bit parity
-//! table (cost proportional to the input's popcount), and decodes via
-//! syndrome computation, Berlekamp–Massey, and Chien search.
+//! `k + t·m ≤ 2^m − 1`, encodes by XORing one entry of a nibble table
+//! per four data bits, and decodes via syndromes of the difference
+//! between the stored and the re-encoded code bits (a clean word is an
+//! encode and a compare), Berlekamp–Massey, and Chien search. Codes of
+//! one `(m, t, k)` share their tables.
 //!
 //! Instances used by the reproduction:
 //!

@@ -12,6 +12,13 @@
 //! the VLEW — independent of error weight, with even syndromes still
 //! derived by squaring (`S_2j = S_j²`).
 //!
+//! The decoder does not walk the stored word at all: it re-encodes the
+//! data part, XORs the result with the stored code bits, and hands this
+//! kernel the difference ρ — `r` bits, 33 bytes for the VLEW — whose
+//! syndromes are the word's (see `BchCode::syndromes_into`). The kernel
+//! itself takes any polynomial as limbs; its walk over a whole word
+//! survives as the reference the tests compare that shortcut against.
+//!
 //! Each reduction chain is serially dependent (every table step needs the
 //! previous remainder), so a single chain leaves the core mostly idle.
 //! The kernel therefore walks the word once per *group of four* direct
@@ -19,7 +26,7 @@
 //! loads and XORs of the four chains overlap in the pipeline, recovering
 //! most of the latency the dependence chain would otherwise serialize.
 
-use pmck_gf::{BitPoly, FieldPoly, Gf2m};
+use pmck_gf::{FieldPoly, Gf2m};
 
 /// How one odd syndrome `S_j` is computed.
 #[derive(Clone)]
@@ -166,15 +173,20 @@ impl SyndromePlan {
         2 * self.t
     }
 
-    /// Evaluates all `2t` syndromes of `word` into `out`
-    /// (`out[j-1] = S_j`). Returns `true` when every syndrome is zero,
-    /// i.e. the word is a codeword.
+    /// Evaluates at `α^1..α^2t` the binary polynomial whose coefficients
+    /// are the bits of `limbs`, little-endian (a `BitPoly`'s limbs), into
+    /// `out` (`out[j-1] = S_j`). Returns `true` when every value is
+    /// zero, i.e. the generator divides the polynomial.
     ///
     /// # Panics
     ///
     /// Panics if `out.len() != 2t`.
-    pub fn syndromes_into(&self, field: &Gf2m, word: &BitPoly, out: &mut [u32]) -> bool {
+    pub fn syndromes_into(&self, field: &Gf2m, limbs: &[u64], out: &mut [u32]) -> bool {
         assert_eq!(out.len(), 2 * self.t, "syndrome buffer length mismatch");
+        // Leading zero bytes leave every remainder at zero: start each
+        // chain at the polynomial's top nonzero byte.
+        let top = limbs.iter().rposition(|&limb| limb != 0);
+        let bytes = top.map_or(0, |i| i * 8 + 8 - limbs[i].leading_zeros() as usize / 8);
         let mut nonzero = 0u32;
         // Direct odds first, four interleaved reduction chains per limb
         // walk; the last partial group narrows the interleave width.
@@ -183,10 +195,10 @@ impl SyndromePlan {
             let n = chunk.len().min(4);
             let (head, rest) = chunk.split_at(n);
             match n {
-                4 => self.reduce_group::<4>(head, word, out, &mut nonzero),
-                3 => self.reduce_group::<3>(head, word, out, &mut nonzero),
-                2 => self.reduce_group::<2>(head, word, out, &mut nonzero),
-                _ => self.reduce_group::<1>(head, word, out, &mut nonzero),
+                4 => self.reduce_group::<4>(head, limbs, bytes, out, &mut nonzero),
+                3 => self.reduce_group::<3>(head, limbs, bytes, out, &mut nonzero),
+                2 => self.reduce_group::<2>(head, limbs, bytes, out, &mut nonzero),
+                _ => self.reduce_group::<1>(head, limbs, bytes, out, &mut nonzero),
             }
             chunk = rest;
         }
@@ -212,12 +224,13 @@ impl SyndromePlan {
     }
 
     /// Runs `N` direct reduction chains (`idxs`, indices into `odd`) over
-    /// one pass of the word's limbs, then evaluates each remainder and
-    /// stores `out[2·idx] = S_{2·idx+1}`.
+    /// one pass of the low `bytes` bytes of `limbs`, then evaluates each
+    /// remainder and stores `out[2·idx] = S_{2·idx+1}`.
     fn reduce_group<const N: usize>(
         &self,
         idxs: &[usize],
-        word: &BitPoly,
+        limbs: &[u64],
+        bytes: usize,
         out: &mut [u32],
         nonzero: &mut u32,
     ) {
@@ -239,22 +252,14 @@ impl SyndromePlan {
                 }
                 OddSyndrome::Derived { .. } => unreachable!("direct index at a derived entry"),
             });
-        // Consume the word's limbs eight bits per step, most significant
-        // byte first; bits at or beyond `len` in the top limb are
-        // guaranteed zero, so whole limbs can be eaten without masking.
+        // Consume the polynomial eight bits per step, most significant
+        // byte first.
         let mut rem = [0u32; N];
-        for &limb in word.limbs().iter().rev() {
-            let mut shift = 56u32;
-            loop {
-                let byte = ((limb >> shift) & 0xFF) as u32;
-                for (r, &(d, mask, table, _)) in rem.iter_mut().zip(&parts) {
-                    let t = (*r << 8) | byte;
-                    *r = (t & mask) ^ table[((t >> d) & 0xFF) as usize];
-                }
-                if shift == 0 {
-                    break;
-                }
-                shift -= 8;
+        for i in (0..bytes).rev() {
+            let byte = ((limbs[i / 8] >> (i % 8 * 8)) & 0xFF) as u32;
+            for (r, &(d, mask, table, _)) in rem.iter_mut().zip(&parts) {
+                let t = (*r << 8) | byte;
+                *r = (t & mask) ^ table[((t >> d) & 0xFF) as usize];
             }
         }
         // Evaluate each d-bit remainder at its alpha^j.
@@ -275,6 +280,7 @@ impl SyndromePlan {
 mod tests {
     use super::*;
     use crate::code::BchCode;
+    use pmck_gf::BitPoly;
     use pmck_rt::rng::StdRng;
 
     /// The naive reference kernel: alpha_pow per set bit.
@@ -314,7 +320,7 @@ mod tests {
         for _ in 0..20 {
             let w = random_word(&mut rng, code.len());
             let mut s = vec![0u32; plan.count()];
-            let clean = plan.syndromes_into(code.field(), &w, &mut s);
+            let clean = plan.syndromes_into(code.field(), w.limbs(), &mut s);
             let reference = slow_syndromes(&code, &w);
             assert_eq!(s, reference);
             assert_eq!(clean, reference.iter().all(|&x| x == 0));
@@ -329,11 +335,11 @@ mod tests {
         let data = random_word(&mut rng, code.data_bits());
         let cw = code.encode(&data);
         let mut s = vec![0u32; plan.count()];
-        assert!(plan.syndromes_into(code.field(), &cw, &mut s));
+        assert!(plan.syndromes_into(code.field(), cw.limbs(), &mut s));
         assert!(s.iter().all(|&x| x == 0));
         let mut dirty = cw.clone();
         dirty.flip(1234);
-        assert!(!plan.syndromes_into(code.field(), &dirty, &mut s));
+        assert!(!plan.syndromes_into(code.field(), dirty.limbs(), &mut s));
     }
 
     #[test]
@@ -347,7 +353,7 @@ mod tests {
             for _ in 0..10 {
                 let w = random_word(&mut rng, code.len());
                 let mut s = vec![0u32; plan.count()];
-                plan.syndromes_into(code.field(), &w, &mut s);
+                plan.syndromes_into(code.field(), w.limbs(), &mut s);
                 assert_eq!(s, slow_syndromes(&code, &w), "m={m} t={t}");
             }
         }
@@ -369,7 +375,7 @@ mod tests {
         for _ in 0..10 {
             let w = random_word(&mut rng, code.len());
             let mut s = vec![0u32; plan.count()];
-            plan.syndromes_into(code.field(), &w, &mut s);
+            plan.syndromes_into(code.field(), w.limbs(), &mut s);
             assert_eq!(s, slow_syndromes(&code, &w));
         }
     }

@@ -260,8 +260,10 @@ fn bch_scenarios(cfg: &Config, rows: &mut Vec<Json>) {
         }));
     }
     if wants(cfg, "bch/syndromes_sliced") {
-        // The allocation-free sliced kernel on a dirty word (clean words
-        // cost the same — the kernel is weight-independent).
+        // A dirty word: the re-encode of `bch/syndromes_clean` plus the
+        // sliced chains over the 33-byte difference. (Until
+        // BENCH_PR23.json the chains walked the whole word and a clean
+        // one cost the same.)
         let mut dirty = clean.clone();
         dirty.flip(17);
         dirty.flip(1031);
@@ -269,6 +271,22 @@ fn bch_scenarios(cfg: &Config, rows: &mut Vec<Json>) {
         rows.push(scenario(cfg, "bch/syndromes_sliced", 256, || {
             code.syndromes_into(std::hint::black_box(&dirty), &mut s)
         }));
+    }
+    if wants(cfg, "bch/syndromes_errorful") {
+        // What a boot scrub meets at RBER 1e-3: three errors, one of
+        // them in the code cells, so the difference the chains walk is
+        // dense from its top byte down.
+        let mut aged = clean.clone();
+        for p in [200, 264 + 911, 264 + 2040] {
+            aged.flip(p);
+        }
+        let mut s = vec![0u32; 2 * code.t()];
+        rows.push(alloc_free_scenario(
+            cfg,
+            "bch/syndromes_errorful",
+            256,
+            || code.syndromes_into(std::hint::black_box(&aged), &mut s),
+        ));
     }
     if wants(cfg, "bch/decode_clean") {
         // The scrub fast path: syndrome check on an error-free word
@@ -598,6 +616,28 @@ fn readpath_scenarios(cfg: &Config, rows: &mut Vec<Json>) {
             stack.write_sum(a, &sum).expect("in range")
         }));
     }
+    if wants(cfg, "writepath/bitwise_sum_scattered") {
+        // The row above walks 256 blocks in order with one sum, so its
+        // table entries, stripes and EUR registers stay in L1. This one
+        // is the write `benchmark/`'s write_mix issues: a device of the
+        // benchmark's size, random addresses, a different dense sum
+        // each time. (It reads ~15% above the in-order row: most of what
+        // a write costs in situ is the stack around the engine.)
+        let mut stack = filled_stack_of(16 << 10, |b| b, 0.0);
+        let mut rng = StdRng::seed_from_u64(24);
+        let ops: Vec<(u64, [u8; 64])> = (0..1024)
+            .map(|_| {
+                let mut sum = [0u8; 64];
+                rng.fill_bytes(&mut sum[..]);
+                (rng.gen_range(0..stack.num_blocks()), sum)
+            })
+            .collect();
+        let mut i = 0;
+        rows.push(scenario(cfg, "writepath/bitwise_sum_scattered", 64, || {
+            i = (i + 1) % ops.len();
+            stack.write_sum(ops[i].0, &ops[i].1).expect("in range")
+        }));
+    }
     if wants(cfg, "stack/full_pipeline_read") {
         // The whole middleware chain: wear-level remap + auto patrol on
         // top of the chipkill base — the per-access composition overhead
@@ -607,6 +647,18 @@ fn readpath_scenarios(cfg: &Config, rows: &mut Vec<Json>) {
         rows.push(scenario(cfg, "stack/full_pipeline_read", 64, || {
             a = (a + 1) % stack.num_blocks();
             stack.submit(&Request::Read(a)).expect("clean")
+        }));
+    }
+}
+
+/// `iocrc/*`: the Write-CRC link's checksum over one 64 B payload; a
+/// transfer computes it twice (sender and receiver).
+fn iocrc_scenarios(cfg: &Config, rows: &mut Vec<Json>) {
+    if wants(cfg, "iocrc/crc16_64B") {
+        let mut payload = [0u8; 64];
+        StdRng::seed_from_u64(24).fill_bytes(&mut payload[..]);
+        rows.push(alloc_free_scenario(cfg, "iocrc/crc16_64B", 64, || {
+            pmck_core::crc16(std::hint::black_box(&payload))
         }));
     }
 }
@@ -1093,6 +1145,7 @@ fn main() {
     bch_scenarios(&cfg, &mut rows);
     rs_scenarios(&cfg, &mut rows);
     readpath_scenarios(&cfg, &mut rows);
+    iocrc_scenarios(&cfg, &mut rows);
     tier_scenarios(&cfg, &mut rows);
     pmem_scenarios(&cfg, &mut rows);
     service_scenarios(&cfg, &mut rows);

@@ -140,6 +140,58 @@ impl Experiment {
     }
 }
 
+/// The rows by which two renderings of `EXPERIMENTS.md` differ, as
+/// `-`/`+` lines under the heading of the section they sit in; empty
+/// when the documents are byte-identical. Sections are matched by
+/// heading and their lines compared in order, so a row that moved in
+/// its last digit prints as one pair, and a section one side lacks as
+/// one line rather than as everything after it.
+pub fn differing_rows(committed: &str, regenerated: &str) -> Vec<String> {
+    fn sections(doc: &str) -> Vec<(&str, Vec<&str>)> {
+        let mut out = vec![("(preamble)", Vec::new())];
+        for line in doc.lines() {
+            if line.starts_with('#') {
+                out.push((line, Vec::new()));
+            } else {
+                out.last_mut().expect("starts non-empty").1.push(line);
+            }
+        }
+        out
+    }
+    let mut diff = Vec::new();
+    if committed == regenerated {
+        return diff;
+    }
+    let (old, new) = (sections(committed), sections(regenerated));
+    for (heading, new_lines) in &new {
+        let Some((_, old_lines)) = old.iter().find(|(h, _)| h == heading) else {
+            diff.push(format!("+ {heading}  (section not in the committed file)"));
+            continue;
+        };
+        let before = diff.len();
+        for i in 0..old_lines.len().max(new_lines.len()) {
+            let (was, is) = (old_lines.get(i), new_lines.get(i));
+            if was != is {
+                diff.extend(was.map(|l| format!("- {l}")));
+                diff.extend(is.map(|l| format!("+ {l}")));
+            }
+        }
+        if diff.len() > before {
+            diff.insert(before, format!("@@ {heading}"));
+        }
+    }
+    for (heading, _) in &old {
+        if !new.iter().any(|(h, _)| h == heading) {
+            diff.push(format!("- {heading}  (section no longer generated)"));
+        }
+    }
+    if diff.is_empty() {
+        // Same rows, different bytes: section order or line endings.
+        diff.push("(sections reordered or whitespace changed)".into());
+    }
+    diff
+}
+
 /// Formats a fraction as a percentage with `digits` decimals.
 pub fn pct(x: f64, digits: usize) -> String {
     format!("{:.digits$}%", x * 100.0)
@@ -162,6 +214,53 @@ mod tests {
         assert!(md.contains("| a | 1% | 1.1% |"));
         assert!(md.contains("> shape matches"));
         e.print();
+    }
+
+    #[test]
+    fn differing_rows_names_the_rows_and_the_sections() {
+        let mut a = Experiment::new("figA", "first");
+        a.row("x", "1%", "1.1%").row("y", "2%", "2.2%");
+        let mut b = Experiment::new("figB", "second");
+        b.row("z", "3%", "3.3%").note("holds");
+        let committed = format!("# T\n\n{}{}", a.to_markdown(), b.to_markdown());
+        assert!(differing_rows(&committed, &committed).is_empty());
+
+        // One row moves: one pair under its section's heading.
+        a.rows[1].measured = "2.3%".into();
+        let moved = format!("# T\n\n{}{}", a.to_markdown(), b.to_markdown());
+        assert_eq!(
+            differing_rows(&committed, &moved),
+            [
+                "@@ ### `figA` — first",
+                "- | y | 2% | 2.2% |",
+                "+ | y | 2% | 2.3% |"
+            ]
+        );
+
+        // A section appears, one disappears, a row is added: each is
+        // reported once and the unchanged section not at all.
+        let c = Experiment::new("figC", "third");
+        b.row("w", "4%", "4.4%");
+        let reshaped = format!("# T\n\n{}{}", b.to_markdown(), c.to_markdown());
+        let diff = differing_rows(&committed, &reshaped);
+        assert!(
+            diff.contains(&"+ | w | 4% | 4.4% |".to_string()),
+            "{diff:?}"
+        );
+        assert!(
+            diff.iter().any(|l| l.starts_with("+ ### `figC`")),
+            "{diff:?}"
+        );
+        assert!(
+            diff.iter().any(|l| l.starts_with("- ### `figA`")),
+            "{diff:?}"
+        );
+        assert!(!diff.iter().any(|l| l.contains("| z |")), "{diff:?}");
+
+        // Byte differences that are not row differences still fail.
+        let swapped = format!("# T\n\n{}{}", b.to_markdown(), a.to_markdown());
+        let unswapped = format!("# T\n\n{}{}", a.to_markdown(), b.to_markdown());
+        assert_eq!(differing_rows(&unswapped, &swapped).len(), 1);
     }
 
     #[test]

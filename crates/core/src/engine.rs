@@ -161,14 +161,15 @@ impl ChipkillMemory {
             (72, CHIPS),
             "engine read/write scratch buffers assume the nine-chip RS(72, 64) layout"
         );
-        let chips = (0..layout.total_chips())
-            .map(|_| ChipStore::new(stripes, &layout))
-            .collect();
-        let rs = RsCode::per_block();
-        let rs_scratch = RsScratch::new(&rs);
         // The VLEW geometry comes from the layout: the BCH generator
         // depends only on (m, t), so every tier shares the 33 B code
-        // region while protecting a tier-specific data span.
+        // region while protecting a tier-specific data span. Built
+        // before the rank's arrays: the first code of a geometry
+        // allocates its 320 KiB table, and an allocation of that size
+        // between the nine data arrays and the register file moves
+        // their relative placement — measured at +4–10% on a clean
+        // read's latency through the service with no instruction of the
+        // read changed (DESIGN.md §24.4).
         let vlew = BchCode::new(12, 22, layout.vlew_data_bytes * 8)
             .expect("validated layouts yield constructible VLEW parameters");
         debug_assert_eq!(vlew.parity_bits() / 8, layout.vlew_code_bytes);
@@ -177,6 +178,11 @@ impl ChipkillMemory {
             CODE_LIMBS,
             "VLEW code deltas are fixed-size"
         );
+        let chips = (0..layout.total_chips())
+            .map(|_| ChipStore::new(stripes, &layout))
+            .collect();
+        let rs = RsCode::per_block();
+        let rs_scratch = RsScratch::new(&rs);
         let bch_scratch = BchScratch::new(&vlew);
         let vlew_batch = vec![BitPoly::zero(vlew.len()); CHIPS];
         ChipkillMemory {
@@ -335,24 +341,13 @@ impl ChipkillMemory {
     /// Drains every pending EUR register into the code arrays (a full
     /// "row close"; also required before scrubbing or measuring C).
     pub fn flush_eur(&mut self) {
-        if self.eur.occupancy() == 0 {
-            return;
-        }
-        for stripe in 0..self.stripes {
-            self.close_stripe(stripe);
-        }
+        self.eur.drain_all(&mut self.chips, &self.layout);
     }
 
     /// Drains pending EUR registers touching `stripe` (a row close of
     /// that row).
     pub fn close_stripe(&mut self, stripe: usize) {
-        if !self.eur.stripe_dirty(stripe) {
-            return;
-        }
-        for (c, chip) in self.chips.iter_mut().enumerate() {
-            self.eur
-                .drain_into(c, stripe, chip.vlew_code_mut(stripe, &self.layout));
-        }
+        self.eur.drain_stripe(stripe, &mut self.chips, &self.layout);
     }
 
     /// Writes a block conventionally (raw data sent to the chips): the

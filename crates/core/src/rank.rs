@@ -182,7 +182,9 @@ pub(crate) type CodeDelta = [u64; CODE_LIMBS];
 /// Figure 11).
 ///
 /// A register file indexed by `(chip, stripe)`: one fixed-size register
-/// per pair, a per-stripe dirty mask, and an occupancy counter.
+/// per pair, a per-stripe dirty mask, the set of stripes whose mask is
+/// nonzero (so a full drain visits those and no others), and an
+/// occupancy counter.
 /// Functionally the engine applies updates eagerly or lazily with
 /// identical results; the model also keeps the drain statistics that
 /// define the C factor. A register XORed back to zero stays dirty until
@@ -193,6 +195,8 @@ pub(crate) struct EurModel {
     regs: Vec<CodeDelta>,
     /// Per stripe, bit `c` set while chip `c`'s register is dirty.
     dirty: Vec<u16>,
+    /// Bit `s % 64` of word `s / 64` set while `dirty[s]` is nonzero.
+    open_stripes: Vec<u64>,
     chips: usize,
     occupancy: usize,
     pub writes_seen: u64,
@@ -205,6 +209,7 @@ impl EurModel {
         EurModel {
             regs: vec![[0; CODE_LIMBS]; stripes * chips],
             dirty: vec![0; stripes],
+            open_stripes: vec![0; stripes.div_ceil(64)],
             chips,
             occupancy: 0,
             writes_seen: 0,
@@ -217,6 +222,7 @@ impl EurModel {
     pub fn clear(&mut self) {
         self.regs.fill([0; CODE_LIMBS]);
         self.dirty.fill(0);
+        self.open_stripes.fill(0);
         self.occupancy = 0;
         self.writes_seen = 0;
         self.drains = 0;
@@ -227,6 +233,7 @@ impl EurModel {
         let mask = 1 << chip;
         if self.dirty[stripe] & mask == 0 {
             self.dirty[stripe] |= mask;
+            self.open_stripes[stripe / 64] |= 1 << (stripe % 64);
             self.occupancy += 1;
         }
         for (r, d) in self.regs[stripe * self.chips + chip].iter_mut().zip(delta) {
@@ -242,10 +249,41 @@ impl EurModel {
             return;
         }
         self.dirty[stripe] &= !mask;
+        if self.dirty[stripe] == 0 {
+            self.open_stripes[stripe / 64] &= !(1 << (stripe % 64));
+        }
         self.occupancy -= 1;
         let delta = std::mem::take(&mut self.regs[stripe * self.chips + chip]);
         apply_code_delta(code_bytes, &delta);
         self.drains += 1;
+    }
+
+    /// Drains every dirty register of `stripe` into its chip's stored
+    /// code bytes, chips ascending (a row close of that row).
+    pub fn drain_stripe(
+        &mut self,
+        stripe: usize,
+        chips: &mut [ChipStore],
+        layout: &ChipkillLayout,
+    ) {
+        if !self.stripe_dirty(stripe) {
+            return;
+        }
+        for (c, chip) in chips.iter_mut().enumerate() {
+            self.drain_into(c, stripe, chip.vlew_code_mut(stripe, layout));
+        }
+    }
+
+    /// [`EurModel::drain_stripe`] for every stripe with a dirty
+    /// register, ascending; costs the stripes it drains, not the rank.
+    pub fn drain_all(&mut self, chips: &mut [ChipStore], layout: &ChipkillLayout) {
+        for w in 0..self.open_stripes.len() {
+            let mut open = self.open_stripes[w];
+            while open != 0 {
+                self.drain_stripe(w * 64 + open.trailing_zeros() as usize, chips, layout);
+                open &= open - 1;
+            }
+        }
     }
 
     /// Whether any register for `stripe` on any chip is dirty.
@@ -273,8 +311,17 @@ impl EurModel {
 /// the limbs).
 pub(crate) fn apply_code_delta(code_bytes: &mut [u8], delta: &[u64]) {
     debug_assert!(code_bytes.len() <= delta.len() * 8);
-    for (i, b) in code_bytes.iter_mut().enumerate() {
-        *b ^= (delta[i / 8] >> (i % 8 * 8)) as u8;
+    // A limb at a time, then the bytes of the last, partial limb (one
+    // for the VLEW's 33).
+    let (whole, tail) = code_bytes.as_chunks_mut::<8>();
+    for (bytes, d) in whole.iter_mut().zip(delta) {
+        *bytes = (u64::from_le_bytes(*bytes) ^ d).to_le_bytes();
+    }
+    for (b, d) in tail
+        .iter_mut()
+        .zip(delta[whole.len()..].iter().flat_map(|d| d.to_le_bytes()))
+    {
+        *b ^= d;
     }
 }
 
@@ -378,6 +425,60 @@ mod tests {
         let mut bytes = vec![0u8; 33];
         eur.drain_into(3, 1, &mut bytes);
         assert_eq!(bytes, vec![0u8; 33]);
+    }
+
+    #[test]
+    fn drain_all_visits_exactly_the_open_stripes() {
+        let l = layout();
+        // Three words of the stripe set, the last one partial.
+        let stripes = 130;
+        let mut eur = EurModel::new(stripes, 9);
+        let mut chips: Vec<_> = (0..9).map(|_| ChipStore::new(stripes, &l)).collect();
+        chips.iter_mut().for_each(ChipStore::mark_clean);
+        let d: CodeDelta = [0x0102_0304_0506_0708, 0, 0, 0, 0xA5];
+        for (chip, stripe) in [(0, 129), (8, 64), (3, 63), (3, 0), (4, 0)] {
+            eur.accumulate(chip, stripe, &d);
+        }
+        eur.drain_all(&mut chips, &l);
+        assert_eq!((eur.occupancy(), eur.drains), (0, 5));
+        assert!(eur.open_stripes.iter().all(|&w| w == 0));
+        for (c, chip) in chips.iter().enumerate() {
+            // A row close hands out every chip's code bytes of the row.
+            assert_eq!(chip.dirty_stripes().collect::<Vec<_>>(), [0, 63, 64, 129]);
+            for stripe in 0..stripes {
+                let drained = [(0, 129), (8, 64), (3, 63), (3, 0), (4, 0)].contains(&(c, stripe));
+                let code = chip.vlew_code(stripe, &l);
+                assert_eq!(
+                    code[0],
+                    if drained { 0x08 } else { 0 },
+                    "chip {c} stripe {stripe}"
+                );
+                assert_eq!(code[32], if drained { 0xA5 } else { 0 });
+            }
+        }
+        // Nothing is open: a second drain touches no store.
+        chips.iter_mut().for_each(ChipStore::mark_clean);
+        eur.drain_all(&mut chips, &l);
+        assert!(chips
+            .iter()
+            .all(|chip| chip.dirty_stripes().next().is_none()));
+    }
+
+    #[test]
+    fn apply_code_delta_equals_the_bytewise_xor_at_every_length() {
+        let delta: CodeDelta = [
+            0x0807_0605_0403_0201,
+            0x100F_0E0D_0C0B_0A09,
+            0x1817_1615_1413_1211,
+            0x201F_1E1D_1C1B_1A19,
+            0x2827_2625_2423_2221,
+        ];
+        for len in 0..=40 {
+            let mut bytes = vec![0xF0u8; len];
+            apply_code_delta(&mut bytes, &delta);
+            let want: Vec<u8> = (0..len).map(|i| 0xF0 ^ (i as u8 + 1)).collect();
+            assert_eq!(bytes, want, "{len} bytes");
+        }
     }
 
     #[test]

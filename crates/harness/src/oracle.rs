@@ -2,8 +2,9 @@
 //!
 //! The production codecs decode with Berlekamp–Massey plus Chien/Forney
 //! machinery; the references here use nothing but syndromes and Gaussian
-//! elimination over the field, so they share no code path with what they
-//! check:
+//! elimination over the field — for BCH the syndromes too are the
+//! reference's own, `word(α^j)` one set bit at a time — so they share no
+//! code path with what they check:
 //!
 //! * **BCH** — Peterson–Gorenstein–Zierler: for ν from t down to 1,
 //!   solve the ν×ν syndrome system for the error locator, find its roots
@@ -22,7 +23,7 @@
 //! * **BCH encode** — the definition: the parity of `d(x)` is
 //!   `d(x)·x^r mod g(x)`, by bit-serial polynomial division
 //!   ([`ref_bch_parity`]). The production encoder never divides; it
-//!   XORs rows of a precomputed position table.
+//!   XORs entries of a precomputed nibble table.
 //! * **RS encode** — the same definition over GF(2^8), by
 //!   [`FieldPoly`] long division ([`ref_rs_parity`]); the production
 //!   encoder looks up feedback tables.
@@ -131,13 +132,21 @@ fn solve(f: &Gf2m, mut a: Vec<Vec<u32>>, mut b: Vec<u32>) -> LinearSolution {
 ///
 /// Panics if `word.len() != code.len()`.
 pub fn ref_bch_decode(code: &BchCode, word: &BitPoly) -> RefBchOutcome {
-    let mut s = vec![0u32; 2 * code.t()]; // s[j-1] = S_j, j = 1..=2t
-    code.syndromes_into(word, &mut s);
+    // s[j-1] = S_j = word(α^j), j = 1..=2t, by the definition: one
+    // power of α per set bit. The production entry gets them from the
+    // 33-byte difference between stored and re-encoded code bits; the
+    // campaigns that compare the two decoders compare that shortcut too.
+    let f = code.field();
+    let order = f.order() as u64;
+    let s: Vec<u32> = (1..=2 * code.t() as u64)
+        .map(|j| {
+            word.iter_ones()
+                .fold(0, |acc, p| acc ^ f.alpha_pow(j * p as u64 % order))
+        })
+        .collect();
     if s.iter().all(|&x| x == 0) {
         return RefBchOutcome::Clean;
     }
-    let f = code.field();
-    let order = f.order() as u64;
     for nu in (1..=code.t()).rev() {
         // Newton identities over GF(2): for k = ν+1..=2ν,
         //   Σ_{j=1..ν} σ_j · S_{k−j} = S_k.
@@ -343,8 +352,8 @@ pub fn diff_bch(code: &BchCode, word: &BitPoly, scratch: &mut BchScratch) -> Res
 
 /// The BCH parity of `data` by definition: the remainder of
 /// `data(x) · x^r` on division by the generator, computed bit-serially.
-/// This is the encoder the workspace shipped before the position table;
-/// it survives here as the table's reference.
+/// This is the encoder the workspace shipped before its encode tables;
+/// it survives here as their reference.
 ///
 /// # Panics
 ///

@@ -85,6 +85,9 @@ impl<S: Submitter> Submitter for LosesOneWrite<S> {
     fn poll(&mut self, ticket: SubmitTicket) -> Option<Result<Response, CoreError>> {
         self.inner.poll(ticket)
     }
+    fn wait(&mut self, ticket: SubmitTicket) -> Result<Response, CoreError> {
+        self.inner.wait(ticket)
+    }
 }
 
 impl<S: Submitter> Sut for LosesOneWrite<S> {}

@@ -760,6 +760,10 @@ impl<S: Submitter> Submitter for Cluster<S> {
     fn poll(&mut self, ticket: SubmitTicket) -> Option<Result<Response, CoreError>> {
         self.tickets.claim(ticket)
     }
+
+    fn wait(&mut self, ticket: SubmitTicket) -> Result<Response, CoreError> {
+        self.tickets.wait(ticket)
+    }
 }
 
 impl Cluster<Stack> {

@@ -300,8 +300,9 @@ impl Stack {
 
 /// The eager side of the unified submission surface: `try_submit`
 /// executes the request on the spot, so tickets are immediately
-/// redeemable and backpressure never occurs. Existing call sites keep
-/// resolving to the inherent methods of the same names.
+/// redeemable and backpressure never occurs; `wait` on a ticket the
+/// stack does not hold panics. Existing call sites keep resolving to the
+/// inherent methods of the same names.
 impl Submitter for Stack {
     fn num_blocks(&self) -> u64 {
         Stack::num_blocks(self)
@@ -318,6 +319,10 @@ impl Submitter for Stack {
 
     fn poll(&mut self, ticket: SubmitTicket) -> Option<Result<Response, CoreError>> {
         self.tickets.claim(ticket)
+    }
+
+    fn wait(&mut self, ticket: SubmitTicket) -> Result<Response, CoreError> {
+        self.tickets.wait(ticket)
     }
 }
 
@@ -678,5 +683,15 @@ mod tests {
         assert_eq!(reg.counter("stack.layer.chipkill.reads"), 1);
         assert_eq!(reg.counter("stack.layer.patrol.patrol_steps"), 1);
         assert_eq!(reg.counter("stack.engine.writes"), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "is not held by this transport")]
+    fn waiting_on_a_redeemed_ticket_panics_instead_of_spinning() {
+        let mut stack = StackBuilder::proposal(32, ChipkillConfig::default()).build();
+        let t = Submitter::try_submit(&mut stack, &Request::Read(0)).unwrap();
+        assert!(Submitter::wait(&mut stack, t).is_ok());
+        assert_eq!(Submitter::poll(&mut stack, t), None);
+        let _ = Submitter::wait(&mut stack, t);
     }
 }

@@ -6,14 +6,16 @@
 //! `ShardedService` and streaming `ServiceClient`, and `pmck-cluster`'s
 //! `Cluster` — so layered code (the cluster tier, the soak campaign in
 //! `pmck-bench`) is written once against the trait instead of once per
-//! transport.
+//! transport. It is the service's only client surface: there is no
+//! batch call and no transport-specific ticket type.
 //!
 //! Transports fall in two camps:
 //!
 //! * **Streaming** (`ServiceClient`, and `ShardedService` through its
 //!   primary lane): `try_submit` enqueues onto a shard ring and may
 //!   report retryable [`crate::ServiceFailure::Backpressure`]; `poll`
-//!   claims the response once the worker finished it.
+//!   claims the response once the worker finished it, and `submit`
+//!   parks on ring backpressure before it waits.
 //! * **Eager** (`Stack`, `Cluster`): the request executes
 //!   inside `try_submit` and the ticket is immediately redeemable. The
 //!   shared [`EagerTickets`] helper provides the bookkeeping, so eager
@@ -92,17 +94,14 @@ pub trait Submitter {
     /// ticket was already redeemed.
     fn poll(&mut self, ticket: SubmitTicket) -> Option<Result<Response, CoreError>>;
 
-    /// Claims `ticket`'s response, blocking until it is ready. The
-    /// default implementation spins with [`std::thread::yield_now`];
-    /// streaming transports override it with their parked wait.
-    fn wait(&mut self, ticket: SubmitTicket) -> Result<Response, CoreError> {
-        loop {
-            if let Some(res) = self.poll(ticket) {
-                return res;
-            }
-            std::thread::yield_now();
-        }
-    }
+    /// Claims `ticket`'s response, blocking until it is ready.
+    ///
+    /// # Panics
+    ///
+    /// If the transport does not hold `ticket` — stale, already
+    /// redeemed, or issued by another transport — since no response
+    /// could ever arrive for it.
+    fn wait(&mut self, ticket: SubmitTicket) -> Result<Response, CoreError>;
 }
 
 /// Ticket bookkeeping for eager [`Submitter`]s: the request already
@@ -136,6 +135,18 @@ impl EagerTickets {
     pub fn claim(&mut self, ticket: SubmitTicket) -> Option<Result<Response, CoreError>> {
         let at = self.done.iter().position(|(seq, _)| *seq == ticket.seq())?;
         self.done.remove(at).map(|(_, res)| res)
+    }
+
+    /// [`EagerTickets::claim`] for [`Submitter::wait`]: an eager
+    /// transport's ticket is ready as soon as it is issued.
+    ///
+    /// # Panics
+    ///
+    /// If `ticket` is not outstanding here.
+    pub fn wait(&mut self, ticket: SubmitTicket) -> Result<Response, CoreError> {
+        self.claim(ticket).unwrap_or_else(|| {
+            panic!("{ticket:?} is not held by this transport (stale, already redeemed, or foreign)")
+        })
     }
 
     /// Tickets issued but not yet redeemed.

@@ -42,7 +42,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 
 use pmck_cluster::{Cluster, ClusterConfig, NodeStatus};
-use pmck_core::{ChipkillConfig, Request, Stack, StackBuilder};
+use pmck_core::{ChipkillConfig, Request, Stack, StackBuilder, Submitter};
 use pmck_harness::{
     ChipFailureKind, ClusterPlan, ClusterScenario, FaultKind, FaultSchedule, Runner,
 };

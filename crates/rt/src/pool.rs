@@ -59,13 +59,6 @@ pub enum TrySendError<J> {
 }
 
 impl<J> TrySendError<J> {
-    /// Recovers the job that was not sent.
-    pub fn into_job(self) -> J {
-        match self {
-            TrySendError::Full(j) | TrySendError::Closed(j) | TrySendError::WorkerLost(j) => j,
-        }
-    }
-
     /// The pool-level failure, if this was not mere backpressure.
     pub fn pool_error(&self) -> Option<PoolError> {
         match self {
@@ -328,21 +321,11 @@ where
 }
 
 impl<S> ShardPool<S> {
-    /// Number of workers (shards).
-    pub fn workers(&self) -> usize {
-        self.states.len()
-    }
-
     /// Runs `f` against `worker`'s pinned state. Blocks while that
     /// worker is mid-burst; between bursts the state is idle and the
     /// call is immediate. Works after shutdown or a panic.
     pub fn with_state<T>(&self, worker: usize, f: impl FnOnce(&mut S) -> T) -> T {
         f(&mut lock_ignore_poison(&self.states[worker]))
-    }
-
-    /// Whether a worker panicked and poisoned the pool.
-    pub fn is_poisoned(&self) -> bool {
-        self.shared.dead.load(Ordering::Acquire)
     }
 
     /// Stops accepting new work, lets every worker **drain** its queued
@@ -467,16 +450,6 @@ fn stream_worker_loop<S, J, R, F>(
 }
 
 impl<J, R> PoolClient<J, R> {
-    /// Number of workers reachable from this client.
-    pub fn shards(&self) -> usize {
-        self.subs.len()
-    }
-
-    /// This client's lane index.
-    pub fn lane(&self) -> usize {
-        self.lane
-    }
-
     /// Free submission slots guaranteed available toward `shard`.
     pub fn free_slots(&mut self, shard: usize) -> usize {
         self.subs[shard].free()
@@ -543,16 +516,6 @@ impl<J, R> PoolClient<J, R> {
         None
     }
 
-    /// Claims the oldest unclaimed completion from one specific shard.
-    pub fn try_recv_from(&mut self, shard: usize) -> Option<R> {
-        self.comps[shard].try_pop()
-    }
-
-    /// Whether any completion is ready to claim right now.
-    pub fn has_completions(&mut self) -> bool {
-        self.comps.iter_mut().any(|c| !c.is_empty())
-    }
-
     /// Whether the worker side is gone (threads exited after shutdown or
     /// panic) **and** every completion has been claimed — after this, no
     /// outstanding job will ever complete.
@@ -606,7 +569,7 @@ impl<J, R> PoolClient<J, R> {
                 return true;
             }
         }
-        self.has_completions()
+        self.comps.iter_mut().any(|c| !c.is_empty())
     }
 }
 
@@ -748,18 +711,14 @@ mod tests {
         // Shut down immediately: every accepted job must still complete.
         pool.shutdown();
         let mut got = 0u64;
-        while !c.workers_gone() || c.has_completions() {
+        loop {
             match c.try_recv() {
                 Some((_, r)) => {
                     assert!(r >= 1);
                     got += 1;
                 }
-                None => {
-                    if c.workers_gone() {
-                        break;
-                    }
-                    std::thread::yield_now();
-                }
+                None if c.workers_gone() => break,
+                None => std::thread::yield_now(),
             }
         }
         assert_eq!(got, sent, "shutdown dropped in-flight jobs");
@@ -784,7 +743,6 @@ mod tests {
             }
             c.wait_progress(None);
         }
-        assert!(pool.is_poisoned());
         // The pre-panic completion may or may not have been claimed;
         // after draining, the client can prove nothing more will come.
         while let Some(_r) = c.try_recv() {}

@@ -2,19 +2,20 @@
 //! completion.
 //!
 //! A [`ServiceClient`] owns one private lane of SPSC rings to every
-//! shard worker ([`pmck_rt::pool::ShardPool`]). Submission is a single
-//! ring push; the response comes back later through the completion ring
-//! and is claimed with a [`Ticket`]:
+//! shard worker ([`pmck_rt::pool::ShardPool`]), and its API is
+//! [`Submitter`]. Submission is a single ring push; the response comes
+//! back later through the completion ring and is claimed with the
+//! [`SubmitTicket`] (`tag` = window slot, `seq` = ticket generation):
 //!
-//! * [`ServiceClient::try_submit`] never blocks — a full submission ring
-//!   or an exhausted ticket window reports
-//!   [`ServiceFailure::Backpressure`] and the caller retries after
-//!   redeeming tickets;
-//! * [`ServiceClient::submit`] blocks on *ring* backpressure with the
-//!   spin-then-park admission control (window exhaustion still errors:
-//!   only the caller can redeem tickets);
-//! * [`ServiceClient::poll_response`] / [`ServiceClient::wait_response`]
-//!   claim a ticket's response; tickets may be redeemed in any order.
+//! * `try_submit` never blocks — a full submission ring or an exhausted
+//!   ticket window reports [`ServiceFailure::Backpressure`] and the
+//!   caller retries after redeeming tickets;
+//! * `submit` parks on *ring* backpressure (spin, yield, park), then
+//!   waits for the response; window exhaustion still errors, since only
+//!   the caller can redeem tickets;
+//! * `poll` / `wait` claim a ticket's response; tickets may be redeemed
+//!   in any order, and `wait` panics on a ticket this client does not
+//!   hold.
 //!
 //! # Determinism
 //!
@@ -36,12 +37,14 @@
 //! client, which is what keeps one stalled producer from convoying the
 //! whole service.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use pmck_core::{merge_broadcast, CoreError, Request, Response, ServiceError, ServiceFailure};
+use pmck_core::{
+    merge_broadcast, CoreError, Request, Response, ServiceError, ServiceFailure, SubmitTicket,
+    Submitter,
+};
 use pmck_rt::pool::{PoolClient, PoolError, TrySendError};
 use pmck_rt::ring::MpscProducer;
 
@@ -76,15 +79,6 @@ pub(crate) const SUBMIT_DEPTH: usize = 64;
 const BCAST_SLOTS: usize = 16;
 
 const NO_BCAST: u32 = u32::MAX;
-
-/// A claim on one in-flight request's response. Redeem with
-/// [`ServiceClient::poll_response`] or [`ServiceClient::wait_response`];
-/// tickets from one client may be redeemed in any order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Ticket {
-    slot: u32,
-    seq: u64,
-}
 
 /// One ticket-window slot: where an in-flight request's completion(s)
 /// land until the ticket is redeemed.
@@ -131,8 +125,9 @@ struct BcastBuf {
     parts: Vec<Option<Result<Response, CoreError>>>,
 }
 
-/// A streaming submission endpoint. `Send` — move it to the producer
-/// thread that owns it; clients never contend with each other.
+/// A streaming submission endpoint, driven through [`Submitter`].
+/// `Send` — move it to the producer thread that owns it; clients never
+/// contend with each other.
 pub struct ServiceClient {
     client: PoolClient<Job, Comp>,
     shard_blocks: Arc<[u64]>,
@@ -142,9 +137,6 @@ pub struct ServiceClient {
     free_slots: Vec<u32>,
     bufs: Vec<BcastBuf>,
     free_bufs: Vec<u32>,
-    /// Ticket FIFO scratch for [`ServiceClient::submit_batch_into`]
-    /// (kept on self so the steady state is allocation-free).
-    batch_fifo: VecDeque<Ticket>,
     telemetry: MpscProducer<LatencySample>,
     dropped_samples: Arc<AtomicU64>,
 }
@@ -170,7 +162,6 @@ impl ServiceClient {
                 })
                 .collect(),
             free_bufs: (0..BCAST_SLOTS as u32).rev().collect(),
-            batch_fifo: VecDeque::new(),
             telemetry,
             dropped_samples,
         }
@@ -179,16 +170,6 @@ impl ServiceClient {
     /// Number of shards this client can reach.
     pub fn shards(&self) -> usize {
         self.shard_blocks.len()
-    }
-
-    /// Total capacity in blocks across all shards.
-    pub fn num_blocks(&self) -> u64 {
-        self.shard_blocks.iter().sum()
-    }
-
-    /// The shard and local address owning global address `addr`.
-    pub fn route(&self, addr: u64) -> Option<(usize, u64)> {
-        route_addr(&self.shard_blocks, addr)
     }
 
     /// Unredeemed tickets currently held.
@@ -201,173 +182,16 @@ impl ServiceClient {
         self.slots.len()
     }
 
-    /// Submits one request without blocking and returns a [`Ticket`]
-    /// for its eventual response. Out-of-range addresses still yield a
-    /// ticket (redeeming it reports [`CoreError::OutOfRange`]), so batch
-    /// bookkeeping stays uniform.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceFailure::Backpressure`] when the destination ring, the
-    /// ticket window, or (for broadcasts) a reassembly buffer is
-    /// exhausted — nothing was enqueued, retry after redeeming;
-    /// [`ServiceFailure::QueueClosed`] / [`ServiceFailure::WorkerLost`]
-    /// once the service is shut down or poisoned.
-    pub fn try_submit(&mut self, req: &Request) -> Result<Ticket, CoreError> {
-        if self.free_slots.is_empty() {
-            return Err(backpressure());
-        }
-        match req.addr() {
-            Some(addr) => match route_addr(&self.shard_blocks, addr) {
-                None => Ok(self.issue_immediate(Err(CoreError::OutOfRange(addr)))),
-                Some((shard, local)) => {
-                    let slot = *self.free_slots.last().expect("checked non-empty");
-                    match self.client.try_send(shard, (slot, req.with_addr(local))) {
-                        Ok(()) => Ok(self.issue(shard as u32, NO_BCAST, 1)),
-                        Err(e) => Err(send_error(&e)),
-                    }
-                }
-            },
-            None => self.try_submit_broadcast(req),
-        }
-    }
-
-    /// [`ServiceClient::try_submit`] that blocks (spin, yield, park) on
-    /// *ring* backpressure. Window or broadcast-buffer exhaustion still
-    /// returns [`ServiceFailure::Backpressure`]: only redemption can
-    /// free those, and only the caller holds the tickets.
-    pub fn submit(&mut self, req: &Request) -> Result<Ticket, CoreError> {
-        loop {
-            let self_inflicted =
-                self.free_slots.is_empty() || (req.addr().is_none() && self.free_bufs.is_empty());
-            match self.try_submit(req) {
-                Ok(t) => return Ok(t),
-                Err(e) if is_backpressure(&e) => {
-                    if self_inflicted {
-                        return Err(e);
-                    }
-                    let watch = req
-                        .addr()
-                        .and_then(|a| route_addr(&self.shard_blocks, a))
-                        .map(|(s, _)| s);
-                    self.client.wait_progress(watch);
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// Claims `ticket`'s response if it is ready, without blocking.
-    /// Returns `None` while the request is still in flight (or if the
-    /// ticket was already redeemed). Once the service is shut down or a
-    /// worker died and no completion can arrive any more, outstanding
-    /// tickets resolve to the corresponding [`CoreError::Service`]
-    /// instead of pending forever.
-    pub fn poll_response(&mut self, ticket: Ticket) -> Option<Result<Response, CoreError>> {
-        self.drain_completions();
-        let idx = ticket.slot as usize;
-        let slot = &mut self.slots[idx];
-        if !slot.busy || slot.seq != ticket.seq {
-            return None; // stale or double-redeemed ticket
-        }
-        if slot.ready.is_none() {
-            // Still waiting on completions; if the workers are gone the
-            // wait would be forever — surface the pool failure on this
-            // (and by induction every) outstanding ticket.
-            let pool_err = self.client.pool_error()?;
-            if !self.client.workers_gone() {
-                return None; // completions may still drain
-            }
-            self.drain_completions();
-            let slot = &mut self.slots[idx];
-            if slot.ready.is_none() {
-                slot.ready = Some(Err(service_error(pool_err)));
-                if slot.bcast != NO_BCAST {
-                    self.release_buf(idx);
-                }
-            }
-        }
-        self.redeem(idx)
-    }
-
-    /// Claims `ticket`'s response, blocking (spin, yield, park) until it
-    /// is ready or the service fails.
-    pub fn wait_response(&mut self, ticket: Ticket) -> Result<Response, CoreError> {
-        loop {
-            if let Some(res) = self.poll_response(ticket) {
-                return res;
-            }
-            self.client.wait_progress(None);
-        }
-    }
-
-    /// Streams a whole batch: submits ahead up to the window, redeems in
-    /// request order, and fills `out` with one result per request.
-    /// Clearing and refilling the same `out` keeps the steady state
-    /// allocation-free. On a service failure (shutdown, worker lost) the
-    /// batch is indivisible: every slot reports the failure.
-    pub fn submit_batch_into(
-        &mut self,
-        reqs: &[Request],
-        out: &mut Vec<Result<Response, CoreError>>,
-    ) {
-        out.clear();
-        let mut next = 0usize;
-        let mut fatal: Option<CoreError> = None;
-        while out.len() < reqs.len() {
-            // Redeem the oldest ticket first so `out` stays in request
-            // order and window slots recycle as fast as possible.
-            if let Some(&front) = self.batch_fifo.front() {
-                if let Some(res) = self.poll_response(front) {
-                    self.batch_fifo.pop_front();
-                    out.push(res);
-                    continue;
-                }
-            }
-            if next < reqs.len() {
-                match self.try_submit(&reqs[next]) {
-                    Ok(t) => {
-                        self.batch_fifo.push_back(t);
-                        next += 1;
-                        continue;
-                    }
-                    Err(e) if is_backpressure(&e) => {}
-                    Err(e) => {
-                        fatal = Some(e);
-                        break;
-                    }
-                }
-            }
-            // No progress possible right now: the front ticket is in
-            // flight and submission is backpressured.
-            assert!(
-                !self.batch_fifo.is_empty() || !self.free_slots.is_empty(),
-                "ticket window exhausted by tickets not owned by this batch"
-            );
-            self.client.wait_progress(None);
-        }
-        if let Some(err) = fatal {
-            // Drain the tickets already issued (they resolve — workers
-            // drain on shutdown, die on panic) so the window recycles,
-            // then report the indivisible failure on every slot.
-            while let Some(t) = self.batch_fifo.pop_front() {
-                let _ = self.wait_response(t);
-            }
-            out.clear();
-            out.resize(reqs.len(), Err(err));
-        }
-    }
-
-    /// [`ServiceClient::submit_batch_into`] returning a fresh `Vec`.
-    pub fn submit_batch(&mut self, reqs: &[Request]) -> Vec<Result<Response, CoreError>> {
-        let mut out = Vec::new();
-        self.submit_batch_into(reqs, &mut out);
-        out
-    }
-
     // --- internals -------------------------------------------------
 
-    fn issue(&mut self, shard: u32, bcast: u32, remaining: u32) -> Ticket {
+    /// Whether `ticket` names one of this client's unredeemed requests.
+    fn holds(&self, ticket: SubmitTicket) -> bool {
+        self.slots
+            .get(ticket.tag() as usize)
+            .is_some_and(|slot| slot.busy && slot.seq == ticket.seq())
+    }
+
+    fn issue(&mut self, shard: u32, bcast: u32, remaining: u32) -> SubmitTicket {
         let idx = self.free_slots.pop().expect("window checked by caller") as usize;
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -381,21 +205,18 @@ impl ServiceClient {
         slot.fail = None;
         slot.started = Some(Instant::now());
         slot.ready = None;
-        Ticket {
-            slot: idx as u32,
-            seq,
-        }
+        SubmitTicket::from_parts(idx as u32, seq)
     }
 
-    fn issue_immediate(&mut self, res: Result<Response, CoreError>) -> Ticket {
+    fn issue_immediate(&mut self, res: Result<Response, CoreError>) -> SubmitTicket {
         let t = self.issue(BROADCAST_SHARD, NO_BCAST, 0);
-        let slot = &mut self.slots[t.slot as usize];
+        let slot = &mut self.slots[t.tag() as usize];
         slot.started = None; // never reached a shard: no latency sample
         slot.ready = Some(res);
         t
     }
 
-    fn try_submit_broadcast(&mut self, req: &Request) -> Result<Ticket, CoreError> {
+    fn try_submit_broadcast(&mut self, req: &Request) -> Result<SubmitTicket, CoreError> {
         let shards = self.shards();
         if self.free_bufs.is_empty() {
             return Err(backpressure());
@@ -413,7 +234,7 @@ impl ServiceClient {
         }
         let buf = self.free_bufs.pop().expect("checked non-empty");
         let ticket = self.issue(BROADCAST_SHARD, buf, shards as u32);
-        let slot_idx = ticket.slot;
+        let slot_idx = ticket.tag();
         let mut sent = 0u32;
         let mut fail: Option<CoreError> = None;
         for s in 0..shards {
@@ -525,39 +346,110 @@ impl ServiceClient {
     }
 }
 
-/// The streaming side of the unified submission surface. The inherent
-/// methods of the same names keep winning method resolution, so
-/// existing `client.submit(..) -> Ticket` call sites are untouched; the
-/// trait maps [`Ticket`] to the transport-generic
-/// [`pmck_core::SubmitTicket`] (`tag` = window slot, `seq` = ticket
-/// generation) and back.
-impl pmck_core::Submitter for ServiceClient {
+impl Submitter for ServiceClient {
     fn num_blocks(&self) -> u64 {
-        ServiceClient::num_blocks(self)
+        self.shard_blocks.iter().sum()
     }
 
+    /// [`Submitter::try_submit`] that blocks (spin, yield, park) on
+    /// *ring* backpressure, then waits for the response. Window or
+    /// broadcast-buffer exhaustion still returns
+    /// [`ServiceFailure::Backpressure`]: only redemption can free those,
+    /// and only the caller holds the tickets.
     fn submit(&mut self, req: &Request) -> Result<Response, CoreError> {
-        let ticket = ServiceClient::submit(self, req)?;
-        self.wait_response(ticket)
+        loop {
+            let self_inflicted =
+                self.free_slots.is_empty() || (req.addr().is_none() && self.free_bufs.is_empty());
+            match self.try_submit(req) {
+                Ok(t) => return self.wait(t),
+                Err(e) if is_backpressure(&e) && !self_inflicted => {
+                    let watch = req
+                        .addr()
+                        .and_then(|a| route_addr(&self.shard_blocks, a))
+                        .map(|(s, _)| s);
+                    self.client.wait_progress(watch);
+                }
+                Err(e) => return Err(e),
+            }
+        }
     }
 
-    fn try_submit(&mut self, req: &Request) -> Result<pmck_core::SubmitTicket, CoreError> {
-        ServiceClient::try_submit(self, req)
-            .map(|t| pmck_core::SubmitTicket::from_parts(t.slot, t.seq))
+    /// Submits one request without blocking. Out-of-range addresses
+    /// still yield a ticket (redeeming it reports
+    /// [`CoreError::OutOfRange`]), so bookkeeping stays uniform.
+    ///
+    /// # Errors
+    ///
+    /// [`ServiceFailure::Backpressure`] when the destination ring, the
+    /// ticket window, or (for broadcasts) a reassembly buffer is
+    /// exhausted — nothing was enqueued, retry after redeeming;
+    /// [`ServiceFailure::QueueClosed`] / [`ServiceFailure::WorkerLost`]
+    /// once the service is shut down or poisoned.
+    fn try_submit(&mut self, req: &Request) -> Result<SubmitTicket, CoreError> {
+        if self.free_slots.is_empty() {
+            return Err(backpressure());
+        }
+        match req.addr() {
+            Some(addr) => match route_addr(&self.shard_blocks, addr) {
+                None => Ok(self.issue_immediate(Err(CoreError::OutOfRange(addr)))),
+                Some((shard, local)) => {
+                    let slot = *self.free_slots.last().expect("checked non-empty");
+                    match self.client.try_send(shard, (slot, req.with_addr(local))) {
+                        Ok(()) => Ok(self.issue(shard as u32, NO_BCAST, 1)),
+                        Err(e) => Err(send_error(&e)),
+                    }
+                }
+            },
+            None => self.try_submit_broadcast(req),
+        }
     }
 
-    fn poll(&mut self, ticket: pmck_core::SubmitTicket) -> Option<Result<Response, CoreError>> {
-        self.poll_response(Ticket {
-            slot: ticket.tag(),
-            seq: ticket.seq(),
-        })
+    /// Claims `ticket`'s response if it is ready, without blocking.
+    /// Once the service is shut down or a worker died and no completion
+    /// can arrive any more, outstanding tickets resolve to the
+    /// corresponding [`CoreError::Service`] instead of pending forever.
+    fn poll(&mut self, ticket: SubmitTicket) -> Option<Result<Response, CoreError>> {
+        self.drain_completions();
+        if !self.holds(ticket) {
+            return None;
+        }
+        let idx = ticket.tag() as usize;
+        if self.slots[idx].ready.is_none() {
+            // Still waiting on completions; if the workers are gone the
+            // wait would be forever — surface the pool failure on this
+            // (and by induction every) outstanding ticket.
+            let pool_err = self.client.pool_error()?;
+            if !self.client.workers_gone() {
+                return None; // completions may still drain
+            }
+            self.drain_completions();
+            let slot = &mut self.slots[idx];
+            if slot.ready.is_none() {
+                slot.ready = Some(Err(service_error(pool_err)));
+                self.release_buf(idx);
+            }
+        }
+        self.redeem(idx)
     }
 
-    fn wait(&mut self, ticket: pmck_core::SubmitTicket) -> Result<Response, CoreError> {
-        self.wait_response(Ticket {
-            slot: ticket.tag(),
-            seq: ticket.seq(),
-        })
+    /// Claims `ticket`'s response, blocking (spin, yield, park) until it
+    /// is ready or the service fails.
+    ///
+    /// # Panics
+    ///
+    /// If this client does not hold `ticket`: stale, already redeemed,
+    /// or issued by another transport.
+    fn wait(&mut self, ticket: SubmitTicket) -> Result<Response, CoreError> {
+        assert!(
+            self.holds(ticket),
+            "{ticket:?} is not held by this ServiceClient (stale, already redeemed, or foreign)"
+        );
+        loop {
+            if let Some(res) = self.poll(ticket) {
+                return res;
+            }
+            self.client.wait_progress(None);
+        }
     }
 }
 

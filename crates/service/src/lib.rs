@@ -13,20 +13,16 @@
 //! different shards decode in parallel and different producers never
 //! contend.
 //!
-//! Two submission planes share the same routing and merge rules:
-//!
-//! * **Batched** ([`ShardedService::submit_batch`]): routes each
-//!   addressed request to its owning shard, broadcasts whole-device
-//!   requests (patrol step, fault injection, verify, …) to every shard,
-//!   and returns responses in request order. Internally this *streams*:
-//!   requests are submitted ahead up to the ticket window and redeemed
-//!   in order, so no whole-batch barrier exists.
-//! * **Streaming** ([`ServiceClient`], from
-//!   [`ShardedService::take_client`]): `try_submit` → [`Ticket`] →
-//!   `poll_response`/`wait_response`, with explicit
-//!   [`pmck_core::ServiceFailure::Backpressure`] admission control.
-//!   Each client owns a private lane of rings, so N producer threads
-//!   drive the shards with zero shared locks.
+//! There is one way in, [`pmck_core::Submitter`]: a [`ServiceClient`]
+//! (from [`ShardedService::take_client`]) owns a private lane of rings,
+//! so N producer threads drive the shards with zero shared locks, and
+//! the service itself submits through its own primary lane. Addressed
+//! requests run on their owning shard; whole-device requests (patrol
+//! step, fault injection, verify, flush, …) are broadcast to every
+//! shard and their responses merged. `try_submit` → [`SubmitTicket`] →
+//! `poll`/`wait` streams with explicit
+//! [`pmck_core::ServiceFailure::Backpressure`] admission control, and
+//! `submit` is that plus the wait.
 //!
 //! The completion path records per-request latency into a lossy MPSC
 //! telemetry ring; [`ShardedService::publish_metrics`] folds the
@@ -47,7 +43,7 @@
 //! # Examples
 //!
 //! ```
-//! use pmck_core::{ChipkillConfig, Request, Response, StackBuilder};
+//! use pmck_core::{ChipkillConfig, Request, Response, StackBuilder, Submitter};
 //! use pmck_service::ShardedService;
 //!
 //! let mut svc = ShardedService::new(4, 7, |_, seed| {
@@ -56,20 +52,19 @@
 //!         .build()
 //! });
 //! assert_eq!(svc.num_blocks(), 256);
-//! let reqs = [
-//!     Request::Write { addr: 5, data: [0xAB; 64] },
-//!     Request::Read(5),
-//! ];
-//! let out = svc.submit_batch(&reqs);
-//! assert_eq!(out[0], Ok(Response::Written));
-//! assert_eq!(out[1].clone().unwrap().read().unwrap().data, [0xAB; 64]);
+//! let written = svc.submit(&Request::Write { addr: 5, data: [0xAB; 64] });
+//! assert_eq!(written, Ok(Response::Written));
+//! // Tickets stream ahead of their redemption, on any shard.
+//! let t = svc.try_submit(&Request::Read(5)).unwrap();
+//! assert_eq!(svc.wait(t).unwrap().read().unwrap().data, [0xAB; 64]);
 //! ```
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use pmck_core::{
-    CoreError, CoreStats, LayerId, LayerStats, ProtectionTier, Request, Response, Stack, TierReport,
+    CoreError, CoreStats, LayerId, LayerStats, ProtectionTier, Request, Response, Stack,
+    SubmitTicket, Submitter, TierReport,
 };
 use pmck_rt::metrics::{Histogram, MetricsRegistry};
 use pmck_rt::pool::ShardPool;
@@ -78,7 +73,7 @@ use pmck_rt::rng::stream_seed;
 
 mod client;
 
-pub use client::{ServiceClient, Ticket};
+pub use client::ServiceClient;
 
 use client::{Comp, Job, LatencySample, BROADCAST_SHARD, SUBMIT_DEPTH, TICKET_WINDOW};
 
@@ -121,7 +116,7 @@ impl Telemetry {
 /// model.
 pub struct ShardedService {
     pool: ShardPool<Stack>,
-    /// The service's own lane, backing the batched API.
+    /// The service's own lane, backing its [`Submitter`] surface.
     primary: ServiceClient,
     /// Extra lanes created up front, claimable via `take_client`.
     spare: Vec<ServiceClient>,
@@ -211,63 +206,12 @@ impl ShardedService {
         self.shard_blocks.len()
     }
 
-    /// Total capacity in blocks across all shards.
-    pub fn num_blocks(&self) -> u64 {
-        self.shard_blocks.iter().sum()
-    }
-
-    /// The shard and local address owning global address `addr`, or
-    /// `None` if `addr` is beyond the interleaved address space.
-    pub fn route(&self, addr: u64) -> Option<(usize, u64)> {
-        route_addr(&self.shard_blocks, addr)
-    }
-
     /// Claims one of the streaming lanes provisioned at construction
     /// (`None` once all are taken). The returned client is `Send`:
     /// move it to its producer thread and drive the shards directly,
-    /// concurrently with this service's own batched API.
+    /// concurrently with this service's own lane.
     pub fn take_client(&mut self) -> Option<ServiceClient> {
         self.spare.pop()
-    }
-
-    /// Streaming lanes still claimable.
-    pub fn spare_clients(&self) -> usize {
-        self.spare.len()
-    }
-
-    /// Executes a batch: addressed requests run on their owning shard
-    /// (in parallel across shards, in batch order within a shard);
-    /// whole-device requests are broadcast to every shard and their
-    /// per-shard responses merged in shard index order. `out` is
-    /// cleared and filled with one result per request, in request
-    /// order; reusing the same `out` across batches keeps the steady
-    /// state allocation-free. Submission streams ahead up to the ticket
-    /// window — there is no whole-batch barrier.
-    pub fn submit_batch_into(
-        &mut self,
-        reqs: &[Request],
-        out: &mut Vec<Result<Response, CoreError>>,
-    ) {
-        self.primary.submit_batch_into(reqs, out);
-    }
-
-    /// [`ShardedService::submit_batch_into`] returning a fresh `Vec`.
-    pub fn submit_batch(&mut self, reqs: &[Request]) -> Vec<Result<Response, CoreError>> {
-        let mut out = Vec::new();
-        self.submit_batch_into(reqs, &mut out);
-        out
-    }
-
-    /// Executes one request (a batch of one).
-    ///
-    /// # Errors
-    ///
-    /// As [`Stack::submit`], plus [`CoreError::Service`] when the pool
-    /// is shut down or a shard worker died.
-    pub fn submit(&mut self, req: &Request) -> Result<Response, CoreError> {
-        let mut out = Vec::with_capacity(1);
-        self.submit_batch_into(std::slice::from_ref(req), &mut out);
-        out.pop().expect("one request yields one response")
     }
 
     /// Runs `f` against one shard's stack (blocks while that shard is
@@ -388,7 +332,7 @@ impl ShardedService {
 
     /// Stops accepting new work, **drains** queued requests (their
     /// tickets stay redeemable), and joins the shard workers.
-    /// Subsequent batches fail with
+    /// Subsequent submissions fail with
     /// [`pmck_core::ServiceFailure::QueueClosed`]; per-shard state stays
     /// readable through [`ShardedService::with_shard`] and the stats
     /// accessors.
@@ -397,30 +341,27 @@ impl ShardedService {
     }
 }
 
-/// The unified submission surface, backed by the service's primary
-/// streaming lane: `try_submit`/`poll` stream through the same rings as
-/// [`ShardedService::submit_batch`], so tickets obtained here interleave
-/// correctly with batched traffic on the same lane. Existing call sites
-/// keep resolving to the inherent methods of the same names.
-impl pmck_core::Submitter for ShardedService {
+/// The service's primary lane: `try_submit`/`poll`/`wait` stream through
+/// it, and `submit` is its submit-and-wait.
+impl Submitter for ShardedService {
     fn num_blocks(&self) -> u64 {
-        ShardedService::num_blocks(self)
+        self.shard_blocks.iter().sum()
     }
 
     fn submit(&mut self, req: &Request) -> Result<Response, CoreError> {
-        ShardedService::submit(self, req)
+        self.primary.submit(req)
     }
 
-    fn try_submit(&mut self, req: &Request) -> Result<pmck_core::SubmitTicket, CoreError> {
-        pmck_core::Submitter::try_submit(&mut self.primary, req)
+    fn try_submit(&mut self, req: &Request) -> Result<SubmitTicket, CoreError> {
+        self.primary.try_submit(req)
     }
 
-    fn poll(&mut self, ticket: pmck_core::SubmitTicket) -> Option<Result<Response, CoreError>> {
-        pmck_core::Submitter::poll(&mut self.primary, ticket)
+    fn poll(&mut self, ticket: SubmitTicket) -> Option<Result<Response, CoreError>> {
+        self.primary.poll(ticket)
     }
 
-    fn wait(&mut self, ticket: pmck_core::SubmitTicket) -> Result<Response, CoreError> {
-        pmck_core::Submitter::wait(&mut self.primary, ticket)
+    fn wait(&mut self, ticket: SubmitTicket) -> Result<Response, CoreError> {
+        self.primary.wait(ticket)
     }
 }
 
@@ -440,6 +381,11 @@ mod tests {
     use pmck_core::{ChipkillConfig, ReadPath, ServiceFailure, StackBuilder};
     use std::error::Error as _;
 
+    /// Submits every request in order and collects the responses.
+    fn run(svc: &mut ShardedService, reqs: &[Request]) -> Vec<Result<Response, CoreError>> {
+        reqs.iter().map(|req| svc.submit(req)).collect()
+    }
+
     fn svc(shards: usize, blocks_per_shard: u64, seed: u64) -> ShardedService {
         ShardedService::new(shards, seed, |_, s| {
             StackBuilder::proposal(blocks_per_shard, ChipkillConfig::default())
@@ -458,11 +404,11 @@ mod tests {
                 data: [a as u8; 64],
             })
             .collect();
-        for r in svc.submit_batch(&writes) {
+        for r in run(&mut svc, &writes) {
             assert_eq!(r, Ok(Response::Written));
         }
         let reads: Vec<Request> = (0..128u64).map(Request::Read).collect();
-        for (a, r) in svc.submit_batch(&reads).into_iter().enumerate() {
+        for (a, r) in run(&mut svc, &reads).into_iter().enumerate() {
             let out = r.unwrap().read().unwrap();
             assert_eq!(out.data, [a as u8; 64], "block {a}");
             assert_eq!(out.path, ReadPath::Clean);
@@ -475,7 +421,10 @@ mod tests {
     #[test]
     fn out_of_range_is_answered_inline() {
         let mut svc = svc(2, 32, 2);
-        let out = svc.submit_batch(&[Request::Read(3), Request::Read(64), Request::Read(999)]);
+        let out = run(
+            &mut svc,
+            &[Request::Read(3), Request::Read(64), Request::Read(999)],
+        );
         assert!(out[0].is_ok());
         assert_eq!(out[1], Err(CoreError::OutOfRange(64)));
         assert_eq!(out[2], Err(CoreError::OutOfRange(999)));
@@ -490,7 +439,7 @@ mod tests {
                 data: [0x5A; 64],
             })
             .collect();
-        svc.submit_batch(&fills);
+        run(&mut svc, &fills);
         // Verify is AND across shards.
         assert_eq!(svc.submit(&Request::Verify), Ok(Response::Verified(true)));
         // Injection sums the per-shard flips (4 shards at a rate that
@@ -587,7 +536,7 @@ mod tests {
                 data: [a as u8 ^ 0x5a; 64],
             })
             .collect();
-        for r in svc.submit_batch(&writes) {
+        for r in run(&mut svc, &writes) {
             assert_eq!(r, Ok(Response::Written));
         }
         let flushed = svc
@@ -606,18 +555,17 @@ mod tests {
         assert!(!rec.restriped);
         // ...and every block reads back clean after recovery.
         let reads: Vec<Request> = (0..64u64).map(Request::Read).collect();
-        for (a, r) in svc.submit_batch(&reads).into_iter().enumerate() {
+        for (a, r) in run(&mut svc, &reads).into_iter().enumerate() {
             let out = r.unwrap().read().unwrap();
             assert_eq!(out.data, [a as u8 ^ 0x5a; 64], "block {a}");
         }
     }
 
     #[test]
-    fn shutdown_fails_batches_with_full_error_chain() {
+    fn shutdown_fails_submissions_with_full_error_chain() {
         let mut svc = svc(2, 8, 4);
         svc.shutdown();
-        let out = svc.submit_batch(&[Request::Read(0)]);
-        let err = out[0].clone().unwrap_err();
+        let err = svc.submit(&Request::Read(0)).unwrap_err();
         let CoreError::Service(ref se) = err else {
             panic!("expected service error, got {err:?}");
         };
@@ -648,7 +596,7 @@ mod tests {
             })
             .chain((0..16u64).map(Request::Read))
             .collect();
-        svc.submit_batch(&reqs);
+        run(&mut svc, &reqs);
         let reg = MetricsRegistry::new();
         svc.publish_metrics(&reg, "svc");
         assert_eq!(reg.counter("svc.layer.chipkill.reads"), 16);
@@ -699,23 +647,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_reuse_keeps_results_in_request_order() {
-        let mut svc = svc(3, 8, 6);
-        let mut out = Vec::new();
-        for round in 0..10u64 {
-            let reqs: Vec<Request> = (0..24u64)
-                .map(|a| Request::Write {
-                    addr: (a + round) % 24,
-                    data: [round as u8; 64],
-                })
-                .collect();
-            svc.submit_batch_into(&reqs, &mut out);
-            assert_eq!(out.len(), 24);
-            assert!(out.iter().all(|r| *r == Ok(Response::Written)));
-        }
-    }
-
-    #[test]
     fn streaming_tickets_redeem_in_any_order() {
         let mut svc = ShardedService::with_clients(2, 1, 21, |_, s| {
             StackBuilder::proposal(16, ChipkillConfig::default())
@@ -739,17 +670,27 @@ mod tests {
         let t2 = client.try_submit(&Request::Read(0)).unwrap();
         assert_eq!(client.in_flight(), 3);
         // Redeem newest-first: order must not matter.
-        let r2 = client.wait_response(t2);
+        let r2 = client.wait(t2);
         assert_eq!(r2.unwrap().read().unwrap().data, [7; 64]);
-        assert_eq!(client.wait_response(t1), Ok(Response::Written));
-        assert_eq!(client.wait_response(t0), Ok(Response::Written));
+        assert_eq!(client.wait(t1), Ok(Response::Written));
+        assert_eq!(client.wait(t0), Ok(Response::Written));
         assert_eq!(client.in_flight(), 0);
         // An out-of-range submit still yields a (failing) ticket.
         let t = client.try_submit(&Request::Read(1 << 40)).unwrap();
-        assert_eq!(client.wait_response(t), Err(CoreError::OutOfRange(1 << 40)));
+        assert_eq!(client.wait(t), Err(CoreError::OutOfRange(1 << 40)));
         // Broadcasts stream too.
         let tv = client.try_submit(&Request::Verify).unwrap();
-        assert_eq!(client.wait_response(tv), Ok(Response::Verified(true)));
+        assert_eq!(client.wait(tv), Ok(Response::Verified(true)));
+    }
+
+    #[test]
+    #[should_panic(expected = "is not held by this ServiceClient")]
+    fn waiting_on_a_redeemed_ticket_panics_instead_of_parking() {
+        let mut svc = svc(2, 8, 25);
+        let t = svc.try_submit(&Request::Read(0)).unwrap();
+        svc.wait(t).unwrap();
+        assert_eq!(svc.poll(t), None);
+        let _ = svc.wait(t);
     }
 
     #[test]
@@ -777,11 +718,11 @@ mod tests {
         assert_eq!(se.kind(), ServiceFailure::Backpressure);
         // Redeeming the backlog clears the pressure.
         for t in tickets.drain(..) {
-            client.wait_response(t).unwrap();
+            client.wait(t).unwrap();
         }
         assert_eq!(client.in_flight(), 0);
         let t = client.try_submit(&Request::Read(0)).unwrap();
-        client.wait_response(t).unwrap();
+        client.wait(t).unwrap();
     }
 
     #[test]
@@ -827,7 +768,7 @@ mod tests {
         }
         let mut outcomes = Vec::new();
         for t in tickets {
-            outcomes.push(client.wait_response(t));
+            outcomes.push(client.wait(t));
         }
         // Global address 7 routes to shard 1 local 3 -> panic. Every
         // ticket resolves: benign ones may have completed, but at least
@@ -839,11 +780,11 @@ mod tests {
             })
             .count();
         assert!(lost >= 1, "no ticket surfaced WorkerLost: {outcomes:?}");
-        // The batched plane reports the poisoned pool too.
-        let out = svc.submit_batch(&[Request::Read(0)]);
+        // The service's own lane reports the poisoned pool too.
+        let out = svc.submit(&Request::Read(0));
         assert!(
-            matches!(&out[0], Err(CoreError::Service(se)) if se.kind() == ServiceFailure::WorkerLost),
-            "batched plane after panic: {out:?}"
+            matches!(&out, Err(CoreError::Service(se)) if se.kind() == ServiceFailure::WorkerLost),
+            "primary lane after panic: {out:?}"
         );
     }
 
@@ -870,7 +811,7 @@ mod tests {
         // contract says every accepted request completes.
         svc.shutdown();
         for t in tickets {
-            assert_eq!(client.wait_response(t), Ok(Response::Written));
+            assert_eq!(client.wait(t), Ok(Response::Written));
         }
         // New submissions are refused.
         let err = client.try_submit(&Request::Read(0)).unwrap_err();
@@ -892,7 +833,7 @@ mod tests {
             })
             .chain((0..32u64).map(Request::Read))
             .collect();
-        svc.submit_batch(&reqs);
+        run(&mut svc, &reqs);
         svc.submit(&Request::Verify).unwrap();
         let reg = MetricsRegistry::new();
         svc.publish_metrics(&reg, "svc");

@@ -10,7 +10,7 @@
 //! the single-threaded one — neither the client path *nor* the worker
 //! path (clean reads through the stack) may allocate.
 
-use pmck_core::{ChipkillConfig, Request, Response, StackBuilder};
+use pmck_core::{ChipkillConfig, Request, Response, StackBuilder, Submitter};
 use pmck_rt::alloc::{count, CountingAlloc};
 use pmck_service::ShardedService;
 
@@ -27,49 +27,44 @@ fn steady_state_submission_is_allocation_free_after_warmup() {
     });
     let total = svc.num_blocks();
 
-    // Populate every block, then warm both planes: the first batches
-    // grow the reusable response Vec, the client's batch FIFO, and each
-    // shard's lazily-built engine scratch.
-    let writes: Vec<Request> = (0..total)
-        .map(|a| Request::Write {
+    // Populate every block, then warm the service's own lane: the first
+    // laps build each shard's lazily-built engine scratch.
+    for a in 0..total {
+        let written = svc.submit(&Request::Write {
             addr: a,
             data: [a as u8; 64],
-        })
-        .collect();
-    let mut out = Vec::new();
-    svc.submit_batch_into(&writes, &mut out);
-    assert!(out.iter().all(|r| *r == Ok(Response::Written)));
-
-    let reads: Vec<Request> = (0..total).map(Request::Read).collect();
+        });
+        assert_eq!(written, Ok(Response::Written));
+    }
     for _ in 0..4 {
-        svc.submit_batch_into(&reads, &mut out);
-        assert!(out.iter().all(|r| r.is_ok()));
+        for a in 0..total {
+            svc.submit(&Request::Read(a)).unwrap();
+        }
     }
 
-    // --- Batched plane: clean reads through reused buffers. ---
-    let batch_allocs = count(|| {
+    // --- `Submitter::submit` on the service: submit + wait per request. ---
+    let submit_allocs = count(|| {
         for _ in 0..4 {
-            svc.submit_batch_into(&reads, &mut out);
-            for (a, r) in out.iter().enumerate() {
-                let data = r.as_ref().unwrap().read().unwrap().data;
+            for a in 0..total {
+                let data = svc.submit(&Request::Read(a)).unwrap().read().unwrap().data;
                 assert_eq!(data[0], a as u8);
             }
         }
     });
     assert_eq!(
-        batch_allocs,
+        submit_allocs,
         0,
-        "steady-state submit_batch_into must not allocate after warm-up \
-         (counted {batch_allocs} allocations over {} requests)",
+        "steady-state Submitter::submit must not allocate after warm-up \
+         (counted {submit_allocs} allocations over {} requests)",
         4 * total
     );
 
-    // --- Streaming plane: ticket issue + redemption, windowed. ---
+    // --- A client lane: ticket issue + redemption, windowed. ---
     let mut client = svc.take_client().expect("one spare lane");
-    // Warm the client's own lane (slots, FIFO capacity, parker).
+    // Warm the client's own lane (slots, parker).
     for a in 0..total {
         let t = client.try_submit(&Request::Read(a)).unwrap();
-        client.wait_response(t).unwrap();
+        client.wait(t).unwrap();
     }
     let stream_allocs = count(|| {
         for _ in 0..4 {
@@ -79,21 +74,20 @@ fn steady_state_submission_is_allocation_free_after_warmup() {
             for a in 0..total {
                 let i = (a % 8) as usize;
                 if let Some(t) = pending[i].take() {
-                    let r: Result<Response, _> = client.wait_response(t);
-                    r.unwrap().read().unwrap();
+                    client.wait(t).unwrap().read().unwrap();
                 }
                 pending[i] = Some(client.try_submit(&Request::Read(a)).unwrap());
             }
             for t in pending.into_iter().flatten() {
-                client.wait_response(t).unwrap().read().unwrap();
+                client.wait(t).unwrap().read().unwrap();
             }
         }
     });
     assert_eq!(
         stream_allocs,
         0,
-        "steady-state try_submit/wait_response must not allocate after \
-         warm-up (counted {stream_allocs} allocations over {} tickets)",
+        "steady-state try_submit/wait must not allocate after warm-up \
+         (counted {stream_allocs} allocations over {} tickets)",
         4 * total
     );
 

@@ -5,7 +5,7 @@
 //! For several seeds, the same benign campaign (writes, reads, scrubs,
 //! low-rate injection, patrol steps, verifies) is driven twice:
 //!
-//! 1. through the sharded service in batches, and
+//! 1. through the sharded service's `Submitter` surface in batches, and
 //! 2. through four standalone [`Stack`]s — one per shard, seeded with
 //!    the same derived stream seeds ([`stream_seed`]) — replaying each
 //!    shard's share of the stream sequentially in batch order.
@@ -15,7 +15,8 @@
 //! final contents of every block.
 
 use pmck::chipkill::{
-    ChipkillConfig, CoreStats, PmemConfig, Request, Response, Stack, StackBuilder,
+    ChipkillConfig, CoreError, CoreStats, PmemConfig, Request, Response, Stack, StackBuilder,
+    SubmitTicket, Submitter,
 };
 use pmck::rt::rng::{stream_seed, Rng, StdRng};
 use pmck::service::ShardedService;
@@ -61,15 +62,23 @@ fn gen_batch(rng: &mut StdRng, total: u64, round: usize) -> Vec<Request> {
     batch
 }
 
+/// Streams `batch` through the service: every ticket is issued before
+/// the first is redeemed (a batch fits the window and every ring), so
+/// the shards run it in parallel; responses come back in request order.
+fn run_batch(svc: &mut ShardedService, batch: &[Request]) -> Vec<Result<Response, CoreError>> {
+    let tickets: Vec<SubmitTicket> = batch
+        .iter()
+        .map(|req| svc.try_submit(req).expect("a batch fits the ticket window"))
+        .collect();
+    tickets.into_iter().map(|t| svc.wait(t)).collect()
+}
+
 /// Replays `batch` against the standalone per-shard stacks in batch
 /// order, producing the response the service should give each request:
 /// addressed requests run on the owning shard; broadcasts run on every
 /// shard in index order with their responses merged the way the service
 /// merges them.
-fn replay_batch(
-    stacks: &mut [Stack],
-    batch: &[Request],
-) -> Vec<Result<Response, pmck::chipkill::CoreError>> {
+fn replay_batch(stacks: &mut [Stack], batch: &[Request]) -> Vec<Result<Response, CoreError>> {
     let n = stacks.len() as u64;
     batch
         .iter()
@@ -142,7 +151,7 @@ fn four_shard_service_matches_sequential_replay() {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xE0_0111);
         for round in 0..ROUNDS {
             let batch = gen_batch(&mut rng, total, round);
-            let got = svc.submit_batch(&batch);
+            let got = run_batch(&mut svc, &batch);
             let want = replay_batch(&mut stacks, &batch);
             for (i, (g, w)) in got.iter().zip(want.iter()).enumerate() {
                 assert_eq!(
@@ -225,7 +234,7 @@ fn persistent_shard_broadcasts_match_sequential_replay() {
                 batch.push(Request::PowerCut);
                 batch.push(Request::Recover);
             }
-            let got = svc.submit_batch(&batch);
+            let got = run_batch(&mut svc, &batch);
             let want = replay_batch(&mut stacks, &batch);
             for (i, (g, w)) in got.iter().zip(want.iter()).enumerate() {
                 assert_eq!(
@@ -261,7 +270,7 @@ fn persistent_shard_broadcasts_match_sequential_replay() {
 }
 
 /// The streaming plane under backpressure: an 8-shard service driven
-/// through [`ServiceClient`] tickets — deliberately overrunning the
+/// through a `ServiceClient`'s tickets — deliberately overrunning the
 /// ticket window every round so admission control must push back — stays
 /// bit-identical to sequential per-shard replay.
 ///
@@ -270,7 +279,7 @@ fn persistent_shard_broadcasts_match_sequential_replay() {
 /// outstanding ticket and retries, so the window recycles under
 /// pressure exactly as a real producer would drive it. Per-shard ring
 /// FIFO plus shard-index-ordered broadcast merging is what makes this
-/// equal to the batched plane — this test is the proof.
+/// equal to sequential replay — this test is the proof.
 #[test]
 fn eight_shard_streaming_under_backpressure_matches_sequential_replay() {
     use pmck::chipkill::ServiceFailure;
@@ -328,7 +337,7 @@ fn eight_shard_streaming_under_backpressure_matches_sequential_replay() {
             // Stream the whole batch through the ticket API, redeeming
             // the oldest ticket whenever admission control pushes back.
             let mut out = vec![None; batch.len()];
-            let mut fifo: VecDeque<(usize, pmck::service::Ticket)> = VecDeque::new();
+            let mut fifo: VecDeque<(usize, SubmitTicket)> = VecDeque::new();
             for (i, req) in batch.iter().enumerate() {
                 loop {
                     match client.try_submit(req) {
@@ -336,19 +345,19 @@ fn eight_shard_streaming_under_backpressure_matches_sequential_replay() {
                             fifo.push_back((i, t));
                             break;
                         }
-                        Err(pmck::chipkill::CoreError::Service(se))
+                        Err(CoreError::Service(se))
                             if se.kind() == ServiceFailure::Backpressure =>
                         {
                             backpressured += 1;
                             let (j, t) = fifo.pop_front().expect("backpressure with no tickets");
-                            out[j] = Some(client.wait_response(t));
+                            out[j] = Some(client.wait(t));
                         }
                         Err(other) => panic!("seed {seed} round {round}: {other:?}"),
                     }
                 }
             }
             for (j, t) in fifo.drain(..) {
-                out[j] = Some(client.wait_response(t));
+                out[j] = Some(client.wait(t));
             }
             assert_eq!(client.in_flight(), 0);
 

@@ -1,4 +1,6 @@
-//! Bit-sliced, limb-parallel Chien search.
+//! Bit-sliced, limb-parallel Chien search: the root finder for locators
+//! of degree five and up (lower degrees are solved in closed form, see
+//! `roots.rs`).
 //!
 //! The classic Chien search evaluates the error-locator polynomial
 //! `σ(α^{-p})` one position at a time: `deg σ` field multiplications per
@@ -7,8 +9,7 @@
 //! bit-sliced kernel instead keeps, for every coefficient `i`, the
 //! `64·WB` values `σ_i·α^{-i·(base+l)}` (`l = 0..64·WB`) as `m`
 //! bit-planes of `WB` `u64` words each — plane `b`, lane `l` holds bit
-//! `b` of the field element for position `base + l` — the same limb
-//! discipline as the byte-sliced [`crate::SyndromePlan`]. `WB = 4`
+//! `b` of the field element for position `base + l`. `WB = 4`
 //! (256 positions per step) amortizes the per-matrix-column decode
 //! overhead over four words of lanes, which measures ~2x faster than
 //! single-word blocks on the full-weight VLEW scan.
@@ -27,9 +28,10 @@
 //!
 //! A lane is a root iff all `m` sum planes have a zero bit there, so root
 //! detection is an OR-reduction and one inverted mask per 64 positions.
-//! The search exits as soon as `deg σ` roots are found (a degree-`deg`
-//! polynomial has no more), which the position-serial kernel could have
-//! done too but never amortized.
+//! The search exits once the caller has enough roots: all `deg σ` of
+//! them (a degree-`deg` polynomial has no more), or, in the decoder, all
+//! but four, after which the found ones are divided out of σ and the
+//! rest solved in closed form.
 
 use pmck_gf::Gf2m;
 
@@ -114,14 +116,16 @@ impl ChienPlan {
     /// them to `out` in ascending order, and returns how many were found.
     /// `sigma` is the trimmed locator (`sigma[0] == 1`, top coefficient
     /// nonzero, `deg ≤ t`); `acc` is caller scratch of at least
-    /// [`ChienPlan::acc_len`] words. Exits early once `deg σ` roots are
-    /// found.
+    /// [`ChienPlan::acc_len`] words. Stops after the block in which the
+    /// `enough`-th root turns up (`deg σ` finds every root: a polynomial
+    /// has no more).
     pub(crate) fn search(
         &self,
         field: &Gf2m,
         sigma: &[u32],
         acc: &mut [u64],
         out: &mut Vec<usize>,
+        enough: usize,
     ) -> usize {
         let m = self.m;
         let pw = m * WB;
@@ -183,9 +187,7 @@ impl ChienPlan {
                 }
             }
             base += BLOCK_LANES;
-            // A degree-`deg` polynomial has at most `deg` roots in the
-            // whole field: once all are found nothing remains to scan.
-            if found >= deg || base >= self.n {
+            if found >= enough || base >= self.n {
                 return found;
             }
             // Advance every coefficient's lanes by one block: multiply by
@@ -277,7 +279,7 @@ mod tests {
         ] {
             let sigma = locator_for(&code, &positions);
             let mut out = Vec::new();
-            let found = plan.search(code.field(), &sigma, &mut acc, &mut out);
+            let found = plan.search(code.field(), &sigma, &mut acc, &mut out, positions.len());
             let mut want = positions.clone();
             want.sort_unstable();
             assert_eq!(out, want, "positions {positions:?}");
@@ -304,7 +306,7 @@ mod tests {
                 }
                 let sigma = locator_for(&code, &positions);
                 let mut out = Vec::new();
-                plan.search(code.field(), &sigma, &mut acc, &mut out);
+                plan.search(code.field(), &sigma, &mut acc, &mut out, w);
                 assert_eq!(out, dedup, "m={m} t={t} w={w}");
                 assert_eq!(out, slow_chien(&code, &sigma));
             }
@@ -324,7 +326,7 @@ mod tests {
         let plan = ChienPlan::new(f, code.t(), code.len());
         let mut acc = vec![0u64; plan.acc_len()];
         let mut out = Vec::new();
-        let found = plan.search(f, &sigma, &mut acc, &mut out);
+        let found = plan.search(f, &sigma, &mut acc, &mut out, 1);
         assert_eq!(found, 0);
         assert!(out.is_empty());
         assert_eq!(slow_chien(&code, &sigma), Vec::<usize>::new());

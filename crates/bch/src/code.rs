@@ -9,7 +9,8 @@ use pmck_gf::{BitPoly, FieldPoly, Gf2m};
 use crate::chien::ChienPlan;
 use crate::encode::ParityTable;
 use crate::error::BchError;
-use crate::syndrome::SyndromePlan;
+use crate::roots::RootTables;
+use crate::syndrome::SyndromeMap;
 
 /// A systematic, shortened, binary `t`-error-correcting BCH code over
 /// GF(2^m) protecting `k` data bits.
@@ -51,11 +52,15 @@ pub struct BchCode {
 pub(crate) struct CodeTables {
     pub(crate) field: Gf2m,
     pub(crate) generator: BitPoly,
-    /// The nibble table: the one encode kernel.
+    /// The nibble table: the one encode kernel, and the remainder of
+    /// every single data bit for the acceptance check.
     pub(crate) parity: ParityTable,
-    /// Byte-sliced syndrome evaluation plan.
-    pub(crate) plan: SyndromePlan,
-    /// Bit-sliced Chien search plan (64 candidate positions per step).
+    /// The odd syndromes of a remainder, by nibbles.
+    pub(crate) syndromes: SyndromeMap,
+    /// Closed-form roots of locators of degree ≤ 4.
+    pub(crate) roots: RootTables,
+    /// Bit-sliced Chien search plan (256 candidate positions per step),
+    /// for locators of degree ≥ 5.
     pub(crate) chien: ChienPlan,
 }
 
@@ -184,7 +189,8 @@ impl CodeTables {
         }
         Ok(CodeTables {
             parity: ParityTable::new(&generator, r, k),
-            plan: SyndromePlan::new(&field, t),
+            syndromes: SyndromeMap::new(&field, t, r),
+            roots: RootTables::new(&field),
             chien: ChienPlan::new(&field, t, k + r),
             field,
             generator,

@@ -131,6 +131,15 @@ impl ParityTable {
         true
     }
 
+    /// XORs into `acc` the parity of data bit `i` alone,
+    /// `x^(r+i) mod g(x)`: entry `(i / 4, 1 << i % 4)`.
+    pub(crate) fn xor_data_bit(&self, i: usize, acc: &mut [u64]) {
+        let entry = (i / 4 * 16 + (1 << (i % 4))) * self.limbs;
+        for (a, e) in acc.iter_mut().zip(&self.entries[entry..entry + self.limbs]) {
+            *a ^= e;
+        }
+    }
+
     /// XORs into `acc` the parity of the `k` data bits stored from bit
     /// `at` of `limbs` on — a [`BitPoly`]'s limbs, with nothing set at
     /// or past bit `at + k`.
@@ -268,7 +277,7 @@ impl BchCode {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use pmck_rt::rng::StdRng;
 
@@ -327,7 +336,7 @@ mod tests {
     }
 
     /// Every code the workspace constructs.
-    fn workspace_codes() -> Vec<(&'static str, BchCode)> {
+    pub(crate) fn workspace_codes() -> Vec<(&'static str, BchCode)> {
         let mut codes = vec![
             ("vlew", BchCode::vlew()),
             ("dense-tier vlew", BchCode::new(12, 22, 1024).unwrap()),

@@ -7,8 +7,10 @@
 //! `k + t·m ≤ 2^m − 1`, encodes by XORing one entry of a nibble table
 //! per four data bits, and decodes via syndromes of the difference
 //! between the stored and the re-encoded code bits (a clean word is an
-//! encode and a compare), Berlekamp–Massey, and Chien search. Codes of
-//! one `(m, t, k)` share their tables.
+//! encode and a compare; an errorful one's syndromes are one linear map
+//! of that difference), Berlekamp–Massey in Berlekamp's binary form, and
+//! roots in closed form up to degree four, by Chien search past that.
+//! Codes of one `(m, t, k)` share their tables.
 //!
 //! Instances used by the reproduction:
 //!
@@ -49,12 +51,12 @@ mod code;
 mod decode;
 mod encode;
 mod error;
+mod roots;
 mod syndrome;
 
 pub use code::BchCode;
 pub use decode::{BchDecodeView, BchScratch, DecodePolicy, WordVerdict};
 pub use error::BchError;
-pub use syndrome::SyndromePlan;
 
 // Re-exported so downstream users can manipulate codewords without also
 // depending on pmck-gf directly.

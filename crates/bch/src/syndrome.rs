@@ -1,382 +1,131 @@
-//! Byte-sliced BCH syndrome evaluation.
+//! The odd syndromes of a remainder by one linear map.
 //!
-//! The naive kernel walks `iter_ones()` and pays one `alpha_pow` (a
-//! modular reduction plus a table lookup) per *set bit* per odd syndrome —
-//! for a random 2312-bit VLEW word that is ~1150 field ops per syndrome.
-//! The sliced kernel instead exploits `S_j = r(alpha^j) = (r mod m_j)(alpha^j)`
-//! where `m_j` is the minimal polynomial of `alpha^j` over GF(2): the whole
-//! word is reduced mod the degree-`d` binary polynomial `m_j` (d ≤ m)
-//! byte-at-a-time, CRC-style, consuming the codeword's `u64` limbs eight
-//! bits per table step, and only the tiny d-bit remainder is evaluated in
-//! the field. That is `⌈n/8⌉` table lookups per odd syndrome — ~290 for
-//! the VLEW — independent of error weight, with even syndromes still
-//! derived by squaring (`S_2j = S_j²`).
-//!
-//! The decoder does not walk the stored word at all: it re-encodes the
-//! data part, XORs the result with the stored code bits, and hands this
-//! kernel the difference ρ — `r` bits, 33 bytes for the VLEW — whose
-//! syndromes are the word's (see `BchCode::syndromes_into`). The kernel
-//! itself takes any polynomial as limbs; its walk over a whole word
-//! survives as the reference the tests compare that shortcut against.
-//!
-//! Each reduction chain is serially dependent (every table step needs the
-//! previous remainder), so a single chain leaves the core mostly idle.
-//! The kernel therefore walks the word once per *group of four* direct
-//! syndromes, advancing four independent remainder chains per byte — the
-//! loads and XORs of the four chains overlap in the pipeline, recovering
-//! most of the latency the dependence chain would otherwise serialize.
+//! A decode never evaluates the stored word: `BchCode::syndromes_into`
+//! re-encodes the data and XORs the stored code bits, leaving the `r`-bit
+//! remainder ρ of the word mod `g` (33 bytes for the VLEW), and
+//! `S_j = ρ(α^j)` for every `j ≤ 2t`. Evaluation at a fixed point is
+//! GF(2)-linear in the bits of ρ, so all `t` odd syndromes together are
+//! one linear map of ρ. [`SyndromeMap`] holds that map by nibbles, as
+//! `ParityTable` holds the encoder: one table entry per value of each
+//! aligned 4-bit piece of ρ, XORed together — 66 lookups for the VLEW,
+//! whatever the error weight. The even syndromes of a binary word are
+//! squares, `S_2j = S_j²`.
 
-use pmck_gf::{FieldPoly, Gf2m};
+use pmck_gf::Gf2m;
 
-/// How one odd syndrome `S_j` is computed.
-#[derive(Clone)]
-enum OddSyndrome {
-    /// Reduce the word mod the minimal polynomial `m_j`, then evaluate the
-    /// remainder at `alpha^j`.
-    Direct {
-        /// `d = deg m_j` (the cyclotomic coset size of `j`).
-        deg: u32,
-        /// `(1 << d) − 1`.
-        mask: u32,
-        /// `table[h] = (h(x)·x^d) mod m_j` for every 8-bit chunk `h`.
-        table: Vec<u32>,
-        /// `eval[i] = alpha^(j·i)`, evaluating remainder bit `i`.
-        eval: Vec<u32>,
-    },
-    /// `S_j = S_{j'}^(2^s)` because `j ≡ j'·2^s (mod 2^m − 1)` puts `j`
-    /// in the cyclotomic coset of the earlier odd `j'`.
-    Derived {
-        /// Index into the odd-syndrome list: `j' = 2·from + 1`.
-        from: usize,
-        /// Number of squarings `s`.
-        squarings: u32,
-    },
+/// The syndrome map's nibble table.
+///
+/// Entry `(q, v)`, for nibble index `q < ⌈r/4⌉` and nibble value
+/// `v < 16`, holds `S_1, S_3, …, S_{2t−1}` of the polynomial
+/// `v(x)·x^{4q}`: `S_j = Σ α^{j·(4q+b)}` over the set bits `b` of `v`.
+/// The syndromes sit in 16-bit lanes, four to a little-endian `u64`
+/// limb (`S_{2i+1}` in lane `i % 4` of limb `i / 4`), at
+/// `entries[(16q + v)·limbs..]` with `limbs = ⌈t/4⌉`. The VLEW's table
+/// is 66 × 16 × 6 limbs = 49.5 KiB.
+#[derive(Debug, Clone)]
+pub(crate) struct SyndromeMap {
+    limbs: usize,
+    entries: Vec<u64>,
 }
 
-/// A precomputed byte-sliced evaluation plan for all `2t` syndromes of a
-/// binary BCH code.
-#[derive(Clone)]
-pub struct SyndromePlan {
-    t: usize,
-    /// Entry `i` computes the odd syndrome `S_{2i+1}`.
-    odd: Vec<OddSyndrome>,
-    /// Indices into `odd` of the `Direct` entries, in order — the chains
-    /// the interleaved limb walk schedules four at a time.
-    direct: Vec<usize>,
-}
-
-impl std::fmt::Debug for SyndromePlan {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let direct = self
-            .odd
-            .iter()
-            .filter(|o| matches!(o, OddSyndrome::Direct { .. }))
-            .count();
-        f.debug_struct("SyndromePlan")
-            .field("t", &self.t)
-            .field("direct", &direct)
-            .field("derived", &(self.odd.len() - direct))
-            .finish()
-    }
-}
-
-impl SyndromePlan {
-    /// Builds the plan for a `t`-error-correcting code over `field`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any required root exponent collapses to zero mod the
-    /// field order (never the case for a valid BCH construction, where
-    /// `2t − 1` is below the natural length).
-    pub fn new(field: &Gf2m, t: usize) -> Self {
-        let order = field.order() as u64;
-        let mut odd: Vec<OddSyndrome> = Vec::with_capacity(t);
-        for j in (1..=2 * t as u64 - 1).step_by(2) {
-            let jm = j % order;
-            assert_ne!(jm, 0, "syndrome exponent {j} collapses mod field order");
-            // An earlier odd j' with j ≡ j'·2^s shares a coset: derive by
-            // squaring instead of re-reducing the whole word.
-            let derived = odd.iter().enumerate().find_map(|(idx, _)| {
-                let jp = (2 * idx as u64 + 1) % order;
-                let mut e = jp;
-                for s in 1..=field.degree() {
-                    e = (e * 2) % order;
-                    if e == jm {
-                        return Some(OddSyndrome::Derived {
-                            from: idx,
-                            squarings: s,
-                        });
+impl SyndromeMap {
+    /// Builds the map of a `t`-error-correcting code with `r` parity
+    /// bits over `field`. Row `4q + b` (the odd syndromes of `x^{4q+b}`)
+    /// completes the entries of nibble `q` whose top set bit is `b`.
+    pub(crate) fn new(field: &Gf2m, t: usize, r: usize) -> Self {
+        let limbs = t.div_ceil(4);
+        let mut entries = vec![0u64; r.div_ceil(4) * 16 * limbs];
+        let mut row = vec![0u64; limbs];
+        for (q, nibble) in entries.chunks_exact_mut(16 * limbs).enumerate() {
+            for b in 0..4 {
+                let p = (4 * q + b) as u64;
+                row.fill(0);
+                for i in 0..t {
+                    let s = u64::from(field.alpha_pow((2 * i as u64 + 1) * p));
+                    row[i / 4] |= s << (i % 4 * 16);
+                }
+                for v in (1 << b)..(2 << b) {
+                    let (below, from_v) = nibble.split_at_mut(v * limbs);
+                    let without_b = &below[(v ^ (1 << b)) * limbs..][..limbs];
+                    for ((e, w), x) in from_v.iter_mut().zip(without_b).zip(&row) {
+                        *e = w ^ x;
                     }
                 }
-                None
-            });
-            if let Some(d) = derived {
-                odd.push(d);
-                continue;
             }
-            // Cyclotomic coset of j and the minimal polynomial of alpha^j.
-            let mut coset = Vec::new();
-            let mut e = jm;
-            loop {
-                coset.push(e);
-                e = (e * 2) % order;
-                if e == jm {
-                    break;
-                }
-            }
-            let mut mp = FieldPoly::one(field);
-            for &e in &coset {
-                mp = mp.mul(&FieldPoly::from_coeffs(field, vec![field.alpha_pow(e), 1]));
-            }
-            let coeffs = mp.coeffs();
-            let deg = (coeffs.len() - 1) as u32;
-            debug_assert_eq!(deg as usize, coset.len());
-            let mut poly_bits = 0u32;
-            for (i, &c) in coeffs.iter().enumerate() {
-                debug_assert!(c <= 1, "minimal polynomial coefficient must be binary");
-                poly_bits |= c << i;
-            }
-            // table[h] = (h << d) mod m_j by bitwise long division; the
-            // quotient bits span [d, d+8).
-            let table = (0..256u32)
-                .map(|h| {
-                    let mut v = h << deg;
-                    for bit in (deg..deg + 8).rev() {
-                        if (v >> bit) & 1 == 1 {
-                            v ^= poly_bits << (bit - deg);
-                        }
+        }
+        SyndromeMap { limbs, entries }
+    }
+
+    /// Writes the `2t = out.len()` syndromes of the polynomial whose
+    /// coefficients are the bits of `rho` (limbs of at most `r` bits)
+    /// into `out`, `out[j − 1] = S_j`.
+    pub(crate) fn syndromes_into(&self, field: &Gf2m, rho: &[u64], out: &mut [u32]) {
+        let t = out.len() / 2;
+        with_zeroed_limbs(self.limbs, |acc| {
+            for (i, &limb) in rho.iter().enumerate() {
+                let (mut bits, mut at) = (limb, i * 16 * 16);
+                while bits != 0 {
+                    let entry = (at + (bits & 15) as usize) * self.limbs;
+                    for (a, e) in acc.iter_mut().zip(&self.entries[entry..][..self.limbs]) {
+                        *a ^= e;
                     }
-                    v
-                })
-                .collect();
-            let eval = (0..deg as u64)
-                .map(|i| field.alpha_pow((jm * i) % order))
-                .collect();
-            odd.push(OddSyndrome::Direct {
-                deg,
-                mask: (1 << deg) - 1,
-                table,
-                eval,
-            });
-        }
-        let direct = odd
-            .iter()
-            .enumerate()
-            .filter(|(_, o)| matches!(o, OddSyndrome::Direct { .. }))
-            .map(|(i, _)| i)
-            .collect();
-        SyndromePlan { t, odd, direct }
-    }
-
-    /// The number of syndromes the plan covers, `2t`.
-    pub fn count(&self) -> usize {
-        2 * self.t
-    }
-
-    /// Evaluates at `α^1..α^2t` the binary polynomial whose coefficients
-    /// are the bits of `limbs`, little-endian (a `BitPoly`'s limbs), into
-    /// `out` (`out[j-1] = S_j`). Returns `true` when every value is
-    /// zero, i.e. the generator divides the polynomial.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len() != 2t`.
-    pub fn syndromes_into(&self, field: &Gf2m, limbs: &[u64], out: &mut [u32]) -> bool {
-        assert_eq!(out.len(), 2 * self.t, "syndrome buffer length mismatch");
-        // Leading zero bytes leave every remainder at zero: start each
-        // chain at the polynomial's top nonzero byte.
-        let top = limbs.iter().rposition(|&limb| limb != 0);
-        let bytes = top.map_or(0, |i| i * 8 + 8 - limbs[i].leading_zeros() as usize / 8);
-        let mut nonzero = 0u32;
-        // Direct odds first, four interleaved reduction chains per limb
-        // walk; the last partial group narrows the interleave width.
-        let mut chunk = self.direct.as_slice();
-        while !chunk.is_empty() {
-            let n = chunk.len().min(4);
-            let (head, rest) = chunk.split_at(n);
-            match n {
-                4 => self.reduce_group::<4>(head, limbs, bytes, out, &mut nonzero),
-                3 => self.reduce_group::<3>(head, limbs, bytes, out, &mut nonzero),
-                2 => self.reduce_group::<2>(head, limbs, bytes, out, &mut nonzero),
-                _ => self.reduce_group::<1>(head, limbs, bytes, out, &mut nonzero),
-            }
-            chunk = rest;
-        }
-        // Derived odds square an already-computed direct syndrome (a
-        // derivation's root is always the coset's first odd, a `Direct`).
-        for (idx, plan) in self.odd.iter().enumerate() {
-            if let OddSyndrome::Derived { from, squarings } = plan {
-                let mut v = out[2 * from];
-                for _ in 0..*squarings {
-                    v = field.square(v);
+                    bits >>= 4;
+                    at += 16;
                 }
-                out[2 * idx] = v;
-                nonzero |= v;
             }
+            for i in 0..t {
+                out[2 * i] = (acc[i / 4] >> (i % 4 * 16)) as u32 & 0xFFFF;
+            }
+        });
+        for j in (2..=2 * t).step_by(2) {
+            out[j - 1] = field.square(out[j / 2 - 1]);
         }
-        // Even syndromes of a binary code: S_2j = S_j².
-        for j in (2..=2 * self.t).step_by(2) {
-            let v = field.square(out[j / 2 - 1]);
-            out[j - 1] = v;
-            nonzero |= v;
-        }
-        nonzero == 0
     }
+}
 
-    /// Runs `N` direct reduction chains (`idxs`, indices into `odd`) over
-    /// one pass of the low `bytes` bytes of `limbs`, then evaluates each
-    /// remainder and stores `out[2·idx] = S_{2·idx+1}`.
-    fn reduce_group<const N: usize>(
-        &self,
-        idxs: &[usize],
-        limbs: &[u64],
-        bytes: usize,
-        out: &mut [u32],
-        nonzero: &mut u32,
-    ) {
-        debug_assert_eq!(idxs.len(), N);
-        // (deg, mask, table, eval) per chain; the fixed-size `[u32; 256]`
-        // table views plus the `& 0xFF` index below let the inner loop run
-        // without bounds checks.
-        let parts: [(u32, u32, &[u32; 256], &[u32]); N] =
-            std::array::from_fn(|i| match &self.odd[idxs[i]] {
-                OddSyndrome::Direct {
-                    deg,
-                    mask,
-                    table,
-                    eval,
-                } => {
-                    let table: &[u32; 256] =
-                        table.as_slice().try_into().expect("table has 256 entries");
-                    (*deg, *mask, table, eval.as_slice())
-                }
-                OddSyndrome::Derived { .. } => unreachable!("direct index at a derived entry"),
-            });
-        // Consume the polynomial eight bits per step, most significant
-        // byte first.
-        let mut rem = [0u32; N];
-        for i in (0..bytes).rev() {
-            let byte = ((limbs[i / 8] >> (i % 8 * 8)) & 0xFF) as u32;
-            for (r, &(d, mask, table, _)) in rem.iter_mut().zip(&parts) {
-                let t = (*r << 8) | byte;
-                *r = (t & mask) ^ table[((t >> d) & 0xFF) as usize];
-            }
-        }
-        // Evaluate each d-bit remainder at its alpha^j.
-        for (i, (&idx, &(_, _, _, eval))) in idxs.iter().zip(&parts).enumerate() {
-            let mut acc = 0u32;
-            let mut bits = rem[i];
-            while bits != 0 {
-                acc ^= eval[bits.trailing_zeros() as usize];
-                bits &= bits - 1;
-            }
-            out[2 * idx] = acc;
-            *nonzero |= acc;
-        }
+/// Runs `f` on `len` zeroed limbs: on the stack up to sixteen (every
+/// remainder and syndrome accumulator of every code this workspace
+/// builds), on the heap past that.
+pub(crate) fn with_zeroed_limbs<R>(len: usize, f: impl FnOnce(&mut [u64]) -> R) -> R {
+    let mut on_stack = [0u64; 16];
+    match on_stack.get_mut(..len) {
+        Some(limbs) => f(limbs),
+        None => f(&mut vec![0; len]),
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::code::BchCode;
-    use pmck_gf::BitPoly;
-    use pmck_rt::rng::StdRng;
+    use crate::encode::tests::workspace_codes;
 
-    /// The naive reference kernel: alpha_pow per set bit.
-    fn slow_syndromes(code: &BchCode, word: &BitPoly) -> Vec<u32> {
-        let f = code.field();
-        let order = f.order() as u64;
-        let t = code.t();
-        let mut s = vec![0u32; 2 * t];
-        for j in (1..=2 * t as u64).step_by(2) {
-            let mut acc = 0u32;
-            for p in word.iter_ones() {
-                acc ^= f.alpha_pow((j * p as u64) % order);
+    #[test]
+    fn every_map_entry_equals_the_naive_sum_on_every_code() {
+        for (name, code) in workspace_codes() {
+            let (f, t, r) = (code.field(), code.t(), code.parity_bits());
+            let map = &code.tables.syndromes;
+            assert_eq!(
+                map.entries.len(),
+                r.div_ceil(4) * 16 * t.div_ceil(4),
+                "{name}"
+            );
+            for (q, nibble) in map.entries.chunks_exact(16 * map.limbs).enumerate() {
+                for (v, entry) in nibble.chunks_exact(map.limbs).enumerate() {
+                    for i in 0..t {
+                        let j = 2 * i as u64 + 1;
+                        let want = (0..4)
+                            .filter(|b| v >> b & 1 != 0)
+                            .fold(0, |s, b| s ^ f.alpha_pow(j * (4 * q + b) as u64));
+                        let got = (entry[i / 4] >> (i % 4 * 16)) & 0xFFFF;
+                        assert_eq!(got, u64::from(want), "{name}: entry ({q}, {v}), S_{j}");
+                    }
+                    // Lanes past S_{2t−1} stay zero: the unpack never
+                    // reads them, and nothing else should either.
+                    let used = 16 * (t - (map.limbs - 1) * 4);
+                    if used < 64 {
+                        assert_eq!(entry[map.limbs - 1] >> used, 0, "{name}: ({q}, {v})");
+                    }
+                }
             }
-            s[(j - 1) as usize] = acc;
-        }
-        for j in (2..=2 * t).step_by(2) {
-            s[j - 1] = f.square(s[j / 2 - 1]);
-        }
-        s
-    }
-
-    fn random_word(rng: &mut StdRng, len: usize) -> BitPoly {
-        let mut w = BitPoly::zero(len);
-        for i in 0..len {
-            if rng.next_u64() & 1 == 1 {
-                w.set(i, true);
-            }
-        }
-        w
-    }
-
-    #[test]
-    fn sliced_matches_naive_vlew() {
-        let code = BchCode::vlew();
-        let plan = SyndromePlan::new(code.field(), code.t());
-        let mut rng = StdRng::seed_from_u64(0xBEEF);
-        for _ in 0..20 {
-            let w = random_word(&mut rng, code.len());
-            let mut s = vec![0u32; plan.count()];
-            let clean = plan.syndromes_into(code.field(), w.limbs(), &mut s);
-            let reference = slow_syndromes(&code, &w);
-            assert_eq!(s, reference);
-            assert_eq!(clean, reference.iter().all(|&x| x == 0));
-        }
-    }
-
-    #[test]
-    fn clean_codeword_reports_all_zero() {
-        let code = BchCode::vlew();
-        let plan = SyndromePlan::new(code.field(), code.t());
-        let mut rng = StdRng::seed_from_u64(7);
-        let data = random_word(&mut rng, code.data_bits());
-        let cw = code.encode(&data);
-        let mut s = vec![0u32; plan.count()];
-        assert!(plan.syndromes_into(code.field(), cw.limbs(), &mut s));
-        assert!(s.iter().all(|&x| x == 0));
-        let mut dirty = cw.clone();
-        dirty.flip(1234);
-        assert!(!plan.syndromes_into(code.field(), dirty.limbs(), &mut s));
-    }
-
-    #[test]
-    fn sliced_matches_naive_small_fields() {
-        // Small fields exercise short minimal polynomials (d < 8) where
-        // the table's quotient window is wider than the remainder.
-        for (m, t, k) in [(4u32, 2usize, 7usize), (6, 3, 20), (10, 14, 512)] {
-            let code = BchCode::new(m, t, k).unwrap();
-            let plan = SyndromePlan::new(code.field(), code.t());
-            let mut rng = StdRng::seed_from_u64(m as u64 * 1000 + t as u64);
-            for _ in 0..10 {
-                let w = random_word(&mut rng, code.len());
-                let mut s = vec![0u32; plan.count()];
-                plan.syndromes_into(code.field(), w.limbs(), &mut s);
-                assert_eq!(s, slow_syndromes(&code, &w), "m={m} t={t}");
-            }
-        }
-    }
-
-    #[test]
-    fn derived_syndromes_via_coset_sharing() {
-        // GF(2^6), t=13: 25 ≡ 11·2^3 (mod 63), so S_25 derives from S_11
-        // by squaring — the plan must have at least one derived entry and
-        // still agree with the naive kernel.
-        let code = BchCode::new(6, 13, 10).unwrap();
-        let plan = SyndromePlan::new(code.field(), code.t());
-        let dbg = format!("{plan:?}");
-        assert!(
-            !dbg.contains("derived: 0"),
-            "expected a derived entry in {dbg}"
-        );
-        let mut rng = StdRng::seed_from_u64(99);
-        for _ in 0..10 {
-            let w = random_word(&mut rng, code.len());
-            let mut s = vec![0u32; plan.count()];
-            plan.syndromes_into(code.field(), w.limbs(), &mut s);
-            assert_eq!(s, slow_syndromes(&code, &w));
         }
     }
 }

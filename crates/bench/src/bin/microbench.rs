@@ -120,7 +120,7 @@ fn usage(msg: &str) -> ! {
 /// fed to `std::hint::black_box`. Allocation calls across the timed
 /// batches are averaged into `allocs_per_op`.
 fn scenario<T>(cfg: &Config, name: &str, bytes_per_op: u64, mut f: impl FnMut() -> T) -> Json {
-    measure(cfg, name, bytes_per_op, || {
+    measure(cfg, name, bytes_per_op, |_| {
         let start = Instant::now();
         for _ in 0..cfg.iters {
             std::hint::black_box(f());
@@ -132,8 +132,8 @@ fn scenario<T>(cfg: &Config, name: &str, bytes_per_op: u64, mut f: impl FnMut() 
 /// [`scenario`] for an operation that must be set up afresh before
 /// every call — a read that heals what it touches needs its cells aged
 /// again. Only `f` is on the clock, at one `Instant` pair per call
-/// (~40 ns: not for sub-microsecond kernels); `prepare`'s allocations
-/// do count.
+/// (~40 ns: not for sub-microsecond kernels), and only `f`'s
+/// allocations count.
 fn prepared_scenario<T>(
     cfg: &Config,
     name: &str,
@@ -141,10 +141,10 @@ fn prepared_scenario<T>(
     mut prepare: impl FnMut(),
     mut f: impl FnMut() -> T,
 ) -> Json {
-    measure(cfg, name, bytes_per_op, || {
+    measure(cfg, name, bytes_per_op, |untimed| {
         let mut ns = 0;
         for _ in 0..cfg.iters {
-            prepare();
+            *untimed += alloc::count(&mut prepare);
             let start = Instant::now();
             std::hint::black_box(f());
             ns += start.elapsed().as_nanos();
@@ -154,19 +154,26 @@ fn prepared_scenario<T>(
 }
 
 /// One row from `batch`, which runs `cfg.iters` operations and returns
-/// their mean cost in ns: one warm-up batch (fills lazy tables and
+/// their mean cost in ns, adding to its argument the allocations it
+/// made off the clock: one warm-up batch (fills lazy tables and
 /// scratch), then `cfg.batches` measured ones.
-fn measure(cfg: &Config, name: &str, bytes_per_op: u64, mut batch: impl FnMut() -> f64) -> Json {
-    batch();
+fn measure(
+    cfg: &Config,
+    name: &str,
+    bytes_per_op: u64,
+    mut batch: impl FnMut(&mut u64) -> f64,
+) -> Json {
+    batch(&mut 0);
     let mut best_ns = f64::INFINITY;
     let mut total_ns = 0.0;
+    let mut untimed = 0;
     let allocs = alloc::count(|| {
         for _ in 0..cfg.batches {
-            let ns = batch();
+            let ns = batch(&mut untimed);
             best_ns = best_ns.min(ns);
             total_ns += ns;
         }
-    });
+    }) - untimed;
     let mean_ns = total_ns / cfg.batches as f64;
     let mut row = Json::object()
         .with("name", name)
@@ -262,9 +269,8 @@ fn bch_scenarios(cfg: &Config, rows: &mut Vec<Json>) {
     }
     if wants(cfg, "bch/syndromes_sliced") {
         // A dirty word: the re-encode of `bch/syndromes_clean` plus the
-        // sliced chains over the 33-byte difference. (Until
-        // BENCH_PR23.json the chains walked the whole word and a clean
-        // one cost the same.)
+        // syndrome map over the 33-byte difference. (The row keeps the
+        // name of the byte-sliced chains the map replaced.)
         let mut dirty = clean.clone();
         dirty.flip(17);
         dirty.flip(1031);
@@ -275,8 +281,8 @@ fn bch_scenarios(cfg: &Config, rows: &mut Vec<Json>) {
     }
     if wants(cfg, "bch/syndromes_errorful") {
         // What a boot scrub meets at RBER 1e-3: three errors, one of
-        // them in the code cells, so the difference the chains walk is
-        // dense from its top byte down.
+        // them in the code cells, so the difference the map reads is
+        // dense from its top nibble down.
         let mut aged = clean.clone();
         for p in [200, 264 + 911, 264 + 2040] {
             aged.flip(p);
@@ -301,15 +307,8 @@ fn bch_scenarios(cfg: &Config, rows: &mut Vec<Json>) {
                 .num_corrected()
         }));
     }
-    // Errorful decodes at the radius boundary markers: 1 error (the
-    // common single-cell upset), 2 errors (BM degree > 1 engages the
-    // full locator machinery), and t = 22 (the worst correctable case,
-    // dominated by the bit-sliced Chien scan).
-    for (tag, nerr) in [("t1", 1usize), ("t2", 2), ("tmax", 22)] {
-        let name = format!("bch/decode_errorful_{tag}");
-        if !wants(cfg, &name) {
-            continue;
-        }
+    // `nerr` distinct flipped bits anywhere in the clean word.
+    let aged = |rng: &mut StdRng, nerr: usize| {
         let mut word = clean.clone();
         let mut pos = std::collections::BTreeSet::new();
         while pos.len() < nerr {
@@ -318,10 +317,33 @@ fn bch_scenarios(cfg: &Config, rows: &mut Vec<Json>) {
         for &p in &pos {
             word.flip(p);
         }
+        word
+    };
+    // Errorful decodes by weight. Each row cycles over 64 seeded
+    // patterns: a root search that stops at its last root makes one
+    // fixed pattern's highest position the row. One to four errors —
+    // what a VLEW holds at RBER ≤ 1e-3 — take the closed-form roots;
+    // t6 is the first row on the bit-sliced Chien search, and
+    // t = 22 the worst correctable case.
+    for (tag, nerr) in [
+        ("t1", 1usize),
+        ("t2", 2),
+        ("t3", 3),
+        ("t4", 4),
+        ("t6", 6),
+        ("tmax", 22),
+    ] {
+        let name = format!("bch/decode_errorful_{tag}");
+        if !wants(cfg, &name) {
+            continue;
+        }
+        let mut rng = StdRng::seed_from_u64(nerr as u64);
+        let words: Vec<_> = (0..64).map(|_| aged(&mut rng, nerr)).collect();
         let mut scratch = BchScratch::new(&code);
-        let mut w = word.clone();
-        rows.push(scenario(cfg, &name, 256, || {
-            w.copy_from(std::hint::black_box(&word));
+        let (mut w, mut i) = (clean.clone(), 0);
+        rows.push(alloc_free_scenario(cfg, &name, 256, || {
+            i = (i + 1) % words.len();
+            w.copy_from(std::hint::black_box(&words[i]));
             code.decode_scratch(&mut w, &mut scratch)
                 .expect("correctable")
                 .num_corrected()
@@ -332,20 +354,8 @@ fn bch_scenarios(cfg: &Config, rows: &mut Vec<Json>) {
         // few errorful lanes — the nine single-word decodes
         // `ChipkillMemory::decode_stripe` performs for one stripe.
         let weights = [0usize, 1, 0, 2, 0, 0, 5, 0, 1];
-        let words: Vec<_> = weights
-            .iter()
-            .map(|&nerr| {
-                let mut word = clean.clone();
-                let mut pos = std::collections::BTreeSet::new();
-                while pos.len() < nerr {
-                    pos.insert(rng.gen_range(0..code.len()));
-                }
-                for &p in &pos {
-                    word.flip(p);
-                }
-                word
-            })
-            .collect();
+        let mut rng = StdRng::seed_from_u64(9);
+        let words: Vec<_> = weights.iter().map(|&nerr| aged(&mut rng, nerr)).collect();
         let mut batch = words.clone();
         let mut scratch = BchScratch::new(&code);
         let name = "bch/decode_batch_scrub";
@@ -520,7 +530,7 @@ fn readpath_scenarios(cfg: &Config, rows: &mut Vec<Json>) {
         if !wants(cfg, name) {
             continue;
         }
-        rows.push(measure(cfg, name, 64, || {
+        rows.push(measure(cfg, name, 64, |_| {
             let (mut ns, mut left) = (0, cfg.iters);
             while left > 0 {
                 let mut stack = filled_stack(|b| b, rber);
@@ -534,6 +544,32 @@ fn readpath_scenarios(cfg: &Config, rows: &mut Vec<Json>) {
             }
             ns as f64 / cfg.iters as f64
         }));
+    }
+    if wants(cfg, "readpath/fallback_first") {
+        // One stripe aged at RBER 1e-3 (the same seeded flips every
+        // time), then three bad RS symbols in one block: its read is
+        // the stripe's first over-threshold read and decodes all nine
+        // VLEWs, each holding the ageing's few bit errors, and heals
+        // the stripe for the next re-ageing.
+        let mut mem = ChipkillMemory::new(32, ChipkillConfig::default());
+        for a in 0..mem.num_blocks() {
+            mem.write_block(a, &[a as u8 ^ 0x5A; 64]).expect("in range");
+        }
+        let target = 7;
+        let mem = std::cell::RefCell::new(mem);
+        rows.push(alloc_free(prepared_scenario(
+            cfg,
+            "readpath/fallback_first",
+            64,
+            || {
+                let mut mem = mem.borrow_mut();
+                mem.inject_bit_errors(1e-3, &mut StdRng::seed_from_u64(27));
+                for chip in 0..3 {
+                    mem.corrupt_chip_byte(chip, target, 1, 0x10);
+                }
+            },
+            || mem.borrow_mut().read_block(target).expect("correctable"),
+        )));
     }
     if wants(cfg, "readpath/fallback_same_stripe") {
         let mut mem = ChipkillMemory::new(64, ChipkillConfig::default());
@@ -650,6 +686,42 @@ fn readpath_scenarios(cfg: &Config, rows: &mut Vec<Json>) {
             stack.submit(&Request::Read(a)).expect("clean")
         }));
     }
+}
+
+/// `scrub/boot_rber_1e-3`: the paper's boot-time correction (§V-B) —
+/// every VLEW of a 256-block rank decoded after it sat at RBER 1e-3 —
+/// per stripe. The rank is re-aged off the clock (the same seeded flips
+/// each time) before each whole-rank `BootScrub`.
+fn scrub_scenarios(cfg: &Config, rows: &mut Vec<Json>) {
+    if !wants(cfg, "scrub/boot_rber_1e-3") {
+        return;
+    }
+    let mut mem = ChipkillMemory::new(256, ChipkillConfig::default());
+    let mut rng = StdRng::seed_from_u64(5);
+    for a in 0..mem.num_blocks() {
+        let mut b = [0u8; 64];
+        rng.fill_bytes(&mut b[..]);
+        mem.write_block(a, &b).expect("in range");
+    }
+    let stripes = mem.stripes() as u64;
+    rows.push(alloc_free(measure(
+        cfg,
+        "scrub/boot_rber_1e-3",
+        32 * 64,
+        |untimed| {
+            let (mut ns, mut done) = (0, 0);
+            while done < cfg.iters {
+                *untimed += alloc::count(|| {
+                    mem.inject_bit_errors(1e-3, &mut StdRng::seed_from_u64(27));
+                });
+                let start = Instant::now();
+                std::hint::black_box(mem.boot_scrub().expect("correctable"));
+                ns += start.elapsed().as_nanos();
+                done += stripes;
+            }
+            ns as f64 / done as f64
+        },
+    )));
 }
 
 /// `iocrc/*`: the Write-CRC link's checksum over one 64 B payload; a
@@ -1019,6 +1091,7 @@ fn main() {
     bch_scenarios(&cfg, &mut rows);
     rs_scenarios(&cfg, &mut rows);
     readpath_scenarios(&cfg, &mut rows);
+    scrub_scenarios(&cfg, &mut rows);
     iocrc_scenarios(&cfg, &mut rows);
     tier_scenarios(&cfg, &mut rows);
     pmem_scenarios(&cfg, &mut rows);

@@ -6,12 +6,17 @@
 //! when more than one symbol is in error — it still *claims* success,
 //! which is exactly the class of silent bug the differential campaigns
 //! exist to catch. The second is the closed-form two-error solve with its
-//! check against the syndromes past `S_4` dropped.
+//! check against the syndromes past `S_4` dropped. The third is a BCH
+//! root finder that forgets the shortened length.
 
 use std::fs;
 use std::path::PathBuf;
 
-use pmck_harness::{ref_rs_small_decode, ByteErrorCase, Case, RefRsOutcome, Runner};
+use pmck_bch::{BchCode, BchScratch, BitPoly};
+use pmck_harness::{
+    ref_bch_decode, ref_rs_small_decode, BitFlipCase, ByteErrorCase, Case, RefBchOutcome,
+    RefRsOutcome, Runner,
+};
 use pmck_rs::{RsCode, RsScratch};
 use pmck_rt::rng::{Rng, StdRng};
 use pmck_rt::Json;
@@ -201,6 +206,90 @@ fn four_syndrome_two_error_solve_is_caught_and_shrunk() {
     );
     let doc = Json::parse(&fs::read_to_string(crafted).unwrap()).unwrap();
     let checked_in = ByteErrorCase::from_json(doc.get("case").unwrap()).unwrap();
+    assert_eq!(checked_in, failure.case, "the corpus entry is this word");
+
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+/// MUTANT: a BCH root finder without the `p < n` filter. The code of the
+/// same field and `t` at the natural length `2^m − 1` has the same
+/// generator, so its decoder on the zero-extended word *is* that finder:
+/// it flips every root the shortened code must drop as past its end.
+fn mutant_unfiltered_roots(natural: &BchCode, word: &BitPoly) -> RefBchOutcome {
+    let mut long = BitPoly::zero(natural.len());
+    long.splice(0, word);
+    match natural.decode_scratch(&mut long, &mut BchScratch::new(natural)) {
+        Ok(view) if view.was_clean() => RefBchOutcome::Clean,
+        Ok(view) => RefBchOutcome::Corrected(view.corrected_bits().to_vec()),
+        Err(_) => RefBchOutcome::Uncorrectable,
+    }
+}
+
+/// The PGZ oracle catches the unfiltered root finder on BCH(8, 3, 64),
+/// n = 88 of a natural 255, whose every locator (degree ≤ 3) is solved
+/// in closed form, and shrinks the word to zero data and t + 1 flips.
+/// That word is checked in as
+/// `tests/corpus/bch-closed-form-root-past-n-crafted.json`, where
+/// `differential.rs`'s `diff:bch:m8t3` campaign replays it against the
+/// production decoder.
+#[test]
+fn closed_form_root_past_n_is_caught_and_shrunk() {
+    let code = BchCode::new(8, 3, 64).unwrap();
+    let natural = BchCode::new(8, 3, 255 - code.parity_bits()).unwrap();
+    assert_eq!(natural.generator(), code.generator());
+    let dir: PathBuf =
+        std::env::temp_dir().join(format!("pmck-mutation-roots-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+
+    let failure = Runner::new("mutation:bch:root-past-n")
+        .seed(7)
+        .cases(2_000)
+        .corpus_dir(&dir)
+        .try_run(
+            |rng| {
+                let mut data = vec![0u8; code.data_bits() / 8];
+                rng.fill_bytes(&mut data);
+                let weight = rng.gen_range(0usize..=2 * code.t());
+                let mut flips: Vec<usize> = Vec::with_capacity(weight);
+                while flips.len() < weight {
+                    let p = rng.gen_range(0usize..code.len());
+                    if !flips.contains(&p) {
+                        flips.push(p);
+                    }
+                }
+                BitFlipCase { data, flips }
+            },
+            |case| {
+                let word = case.corrupted(&code);
+                let (mutant, reference) = (
+                    mutant_unfiltered_roots(&natural, &word),
+                    ref_bch_decode(&code, &word),
+                );
+                if mutant == reference {
+                    Ok(())
+                } else {
+                    Err(format!("mutant {mutant:?} vs reference {reference:?}"))
+                }
+            },
+        )
+        .expect_err("the mutant must be caught within 2000 cases");
+
+    // Within radius t every root lies below n, so t + 1 flips is the
+    // failure boundary; syndromes do not depend on the data.
+    assert_eq!(failure.case.flips.len(), code.t() + 1);
+    assert!(failure.case.data.iter().all(|&b| b == 0));
+    assert!(failure.error.contains("reference Uncorrectable"));
+
+    let crafted = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/corpus/bch-closed-form-root-past-n-crafted.json"
+    );
+    let doc = Json::parse(&fs::read_to_string(crafted).unwrap()).unwrap();
+    assert_eq!(
+        doc.get("prop").and_then(Json::as_str),
+        Some("diff:bch:m8t3")
+    );
+    let checked_in = BitFlipCase::from_json(doc.get("case").unwrap()).unwrap();
     assert_eq!(checked_in, failure.case, "the corpus entry is this word");
 
     fs::remove_dir_all(&dir).unwrap();

@@ -1,7 +1,7 @@
 //! Reliability of the proposal itself: UE rates for both tiers, closing
 //! the loop on the paper's "<1 UE per 10¹⁵ blocks" claim.
 
-use crate::prob::{binom_tail_ge, binom_tail_gt, byte_error_rate};
+use crate::prob::binom_tail_gt;
 
 /// Probability a single VLEW (2048 data + 264 code bits, t=22) is
 /// uncorrectable at bit error rate `rber` — the boot-tier per-word UE
@@ -33,12 +33,6 @@ pub fn boot_block_ue_rate(rber: f64) -> f64 {
 /// and at runtime RBERs it is already orders of magnitude under target.
 pub fn runtime_block_ue_rate(rber: f64) -> f64 {
     vlew_ue_probability(rber)
-}
-
-/// The fraction of runtime reads whose RS tier rejects (≥3 byte errors:
-/// the VLEW fallback trigger), re-exported here for UE bookkeeping.
-pub fn runtime_fallback_rate(rber: f64) -> f64 {
-    binom_tail_ge(72, 3, byte_error_rate(rber))
 }
 
 #[cfg(test)]

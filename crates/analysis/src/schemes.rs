@@ -6,7 +6,7 @@
 //! protection. The paper's headline: at RBER 10⁻³ the cheapest extension
 //! costs ≈69%, versus 27% for the proposal.
 
-use crate::prob::{binom_tail_gt, byte_error_rate};
+use crate::prob::binom_tail_gt;
 use crate::storage::{bch_code_bits, min_rs_t};
 
 /// A DRAM chipkill-correct scheme extended to tolerate NVRAM RBER.
@@ -106,12 +106,6 @@ pub fn figure2_series(rbers: &[f64], ue_target: f64) -> Vec<(f64, Vec<Option<f64
             )
         })
         .collect()
-}
-
-/// Sanity helper used in tests and experiments: DUO's byte-error rate for
-/// a given bit rate (exposed for reporting).
-pub fn duo_byte_rate(rber: f64) -> f64 {
-    byte_error_rate(rber)
 }
 
 #[cfg(test)]

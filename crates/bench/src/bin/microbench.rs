@@ -812,9 +812,11 @@ fn tier_scenarios(cfg: &Config, rows: &mut Vec<Json>) {
 ///
 /// `drain_empty` and `fence_lines/N` time `PersistentMedia` alone, on a
 /// media the size of that device's (37 Ki lines): a drain with nothing
-/// pending, and the `write` + `drain` of `N` lines scattered one per
+/// pending, and the `stage` + `drain` of `N` lines scattered one per
 /// 41-line stride — the record encode, its CRC, and both persists, with
-/// no EUR drain, gather or compare in the way.
+/// no EUR drain or gather in the way. Each round stages its own round
+/// number, which no earlier round left in any line, so compare-skip
+/// keeps all `N`.
 fn pmem_scenarios(cfg: &Config, rows: &mut Vec<Json>) {
     const MEDIA_LINES: usize = 37 << 10;
     let media = || PersistentMedia::new(MEDIA_LINES * 64, PmemConfig::default());
@@ -833,9 +835,13 @@ fn pmem_scenarios(cfg: &Config, rows: &mut Vec<Json>) {
         let mut round = 0usize;
         rows.push(alloc_free_scenario(cfg, &name, 64 * n as u64, || {
             round += 1;
+            let mut bytes = [0u8; 64];
+            for word in bytes.chunks_exact_mut(8) {
+                word.copy_from_slice(&(round as u64).to_le_bytes());
+            }
             for i in 0..n {
                 let line = (round * 97 + i * 41) % MEDIA_LINES;
-                media.write(line * 64, &[round as u8; 64]);
+                media.stage(line * 64, &bytes);
             }
             let report = media.drain();
             assert_eq!(report.lines, n as u64);

@@ -60,6 +60,21 @@ impl ChipkillConfig {
         }
     }
 
+    /// This configuration moved to `tier`: itself at its own tier; at
+    /// another, that tier's geometry and threshold with this one's EUR
+    /// and decode-policy knobs. What a tier migration or a recovery
+    /// builds a region's fresh engine with.
+    pub(crate) fn at_tier(&self, tier: ProtectionTier) -> Self {
+        if tier == self.tier {
+            return *self;
+        }
+        ChipkillConfig {
+            eur_enabled: self.eur_enabled,
+            decode_policy: self.decode_policy,
+            ..Self::for_tier(tier)
+        }
+    }
+
     /// Whether the configured tier runs the VLEW boot tier.
     pub fn vlew_enabled(&self) -> bool {
         self.tier.vlew_enabled()

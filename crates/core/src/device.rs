@@ -24,6 +24,7 @@ use pmck_rt::rng::StdRng;
 use crate::baseline::BaselineMemory;
 use crate::engine::{ChipkillMemory, ReadOutcome, ReadPath};
 use crate::error::CoreError;
+use crate::pmem::{self, Slot};
 use crate::request::{Request, Response};
 use crate::restripe::{RestripedMemory, BLOCKS_PER_GROUP};
 use crate::scrub::ScrubReport;
@@ -621,9 +622,17 @@ impl BlockDevice for ChipkillMemory {
                 None => Ok(Response::Repaired { chip: None }),
             },
             // No-ops without a persistence domain; see `crate::pmem`.
-            Request::Flush => self.handle_flush(ctx),
-            Request::PowerCut => self.handle_power_cut(),
-            Request::Recover => self.handle_recover(ctx),
+            Request::Flush => Ok(Response::Flushed {
+                lines: pmem::flush(self, ctx),
+            }),
+            Request::PowerCut => Ok(Response::PowerLost {
+                lost_lines: pmem::power_cut(self),
+            }),
+            Request::Recover => {
+                let cfg = *self.config();
+                pmem::recover([Slot::Rank(self)], &cfg, ctx)
+                    .map(|(report, _)| Response::Recovered(report))
+            }
             Request::PatrolStep | Request::Restripe | Request::TierStep => {
                 Err(CoreError::Unsupported(req.kind()))
             }
@@ -788,9 +797,15 @@ impl BlockDevice for RestripedMemory {
             }
             Request::Verify => Ok(Response::Verified(self.verify_consistent())),
             // No-ops without a persistence domain; see `crate::pmem`.
-            Request::Flush => self.handle_flush(ctx),
-            Request::PowerCut => self.handle_power_cut(),
-            Request::Recover => self.handle_recover(ctx),
+            Request::Flush => Ok(Response::Flushed {
+                lines: pmem::flush(self, ctx),
+            }),
+            Request::PowerCut => Ok(Response::PowerLost {
+                lost_lines: pmem::power_cut(self),
+            }),
+            // A re-striped layout holds a domain only inside
+            // `Restripeable`, which answers `Recover` itself.
+            Request::Recover => Ok(Response::Recovered(RecoveryReport::default())),
             Request::WriteSum { .. }
             | Request::PatrolStep
             | Request::Repair

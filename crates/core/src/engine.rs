@@ -169,7 +169,7 @@ impl ChipkillMemory {
         // between the nine data arrays and the register file moves
         // their relative placement — measured at +4–10% on a clean
         // read's latency through the service with no instruction of the
-        // read changed (DESIGN.md §24.4).
+        // read changed (DESIGN.md §9.5).
         let vlew = BchCode::new(12, 22, layout.vlew_data_bytes * 8)
             .expect("validated layouts yield constructible VLEW parameters");
         debug_assert_eq!(vlew.parity_bits() / 8, layout.vlew_code_bytes);

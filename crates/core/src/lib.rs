@@ -94,4 +94,4 @@ pub use wearlevel::{WearLevelled, WearLevelledMemory};
 // Re-exports used in public signatures.
 pub use pmck_bch::DecodePolicy;
 pub use pmck_nvram::{ChipFailureKind, FailedChip};
-pub use pmck_pmem::{MediaStats, PmemConfig};
+pub use pmck_pmem::PmemConfig;

@@ -22,15 +22,15 @@
 //! Mutations that are not stripe-addressed (rank-wide RBER, a burst, a
 //! chip failure) take the whole-array accessor, which sets every bit.
 //!
-//! *Who clears.* `stage_image` after it has staged the dirty stripes —
-//! on the rank, every stripe some chip marked, gathered into the image's
-//! burst order; on the re-striped layout, [`stage_dirty`] over its one
-//! store — and `restore_from_image` after it has copied the arrays back
-//! from the recovered image. Nothing else.
+//! *Who clears.* [`Durable::stage_image`] after it has staged the dirty
+//! stripes — on the rank, every stripe some chip marked, gathered into
+//! the image's burst order; on the re-striped layout, the dirty groups of
+//! its one store — and [`Durable::restore_image`] after it has copied the
+//! arrays back from the recovered image. Nothing else.
 //!
 //! *Why compare-skip stays.* The set says where bytes *may* differ;
 //! [`pmck_pmem::PersistentMedia::stage`] still compares each cache line
-//! it is given and dirties only those that do. The lines a fence logs
+//! it is given and dirties only those that do. The lines a drain logs
 //! are therefore exactly the lines a whole-image restage would have
 //! found — the set narrows where to compare, never what is logged — and
 //! a flush costs what changed, not what exists. A restage of the whole
@@ -48,18 +48,26 @@
 //! rests on the marks, so it is checked: `staging_matches_live` compares
 //! every staged range with the live arrays, every flush `debug_assert!`s
 //! it, and [`crate::Stack::staging_matches_live`] lets a campaign assert
-//! it in release builds. Two consequences worth knowing:
+//! it in release builds. A fault injected after the last flush exists
+//! only in the live arrays, so a power cut discards it; a campaign that
+//! wants a fault to survive a crash flushes after injecting it.
 //!
-//! * A fault injected after the last flush exists only in the live
-//!   arrays; a power cut discards it. Campaigns that want a fault to
-//!   survive a crash must flush after injecting — which is also the
-//!   physically honest model (the scar *is* in the NVRAM cells; what the
-//!   media model loses is the *staged view* of them, so the campaign
-//!   flushes to line the two up).
-//! * [`crate::Request::PowerCut`] stages once more purely to *count*
-//!   the lines that would have been lost, then drops all volatile media
-//!   state; [`crate::Request::Recover`] replays the log and rebuilds the
-//!   live arrays wholesale from the durable image.
+//! # One protocol, written once
+//!
+//! Each request of the vocabulary has one implementation here, written
+//! against [`Durable`] — the chipkill rank and the re-striped layout —
+//! and every caller goes through it: the bases' `access`, each region of
+//! a [`crate::TieredMemory`], a tier migration's commit and the §V-E
+//! re-stripe's commit.
+//!
+//! * [`flush`] drains the EUR, stages the image and the metadata line,
+//!   and drains the media: one fence.
+//! * [`power_cut`] stages once more purely to *count* the lines that die
+//!   with the power, then drops all volatile media state.
+//! * [`recover`] replays the log, decodes the metadata line, and hands
+//!   the domain to the engine the line describes — the only place a line
+//!   becomes a layout ([`engine_for_image`]) — which rebuilds its live
+//!   arrays wholesale from the durable image.
 //!
 //! # Media layout
 //!
@@ -85,9 +93,9 @@
 //! leaves the data area's lines equal and fences the code area and the
 //! metadata line only. The live arrays stay chip-major
 //! ([`crate::rank::ChipStore`], which the per-chip VLEW encode and
-//! decode want contiguous); `stage_image` gathers and
-//! `restore_from_image` scatters through one address function,
-//! [`RegionMap::share`] / [`RegionMap::code_word`].
+//! decode want contiguous); `stage_image` gathers and `restore_image`
+//! scatters through one address function, [`RegionMap::share`] /
+//! [`RegionMap::code_word`].
 //!
 //! Region B holds the §V-E re-striped image in its store's own order,
 //! and the single 64 B metadata line (magic, version, layout state,
@@ -98,15 +106,15 @@
 //! persists its lines in ascending order, so the metadata line — the
 //! commit record of a flip or a tier change — goes last.
 
-use pmck_pmem::{crc32, FenceReport, PersistentMedia, PmemConfig, ReplayOutcome};
+use pmck_pmem::{crc32, PersistentMedia, PmemConfig, ReplayOutcome};
 
-use crate::device::{AccessContext, LayerId, RecoveryReport};
+use crate::config::ChipkillConfig;
+use crate::device::{AccessContext, BlockDevice, LayerId, RecoveryReport};
 use crate::engine::ChipkillMemory;
 use crate::error::{CoreError, RecoveryError, RecoveryFailure};
 use crate::layout::{ChipkillLayout, ProtectionTier};
-use crate::rank::ChipStore;
-use crate::request::{Request, Response};
-use crate::restripe::{RestripeState, Restripeable, RestripedMemory, BLOCKS_PER_GROUP};
+use crate::restripe::{RestripeState, RestripedMemory, BLOCKS_PER_GROUP};
+use crate::stats::CoreStats;
 
 const META_MAGIC: u64 = 0x504d_434b_4d45_5441; // "PMCKMETA"
 const META_VERSION: u64 = 1;
@@ -299,46 +307,16 @@ impl PmemDomain {
         }
     }
 
-    /// The underlying media (fuse control, scars, raw state).
-    pub fn media(&self) -> &PersistentMedia {
-        &self.media
-    }
-
-    /// Mutable access to the underlying media.
-    pub fn media_mut(&mut self) -> &mut PersistentMedia {
-        &mut self.media
-    }
-
-    /// Current fence epoch.
-    pub fn epoch(&self) -> u64 {
-        self.media.epoch()
-    }
-
-    /// Cumulative media counters.
-    pub fn media_stats(&self) -> &pmck_pmem::MediaStats {
-        self.media.stats()
-    }
-
     /// Arms the power-cut fuse: the next `steps` durable chunk writes
     /// succeed, then the media silently dies.
     pub fn arm_fuse(&mut self, steps: u64) {
         self.media.arm_fuse(steps);
     }
 
-    /// Removes an armed fuse without cutting power.
-    pub fn disarm_fuse(&mut self) {
-        self.media.disarm_fuse();
-    }
-
     /// Durable chunk writes attempted so far (the crash campaign's
     /// cut-point space).
     pub fn steps_taken(&self) -> u64 {
         self.media.steps_taken()
-    }
-
-    /// Whether an armed fuse has burned out.
-    pub fn is_dead(&self) -> bool {
-        self.media.is_dead()
     }
 
     /// Records the wear-levelling position to persist with the next
@@ -372,95 +350,218 @@ impl PmemDomain {
     }
 
     /// Replays the intent log after a power cut, restoring `staging` to
-    /// the durable post-replay image.
+    /// the durable post-replay image, and decodes the image's metadata
+    /// line, adopting its wear-levelling position.
     ///
     /// # Errors
     ///
     /// [`CoreError::Recovery`] wrapping the media-level cause when the
     /// log is structurally corrupt (a torn record, by contrast, is
-    /// silently ignored — pre-fence state is a valid recovery point).
-    pub(crate) fn replay(&mut self) -> Result<ReplayOutcome, CoreError> {
-        self.media.recover().map_err(|e| {
+    /// silently ignored — pre-fence state is a valid recovery point), or
+    /// with [`RecoveryFailure::CrcMismatch`] when the metadata line fails
+    /// its checks.
+    fn replay(&mut self) -> Result<(ReplayOutcome, MetaLine), CoreError> {
+        let outcome = self.media.recover().map_err(|e| {
             let kind = match e {
                 pmck_pmem::MediaError::UnsealedRecord { .. } => RecoveryFailure::UnsealedRecord,
                 pmck_pmem::MediaError::TornEntry { .. } => RecoveryFailure::TornBlock,
             };
             CoreError::Recovery(RecoveryError::with_source(kind, e))
-        })
-    }
-
-    /// Decodes the metadata line from the recovered image and refreshes
-    /// the wear-levelling fields from it.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Recovery`] with [`RecoveryFailure::CrcMismatch`] if
-    /// the line fails its checks.
-    pub(crate) fn decode_meta(&mut self) -> Result<MetaLine, CoreError> {
+        })?;
         let off = self.map.meta();
         let meta = MetaLine::decode(&self.media.staging()[off..off + META_LEN], self.map.chips)?;
         self.wear_gap = meta.wear_gap;
         self.wear_start = meta.wear_start;
-        Ok(meta)
+        Ok((outcome, meta))
     }
 }
 
-/// Drains the media and folds the fence into the stack's pmem counters.
-fn drain_and_record(media: &mut PersistentMedia, ctx: &mut AccessContext) -> FenceReport {
+/// An engine whose image a [`PmemDomain`] holds: the chipkill rank
+/// (region A) or the §V-E re-striped layout (region B). [`flush`],
+/// [`power_cut`] and [`recover`] are written once against it.
+pub(crate) trait Durable: BlockDevice {
+    /// The installed domain.
+    fn domain(&mut self) -> &mut Option<PmemDomain>;
+
+    /// Applies what the live arrays still owe the durable image (the
+    /// rank's pending EUR deltas) before a flush stages it. A power cut
+    /// does not: what is owed dies with the power.
+    fn settle(&mut self) {}
+
+    /// Stages every stripe marked dirty, then the metadata line, into
+    /// the domain, and marks the live arrays clean.
+    fn stage_image(&mut self);
+
+    /// Rebuilds the live arrays wholesale from the recovered image, which
+    /// `meta` describes, and marks them clean.
+    fn restore_image(&mut self, meta: &MetaLine);
+
+    /// What this engine's metadata line records: whether the image is
+    /// re-striped, and its tier.
+    fn image_layout(&self) -> (bool, ProtectionTier);
+}
+
+/// `Request::Flush` on one engine: drains what the live arrays owe the
+/// image, stages the image and its metadata line, and drains the media
+/// in one fence. Returns the lines made durable (0 without a domain).
+pub(crate) fn flush(engine: &mut impl Durable, ctx: &mut AccessContext) -> u64 {
+    if engine.domain().is_none() {
+        return 0;
+    }
+    engine.settle();
+    engine.stage_image();
+    let media = &mut engine
+        .domain()
+        .as_mut()
+        .expect("domain checked above")
+        .media;
     let torn_before = media.stats().torn_lines;
     let report = media.drain();
+    let torn = media.stats().torn_lines - torn_before;
     let st = ctx.layer_mut(LayerId::Pmem);
     st.flushes += 1;
     st.fences += 1;
     st.lines_flushed += report.lines;
     st.log_bytes += report.log_bytes;
-    if report.log_bytes > 0 {
-        st.log_records += 1;
+    st.log_records += (report.log_bytes > 0) as u64;
+    st.torn_lines += torn;
+    debug_assert_eq!(
+        engine.staging_matches_live(),
+        Some(true),
+        "a mutation site did not mark its stripe dirty"
+    );
+    report.lines
+}
+
+/// `Request::PowerCut` on one engine: stages once more purely to count
+/// what dies with the power, then drops the media's volatile state.
+/// Returns the lines lost (0 without a domain).
+pub(crate) fn power_cut(engine: &mut impl Durable) -> u64 {
+    if engine.domain().is_none() {
+        return 0;
     }
-    st.torn_lines += media.stats().torn_lines - torn_before;
-    report
+    engine.stage_image();
+    let domain = engine.domain().as_mut().expect("domain checked above");
+    domain.media.power_cut()
 }
 
-fn recovery_outcome(outcome: ReplayOutcome, restriped: bool) -> Response {
-    Response::Recovered(RecoveryReport {
-        records_replayed: outcome.records_replayed,
-        lines_redone: outcome.lines_redone,
-        restriped,
-    })
+/// Where [`recover`] installs the engine a recovered image describes.
+pub(crate) enum Slot<'a> {
+    /// A bare rank or a tier region: holds a chipkill rank, at any tier.
+    Rank(&'a mut ChipkillMemory),
+    /// The §V-E switch ([`crate::Restripeable`]): holds either layout.
+    Layout(&'a mut RestripeState),
 }
 
-/// The re-striped layout's staging loop: stages the dirty groups of
-/// `store` — whose data and code areas live at `(data_off, code_off)`
-/// on the media, in the store's own order — and marks the store clean.
-/// A store with every group dirty is the whole-image restage.
-fn stage_dirty(
-    store: &mut ChipStore,
-    layout: &ChipkillLayout,
-    media: &mut PersistentMedia,
-    (data_off, code_off): (usize, usize),
-) {
-    for s in store.dirty_stripes() {
-        let data = store.vlew_data(s, layout);
-        media.stage(data_off + s * data.len(), data);
-        let code = store.vlew_code(s, layout);
-        media.stage(code_off + s * code.len(), code);
+impl Slot<'_> {
+    fn engine(&mut self) -> &mut dyn Durable {
+        match self {
+            Slot::Rank(rank) => &mut **rank,
+            Slot::Layout(state) => state.engine_mut(),
+        }
     }
-    store.mark_clean();
 }
 
-/// Copies a store's areas back from the staged image and marks it clean.
-fn restore(store: &mut ChipStore, staging: &[u8], (data_off, code_off): (usize, usize)) {
-    let (data, code) = store.arrays_mut();
-    data.copy_from_slice(&staging[data_off..data_off + data.len()]);
-    code.copy_from_slice(&staging[code_off..code_off + code.len()]);
-    store.mark_clean();
+/// `Request::Recover` on a base's engines: for every slot whose engine
+/// holds a domain, replays the intent log, decodes the metadata line and
+/// installs the domain in the engine the line describes
+/// ([`engine_for_image`]). The request counts as one recovery however
+/// many domains it replays. Stops at the first error, which leaves that
+/// slot's engine holding its domain.
+///
+/// Returns the summed report, and the summed stats of every rank a fresh
+/// engine replaced (`None` if none was).
+pub(crate) fn recover<'a>(
+    slots: impl IntoIterator<Item = Slot<'a>>,
+    cfg: &ChipkillConfig,
+    ctx: &mut AccessContext,
+) -> Result<(RecoveryReport, Option<CoreStats>), CoreError> {
+    let mut report = RecoveryReport::default();
+    let mut retired: Option<CoreStats> = None;
+    let mut replayed_any = false;
+    for (i, mut slot) in slots.into_iter().enumerate() {
+        let Some(domain) = slot.engine().domain().as_mut() else {
+            continue;
+        };
+        replayed_any = true;
+        let (outcome, meta) = domain.replay()?;
+        report.merge(&RecoveryReport {
+            records_replayed: outcome.records_replayed,
+            lines_redone: outcome.lines_redone,
+            restriped: meta.restriped,
+        });
+        // Only the §V-E switch and a tier region ever replace an engine.
+        let switch = matches!(slot, Slot::Layout(_));
+        if let Some(old) = engine_for_image(slot, &meta, cfg)? {
+            if switch {
+                let to = if meta.restriped {
+                    "restriped"
+                } else {
+                    "chipkill"
+                };
+                ctx.trace(LayerId::Restripeable, || format!("recover -> {to}"));
+            } else {
+                ctx.trace(LayerId::Tiered, || {
+                    format!("recover region {i} -> {}", meta.tier)
+                });
+            }
+            if let RestripeState::Chipkill(rank) = old {
+                retired.get_or_insert_default().merge(rank.stats());
+            }
+        }
+    }
+    if replayed_any {
+        let st = ctx.layer_mut(LayerId::Pmem);
+        st.recoveries += 1;
+        st.lines_redone += report.lines_redone;
+    }
+    Ok((report, retired))
 }
 
-/// Whether the staged image holds exactly the store's bytes.
-fn is_staged(store: &ChipStore, staging: &[u8], (data_off, code_off): (usize, usize)) -> bool {
-    let (data, code) = (store.data(), store.code());
-    staging[data_off..data_off + data.len()] == *data
-        && staging[code_off..code_off + code.len()] == *code
+/// The one place a metadata line becomes a layout. The engine in `slot`
+/// holds a domain whose log has replayed; after this the domain sits in
+/// the engine `meta` describes, its live arrays restored from the image.
+/// That is the slot's engine itself when it stages the line's layout and
+/// tier; otherwise a fresh one takes its place — a rank at the line's
+/// tier (`cfg` moved to it), or the re-striped layout — and the engine it
+/// replaced is returned.
+///
+/// # Errors
+///
+/// [`RecoveryFailure::CrcMismatch`] for a re-striped image in a rank
+/// slot: only the §V-E switch writes such a line, so this one fails its
+/// checks. The slot keeps its engine and domain.
+fn engine_for_image(
+    mut slot: Slot<'_>,
+    meta: &MetaLine,
+    cfg: &ChipkillConfig,
+) -> Result<Option<RestripeState>, CoreError> {
+    if meta.restriped && matches!(slot, Slot::Rank(_)) {
+        return Err(CoreError::recovery(RecoveryFailure::CrcMismatch));
+    }
+    let engine = slot.engine();
+    if engine.image_layout() == (meta.restriped, meta.tier) {
+        engine.restore_image(meta);
+        return Ok(None);
+    }
+    let domain = engine.domain().take().expect("the caller replayed it");
+    let blocks = (domain.map.b_data_len() / 64) as u64;
+    let rank = || ChipkillMemory::new(blocks, cfg.at_tier(meta.tier));
+    let old = match &mut slot {
+        Slot::Rank(live) => RestripeState::Chipkill(std::mem::replace(*live, rank())),
+        Slot::Layout(state) => {
+            let fresh = if meta.restriped {
+                RestripeState::Restriped(RestripedMemory::zeroed(blocks))
+            } else {
+                RestripeState::Chipkill(rank())
+            };
+            std::mem::replace(*state, fresh)
+        }
+    };
+    let engine = slot.engine();
+    *engine.domain() = Some(domain);
+    engine.restore_image(meta);
+    Ok(Some(old))
 }
 
 /// Copies one chip's share of a block. A share is 8 B on every tier's
@@ -478,14 +579,21 @@ fn copy_share(dst: &mut [u8], src: &[u8]) {
     }
 }
 
-impl ChipkillMemory {
-    /// Stages every stripe some chip marked dirty, plus the metadata
-    /// line, into the media; compare-skip keeps unchanged lines clean.
-    ///
+impl Durable for ChipkillMemory {
+    fn domain(&mut self) -> &mut Option<PmemDomain> {
+        &mut self.domain
+    }
+
+    /// Pending EUR deltas drain first so the durable code arrays are
+    /// consistent with the durable data.
+    fn settle(&mut self) {
+        self.flush_eur();
+    }
+
     /// The nine stores are chip-major and the image is burst-major, so
     /// each dirty stripe is gathered into the domain's scratch buffer —
     /// its bursts, then its nine code words — and staged as two runs.
-    pub(crate) fn stage_image(&mut self) {
+    fn stage_image(&mut self) {
         let tier = self.config().tier;
         let failed = self.known_failed;
         let layout = *self.layout();
@@ -532,28 +640,12 @@ impl ChipkillMemory {
         domain.stage_meta(false, failed, tier);
     }
 
-    /// Whether every chip's staged bytes equal its live arrays — the
-    /// module's invariant after a flush. `None` without a domain.
-    /// Linear in capacity: for assertions and tests.
-    pub(crate) fn staging_matches_live(&self) -> Option<bool> {
-        let domain = self.domain.as_ref()?;
-        let (staging, map) = (domain.media.staging(), &domain.map);
-        let (cb, code_bytes) = (self.layout().chip_bytes, self.layout().vlew_code_bytes);
-        Some(self.chips.iter().enumerate().all(|(c, chip)| {
-            let mut shares = chip.data().chunks_exact(cb).enumerate();
-            let mut words = chip.code().chunks_exact(code_bytes).enumerate();
-            shares.all(|(b, share)| staging[map.share(b, c)..][..cb] == *share)
-                && words.all(|(s, word)| staging[map.code_word(s, c)..][..code_bytes] == *word)
-        }))
-    }
-
-    /// Rebuilds the live arrays wholesale from the recovered image (the
-    /// scatter that inverts `stage_image`'s gather). The EUR
+    /// The scatter that inverts `stage_image`'s gather. The EUR
     /// registerfile is volatile and comes back empty; the detected
     /// failure is restored from the metadata line (ground-truth injected
     /// failures and disabled-block sets are volatile campaign
     /// bookkeeping and survive untouched).
-    pub(crate) fn restore_from_image(&mut self, meta: &MetaLine) {
+    fn restore_image(&mut self, meta: &MetaLine) {
         let layout = *self.layout();
         let (cb, code_bytes) = (layout.chip_bytes, layout.vlew_code_bytes);
         let Some(domain) = self.domain.as_ref() else {
@@ -574,57 +666,63 @@ impl ChipkillMemory {
         self.known_failed = meta.failed_chip;
     }
 
-    pub(crate) fn handle_flush(&mut self, ctx: &mut AccessContext) -> Result<Response, CoreError> {
-        if self.domain.is_none() {
-            return Ok(Response::Flushed { lines: 0 });
-        }
-        // Pending EUR deltas must drain first so the durable code
-        // arrays are consistent with the durable data.
-        self.flush_eur();
-        self.stage_image();
-        let domain = self.domain.as_mut().expect("domain checked above");
-        let report = drain_and_record(&mut domain.media, ctx);
-        debug_assert_eq!(
-            self.staging_matches_live(),
-            Some(true),
-            "a mutation site did not mark its stripe dirty"
-        );
-        Ok(Response::Flushed {
-            lines: report.lines,
-        })
+    fn image_layout(&self) -> (bool, ProtectionTier) {
+        (false, self.tier())
+    }
+}
+
+impl ChipkillMemory {
+    /// Whether every chip's staged bytes equal its live arrays — the
+    /// module's invariant after a flush. `None` without a domain.
+    /// Linear in capacity: for assertions and tests.
+    pub(crate) fn staging_matches_live(&self) -> Option<bool> {
+        let domain = self.domain.as_ref()?;
+        let (staging, map) = (domain.media.staging(), &domain.map);
+        let (cb, code_bytes) = (self.layout().chip_bytes, self.layout().vlew_code_bytes);
+        Some(self.chips.iter().enumerate().all(|(c, chip)| {
+            let mut shares = chip.data().chunks_exact(cb).enumerate();
+            let mut words = chip.code().chunks_exact(code_bytes).enumerate();
+            shares.all(|(b, share)| staging[map.share(b, c)..][..cb] == *share)
+                && words.all(|(s, word)| staging[map.code_word(s, c)..][..code_bytes] == *word)
+        }))
+    }
+}
+
+impl Durable for RestripedMemory {
+    fn domain(&mut self) -> &mut Option<PmemDomain> {
+        &mut self.domain
     }
 
-    pub(crate) fn handle_power_cut(&mut self) -> Result<Response, CoreError> {
-        if self.domain.is_none() {
-            return Ok(Response::PowerLost { lost_lines: 0 });
+    /// Region B is in the store's own order: each dirty group's data and
+    /// code stage as they lie.
+    fn stage_image(&mut self) {
+        let Some(domain) = self.domain.as_mut() else {
+            return;
+        };
+        let (data_off, code_off) = domain.map.b_areas();
+        for g in self.store.dirty_stripes() {
+            let data = self.store.vlew_data(g, &self.layout);
+            domain.media.stage(data_off + g * data.len(), data);
+            let code = self.store.vlew_code(g, &self.layout);
+            domain.media.stage(code_off + g * code.len(), code);
         }
-        // Stage once more purely to count what dies with the power.
-        self.stage_image();
-        let domain = self.domain.as_mut().expect("domain checked above");
-        Ok(Response::PowerLost {
-            lost_lines: domain.media.power_cut(),
-        })
+        self.store.mark_clean();
+        domain.stage_meta(true, None, ProtectionTier::Paper);
     }
 
-    pub(crate) fn handle_recover(
-        &mut self,
-        ctx: &mut AccessContext,
-    ) -> Result<Response, CoreError> {
-        if self.domain.is_none() {
-            return Ok(Response::Recovered(RecoveryReport::default()));
-        }
-        let domain = self.domain.as_mut().expect("domain checked above");
-        let outcome = domain.replay()?;
-        let meta = domain.decode_meta()?;
-        debug_assert!(
-            !meta.restriped,
-            "a bare chipkill rank cannot hold a re-striped durable image"
-        );
-        self.restore_from_image(&meta);
-        let st = ctx.layer_mut(LayerId::Pmem);
-        st.recoveries += 1;
-        st.lines_redone += outcome.lines_redone;
-        Ok(recovery_outcome(outcome, meta.restriped))
+    fn restore_image(&mut self, _meta: &MetaLine) {
+        let Some(domain) = self.domain.as_ref() else {
+            return;
+        };
+        let ((data_off, code_off), staging) = (domain.map.b_areas(), domain.media.staging());
+        let (data, code) = self.store.arrays_mut();
+        data.copy_from_slice(&staging[data_off..data_off + data.len()]);
+        code.copy_from_slice(&staging[code_off..code_off + code.len()]);
+        self.store.mark_clean();
+    }
+
+    fn image_layout(&self) -> (bool, ProtectionTier) {
+        (true, ProtectionTier::Paper)
     }
 }
 
@@ -636,199 +734,16 @@ impl RestripedMemory {
         self.domain = Some(domain);
     }
 
-    /// Stages the dirty groups of the re-striped image (region B) plus
-    /// the metadata line.
-    pub(crate) fn stage_image(&mut self) {
-        let Some(domain) = self.domain.as_mut() else {
-            return;
-        };
-        let at = domain.map.b_areas();
-        stage_dirty(&mut self.store, &self.layout, &mut domain.media, at);
-        domain.stage_meta(true, None, ProtectionTier::Paper);
-    }
-
     /// Whether staged region B equals the live arrays; see
     /// [`ChipkillMemory::staging_matches_live`].
     pub(crate) fn staging_matches_live(&self) -> Option<bool> {
         let domain = self.domain.as_ref()?;
-        let staging = domain.media.staging();
-        Some(is_staged(&self.store, staging, domain.map.b_areas()))
-    }
-
-    /// Rebuilds the live arrays from the recovered region B image.
-    pub(crate) fn restore_from_image(&mut self) {
-        let Some(domain) = self.domain.as_ref() else {
-            return;
-        };
-        restore(
-            &mut self.store,
-            domain.media.staging(),
-            domain.map.b_areas(),
-        );
-    }
-
-    /// Rebuilds a re-striped layout entirely from a recovered durable
-    /// image — recovery's path when the crash landed *after* the §V-E
-    /// layout flip committed.
-    pub(crate) fn from_pmem_image(domain: PmemDomain) -> Self {
-        let mut out = RestripedMemory::zeroed((domain.map.b_data_len() / 64) as u64);
-        out.set_domain(domain);
-        out.restore_from_image();
-        out
-    }
-
-    /// Commits the freshly built layout through the intent log: region B
-    /// plus the flipped metadata line fence as one transaction (the §V-E
-    /// "map flip"). Without a domain the log is a no-op and the
-    /// in-memory swap is the whole commit — same code path either way.
-    pub(crate) fn commit_restripe(&mut self, ctx: &mut AccessContext) {
-        if self.domain.is_none() {
-            return;
-        }
-        self.stage_image();
-        let domain = self.domain.as_mut().expect("domain checked above");
-        drain_and_record(&mut domain.media, ctx);
-        debug_assert_eq!(self.staging_matches_live(), Some(true));
-    }
-
-    pub(crate) fn handle_flush(&mut self, ctx: &mut AccessContext) -> Result<Response, CoreError> {
-        if self.domain.is_none() {
-            return Ok(Response::Flushed { lines: 0 });
-        }
-        self.stage_image();
-        let domain = self.domain.as_mut().expect("domain checked above");
-        let report = drain_and_record(&mut domain.media, ctx);
-        debug_assert_eq!(
-            self.staging_matches_live(),
-            Some(true),
-            "a mutation site did not mark its group dirty"
-        );
-        Ok(Response::Flushed {
-            lines: report.lines,
-        })
-    }
-
-    pub(crate) fn handle_power_cut(&mut self) -> Result<Response, CoreError> {
-        if self.domain.is_none() {
-            return Ok(Response::PowerLost { lost_lines: 0 });
-        }
-        self.stage_image();
-        let domain = self.domain.as_mut().expect("domain checked above");
-        Ok(Response::PowerLost {
-            lost_lines: domain.media.power_cut(),
-        })
-    }
-
-    pub(crate) fn handle_recover(
-        &mut self,
-        ctx: &mut AccessContext,
-    ) -> Result<Response, CoreError> {
-        if self.domain.is_none() {
-            return Ok(Response::Recovered(RecoveryReport::default()));
-        }
-        let domain = self.domain.as_mut().expect("domain checked above");
-        let outcome = domain.replay()?;
-        let meta = domain.decode_meta()?;
-        debug_assert!(
-            meta.restriped,
-            "a bare re-striped layout cannot hold a chipkill durable image"
-        );
-        self.restore_from_image();
-        let st = ctx.layer_mut(LayerId::Pmem);
-        st.recoveries += 1;
-        st.lines_redone += outcome.lines_redone;
-        Ok(recovery_outcome(outcome, meta.restriped))
-    }
-}
-
-impl Restripeable {
-    /// Recovery across the §V-E layout flip: the durable metadata line —
-    /// not the in-memory state — decides which layout comes back. A
-    /// crash cut *before* the flip's fence recovers the chipkill layout
-    /// from region A (even if the live state had already transitioned);
-    /// a cut *after* recovers the re-striped layout from region B.
-    pub(crate) fn recover_across(
-        &mut self,
-        ctx: &mut AccessContext,
-    ) -> Result<Response, CoreError> {
-        if self.active_mut().pmem_domain().is_none() {
-            // Volatile stack: forward the no-op to the active layout.
-            return self.active_mut().access(Request::Recover, ctx);
-        }
-        let result = match std::mem::replace(&mut self.state, RestripeState::Poisoned) {
-            RestripeState::Chipkill(mut rank) => {
-                let mut domain = rank.take_domain().expect("domain checked above");
-                match domain
-                    .replay()
-                    .and_then(|o| domain.decode_meta().map(|m| (o, m)))
-                {
-                    Err(e) => {
-                        rank.set_domain(domain);
-                        self.state = RestripeState::Chipkill(rank);
-                        Err(e)
-                    }
-                    Ok((outcome, meta)) => {
-                        if meta.restriped {
-                            // The flip committed before the crash.
-                            let stats = *rank.stats();
-                            self.state =
-                                RestripeState::Restriped(RestripedMemory::from_pmem_image(domain));
-                            self.final_stats = Some(stats);
-                            ctx.trace(LayerId::Restripeable, || "recover -> restriped".into());
-                        } else {
-                            rank.set_domain(domain);
-                            rank.restore_from_image(&meta);
-                            self.state = RestripeState::Chipkill(rank);
-                        }
-                        Ok((outcome, meta.restriped))
-                    }
-                }
-            }
-            RestripeState::Restriped(mut mem) => {
-                let mut domain = mem.domain.take().expect("domain checked above");
-                match domain
-                    .replay()
-                    .and_then(|o| domain.decode_meta().map(|m| (o, m)))
-                {
-                    Err(e) => {
-                        mem.set_domain(domain);
-                        self.state = RestripeState::Restriped(mem);
-                        Err(e)
-                    }
-                    Ok((outcome, meta)) => {
-                        if meta.restriped {
-                            mem.set_domain(domain);
-                            mem.restore_from_image();
-                            self.state = RestripeState::Restriped(mem);
-                        } else {
-                            // The crash beat the flip's fence: the
-                            // durable truth is still the chipkill
-                            // layout in region A.
-                            let mut rank = ChipkillMemory::new(self.physical_blocks, self.cfg);
-                            rank.set_domain(domain);
-                            rank.restore_from_image(&meta);
-                            self.state = RestripeState::Chipkill(rank);
-                            self.final_stats = None;
-                            ctx.trace(LayerId::Restripeable, || "recover -> chipkill".into());
-                        }
-                        Ok((outcome, meta.restriped))
-                    }
-                }
-            }
-            RestripeState::Poisoned => unreachable!("restripe state poisoned"),
-        };
-        match result {
-            Ok((outcome, restriped)) => {
-                let st = ctx.layer_mut(LayerId::Pmem);
-                st.recoveries += 1;
-                st.lines_redone += outcome.lines_redone;
-                Ok(recovery_outcome(outcome, restriped))
-            }
-            Err(e) => {
-                ctx.layer_mut(LayerId::Restripeable).errors += 1;
-                Err(e)
-            }
-        }
+        let ((data_off, code_off), staging) = (domain.map.b_areas(), domain.media.staging());
+        let (data, code) = (self.store.data(), self.store.code());
+        Some(
+            staging[data_off..data_off + data.len()] == *data
+                && staging[code_off..code_off + code.len()] == *code,
+        )
     }
 }
 
@@ -836,7 +751,8 @@ impl Restripeable {
 mod tests {
     use super::*;
     use crate::config::ChipkillConfig;
-    use crate::device::BlockDevice;
+    use crate::request::{Request, Response};
+    use crate::restripe::Restripeable;
     use crate::wearlevel::WearLevelled;
     use pmck_nvram::{ChipFailureKind, FaultEvent, FaultKind};
     use pmck_rt::rng::{Rng, StdRng};
@@ -925,7 +841,7 @@ mod tests {
             a.media.durable_data() == b.media.durable_data(),
             "{what}: durable image"
         );
-        assert_eq!(a.media_stats(), b.media_stats(), "{what}: media stats");
+        assert_eq!(a.media.stats(), b.media.stats(), "{what}: media stats");
         assert_eq!(a.steps_taken(), b.steps_taken(), "{what}: durable steps");
     }
 
@@ -1030,18 +946,15 @@ mod tests {
         for a in 0..64u64 {
             rank.write_block(a, &block(a as u8)).unwrap();
         }
-        rank.handle_flush(&mut ctx).unwrap();
+        flush(&mut rank, &mut ctx);
 
         // Overwrite after the flush, then lose power: the overwrites
         // (and their pending EUR deltas) must vanish.
         for a in 0..8u64 {
             rank.write_block(a, &[0xFF; 64]).unwrap();
         }
-        match rank.handle_power_cut().unwrap() {
-            Response::PowerLost { lost_lines } => assert!(lost_lines > 0),
-            other => panic!("unexpected outcome {other:?}"),
-        }
-        rank.handle_recover(&mut ctx).unwrap();
+        assert!(power_cut(&mut rank) > 0);
+        rank.access(Request::Recover, &mut ctx).unwrap();
         for a in 0..64u64 {
             assert_eq!(
                 rank.read_block(a).unwrap().data,
@@ -1059,10 +972,10 @@ mod tests {
         for a in 0..32u64 {
             rank.write_block(a, &block(a as u8)).unwrap();
         }
-        rank.handle_flush(&mut ctx).unwrap();
+        flush(&mut rank, &mut ctx);
         rank.inject_bit_errors(1e-3, ctx.rng());
-        rank.handle_power_cut().unwrap();
-        rank.handle_recover(&mut ctx).unwrap();
+        power_cut(&mut rank);
+        rank.access(Request::Recover, &mut ctx).unwrap();
         assert!(
             rank.verify_consistent(),
             "an unflushed scar dies with the power"
@@ -1215,13 +1128,13 @@ mod tests {
             let mut ctx = AccessContext::new(0x5EED);
             fill(&mut rank);
             rank.fail_chip(2, ChipFailureKind::RandomGarbage, ctx.rng());
-            rank.handle_flush(&mut ctx).unwrap();
+            flush(&mut rank, &mut ctx);
             let mut mem = RestripedMemory::from_failed_rank(&mut rank).unwrap();
             mem.set_domain(rank.take_domain().unwrap());
             if oracle {
                 restage_whole_restriped(&mut mem);
             }
-            mem.commit_restripe(&mut ctx);
+            flush(&mut mem, &mut ctx);
             (mem, ctx)
         };
         let ((mut a, mut ctx_a), (mut b, mut ctx_b)) = (build(false), build(true));
@@ -1244,9 +1157,9 @@ mod tests {
             let rb = b.access(req, &mut ctx_b);
             assert_eq!(ra, rb, "step {step}: {req:?}");
         }
-        a.handle_flush(&mut ctx_a).unwrap();
+        flush(&mut a, &mut ctx_a);
         restage_whole_restriped(&mut b);
-        b.handle_flush(&mut ctx_b).unwrap();
+        flush(&mut b, &mut ctx_b);
         assert_same_media(&a.domain.unwrap(), &b.domain.unwrap(), "restriped");
     }
 
@@ -1267,7 +1180,7 @@ mod tests {
             ));
             let mut ctx = AccessContext::new(0x71E2);
             fill(&mut rank);
-            rank.handle_flush(&mut ctx).unwrap();
+            flush(&mut rank, &mut ctx);
             rank.write_block(9, &block(0x99)).unwrap(); // rides the migration's fence
             let cfg = ChipkillConfig::for_tier(ProtectionTier::Dense);
             let mut fresh = ChipkillMemory::new(64, cfg);
@@ -1279,7 +1192,7 @@ mod tests {
             if oracle {
                 restage_whole_rank(&mut fresh);
             }
-            let lines = fresh.handle_flush(&mut ctx).unwrap();
+            let lines = flush(&mut fresh, &mut ctx);
             (fresh, lines)
         };
         let ((a, lines_a), (b, lines_b)) = (migrate(false), migrate(true));
@@ -1287,12 +1200,7 @@ mod tests {
         // Block 9's burst (2 lines), the re-encoded code area (4 dense
         // stripes of 5 lines) and the tier tag; the other bursts sit
         // where they sat and compare equal.
-        assert_eq!(
-            lines_a,
-            Response::Flushed {
-                lines: 2 + 4 * 5 + 1
-            }
-        );
+        assert_eq!(lines_a, 2 + 4 * 5 + 1);
         assert_same_media(&a.domain.unwrap(), &b.domain.unwrap(), "migrated");
     }
 
@@ -1302,29 +1210,26 @@ mod tests {
             let mut rank = persistent_rank(64);
             let mut ctx = AccessContext::new(6);
             fill(&mut rank);
-            rank.handle_flush(&mut ctx).unwrap();
+            flush(&mut rank, &mut ctx);
             let domain = rank.domain.as_mut().unwrap();
             let before = domain.steps_taken();
             if let Some(steps) = fuse {
                 domain.arm_fuse(steps);
             }
             rank.write_block(37, &block(0xC7)).unwrap();
-            let flushed = rank.handle_flush(&mut ctx).unwrap();
+            let lines = flush(&mut rank, &mut ctx);
             let steps = rank.domain.as_ref().unwrap().steps_taken() - before;
-            (rank, ctx, flushed, steps)
+            (rank, ctx, lines, steps)
         };
         // One 72 B burst straddles two lines; the stripe's nine code
         // words share five; the metadata line did not change.
-        let (_, _, flushed, steps) = run(None);
-        let Response::Flushed { lines } = flushed else {
-            panic!("unexpected outcome {flushed:?}");
-        };
+        let (_, _, lines, steps) = run(None);
         assert!((3..=8).contains(&lines), "fenced {lines} lines");
         let mut outcomes = [0u32; 2];
         for cut in 0..=steps {
             let (mut rank, mut ctx, ..) = run(Some(cut));
-            rank.handle_power_cut().unwrap();
-            rank.handle_recover(&mut ctx).unwrap();
+            power_cut(&mut rank);
+            rank.access(Request::Recover, &mut ctx).unwrap();
             let got = rank.read_block(37).unwrap();
             assert_eq!(
                 got.path,
@@ -1361,15 +1266,15 @@ mod tests {
         let mut rank = persistent_rank(64);
         let mut ctx = AccessContext::new(4);
         fill(&mut rank);
-        rank.handle_flush(&mut ctx).unwrap();
+        flush(&mut rank, &mut ctx);
         write_then_forget_the_marks(&mut rank);
-        // `handle_flush` minus its closing assertion.
+        // `flush` minus its closing assertion.
         rank.stage_image();
-        let report = drain_and_record(&mut rank.domain.as_mut().unwrap().media, &mut ctx);
+        let report = rank.domain.as_mut().unwrap().media.drain();
         assert_eq!(report.lines, 0, "nothing was marked, so nothing was fenced");
         assert_eq!(rank.staging_matches_live(), Some(false));
-        rank.handle_power_cut().unwrap();
-        rank.handle_recover(&mut ctx).unwrap();
+        power_cut(&mut rank);
+        rank.access(Request::Recover, &mut ctx).unwrap();
         assert_eq!(rank.read_block(5).unwrap().data, block(5), "write lost");
         assert_eq!(rank.staging_matches_live(), Some(true));
     }
@@ -1380,8 +1285,25 @@ mod tests {
     fn flush_asserts_the_invariant_in_debug_builds() {
         let mut rank = persistent_rank(32);
         let mut ctx = AccessContext::new(5);
-        rank.handle_flush(&mut ctx).unwrap();
+        flush(&mut rank, &mut ctx);
         write_then_forget_the_marks(&mut rank);
-        let _ = rank.handle_flush(&mut ctx);
+        flush(&mut rank, &mut ctx);
+    }
+
+    #[test]
+    fn a_rank_refuses_a_re_striped_image_and_keeps_its_domain() {
+        let mut rank = persistent_rank(32);
+        let mut ctx = AccessContext::new(7);
+        flush(&mut rank, &mut ctx);
+        // A sealed line that only the §V-E switch writes.
+        let domain = rank.domain.as_mut().unwrap();
+        domain.stage_meta(true, None, ProtectionTier::Paper);
+        domain.media.drain();
+        power_cut(&mut rank);
+        match rank.access(Request::Recover, &mut ctx) {
+            Err(CoreError::Recovery(e)) => assert_eq!(e.kind(), RecoveryFailure::CrcMismatch),
+            other => panic!("unexpected outcome {other:?}"),
+        }
+        assert!(rank.domain.is_some(), "the rank keeps its domain");
     }
 }

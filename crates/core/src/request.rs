@@ -56,7 +56,7 @@ pub enum Request {
     Restripe,
     /// Flush and fence every dirty line into the persistence domain.
     Flush,
-    /// Simulate a power cut: volatile state (CPU cache + WPQ) is lost.
+    /// Simulate a power cut: whatever was not flushed is lost.
     PowerCut,
     /// Replay the intent log and rebuild runtime state from media.
     Recover,

@@ -17,6 +17,7 @@ use crate::device::{AccessContext, BlockDevice, LayerId};
 use crate::engine::ChipkillMemory;
 use crate::error::CoreError;
 use crate::layout::ChipkillLayout;
+use crate::pmem::{Durable, Slot};
 use crate::rank::{apply_code_delta, ChipStore, CODE_LIMBS};
 use crate::request::{Request, Response};
 use crate::stats::CoreStats;
@@ -197,9 +198,16 @@ impl RestripedMemory {
 pub(crate) enum RestripeState {
     Chipkill(ChipkillMemory),
     Restriped(RestripedMemory),
-    /// Transient marker while ownership moves between layouts; never
-    /// observable from outside `access`.
-    Poisoned,
+}
+
+impl RestripeState {
+    /// The live layout.
+    pub(crate) fn engine_mut(&mut self) -> &mut dyn Durable {
+        match self {
+            RestripeState::Chipkill(m) => m,
+            RestripeState::Restriped(m) => m,
+        }
+    }
 }
 
 /// A chipkill rank that can reconfigure itself into the §V-E re-striped
@@ -210,25 +218,21 @@ pub(crate) enum RestripeState {
 /// reads every block, which would otherwise pollute them).
 #[derive(Debug, Clone)]
 pub struct Restripeable {
-    pub(crate) state: RestripeState,
-    pub(crate) final_stats: Option<CoreStats>,
-    /// Construction parameters of the wrapped rank, kept so recovery can
-    /// rebuild the chipkill layout from the durable image after a crash
-    /// cut the re-stripe transition short (see `crate::pmem`).
-    pub(crate) cfg: crate::config::ChipkillConfig,
-    pub(crate) physical_blocks: u64,
+    state: RestripeState,
+    final_stats: Option<CoreStats>,
+    /// The wrapped rank's configuration, kept so recovery can rebuild
+    /// the chipkill layout from the durable image after a crash cut the
+    /// re-stripe transition short (see `crate::pmem`).
+    cfg: crate::config::ChipkillConfig,
 }
 
 impl Restripeable {
     /// Wraps a live chipkill rank.
     pub fn new(rank: ChipkillMemory) -> Self {
-        let cfg = *rank.config();
-        let physical_blocks = rank.num_blocks();
         Restripeable {
+            cfg: *rank.config(),
             state: RestripeState::Chipkill(rank),
             final_stats: None,
-            cfg,
-            physical_blocks,
         }
     }
 
@@ -241,16 +245,36 @@ impl Restripeable {
         match &self.state {
             RestripeState::Chipkill(m) => m,
             RestripeState::Restriped(m) => m,
-            RestripeState::Poisoned => unreachable!("restripe state poisoned"),
         }
     }
 
-    pub(crate) fn active_mut(&mut self) -> &mut dyn BlockDevice {
-        match &mut self.state {
-            RestripeState::Chipkill(m) => m,
-            RestripeState::Restriped(m) => m,
-            RestripeState::Poisoned => unreachable!("restripe state poisoned"),
+    fn active_mut(&mut self) -> &mut dyn BlockDevice {
+        self.state.engine_mut()
+    }
+
+    /// The §V-E transition: rebuilds the image in the re-striped layout
+    /// and commits the layout flip through the intent log — the new
+    /// image plus the flipped metadata line in one fence, so a crash
+    /// recovers whole-old or whole-new. Without a domain the in-memory
+    /// swap is the whole commit.
+    fn restripe(&mut self, ctx: &mut AccessContext) -> Result<Response, CoreError> {
+        let RestripeState::Chipkill(rank) = &mut self.state else {
+            return Err(CoreError::Unsupported("restripe"));
+        };
+        // Snapshot demand-period stats before the rebuild reads (and
+        // erasure-decodes) every block. The rebuild stages the complete
+        // new image in memory before any committed state changes: on
+        // failure the chipkill layout stands untouched.
+        let stats = *rank.stats();
+        let mut restriped = RestripedMemory::from_failed_rank(rank)?;
+        if let Some(domain) = rank.take_domain() {
+            restriped.set_domain(domain);
         }
+        crate::pmem::flush(&mut restriped, ctx);
+        self.state = RestripeState::Restriped(restriped);
+        self.final_stats = Some(stats);
+        ctx.trace(LayerId::Restripeable, || "restripe -> restriped".into());
+        Ok(Response::Restriped)
     }
 }
 
@@ -275,55 +299,31 @@ impl BlockDevice for Restripeable {
     }
 
     fn access(&mut self, req: Request, ctx: &mut AccessContext) -> Result<Response, CoreError> {
-        match req {
-            Request::Restripe => {
-                match std::mem::replace(&mut self.state, RestripeState::Poisoned) {
-                    RestripeState::Chipkill(mut rank) => {
-                        // Snapshot demand-period stats before the rebuild
-                        // reads (and erasure-decodes) every block.
-                        let stats = *rank.stats();
-                        // The rebuild stages the complete new image in memory
-                        // before any committed state changes: on failure the
-                        // chipkill layout stands untouched — there is no
-                        // partial transition to roll back.
-                        match RestripedMemory::from_failed_rank(&mut rank) {
-                            Ok(mut restriped) => {
-                                if let Some(domain) = rank.take_domain() {
-                                    restriped.set_domain(domain);
-                                }
-                                // Commit the layout flip through the intent
-                                // log: the re-striped image plus flipped
-                                // metadata fence as one transaction, so a
-                                // crash recovers whole-old or whole-new.
-                                // Without a domain the log is a no-op and
-                                // the in-memory swap is the whole commit —
-                                // one code path either way.
-                                restriped.commit_restripe(ctx);
-                                self.state = RestripeState::Restriped(restriped);
-                                self.final_stats = Some(stats);
-                                ctx.trace(LayerId::Restripeable, || "restripe -> restriped".into());
-                                Ok(Response::Restriped)
-                            }
-                            Err(e) => {
-                                self.state = RestripeState::Chipkill(rank);
-                                ctx.layer_mut(LayerId::Restripeable).errors += 1;
-                                Err(e)
-                            }
-                        }
-                    }
-                    other => {
-                        self.state = other;
-                        Err(CoreError::Unsupported("restripe"))
-                    }
-                }
-            }
+        let result = match req {
+            Request::Restripe => self.restripe(ctx),
             // Recovery may land on either side of the durable layout
-            // flip, so it is resolved here rather than by the active
-            // layout (see `crate::pmem`).
-            Request::Recover => self.recover_across(ctx),
+            // flip, so the durable metadata line — not the live state —
+            // decides which layout comes back (see `crate::pmem`).
+            Request::Recover if self.pmem_domain().is_some() => {
+                crate::pmem::recover([Slot::Layout(&mut self.state)], &self.cfg, ctx).map(
+                    |(report, retired)| {
+                        if retired.is_some() {
+                            self.final_stats = retired;
+                        }
+                        Response::Recovered(report)
+                    },
+                )
+            }
             // Per-access stats land under the active layout's label.
-            other => self.active_mut().access(other, ctx),
+            other => return self.active_mut().access(other, ctx),
+        };
+        if result
+            .as_ref()
+            .is_err_and(|e| !matches!(e, CoreError::Unsupported(_)))
+        {
+            ctx.layer_mut(LayerId::Restripeable).errors += 1;
         }
+        result
     }
 
     fn pmem_domain(&mut self) -> Option<&mut crate::pmem::PmemDomain> {

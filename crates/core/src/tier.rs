@@ -29,7 +29,7 @@
 //! Recovery per region replays the intent log, decodes the metadata
 //! line, and rebuilds an engine at the *durable* tier before restoring
 //! the image — the meta line, not the live state, decides the layout,
-//! exactly like [`crate::Restripeable`] recovery.
+//! through the same `crate::pmem` recovery as [`crate::Restripeable`].
 //!
 //! A region's durable data area is its blocks' 72 B bursts in address
 //! order, the same on every tier, so a migration leaves it where it is
@@ -42,13 +42,11 @@ use pmck_nvram::{FaultKind, RegionRber, WearModel};
 use pmck_pmem::PmemConfig;
 
 use crate::config::ChipkillConfig;
-use crate::device::{
-    record_access, trace_writeback, AccessContext, BlockDevice, LayerId, RecoveryReport,
-};
+use crate::device::{record_access, trace_writeback, AccessContext, BlockDevice, LayerId};
 use crate::engine::ChipkillMemory;
 use crate::error::CoreError;
 use crate::layout::{ChipkillLayout, ProtectionTier};
-use crate::pmem::PmemDomain;
+use crate::pmem::{self, PmemDomain, Slot};
 use crate::request::{Request, Response};
 use crate::scrub::ScrubReport;
 use crate::stats::CoreStats;
@@ -228,13 +226,6 @@ impl TieredMemory {
         }
     }
 
-    /// Replaces the wear model feeding the predicted RBER component
-    /// (write counts and observations reset).
-    pub fn with_wear_model(mut self, model: WearModel) -> Self {
-        self.rber = RegionRber::new(self.regions.len(), model);
-        self
-    }
-
     /// Blocks per region.
     pub fn region_blocks(&self) -> u64 {
         self.region_blocks
@@ -323,14 +314,6 @@ impl TieredMemory {
         total
     }
 
-    fn cfg_for_tier(&self, tier: ProtectionTier) -> ChipkillConfig {
-        ChipkillConfig {
-            eur_enabled: self.base_cfg.eur_enabled,
-            decode_policy: self.base_cfg.decode_policy,
-            ..ChipkillConfig::for_tier(tier)
-        }
-    }
-
     fn region_of(&self, addr: u64) -> Result<(usize, u64), CoreError> {
         let r = (addr / self.region_blocks) as usize;
         if r >= self.regions.len() {
@@ -397,7 +380,7 @@ impl TieredMemory {
             }
         }
         // Build the replacement engine and write the image in.
-        let mut fresh = ChipkillMemory::new(self.region_blocks, self.cfg_for_tier(tier));
+        let mut fresh = ChipkillMemory::new(self.region_blocks, self.base_cfg.at_tier(tier));
         for a in 0..self.region_blocks {
             let off = a as usize * 64;
             buf.copy_from_slice(&image[off..off + 64]);
@@ -412,89 +395,13 @@ impl TieredMemory {
         // image plus the tier-tagged meta line in one fence.
         if let Some(domain) = self.regions[r].take_domain() {
             fresh.set_domain(domain);
-            fresh
-                .handle_flush(ctx)
-                .expect("flush of a freshly built engine cannot fail");
+            pmem::flush(&mut fresh, ctx);
         }
         let old = std::mem::replace(&mut self.regions[r], fresh);
         self.folded_stats.merge(old.stats());
         self.migrations += 1;
         ctx.trace(LayerId::Tiered, || format!("region {r} -> {tier}"));
         true
-    }
-
-    fn handle_flush(&mut self, ctx: &mut AccessContext) -> Result<Response, CoreError> {
-        let mut lines = 0;
-        for region in &mut self.regions {
-            match region.handle_flush(ctx)? {
-                Response::Flushed { lines: n } => lines += n,
-                other => unreachable!("flush returned {other:?}"),
-            }
-        }
-        Ok(Response::Flushed { lines })
-    }
-
-    fn handle_power_cut(&mut self) -> Result<Response, CoreError> {
-        let mut lost = 0;
-        for region in &mut self.regions {
-            match region.handle_power_cut()? {
-                Response::PowerLost { lost_lines } => lost += lost_lines,
-                other => unreachable!("power cut returned {other:?}"),
-            }
-        }
-        Ok(Response::PowerLost { lost_lines: lost })
-    }
-
-    /// Recovery: per region, replay the log and decode the metadata
-    /// line; the *durable* tier decides which engine comes back (a crash
-    /// mid-migration recovers whichever side of the fence committed).
-    fn handle_recover(&mut self, ctx: &mut AccessContext) -> Result<Response, CoreError> {
-        let mut report = RecoveryReport::default();
-        let mut recovered_any = false;
-        for r in 0..self.regions.len() {
-            let Some(mut domain) = self.regions[r].take_domain() else {
-                continue;
-            };
-            recovered_any = true;
-            let outcome = match domain
-                .replay()
-                .and_then(|o| domain.decode_meta().map(|m| (o, m)))
-            {
-                Ok(om) => om,
-                Err(e) => {
-                    self.regions[r].set_domain(domain);
-                    return Err(e);
-                }
-            };
-            let (outcome, meta) = outcome;
-            if meta.tier != self.regions[r].tier() {
-                // The durable image is at a different tier than the
-                // live engine (crash raced a migration): rebuild.
-                let mut fresh =
-                    ChipkillMemory::new(self.region_blocks, self.cfg_for_tier(meta.tier));
-                fresh.set_domain(domain);
-                fresh.restore_from_image(&meta);
-                let old = std::mem::replace(&mut self.regions[r], fresh);
-                self.folded_stats.merge(old.stats());
-                ctx.trace(LayerId::Tiered, || {
-                    format!("recover region {r} -> {}", meta.tier)
-                });
-            } else {
-                self.regions[r].set_domain(domain);
-                self.regions[r].restore_from_image(&meta);
-            }
-            report.merge(&RecoveryReport {
-                records_replayed: outcome.records_replayed,
-                lines_redone: outcome.lines_redone,
-                restriped: false,
-            });
-        }
-        if recovered_any {
-            let st = ctx.layer_mut(LayerId::Pmem);
-            st.recoveries += 1;
-            st.lines_redone += report.lines_redone;
-        }
-        Ok(Response::Recovered(report))
     }
 
     fn boot_scrub(&mut self) -> Result<Response, CoreError> {
@@ -607,9 +514,23 @@ impl BlockDevice for TieredMemory {
                 st.tier_migrations += report.migrations;
                 Ok(Response::Tiered(report))
             }
-            Request::Flush => self.handle_flush(ctx),
-            Request::PowerCut => self.handle_power_cut(),
-            Request::Recover => self.handle_recover(ctx),
+            Request::Flush => Ok(Response::Flushed {
+                lines: self.regions.iter_mut().map(|r| pmem::flush(r, ctx)).sum(),
+            }),
+            Request::PowerCut => Ok(Response::PowerLost {
+                lost_lines: self.regions.iter_mut().map(pmem::power_cut).sum(),
+            }),
+            // The *durable* tier decides which engine comes back: a crash
+            // mid-migration recovers whichever side of the fence committed.
+            Request::Recover => {
+                let slots = self.regions.iter_mut().map(Slot::Rank);
+                pmem::recover(slots, &self.base_cfg, ctx).map(|(report, retired)| {
+                    if let Some(stats) = retired {
+                        self.folded_stats.merge(&stats);
+                    }
+                    Response::Recovered(report)
+                })
+            }
             Request::PatrolStep | Request::Restripe => Err(CoreError::Unsupported(req.kind())),
         };
         record_access(ctx, LayerId::Tiered, &req, &result);

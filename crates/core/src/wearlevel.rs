@@ -22,7 +22,7 @@
 use crate::config::ChipkillConfig;
 use crate::device::{record_access, AccessContext, BlockDevice, LayerId};
 use crate::engine::ChipkillMemory;
-use crate::error::CoreError;
+use crate::error::{CoreError, RecoveryFailure};
 use crate::request::{Request, Response};
 use crate::stats::CoreStats;
 
@@ -231,13 +231,20 @@ impl<D: BlockDevice> BlockDevice for WearLevelled<D> {
                         d.set_wear(self.gap, self.start);
                     }
                 }
-                let out = self.inner.access(req, ctx);
+                let mut out = self.inner.access(req, ctx);
                 if matches!(req, Request::Recover) && out.is_ok() {
                     if let Some(d) = self.inner.pmem_domain() {
                         let (gap, start) = d.wear();
-                        self.gap = gap;
-                        self.start = start;
-                        self.writes_since_move = 0;
+                        // The CRC vouches for the line, not for the
+                        // position in it: one off the ring would wrap the
+                        // mapping's arithmetic.
+                        if gap.max(start) > self.logical_blocks {
+                            out = Err(CoreError::recovery(RecoveryFailure::CrcMismatch));
+                        } else {
+                            self.gap = gap;
+                            self.start = start;
+                            self.writes_since_move = 0;
+                        }
                     }
                 }
                 out
@@ -263,6 +270,7 @@ impl<D: BlockDevice> BlockDevice for WearLevelled<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layout::ProtectionTier;
     use pmck_rt::rng::Rng;
     use pmck_rt::rng::StdRng;
 
@@ -372,6 +380,31 @@ mod tests {
             "start-gap must rotate the hot block, got {}",
             touched.len()
         );
+    }
+
+    #[test]
+    fn recovery_rejects_a_sealed_gap_off_the_ring() {
+        let mut rank = ChipkillMemory::new(32, ChipkillConfig::default());
+        rank.set_domain(crate::pmem::PmemDomain::for_rank(
+            rank.layout(),
+            rank.stripes(),
+            rank.num_blocks(),
+            pmck_pmem::PmemConfig::default(),
+        ));
+        let mut mem = WearLevelled::over(rank, 31, 4);
+        let mut ctx = AccessContext::scratch();
+        mem.access(Request::Flush, &mut ctx).unwrap();
+        // A meta line sealed with a Start-Gap position no flush writes.
+        let domain = mem.inner_mut().domain.as_mut().unwrap();
+        domain.set_wear(u64::MAX, 0);
+        domain.stage_meta(false, None, ProtectionTier::Paper);
+        domain.media.drain();
+        mem.access(Request::PowerCut, &mut ctx).unwrap();
+        match mem.access(Request::Recover, &mut ctx) {
+            Err(CoreError::Recovery(e)) => assert_eq!(e.kind(), RecoveryFailure::CrcMismatch),
+            other => panic!("expected a recovery error, got {other:?}"),
+        }
+        assert_eq!(mem.physical_of(0), 0, "the mapping was not adopted");
     }
 
     #[test]

@@ -138,11 +138,6 @@ impl Gf2m {
         self.m
     }
 
-    /// The reduction polynomial, leading term included.
-    pub fn reduction_poly(&self) -> u32 {
-        self.poly
-    }
-
     /// The number of field elements, `2^m`.
     pub fn size(&self) -> u32 {
         1 << self.m

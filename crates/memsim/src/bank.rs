@@ -129,18 +129,6 @@ impl BankState {
             self.precharge_ok_ps = self.precharge_ok_ps.max(plan.complete_ps);
         }
     }
-
-    /// Forces the row closed at `time_ps` (used when draining the EUR
-    /// requires a deterministic close, or when retiring a rank).
-    pub fn force_close(&mut self, time_ps: u64) {
-        self.open_row = None;
-        self.busy_until_ps = self.busy_until_ps.max(time_ps);
-    }
-
-    /// Earliest time the bank can accept any command.
-    pub fn busy_until(&self) -> u64 {
-        self.busy_until_ps
-    }
 }
 
 #[cfg(test)]

@@ -1,31 +1,29 @@
 //! Persistence-domain model for persistent-memory ranks.
 //!
 //! The functional stack mutates its chip arrays in ordinary volatile
-//! memory; this crate supplies the missing durability story. A
+//! memory; this crate supplies the durability story. A
 //! [`PersistentMedia`] keeps two byte images of the same address space:
 //!
-//! * **staging** — the merged "CPU cache + WPQ" view. Every store lands
-//!   here first and is *volatile*: a power cut discards it.
-//! * **durable** — what the NVRAM cells actually hold. Only
-//!   [`PersistentMedia::fence`] moves bytes here, and only for lines
-//!   that were first flushed ([`PersistentMedia::flush_range`] /
-//!   [`PersistentMedia::flush_all`]).
+//! * **staging** — the volatile view. [`PersistentMedia::stage`] copies
+//!   bytes in and marks every line whose bytes changed *dirty*; a power
+//!   cut discards the dirty lines.
+//! * **durable** — what the NVRAM cells hold. Only
+//!   [`PersistentMedia::drain`] moves bytes here: the dirty lines, all
+//!   or none of them, after which the dirty set is empty.
 //!
-//! The protocol is modeled on the virtio-pmem asynchronous flush
-//! command: *"Data written to this memory is made persistent by
-//! separately sending a flush command — writes that have been flushed
-//! are preserved across device reset and power failure."* `flush`
-//! selects dirty lines (cache → write-pending queue), `fence` commits
-//! the whole pending set atomically, and [`PersistentMedia::drain`] is
-//! the flush-everything convenience used by `Request::Flush`.
+//! That is the virtio-pmem protocol: *"Data written to this memory is
+//! made persistent by separately sending a flush command — writes that
+//! have been flushed are preserved across device reset and power
+//! failure."* `stage` is the write and `drain` the flush command; there
+//! is no other way in or out.
 //!
-//! # The intent log makes every fence all-or-nothing
+//! # The intent log makes every drain all-or-nothing
 //!
 //! Media writes tear: a 64 B line persists in `torn_chunk_bytes`
 //! pieces, and power can fail between any two pieces. A multi-line
-//! fence interrupted halfway would otherwise leave the durable image
+//! drain interrupted halfway would otherwise leave the durable image
 //! half old, half new — a state no decoder is guaranteed to recover.
-//! `fence` therefore writes a single CRC-sealed *redo record* into a
+//! `drain` therefore writes a single CRC-sealed *redo record* into a
 //! log region of the same media before touching any data line:
 //!
 //! ```text
@@ -34,32 +32,30 @@
 //!
 //! * power lost while the record itself is being written → the CRC
 //!   seal fails on recovery, the record is ignored, and the durable
-//!   image is the intact **pre-fence** state;
+//!   image is the intact **pre-drain** state;
 //! * power lost after the seal, while data lines are being persisted →
 //!   recovery replays the sealed record and reconstructs the complete
-//!   **post-fence** state.
+//!   **post-drain** state.
 //!
 //! Replay is idempotent (it rewrites whole lines with their recorded
 //! contents), so recovering twice — or recovering after a clean
 //! shutdown — is harmless. Only one record is ever live: the next
-//! fence overwrites the log region from offset zero, and a partially
+//! drain overwrites the log region from offset zero, and a partially
 //! overwritten old record is self-invalidating by CRC.
 //!
-//! # Power cuts and scars
+//! # Power cuts
 //!
 //! [`PersistentMedia::arm_fuse`] kills the media after a chosen number
 //! of durable chunk writes — the crash-campaign hook. A dead media
 //! silently drops further durable writes (the simulation may keep
 //! executing volatile-side; everything after the fuse simply never
 //! reached the cells). [`PersistentMedia::power_cut`] then discards
-//! the volatile state and [`PersistentMedia::recover`] rebuilds
-//! staging from the durable image after log replay.
+//! the dirty set and [`PersistentMedia::recover`] rebuilds staging from
+//! the durable image after log replay.
 //!
-//! Fault injection is *physical*: [`PersistentMedia::scar_xor`]
-//! applies a cell disturbance directly to the durable image (and to
-//! staging, keeping it in sync with the live arrays it mirrors),
-//! bypassing the flush protocol — corrupted cells survive power cuts,
-//! unflushed clean data does not.
+//! The media has no fault model of its own. The stack injects faults
+//! into its live arrays, and a fault reaches the cells the way any
+//! other change does: staged and drained by the next flush.
 
 use std::fmt;
 
@@ -83,33 +79,25 @@ impl Default for PmemConfig {
     }
 }
 
-/// Counters published through the stack's `LayerStats`.
+/// What the drains have committed so far. An empty drain counts
+/// nothing: it seals no record and persists no chunk.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MediaStats {
-    /// `flush` calls (including the implicit one inside `drain`).
-    pub flushes: u64,
-    /// `fence` calls.
-    pub fences: u64,
-    /// Dirty lines moved cache → WPQ by flushes.
-    pub lines_flushed: u64,
-    /// Intent-log records written.
+    /// Intent-log records sealed, one per non-empty drain; also the
+    /// epoch the next record carries.
     pub log_records: u64,
     /// Intent-log bytes written.
     pub log_bytes: u64,
-    /// Lines left partially persisted by a fuse cut.
+    /// Lines a fuse cut left partially persisted.
     pub torn_lines: u64,
-    /// Successful recoveries.
-    pub recoveries: u64,
-    /// Lines rewritten by log replay during recovery.
-    pub lines_redone: u64,
 }
 
-/// Result of one fence (or drain).
+/// What one drain committed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FenceReport {
-    /// Lines the fence attempted to persist.
+    /// Dirty lines the drain persisted (or tried to, under a fuse).
     pub lines: u64,
-    /// Intent-log bytes written for this fence (0 for an empty fence).
+    /// Intent-log bytes written for them (0 for an empty drain).
     pub log_bytes: u64,
 }
 
@@ -124,7 +112,7 @@ pub struct ReplayOutcome {
 
 /// A structurally corrupt intent log: recovery cannot tell what the
 /// durable image is supposed to be. Distinct from a *torn* record,
-/// which fails its CRC seal and is silently ignored (pre-fence state).
+/// which fails its CRC seal and is silently ignored (pre-drain state).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MediaError {
     /// The record header claims more lines than the log region can
@@ -203,7 +191,7 @@ const CRC32_TABLES: [[u32; 256]; 8] = {
 /// final XOR `0xFFFFFFFF`), slice-by-8 over `const` tables.
 ///
 /// The seal of every intent-log record and of the metadata line. A
-/// fence is little else once staging walks only the dirty stripes
+/// drain is little else once staging walks only the dirty stripes
 /// (1.2 KB of record on a typical `Flush`), and recovery re-computes it
 /// over the whole live record, so the bit-at-a-time loop this replaced
 /// was most of both; the values are unchanged, so records and meta
@@ -246,10 +234,10 @@ fn read_u64(bytes: &[u8], off: usize) -> u64 {
 }
 
 /// Fixed-capacity bitset over line indices, with one summary bit per
-/// word: a fence commits a few dozen of the tens of thousands of lines
+/// word: a drain commits a few dozen of the tens of thousands of lines
 /// a rank's media holds, so every walk (`count`, `next_from`,
-/// `move_all_into`, `clear_all`) skips the empty words 64 at a time and
-/// costs the words that hold a member.
+/// `clear_all`) skips the empty words 64 at a time and costs the words
+/// that hold a member.
 #[derive(Debug, Clone)]
 struct LineSet {
     words: Vec<u64>,
@@ -270,16 +258,6 @@ impl LineSet {
         let w = line / 64;
         self.words[w] |= 1 << (line % 64);
         self.summary[w / 64] |= 1 << (w % 64);
-    }
-    fn clear(&mut self, line: usize) {
-        let w = line / 64;
-        self.words[w] &= !(1 << (line % 64));
-        if self.words[w] == 0 {
-            self.summary[w / 64] &= !(1 << (w % 64));
-        }
-    }
-    fn test(&self, line: usize) -> bool {
-        self.words[line / 64] & (1 << (line % 64)) != 0
     }
     /// The first non-empty word at or after word `w`.
     fn next_word(&self, w: usize) -> Option<usize> {
@@ -311,21 +289,6 @@ impl LineSet {
         }
         n
     }
-    /// Moves every member into `other`, leaving this set empty; returns
-    /// how many moved (members `other` already held included).
-    fn move_all_into(&mut self, other: &mut LineSet) -> u64 {
-        let mut moved = 0;
-        let mut at = 0;
-        while let Some(w) = self.next_word(at) {
-            moved += self.words[w].count_ones() as u64;
-            other.words[w] |= self.words[w];
-            other.summary[w / 64] |= 1 << (w % 64);
-            self.words[w] = 0;
-            at = w + 1;
-        }
-        self.summary.fill(0);
-        moved
-    }
     fn clear_all(&mut self) {
         let mut at = 0;
         while let Some(w) = self.next_word(at) {
@@ -343,20 +306,17 @@ pub struct PersistentMedia {
     cfg: PmemConfig,
     /// Bytes in the data region (log region excluded).
     data_len: usize,
-    /// Volatile merged view ("CPU cache + WPQ"), data region only.
+    /// The volatile view, data region only.
     staging: Vec<u8>,
     /// What the cells hold: data region, then the log region.
     durable: Vec<u8>,
     log_base: usize,
     log_cap: usize,
-    /// Lines dirty in cache (stored, not yet flushed).
-    cache: LineSet,
-    /// Lines flushed into the WPQ, awaiting a fence.
-    wpq: LineSet,
+    /// Lines staged with new bytes since the last drain.
+    dirty: LineSet,
     /// Reusable record-encode buffer (capacity reserved up front so
-    /// steady-state fences never allocate).
+    /// steady-state drains never allocate).
     log_buf: Vec<u8>,
-    epoch: u64,
     fuse: Option<u64>,
     dead: bool,
     steps_taken: u64,
@@ -366,7 +326,7 @@ pub struct PersistentMedia {
 impl PersistentMedia {
     /// A domain over `data_len` bytes of media (rounded up to whole
     /// lines). The log region is sized for the worst-case record: a
-    /// fence covering every line.
+    /// drain covering every line.
     ///
     /// # Panics
     ///
@@ -391,10 +351,8 @@ impl PersistentMedia {
             durable: vec![0; data_len + log_cap],
             log_base: data_len,
             log_cap,
-            cache: LineSet::new(lines),
-            wpq: LineSet::new(lines),
+            dirty: LineSet::new(lines),
             log_buf: Vec::with_capacity(log_cap),
-            epoch: 0,
             fuse: None,
             dead: false,
             steps_taken: 0,
@@ -402,32 +360,12 @@ impl PersistentMedia {
         }
     }
 
-    /// Bytes in the data region.
-    pub fn data_len(&self) -> usize {
-        self.data_len
-    }
-
-    /// Line size in bytes.
-    pub fn line_bytes(&self) -> usize {
-        self.cfg.line_bytes
-    }
-
-    /// Lines in the data region.
-    pub fn lines(&self) -> usize {
-        self.data_len / self.cfg.line_bytes
-    }
-
-    /// Fence epoch (incremented by every non-empty fence).
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
     /// Cumulative counters.
     pub fn stats(&self) -> &MediaStats {
         &self.stats
     }
 
-    /// The volatile merged view.
+    /// The volatile view.
     pub fn staging(&self) -> &[u8] {
         &self.staging
     }
@@ -438,29 +376,10 @@ impl PersistentMedia {
         &self.durable[..self.data_len]
     }
 
-    /// Stores `src` at byte offset `off` in the volatile view, marking
-    /// the touched lines cache-dirty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range exceeds the data region.
-    pub fn write(&mut self, off: usize, src: &[u8]) {
-        assert!(off + src.len() <= self.data_len, "write beyond data region");
-        if src.is_empty() {
-            return;
-        }
-        self.staging[off..off + src.len()].copy_from_slice(src);
-        let lb = self.cfg.line_bytes;
-        for line in (off / lb)..=((off + src.len() - 1) / lb) {
-            self.cache.set(line);
-        }
-    }
-
-    /// Stores `src` at byte offset `off`, dirtying only the lines whose
-    /// bytes actually change. The re-stage form of
-    /// [`PersistentMedia::write`]: callers that re-stage every range
-    /// that *may* have changed since the last fence use this so
-    /// untouched lines stay clean and a no-change epoch fences nothing.
+    /// Stores `src` at byte offset `off` in the volatile view, dirtying
+    /// only the lines whose bytes actually change: callers may stage
+    /// every range that *may* have changed since the last drain, and
+    /// untouched lines stay clean, so a no-change epoch drains nothing.
     /// Returns the number of lines marked dirty by this call.
     ///
     /// # Panics
@@ -478,67 +397,29 @@ impl PersistentMedia {
             let le = ((line + 1) * lb).min(off + src.len());
             if self.staging[ls..le] != src[ls - off..le - off] {
                 self.staging[ls..le].copy_from_slice(&src[ls - off..le - off]);
-                self.cache.set(line);
+                self.dirty.set(line);
                 dirtied += 1;
             }
         }
         dirtied
     }
 
-    /// Reads from the volatile view into `dst`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range exceeds the data region.
-    pub fn read(&self, off: usize, dst: &mut [u8]) {
-        dst.copy_from_slice(&self.staging[off..off + dst.len()]);
-    }
-
-    /// Moves cache-dirty lines overlapping `[off, off + len)` into the
-    /// WPQ. Returns the number of lines moved.
-    pub fn flush_range(&mut self, off: usize, len: usize) -> u64 {
-        self.stats.flushes += 1;
-        if len == 0 {
-            return 0;
-        }
-        let lb = self.cfg.line_bytes;
-        let end = (off + len).min(self.data_len);
-        let mut moved = 0;
-        for line in (off / lb)..=((end - 1) / lb) {
-            if self.cache.test(line) {
-                self.cache.clear(line);
-                self.wpq.set(line);
-                moved += 1;
-            }
-        }
-        self.stats.lines_flushed += moved;
-        moved
-    }
-
-    /// Moves every cache-dirty line into the WPQ.
-    pub fn flush_all(&mut self) -> u64 {
-        self.stats.flushes += 1;
-        let moved = self.cache.move_all_into(&mut self.wpq);
-        self.stats.lines_flushed += moved;
-        moved
-    }
-
-    /// Commits the WPQ to durable media, all-or-nothing: seals a redo
-    /// record in the log region, then persists each pending line. An
-    /// empty WPQ is a no-op fence (no record, no epoch bump).
-    pub fn fence(&mut self) -> FenceReport {
-        self.stats.fences += 1;
-        let lines = self.wpq.count();
+    /// The flush command: commits every dirty line to durable media,
+    /// all-or-nothing — seals a redo record of them in the log region,
+    /// persists each line in ascending order, and clears the dirty set.
+    /// With nothing dirty it writes nothing (no record, no epoch bump).
+    pub fn drain(&mut self) -> FenceReport {
+        let lines = self.dirty.count();
         if lines == 0 {
             return FenceReport::default();
         }
         let lb = self.cfg.line_bytes;
         self.log_buf.clear();
         push_u64(&mut self.log_buf, LOG_MAGIC);
-        push_u64(&mut self.log_buf, self.epoch);
+        push_u64(&mut self.log_buf, self.stats.log_records);
         push_u64(&mut self.log_buf, lines);
         let mut at = 0;
-        while let Some(line) = self.wpq.next_from(at) {
+        while let Some(line) = self.dirty.next_from(at) {
             push_u64(&mut self.log_buf, (line * lb) as u64);
             self.log_buf
                 .extend_from_slice(&self.staging[line * lb..(line + 1) * lb]);
@@ -552,21 +433,12 @@ impl PersistentMedia {
         self.stats.log_bytes += log_bytes;
         self.persist_log();
         let mut at = 0;
-        while let Some(line) = self.wpq.next_from(at) {
+        while let Some(line) = self.dirty.next_from(at) {
             self.persist_line(line);
             at = line + 1;
         }
-        self.wpq.clear_all();
-        self.epoch += 1;
+        self.dirty.clear_all();
         FenceReport { lines, log_bytes }
-    }
-
-    /// `flush_all` followed by `fence`: the virtio-pmem flush command.
-    pub fn drain(&mut self) -> FenceReport {
-        let flushed = self.flush_all();
-        let mut report = self.fence();
-        report.lines = report.lines.max(flushed);
-        report
     }
 
     /// Takes up to `want` durable chunk-write steps from the fuse and
@@ -623,30 +495,19 @@ impl PersistentMedia {
         self.fuse = Some(steps);
     }
 
-    /// Disarms the fuse (the media stays alive indefinitely).
-    pub fn disarm_fuse(&mut self) {
-        self.fuse = None;
-    }
-
-    /// Whether the fuse has burned out.
-    pub fn is_dead(&self) -> bool {
-        self.dead
-    }
-
     /// Durable chunk writes performed so far (enumerating this after an
     /// uncut run of an operation yields the campaign's cut-point space).
     pub fn steps_taken(&self) -> u64 {
         self.steps_taken
     }
 
-    /// Cuts power: every line not committed by a fence is lost. Returns
-    /// the number of volatile lines discarded. The staging image is
+    /// Cuts power: every line not committed by a drain is lost. Returns
+    /// the number of dirty lines discarded. The staging image is
     /// rebuilt by [`PersistentMedia::recover`]; power is considered
     /// restored (the fuse resets).
     pub fn power_cut(&mut self) -> u64 {
-        let lost = self.cache.count() + self.wpq.count();
-        self.cache.clear_all();
-        self.wpq.clear_all();
+        let lost = self.dirty.count();
+        self.dirty.clear_all();
         self.fuse = None;
         self.dead = false;
         lost
@@ -658,14 +519,11 @@ impl PersistentMedia {
     /// # Errors
     ///
     /// [`MediaError`] when the log is structurally corrupt (not merely
-    /// torn — a torn record is ignored and the pre-fence image stands).
+    /// torn — a torn record is ignored and the pre-drain image stands).
     pub fn recover(&mut self) -> Result<ReplayOutcome, MediaError> {
         let outcome = self.replay_log()?;
         self.staging.copy_from_slice(&self.durable[..self.data_len]);
-        self.cache.clear_all();
-        self.wpq.clear_all();
-        self.stats.recoveries += 1;
-        self.stats.lines_redone += outcome.lines_redone;
+        self.dirty.clear_all();
         Ok(outcome)
     }
 
@@ -686,7 +544,7 @@ impl PersistentMedia {
         let body_len = LOG_HEADER + count as usize * (8 + lb);
         let sealed = read_u64(log, body_len) as u32;
         if crc32(&log[..body_len]) != sealed {
-            // Torn record: the fence never committed; pre-state stands.
+            // Torn record: the drain never committed; pre-state stands.
             return Ok(ReplayOutcome::default());
         }
         // Validate every entry before applying any, so a corrupt record
@@ -709,46 +567,6 @@ impl PersistentMedia {
             lines_redone: count,
         })
     }
-
-    /// Applies a physical cell disturbance: XORs `mask` into both the
-    /// durable image and the staging view at `off` (staging mirrors the
-    /// live arrays the engine already disturbed). Consumes no fuse
-    /// steps and ignores the flush protocol — scars survive power cuts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range exceeds the data region.
-    pub fn scar_xor(&mut self, off: usize, mask: &[u8]) {
-        assert!(off + mask.len() <= self.data_len, "scar beyond data region");
-        for (i, &m) in mask.iter().enumerate() {
-            if !self.dead {
-                self.durable[off + i] ^= m;
-            }
-            self.staging[off + i] ^= m;
-        }
-    }
-
-    /// Flips one stored bit: `bit` indexes bits from byte offset `off`.
-    pub fn scar_flip_bit(&mut self, off: usize, bit: usize) {
-        let byte = off + bit / 8;
-        assert!(byte < self.data_len, "scar beyond data region");
-        let mask = 1u8 << (bit % 8);
-        if !self.dead {
-            self.durable[byte] ^= mask;
-        }
-        self.staging[byte] ^= mask;
-    }
-
-    /// Corrupts the durable log region directly (crafted-corruption
-    /// hook for recovery-error tests).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range exceeds the log region.
-    pub fn scar_log(&mut self, off: usize, bytes: &[u8]) {
-        assert!(off + bytes.len() <= self.log_cap, "scar beyond log region");
-        self.durable[self.log_base + off..self.log_base + off + bytes.len()].copy_from_slice(bytes);
-    }
 }
 
 #[cfg(test)]
@@ -762,6 +580,16 @@ mod tests {
     fn cut_and_recover(m: &mut PersistentMedia) -> ReplayOutcome {
         m.power_cut();
         m.recover().expect("recovery must succeed")
+    }
+
+    impl PersistentMedia {
+        /// Overwrites the durable log region directly: the crafted
+        /// corruption the recovery-error tests need.
+        fn scar_log(&mut self, off: usize, bytes: &[u8]) {
+            assert!(off + bytes.len() <= self.log_cap, "scar beyond log region");
+            self.durable[self.log_base + off..self.log_base + off + bytes.len()]
+                .copy_from_slice(bytes);
+        }
     }
 
     /// The bit-at-a-time loop [`crc32`] replaced, kept as its reference.
@@ -814,7 +642,7 @@ mod tests {
     #[test]
     fn unflushed_writes_die_with_the_power() {
         let mut m = media(4);
-        m.write(0, &[0xAA; 64]);
+        m.stage(0, &[0xAA; 64]);
         assert_eq!(m.staging()[0], 0xAA);
         assert_eq!(m.durable_data()[0], 0);
         cut_and_recover(&mut m);
@@ -824,9 +652,9 @@ mod tests {
     #[test]
     fn stage_skips_unchanged_lines() {
         let mut m = media(4);
-        m.write(0, &[0xAA; 128]);
+        m.stage(0, &[0xAA; 128]);
         m.drain();
-        // Re-staging identical bytes dirties nothing: the next fence is
+        // Re-staging identical bytes dirties nothing: the next drain is
         // empty and burns no fuse steps.
         assert_eq!(m.stage(0, &[0xAA; 128]), 0);
         let r = m.drain();
@@ -842,23 +670,14 @@ mod tests {
     }
 
     #[test]
-    fn flush_without_fence_is_not_durable() {
-        let mut m = media(4);
-        m.write(64, &[0x55; 64]);
-        assert_eq!(m.flush_range(64, 64), 1);
-        cut_and_recover(&mut m);
-        assert_eq!(m.staging()[64], 0, "WPQ content needs a fence to survive");
-    }
-
-    #[test]
     fn drain_survives_power_cut() {
         let mut m = media(4);
-        m.write(0, &[1; 64]);
-        m.write(128, &[2; 64]);
+        m.stage(0, &[1; 64]);
+        m.stage(128, &[2; 64]);
         let report = m.drain();
         assert_eq!(report.lines, 2);
         assert!(report.log_bytes > 0);
-        assert_eq!(m.epoch(), 1);
+        assert_eq!(m.stats().log_records, 1);
         let replay = cut_and_recover(&mut m);
         // Clean-shutdown replay re-applies the sealed record (idempotent).
         assert_eq!(replay.records_replayed, 1);
@@ -867,41 +686,43 @@ mod tests {
     }
 
     #[test]
-    fn empty_fence_writes_no_record() {
+    fn empty_drain_writes_no_record() {
         let mut m = media(2);
-        let report = m.fence();
-        assert_eq!(report, FenceReport::default());
-        assert_eq!(m.epoch(), 0);
-        assert_eq!(m.stats().log_records, 0);
+        let steps = m.steps_taken();
+        assert_eq!(m.drain(), FenceReport::default());
+        assert_eq!(m.stats(), &MediaStats::default());
+        assert_eq!(m.steps_taken(), steps);
     }
 
     #[test]
     fn only_fenced_epoch_survives() {
         let mut m = media(2);
-        m.write(0, &[1; 64]);
+        m.stage(0, &[1; 64]);
         m.drain();
-        m.write(0, &[2; 64]);
-        m.flush_range(0, 64); // flushed, never fenced
-        cut_and_recover(&mut m);
-        assert_eq!(m.staging()[0], 1, "pre-fence epoch must stand");
+        m.stage(0, &[2; 64]); // staged, never drained
+        assert_eq!(m.power_cut(), 1);
+        m.recover().unwrap();
+        assert_eq!(m.staging()[0], 1, "pre-drain epoch must stand");
     }
 
     /// Every possible cut point inside a two-line drain recovers to
-    /// exactly the pre-fence or post-fence image — never a mixture.
+    /// exactly the pre-drain or post-drain image — never a mixture.
     #[test]
     fn every_cut_point_is_all_or_nothing() {
+        let staged = || {
+            let mut m = media(4);
+            m.stage(0, &[0x11; 64]);
+            m.stage(192, &[0x22; 64]);
+            m
+        };
         // Dry run to learn the step budget.
-        let mut dry = media(4);
-        dry.write(0, &[0x11; 64]);
-        dry.write(192, &[0x22; 64]);
+        let mut dry = staged();
         dry.drain();
         let steps = dry.steps_taken();
         assert!(steps > 0);
 
         for cut in 0..=steps {
-            let mut m = media(4);
-            m.write(0, &[0x11; 64]);
-            m.write(192, &[0x22; 64]);
+            let mut m = staged();
             m.arm_fuse(cut);
             m.drain();
             cut_and_recover(&mut m);
@@ -913,12 +734,10 @@ mod tests {
             );
         }
         // A cut after the final step must be the post image.
-        let mut m = media(4);
-        m.write(0, &[0x11; 64]);
-        m.write(192, &[0x22; 64]);
+        let mut m = staged();
         m.arm_fuse(steps);
         m.drain();
-        assert!(!m.is_dead());
+        assert!(!m.dead);
         cut_and_recover(&mut m);
         assert_eq!((m.staging()[0], m.staging()[192]), (0x11, 0x22));
     }
@@ -930,16 +749,16 @@ mod tests {
         for (i, b) in pattern.iter_mut().enumerate() {
             *b = i as u8 | 0x80;
         }
-        m.write(0, &pattern);
+        m.stage(0, &pattern);
         // Let the whole record persist plus one data chunk: the durable
         // line is torn (one new chunk, rest old zeroes) until replay.
         let mut probe = media(1);
-        probe.write(0, &pattern);
+        probe.stage(0, &pattern);
         probe.drain();
         let record_chunks = probe.stats().log_bytes.div_ceil(8);
         m.arm_fuse(record_chunks + 1);
         m.drain();
-        assert!(m.is_dead());
+        assert!(m.dead);
         assert_eq!(m.stats().torn_lines, 1);
         assert_eq!(&m.durable_data()[..8], &pattern[..8], "first chunk landed");
         assert_eq!(m.durable_data()[63], 0, "last chunk did not");
@@ -950,9 +769,9 @@ mod tests {
     #[test]
     fn second_fence_overwrites_the_record() {
         let mut m = media(4);
-        m.write(0, &[1; 64]);
+        m.stage(0, &[1; 64]);
         m.drain();
-        m.write(64, &[2; 64]);
+        m.stage(64, &[2; 64]);
         m.drain();
         let replay = cut_and_recover(&mut m);
         assert_eq!(replay.lines_redone, 1, "only the last record is live");
@@ -961,40 +780,27 @@ mod tests {
     }
 
     #[test]
-    fn scars_survive_power_cuts_and_skip_the_flush_protocol() {
-        let mut m = media(2);
-        m.write(0, &[0xF0; 64]);
-        m.drain();
-        // Scar a line *not* covered by the live record: replay rewrites
-        // recorded lines (healing their scars), but untouched cells keep
-        // their corruption across the cut.
-        m.scar_xor(64, &[0x0F]);
-        assert_eq!(m.staging()[64], 0x0F, "staging mirrors the disturbance");
-        cut_and_recover(&mut m);
-        assert_eq!(m.staging()[64], 0x0F, "cell corruption is physical");
-        m.scar_flip_bit(64, 3);
-        assert_eq!(m.durable_data()[64], 0x07);
-    }
-
-    #[test]
     fn replay_heals_scars_on_lines_the_live_record_covers() {
         let mut m = media(2);
-        m.write(0, &[0xF0; 64]);
+        m.stage(0, &[0xF0; 64]);
         m.drain();
-        m.scar_xor(0, &[0x0F]);
+        // Disturb a cell of each line behind the protocol's back.
+        m.durable[0] ^= 0x0F;
+        m.durable[64] ^= 0x0F;
         cut_and_recover(&mut m);
         assert_eq!(
             m.staging()[0],
             0xF0,
             "redo replay rewrites the recorded line, undoing the scar"
         );
+        assert_eq!(m.staging()[64], 0x0F, "a line no record covers keeps it");
     }
 
     #[test]
     fn recovery_is_idempotent() {
         let mut m = media(3);
-        m.write(0, &[7; 64]);
-        m.write(64, &[9; 64]);
+        m.stage(0, &[7; 64]);
+        m.stage(64, &[9; 64]);
         m.drain();
         cut_and_recover(&mut m);
         let first: Vec<u8> = m.staging().to_vec();
@@ -1006,7 +812,7 @@ mod tests {
     #[test]
     fn bogus_count_is_an_unsealed_record() {
         let mut m = media(2);
-        m.write(0, &[1; 64]);
+        m.stage(0, &[1; 64]);
         m.drain();
         // Keep the magic, blow up the count field (offset 16).
         m.scar_log(16, &u64::MAX.to_le_bytes());
@@ -1026,7 +832,7 @@ mod tests {
         push_u64(&mut rec, LOG_MAGIC);
         push_u64(&mut rec, 0);
         push_u64(&mut rec, 1);
-        push_u64(&mut rec, (m.data_len() + 64) as u64);
+        push_u64(&mut rec, (m.data_len + 64) as u64);
         rec.extend_from_slice(&[0u8; 64]);
         let crc = crc32(&rec);
         push_u64(&mut rec, crc as u64);
@@ -1034,7 +840,7 @@ mod tests {
         m.power_cut();
         match m.recover() {
             Err(MediaError::TornEntry { offset }) => {
-                assert_eq!(offset as usize, m.data_len() + 64);
+                assert_eq!(offset as usize, m.data_len + 64);
             }
             other => panic!("expected TornEntry, got {other:?}"),
         }
@@ -1043,10 +849,10 @@ mod tests {
     #[test]
     fn torn_record_is_ignored_not_an_error() {
         let mut m = media(2);
-        m.write(0, &[3; 64]);
+        m.stage(0, &[3; 64]);
         m.drain();
-        m.write(64, &[4; 64]);
-        // Cut inside the record write of the second fence, after the
+        m.stage(64, &[4; 64]);
+        // Cut inside the record write of the second drain, after the
         // epoch chunk has landed: the mixed old/new record bytes fail
         // the CRC seal. (Cutting after only the magic chunk would leave
         // the old record byte-identical — and correctly still sealed.)
@@ -1054,33 +860,21 @@ mod tests {
         m.drain();
         let replay = cut_and_recover(&mut m);
         assert_eq!(replay.records_replayed, 0, "torn record must be ignored");
-        assert_eq!(m.staging()[0], 3, "first fence epoch stands");
+        assert_eq!(m.staging()[0], 3, "first drain's epoch stands");
         assert_eq!(m.staging()[64], 0);
     }
 
     #[test]
     fn steady_state_fence_does_not_allocate_beyond_capacity() {
         let mut m = media(8);
-        for round in 0..10u8 {
+        for round in 1..=10u8 {
             for line in 0..8usize {
-                m.write(line * 64, &[round; 64]);
+                m.stage(line * 64, &[round; 64]);
             }
             m.drain();
         }
         assert_eq!(m.log_buf.capacity(), m.log_cap);
-        assert_eq!(m.epoch(), 10);
-    }
-
-    #[test]
-    fn flush_range_only_moves_overlapping_dirty_lines() {
-        let mut m = media(4);
-        m.write(0, &[1; 64]);
-        m.write(128, &[2; 64]);
-        assert_eq!(m.flush_range(128, 64), 1);
-        m.fence();
-        cut_and_recover(&mut m);
-        assert_eq!(m.staging()[128], 2, "flushed+fenced line survives");
-        assert_eq!(m.staging()[0], 0, "cache-only line does not");
+        assert_eq!(m.stats().log_records, 10);
     }
 
     /// The members, ascending, of the `Vec<bool>` a [`LineSet`] is checked
@@ -1106,7 +900,7 @@ mod tests {
         const LINES: usize = 64 * 64 * 3 + 64 * 5 + 17;
         let mut next = splitmix(0x11E5);
         let mut m = PersistentMedia::new(LINES * 64, PmemConfig::default());
-        let (mut cache, mut wpq) = (vec![false; LINES], vec![false; LINES]);
+        let mut dirty = vec![false; LINES];
         let pick = |next: &mut dyn FnMut() -> u64| match next() % 8 {
             0 => [0, 63, 64, 4095, 4096, LINES - 1][(next() % 6) as usize],
             1..=3 => 8_000 + (next() % 200) as usize,
@@ -1114,48 +908,44 @@ mod tests {
         };
         for step in 0..6_000 {
             match next() % 100 {
-                0..=59 => {
+                0..=69 => {
                     let line = pick(&mut next);
-                    m.cache.set(line);
-                    cache[line] = true;
+                    m.dirty.set(line);
+                    dirty[line] = true;
                 }
-                60..=74 => {
-                    let line = pick(&mut next);
-                    m.cache.clear(line);
-                    cache[line] = false;
-                }
-                75..=89 => {
+                70..=89 => {
+                    // A run of lines staged with fresh bytes.
                     let (line, n) = (pick(&mut next), 1 + (next() % 130) as usize);
                     let end = (line + n).min(LINES);
-                    let want = (line..end).filter(|&l| cache[l]).count() as u64;
-                    assert_eq!(m.flush_range(line * 64, (end - line) * 64), want);
-                    for l in line..end {
-                        wpq[l] |= std::mem::take(&mut cache[l]);
+                    let fresh = vec![step as u8 | 1; (end - line) * 64];
+                    // Every line holds one repeated byte, so its first
+                    // byte says whether staging changes it.
+                    let changed: Vec<usize> = (line..end)
+                        .filter(|&l| m.staging[l * 64] != fresh[0])
+                        .collect();
+                    assert_eq!(m.stage(line * 64, &fresh), changed.len() as u64);
+                    for l in changed {
+                        dirty[l] = true;
                     }
                 }
                 90..=95 => {
-                    let want = members(&cache).len() as u64;
-                    assert_eq!(m.flush_all(), want, "step {step}");
-                    for l in 0..LINES {
-                        wpq[l] |= std::mem::take(&mut cache[l]);
-                    }
+                    let want = members(&dirty).len() as u64;
+                    assert_eq!(m.drain().lines, want, "step {step}");
+                    dirty.fill(false);
                 }
                 _ => {
-                    m.wpq.clear_all();
-                    wpq.fill(false);
+                    m.power_cut();
+                    m.recover().unwrap();
+                    dirty.fill(false);
                 }
             }
             if step % 16 == 0 {
-                for (set, naive) in [(&m.cache, &cache), (&m.wpq, &wpq)] {
-                    assert_eq!(ascending(set), members(naive), "step {step}");
-                    assert_eq!(set.count(), members(naive).len() as u64, "step {step}");
-                    let line = pick(&mut next);
-                    assert_eq!(set.test(line), naive[line], "step {step}");
-                }
+                assert_eq!(ascending(&m.dirty), members(&dirty), "step {step}");
+                assert_eq!(m.dirty.count(), members(&dirty).len() as u64, "step {step}");
             }
         }
-        m.cache.clear_all();
-        assert_eq!((m.cache.count(), m.cache.next_from(0)), (0, None));
+        m.dirty.clear_all();
+        assert_eq!((m.dirty.count(), m.dirty.next_from(0)), (0, None));
     }
 
     /// The persist loops [`PersistentMedia::persist_log`] and
@@ -1212,13 +1002,13 @@ mod tests {
             };
             let mut m = PersistentMedia::new(8 * 64, cfg);
             for line in 0..8 {
-                m.write(line * 64, &[0x10 + line as u8; 64]);
+                m.stage(line * 64, &[0x10 + line as u8; 64]);
             }
             m.drain();
             let mut next = splitmix(0xF0CE);
             for line in LINES {
                 let bytes: Vec<u8> = (0..8).flat_map(|_| next().to_le_bytes()).collect();
-                m.write(line * 64, &bytes);
+                m.stage(line * 64, &bytes);
             }
             m
         };
@@ -1231,7 +1021,7 @@ mod tests {
                 steps,
                 (whole.log_buf.len().div_ceil(chunk) + 3 * 64 / chunk) as u64
             );
-            // Past the last step too: a fuse the fence does not exhaust.
+            // Past the last step too: a fuse the drain does not exhaust.
             for fuse in 0..=steps + 1 {
                 let (mut new, mut old) = (staged(chunk), staged(chunk));
                 new.arm_fuse(fuse);
@@ -1242,8 +1032,8 @@ mod tests {
                 assert!(new.durable == old.durable, "{what}: durable bytes");
                 assert_eq!(new.steps_taken(), old.steps_taken(), "{what}");
                 assert_eq!(new.stats().torn_lines, old.stats().torn_lines, "{what}");
-                assert_eq!(new.is_dead(), old.is_dead(), "{what}");
-                assert_eq!(new.is_dead(), fuse < steps, "{what}");
+                assert_eq!(new.dead, old.dead, "{what}");
+                assert_eq!(new.dead, fuse < steps, "{what}");
                 assert_eq!(new.fuse, old.fuse, "{what}: steps left on the fuse");
             }
         }
@@ -1252,8 +1042,8 @@ mod tests {
     #[test]
     fn sealed_records_with_hostile_words_never_panic() {
         let mut m = media(4);
-        let data_len = m.data_len() as u64;
-        let capacity = m.lines() as u64;
+        let data_len = m.data_len as u64;
+        let capacity = data_len / 64;
         let hostile = [
             u64::MAX - 63,
             u64::MAX,

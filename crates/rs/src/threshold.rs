@@ -36,14 +36,6 @@ pub enum ThresholdOutcome {
     Rejected(RejectReason),
 }
 
-impl ThresholdOutcome {
-    /// Whether the block left this stage with a trusted value (clean or
-    /// accepted correction).
-    pub fn is_trusted(&self) -> bool {
-        !matches!(self, ThresholdOutcome::Rejected(_))
-    }
-}
-
 impl RsCode {
     /// Decodes `word` in the caller's `scratch`, accepting the result
     /// only when the number of corrected symbols is at most `threshold`;

@@ -186,12 +186,6 @@ impl Histogram {
         self.max
     }
 
-    /// [`Histogram::quantile`] as `f64`, for callers mixing histogram
-    /// bounds with gauge arithmetic.
-    pub fn quantile_bound(&self, q: f64) -> f64 {
-        self.quantile(q) as f64
-    }
-
     fn to_json(&self) -> Json {
         let mut j = Json::object();
         j.set("count", self.count);

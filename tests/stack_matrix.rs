@@ -13,8 +13,18 @@
 //! back every block, and a differential leg replays one identical
 //! request sequence against a tiered stack and a fixed single-tier
 //! stack, asserting every read agrees.
+//!
+//! Every proposal and tiered variant also runs persistent: it flushes
+//! at fixed rounds (a tier-policy pass right before its flush, so a
+//! migration's own commit never runs ahead of the other regions), and
+//! cuts power and recovers at others, after which every block must read
+//! back as of the last flush — data and Start-Gap mapping alike. A
+//! persistent re-stripe commits the whole new layout, so its variants
+//! cut power straight after the flip and must read back everything.
 
-use pmck::chipkill::{BusFault, ChipkillConfig, ProtectionTier, Stack, StackBuilder, TierPolicy};
+use pmck::chipkill::{
+    BusFault, ChipkillConfig, PmemConfig, ProtectionTier, Stack, StackBuilder, TierPolicy,
+};
 use pmck::nvram::FaultSchedule;
 use pmck::rt::rng::{Rng, StdRng};
 
@@ -26,10 +36,56 @@ struct Variant {
     stack: Stack,
     restripeable: bool,
     tiered: bool,
+    persistent: bool,
 }
 
+/// Every variant: the volatile ones first, so their seeds (their
+/// positions) do not depend on the persistent copies after them.
 fn variants() -> Vec<Variant> {
     let mut out = Vec::new();
+    proposal_variants(&mut out, false);
+    tiered_variants(&mut out, false);
+    for wear in [false, true] {
+        for patrol in [false, true] {
+            for link in [false, true] {
+                let mut b = StackBuilder::baseline(BLOCKS);
+                let mut name = String::from("baseline");
+                if patrol {
+                    b = b.patrolled(3, 16);
+                    name.push_str("+patrol");
+                }
+                if wear {
+                    b = b.wear_levelled(4);
+                    name.push_str("+wearlevel");
+                }
+                if link {
+                    b = b.link_protected(BusFault { ber: 1e-6 }, 8);
+                    name.push_str("+link");
+                }
+                out.push(Variant {
+                    stack: b.seed(0xBA5E ^ out.len() as u64).build(),
+                    name,
+                    restripeable: false,
+                    tiered: false,
+                    persistent: false,
+                });
+            }
+        }
+    }
+    proposal_variants(&mut out, true);
+    tiered_variants(&mut out, true);
+    out
+}
+
+fn with_persistence(b: StackBuilder, name: &mut String, persistent: bool) -> StackBuilder {
+    if !persistent {
+        return b;
+    }
+    name.push_str("+pmem");
+    b.persistent(PmemConfig::default())
+}
+
+fn proposal_variants(out: &mut Vec<Variant>, persistent: bool) {
     for tier in ProtectionTier::ALL {
         for restripe in [false, true] {
             // The §V-E re-stripe flip is a paper-layout mechanism.
@@ -57,19 +113,24 @@ fn variants() -> Vec<Variant> {
                             b = b.link_protected(BusFault { ber: 1e-6 }, 8);
                             name.push_str("+link");
                         }
+                        b = with_persistence(b, &mut name, persistent);
                         out.push(Variant {
                             stack: b.seed(0xA11 ^ out.len() as u64).build(),
                             name,
                             restripeable: restripe,
                             tiered: false,
+                            persistent,
                         });
                     }
                 }
             }
         }
     }
-    // Tiered bases: the adaptive policy owns the rank layout, so no
-    // re-stripe; the campaign folds tier-policy passes in instead.
+}
+
+/// Tiered bases: the adaptive policy owns the rank layout, so no
+/// re-stripe; the campaign folds tier-policy passes in instead.
+fn tiered_variants(out: &mut Vec<Variant>, persistent: bool) {
     for wear in [false, true] {
         for patrol in [false, true] {
             for link in [false, true] {
@@ -88,42 +149,17 @@ fn variants() -> Vec<Variant> {
                     b = b.link_protected(BusFault { ber: 1e-6 }, 8);
                     name.push_str("+link");
                 }
+                b = with_persistence(b, &mut name, persistent);
                 out.push(Variant {
                     stack: b.seed(0x71E2 ^ out.len() as u64).build(),
                     name,
                     restripeable: false,
                     tiered: true,
+                    persistent,
                 });
             }
         }
     }
-    for wear in [false, true] {
-        for patrol in [false, true] {
-            for link in [false, true] {
-                let mut b = StackBuilder::baseline(BLOCKS);
-                let mut name = String::from("baseline");
-                if patrol {
-                    b = b.patrolled(3, 16);
-                    name.push_str("+patrol");
-                }
-                if wear {
-                    b = b.wear_levelled(4);
-                    name.push_str("+wearlevel");
-                }
-                if link {
-                    b = b.link_protected(BusFault { ber: 1e-6 }, 8);
-                    name.push_str("+link");
-                }
-                out.push(Variant {
-                    stack: b.seed(0xBA5E ^ out.len() as u64).build(),
-                    name,
-                    restripeable: false,
-                    tiered: false,
-                });
-            }
-        }
-    }
-    out
 }
 
 fn pattern(block: u64, version: u32) -> [u8; 64] {
@@ -135,6 +171,51 @@ fn pattern(block: u64, version: u32) -> [u8; 64] {
             .wrapping_add(i as u8);
     }
     data
+}
+
+/// Reads every block back against the mirror.
+fn sweep(name: &str, stack: &mut Stack, versions: &[u32], when: &str) {
+    for block in 0..BLOCKS {
+        let out = stack
+            .read(block)
+            .unwrap_or_else(|e| panic!("{name}: {when} read of {block} failed: {e}"));
+        assert_eq!(
+            out.data,
+            pattern(block, versions[block as usize]),
+            "{name}: {when} sweep diverged at block {block}"
+        );
+    }
+}
+
+/// Flushes and checks the flush left the staged image equal to the live
+/// arrays; the flushed mirror becomes what a power cut returns to.
+fn flush(name: &str, stack: &mut Stack, versions: &[u32], durable: &mut Vec<u32>, when: &str) {
+    stack
+        .flush()
+        .unwrap_or_else(|e| panic!("{name}: {when} flush failed: {e}"));
+    assert_eq!(
+        stack.staging_matches_live(),
+        Some(true),
+        "{name}: {when} flush left staging behind the live arrays"
+    );
+    *durable = versions.to_vec();
+}
+
+/// Cuts power and recovers; the mirror falls back to its flushed state.
+fn cut_and_recover(
+    name: &str,
+    stack: &mut Stack,
+    versions: &mut [u32],
+    durable: &[u32],
+    when: &str,
+) {
+    stack
+        .power_cut()
+        .unwrap_or_else(|e| panic!("{name}: {when} power cut failed: {e}"));
+    stack
+        .recover()
+        .unwrap_or_else(|e| panic!("{name}: {when} recovery failed: {e}"));
+    versions.copy_from_slice(durable);
 }
 
 /// A benign campaign: low background RBER from cycle 0, ramping slightly
@@ -156,6 +237,7 @@ fn every_stack_permutation_preserves_read_after_write() {
             stack,
             restripeable,
             tiered,
+            persistent,
         } = variant;
         let mut rng = StdRng::seed_from_u64(0x3A7A ^ name.len() as u64);
         let mut versions = vec![0u32; BLOCKS as usize];
@@ -166,8 +248,16 @@ fn every_stack_permutation_preserves_read_after_write() {
                 .write(block, &pattern(block, 0))
                 .unwrap_or_else(|e| panic!("{name}: fill of block {block} failed: {e}"));
         }
+        let mut durable = Vec::new();
+        if *persistent {
+            flush(name, stack, &versions, &mut durable, "fill");
+        }
 
-        for round in 0..ROUNDS {
+        // A persistent variant's flushes and cuts are what it adds; a
+        // third of the rounds keeps the file's runtime near the volatile
+        // matrix's. They end on the tier pass and a flush.
+        let rounds = if *persistent { ROUNDS / 3 } else { ROUNDS };
+        for round in 0..rounds {
             let block = rng.gen_range(0..BLOCKS);
             match rng.gen_range(0u32..4) {
                 0 | 1 => {
@@ -207,18 +297,29 @@ fn every_stack_permutation_preserves_read_after_write() {
                     .tier_step()
                     .unwrap_or_else(|e| panic!("{name}: round {round} tier step failed: {e}"));
             }
+            // Persistent variants flush after any tier pass of the same
+            // round, so a migration's own commit never runs ahead of the
+            // other regions' durable state.
+            if *persistent && round % 20 == 19 {
+                flush(
+                    name,
+                    stack,
+                    &versions,
+                    &mut durable,
+                    &format!("round {round}"),
+                );
+            }
+            if *persistent && round % 20 == 9 {
+                let when = format!("round {round}");
+                cut_and_recover(name, stack, &mut versions, &durable, &when);
+            }
+        }
+        // The last cut recovers whatever the tier pass migrated.
+        if *persistent {
+            cut_and_recover(name, stack, &mut versions, &durable, "closing");
         }
 
-        for block in 0..BLOCKS {
-            let out = stack
-                .read(block)
-                .unwrap_or_else(|e| panic!("{name}: closing read of {block} failed: {e}"));
-            assert_eq!(
-                out.data,
-                pattern(block, versions[block as usize]),
-                "{name}: closing sweep diverged at block {block}"
-            );
-        }
+        sweep(name, stack, &versions, "closing");
 
         // Tiered permutations must have actually migrated under the
         // benign schedule (pristine regions settle onto rs-only).
@@ -236,16 +337,12 @@ fn every_stack_permutation_preserves_read_after_write() {
             stack
                 .restripe()
                 .unwrap_or_else(|e| panic!("{name}: restripe failed: {e}"));
-            for block in 0..BLOCKS {
-                let out = stack
-                    .read(block)
-                    .unwrap_or_else(|e| panic!("{name}: post-restripe read failed: {e}"));
-                assert_eq!(
-                    out.data,
-                    pattern(block, versions[block as usize]),
-                    "{name}: post-restripe sweep diverged at block {block}"
-                );
+            if *persistent {
+                assert_eq!(stack.staging_matches_live(), Some(true), "{name}: flip");
+                let durable = versions.clone();
+                cut_and_recover(name, stack, &mut versions, &durable, "post-flip");
             }
+            sweep(name, stack, &versions, "post-restripe");
         }
     }
 }

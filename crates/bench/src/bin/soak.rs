@@ -8,7 +8,7 @@
 //!      [--shards N] [--cluster N] [--crash] [--tiers] [--pretty]
 //! ```
 //!
-//! The default system is one [`Stack`] — chipkill behind a restripeable
+//! The default system is one `Stack` — chipkill behind a restripeable
 //! base, Start-Gap wear leveling, manual-step patrol — and its run ends
 //! with the §V-E re-stripe leg. `--schedule` replaces the built-in fault
 //! timeline (text DSL or JSON); `--short` is the CI profile. Output is
@@ -28,7 +28,7 @@
 
 use pmck_bench::campaign::{self, built_in_schedule, Plan, Sut};
 use pmck_cluster::{Cluster, ClusterConfig};
-use pmck_core::{ChipkillConfig, PmemConfig, Stack, StackBuilder, TierPolicy};
+use pmck_core::{ChipkillConfig, StackBuilder, TierPolicy};
 use pmck_nvram::FaultSchedule;
 use pmck_rt::json::Json;
 use pmck_rt::metrics::MetricsRegistry;
@@ -115,18 +115,6 @@ fn load_schedule(cfg: &Config) -> FaultSchedule {
     parsed.unwrap_or_else(|e| usage(&format!("bad schedule {path}: {e}")))
 }
 
-/// One protection stack of the campaign: patrol (manual stepping) over
-/// physical addresses, Start-Gap wear leveling on top, and under
-/// `--crash` persistent media at the bottom.
-fn build_stack(base: StackBuilder, seed: u64, crash: bool) -> Stack {
-    let builder = base.patrolled(2, 0).wear_levelled(8).seed(seed);
-    if crash {
-        builder.persistent(PmemConfig::default()).build()
-    } else {
-        builder.build()
-    }
-}
-
 /// Runs the campaign and prints the report with the system's own
 /// metrics attached; returns the verdict.
 fn run_and_print<S: Sut>(
@@ -167,7 +155,7 @@ fn main() {
         let per_shard = cfg.blocks.div_ceil(shards as u64);
         let mut svc = ShardedService::new(shards, stack_seed, move |_, seed| {
             let base = StackBuilder::proposal(per_shard, ChipkillConfig::default());
-            build_stack(base, seed, crash)
+            campaign::stack(base, seed, crash)
         });
         run_and_print(&cfg, &mut svc, &plan, |s, reg| {
             s.publish_metrics(reg, "service")
@@ -184,7 +172,7 @@ fn main() {
         } else {
             base.restripeable()
         };
-        let mut stack = build_stack(base, stack_seed, crash);
+        let mut stack = campaign::stack(base, stack_seed, crash);
         run_and_print(&cfg, &mut stack, &plan, |s, reg| {
             s.publish_metrics(reg, "stack")
         })

@@ -1,14 +1,13 @@
-//! The one campaign driver, pinned on all three systems: the same plan
-//! gives the same counts on a `Stack` and on a 1-shard service over an
-//! identically built stack, a transport that loses one write fails the
-//! verdict, and the 3-node cluster plan settles with no stale or
-//! different replica.
+//! The soak campaign (`pmck_bench::campaign::run`), pinned on all three
+//! systems: the same plan gives the same counts on a `Stack` and on a
+//! 1-shard service over an identically built stack, a transport that
+//! loses one write fails the verdict, and the 3-node cluster plan
+//! settles with no stale or different replica.
 
 use pmck_bench::campaign::{self, built_in_schedule, Plan, Sut};
 use pmck_cluster::{Cluster, ClusterConfig};
 use pmck_core::{
-    ChipkillConfig, CoreError, PmemConfig, Request, Response, Stack, StackBuilder, SubmitTicket,
-    Submitter,
+    ChipkillConfig, CoreError, Request, Response, Stack, StackBuilder, SubmitTicket, Submitter,
 };
 use pmck_service::ShardedService;
 
@@ -27,16 +26,8 @@ fn plan(crash: bool) -> Plan {
 }
 
 fn stack(crash: bool) -> Stack {
-    let builder = StackBuilder::proposal(64, ChipkillConfig::default())
-        .restripeable()
-        .patrolled(2, 0)
-        .wear_levelled(8)
-        .seed(SEED ^ 0x5011_D1E5);
-    if crash {
-        builder.persistent(PmemConfig::default()).build()
-    } else {
-        builder.build()
-    }
+    let base = StackBuilder::proposal(64, ChipkillConfig::default()).restripeable();
+    campaign::stack(base, SEED ^ 0x5011_D1E5, crash)
 }
 
 #[test]

@@ -16,7 +16,7 @@
 //! Layers that do not implement an access kind return
 //! [`CoreError::Unsupported`] rather than silently no-opping.
 
-use pmck_nvram::FaultKind;
+use pmck_nvram::{FaultEvent, FaultKind};
 use pmck_rt::json::Json;
 use pmck_rt::metrics::MetricsRegistry;
 use pmck_rt::rng::StdRng;
@@ -607,10 +607,10 @@ impl BlockDevice for ChipkillMemory {
                 self.write_block_sum(addr, &data).map(|_| Response::Written)
             }
             Request::Scrub(addr) => self.scrub_block(addr).map(|_| Response::Scrubbed),
-            Request::InjectRber(rber) => Ok(Response::Injected {
+            Request::InjectRber(rber) => check_injection(&req).map(|()| Response::Injected {
                 bits: self.inject_bit_errors(rber, ctx.rng()),
             }),
-            Request::Fault(ev) => Ok(Response::Injected {
+            Request::Fault(ev) => check_injection(&req).map(|()| Response::Injected {
                 bits: self.apply_fault_event(&ev, ctx.rng()),
             }),
             Request::BootScrub => self.boot_scrub().map(Response::BootScrubbed),
@@ -651,6 +651,20 @@ impl BlockDevice for ChipkillMemory {
     }
 }
 
+/// Rejects an injection rate outside the injector's `[0, 1)` (NaN
+/// included), whether an [`Request::InjectRber`] or a row fault carries
+/// it; a base device calls it before it injects anything.
+pub(crate) fn check_injection(req: &Request) -> Result<(), CoreError> {
+    match *req {
+        Request::InjectRber(p)
+        | Request::Fault(FaultEvent {
+            kind: FaultKind::RowFault { rber: p, .. },
+            ..
+        }) if !(0.0..1.0).contains(&p) => Err(CoreError::InvalidRber),
+        _ => Ok(()),
+    }
+}
+
 impl BlockDevice for BaselineMemory {
     fn id(&self) -> LayerId {
         LayerId::Baseline
@@ -683,7 +697,7 @@ impl BlockDevice for BaselineMemory {
                 self.write_block(addr, &out.data)
                     .map(|_| Response::Scrubbed)
             }),
-            Request::InjectRber(rber) => Ok(Response::Injected {
+            Request::InjectRber(rber) => check_injection(&req).map(|()| Response::Injected {
                 bits: self.inject_bit_errors(rber, ctx.rng()),
             }),
             Request::Fault(ev) => match ev.kind {
@@ -769,7 +783,7 @@ impl BlockDevice for RestripedMemory {
             }
             // A group read corrects and writes back the whole group.
             Request::Scrub(addr) => self.read_block(addr).map(|_| Response::Scrubbed),
-            Request::InjectRber(rber) => Ok(Response::Injected {
+            Request::InjectRber(rber) => check_injection(&req).map(|()| Response::Injected {
                 bits: self.inject_bit_errors(rber, ctx.rng()),
             }),
             Request::Fault(ev) => match ev.kind {

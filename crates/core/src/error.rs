@@ -27,6 +27,9 @@ pub enum CoreError {
     Unsupported(&'static str),
     /// A Write-CRC protected transfer exhausted its retry budget.
     LinkFailed,
+    /// A fault-injection rate outside `[0, 1)`, or NaN; nothing was
+    /// injected.
+    InvalidRber,
     /// The request never reached the memory pipeline: a service-layer
     /// queue or worker failure. The wrapped [`ServiceError`] is also
     /// reachable through [`std::error::Error::source`].
@@ -71,6 +74,7 @@ impl fmt::Display for CoreError {
                 write!(f, "no layer in the stack handles `{kind}` accesses")
             }
             CoreError::LinkFailed => write!(f, "write link exhausted its retry budget"),
+            CoreError::InvalidRber => write!(f, "injection rate outside [0, 1)"),
             CoreError::Service(e) => write!(f, "{e}"),
             CoreError::Recovery(e) => write!(f, "{e}"),
             CoreError::Cluster(e) => write!(f, "{e}"),

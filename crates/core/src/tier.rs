@@ -42,7 +42,9 @@ use pmck_nvram::{FaultKind, RegionRber, WearModel};
 use pmck_pmem::PmemConfig;
 
 use crate::config::ChipkillConfig;
-use crate::device::{record_access, trace_writeback, AccessContext, BlockDevice, LayerId};
+use crate::device::{
+    check_injection, record_access, trace_writeback, AccessContext, BlockDevice, LayerId,
+};
 use crate::engine::ChipkillMemory;
 use crate::error::CoreError;
 use crate::layout::{ChipkillLayout, ProtectionTier};
@@ -475,6 +477,7 @@ impl BlockDevice for TieredMemory {
                 .and_then(|(r, local)| self.regions[r].scrub_block(local))
                 .map(|_| Response::Scrubbed),
             Request::InjectRber(rber) => {
+                check_injection(&req)?;
                 // The background rate hits every region; each region's
                 // observed-RBER sample sees its own share.
                 let mut bits = 0usize;
@@ -493,6 +496,7 @@ impl BlockDevice for TieredMemory {
                 // Structured faults strike one region.
                 _ => {
                     use pmck_rt::rng::Rng;
+                    check_injection(&req)?;
                     let r = ctx.rng().gen_range(0..self.regions.len());
                     let bits = self.regions[r].apply_fault_event(&ev, ctx.rng());
                     let total = self.region_bits(r);

@@ -11,12 +11,8 @@ use pmck_rt::Json;
 
 use crate::runner::Case;
 
-fn bytes_to_json(bytes: &[u8]) -> Json {
-    let mut arr = Json::array();
-    for &b in bytes {
-        arr.push(b as u64);
-    }
-    arr
+fn array_to_json<T: Copy + Into<Json>>(values: &[T]) -> Json {
+    Json::Arr(values.iter().map(|&v| v.into()).collect())
 }
 
 fn bytes_from_json(value: &Json) -> Option<Vec<u8>> {
@@ -36,14 +32,12 @@ fn usizes_from_json(value: &Json) -> Option<Vec<usize>> {
 }
 
 fn errors_to_json(errors: &[(usize, u8)]) -> Json {
-    let mut arr = Json::array();
-    for &(p, m) in errors {
-        let mut pair = Json::array();
-        pair.push(p as u64);
-        pair.push(m as u64);
-        arr.push(pair);
-    }
-    arr
+    Json::Arr(
+        errors
+            .iter()
+            .map(|&(p, m)| array_to_json(&[p, m.into()]))
+            .collect(),
+    )
 }
 
 fn errors_from_json(value: &Json) -> Option<Vec<(usize, u8)>> {
@@ -86,19 +80,10 @@ impl Case for FieldPairCase {
     }
 
     fn shrink(&self) -> Vec<Self> {
+        let (a, b) = (self.a, self.b);
         let mut out = Vec::new();
-        for cand in [
-            FieldPairCase { a: 0, b: self.b },
-            FieldPairCase { a: self.a, b: 0 },
-            FieldPairCase {
-                a: self.a / 2,
-                b: self.b,
-            },
-            FieldPairCase {
-                a: self.a,
-                b: self.b / 2,
-            },
-        ] {
+        for (a, b) in [(0, b), (a, 0), (a / 2, b), (a, b / 2)] {
+            let cand = FieldPairCase { a, b };
             if cand != *self && !out.contains(&cand) {
                 out.push(cand);
             }
@@ -133,7 +118,7 @@ impl ByteErrorCase {
 impl Case for ByteErrorCase {
     fn to_json(&self) -> Json {
         Json::object()
-            .with("data", bytes_to_json(&self.data))
+            .with("data", array_to_json(&self.data))
             .with("errors", errors_to_json(&self.errors))
     }
 
@@ -147,29 +132,21 @@ impl Case for ByteErrorCase {
     fn shrink(&self) -> Vec<Self> {
         let mut out = Vec::new();
         for i in 0..self.errors.len() {
-            let mut errors = self.errors.clone();
-            errors.remove(i);
-            out.push(ByteErrorCase {
-                data: self.data.clone(),
-                errors,
-            });
+            let mut cand = self.clone();
+            cand.errors.remove(i);
+            out.push(cand);
         }
         if self.data.iter().any(|&b| b != 0) {
-            out.push(ByteErrorCase {
-                data: vec![0; self.data.len()],
-                errors: self.errors.clone(),
-            });
+            let mut cand = self.clone();
+            cand.data = vec![0; self.data.len()];
+            out.push(cand);
         }
-        for i in 0..self.errors.len() {
-            let (p, m) = self.errors[i];
+        for (i, &(p, m)) in self.errors.iter().enumerate() {
             let lowest = m & m.wrapping_neg();
             if lowest != m && lowest != 0 {
-                let mut errors = self.errors.clone();
-                errors[i] = (p, lowest);
-                out.push(ByteErrorCase {
-                    data: self.data.clone(),
-                    errors,
-                });
+                let mut cand = self.clone();
+                cand.errors[i] = (p, lowest);
+                out.push(cand);
             }
         }
         out
@@ -209,14 +186,10 @@ impl ErasureCase {
 
 impl Case for ErasureCase {
     fn to_json(&self) -> Json {
-        let mut erasures = Json::array();
-        for &p in &self.erasures {
-            erasures.push(p as u64);
-        }
         Json::object()
-            .with("data", bytes_to_json(&self.data))
-            .with("erasures", erasures)
-            .with("fills", bytes_to_json(&self.fills))
+            .with("data", array_to_json(&self.data))
+            .with("erasures", array_to_json(&self.erasures))
+            .with("fills", array_to_json(&self.fills))
             .with("errors", errors_to_json(&self.errors))
     }
 
@@ -283,13 +256,9 @@ impl BitFlipCase {
 
 impl Case for BitFlipCase {
     fn to_json(&self) -> Json {
-        let mut flips = Json::array();
-        for &p in &self.flips {
-            flips.push(p as u64);
-        }
         Json::object()
-            .with("data", bytes_to_json(&self.data))
-            .with("flips", flips)
+            .with("data", array_to_json(&self.data))
+            .with("flips", array_to_json(&self.flips))
     }
 
     fn from_json(value: &Json) -> Option<Self> {
@@ -331,7 +300,7 @@ impl Case for EncodeCase {
     fn to_json(&self) -> Json {
         Json::object()
             .with("bit_offset", self.bit_offset as u64)
-            .with("bytes", bytes_to_json(&self.bytes))
+            .with("bytes", array_to_json(&self.bytes))
     }
 
     fn from_json(value: &Json) -> Option<Self> {
@@ -451,24 +420,14 @@ impl Case for ChipkillErasureCase {
     }
 
     fn from_json(value: &Json) -> Option<Self> {
+        let field = |key: &str| value.get(key)?.as_u64();
+        let index = |key: &str| usize::try_from(field(key)?).ok();
         let case = ChipkillErasureCase {
-            failed_chip: value
-                .get("failed_chip")?
-                .as_u64()
-                .and_then(|n| usize::try_from(n).ok())?,
-            error_chip: value
-                .get("error_chip")?
-                .as_u64()
-                .and_then(|n| usize::try_from(n).ok())?,
-            error_block: value.get("error_block")?.as_u64()?,
-            error_byte: value
-                .get("error_byte")?
-                .as_u64()
-                .and_then(|n| usize::try_from(n).ok())?,
-            error_mask: value
-                .get("error_mask")?
-                .as_u64()
-                .and_then(|n| u8::try_from(n).ok())?,
+            failed_chip: index("failed_chip")?,
+            error_chip: index("error_chip")?,
+            error_block: field("error_block")?,
+            error_byte: index("error_byte")?,
+            error_mask: u8::try_from(field("error_mask")?).ok()?,
         };
         if case.failed_chip == case.error_chip || case.error_mask == 0 {
             return None;
@@ -477,27 +436,12 @@ impl Case for ChipkillErasureCase {
     }
 
     fn shrink(&self) -> Vec<Self> {
-        let mut out = Vec::new();
-        let lowest = self.error_mask & self.error_mask.wrapping_neg();
-        if lowest != self.error_mask {
-            out.push(ChipkillErasureCase {
-                error_mask: lowest,
-                ..self.clone()
-            });
-        }
-        if self.error_byte != 0 {
-            out.push(ChipkillErasureCase {
-                error_byte: 0,
-                ..self.clone()
-            });
-        }
-        if self.error_block != 0 {
-            out.push(ChipkillErasureCase {
-                error_block: 0,
-                ..self.clone()
-            });
-        }
-        out
+        // One bit of the mask, byte 0, block 0: each where it changes.
+        let mut cands = [self.clone(), self.clone(), self.clone()];
+        cands[0].error_mask &= self.error_mask.wrapping_neg();
+        cands[1].error_byte = 0;
+        cands[2].error_block = 0;
+        cands.into_iter().filter(|c| c != self).collect()
     }
 }
 
@@ -596,37 +540,28 @@ impl Case for CrashPlan {
     }
 
     fn shrink(&self) -> Vec<Self> {
-        let mut out = Vec::new();
         // The op and seed define the scenario; only the cut coordinate
         // shrinks, toward the start of the operation.
+        let mut out = Vec::new();
         if self.from_end {
-            out.push(CrashPlan {
-                from_end: false,
-                ..self.clone()
-            });
+            out.push(self.clone());
+            out[0].from_end = false;
         }
-        if self.cut_step != 0 {
-            out.push(CrashPlan {
-                cut_step: 0,
-                ..self.clone()
-            });
-            out.push(CrashPlan {
-                cut_step: self.cut_step / 2,
-                ..self.clone()
-            });
-            out.push(CrashPlan {
-                cut_step: self.cut_step - 1,
-                ..self.clone()
-            });
+        let cut = |cut_step| CrashPlan {
+            cut_step,
+            ..self.clone()
+        };
+        match self.cut_step {
+            0 => {}
+            n => out.extend([cut(0), cut(n / 2), cut(n - 1)]),
         }
         out
     }
 }
 
-/// The disturbance a [`ClusterPlan`] drives the replicated tier
-/// through. The campaign driver owns the mapping from scenario to
-/// concrete node operations; this type only carries the name through
-/// JSON.
+/// The disturbance a [`StreamPlan`] drives the replicated tier
+/// through; the oracle (`pmck_bench::campaign`) turns it into topology
+/// steps that single-node transports ignore.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ClusterScenario {
     /// No disturbance: pure replicated traffic.
@@ -636,9 +571,9 @@ pub enum ClusterScenario {
     /// A node is suspended (slow replica) and resumed; anti-entropy
     /// heals what it missed.
     SlowReplica,
-    /// A correlated DDR4-style fault mix from a seeded schedule: error
-    /// bursts and a row fault everywhere, plus a chip failure on one
-    /// node racing local repair against remote read-repair.
+    /// A correlated fault progression on one node only — a row fault on
+    /// a chip that later dies outright — racing local repair against
+    /// remote read-repair.
     FaultMix,
 }
 
@@ -666,57 +601,51 @@ impl ClusterScenario {
     }
 }
 
-/// One replicated-tier differential run; the case shape for the
-/// cluster campaign. The driver replays the same seeded logical write
-/// stream into a cluster and a single-node reference and requires the
-/// two (and a pure mirror) to stay bit-identical through the scenario's
-/// disturbance, including after node-loss recovery and read-repair.
+/// One seeded request stream, the case shape of the request-stream
+/// oracle: every transport replays the same stream and must agree with
+/// one mirror (and a sharded service with its per-shard replay).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ClusterPlan {
+pub struct StreamPlan {
     /// The disturbance under test.
     pub scenario: ClusterScenario,
-    /// Workload seed (write stream, fill pattern, node RNG streams).
+    /// Seed of the stream and of every system it runs on.
     pub seed: u64,
-    /// Read/write operations after the fill; scenario events anchor to
-    /// fixed fractions of this span.
+    /// Stream length before the closing read-back; scenario events
+    /// anchor to fixed fractions of it.
     pub cycles: u64,
+    /// Persistent media: the stream flushes, cuts power and recovers.
+    pub persistent: bool,
 }
 
-impl Case for ClusterPlan {
+impl Case for StreamPlan {
     fn to_json(&self) -> Json {
         Json::object()
             .with("scenario", self.scenario.name())
             .with("seed", self.seed)
             .with("cycles", self.cycles)
+            .with("persistent", self.persistent)
     }
 
     fn from_json(value: &Json) -> Option<Self> {
-        Some(ClusterPlan {
+        Some(StreamPlan {
             scenario: ClusterScenario::from_name(value.get("scenario")?.as_str()?)?,
             seed: value.get("seed")?.as_u64()?,
             cycles: value.get("cycles")?.as_u64()?,
+            persistent: value.get("persistent").and_then(Json::as_bool) == Some(true),
         })
     }
 
     fn shrink(&self) -> Vec<Self> {
-        let mut out = Vec::new();
-        // The scenario and seed define the run; only the traffic span
+        // The scenario and seed define the run; only the stream
         // shrinks, toward an immediate disturbance.
-        if self.cycles != 0 {
-            out.push(ClusterPlan {
-                cycles: 0,
-                ..self.clone()
-            });
-            out.push(ClusterPlan {
-                cycles: self.cycles / 2,
-                ..self.clone()
-            });
-            out.push(ClusterPlan {
-                cycles: self.cycles - 1,
-                ..self.clone()
-            });
+        let shorter = |cycles| StreamPlan {
+            cycles,
+            ..self.clone()
+        };
+        match self.cycles {
+            0 => Vec::new(),
+            n => vec![shorter(0), shorter(n / 2), shorter(n - 1)],
         }
-        out
     }
 }
 
@@ -735,28 +664,17 @@ impl JsonCase {
     }
 }
 
-const STRING_PALETTE: &[char] = &[
-    'a',
-    'b',
-    'z',
-    '0',
-    ' ',
-    '"',
-    '\\',
-    '/',
-    '\n',
-    '\r',
-    '\t',
-    '\u{8}',
-    '\u{c}',
-    '\u{1}',
-    '\u{7f}',
-    'é',
-    'Ω',
-    '→',
-    '🦀',
-    '\u{10FFFF}',
-];
+/// Characters heavy in escapes and multi-byte encodings.
+const STRING_PALETTE: &str = "abz0 \"\\/\n\r\t\u{8}\u{c}\u{1}\u{7f}éΩ→🦀\u{10FFFF}";
+
+/// A string of up to `max_len - 1` palette characters.
+fn gen_string<R: pmck_rt::Rng + ?Sized>(rng: &mut R, max_len: usize) -> String {
+    let palette: Vec<char> = STRING_PALETTE.chars().collect();
+    let len = rng.gen_range(0usize..max_len);
+    (0..len)
+        .map(|_| palette[rng.gen_range(0usize..palette.len())])
+        .collect()
+}
 
 fn gen_value<R: pmck_rt::Rng + ?Sized>(rng: &mut R, depth: u32) -> Json {
     let top = if depth == 0 { 6 } else { 8 };
@@ -771,14 +689,7 @@ fn gen_value<R: pmck_rt::Rng + ?Sized>(rng: &mut R, depth: u32) -> Json {
         }),
         // Always fractional, exactly representable: round trips as F64.
         4 => Json::F64(rng.gen_range(-100_000i64..100_000) as f64 + 0.5),
-        5 => {
-            let len = rng.gen_range(0usize..12);
-            Json::Str(
-                (0..len)
-                    .map(|_| STRING_PALETTE[rng.gen_range(0usize..STRING_PALETTE.len())])
-                    .collect(),
-            )
-        }
+        5 => Json::Str(gen_string(rng, 12)),
         6 => {
             let len = rng.gen_range(0usize..5);
             Json::Arr((0..len).map(|_| gen_value(rng, depth - 1)).collect())
@@ -788,10 +699,7 @@ fn gen_value<R: pmck_rt::Rng + ?Sized>(rng: &mut R, depth: u32) -> Json {
             Json::Obj(
                 (0..len)
                     .map(|i| {
-                        let klen = rng.gen_range(0usize..6);
-                        let mut key: String = (0..klen)
-                            .map(|_| STRING_PALETTE[rng.gen_range(0usize..STRING_PALETTE.len())])
-                            .collect();
+                        let mut key = gen_string(rng, 6);
                         // Duplicate keys are legal JSON but ambiguous for
                         // `get`; suffix with the index to keep them unique.
                         key.push_str(&i.to_string());
@@ -910,7 +818,7 @@ mod tests {
         };
         assert_eq!(ErasureCase::from_json(&case.to_json()), Some(case.clone()));
         let mut bad = case.to_json();
-        bad.set("fills", bytes_to_json(&[1]));
+        bad.set("fills", array_to_json(&[1]));
         assert_eq!(ErasureCase::from_json(&bad), None);
     }
 

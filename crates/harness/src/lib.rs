@@ -50,8 +50,8 @@ pub mod oracle;
 pub mod runner;
 
 pub use cases::{
-    BitFlipBatchCase, BitFlipCase, ByteErrorCase, ChipkillErasureCase, ClusterPlan,
-    ClusterScenario, CrashOp, CrashPlan, EncodeCase, ErasureCase, FieldPairCase, JsonCase,
+    BitFlipBatchCase, BitFlipCase, ByteErrorCase, ChipkillErasureCase, ClusterScenario, CrashOp,
+    CrashPlan, EncodeCase, ErasureCase, FieldPairCase, JsonCase, StreamPlan,
 };
 pub use oracle::{
     diff_bch, diff_bch_batch, diff_bch_encode, diff_rs_erasures, diff_rs_parity, diff_rs_small,

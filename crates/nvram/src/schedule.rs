@@ -222,40 +222,18 @@ impl FaultSchedule {
                 continue;
             }
             let toks: Vec<&str> = src.split_whitespace().collect();
-            let err = |message: &str| ScheduleError {
-                message: message.to_owned(),
-                line,
+            let event = match toks[..] {
+                ["at", cycle, ref fault @ ..] => number(cycle).and_then(|at_cycle| {
+                    let kind = parse_kind(fault)?;
+                    Ok(FaultEvent { at_cycle, kind })
+                }),
+                ["ramp", cycles, "rber", rates] => parse_ramp(cycles, rates),
+                ["at", ..] => Err("expected `at <cycle> <fault>...`".into()),
+                ["ramp", ..] => Err("expected `ramp <c0>..<c1> rber <p0>..<p1>`".into()),
+                [other, ..] => Err(format!("unknown directive `{other}`")),
+                [] => unreachable!("blank lines are skipped"),
             };
-            match toks[0] {
-                "at" => {
-                    if toks.len() < 3 {
-                        return Err(err("expected `at <cycle> <fault>...`"));
-                    }
-                    let at_cycle: u64 = toks[1].parse().map_err(|_| err("invalid cycle number"))?;
-                    let kind = parse_kind(&toks[2..]).map_err(|m| err(&m))?;
-                    schedule.push(FaultEvent { at_cycle, kind });
-                }
-                "ramp" => {
-                    // ramp <from>..<to> rber <p0>..<p1>
-                    if toks.len() != 4 || toks[2] != "rber" {
-                        return Err(err("expected `ramp <c0>..<c1> rber <p0>..<p1>`"));
-                    }
-                    let (c0, c1) = parse_range(toks[1]).map_err(|m| err(&m))?;
-                    let (p0, p1) = parse_frange(toks[3]).map_err(|m| err(&m))?;
-                    if c1 < c0 {
-                        return Err(err("ramp end before start"));
-                    }
-                    schedule.push(FaultEvent {
-                        at_cycle: c0,
-                        kind: FaultKind::RberRamp {
-                            from: p0,
-                            to: p1,
-                            over_cycles: c1 - c0,
-                        },
-                    });
-                }
-                other => return Err(err(&format!("unknown directive `{other}`"))),
-            }
+            schedule.push(event.map_err(|message| ScheduleError { message, line })?);
         }
         Ok(schedule)
     }
@@ -337,7 +315,8 @@ impl FaultSchedule {
             let f64_field = |key: &str| {
                 e.get(key)
                     .and_then(Json::as_f64)
-                    .ok_or_else(|| err(&format!("`{kind_name}` missing `{key}`")))
+                    .filter(|r| (0.0..1.0).contains(r))
+                    .ok_or_else(|| err(&format!("`{kind_name}` needs `{key}` in [0, 1)")))
             };
             let u64_field = |key: &str| {
                 e.get(key)
@@ -379,90 +358,62 @@ impl FaultSchedule {
     }
 }
 
+/// One fault, every token of it: each form is matched whole, so a fault
+/// followed by more tokens is an error, not a fault.
 fn parse_kind(toks: &[&str]) -> Result<FaultKind, String> {
-    match toks[0] {
-        "rber" => {
-            let rber = toks
-                .get(1)
-                .and_then(|s| s.parse().ok())
-                .ok_or("`rber` needs a rate")?;
-            Ok(FaultKind::Rber { rber })
-        }
-        "burst" => {
-            // burst <bits> width <w> [chip <c>]
-            let bits: u32 = toks
-                .get(1)
-                .and_then(|s| s.parse().ok())
-                .ok_or("`burst` needs a flip count")?;
-            if toks.get(2) != Some(&"width") {
-                return Err("`burst` expects `width <bits>`".into());
+    Ok(match *toks {
+        ["rber", p] => FaultKind::Rber {
+            rber: parse_rate(p)?,
+        },
+        ["burst", bits, "width", width] | ["burst", bits, "width", width, "chip", _] => {
+            FaultKind::Burst {
+                bits: number(bits)?,
+                width_bits: number(width)?,
+                chip: toks.get(5).map(|c| number(c)).transpose()?,
             }
-            let width_bits: u32 = toks
-                .get(3)
-                .and_then(|s| s.parse().ok())
-                .ok_or("`width` needs a bit count")?;
-            let chip = match (toks.get(4), toks.get(5)) {
-                (Some(&"chip"), Some(c)) => {
-                    Some(c.parse().map_err(|_| "invalid chip index".to_owned())?)
-                }
-                (None, _) => None,
-                _ => return Err("trailing tokens after `burst`".into()),
-            };
-            Ok(FaultKind::Burst {
-                bits,
-                width_bits,
-                chip,
-            })
         }
-        "row" => {
-            // row <chip> <stripe> rber <p>
-            let chip = toks
-                .get(1)
-                .and_then(|s| s.parse().ok())
-                .ok_or("`row` needs a chip index")?;
-            let stripe = toks
-                .get(2)
-                .and_then(|s| s.parse().ok())
-                .ok_or("`row` needs a stripe index")?;
-            if toks.get(3) != Some(&"rber") {
-                return Err("`row` expects `rber <p>`".into());
-            }
-            let rber = toks
-                .get(4)
-                .and_then(|s| s.parse().ok())
-                .ok_or("`rber` needs a rate")?;
-            Ok(FaultKind::RowFault { chip, stripe, rber })
-        }
-        "chipkill" => {
-            let chip = toks
-                .get(1)
-                .and_then(|s| s.parse().ok())
-                .ok_or("`chipkill` needs a chip index")?;
-            let kind = toks
-                .get(2)
-                .copied()
-                .and_then(failure_from_name)
-                .ok_or("`chipkill` needs stuck0|stuck1|garbage|silent")?;
-            Ok(FaultKind::ChipKill { chip, kind })
-        }
-        other => Err(format!("unknown fault `{other}`")),
-    }
+        ["row", chip, stripe, "rber", p] => FaultKind::RowFault {
+            chip: number(chip)?,
+            stripe: number(stripe)?,
+            rber: parse_rate(p)?,
+        },
+        ["chipkill", chip, failure] => FaultKind::ChipKill {
+            chip: number(chip)?,
+            kind: failure_from_name(failure)
+                .ok_or("failure must be stuck0|stuck1|garbage|silent")?,
+        },
+        ["rber", ..] => return Err("expected `rber <p>`".into()),
+        ["burst", ..] => return Err("expected `burst <bits> width <w> [chip <c>]`".into()),
+        ["row", ..] => return Err("expected `row <chip> <stripe> rber <p>`".into()),
+        ["chipkill", ..] => return Err("expected `chipkill <chip> <failure>`".into()),
+        [other, ..] => return Err(format!("unknown fault `{other}`")),
+        [] => return Err("missing fault".into()),
+    })
 }
 
-fn parse_range(s: &str) -> Result<(u64, u64), String> {
-    let (a, b) = s.split_once("..").ok_or("expected `<a>..<b>`")?;
-    Ok((
-        a.parse().map_err(|_| "invalid range start".to_owned())?,
-        b.parse().map_err(|_| "invalid range end".to_owned())?,
-    ))
+fn number<T: std::str::FromStr>(s: &str) -> Result<T, String> {
+    s.parse().map_err(|_| format!("invalid number `{s}`"))
 }
 
-fn parse_frange(s: &str) -> Result<(f64, f64), String> {
-    let (a, b) = s.split_once("..").ok_or("expected `<p0>..<p1>`")?;
-    Ok((
-        a.parse().map_err(|_| "invalid rate".to_owned())?,
-        b.parse().map_err(|_| "invalid rate".to_owned())?,
-    ))
+/// `ramp <c0>..<c1> rber <p0>..<p1>`: a ramp over cycles `c0..c1`.
+fn parse_ramp(cycles: &str, rates: &str) -> Result<FaultEvent, String> {
+    let (c0, c1) = cycles.split_once("..").ok_or("expected `<c0>..<c1>`")?;
+    let (p0, p1) = rates.split_once("..").ok_or("expected `<p0>..<p1>`")?;
+    let (at_cycle, end): (u64, u64) = (number(c0)?, number(c1)?);
+    let kind = FaultKind::RberRamp {
+        from: parse_rate(p0)?,
+        to: parse_rate(p1)?,
+        over_cycles: end.checked_sub(at_cycle).ok_or("ramp end before start")?,
+    };
+    Ok(FaultEvent { at_cycle, kind })
+}
+
+/// A bit error rate: a number in `[0, 1)`, so never NaN or infinite.
+fn parse_rate(s: &str) -> Result<f64, String> {
+    s.parse()
+        .ok()
+        .filter(|r| (0.0..1.0).contains(r))
+        .ok_or_else(|| format!("a rate must be a number in [0, 1), not `{s}`"))
 }
 
 fn failure_name(kind: ChipFailureKind) -> &'static str {
@@ -534,6 +485,41 @@ at 5000 chipkill 4 garbage
             let err = FaultSchedule::parse(text).unwrap_err();
             assert_eq!(err.line, line, "{text:?} -> {err}");
         }
+    }
+
+    /// The line `text` is refused, and the error names line 1.
+    fn refused(text: &str) {
+        let err = FaultSchedule::parse(text).expect_err(text);
+        assert_eq!(err.line, 1, "{text:?} -> {err}");
+    }
+
+    #[test]
+    fn rejects_a_negative_rate() {
+        refused("at 0 rber -1");
+    }
+
+    #[test]
+    fn rejects_a_nan_rate() {
+        refused("at 0 rber nan");
+    }
+
+    #[test]
+    fn rejects_an_infinite_rate() {
+        refused("at 0 rber 1e400");
+        refused("ramp 0..10 rber 1e-4..inf");
+    }
+
+    #[test]
+    fn rejects_a_row_fault_rate_out_of_range() {
+        refused("at 0 row 2 1 rber 1.0");
+    }
+
+    #[test]
+    fn rejects_trailing_tokens() {
+        refused("at 0 row 2 1 rber 5e-3 extra");
+        refused("at 0 rber 1e-3 2e-3");
+        refused("at 0 burst 3 width 32 chip 2 extra");
+        refused("at 0 chipkill 4 garbage now");
     }
 
     #[test]

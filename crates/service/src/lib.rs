@@ -394,6 +394,32 @@ mod tests {
         })
     }
 
+    /// A rate outside `[0, 1)` is refused with a typed error by a bare
+    /// stack and by every shard alike, and neither loses a later read.
+    #[test]
+    fn out_of_range_rber_is_refused_and_the_worker_survives() {
+        use pmck_nvram::{FaultEvent, FaultKind};
+        let mut stack = StackBuilder::proposal(32, ChipkillConfig::default()).build();
+        let mut sharded = svc(2, 32, 3);
+        for p in [-1.0, f64::NAN, 1.0, f64::INFINITY] {
+            let kind = FaultKind::RowFault {
+                chip: 2,
+                stripe: 0,
+                rber: p,
+            };
+            for req in [
+                Request::InjectRber(p),
+                Request::Fault(FaultEvent { at_cycle: 0, kind }),
+            ] {
+                for sut in [&mut stack as &mut dyn Submitter, &mut sharded] {
+                    assert_eq!(sut.submit(&req), Err(CoreError::InvalidRber), "{req:?}");
+                    let read = sut.submit(&Request::Read(1)).unwrap().read().unwrap();
+                    assert_eq!((read.data, read.path), ([0; 64], ReadPath::Clean));
+                }
+            }
+        }
+    }
+
     #[test]
     fn interleaved_round_trip_across_shards() {
         let mut svc = svc(4, 32, 1);

@@ -266,7 +266,8 @@ impl Stack {
         self.ctx.layers()
     }
 
-    /// Drains the trace (empty unless built with tracing).
+    /// Drains the trace (empty unless the stack was assembled with
+    /// [`Stack::from_parts`] over an [`AccessContext::with_trace`]).
     pub fn take_trace(&mut self) -> Vec<TraceEvent> {
         self.ctx.take_trace()
     }
@@ -363,7 +364,6 @@ pub struct StackBuilder {
     link: Option<(BusFault, u32)>,
     persistent: Option<pmck_pmem::PmemConfig>,
     seed: u64,
-    trace: bool,
 }
 
 impl StackBuilder {
@@ -378,7 +378,6 @@ impl StackBuilder {
             link: None,
             persistent: None,
             seed: 0,
-            trace: false,
         }
     }
 
@@ -393,7 +392,6 @@ impl StackBuilder {
             link: None,
             persistent: None,
             seed: 0,
-            trace: false,
         }
     }
 
@@ -483,12 +481,6 @@ impl StackBuilder {
         self
     }
 
-    /// Enables the trace sink.
-    pub fn traced(mut self) -> Self {
-        self.trace = true;
-        self
-    }
-
     /// Builds the composed stack, bottom-up.
     ///
     /// # Panics
@@ -563,11 +555,7 @@ impl StackBuilder {
         if let Some((fault, max_retries)) = self.link {
             dev = Box::new(LinkProtected::over(dev, fault, max_retries));
         }
-        let mut ctx = AccessContext::new(self.seed);
-        if self.trace {
-            ctx = ctx.with_trace();
-        }
-        let mut stack = Stack::from_parts(dev, ctx);
+        let mut stack = Stack::from_parts(dev, AccessContext::new(self.seed));
         if self.persistent.is_some() {
             // Seal the initial (all-zero) image so the first recovery
             // has a durable epoch to return to.

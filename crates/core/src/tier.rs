@@ -419,12 +419,14 @@ impl TieredMemory {
         Ok(Response::BootScrubbed(total))
     }
 
+    /// Rebuilds every region's detected chip; answers the first
+    /// region's, as `detected_failed_chip` and the boot scrub do.
     fn repair(&mut self) -> Result<Response, CoreError> {
         let mut repaired = None;
         for region in &mut self.regions {
             if let Some(chip) = region.detected_failed_chip() {
                 region.repair_chip(chip)?;
-                repaired = Some(chip);
+                repaired = repaired.or(Some(chip));
             }
         }
         Ok(Response::Repaired { chip: repaired })
@@ -697,6 +699,28 @@ mod tests {
             other => panic!("unexpected outcome {other:?}"),
         };
         assert_eq!(again.migrations, 0);
+    }
+
+    #[test]
+    fn repair_answers_the_first_region_with_a_detected_chip() {
+        use pmck_nvram::ChipFailureKind;
+        use pmck_rt::rng::StdRng;
+        let mut mem = TieredMemory::new(64, 2, ChipkillConfig::default(), TierPolicy::default());
+        let mut ctx = AccessContext::new(5);
+        let mut rng = StdRng::seed_from_u64(5);
+        // Region 0 loses chip 2, region 1 chip 5; a read of each detects it.
+        for (r, chip) in [(0, 2), (1, 5)] {
+            mem.regions[r].fail_chip(chip, ChipFailureKind::RandomGarbage, &mut rng);
+            let addr = r as u64 * mem.region_blocks();
+            mem.access(Request::Read(addr), &mut ctx).unwrap();
+            assert_eq!(mem.regions[r].detected_failed_chip(), Some(chip));
+        }
+        assert_eq!(BlockDevice::detected_failed_chip(&mem), Some(2));
+        assert_eq!(
+            mem.access(Request::Repair, &mut ctx),
+            Ok(Response::Repaired { chip: Some(2) })
+        );
+        assert_eq!(BlockDevice::detected_failed_chip(&mem), None);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! `pmck-rt` — the dependency-free runtime foundation of the workspace.
 //!
-//! Every other `pmck-*` crate builds on these four modules instead of
+//! Every other `pmck-*` crate builds on these modules instead of
 //! crates.io dependencies, so the whole workspace compiles and tests with
 //! **zero registry access**:
 //!
@@ -15,12 +15,12 @@
 //! * [`pool`] — [`pool::ShardPool`], a lock-free streaming worker pool
 //!   with pinned per-worker state, built on [`ring`] (replaces
 //!   `rayon`/`crossbeam` channel pools).
-//! * [`ring`] — fixed-capacity lock-free SPSC/MPSC rings plus a
-//!   spin-then-park [`ring::Parker`]: the transport under `ShardPool`
-//!   and the telemetry path of `pmck-service`.
-//! * [`metrics`] — a lightweight counter/gauge/histogram registry with
-//!   JSON export: one uniform observability surface for the memory
-//!   controller, the LLC, and the chipkill engine.
+//! * [`ring`] — a fixed-capacity lock-free SPSC ring plus a
+//!   spin-then-park [`ring::Parker`]: the transport under `ShardPool`.
+//! * [`metrics`] — HDR-style latency [`metrics::Histogram`]s and a
+//!   registry that publishes finished counters, gauges and histograms
+//!   as JSON: one uniform observability surface for the memory
+//!   controller, the LLC, the chipkill engine and the service.
 //! * [`alloc`] — a counting global allocator behind the
 //!   `alloc_free_*` proofs and `microbench`'s `allocs_per_op`.
 //!

@@ -6,17 +6,10 @@
 //! binary a uniform observability surface: `registry.to_json().pretty()`
 //! is the whole story of a run.
 //!
-//! Two recording speeds coexist:
-//!
-//! * **Registry calls** (`inc`, `set_gauge`, `observe`) take the map
-//!   mutex per call — fine for publishing a finished stats struct or
-//!   low-rate events.
-//! * **Handles** ([`MetricsRegistry::counter_handle`] /
-//!   [`MetricsRegistry::gauge_handle`]) resolve the name once and hand
-//!   back the underlying atomic cell; recording through a handle is one
-//!   `fetch_add`/`store`, safe from any number of threads, and never
-//!   touches the registry lock — the shape per-op hot paths (shard
-//!   workers, producer threads) need.
+//! The registry is where finished numbers are published, not where they
+//! are counted: a component keeps its own plain counters (a stats struct)
+//! and [`Histogram`]s on its hot path and hands them over with
+//! `set_counter` / `set_gauge` / `set_histogram`, one map lock per call.
 //!
 //! [`Histogram`] is an HDR-style log-bucketed histogram: power-of-two
 //! major buckets refined by 16 linear sub-buckets each, so any recorded
@@ -28,23 +21,21 @@
 //! # Examples
 //!
 //! ```
+//! use pmck_rt::metrics::Histogram;
 //! use pmck_rt::MetricsRegistry;
 //!
 //! let reg = MetricsRegistry::new();
-//! reg.inc("mem.reads", 3);
+//! reg.set_counter("mem.reads", 3);
 //! reg.set_gauge("llc.hit_rate", 0.93);
-//! reg.observe("read.latency_ns", 120.0);
+//! let mut latency = Histogram::new();
+//! latency.record(120);
+//! reg.set_histogram("read.latency_ns", &latency);
 //! assert_eq!(reg.counter("mem.reads"), 3);
-//!
-//! // Hot-path form: resolve once, record lock-free.
-//! let reads = reg.counter_handle("mem.reads");
-//! reads.inc(1);
-//! assert_eq!(reg.counter("mem.reads"), 4);
+//! assert_eq!(reg.histogram("read.latency_ns").unwrap().count(), 1);
 //! ```
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use crate::json::Json;
 
@@ -120,13 +111,6 @@ impl Histogram {
         self.max = self.max.max(v);
     }
 
-    /// Records one float sample; negative or non-finite samples clamp
-    /// to 0, fractional samples round to the nearest integer.
-    pub fn observe(&mut self, v: f64) {
-        let v = if v.is_finite() { v.max(0.0) } else { 0.0 };
-        self.record(v.round() as u64);
-    }
-
     /// Folds another histogram's samples into this one.
     pub fn merge(&mut self, other: &Histogram) {
         for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
@@ -200,57 +184,21 @@ impl Histogram {
     }
 }
 
-/// A lock-free counter cell handed out by
-/// [`MetricsRegistry::counter_handle`]. Cloning shares the same cell.
-#[derive(Debug, Clone)]
-pub struct Counter {
-    cell: Arc<AtomicU64>,
-}
-
-impl Counter {
-    /// Adds `by` (wrapping); safe from any thread, no lock.
-    pub fn inc(&self, by: u64) {
-        self.cell.fetch_add(by, Ordering::Relaxed);
-    }
-
-    /// Sets the absolute value.
-    pub fn set(&self, value: u64) {
-        self.cell.store(value, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.cell.load(Ordering::Relaxed)
-    }
-}
-
-/// A lock-free gauge cell handed out by
-/// [`MetricsRegistry::gauge_handle`]. Cloning shares the same cell.
-#[derive(Debug, Clone)]
-pub struct Gauge {
-    cell: Arc<AtomicU64>,
-}
-
-impl Gauge {
-    /// Sets the gauge; safe from any thread, no lock.
-    pub fn set(&self, value: f64) {
-        self.cell.store(value.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.cell.load(Ordering::Relaxed))
-    }
-}
-
 #[derive(Debug, Clone)]
 enum Metric {
-    /// The cell is shared with every handed-out [`Counter`], so
-    /// `set_counter`/`inc` and handle recordings see one value.
-    Counter(Arc<AtomicU64>),
-    /// f64 bits, shared with every handed-out [`Gauge`].
-    Gauge(Arc<AtomicU64>),
+    Counter(u64),
+    Gauge(f64),
     Histogram(Histogram),
+}
+
+impl Metric {
+    fn kind(&self) -> &'static str {
+        match self {
+            Metric::Counter(_) => "counter",
+            Metric::Gauge(_) => "gauge",
+            Metric::Histogram(_) => "histogram",
+        }
+    }
 }
 
 /// A named collection of counters, gauges, and histograms.
@@ -273,13 +221,17 @@ impl MetricsRegistry {
         f(&mut self.metrics.lock().expect("metrics registry poisoned"))
     }
 
-    /// Adds `by` to the counter `name` (creating it at 0).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` already names a gauge or histogram.
-    pub fn inc(&self, name: &str, by: u64) {
-        self.counter_cell(name).fetch_add(by, Ordering::Relaxed);
+    /// Stores `metric` under `name`, replacing a metric of the same kind.
+    fn set(&self, name: &str, metric: Metric) {
+        self.with_lock(|m| match m.get_mut(name) {
+            Some(old) if old.kind() != metric.kind() => {
+                panic!("metric {name} is not a {}", metric.kind())
+            }
+            Some(old) => *old = metric,
+            None => {
+                m.insert(name.to_owned(), metric);
+            }
+        });
     }
 
     /// Sets the counter `name` to an absolute value (for publishing a
@@ -289,32 +241,7 @@ impl MetricsRegistry {
     ///
     /// Panics if `name` already names a gauge or histogram.
     pub fn set_counter(&self, name: &str, value: u64) {
-        self.counter_cell(name).store(value, Ordering::Relaxed);
-    }
-
-    /// The shared atomic cell behind counter `name`, creating it at 0.
-    /// Recording through the returned [`Counter`] never takes the
-    /// registry lock — hand one to each hot-path thread.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` already names a gauge or histogram.
-    pub fn counter_handle(&self, name: &str) -> Counter {
-        Counter {
-            cell: self.counter_cell(name),
-        }
-    }
-
-    fn counter_cell(&self, name: &str) -> Arc<AtomicU64> {
-        self.with_lock(|m| {
-            match m
-                .entry(name.to_owned())
-                .or_insert_with(|| Metric::Counter(Arc::new(AtomicU64::new(0))))
-            {
-                Metric::Counter(cell) => Arc::clone(cell),
-                _ => panic!("metric {name} is not a counter"),
-            }
-        })
+        self.set(name, Metric::Counter(value));
     }
 
     /// Sets the gauge `name`.
@@ -323,84 +250,23 @@ impl MetricsRegistry {
     ///
     /// Panics if `name` already names a counter or histogram.
     pub fn set_gauge(&self, name: &str, value: f64) {
-        self.gauge_cell(name)
-            .store(value.to_bits(), Ordering::Relaxed);
-    }
-
-    /// The shared atomic cell behind gauge `name`, creating it at 0.0.
-    /// Recording through the returned [`Gauge`] never takes the
-    /// registry lock.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` already names a counter or histogram.
-    pub fn gauge_handle(&self, name: &str) -> Gauge {
-        Gauge {
-            cell: self.gauge_cell(name),
-        }
-    }
-
-    fn gauge_cell(&self, name: &str) -> Arc<AtomicU64> {
-        self.with_lock(|m| {
-            match m
-                .entry(name.to_owned())
-                .or_insert_with(|| Metric::Gauge(Arc::new(AtomicU64::new(0f64.to_bits()))))
-            {
-                Metric::Gauge(cell) => Arc::clone(cell),
-                _ => panic!("metric {name} is not a gauge"),
-            }
-        })
-    }
-
-    /// Records a sample into the histogram `name` (creating it empty).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` already names a counter or gauge.
-    pub fn observe(&self, name: &str, value: f64) {
-        self.with_lock(|m| {
-            match m
-                .entry(name.to_owned())
-                .or_insert_with(|| Metric::Histogram(Histogram::default()))
-            {
-                Metric::Histogram(h) => h.observe(value),
-                _ => panic!("metric {name} is not a histogram"),
-            }
-        });
-    }
-
-    /// Merges a whole pre-aggregated histogram into `name` (creating it
-    /// empty first) — the bulk-publication path for components that
-    /// record into their own [`Histogram`] off-lock and flush
-    /// periodically.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` already names a counter or gauge.
-    pub fn record_histogram(&self, name: &str, hist: &Histogram) {
-        self.with_lock(|m| {
-            match m
-                .entry(name.to_owned())
-                .or_insert_with(|| Metric::Histogram(Histogram::default()))
-            {
-                Metric::Histogram(h) => h.merge(hist),
-                _ => panic!("metric {name} is not a histogram"),
-            }
-        });
+        self.set(name, Metric::Gauge(value));
     }
 
     /// Replaces the histogram `name` with a snapshot (overwrite, not
     /// merge) — for republishing a live histogram each reporting tick.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `name` already names a counter or gauge.
     pub fn set_histogram(&self, name: &str, hist: &Histogram) {
-        self.with_lock(|m| {
-            m.insert(name.to_owned(), Metric::Histogram(hist.clone()));
-        });
+        self.set(name, Metric::Histogram(hist.clone()));
     }
 
     /// Reads a counter (0 if absent or a different kind).
     pub fn counter(&self, name: &str) -> u64 {
         self.with_lock(|m| match m.get(name) {
-            Some(Metric::Counter(v)) => v.load(Ordering::Relaxed),
+            Some(Metric::Counter(v)) => *v,
             _ => 0,
         })
     }
@@ -408,7 +274,7 @@ impl MetricsRegistry {
     /// Reads a gauge (`None` if absent or a different kind).
     pub fn gauge(&self, name: &str) -> Option<f64> {
         self.with_lock(|m| match m.get(name) {
-            Some(Metric::Gauge(v)) => Some(f64::from_bits(v.load(Ordering::Relaxed))),
+            Some(Metric::Gauge(v)) => Some(*v),
             _ => None,
         })
     }
@@ -421,17 +287,6 @@ impl MetricsRegistry {
         })
     }
 
-    /// The sorted metric names currently registered.
-    pub fn names(&self) -> Vec<String> {
-        self.with_lock(|m| m.keys().cloned().collect())
-    }
-
-    /// Removes every metric. Handles issued earlier keep working but
-    /// are orphaned (their cells are no longer exported).
-    pub fn clear(&self) {
-        self.with_lock(|m| m.clear());
-    }
-
     /// Exports every metric as one JSON object, keys sorted; counters
     /// become integers, gauges floats, histograms summary objects.
     pub fn to_json(&self) -> Json {
@@ -439,10 +294,8 @@ impl MetricsRegistry {
             let mut out = Json::object();
             for (name, metric) in m.iter() {
                 match metric {
-                    Metric::Counter(v) => out.set(name.clone(), v.load(Ordering::Relaxed)),
-                    Metric::Gauge(v) => {
-                        out.set(name.clone(), f64::from_bits(v.load(Ordering::Relaxed)))
-                    }
+                    Metric::Counter(v) => out.set(name.clone(), *v),
+                    Metric::Gauge(v) => out.set(name.clone(), *v),
                     Metric::Histogram(h) => out.set(name.clone(), h.to_json()),
                 };
             }
@@ -456,60 +309,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_accumulate() {
+    fn counters_and_gauges_overwrite() {
         let reg = MetricsRegistry::new();
-        reg.inc("a", 1);
-        reg.inc("a", 2);
-        assert_eq!(reg.counter("a"), 3);
-        assert_eq!(reg.counter("missing"), 0);
+        reg.set_counter("a", 3);
         reg.set_counter("a", 10);
         assert_eq!(reg.counter("a"), 10);
-    }
-
-    #[test]
-    fn counter_handles_share_the_cell() {
-        let reg = MetricsRegistry::new();
-        let h1 = reg.counter_handle("ops");
-        let h2 = reg.counter_handle("ops");
-        h1.inc(5);
-        h2.inc(7);
-        assert_eq!(h1.get(), 12);
-        assert_eq!(reg.counter("ops"), 12);
-        // set_counter writes the same cell the handles hold.
-        reg.set_counter("ops", 100);
-        assert_eq!(h2.get(), 100);
-        h1.set(3);
-        assert_eq!(reg.counter("ops"), 3);
-    }
-
-    #[test]
-    fn handles_record_concurrently_without_the_lock() {
-        let reg = MetricsRegistry::new();
-        let h = reg.counter_handle("t");
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                let h = h.clone();
-                s.spawn(move || {
-                    for _ in 0..1000 {
-                        h.inc(1);
-                    }
-                });
-            }
-        });
-        assert_eq!(reg.counter("t"), 4000);
-    }
-
-    #[test]
-    fn gauges_overwrite() {
-        let reg = MetricsRegistry::new();
+        assert_eq!(reg.counter("missing"), 0);
         reg.set_gauge("g", 1.5);
         reg.set_gauge("g", 2.5);
         assert_eq!(reg.gauge("g"), Some(2.5));
         assert_eq!(reg.gauge("missing"), None);
-        let h = reg.gauge_handle("g");
-        h.set(-0.25);
-        assert_eq!(reg.gauge("g"), Some(-0.25));
-        assert_eq!(h.get(), -0.25);
     }
 
     #[test]
@@ -592,15 +401,17 @@ mod tests {
     fn kind_mismatch_panics() {
         let reg = MetricsRegistry::new();
         reg.set_gauge("x", 1.0);
-        reg.inc("x", 1);
+        reg.set_counter("x", 1);
     }
 
     #[test]
     fn json_export_sorted_and_typed() {
         let reg = MetricsRegistry::new();
-        reg.inc("z.counter", 5);
+        reg.set_counter("z.counter", 5);
         reg.set_gauge("a.gauge", 0.5);
-        reg.observe("m.hist", 7.0);
+        let mut hist = Histogram::new();
+        hist.record(7);
+        reg.set_histogram("m.hist", &hist);
         let j = reg.to_json();
         let keys: Vec<&str> = j
             .as_object()
@@ -617,31 +428,13 @@ mod tests {
     }
 
     #[test]
-    fn record_histogram_merges_and_set_histogram_overwrites() {
+    fn set_histogram_overwrites() {
         let reg = MetricsRegistry::new();
         let mut local = Histogram::default();
         for v in [10u64, 20, 30] {
             local.record(v);
+            reg.set_histogram("lat", &local);
         }
-        reg.record_histogram("lat", &local);
-        reg.record_histogram("lat", &local);
-        assert_eq!(reg.histogram("lat").unwrap().count(), 6);
-        reg.set_histogram("lat", &local);
         assert_eq!(reg.histogram("lat").unwrap(), local);
-    }
-
-    #[test]
-    fn shared_across_threads() {
-        let reg = MetricsRegistry::new();
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    for _ in 0..1000 {
-                        reg.inc("t", 1);
-                    }
-                });
-            }
-        });
-        assert_eq!(reg.counter("t"), 4000);
     }
 }

@@ -1,12 +1,10 @@
-//! Lock-free fixed-capacity rings and a spin-then-park parker.
+//! A lock-free fixed-capacity SPSC ring and a spin-then-park parker.
 //!
 //! The service plane moves every request and response through these
 //! rings instead of `Mutex`+`Condvar` mailboxes: a producer thread and a
 //! shard worker exchange work through an [`spsc`] pair (one atomic store
-//! per push/pop in the steady state), and many threads funnel telemetry
-//! samples into one collector through an [`mpsc`] ring. Everything is
-//! `std` atomics only — no external crates, no allocation after
-//! construction.
+//! per push/pop in the steady state). Everything is `std` atomics only —
+//! no external crates, no allocation after construction.
 //!
 //! Three design points, borrowed from the llfree-rs school of
 //! dependency-free atomics:
@@ -235,160 +233,6 @@ impl<T> SpscConsumer<T> {
     }
 }
 
-/// The shared core of the MPSC ring: a Vyukov-style bounded queue with
-/// per-slot sequence numbers, restricted to one consumer.
-///
-/// Producers claim a slot by CAS on `head`, write the payload, then
-/// publish by bumping the slot's sequence; the consumer spins past
-/// slots whose payload is still being written only in the sense that
-/// `try_pop` reports "empty" until the claimed slot is published —
-/// there is no blocking anywhere.
-struct MpscCore<T> {
-    buf: Box<[MpscSlot<T>]>,
-    mask: usize,
-    head: CachePadded<AtomicUsize>,
-    tail: CachePadded<AtomicUsize>,
-}
-
-struct MpscSlot<T> {
-    /// Slot state: `seq == index` ⇒ free for the producer claiming
-    /// `index`; `seq == index + 1` ⇒ holds the payload for pop `index`.
-    seq: AtomicUsize,
-    val: UnsafeCell<MaybeUninit<T>>,
-}
-
-unsafe impl<T: Send> Send for MpscCore<T> {}
-unsafe impl<T: Send> Sync for MpscCore<T> {}
-
-impl<T> Drop for MpscCore<T> {
-    fn drop(&mut self) {
-        let mut tail = self.tail.load(Ordering::Relaxed);
-        loop {
-            let slot = &self.buf[tail & self.mask];
-            if slot.seq.load(Ordering::Relaxed) != tail.wrapping_add(1) {
-                break;
-            }
-            // SAFETY: published and never popped.
-            unsafe { (*slot.val.get()).assume_init_drop() };
-            tail = tail.wrapping_add(1);
-        }
-    }
-}
-
-/// A producing handle to an MPSC ring; `Clone` to hand to more threads.
-pub struct MpscProducer<T> {
-    core: Arc<MpscCore<T>>,
-}
-
-impl<T> Clone for MpscProducer<T> {
-    fn clone(&self) -> Self {
-        MpscProducer {
-            core: Arc::clone(&self.core),
-        }
-    }
-}
-
-/// The single consuming half of an MPSC ring.
-pub struct MpscConsumer<T> {
-    core: Arc<MpscCore<T>>,
-}
-
-/// Creates an MPSC ring holding up to `capacity` items (rounded up to a
-/// power of two, minimum 2 — a Vyukov ring needs distinct free/busy
-/// sequence values per slot).
-pub fn mpsc<T>(capacity: usize) -> (MpscProducer<T>, MpscConsumer<T>) {
-    let cap = capacity.max(2).next_power_of_two();
-    let buf: Box<[MpscSlot<T>]> = (0..cap)
-        .map(|i| MpscSlot {
-            seq: AtomicUsize::new(i),
-            val: UnsafeCell::new(MaybeUninit::uninit()),
-        })
-        .collect();
-    let core = Arc::new(MpscCore {
-        buf,
-        mask: cap - 1,
-        head: CachePadded(AtomicUsize::new(0)),
-        tail: CachePadded(AtomicUsize::new(0)),
-    });
-    (
-        MpscProducer {
-            core: Arc::clone(&core),
-        },
-        MpscConsumer { core },
-    )
-}
-
-impl<T> MpscProducer<T> {
-    /// Ring capacity in items.
-    pub fn capacity(&self) -> usize {
-        self.core.mask + 1
-    }
-
-    /// Pushes `v` from any thread, or returns it if the ring is full.
-    /// Lock-free: a stalled competitor cannot make this spin.
-    pub fn try_push(&self, v: T) -> Result<(), T> {
-        let core = &*self.core;
-        let mut head = core.head.load(Ordering::Relaxed);
-        loop {
-            let slot = &core.buf[head & core.mask];
-            let seq = slot.seq.load(Ordering::Acquire);
-            if seq == head {
-                // Slot free for this index: claim it.
-                match core.head.compare_exchange_weak(
-                    head,
-                    head.wrapping_add(1),
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => {
-                        // SAFETY: the CAS makes this thread the unique
-                        // owner of slot `head` until the seq publish.
-                        unsafe { (*slot.val.get()).write(v) };
-                        slot.seq.store(head.wrapping_add(1), Ordering::Release);
-                        return Ok(());
-                    }
-                    Err(actual) => head = actual,
-                }
-            } else if seq.wrapping_sub(head) as isize > 0 {
-                // Someone else claimed this index; advance.
-                head = core.head.load(Ordering::Relaxed);
-            } else {
-                // seq lags the index: the slot still holds an unpopped
-                // item from one lap ago — the ring is full.
-                return Err(v);
-            }
-        }
-    }
-}
-
-impl<T> MpscConsumer<T> {
-    /// Pops the oldest published item, or `None` if the ring is empty
-    /// (or the next slot's payload is still being written).
-    pub fn try_pop(&mut self) -> Option<T> {
-        let core = &*self.core;
-        let tail = core.tail.load(Ordering::Relaxed);
-        let slot = &core.buf[tail & core.mask];
-        if slot.seq.load(Ordering::Acquire) != tail.wrapping_add(1) {
-            return None;
-        }
-        // SAFETY: seq == tail + 1 means the payload is published and
-        // this is the only consumer.
-        let v = unsafe { (*slot.val.get()).assume_init_read() };
-        // Mark the slot free for the producer one lap ahead.
-        slot.seq
-            .store(tail.wrapping_add(core.mask + 1), Ordering::Release);
-        core.tail.store(tail.wrapping_add(1), Ordering::Release);
-        Some(v)
-    }
-
-    /// `true` once every producer handle has been dropped. Items already
-    /// published are still poppable; combined with an empty ring this
-    /// means the stream is finished.
-    pub fn is_abandoned(&self) -> bool {
-        Arc::strong_count(&self.core) == 1
-    }
-}
-
 const PARKER_EMPTY: u8 = 0;
 const PARKER_PARKED: u8 = 1;
 const PARKER_NOTIFIED: u8 = 2;
@@ -589,61 +433,6 @@ mod tests {
         assert!(!rx.is_abandoned());
         drop(tx);
         assert!(rx.is_abandoned());
-        assert_eq!(rx.try_pop(), None);
-    }
-
-    #[test]
-    fn mpsc_single_thread_fifo() {
-        let (tx, mut rx) = mpsc::<u32>(4);
-        for v in 0..4 {
-            tx.try_push(v).unwrap();
-        }
-        assert_eq!(tx.try_push(9), Err(9));
-        assert_eq!(rx.try_pop(), Some(0));
-        tx.try_push(4).unwrap();
-        for v in 1..5 {
-            assert_eq!(rx.try_pop(), Some(v));
-        }
-        assert_eq!(rx.try_pop(), None);
-    }
-
-    #[test]
-    fn mpsc_many_producers_lose_nothing() {
-        const PRODUCERS: u64 = 4;
-        const PER: u64 = 5_000;
-        let (tx, mut rx) = mpsc::<u64>(64);
-        let mut sum = 0u64;
-        let mut seen = 0u64;
-        std::thread::scope(|s| {
-            for p in 0..PRODUCERS {
-                let tx = tx.clone();
-                s.spawn(move || {
-                    for i in 0..PER {
-                        let mut v = p * PER + i;
-                        loop {
-                            match tx.try_push(v) {
-                                Ok(()) => break,
-                                Err(back) => {
-                                    v = back;
-                                    std::thread::yield_now();
-                                }
-                            }
-                        }
-                    }
-                });
-            }
-            while seen < PRODUCERS * PER {
-                match rx.try_pop() {
-                    Some(v) => {
-                        sum += v;
-                        seen += 1;
-                    }
-                    None => std::thread::yield_now(),
-                }
-            }
-        });
-        let n = PRODUCERS * PER;
-        assert_eq!(sum, n * (n - 1) / 2);
         assert_eq!(rx.try_pop(), None);
     }
 

@@ -1,4 +1,4 @@
-//! Seeded multi-thread stress for the lock-free rings.
+//! Seeded multi-thread stress for the SPSC ring and the `Parker`.
 //!
 //! The unit tests in `ring.rs` pin the single-threaded contracts; these
 //! tests hammer the concurrent ones: a producer and consumer running
@@ -11,8 +11,8 @@
 
 use std::thread;
 
-use pmck_rt::ring::{mpsc, spsc, Parker};
-use pmck_rt::rng::{stream_seed, Rng, StdRng};
+use pmck_rt::ring::{spsc, Parker};
+use pmck_rt::rng::stream_seed;
 
 /// A payload whose fields are mutually checked: `check` is a function
 /// of `seq` and the stream seed, so any slot-level tearing (reading a
@@ -125,132 +125,6 @@ fn spsc_abandonment_is_visible_and_drainable() {
     assert!(!tx.is_abandoned());
     drop(rx);
     assert!(tx.is_abandoned());
-}
-
-/// MPSC: four producers race 25k seeded items each through one ring;
-/// the consumer must see every item exactly once and each producer's
-/// sub-stream in FIFO order.
-#[test]
-fn mpsc_stress_keeps_per_producer_fifo() {
-    const PRODUCERS: u64 = 4;
-    const PER_PRODUCER: u64 = 25_000;
-    let (tx, mut rx) = mpsc::<(u64, Sealed)>(32);
-    let handles: Vec<_> = (0..PRODUCERS)
-        .map(|p| {
-            let tx = tx.clone();
-            thread::spawn(move || {
-                let seed = stream_seed(0xB0B, p);
-                // A touch of seeded jitter so the producers interleave
-                // differently from run to run within the same schedule
-                // space — the ordering assertions must hold regardless.
-                let mut rng = StdRng::seed_from_u64(seed);
-                for seq in 0..PER_PRODUCER {
-                    let mut v = (p, seal(seed, seq));
-                    loop {
-                        match tx.try_push(v) {
-                            Ok(()) => break,
-                            Err(back) => {
-                                v = back;
-                                thread::yield_now();
-                            }
-                        }
-                    }
-                    if rng.gen_range(0u32..64) == 0 {
-                        thread::yield_now();
-                    }
-                }
-            })
-        })
-        .collect();
-    drop(tx);
-    let mut next = [0u64; PRODUCERS as usize];
-    let mut total = 0u64;
-    while total < PRODUCERS * PER_PRODUCER {
-        if let Some((p, got)) = rx.try_pop() {
-            let seed = stream_seed(0xB0B, p);
-            let want = next[p as usize];
-            assert_eq!(got, seal(seed, want), "producer {p} out of order or torn");
-            next[p as usize] += 1;
-            total += 1;
-        } else {
-            thread::yield_now();
-        }
-    }
-    assert!(rx.try_pop().is_none());
-    assert_eq!(next, [PER_PRODUCER; PRODUCERS as usize]);
-    for h in handles {
-        h.join().unwrap();
-    }
-}
-
-/// SPSC and MPSC sharing threads: models the service topology, where a
-/// worker drains an SPSC submission ring while pushing telemetry into a
-/// shared MPSC ring. Both streams must stay internally FIFO.
-#[test]
-fn spsc_and_mpsc_compose_without_interference() {
-    const ITEMS: u64 = 60_000;
-    let (mut job_tx, mut job_rx) = spsc::<u64>(16);
-    let (tel_tx, mut tel_rx) = mpsc::<u64>(16);
-    // "Worker": drains jobs, reports every 16th to telemetry (lossy —
-    // full telemetry is dropped, like the service's latency ring).
-    let tel_tx2 = tel_tx.clone();
-    let worker = thread::spawn(move || {
-        let mut seen = 0u64;
-        let mut dropped = 0u64;
-        while seen < ITEMS {
-            if let Some(v) = job_rx.try_pop() {
-                assert_eq!(v, seen, "job stream out of order");
-                if v % 16 == 0 && tel_tx2.try_push(v).is_err() {
-                    dropped += 1;
-                }
-                seen += 1;
-            } else {
-                thread::yield_now();
-            }
-        }
-        dropped
-    });
-    let producer = thread::spawn(move || {
-        for mut v in 0..ITEMS {
-            loop {
-                match job_tx.try_push(v) {
-                    Ok(()) => break,
-                    Err(back) => {
-                        v = back;
-                        thread::yield_now();
-                    }
-                }
-            }
-        }
-    });
-    // The worker's clone is the only live producer now, so abandonment
-    // below fires exactly when the worker finishes.
-    drop(tel_tx);
-    // Main thread consumes telemetry: values must be multiples of 16,
-    // strictly increasing (per-producer FIFO with a single producer).
-    let mut last: Option<u64> = None;
-    let mut received = 0u64;
-    loop {
-        match tel_rx.try_pop() {
-            Some(v) => {
-                assert_eq!(v % 16, 0);
-                assert!(last.is_none_or(|l| v > l), "telemetry reordered");
-                last = Some(v);
-                received += 1;
-            }
-            None => {
-                if tel_rx.is_abandoned() {
-                    break;
-                }
-                thread::yield_now();
-            }
-        }
-    }
-    let dropped = worker.join().unwrap();
-    producer.join().unwrap();
-    // Lossiness is allowed; losing *everything* is not.
-    assert!(received > 0, "no telemetry got through");
-    assert_eq!(received + dropped, ITEMS / 16);
 }
 
 /// Parker handshake under contention: a consumer that parks whenever

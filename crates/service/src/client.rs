@@ -38,15 +38,15 @@
 //! whole service.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use pmck_core::{
     merge_broadcast, CoreError, Request, Response, ServiceError, ServiceFailure, SubmitTicket,
     Submitter,
 };
+use pmck_rt::metrics::Histogram;
 use pmck_rt::pool::{PoolClient, PoolError, TrySendError};
-use pmck_rt::ring::MpscProducer;
 
 use crate::route_addr;
 
@@ -56,18 +56,39 @@ pub(crate) type Job = (u32, Request);
 /// A shard's answer, tagged with that slot.
 pub(crate) type Comp = (u32, Result<Response, CoreError>);
 
-/// One latency sample recorded when a ticket is redeemed.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct LatencySample {
-    /// Owning shard for addressed requests; [`BROADCAST_SHARD`] for
-    /// whole-device requests.
-    pub shard: u32,
-    /// Submit-to-redeem latency in nanoseconds.
-    pub ns: u64,
+/// Shard tag used for broadcast latency samples.
+const BROADCAST_SHARD: u32 = u32::MAX;
+
+/// Submit-to-redeem latency one lane has recorded, in nanoseconds: one
+/// histogram per owning shard, one for broadcasts.
+#[derive(Debug, Clone)]
+pub(crate) struct LaneLatency {
+    pub(crate) per_shard: Vec<Histogram>,
+    pub(crate) broadcast: Histogram,
 }
 
-/// Shard tag used for broadcast latency samples.
-pub(crate) const BROADCAST_SHARD: u32 = u32::MAX;
+impl LaneLatency {
+    pub(crate) fn new(shards: usize) -> Self {
+        LaneLatency {
+            per_shard: (0..shards).map(|_| Histogram::new()).collect(),
+            broadcast: Histogram::new(),
+        }
+    }
+
+    fn record(&mut self, shard: u32, ns: u64) {
+        match shard {
+            BROADCAST_SHARD => self.broadcast.record(ns),
+            s => self.per_shard[s as usize].record(ns),
+        }
+    }
+
+    pub(crate) fn merge(&mut self, other: &LaneLatency) {
+        for (acc, h) in self.per_shard.iter_mut().zip(&other.per_shard) {
+            acc.merge(h);
+        }
+        self.broadcast.merge(&other.broadcast);
+    }
+}
 
 /// Unredeemed tickets a client may hold (and the per-shard completion
 /// ring capacity backing them).
@@ -137,7 +158,8 @@ pub struct ServiceClient {
     free_slots: Vec<u32>,
     bufs: Vec<BcastBuf>,
     free_bufs: Vec<u32>,
-    telemetry: MpscProducer<LatencySample>,
+    /// Shared with the service, which merges it into its reports.
+    latency: Arc<Mutex<LaneLatency>>,
     dropped_samples: Arc<AtomicU64>,
 }
 
@@ -145,7 +167,7 @@ impl ServiceClient {
     pub(crate) fn new(
         client: PoolClient<Job, Comp>,
         shard_blocks: Arc<[u64]>,
-        telemetry: MpscProducer<LatencySample>,
+        latency: Arc<Mutex<LaneLatency>>,
         dropped_samples: Arc<AtomicU64>,
     ) -> Self {
         let shards = shard_blocks.len();
@@ -162,7 +184,7 @@ impl ServiceClient {
                 })
                 .collect(),
             free_bufs: (0..BCAST_SLOTS as u32).rev().collect(),
-            telemetry,
+            latency,
             dropped_samples,
         }
     }
@@ -335,11 +357,14 @@ impl ServiceClient {
         self.free_slots.push(idx as u32);
         if let Some(t0) = started {
             let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            let sample = LatencySample { shard, ns };
-            if self.telemetry.try_push(sample).is_err() {
-                // Telemetry is lossy by design: dropping a sample must
-                // never stall the data path, only be counted.
-                self.dropped_samples.fetch_add(1, Ordering::Relaxed);
+            // The lock is only ever held by this lane and, for a moment,
+            // by a report merging it: skip and count the sample rather
+            // than stall the data path behind the report.
+            match self.latency.try_lock() {
+                Ok(mut lane) => lane.record(shard, ns),
+                Err(_) => {
+                    self.dropped_samples.fetch_add(1, Ordering::Relaxed);
+                }
             }
         }
         Some(res)

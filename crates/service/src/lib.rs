@@ -24,9 +24,11 @@
 //! [`pmck_core::ServiceFailure::Backpressure`] admission control, and
 //! `submit` is that plus the wait.
 //!
-//! The completion path records per-request latency into a lossy MPSC
-//! telemetry ring; [`ShardedService::publish_metrics`] folds the
-//! samples into per-shard HDR histograms (p50/p99/p999).
+//! Each lane records every redeemed ticket's submit-to-redeem latency
+//! into its own per-shard and broadcast HDR histograms, behind a lock
+//! only that lane and a report ever take;
+//! [`ShardedService::latency_report`] and
+//! [`ShardedService::publish_metrics`] merge every lane's (p50/p99/p999).
 //!
 //! # Determinism
 //!
@@ -68,18 +70,13 @@ use pmck_core::{
 };
 use pmck_rt::metrics::{Histogram, MetricsRegistry};
 use pmck_rt::pool::ShardPool;
-use pmck_rt::ring::{mpsc, MpscConsumer};
 use pmck_rt::rng::stream_seed;
 
 mod client;
 
 pub use client::ServiceClient;
 
-use client::{Comp, Job, LatencySample, BROADCAST_SHARD, SUBMIT_DEPTH, TICKET_WINDOW};
-
-/// Capacity of the service-wide latency telemetry ring. Lossy by
-/// design: overflow increments a drop counter instead of stalling.
-const TELEMETRY_DEPTH: usize = 4096;
+use client::{Comp, Job, LaneLatency, SUBMIT_DEPTH, TICKET_WINDOW};
 
 /// The shard and local address owning global `addr` under block
 /// interleave, or `None` when `addr` is beyond the address space.
@@ -88,26 +85,6 @@ pub(crate) fn route_addr(shard_blocks: &[u64], addr: u64) -> Option<(usize, u64)
     let shard = (addr % n) as usize;
     let local = addr / n;
     (local < shard_blocks[shard]).then_some((shard, local))
-}
-
-/// Latency histograms folded from the telemetry ring (cold path: only
-/// touched by `publish_metrics` / `latency_report`).
-struct Telemetry {
-    rx: MpscConsumer<LatencySample>,
-    per_shard: Vec<Histogram>,
-    broadcast: Histogram,
-}
-
-impl Telemetry {
-    fn drain(&mut self) {
-        while let Some(sample) = self.rx.try_pop() {
-            if sample.shard == BROADCAST_SHARD {
-                self.broadcast.record(sample.ns);
-            } else {
-                self.per_shard[sample.shard as usize].record(sample.ns);
-            }
-        }
-    }
 }
 
 /// A sharded, multi-threaded front end over N independent [`Stack`]s.
@@ -121,7 +98,9 @@ pub struct ShardedService {
     /// Extra lanes created up front, claimable via `take_client`.
     spare: Vec<ServiceClient>,
     shard_blocks: Arc<[u64]>,
-    telemetry: Mutex<Telemetry>,
+    /// Every lane's latency record, shared with the lane: a client that
+    /// was taken and then dropped still counts.
+    latency: Vec<Arc<Mutex<LaneLatency>>>,
     dropped_samples: Arc<AtomicU64>,
 }
 
@@ -175,13 +154,16 @@ impl ShardedService {
             TICKET_WINDOW,
             |_, stack: &mut Stack, (slot, req): Job| -> Comp { (slot, stack.submit(&req)) },
         );
-        let (telemetry_tx, telemetry_rx) = mpsc::<LatencySample>(TELEMETRY_DEPTH);
         let dropped_samples = Arc::new(AtomicU64::new(0));
-        let mut lanes = raw_clients.into_iter().map(|raw| {
+        let latency: Vec<_> = raw_clients
+            .iter()
+            .map(|_| Arc::new(Mutex::new(LaneLatency::new(shards))))
+            .collect();
+        let mut lanes = raw_clients.into_iter().zip(&latency).map(|(raw, lane)| {
             ServiceClient::new(
                 raw,
                 Arc::clone(&shard_blocks),
-                telemetry_tx.clone(),
+                Arc::clone(lane),
                 Arc::clone(&dropped_samples),
             )
         });
@@ -192,11 +174,7 @@ impl ShardedService {
             primary,
             spare,
             shard_blocks,
-            telemetry: Mutex::new(Telemetry {
-                rx: telemetry_rx,
-                per_shard: (0..shards).map(|_| Histogram::new()).collect(),
-                broadcast: Histogram::new(),
-            }),
+            latency,
             dropped_samples,
         }
     }
@@ -271,16 +249,19 @@ impl ShardedService {
         total
     }
 
-    /// Folds pending telemetry samples and returns the completion-path
-    /// latency histograms: `(per_shard, broadcast)`, in nanoseconds.
+    /// Submit-to-redeem latency of every ticket redeemed on any lane —
+    /// the service's own and every client's, dropped clients included:
+    /// `(per_shard, broadcast)`, in nanoseconds.
     pub fn latency_report(&self) -> (Vec<Histogram>, Histogram) {
-        let mut tel = self.telemetry.lock().unwrap_or_else(|e| e.into_inner());
-        tel.drain();
-        (tel.per_shard.clone(), tel.broadcast.clone())
+        let mut total = LaneLatency::new(self.shards());
+        for lane in &self.latency {
+            total.merge(&lane.lock().unwrap_or_else(|e| e.into_inner()));
+        }
+        (total.per_shard, total.broadcast)
     }
 
-    /// Latency samples dropped because the telemetry ring was full
-    /// (lossy by design; the data path never stalls on telemetry).
+    /// Latency samples not recorded because a report was merging their
+    /// lane at that moment (the data path never waits for a report).
     pub fn dropped_samples(&self) -> u64 {
         self.dropped_samples.load(Ordering::Relaxed)
     }
@@ -300,22 +281,19 @@ impl ShardedService {
             core.publish_metrics(reg, &format!("{prefix}.engine"));
         }
         reg.set_counter(&format!("{prefix}.shards"), self.shards() as u64);
-        {
-            let mut tel = self.telemetry.lock().unwrap_or_else(|e| e.into_inner());
-            tel.drain();
-            let mut all = Histogram::new();
-            for (s, hist) in tel.per_shard.iter().enumerate() {
-                all.merge(hist);
-                reg.set_histogram(&format!("{prefix}.latency.shard{s}"), hist);
-            }
-            all.merge(&tel.broadcast);
-            reg.set_histogram(&format!("{prefix}.latency.broadcast"), &tel.broadcast);
-            reg.set_histogram(&format!("{prefix}.latency.all"), &all);
-            reg.set_counter(
-                &format!("{prefix}.latency.dropped_samples"),
-                self.dropped_samples.load(Ordering::Relaxed),
-            );
+        let (per_shard, broadcast) = self.latency_report();
+        let mut all = Histogram::new();
+        for (s, hist) in per_shard.iter().enumerate() {
+            all.merge(hist);
+            reg.set_histogram(&format!("{prefix}.latency.shard{s}"), hist);
         }
+        all.merge(&broadcast);
+        reg.set_histogram(&format!("{prefix}.latency.broadcast"), &broadcast);
+        reg.set_histogram(&format!("{prefix}.latency.all"), &all);
+        reg.set_counter(
+            &format!("{prefix}.latency.dropped_samples"),
+            self.dropped_samples(),
+        );
         if let Some(report) = self.tier_report() {
             for tier in ProtectionTier::ALL {
                 reg.set_gauge(
@@ -875,5 +853,28 @@ mod tests {
         let (per_shard, _) = svc.latency_report();
         assert_eq!(per_shard.len(), 2);
         assert_eq!(per_shard[0].count() + per_shard[1].count(), 64);
+    }
+
+    /// Every ticket a client redeemed is in the report, however many,
+    /// and after the client itself is gone.
+    #[test]
+    fn latency_report_counts_every_ticket_of_a_dropped_client() {
+        const TICKETS: u64 = 5_000;
+        let mut svc = ShardedService::with_clients(2, 1, 26, |_, s| {
+            StackBuilder::proposal(16, ChipkillConfig::default())
+                .seed(s)
+                .build()
+        });
+        let mut client = svc.take_client().unwrap();
+        for i in 0..TICKETS {
+            let t = client.try_submit(&Request::Read(i % 32)).unwrap();
+            client.wait(t).unwrap();
+        }
+        drop(client);
+        let (per_shard, broadcast) = svc.latency_report();
+        let counts: Vec<u64> = per_shard.iter().map(Histogram::count).collect();
+        assert_eq!(counts, [TICKETS / 2, TICKETS / 2]);
+        assert_eq!(broadcast.count(), 0);
+        assert_eq!(svc.dropped_samples(), 0);
     }
 }

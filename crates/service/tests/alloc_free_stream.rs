@@ -2,7 +2,7 @@
 //! zero heap allocations after warm-up, extending the
 //! `alloc_free_read` pattern from `pmck-core` across the whole
 //! transport: routing, ticket issue, SPSC push, completion drain,
-//! latency telemetry, and response collection.
+//! per-lane latency recording, and response collection.
 //!
 //! This file intentionally holds a single `#[test]`: the allocation
 //! counter is process-global. The shard workers run concurrently inside

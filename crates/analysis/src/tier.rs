@@ -103,6 +103,41 @@ mod tests {
         assert_eq!(cheapest_tier(3e-3, UE_TARGET), None);
     }
 
+    /// The largest RBER in `[lo, hi)` at which `tier` is still the
+    /// cheapest one meeting the target (`lo` must be inside its band).
+    fn top_of_band(tier: usize, mut lo: f64, mut hi: f64) -> f64 {
+        assert_eq!(cheapest_tier(lo, UE_TARGET), Some(tier));
+        for _ in 0..64 {
+            let mid = 0.5 * (lo + hi);
+            if cheapest_tier(mid, UE_TARGET) == Some(tier) {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
+
+    #[test]
+    fn beyond_bound_vlew_words_are_rarer_than_the_ue_target() {
+        // The premise of a bounded-only VLEW decoder (DESIGN §12.3): a
+        // weight-(t + 1) word, the only kind a t + 1 list decoder could
+        // rescue, is below the UE target wherever a VLEW tier is chosen.
+        // If t shrinks or a tier's band widens, this fails.
+        use crate::prob::binom_pmf;
+        let (paper_bits, dense_bits, t) = (2048 + 264, 1024 + 264, 22);
+        let paper_top = top_of_band(1, BOOT_RBER, 1.5e-3);
+        let dense_top = top_of_band(2, 1.5e-3, 3e-3);
+        for (bits, rber) in [
+            (paper_bits, BOOT_RBER),
+            (paper_bits, paper_top),
+            (dense_bits, dense_top),
+        ] {
+            let p = binom_pmf(bits, t + 1, rber);
+            assert!(p < UE_TARGET, "{bits}-bit VLEW at {rber:e}: {p:e}");
+        }
+    }
+
     #[test]
     fn all_rates_are_monotone_in_rber() {
         let mut prev = [0.0; 3];

@@ -1,14 +1,13 @@
 //! BCH decoding: syndromes by one linear map, Berlekamp–Massey in
-//! Berlekamp's binary form, closed-form roots up to degree four (the
-//! bit-sliced Chien search past that), and an opt-in beyond-bound list
-//! decoder.
+//! Berlekamp's binary form, and closed-form roots up to degree four (the
+//! bit-sliced Chien search past that). There is one decoder, bounded to
+//! the designed radius `t`.
 //!
 //! The decoder is allocation-free on the hot path: the remainder, the
 //! syndromes, the BM polynomials, the Chien plane accumulators, and the
 //! corrected-position list all live in a reusable [`BchScratch`] the
-//! caller owns. [`BchCode::decode_scratch`] is the bounded-distance
-//! decode and returns a [`BchDecodeView`] of the flipped positions;
-//! [`BchCode::decode_word`] takes a [`DecodePolicy`] and returns the
+//! caller owns. [`BchCode::decode_scratch`] returns a [`BchDecodeView`]
+//! of the flipped positions; [`BchCode::decode_word`] returns the
 //! [`WordVerdict`] a scrub or fallback read stores per chip.
 //!
 //! No decode walks the stored word: the syndromes come from the `r`-bit
@@ -30,24 +29,6 @@ use pmck_gf::BitPoly;
 use crate::code::BchCode;
 use crate::error::BchError;
 use crate::syndrome::with_zeroed_limbs;
-
-/// How far a decode is allowed to reach.
-///
-/// `Bounded` is the classic Berlekamp–Massey bounded-distance decoder:
-/// up to `t` errors, miscorrection behavior identical to the PGZ
-/// reference oracle. `BeyondBound` additionally runs an unraveling-style
-/// list decoder when the bounded decode rejects: it re-decodes the same
-/// syndromes under every single-position pre-flip hypothesis, correcting
-/// weight `t+1` patterns when exactly one candidate codeword emerges and
-/// rejecting (never guessing) when the list is empty or ambiguous.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum DecodePolicy {
-    /// Bounded-distance decoding only: up to `t` errors.
-    #[default]
-    Bounded,
-    /// Bounded first, then the unraveling list fallback at radius `t+1`.
-    BeyondBound,
-}
 
 /// A view of a successful decode, borrowing the scratch it ran in.
 ///
@@ -80,13 +61,10 @@ impl BchDecodeView<'_> {
 pub enum WordVerdict {
     /// The word was already a valid codeword; untouched.
     Clean,
-    /// `bits` bit flips restored the codeword in place. `beyond_bound`
-    /// marks corrections only the list fallback could reach.
+    /// `bits` (at most `t`) bit flips restored the codeword in place.
     Corrected {
         /// Number of bits flipped.
         bits: usize,
-        /// Whether the correction exceeded the bounded radius `t`.
-        beyond_bound: bool,
     },
     /// The pattern was rejected; the word is untouched.
     Uncorrectable,
@@ -97,7 +75,7 @@ impl WordVerdict {
     /// words).
     pub fn bits_corrected(&self) -> usize {
         match self {
-            WordVerdict::Corrected { bits, .. } => *bits,
+            WordVerdict::Corrected { bits } => *bits,
             _ => 0,
         }
     }
@@ -130,14 +108,8 @@ pub struct BchScratch {
     bm_saved: Vec<u32>,
     /// Bit-sliced Chien plane accumulators (`t·m` words).
     acc: Vec<u64>,
-    /// Corrected positions, ascending (≤ t+1 entries).
+    /// Corrected positions, ascending (≤ t entries).
     positions: Vec<usize>,
-    /// First list-decode candidate pattern (≤ t+1 entries).
-    candidate: Vec<usize>,
-    /// List-decode trial syndromes under a pre-flip hypothesis.
-    trial: Vec<u32>,
-    /// Incremental `α^{j·p}` state per odd `j` for trial syndromes.
-    xj: Vec<u32>,
 }
 
 impl BchScratch {
@@ -152,10 +124,7 @@ impl BchScratch {
             bm_b: vec![0; t2 + 1],
             bm_saved: vec![0; t2 + 1],
             acc: vec![0; code.tables.chien.acc_len()],
-            positions: Vec::with_capacity(code.t + 1),
-            candidate: Vec::with_capacity(code.t + 1),
-            trial: vec![0; t2],
-            xj: vec![0; code.t],
+            positions: Vec::with_capacity(code.t),
         }
     }
 }
@@ -188,42 +157,21 @@ impl BchCode {
         })
     }
 
-    /// Decodes `word` in place as far as `policy` reaches and returns
-    /// its verdict — what a stripe decode keeps per chip. Under
-    /// [`DecodePolicy::Bounded`] this is [`BchCode::decode_scratch`].
-    /// Under [`DecodePolicy::BeyondBound`] a bounded reject is followed
-    /// by the unraveling list decoder: every single-position pre-flip
-    /// hypothesis is re-decoded on adjusted syndromes, and a
-    /// weight-`t+1` pattern is corrected iff exactly one candidate
-    /// codeword emerges; an empty or ambiguous list rejects.
-    ///
-    /// Within radius `t+1` the list decoder never miscorrects: the true
-    /// codeword is always in the list (any correct guess reduces the
-    /// residual to weight `t`), so a wrong unique candidate cannot
-    /// exist. The cost is `n` Berlekamp–Massey runs on the failure path
-    /// (~ms-scale for the VLEW), which is why the policy is an opt-in
-    /// recovery knob rather than the default.
+    /// Decodes `word` in place as [`BchCode::decode_scratch`] does and
+    /// returns its verdict — what a stripe decode keeps per chip. A word
+    /// past radius `t` is rejected untouched (or, as with any
+    /// bounded-distance decoder, miscorrected to another codeword).
     ///
     /// # Panics
     ///
     /// Panics if `word` is not `n` bits long (a caller bug, not a
     /// property of the stored bits a verdict could describe).
-    pub fn decode_word(
-        &self,
-        word: &mut BitPoly,
-        policy: DecodePolicy,
-        scratch: &mut BchScratch,
-    ) -> WordVerdict {
+    pub fn decode_word(&self, word: &mut BitPoly, scratch: &mut BchScratch) -> WordVerdict {
         assert_eq!(word.len(), self.len(), "word length mismatch");
-        let mut res = self.decode_core(word, scratch);
-        if policy == DecodePolicy::BeyondBound && res == Err(BchError::Uncorrectable) {
-            res = self.list_decode_core(word, scratch);
-        }
-        match res {
+        match self.decode_core(word, scratch) {
             Ok(()) if scratch.positions.is_empty() => WordVerdict::Clean,
             Ok(()) => WordVerdict::Corrected {
                 bits: scratch.positions.len(),
-                beyond_bound: scratch.positions.len() > self.t,
             },
             Err(_) => WordVerdict::Uncorrectable,
         }
@@ -308,100 +256,6 @@ impl BchCode {
             word.flip(p);
         }
         Ok(())
-    }
-
-    /// The unraveling list decoder, run after a bounded-distance reject
-    /// (`scratch.synd` and `scratch.rho` hold the received syndromes and
-    /// remainder). For every position `p`, the syndromes are adjusted by
-    /// `α^{j·p}` (hypothesizing an error there) and re-decoded; each
-    /// success yields a candidate pattern of weight `t+1`. Exactly one
-    /// distinct candidate corrects; none or several reject with the word
-    /// unmodified.
-    fn list_decode_core(
-        &self,
-        word: &mut BitPoly,
-        scratch: &mut BchScratch,
-    ) -> Result<(), BchError> {
-        let f = &self.tables.field;
-        let t2 = 2 * self.t;
-        scratch.candidate.clear();
-        scratch.xj.fill(1); // α^{j·0} for every odd j
-        let mut found = false;
-        for p in 0..self.len() {
-            // Trial syndromes S'_j = S_j + α^{j·p}: odd from the
-            // incremental state, even via the Frobenius square (squaring
-            // distributes over the XOR adjustment).
-            for i in 0..self.t {
-                scratch.trial[2 * i] = scratch.synd[2 * i] ^ scratch.xj[i];
-            }
-            for j in (2..=t2).step_by(2) {
-                scratch.trial[j - 1] = f.square(scratch.trial[j / 2 - 1]);
-            }
-            if self.trial_decode(p, scratch) {
-                // `positions` now holds the candidate pattern (the guess
-                // merged with the residual roots), weight t+1.
-                if !found {
-                    found = true;
-                    std::mem::swap(&mut scratch.candidate, &mut scratch.positions);
-                } else if scratch.candidate != scratch.positions {
-                    // Two distinct codewords within radius t+1: refusing
-                    // to guess is the whole point of the uniqueness rule.
-                    scratch.positions.clear();
-                    return Err(BchError::Uncorrectable);
-                }
-            }
-            // Advance α^{j·p} → α^{j·(p+1)} for every odd j.
-            for (i, x) in scratch.xj.iter_mut().enumerate() {
-                *x = f.mul(*x, f.alpha_pow(2 * i as u64 + 1));
-            }
-        }
-        if !found {
-            scratch.positions.clear();
-            return Err(BchError::Uncorrectable);
-        }
-        std::mem::swap(&mut scratch.candidate, &mut scratch.positions);
-        for &p in &scratch.positions {
-            word.flip(p);
-        }
-        Ok(())
-    }
-
-    /// One list-decode trial: BM and the roots on the adjusted syndromes
-    /// in `scratch.trial`, then the guess position `p` merged in and the
-    /// whole pattern checked against the received remainder — the
-    /// residual's check against `ρ ⊕ row(p)`. On `true`,
-    /// `scratch.positions` holds the sorted candidate pattern of weight
-    /// `deg + 1 = t + 1`.
-    fn trial_decode(&self, p: usize, scratch: &mut BchScratch) -> bool {
-        // An all-zero trial would mean a weight-1 pattern explains the
-        // word — impossible after a bounded reject, which is complete
-        // within radius t.
-        if scratch.trial.iter().all(|&s| s == 0) {
-            debug_assert!(false, "weight-1 residual after a bounded reject");
-            return false;
-        }
-        let deg = {
-            // BM runs on the trial syndromes: swap them into place so
-            // `berlekamp_massey_into` reads its usual buffer.
-            std::mem::swap(&mut scratch.synd, &mut scratch.trial);
-            let deg = self.berlekamp_massey_into(scratch);
-            std::mem::swap(&mut scratch.synd, &mut scratch.trial);
-            deg
-        };
-        scratch.positions.clear();
-        if deg == 0 || deg > self.t || !self.roots_into(deg, scratch) {
-            return false;
-        }
-        // The residual containing the guess itself would collapse to a
-        // weight ≤ t pattern for the original syndromes — impossible
-        // after a bounded reject; drop it defensively.
-        if scratch.positions.contains(&p) {
-            debug_assert!(false, "guess position re-appeared as a residual root");
-            return false;
-        }
-        scratch.positions.push(p);
-        scratch.positions.sort_unstable();
-        self.explains(&scratch.positions, &scratch.rho, &mut scratch.residue)
     }
 
     /// Finds the positions of the degree-`deg` locator in
@@ -560,9 +414,7 @@ mod tests {
         // code: clean; errors in code cells only; in data only; in both,
         // within t; beyond t. Errorful words then go through the
         // decoder, which must leave the received syndromes in
-        // `scratch.synd` — every seventh at t + 1 errors under
-        // `BeyondBound`, where the list decoder reads them back after
-        // the bounded reject.
+        // `scratch.synd`.
         let mut rng = StdRng::seed_from_u64(0x24);
         let mut words = 0;
         for ((m, t, k), cases) in [
@@ -587,9 +439,7 @@ mod tests {
                 }
                 let clean = code.encode(&data);
                 let mut word = clean.clone();
-                let list_decoded = case % 7 == 6;
                 let (lo, hi, weight) = match case % 5 {
-                    _ if list_decoded => (0, n, t + 1),
                     0 => (0, n, 0),
                     1 => (0, r, rng.gen_range(1..=t.min(r))),
                     2 => (r, n, rng.gen_range(1..=t.min(k))),
@@ -609,16 +459,9 @@ mod tests {
                 assert_eq!(got, want, "({m},{t},{k}) case {case}");
                 assert_eq!(is_clean, weight == 0, "({m},{t},{k}) case {case}");
                 assert_eq!(is_clean, code.is_codeword(&word));
-                // The VLEW's list decode is ~n Berlekamp–Massey runs:
-                // a few of them, not thousands.
-                if weight > 0 && !(list_decoded && k >= 1024 && case > 100) {
-                    let policy = if list_decoded {
-                        DecodePolicy::BeyondBound
-                    } else {
-                        DecodePolicy::Bounded
-                    };
+                if weight > 0 {
                     let received = word.clone();
-                    let verdict = code.decode_word(&mut word, policy, &mut scratch);
+                    let verdict = code.decode_word(&mut word, &mut scratch);
                     assert_eq!(scratch.synd, want, "({m},{t},{k}) case {case}");
                     match verdict {
                         WordVerdict::Corrected { .. } => {
@@ -699,58 +542,6 @@ mod tests {
         assert_eq!(cw, clean);
     }
 
-    #[test]
-    fn beyond_bound_recovers_t_plus_one_or_rejects_never_miscorrects() {
-        let code = BchCode::new(6, 2, 20).unwrap();
-        let clean = code.encode(&BitPoly::from_u64(0x2F1D3, 20));
-        let mut scratch = BchScratch::new(&code);
-        let mut recovered = 0usize;
-        let mut rejected = 0usize;
-        // All weight-3 (t+1) patterns over a position subsample.
-        let n = code.len();
-        for a in 0..n {
-            for b in (a + 1)..n {
-                for c in (b + 1)..n {
-                    if (a + b + c) % 7 != 0 {
-                        continue; // subsample for test time
-                    }
-                    let mut w = clean.clone();
-                    w.flip(a);
-                    w.flip(b);
-                    w.flip(c);
-                    // Skip patterns the bounded decoder resolves (possibly
-                    // by miscorrection — that is bounded-distance SDC, not
-                    // the list decoder's business).
-                    let mut probe = w.clone();
-                    if code.decode_scratch(&mut probe, &mut scratch).is_ok() {
-                        continue;
-                    }
-                    match code.decode_word(&mut w, DecodePolicy::BeyondBound, &mut scratch) {
-                        WordVerdict::Corrected { bits, beyond_bound } => {
-                            assert_eq!((bits, beyond_bound), (3, true));
-                            assert_eq!(w, clean, "pattern {a},{b},{c}");
-                            recovered += 1;
-                        }
-                        WordVerdict::Uncorrectable => {
-                            // Ambiguous list: word must be untouched.
-                            let mut expect = clean.clone();
-                            expect.flip(a);
-                            expect.flip(b);
-                            expect.flip(c);
-                            assert_eq!(w, expect);
-                            rejected += 1;
-                        }
-                        WordVerdict::Clean => panic!("a bounded reject cannot be clean"),
-                    }
-                }
-            }
-        }
-        assert!(recovered > 0, "list decoder never fired");
-        // Either outcome is legal; what is *illegal* is a silent
-        // miscorrection, asserted above by exact ground-truth recovery.
-        let _ = rejected;
-    }
-
     /// The textbook Berlekamp–Massey this crate ran before the binary
     /// form: all `2t` steps, odd and even. Returns σ (`2t + 1`
     /// coefficients) and its degree.
@@ -811,9 +602,8 @@ mod tests {
     fn binary_berlekamp_massey_equals_the_full_2t_steps() {
         // 100 k seeded binary patterns of weight 0..=t+1 on the VLEW, the
         // baseline and small codes (derived cosets, k % 4 ≠ 0, t = 4 on
-        // GF(2^4)). Every third is a list-decoder trial: a weight-(t+1)
-        // pattern with one guessed position toggled, as
-        // `list_decode_core` adjusts the received syndromes.
+        // GF(2^4)). Every third toggles one random position of a
+        // weight-(t+1) pattern, giving weight t or t + 2.
         let mut rng = StdRng::seed_from_u64(0x27B);
         let mut runs = 0;
         for ((m, t, k), cases) in [

@@ -10,7 +10,9 @@
 //! encode and a compare; an errorful one's syndromes are one linear map
 //! of that difference), Berlekamp–Massey in Berlekamp's binary form, and
 //! roots in closed form up to degree four, by Chien search past that.
-//! Codes of one `(m, t, k)` share their tables.
+//! Decoding is bounded to the designed radius `t`: a word past it is
+//! rejected untouched (or, as with any bounded-distance decoder,
+//! miscorrected). Codes of one `(m, t, k)` share their tables.
 //!
 //! Instances used by the reproduction:
 //!
@@ -55,7 +57,7 @@ mod roots;
 mod syndrome;
 
 pub use code::BchCode;
-pub use decode::{BchDecodeView, BchScratch, DecodePolicy, WordVerdict};
+pub use decode::{BchDecodeView, BchScratch, WordVerdict};
 pub use error::BchError;
 
 // Re-exported so downstream users can manipulate codewords without also

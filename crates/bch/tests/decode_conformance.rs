@@ -1,22 +1,17 @@
-//! Decode-conformance battery for the rebuilt errorful path: boundary
-//! weights around the correction radius, the unraveling beyond-bound
-//! fallback, and crafted batch-edge corpus replay.
+//! Decode-conformance battery for the errorful path: boundary weights
+//! around the correction radius and crafted batch-edge corpus replay.
 //!
 //! The guarantees pinned here, per weight class:
 //!
 //! * `w ≤ t` — exact ground-truth recovery, always (bounded-distance
 //!   decoding within the packing radius is unique).
-//! * `w = t + 1`, bounded — the decoder may legally land on a *different*
+//! * `w = t + 1` — the decoder may legally land on a *different*
 //!   codeword within distance `t` (indistinguishable from a light error
 //!   on that codeword), but it never leaves an invalid word behind:
 //!   every accepted correction re-verifies as a codeword, every
 //!   rejection leaves the word untouched.
-//! * `w = t + 1`, beyond-bound, bounded-rejected — the unraveling list
-//!   decoder recovers the exact ground truth or rejects; a unique
-//!   radius-(t+1) candidate can only be the true pattern, so the
-//!   measured miscorrection rate is zero.
 
-use pmck_bch::{BchCode, BchError, BchScratch, BitPoly, DecodePolicy, WordVerdict};
+use pmck_bch::{BchCode, BchError, BchScratch, BitPoly, WordVerdict};
 use pmck_harness::{diff_bch_batch, BitFlipBatchCase, BitFlipCase, Runner};
 use pmck_rt::rng::{Rng, StdRng};
 
@@ -108,7 +103,7 @@ fn within_radius_weights_recover_ground_truth_exhaustively() {
     }
 }
 
-/// Exhaustive weight-(t+1) battery on (6, t=2, k=20), both policies.
+/// Exhaustive weight-(t+1) battery on (6, t=2, k=20).
 #[test]
 fn weight_t_plus_one_is_never_silently_corrupted() {
     let code = BchCode::new(6, 2, 20).expect("valid parameters");
@@ -116,16 +111,14 @@ fn weight_t_plus_one_is_never_silently_corrupted() {
     let mut scratch = BchScratch::new(&code);
     let clean = code.encode(&nonzero_data_poly(&code, 0xA5));
     let mut bounded_rejects = 0usize;
-    let mut rescued = 0usize;
-    let mut list_rejects = 0usize;
     for_each_combination(code.len(), t + 1, &mut |flips| {
         let mut word = clean.clone();
         for &p in flips {
             word.flip(p);
         }
         let dirty = word.clone();
-        // Bounded: a legal outcome is a valid codeword within t flips of
-        // the received word (possibly the wrong one — information theory
+        // A legal outcome is a valid codeword within t flips of the
+        // received word (possibly the wrong one — information theory
         // allows it at t+1); an illegal outcome is an invalid word or a
         // modified word after a reject.
         match code.decode_scratch(&mut word, &mut scratch) {
@@ -136,31 +129,11 @@ fn weight_t_plus_one_is_never_silently_corrupted() {
             Err(BchError::Uncorrectable) => {
                 assert_eq!(word, dirty, "rejected word must be untouched");
                 bounded_rejects += 1;
-                // Beyond-bound on a bounded-rejected word: the unraveling
-                // list decoder finds the exact pattern or rejects.
-                let mut lw = dirty.clone();
-                match code.decode_word(&mut lw, DecodePolicy::BeyondBound, &mut scratch) {
-                    WordVerdict::Corrected { bits, beyond_bound } => {
-                        assert!(beyond_bound);
-                        assert_eq!(bits, flips.len());
-                        assert_eq!(lw, clean, "exact recovery only");
-                        rescued += 1;
-                    }
-                    WordVerdict::Uncorrectable => {
-                        assert_eq!(lw, dirty);
-                        list_rejects += 1;
-                    }
-                    WordVerdict::Clean => panic!("a bounded reject cannot be clean"),
-                }
             }
             Err(e) => panic!("unexpected error {e:?}"),
         }
     });
     assert!(bounded_rejects > 0, "some t+1 patterns must reject");
-    assert!(rescued > 0, "the list decoder must rescue some of them");
-    // Exhaustively measured miscorrection rate of the fallback: zero.
-    // (Every rescue above asserted exact ground truth.)
-    assert_eq!(rescued + list_rejects, bounded_rejects);
 }
 
 /// Sampled boundary battery on the paper's full-size VLEW code at
@@ -195,29 +168,25 @@ fn vlew_boundary_weights_sampled() {
             assert_eq!(word, clean);
         }
     }
-    // t+1: bounded-rejected words are exactly recovered or rejected by
-    // the fallback, never miscorrected.
-    let mut rescued = 0usize;
+    // t+1: a rejected word is untouched, an accepted one a codeword.
+    let mut rejected = 0usize;
     for round in 0..12u64 {
         let data = nonzero_data(code.data_bits() / 8, round as u8);
         let flips = gen_flips(&mut rng, t + 1);
-        let (clean, dirty) = clean_and_dirty(&code, &data, &flips);
+        let (_, dirty) = clean_and_dirty(&code, &data, &flips);
         let mut word = dirty.clone();
-        if code.decode_scratch(&mut word, &mut scratch).is_ok() {
-            continue; // legally resolved within t; covered above
-        }
-        let mut lw = dirty.clone();
-        match code.decode_word(&mut lw, DecodePolicy::BeyondBound, &mut scratch) {
-            WordVerdict::Corrected { bits, .. } => {
-                assert_eq!(bits, flips.len());
-                assert_eq!(lw, clean);
-                rescued += 1;
+        match code.decode_word(&mut word, &mut scratch) {
+            WordVerdict::Corrected { bits } => {
+                assert!(bits <= t && code.is_codeword(&word));
             }
-            WordVerdict::Uncorrectable => assert_eq!(lw, dirty),
-            WordVerdict::Clean => panic!("a bounded reject cannot be clean"),
+            WordVerdict::Uncorrectable => {
+                assert_eq!(word, dirty);
+                rejected += 1;
+            }
+            WordVerdict::Clean => panic!("an errorful word read as clean"),
         }
     }
-    assert!(rescued > 0, "VLEW t+1 rescues must occur in the sample");
+    assert!(rejected > 0, "VLEW t+1 rejects must occur in the sample");
 }
 
 /// Batch edges and crafted corpus replay: the checked-in entries cover
@@ -263,117 +232,5 @@ fn batch_edges_match_reference_with_corpus_replay() {
         report.corpus_replayed >= 4,
         "crafted batch-edge corpus entries must replay (got {})",
         report.corpus_replayed
-    );
-}
-
-/// Beyond-bound crafted corpus replay on the VLEW code: the checked-in
-/// t+1 entries (including the all-zero-data pattern the bounded decoder
-/// provably rejects) must be exactly recovered or rejected untouched.
-#[test]
-fn beyond_bound_vlew_corpus_replays() {
-    let code = BchCode::vlew();
-    let t = code.t();
-    let mut scratch = BchScratch::new(&code);
-    let report = Runner::new("bch:beyond-bound:vlew")
-        .seed(0xBB)
-        .cases(4)
-        .run(
-            |rng| {
-                let mut data = vec![0u8; code.data_bits() / 8];
-                rng.fill_bytes(&mut data);
-                let mut flips: Vec<usize> = Vec::with_capacity(t + 1);
-                while flips.len() < t + 1 {
-                    let p = rng.gen_range(0usize..code.len());
-                    if !flips.contains(&p) {
-                        flips.push(p);
-                    }
-                }
-                flips.sort_unstable();
-                BitFlipCase { data, flips }
-            },
-            |case| {
-                let mut sorted = case.flips.clone();
-                sorted.sort_unstable();
-                let (clean, dirty) = clean_and_dirty(&code, &case.data, &sorted);
-                let mut word = dirty.clone();
-                match code.decode_word(&mut word, DecodePolicy::BeyondBound, &mut scratch) {
-                    WordVerdict::Corrected {
-                        bits,
-                        beyond_bound: true,
-                    } => {
-                        if bits != sorted.len() || word != clean {
-                            return Err("list decode diverged from ground truth".into());
-                        }
-                        Ok(())
-                    }
-                    verdict @ (WordVerdict::Clean | WordVerdict::Corrected { .. }) => {
-                        // Resolved within t: legal only if it reached a
-                        // valid codeword.
-                        if verdict.bits_corrected() <= t && code.is_codeword(&word) {
-                            Ok(())
-                        } else {
-                            Err("bounded resolution left an invalid word".into())
-                        }
-                    }
-                    WordVerdict::Uncorrectable => {
-                        if word == dirty {
-                            Ok(())
-                        } else {
-                            Err("rejected word was modified".into())
-                        }
-                    }
-                }
-            },
-        );
-    assert_eq!(report.generated, 4);
-    assert!(
-        report.corpus_replayed >= 1,
-        "crafted beyond-bound corpus entry must replay (got {})",
-        report.corpus_replayed
-    );
-}
-
-/// Measured miscorrection rate of the unraveling fallback at t+1 on
-/// (8, t=3, k=64): over a seeded sample, every bounded-rejected word is
-/// either exactly recovered or rejected — the rate of wrong corrections
-/// is exactly zero, and rescues actually happen.
-#[test]
-fn beyond_bound_miscorrection_rate_is_zero() {
-    let code = BchCode::new(8, 3, 64).expect("valid parameters");
-    let t = code.t();
-    let mut scratch = BchScratch::new(&code);
-    let mut rng = StdRng::seed_from_u64(0x0F0F);
-    let mut bounded_rejects = 0usize;
-    let mut rescued = 0usize;
-    let mut miscorrected = 0usize;
-    for _ in 0..2_000 {
-        let mut data = vec![0u8; code.data_bits() / 8];
-        rng.fill_bytes(&mut data);
-        let mut flips: Vec<usize> = Vec::with_capacity(t + 1);
-        while flips.len() < t + 1 {
-            let p = rng.gen_range(0usize..code.len());
-            if !flips.contains(&p) {
-                flips.push(p);
-            }
-        }
-        flips.sort_unstable();
-        let (clean, dirty) = clean_and_dirty(&code, &data, &flips);
-        let mut word = dirty.clone();
-        if code.decode_scratch(&mut word, &mut scratch).is_ok() {
-            continue;
-        }
-        bounded_rejects += 1;
-        let mut lw = dirty.clone();
-        match code.decode_word(&mut lw, DecodePolicy::BeyondBound, &mut scratch) {
-            WordVerdict::Uncorrectable => {}
-            _ if lw == clean => rescued += 1,
-            _ => miscorrected += 1,
-        }
-    }
-    assert!(bounded_rejects > 100, "sample must exercise the fallback");
-    assert!(rescued > 0, "the fallback must rescue some words");
-    assert_eq!(
-        miscorrected, 0,
-        "measured miscorrection rate must be zero ({rescued} rescues / {bounded_rejects} rejects)"
     );
 }

@@ -25,7 +25,7 @@
 
 use std::time::Instant;
 
-use pmck_bch::{BchCode, BchScratch, DecodePolicy};
+use pmck_bch::{BchCode, BchScratch};
 use pmck_cluster::{Cluster, ClusterConfig};
 use pmck_core::{
     AccessContext, BlockDevice, ChipkillConfig, ChipkillMemory, PmemConfig, ProtectionTier,
@@ -363,9 +363,7 @@ fn bch_scenarios(cfg: &Config, rows: &mut Vec<Json>) {
             let mut bits = 0;
             for (dst, src) in batch.iter_mut().zip(&words) {
                 dst.copy_from(std::hint::black_box(src));
-                bits += code
-                    .decode_word(dst, DecodePolicy::Bounded, &mut scratch)
-                    .bits_corrected();
+                bits += code.decode_word(dst, &mut scratch).bits_corrected();
             }
             bits
         }));

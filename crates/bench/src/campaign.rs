@@ -371,9 +371,7 @@ impl<S: Sut> Run<'_, S> {
                 match out.path {
                     ReadPath::Clean | ReadPath::BitCorrected { .. } => c.clean += 1,
                     ReadPath::RsCorrected { .. } => c.rs_corrected += 1,
-                    ReadPath::VlewFallback { .. } | ReadPath::VlewListDecoded { .. } => {
-                        c.vlew_fallback += 1
-                    }
+                    ReadPath::VlewFallback { .. } => c.vlew_fallback += 1,
                     ReadPath::ChipkillErasure { .. } => c.chipkill_erasure += 1,
                 }
                 if out.data != self.mirror.live[block as usize] {
@@ -728,7 +726,6 @@ fn merge(
             a.stripes_scrubbed += b.stripes_scrubbed;
             a.bits_corrected += b.bits_corrected;
             a.words_with_errors += b.words_with_errors;
-            a.list_rescues += b.list_rescues;
             a.chip_rebuilt = a.chip_rebuilt.or(b.chip_rebuilt);
             BootScrubbed(a)
         }

@@ -34,7 +34,7 @@
 //! of them was *healthy* ([`ReadPath::Clean`], [`ReadPath::RsCorrected`]
 //! or [`ReadPath::BitCorrected`]). A replica that decoded through the
 //! degraded paths ([`ReadPath::VlewFallback`],
-//! [`ReadPath::VlewListDecoded`], [`ReadPath::ChipkillErasure`]) or
+//! [`ReadPath::ChipkillErasure`]) or
 //! returned an error, and every stale replica the walk stepped over, is
 //! **read-repaired**: the served data is written back, re-encoding both
 //! ECC tiers from a good copy. Replicas the walk never reached are left
@@ -168,7 +168,7 @@ pub struct ClusterStats {
     /// Successful quorum writes.
     pub writes: u64,
     /// Replica decodes that went through a degraded path (VLEW
-    /// fallback, list decode, or chipkill erasure).
+    /// fallback or chipkill erasure).
     pub degraded_reads: u64,
     /// Replicas re-written from a healthy copy during reads.
     pub read_repairs: u64,
@@ -469,9 +469,7 @@ impl<S: Submitter> Cluster<S> {
                                 healthy = Some((r, out));
                             }
                         }
-                        ReadPath::VlewFallback { .. }
-                        | ReadPath::VlewListDecoded { .. }
-                        | ReadPath::ChipkillErasure { .. } => {
+                        ReadPath::VlewFallback { .. } | ReadPath::ChipkillErasure { .. } => {
                             self.stats.degraded_reads += 1;
                             repair_mask |= 1 << r;
                             if degraded.is_none() {

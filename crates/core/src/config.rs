@@ -1,7 +1,5 @@
 //! Engine configuration.
 
-use pmck_bch::DecodePolicy;
-
 use crate::layout::{ChipkillLayout, ProtectionTier};
 
 /// Configuration of the chipkill-correct engine.
@@ -17,14 +15,6 @@ pub struct ChipkillConfig {
     /// Maximum RS corrections accepted at runtime before distrusting the
     /// result and falling back to VLEW decoding (paper §V-C: 2).
     pub threshold: usize,
-    /// Whether VLEW code-bit updates coalesce in the per-chip ECC Update
-    /// Registerfile (EUR, §V-D). Disabling models the no-coalescing
-    /// ablation; functional results are identical either way.
-    pub eur_enabled: bool,
-    /// How far VLEW decoding reaches: `Bounded` stops at the designed
-    /// radius `t`; `BeyondBound` additionally tries the unraveling list
-    /// decoder at radius `t + 1` before declaring a word uncorrectable.
-    pub decode_policy: DecodePolicy,
 }
 
 impl Default for ChipkillConfig {
@@ -33,8 +23,6 @@ impl Default for ChipkillConfig {
             tier: ProtectionTier::Paper,
             layout: ChipkillLayout::default(),
             threshold: 2,
-            eur_enabled: true,
-            decode_policy: DecodePolicy::Bounded,
         }
     }
 }
@@ -50,29 +38,24 @@ impl ChipkillConfig {
     }
 
     /// The configuration for a protection tier: geometry and threshold
-    /// both come from the tier, everything else stays at the defaults.
+    /// both come from the tier.
     pub fn for_tier(tier: ProtectionTier) -> Self {
         ChipkillConfig {
             tier,
             layout: tier.geometry(),
             threshold: tier.rs_threshold(),
-            ..Self::default()
         }
     }
 
-    /// This configuration moved to `tier`: itself at its own tier; at
-    /// another, that tier's geometry and threshold with this one's EUR
-    /// and decode-policy knobs. What a tier migration or a recovery
-    /// builds a region's fresh engine with.
+    /// This configuration moved to `tier`: itself at its own tier (its
+    /// threshold may be overridden); at another, that tier's
+    /// configuration. What a tier migration or a recovery builds a
+    /// region's fresh engine with.
     pub(crate) fn at_tier(&self, tier: ProtectionTier) -> Self {
         if tier == self.tier {
             return *self;
         }
-        ChipkillConfig {
-            eur_enabled: self.eur_enabled,
-            decode_policy: self.decode_policy,
-            ..Self::for_tier(tier)
-        }
+        Self::for_tier(tier)
     }
 
     /// Whether the configured tier runs the VLEW boot tier.
@@ -94,8 +77,6 @@ mod tests {
     fn defaults_match_paper() {
         let c = ChipkillConfig::default();
         assert_eq!(c.threshold, 2);
-        assert!(c.eur_enabled);
-        assert_eq!(c.decode_policy, DecodePolicy::Bounded);
         assert_eq!(c.layout.blocks_per_vlew(), 32);
     }
 

@@ -6,8 +6,7 @@
 //! uniform interface: [`BlockDevice`]. An access is a [`Request`] — the
 //! same value a client hands to [`crate::Submitter::submit`] — the
 //! result a [`Response`], and every call threads an [`AccessContext`]
-//! that carries the fault-injection RNG, per-layer [`LayerStats`], and
-//! an optional trace sink.
+//! that carries the fault-injection RNG and per-layer [`LayerStats`].
 //!
 //! Middleware layers ([`crate::WearLevelled`], [`crate::Patrolled`],
 //! [`crate::LinkProtected`], [`crate::Restripeable`]) wrap any inner
@@ -137,15 +136,6 @@ impl std::str::FromStr for LayerId {
     }
 }
 
-/// One entry in the optional access trace.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceEvent {
-    /// The layer that recorded the event.
-    pub layer: LayerId,
-    /// Human-readable summary (`"read 5 -> clean"`).
-    pub event: String,
-}
-
 /// Per-layer access counters, keyed by [`BlockDevice::id`] inside an
 /// [`AccessContext`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -164,9 +154,6 @@ pub struct LayerStats {
     pub rs_corrected: u64,
     /// Reads that fell back to VLEW decoding.
     pub vlew_fallbacks: u64,
-    /// VLEW-fallback reads that needed the unraveling list decoder for
-    /// at least one chip word (beyond-bound rescues).
-    pub list_decoded_reads: u64,
     /// Reads served through chip-failure erasure correction.
     pub erasure_reads: u64,
     /// Reads corrected by a single-tier BCH (baseline / re-striped).
@@ -223,7 +210,6 @@ impl LayerStats {
         self.clean_reads += other.clean_reads;
         self.rs_corrected += other.rs_corrected;
         self.vlew_fallbacks += other.vlew_fallbacks;
-        self.list_decoded_reads += other.list_decoded_reads;
         self.erasure_reads += other.erasure_reads;
         self.bit_corrected_reads += other.bit_corrected_reads;
         self.bits_corrected += other.bits_corrected;
@@ -257,7 +243,6 @@ impl LayerStats {
         c("clean_reads", self.clean_reads);
         c("rs_corrected", self.rs_corrected);
         c("vlew_fallbacks", self.vlew_fallbacks);
-        c("list_decoded_reads", self.list_decoded_reads);
         c("erasure_reads", self.erasure_reads);
         c("bit_corrected_reads", self.bit_corrected_reads);
         c("bits_corrected", self.bits_corrected);
@@ -291,7 +276,6 @@ impl LayerStats {
             .with("clean_reads", self.clean_reads)
             .with("rs_corrected", self.rs_corrected)
             .with("vlew_fallbacks", self.vlew_fallbacks)
-            .with("list_decoded_reads", self.list_decoded_reads)
             .with("erasure_reads", self.erasure_reads)
             .with("bit_corrected_reads", self.bit_corrected_reads)
             .with("bits_corrected", self.bits_corrected)
@@ -317,12 +301,11 @@ impl LayerStats {
 }
 
 /// Shared state threaded through every access of a composed stack: the
-/// fault-injection RNG, per-layer statistics, and an optional trace.
+/// fault-injection RNG and per-layer statistics.
 #[derive(Debug, Clone)]
 pub struct AccessContext {
     rng: StdRng,
     layers: Vec<(LayerId, LayerStats)>,
-    trace: Option<Vec<TraceEvent>>,
 }
 
 impl AccessContext {
@@ -331,20 +314,13 @@ impl AccessContext {
         AccessContext {
             rng: StdRng::seed_from_u64(seed),
             layers: Vec::new(),
-            trace: None,
         }
     }
 
     /// A throwaway context for convenience call paths that do not need
-    /// stats or tracing.
+    /// stats.
     pub fn scratch() -> Self {
         Self::new(0)
-    }
-
-    /// Enables the trace sink.
-    pub fn with_trace(mut self) -> Self {
-        self.trace = Some(Vec::new());
-        self
     }
 
     /// The fault-injection RNG (consumed by `InjectRber` / `Fault`
@@ -372,18 +348,6 @@ impl AccessContext {
     pub fn layers(&self) -> &[(LayerId, LayerStats)] {
         &self.layers
     }
-
-    /// Records a trace event; `f` is only evaluated when tracing is on.
-    pub fn trace(&mut self, layer: LayerId, f: impl FnOnce() -> String) {
-        if let Some(sink) = &mut self.trace {
-            sink.push(TraceEvent { layer, event: f() });
-        }
-    }
-
-    /// Drains the recorded trace (empty when tracing is off).
-    pub fn take_trace(&mut self) -> Vec<TraceEvent> {
-        self.trace.as_mut().map(std::mem::take).unwrap_or_default()
-    }
 }
 
 /// A functional memory layer addressable in 64 B blocks.
@@ -394,7 +358,7 @@ impl AccessContext {
 /// Devices are `Send` so composed stacks can be owned by shard worker
 /// threads (`pmck-service`).
 pub trait BlockDevice: Send {
-    /// Identifies the layer in stats and traces.
+    /// Identifies the layer in stats.
     fn id(&self) -> LayerId;
 
     /// The layer's stable string label (the [`LayerId`] string form).
@@ -475,7 +439,7 @@ impl<D: BlockDevice + ?Sized> BlockDevice for Box<D> {
     }
 }
 
-/// Folds one access result into the layer's stats and trace. Every
+/// Folds one access result into the layer's stats. Every
 /// `BlockDevice` impl calls this exactly once per access it handles.
 pub(crate) fn record_access(
     ctx: &mut AccessContext,
@@ -503,79 +467,12 @@ pub(crate) fn record_access(
                 st.bit_corrected_reads += 1;
                 st.bits_corrected += bits_corrected as u64;
             }
-            ReadPath::VlewListDecoded { bits_corrected } => {
-                st.vlew_fallbacks += 1;
-                st.list_decoded_reads += 1;
-                st.bits_corrected += bits_corrected as u64;
-            }
         },
         Ok(Response::Injected { bits }) => st.injected_bits += *bits as u64,
         Ok(_) => {}
         // An unsupported access is a routing miss, not a device fault.
         Err(CoreError::Unsupported(_)) => {}
         Err(_) => st.errors += 1,
-    }
-    ctx.trace(id, || {
-        let what = match req.addr() {
-            Some(a) => format!("{} {a}", req.kind()),
-            None => req.kind().to_string(),
-        };
-        match result {
-            Ok(out) => format!("{what} -> {}", describe_outcome(out)),
-            Err(e) => format!("{what} -> error: {e}"),
-        }
-    });
-}
-
-/// Traces the stripe write-back the access just served made, if it
-/// made one — `mem` counted `before` write-backs when the access began:
-/// which stripe, how many chips were rewritten, how many cells had been
-/// wrong.
-pub(crate) fn trace_writeback(
-    ctx: &mut AccessContext,
-    id: LayerId,
-    mem: &ChipkillMemory,
-    before: u64,
-) {
-    if mem.stats().stripe_writebacks == before {
-        return;
-    }
-    if let Some(w) = mem.last_writeback {
-        ctx.trace(id, || {
-            format!(
-                "writeback stripe {} chips {} bits {}",
-                w.stripe, w.chips, w.bits
-            )
-        });
-    }
-}
-
-fn describe_outcome(out: &Response) -> String {
-    match out {
-        Response::Read(o) => match o.path {
-            ReadPath::Clean => "clean".into(),
-            ReadPath::RsCorrected { corrections } => format!("rs_corrected {corrections}"),
-            ReadPath::VlewFallback { bits_corrected } => format!("vlew_fallback {bits_corrected}"),
-            ReadPath::ChipkillErasure { chip } => format!("erasure chip {chip}"),
-            ReadPath::BitCorrected { bits_corrected } => format!("bit_corrected {bits_corrected}"),
-            ReadPath::VlewListDecoded { bits_corrected } => {
-                format!("vlew_list_decoded {bits_corrected}")
-            }
-        },
-        Response::Written => "written".into(),
-        Response::Scrubbed => "scrubbed".into(),
-        Response::Injected { bits } => format!("injected {bits}"),
-        Response::Patrolled(r) => format!("patrolled {}", r.blocks_scrubbed),
-        Response::BootScrubbed(r) => format!("boot_scrubbed {}", r.stripes_scrubbed),
-        Response::Verified(ok) => format!("verified {ok}"),
-        Response::Repaired { chip } => format!("repaired {chip:?}"),
-        Response::Restriped => "restriped".into(),
-        Response::Flushed { lines } => format!("flushed {lines}"),
-        Response::PowerLost { lost_lines } => format!("power_lost {lost_lines}"),
-        Response::Recovered(r) => {
-            format!("recovered {} lines redone", r.lines_redone)
-        }
-        Response::Tiered(r) => format!("tiered {} migrations", r.migrations),
     }
 }
 
@@ -597,7 +494,6 @@ impl BlockDevice for ChipkillMemory {
     }
 
     fn access(&mut self, req: Request, ctx: &mut AccessContext) -> Result<Response, CoreError> {
-        let writebacks = self.stats().stripe_writebacks;
         let result = match req {
             Request::Read(addr) => self.read_block(addr).map(Response::Read),
             Request::Write { addr, data } => {
@@ -638,7 +534,6 @@ impl BlockDevice for ChipkillMemory {
             }
         };
         record_access(ctx, LayerId::Chipkill, &req, &result);
-        trace_writeback(ctx, LayerId::Chipkill, self, writebacks);
         result
     }
 
@@ -805,7 +700,6 @@ impl BlockDevice for RestripedMemory {
                     stripes_scrubbed: groups,
                     bits_corrected: (self.bits_corrected() - before) as usize,
                     words_with_errors: 0,
-                    list_rescues: 0,
                     chip_rebuilt: None,
                 }))
             }
@@ -847,7 +741,7 @@ mod tests {
     #[test]
     fn chipkill_round_trip_through_the_trait() {
         let mut dev = ChipkillMemory::new(32, ChipkillConfig::default());
-        let mut ctx = AccessContext::new(1).with_trace();
+        let mut ctx = AccessContext::new(1);
         let data = [0x5Au8; 64];
         dev.access(Request::Write { addr: 3, data }, &mut ctx)
             .unwrap();
@@ -862,35 +756,6 @@ mod tests {
         assert_eq!(st.reads, 1);
         assert_eq!(st.writes, 1);
         assert_eq!(st.clean_reads, 1);
-        let trace = ctx.take_trace();
-        assert_eq!(trace.len(), 2);
-        assert_eq!(trace[1].event, "read 3 -> clean");
-    }
-
-    #[test]
-    fn a_healing_read_traces_its_writeback() {
-        let mut dev = ChipkillMemory::new(32, ChipkillConfig::default());
-        let mut ctx = AccessContext::new(1).with_trace();
-        let data = [0xC3u8; 64];
-        dev.access(Request::Write { addr: 3, data }, &mut ctx)
-            .unwrap();
-        for chip in 0..3 {
-            dev.corrupt_chip_byte(chip, 3, 0, 0x01);
-        }
-        for _ in 0..2 {
-            let out = dev.access(Request::Read(3), &mut ctx).unwrap();
-            assert_eq!(out.read().unwrap().data, data);
-        }
-        let events: Vec<String> = ctx.take_trace().into_iter().map(|e| e.event).collect();
-        assert_eq!(
-            events[1..],
-            [
-                "read 3 -> vlew_fallback 3",
-                "writeback stripe 0 chips 3 bits 3",
-                "read 3 -> clean"
-            ]
-        );
-        assert_eq!(dev.stats().stripe_writebacks, 1);
     }
 
     #[test]

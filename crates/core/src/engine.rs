@@ -11,7 +11,7 @@ use pmck_rt::rng::Rng;
 use crate::config::ChipkillConfig;
 use crate::error::CoreError;
 use crate::layout::ChipkillLayout;
-use crate::rank::{apply_code_delta, store_code, ChipStore, EurModel, CODE_LIMBS};
+use crate::rank::{store_code, ChipStore, EurModel, CODE_LIMBS};
 use crate::stats::CoreStats;
 
 /// How a read was satisfied.
@@ -40,14 +40,6 @@ pub enum ReadPath {
         /// Bit errors corrected while serving the read.
         bits_corrected: usize,
     },
-    /// The VLEW fallback needed the unraveling list decoder for at least
-    /// one chip word: some VLEW carried `t + 1` errors and was rescued
-    /// beyond the Berlekamp–Massey bound
-    /// ([`pmck_bch::DecodePolicy::BeyondBound`]).
-    VlewListDecoded {
-        /// Bit errors corrected across the stripe's VLEWs.
-        bits_corrected: usize,
-    },
 }
 
 /// A successful block read.
@@ -68,29 +60,10 @@ const CHIPS: usize = 9;
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct StripeVerdict(pub(crate) [WordVerdict; CHIPS]);
 
-/// One runtime write-back of a stripe's corrected VLEWs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Writeback {
-    pub(crate) stripe: usize,
-    /// Chips whose corrected VLEW was rewritten.
-    pub(crate) chips: usize,
-    /// Cells that were wrong, across those chips.
-    pub(crate) bits: usize,
-}
-
 impl StripeVerdict {
     /// The chips whose VLEW cannot be trusted, ascending.
     pub(crate) fn failed(&self) -> impl Iterator<Item = usize> + '_ {
         (0..CHIPS).filter(|&c| self.0[c].is_uncorrectable())
-    }
-
-    /// How many words only the beyond-bound list decoder could correct.
-    pub(crate) fn list_rescues(&self) -> usize {
-        let beyond = |o: &&WordVerdict| match o {
-            WordVerdict::Corrected { beyond_bound, .. } => *beyond_bound,
-            _ => false,
-        };
-        self.0.iter().filter(beyond).count()
     }
 }
 
@@ -120,9 +93,6 @@ pub struct ChipkillMemory {
     /// its verdict says so. Working memory only — the next call
     /// refills it.
     pub(crate) vlew_batch: Vec<BitPoly>,
-    /// The most recent runtime write-back, for the access trace (see
-    /// [`CoreStats::stripe_writebacks`] for how many there were).
-    pub(crate) last_writeback: Option<Writeback>,
     pub(crate) eur: EurModel,
     /// Ground-truth injected failure (set by [`ChipkillMemory::fail_chip`]).
     failed_chip: Option<FailedChip>,
@@ -196,7 +166,6 @@ impl ChipkillMemory {
             rs_scratch,
             bch_scratch,
             vlew_batch,
-            last_writeback: None,
             eur: EurModel::new(stripes, layout.total_chips()),
             failed_chip: None,
             known_failed: None,
@@ -321,8 +290,8 @@ impl ChipkillMemory {
 
     /// Applies chip `chip`'s VLEW code-bit update for the 8-byte data
     /// change `delta8` at stripe offset `off`: `f(sum)` of §V-D through
-    /// the encoder's sparse entry, coalesced in the EUR when enabled. A
-    /// zero delta changes no code bit and is skipped. Allocation-free.
+    /// the encoder's sparse entry, coalesced in the EUR. A zero delta
+    /// changes no code bit and is skipped. Allocation-free.
     fn apply_chip_code_update(&mut self, chip: usize, stripe: usize, off: usize, delta8: &[u8]) {
         if delta8.iter().all(|&d| d == 0) {
             return;
@@ -330,12 +299,7 @@ impl ChipkillMemory {
         let mut delta = [0u64; CODE_LIMBS];
         self.vlew
             .parity_delta_into(off * self.layout.chip_bytes * 8, delta8, &mut delta);
-        if self.cfg.eur_enabled {
-            self.eur.accumulate(chip, stripe, &delta);
-        } else {
-            apply_code_delta(self.chips[chip].vlew_code_mut(stripe, &self.layout), &delta);
-            self.eur.drains += 1;
-        }
+        self.eur.accumulate(chip, stripe, &delta);
     }
 
     /// Drains every pending EUR register into the code arrays (a full
@@ -489,8 +453,7 @@ impl ChipkillMemory {
                 self.stats.rs_accepted += 1;
                 self.stats.rs_corrections += corrections as u64;
             }
-            ReadPath::VlewFallback { bits_corrected }
-            | ReadPath::VlewListDecoded { bits_corrected } => {
+            ReadPath::VlewFallback { bits_corrected } => {
                 self.stats.fallbacks += 1;
                 self.stats.vlew_bits_corrected += bits_corrected as u64;
             }
@@ -557,11 +520,7 @@ impl ChipkillMemory {
                     return Ok(ReadPath::ChipkillErasure { chip });
                 }
                 let bits_corrected = verdict.0.iter().map(WordVerdict::bits_corrected).sum();
-                Ok(if verdict.list_rescues() > 0 {
-                    ReadPath::VlewListDecoded { bits_corrected }
-                } else {
-                    ReadPath::VlewFallback { bits_corrected }
-                })
+                Ok(ReadPath::VlewFallback { bits_corrected })
             }
         }
     }
@@ -624,12 +583,11 @@ impl ChipkillMemory {
 
     /// The engine's only VLEW decode. Closes `stripe`'s row, then loads
     /// each chip's VLEW of it into the reusable batch and decodes it in
-    /// place under [`ChipkillConfig::decode_policy`] — except `skip`, a
-    /// known-failed chip, which is not decoded at all. Corrected words
-    /// stay in the batch for [`ChipkillMemory::stripe_word_into`] and
+    /// place — except `skip`, a known-failed chip, which is not decoded
+    /// at all. Corrected words stay in the batch for
+    /// [`ChipkillMemory::stripe_word_into`] and
     /// [`ChipkillMemory::write_back_vlew`] until the next call refills
-    /// it; storage is untouched. List-decoder rescues are counted in
-    /// [`CoreStats::list_rescues`] here and nowhere else.
+    /// it; storage is untouched.
     pub(crate) fn decode_stripe(&mut self, stripe: usize, skip: Option<usize>) -> StripeVerdict {
         self.close_stripe(stripe);
         let mut verdict = StripeVerdict([WordVerdict::Uncorrectable; CHIPS]);
@@ -638,11 +596,8 @@ impl ChipkillMemory {
                 continue;
             }
             Self::load_vlew_word(&self.chips, &self.layout, &self.vlew, chip, stripe, word);
-            verdict.0[chip] =
-                self.vlew
-                    .decode_word(word, self.cfg.decode_policy, &mut self.bch_scratch);
+            verdict.0[chip] = self.vlew.decode_word(word, &mut self.bch_scratch);
         }
-        self.stats.list_rescues += verdict.list_rescues() as u64;
         verdict
     }
 
@@ -668,7 +623,7 @@ impl ChipkillMemory {
     ) -> (usize, usize) {
         let (mut chips, mut bits) = (0, 0);
         for (chip, outcome) in verdict.0.iter().enumerate() {
-            if let WordVerdict::Corrected { bits: n, .. } = outcome {
+            if let WordVerdict::Corrected { bits: n } = outcome {
                 self.write_back_vlew(chip, stripe);
                 chips += 1;
                 bits += n;
@@ -708,14 +663,9 @@ impl ChipkillMemory {
         let (untrusted, None) = (failed.next(), failed.next()) else {
             return Err(CoreError::MultiChipFailure);
         };
-        let (chips, bits) = self.write_back_corrected(stripe, &verdict);
+        let (chips, _) = self.write_back_corrected(stripe, &verdict);
         if chips > 0 {
             self.stats.stripe_writebacks += 1;
-            self.last_writeback = Some(Writeback {
-                stripe,
-                chips,
-                bits,
-            });
         }
         let off = self.layout.offset_in_stripe(addr);
         let at = self.vlew.parity_bits() + off * self.layout.chip_bytes * 8;
@@ -1086,10 +1036,6 @@ mod tests {
         // it). The counts are pinned from the commit before the
         // table-driven encoder and the register-file EUR (PR 11,
         // 9842f7b) on the same seeds: the drain policy did not move.
-        let no_eur = ChipkillConfig {
-            eur_enabled: false,
-            ..ChipkillConfig::default()
-        };
         for (cfg, seed, occupancy, drains) in [
             (ChipkillConfig::default(), 0xE014, 63, 398),
             (
@@ -1098,7 +1044,6 @@ mod tests {
                 119,
                 383,
             ),
-            (no_eur, 0xE016, 0, 10972),
         ] {
             let (mut mem, mirror) = mixed_writes(cfg, seed);
             assert_eq!(mem.eur_occupancy(), occupancy, "{cfg:?}");

@@ -230,7 +230,6 @@ impl<D: BlockDevice> LinkProtected<D> {
             TransmitOutcome::Retransmitted { retries } => st.retransmissions += retries as u64,
             TransmitOutcome::Failed => {
                 st.link_failures += 1;
-                ctx.trace(LayerId::Link, || format!("write {addr} -> link failed"));
                 return Err(CoreError::LinkFailed);
             }
         }

@@ -71,7 +71,7 @@ mod wearlevel;
 pub use baseline::{BaselineMemory, BaselineReadOutcome};
 pub use config::ChipkillConfig;
 pub use device::{
-    AccessContext, BlockDevice, LayerId, LayerStats, ParseLayerIdError, RecoveryReport, TraceEvent,
+    AccessContext, BlockDevice, LayerId, LayerStats, ParseLayerIdError, RecoveryReport,
 };
 pub use engine::{ChipkillMemory, ReadOutcome, ReadPath};
 pub use error::{
@@ -92,6 +92,5 @@ pub use tier::{TierPolicy, TierReport, TieredMemory};
 pub use wearlevel::{WearLevelled, WearLevelledMemory};
 
 // Re-exports used in public signatures.
-pub use pmck_bch::DecodePolicy;
 pub use pmck_nvram::{ChipFailureKind, FailedChip};
 pub use pmck_pmem::PmemConfig;

@@ -479,7 +479,7 @@ pub(crate) fn recover<'a>(
     let mut report = RecoveryReport::default();
     let mut retired: Option<CoreStats> = None;
     let mut replayed_any = false;
-    for (i, mut slot) in slots.into_iter().enumerate() {
+    for mut slot in slots {
         let Some(domain) = slot.engine().domain().as_mut() else {
             continue;
         };
@@ -491,23 +491,8 @@ pub(crate) fn recover<'a>(
             restriped: meta.restriped,
         });
         // Only the §V-E switch and a tier region ever replace an engine.
-        let switch = matches!(slot, Slot::Layout(_));
-        if let Some(old) = engine_for_image(slot, &meta, cfg)? {
-            if switch {
-                let to = if meta.restriped {
-                    "restriped"
-                } else {
-                    "chipkill"
-                };
-                ctx.trace(LayerId::Restripeable, || format!("recover -> {to}"));
-            } else {
-                ctx.trace(LayerId::Tiered, || {
-                    format!("recover region {i} -> {}", meta.tier)
-                });
-            }
-            if let RestripeState::Chipkill(rank) = old {
-                retired.get_or_insert_default().merge(rank.stats());
-            }
+        if let Some(RestripeState::Chipkill(rank)) = engine_for_image(slot, &meta, cfg)? {
+            retired.get_or_insert_default().merge(rank.stats());
         }
     }
     if replayed_any {

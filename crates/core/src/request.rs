@@ -249,7 +249,6 @@ pub fn merge_broadcast(
                 a.stripes_scrubbed += b.stripes_scrubbed;
                 a.bits_corrected += b.bits_corrected;
                 a.words_with_errors += b.words_with_errors;
-                a.list_rescues += b.list_rescues;
                 if a.chip_rebuilt.is_none() {
                     a.chip_rebuilt = b.chip_rebuilt;
                 }

@@ -273,7 +273,6 @@ impl Restripeable {
         crate::pmem::flush(&mut restriped, ctx);
         self.state = RestripeState::Restriped(restriped);
         self.final_stats = Some(stats);
-        ctx.trace(LayerId::Restripeable, || "restripe -> restriped".into());
         Ok(Response::Restriped)
     }
 }

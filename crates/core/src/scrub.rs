@@ -13,10 +13,6 @@ pub struct ScrubReport {
     pub bits_corrected: usize,
     /// VLEW words that needed at least one correction.
     pub words_with_errors: usize,
-    /// Words recovered by the unraveling list decoder beyond the designed
-    /// radius `t` (only nonzero under
-    /// [`pmck_bch::DecodePolicy::BeyondBound`]).
-    pub list_rescues: usize,
     /// Chip rebuilt through erasure correction, if a failure was found.
     pub chip_rebuilt: Option<usize>,
 }
@@ -49,7 +45,6 @@ impl ChipkillMemory {
                     failed_chips.push(chip);
                 }
             }
-            report.list_rescues += verdict.list_rescues();
             report.stripes_scrubbed += 1;
         }
         match failed_chips.len() {

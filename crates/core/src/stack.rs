@@ -10,13 +10,12 @@
 //! device with its [`AccessContext`], exposing typed convenience
 //! wrappers over [`BlockDevice::access`].
 
-use pmck_bch::DecodePolicy;
 use pmck_nvram::FaultEvent;
 use pmck_rt::metrics::MetricsRegistry;
 
 use crate::baseline::BaselineMemory;
 use crate::config::ChipkillConfig;
-use crate::device::{AccessContext, BlockDevice, LayerId, LayerStats, TraceEvent};
+use crate::device::{AccessContext, BlockDevice, LayerId, LayerStats};
 use crate::engine::{ChipkillMemory, ReadOutcome};
 use crate::error::CoreError;
 use crate::iocrc::{BusFault, LinkProtected};
@@ -266,12 +265,6 @@ impl Stack {
         self.ctx.layers()
     }
 
-    /// Drains the trace (empty unless the stack was assembled with
-    /// [`Stack::from_parts`] over an [`AccessContext::with_trace`]).
-    pub fn take_trace(&mut self) -> Vec<TraceEvent> {
-        self.ctx.take_trace()
-    }
-
     /// Publishes per-layer counters (`<prefix>.layer.<label>.*`), the
     /// engine stats (`<prefix>.engine.*`) if present, and — on a tiered
     /// base — the storage-cost gauges: each tier's constant cost under
@@ -423,20 +416,6 @@ impl StackBuilder {
             },
             BaseKind::Baseline => panic!("tiering is a proposal-only mechanism"),
         };
-        self
-    }
-
-    /// Selects how far VLEW decoding reaches on a proposal base:
-    /// [`DecodePolicy::Bounded`] (the default) stops at the designed
-    /// radius `t`; [`DecodePolicy::BeyondBound`] also tries the
-    /// unraveling list decoder at radius `t + 1` before declaring a word
-    /// uncorrectable. Rescues show up in
-    /// [`crate::CoreStats::list_rescues`] and as
-    /// [`crate::ReadPath::VlewListDecoded`]. No-op on a baseline base.
-    pub fn decode_policy(mut self, policy: DecodePolicy) -> Self {
-        if let BaseKind::Proposal { cfg } = &mut self.base {
-            cfg.decode_policy = policy;
-        }
         self
     }
 

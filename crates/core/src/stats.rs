@@ -18,10 +18,6 @@ pub struct CoreStats {
     pub fallbacks: u64,
     /// Bit errors corrected by fallback VLEW decodes.
     pub vlew_bits_corrected: u64,
-    /// VLEW words recovered by the unraveling list decoder beyond the
-    /// designed radius `t` (only under
-    /// [`pmck_bch::DecodePolicy::BeyondBound`]).
-    pub list_rescues: u64,
     /// Stripes healed at runtime: a demand read, scrub or write that
     /// had to VLEW-decode a readable stripe wrote its corrected words
     /// back (boot scrub and chip repair report their own).
@@ -48,7 +44,6 @@ impl CoreStats {
         self.rs_corrections += other.rs_corrections;
         self.fallbacks += other.fallbacks;
         self.vlew_bits_corrected += other.vlew_bits_corrected;
-        self.list_rescues += other.list_rescues;
         self.stripe_writebacks += other.stripe_writebacks;
         self.erasure_reads += other.erasure_reads;
         self.chip_failures_detected += other.chip_failures_detected;
@@ -76,7 +71,6 @@ impl CoreStats {
         c("rs_corrections", self.rs_corrections);
         c("fallbacks", self.fallbacks);
         c("vlew_bits_corrected", self.vlew_bits_corrected);
-        c("list_rescues", self.list_rescues);
         c("stripe_writebacks", self.stripe_writebacks);
         c("erasure_reads", self.erasure_reads);
         c("chip_failures_detected", self.chip_failures_detected);
@@ -98,7 +92,6 @@ impl CoreStats {
             .with("rs_corrections", self.rs_corrections)
             .with("fallbacks", self.fallbacks)
             .with("vlew_bits_corrected", self.vlew_bits_corrected)
-            .with("list_rescues", self.list_rescues)
             .with("stripe_writebacks", self.stripe_writebacks)
             .with("erasure_reads", self.erasure_reads)
             .with("chip_failures_detected", self.chip_failures_detected)

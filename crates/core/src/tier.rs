@@ -42,9 +42,7 @@ use pmck_nvram::{FaultKind, RegionRber, WearModel};
 use pmck_pmem::PmemConfig;
 
 use crate::config::ChipkillConfig;
-use crate::device::{
-    check_injection, record_access, trace_writeback, AccessContext, BlockDevice, LayerId,
-};
+use crate::device::{check_injection, record_access, AccessContext, BlockDevice, LayerId};
 use crate::engine::ChipkillMemory;
 use crate::error::CoreError;
 use crate::layout::{ChipkillLayout, ProtectionTier};
@@ -402,7 +400,6 @@ impl TieredMemory {
         let old = std::mem::replace(&mut self.regions[r], fresh);
         self.folded_stats.merge(old.stats());
         self.migrations += 1;
-        ctx.trace(LayerId::Tiered, || format!("region {r} -> {tier}"));
         true
     }
 
@@ -413,7 +410,6 @@ impl TieredMemory {
             total.stripes_scrubbed += r.stripes_scrubbed;
             total.bits_corrected += r.bits_corrected;
             total.words_with_errors += r.words_with_errors;
-            total.list_rescues += r.list_rescues;
             total.chip_rebuilt = total.chip_rebuilt.or(r.chip_rebuilt);
         }
         Ok(Response::BootScrubbed(total))
@@ -451,12 +447,6 @@ impl BlockDevice for TieredMemory {
     }
 
     fn access(&mut self, req: Request, ctx: &mut AccessContext) -> Result<Response, CoreError> {
-        // An addressed request touches one region: its write-back count
-        // now, to tell afterwards whether this request healed a stripe.
-        let healing = req
-            .addr()
-            .and_then(|a| self.region_of(a).ok())
-            .map(|(r, _)| (r, self.regions[r].stats().stripe_writebacks));
         let result = match req {
             Request::Read(addr) => self
                 .region_of(addr)
@@ -540,9 +530,6 @@ impl BlockDevice for TieredMemory {
             Request::PatrolStep | Request::Restripe => Err(CoreError::Unsupported(req.kind())),
         };
         record_access(ctx, LayerId::Tiered, &req, &result);
-        if let Some((r, before)) = healing {
-            trace_writeback(ctx, LayerId::Tiered, &self.regions[r], before);
-        }
         result
     }
 

@@ -1,5 +1,6 @@
-//! Proves the read path — clean, VLEW fallback and chip-failure erasure
-//! alike, and the baseline and re-striped layouts' single-tier reads —
+//! Proves the read path — clean, RS-corrected, VLEW fallback and
+//! chip-failure erasure alike, and the baseline and re-striped layouts'
+//! single-tier reads —
 //! performs zero heap allocations after warm-up, using a counting
 //! `#[global_allocator]`.
 //!
@@ -161,6 +162,45 @@ fn clean_read_path_is_allocation_free_after_warmup() {
          warm-up (counted {fallback_allocs} allocations over {} reads)",
         2 * blocks
     );
+
+    // --- RS-accepted: one bad byte in some blocks, two bytes in
+    // different chips in others, both inside the acceptance threshold.
+    // Such reads are not written back, so both laps take the same path;
+    // a scrub clears the cells afterwards. ---
+    for a in 0..blocks {
+        match a % 4 {
+            1 => mem.corrupt_chip_byte((a / 4) as usize % 8, a, 3, 0x40),
+            3 => {
+                mem.corrupt_chip_byte(2, a, 0, 0x81);
+                mem.corrupt_chip_byte(5, a, 7, 0x02);
+            }
+            _ => {}
+        }
+    }
+    let rs_allocs = count(|| {
+        for _ in 0..2 {
+            for a in 0..blocks {
+                let out = mem.read_block(a).unwrap();
+                let want = match a % 4 {
+                    1 => ReadPath::RsCorrected { corrections: 1 },
+                    3 => ReadPath::RsCorrected { corrections: 2 },
+                    _ => ReadPath::Clean,
+                };
+                assert_eq!(out.path, want, "block {a}");
+                assert_eq!(out.data, [a as u8; 64]);
+            }
+        }
+    });
+    assert_eq!(
+        rs_allocs,
+        0,
+        "RS-corrected reads must not allocate (counted {rs_allocs} \
+         allocations over {} reads)",
+        2 * blocks
+    );
+    for a in 0..blocks {
+        mem.scrub_block(a).unwrap();
+    }
 
     // --- Chip failure: the first read detects it; from then on every
     // read is served by erasure correction over the eight survivors. ---

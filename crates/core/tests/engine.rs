@@ -321,52 +321,46 @@ fn degraded_rank_takes_writes_sums_and_scrubs_until_repair() {
 
 #[test]
 fn first_fallback_in_a_stripe_heals_the_whole_stripe() {
-    use pmck_core::{DecodePolicy, ProtectionTier};
+    use pmck_core::ProtectionTier;
     for tier in [ProtectionTier::Paper, ProtectionTier::Dense] {
-        for decode_policy in [DecodePolicy::Bounded, DecodePolicy::BeyondBound] {
-            let cfg = ChipkillConfig {
-                decode_policy,
-                ..ChipkillConfig::for_tier(tier)
-            };
-            let mut mem = ChipkillMemory::new(256, cfg);
-            let blocks: Vec<[u8; 64]> = (0..mem.num_blocks()).map(pattern_block).collect();
-            for (a, b) in blocks.iter().enumerate() {
-                mem.write_block(a as u64, b).unwrap();
-            }
-            // Boot-level ageing everywhere, and in every stripe one
-            // block pushed past the RS threshold for certain.
-            mem.inject_bit_errors(1e-3, &mut StdRng::seed_from_u64(0xA6ED));
-            let per_stripe = mem.layout().blocks_per_vlew() as u64;
-            let stripes = mem.stripes() as u64;
-            for s in 0..stripes {
-                for chip in [1, 3, 8] {
-                    mem.corrupt_chip_byte(chip, s * per_stripe + 7, 2, 0x18);
-                }
-            }
-            for s in 0..stripes {
-                let first = s * per_stripe + 7;
-                let out = mem.read_block(first).unwrap();
-                assert_eq!(out.data, blocks[first as usize]);
-                assert!(
-                    matches!(out.path, ReadPath::VlewFallback { bits_corrected } if bits_corrected > 6),
-                    "{tier} {decode_policy:?} block {first}: {:?}",
-                    out.path
-                );
-                // That read paid for the stripe: nobody else does.
-                for a in s * per_stripe..(s + 1) * per_stripe {
-                    let out = mem.read_block(a).unwrap();
-                    assert_eq!(out.data, blocks[a as usize], "block {a}");
-                    assert_eq!(out.path, ReadPath::Clean, "block {a}");
-                }
-            }
-            let st = *mem.stats();
-            assert_eq!((st.fallbacks, st.stripe_writebacks), (stripes, stripes));
-            // Code cells were written back with the data cells: the
-            // rank is consistent and a boot scrub finds nothing left.
-            assert!(mem.verify_consistent());
-            let report = mem.boot_scrub().unwrap();
-            assert_eq!((report.bits_corrected, report.words_with_errors), (0, 0));
+        let mut mem = ChipkillMemory::new(256, ChipkillConfig::for_tier(tier));
+        let blocks: Vec<[u8; 64]> = (0..mem.num_blocks()).map(pattern_block).collect();
+        for (a, b) in blocks.iter().enumerate() {
+            mem.write_block(a as u64, b).unwrap();
         }
+        // Boot-level ageing everywhere, and in every stripe one block
+        // pushed past the RS threshold for certain.
+        mem.inject_bit_errors(1e-3, &mut StdRng::seed_from_u64(0xA6ED));
+        let per_stripe = mem.layout().blocks_per_vlew() as u64;
+        let stripes = mem.stripes() as u64;
+        for s in 0..stripes {
+            for chip in [1, 3, 8] {
+                mem.corrupt_chip_byte(chip, s * per_stripe + 7, 2, 0x18);
+            }
+        }
+        for s in 0..stripes {
+            let first = s * per_stripe + 7;
+            let out = mem.read_block(first).unwrap();
+            assert_eq!(out.data, blocks[first as usize]);
+            assert!(
+                matches!(out.path, ReadPath::VlewFallback { bits_corrected } if bits_corrected > 6),
+                "{tier} block {first}: {:?}",
+                out.path
+            );
+            // That read paid for the stripe: nobody else does.
+            for a in s * per_stripe..(s + 1) * per_stripe {
+                let out = mem.read_block(a).unwrap();
+                assert_eq!(out.data, blocks[a as usize], "block {a}");
+                assert_eq!(out.path, ReadPath::Clean, "block {a}");
+            }
+        }
+        let st = *mem.stats();
+        assert_eq!((st.fallbacks, st.stripe_writebacks), (stripes, stripes));
+        // Code cells were written back with the data cells: the rank is
+        // consistent and a boot scrub finds nothing left.
+        assert!(mem.verify_consistent());
+        let report = mem.boot_scrub().unwrap();
+        assert_eq!((report.bits_corrected, report.words_with_errors), (0, 0));
     }
 }
 
@@ -435,19 +429,6 @@ fn eur_coalescing_reduces_c_factor() {
         c_seq <= 9.0 / 32.0 + 1e-9,
         "sequential writes coalesce: C = {c_seq}"
     );
-
-    // Compare with EUR disabled: every write pays full code updates.
-    let mut mem2 = ChipkillMemory::new(
-        64,
-        ChipkillConfig {
-            eur_enabled: false,
-            ..ChipkillConfig::default()
-        },
-    );
-    for a in 0..32u64 {
-        mem2.write_block(a, &pattern_block(a)).unwrap();
-    }
-    assert!(mem2.c_factor() > c_seq, "no coalescing → higher C");
 }
 
 #[test]
@@ -489,96 +470,54 @@ fn threshold_zero_always_falls_back_on_any_error() {
 }
 
 #[test]
-fn beyond_bound_policy_rescues_t_plus_one_errors_at_runtime() {
-    use pmck_core::DecodePolicy;
-    let t = 22; // VLEW designed correction capability
-    for policy in [DecodePolicy::Bounded, DecodePolicy::BeyondBound] {
-        let cfg = ChipkillConfig {
-            decode_policy: policy,
-            ..ChipkillConfig::default()
-        };
-        let mut mem = ChipkillMemory::new(32, cfg);
-        let blocks: Vec<[u8; 64]> = (0..mem.num_blocks())
-            .map(|a| {
-                let b = pattern_block(a);
-                mem.write_block(a, &b).unwrap();
-                b
-            })
-            .collect();
-        // t + 1 single-bit errors in chip 0's VLEW (one per block), plus
-        // one bit each in chips 1 and 2 of block 0 so block 0's RS word
-        // carries three bad bytes and rejects past the threshold.
-        for i in 0..=t {
-            mem.corrupt_chip_byte(0, i as u64, 0, 1);
-        }
-        mem.corrupt_chip_byte(1, 0, 0, 1);
-        mem.corrupt_chip_byte(2, 0, 0, 1);
-        let out = mem.read_block(0).unwrap();
-        assert_eq!(out.data, blocks[0], "data recovered under {policy:?}");
-        match policy {
-            DecodePolicy::Bounded => {
-                // Bounded decoding rejects the overweight chip word and
-                // the rank degrades to erasure reads.
-                assert_eq!(out.path, ReadPath::ChipkillErasure { chip: 0 });
-                assert_eq!(mem.stats().list_rescues, 0);
-                assert_eq!(mem.detected_failed_chip(), Some(0));
-            }
-            DecodePolicy::BeyondBound => {
-                // The unraveling list decoder rescues the word; no chip
-                // is declared failed.
-                assert_eq!(
-                    out.path,
-                    ReadPath::VlewListDecoded {
-                        bits_corrected: t + 3
-                    }
-                );
-                assert_eq!(mem.stats().list_rescues, 1);
-                assert_eq!(mem.detected_failed_chip(), None);
-            }
-        }
+fn t_plus_one_vlew_errors_at_runtime_read_as_a_chip_failure() {
+    // The VLEW decoder is bounded to t = 22: a chip word with t + 1
+    // errors is rejected, so the rank degrades to erasure reads (DESIGN
+    // §12.3 on why no beyond-bound decoder).
+    let t = 22;
+    let mut mem = ChipkillMemory::new(32, ChipkillConfig::default());
+    let blocks: Vec<[u8; 64]> = (0..mem.num_blocks())
+        .map(|a| {
+            let b = pattern_block(a);
+            mem.write_block(a, &b).unwrap();
+            b
+        })
+        .collect();
+    // t + 1 single-bit errors in chip 0's VLEW (one per block), plus one
+    // bit each in chips 1 and 2 of block 0 so block 0's RS word carries
+    // three bad bytes and rejects past the threshold.
+    for i in 0..=t {
+        mem.corrupt_chip_byte(0, i, 0, 1);
     }
+    mem.corrupt_chip_byte(1, 0, 0, 1);
+    mem.corrupt_chip_byte(2, 0, 0, 1);
+    let out = mem.read_block(0).unwrap();
+    assert_eq!(out.data, blocks[0]);
+    assert_eq!(out.path, ReadPath::ChipkillErasure { chip: 0 });
+    assert_eq!(mem.detected_failed_chip(), Some(0));
 }
 
 #[test]
-fn boot_scrub_counts_list_rescues_under_beyond_bound_policy() {
-    use pmck_core::DecodePolicy;
+fn boot_scrub_rebuilds_a_chip_with_t_plus_one_vlew_errors() {
     let t = 22;
-    for policy in [DecodePolicy::Bounded, DecodePolicy::BeyondBound] {
-        let cfg = ChipkillConfig {
-            decode_policy: policy,
-            ..ChipkillConfig::default()
-        };
-        let mut mem = ChipkillMemory::new(32, cfg);
-        let blocks: Vec<[u8; 64]> = (0..mem.num_blocks())
-            .map(|a| {
-                let b = pattern_block(a);
-                mem.write_block(a, &b).unwrap();
-                b
-            })
-            .collect();
-        for i in 0..=t {
-            mem.corrupt_chip_byte(0, i as u64, 0, 1);
-        }
-        let report = mem.boot_scrub().unwrap();
-        assert_eq!(report.stripes_scrubbed, 1);
-        match policy {
-            DecodePolicy::Bounded => {
-                // The overweight chip word is uncorrectable: the scrub
-                // treats chip 0 as failed and rebuilds it by erasure.
-                assert_eq!(report.chip_rebuilt, Some(0));
-                assert_eq!(report.list_rescues, 0);
-            }
-            DecodePolicy::BeyondBound => {
-                assert_eq!(report.chip_rebuilt, None);
-                assert_eq!(report.list_rescues, 1);
-                assert_eq!(report.words_with_errors, 1);
-                assert_eq!(report.bits_corrected, t + 1);
-                assert_eq!(mem.stats().list_rescues, 1);
-            }
-        }
-        assert!(mem.verify_consistent(), "scrub restores consistency");
-        for (a, b) in blocks.iter().enumerate() {
-            assert_eq!(&mem.read_block(a as u64).unwrap().data, b, "block {a}");
-        }
+    let mut mem = ChipkillMemory::new(32, ChipkillConfig::default());
+    let blocks: Vec<[u8; 64]> = (0..mem.num_blocks())
+        .map(|a| {
+            let b = pattern_block(a);
+            mem.write_block(a, &b).unwrap();
+            b
+        })
+        .collect();
+    for i in 0..=t {
+        mem.corrupt_chip_byte(0, i, 0, 1);
+    }
+    let report = mem.boot_scrub().unwrap();
+    assert_eq!(report.stripes_scrubbed, 1);
+    // The overweight chip word is uncorrectable: the scrub treats chip 0
+    // as failed and rebuilds it by erasure.
+    assert_eq!(report.chip_rebuilt, Some(0));
+    assert!(mem.verify_consistent(), "scrub restores consistency");
+    for (a, b) in blocks.iter().enumerate() {
+        assert_eq!(&mem.read_block(a as u64).unwrap().data, b, "block {a}");
     }
 }

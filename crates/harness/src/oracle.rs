@@ -36,7 +36,7 @@
 //! [`diff_rs_small`] does the same for the runtime decode at every
 //! acceptance threshold.
 
-use pmck_bch::{BchCode, BchError, BchScratch, BitPoly, DecodePolicy, WordVerdict};
+use pmck_bch::{BchCode, BchError, BchScratch, BitPoly, WordVerdict};
 use pmck_gf::{FieldPoly, Gf2m};
 use pmck_rs::{RejectReason, RsCode, RsError, RsScratch, ThresholdOutcome};
 
@@ -296,9 +296,8 @@ pub fn ref_rs_small_decode(code: &RsCode, word: &[u8]) -> RefRsOutcome {
 /// Runs both production BCH decode entries (in the caller's `scratch`)
 /// and the PGZ reference on `word` and checks they agree exactly:
 /// `decode_scratch` on accept/reject and the flipped positions,
-/// `decode_word` (bounded policy) on the verdict, and both on the word
-/// they leave behind — corrected as the reference says, or unmodified
-/// on a reject. Reusing one scratch across a whole campaign is the
+/// `decode_word` on the verdict, and both on the word they leave
+/// behind — corrected as the reference says, or unmodified on a reject. Reusing one scratch across a whole campaign is the
 /// point: state leaking between decodes would show up as a divergence
 /// from the stateless reference.
 ///
@@ -314,7 +313,6 @@ pub fn diff_bch(code: &BchCode, word: &BitPoly, scratch: &mut BchScratch) -> Res
             positions,
             WordVerdict::Corrected {
                 bits: positions.len(),
-                beyond_bound: false,
             },
         ),
         RefBchOutcome::Uncorrectable => (&[], WordVerdict::Uncorrectable),
@@ -340,7 +338,7 @@ pub fn diff_bch(code: &BchCode, word: &BitPoly, scratch: &mut BchScratch) -> Res
     }
 
     let mut decoded = word.clone();
-    let got = code.decode_word(&mut decoded, DecodePolicy::Bounded, scratch);
+    let got = code.decode_word(&mut decoded, scratch);
     if got != verdict || decoded != expect {
         return Err(format!(
             "BCH divergence, in the verdict or the word left behind: \

@@ -146,7 +146,7 @@ impl Emitter {
             return false;
         };
         match coupling.on_read(la) {
-            Some(ReadPath::VlewFallback { .. }) | Some(ReadPath::VlewListDecoded { .. }) => {
+            Some(ReadPath::VlewFallback { .. }) => {
                 self.fallback_events += 1;
                 true
             }

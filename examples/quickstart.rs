@@ -40,7 +40,7 @@ fn main() {
         match mem.read_block(a).expect("correctable").path {
             ReadPath::Clean => paths[0] += 1,
             ReadPath::RsCorrected { .. } => paths[1] += 1,
-            ReadPath::VlewFallback { .. } | ReadPath::VlewListDecoded { .. } => paths[2] += 1,
+            ReadPath::VlewFallback { .. } => paths[2] += 1,
             ReadPath::ChipkillErasure { .. } | ReadPath::BitCorrected { .. } => {
                 unreachable!("no chip failed and the proposal has no bit-only tier")
             }
